@@ -2,19 +2,22 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench vet fmt check crash-test chaos-test storage-test cluster-test wire-test prefetch-test ha-test experiments table1 clean
+.PHONY: all build test test-short bench bench-check bench-spine vet fmt check crash-test chaos-test storage-test cluster-test wire-test prefetch-test ha-test experiments table1 clean
 
 all: build test
 
 # CI gate: static checks + the race detector over the concurrent layers
 # (the FL worker pool, the fedora round pipeline, the sharded ORAM
 # engine, the HTTP API server, the retrying HTTP client SDK, and the
-# wire upload plane).
+# wire upload plane) and over the ORAM data path below them, whose
+# per-ORAM scratch buffers and keyed HMAC state are single-goroutine by
+# contract (tee, raworam, pathoram, bufferoram, stash).
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race ./internal/fl/... ./internal/fedora/... ./internal/shard/... ./internal/api/... ./internal/client/... ./internal/wire/...
+	$(GO) test -race ./internal/tee/... ./internal/raworam/... ./internal/pathoram/... ./internal/bufferoram/... ./internal/stash/...
 
 # Durability gate: kill-resume fingerprint identity, corrupt-checkpoint
 # fallback, torn-WAL replay, every Snapshot/Restore round trip, and a
@@ -109,6 +112,19 @@ test-short:
 # One testing.B benchmark per paper table/figure + primitive microbenches.
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench/ is a module of its own (repro/bench), outside ./..., so a rename
+# under internal/ can break the round-spine benchmark without any target
+# above noticing: vet it and run its tests (a tiny-geometry smoke of all
+# four workloads, ~2 s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The full round-spine set (4 workloads × 3 segments + a traced one each,
+# ~5 min) → bench/out/results.json; compare two of those with
+# `cd bench && go run . compare a.json b.json`.
+bench-spine:
+	cd bench && $(GO) run .
 
 # Regenerate every figure/ablation (writes results/).
 experiments: build

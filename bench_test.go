@@ -234,6 +234,7 @@ func BenchmarkPathORAMAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := o.Write(uint64(i)&0xFFFF, buf); err != nil {
@@ -254,6 +255,7 @@ func BenchmarkRAWORAMAOAccess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := uint64(i) & 0xFFFF

@@ -1,6 +1,7 @@
 package bufferoram
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -42,6 +43,11 @@ type Buffer struct {
 	// metadata (it lives with the position map in encrypted DRAM).
 	slotOf map[uint64]int
 	free   []int
+
+	// scratch holds one block's floats: the Pre-processed gradient while
+	// Aggregate folds it in, the decoded block while Unload runs Post.
+	scratch []float32
+	post    PostCtx // Unload's argument to the aggregator's Post
 
 	round uint64
 }
@@ -101,6 +107,7 @@ func New(cfg Config, dram device.Device) (*Buffer, error) {
 		capacity: cfg.Capacity,
 		lr:       cfg.LearningRate,
 		slotOf:   make(map[uint64]int),
+		scratch:  make([]float32, blockFloats),
 	}
 	for i := cfg.Capacity - 1; i >= 0; i-- {
 		b.free = append(b.free, i)
@@ -144,12 +151,8 @@ func (b *Buffer) Load(id uint64, entry []float32) (time.Duration, error) {
 	return b.oram.Update(uint64(slot), func(data []byte) {
 		// Preserve aggregator state across rounds for LazyDP-style modes;
 		// reset entry, sum and count.
-		f := decodeF32s(data)
-		copy(f[:b.dim], entry)
-		for i := b.dim; i < 2*b.dim+1; i++ {
-			f[i] = 0
-		}
-		encodeF32s(data, f)
+		encodeF32s(data, entry)
+		clear(data[4*b.dim : 4*(2*b.dim+1)])
 	})
 }
 
@@ -180,7 +183,7 @@ func (b *Buffer) Serve(id uint64) ([]float32, time.Duration, error) {
 	}
 	out := make([]float32, b.dim)
 	d, err := b.oram.Update(uint64(slot), func(data []byte) {
-		copy(out, decodeF32s(data)[:b.dim])
+		decodeF32s(out, data)
 	})
 	return out, d, err
 }
@@ -201,16 +204,21 @@ func (b *Buffer) Aggregate(id uint64, grad []float32, nSamples int) (time.Durati
 		}
 		return d, ErrNotLoaded
 	}
-	g := append([]float32(nil), grad...)
+	g := b.scratch[:b.dim]
+	copy(g, grad)
 	b.agg.Pre(g, nSamples)
+	return b.accumulate(slot, g, float32(nSamples))
+}
+
+// accumulate adds sum and count into slot's aggregation half, in place
+// on the block bytes.
+func (b *Buffer) accumulate(slot int, sum []float32, count float32) (time.Duration, error) {
 	return b.oram.Update(uint64(slot), func(data []byte) {
-		f := decodeF32s(data)
-		sum := f[b.dim : 2*b.dim]
-		for i := range sum {
-			sum[i] += g[i]
+		acc := data[4*b.dim:]
+		for i, v := range sum {
+			putF32(acc, i, getF32(acc, i)+v)
 		}
-		f[2*b.dim] += float32(nSamples)
-		encodeF32s(data, f)
+		putF32(acc, b.dim, getF32(acc, b.dim)+count)
 	})
 }
 
@@ -233,15 +241,7 @@ func (b *Buffer) AggregateRaw(id uint64, sum []float32, count float32) (time.Dur
 		}
 		return d, ErrNotLoaded
 	}
-	return b.oram.Update(uint64(slot), func(data []byte) {
-		f := decodeF32s(data)
-		acc := f[b.dim : 2*b.dim]
-		for i := range acc {
-			acc[i] += sum[i]
-		}
-		f[2*b.dim] += count
-		encodeF32s(data, f)
-	})
+	return b.accumulate(slot, sum, count)
 }
 
 // Unload applies the post-aggregation update and returns the new entry
@@ -253,16 +253,17 @@ func (b *Buffer) Unload(id uint64) ([]float32, time.Duration, error) {
 	}
 	out := make([]float32, b.dim)
 	d, err := b.oram.Update(uint64(slot), func(data []byte) {
-		f := decodeF32s(data)
+		f := b.scratch
+		decodeF32s(f, data)
 		entry := f[:b.dim]
 		sum := f[b.dim : 2*b.dim]
-		ctx := &PostCtx{
+		b.post = PostCtx{
 			Round: b.round,
 			Count: f[2*b.dim],
 			State: f[2*b.dim+1 : 2*b.dim+1+b.stateLen],
 			Rng:   b.rng,
 		}
-		delta := b.agg.Post(sum, ctx)
+		delta := b.agg.Post(sum, &b.post)
 		for i := range entry {
 			entry[i] -= b.lr * delta[i]
 		}
@@ -289,27 +290,26 @@ func (b *Buffer) LoadedIDs() []uint64 {
 	return out
 }
 
-// decodeF32s unpacks a block payload into float32s (little-endian,
-// stdlib only — no unsafe).
-func decodeF32s(data []byte) []float32 {
-	out := make([]float32, len(data)/4)
-	for i := range out {
-		off := i * 4
-		bits := uint32(data[off]) | uint32(data[off+1])<<8 |
-			uint32(data[off+2])<<16 | uint32(data[off+3])<<24
-		out[i] = math.Float32frombits(bits)
-	}
-	return out
+// Block payloads are little-endian float32s (stdlib only — no unsafe).
+
+func getF32(data []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 }
 
-// encodeF32s packs floats back into the block payload.
+func putF32(data []byte, i int, v float32) {
+	binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(v))
+}
+
+// decodeF32s unpacks the first len(f) floats of a block payload into f.
+func decodeF32s(f []float32, data []byte) {
+	for i := range f {
+		f[i] = getF32(data, i)
+	}
+}
+
+// encodeF32s packs f into the front of the block payload.
 func encodeF32s(data []byte, f []float32) {
 	for i, v := range f {
-		off := i * 4
-		bits := math.Float32bits(v)
-		data[off] = byte(bits)
-		data[off+1] = byte(bits >> 8)
-		data[off+2] = byte(bits >> 16)
-		data[off+3] = byte(bits >> 24)
+		putF32(data, i, v)
 	}
 }

@@ -254,6 +254,10 @@ type Controller struct {
 	raw  *raworam.ORAM  // BackendFedora / BackendDRAM
 	path *pathoram.ORAM // BackendPathORAMPlus
 	buf  *bufferoram.Buffer
+	// One row in flight between the main ORAM (bytes) and the buffer ORAM
+	// (floats); both sides copy what they keep.
+	rowFloats []float32
+	rowBytes  []byte
 
 	mech    fdp.Mechanism
 	effEps  float64 // per-value epsilon after group privacy
@@ -324,6 +328,8 @@ func New(cfg Config) (*Controller, error) {
 	}
 
 	blockSize := 4 * cfg.Dim
+	c.rowFloats = make([]float32, cfg.Dim)
+	c.rowBytes = make([]byte, blockSize)
 	var initFn func(uint64) []byte
 	if cfg.InitRow != nil {
 		dim := cfg.Dim
@@ -734,7 +740,9 @@ func (c *Controller) PeekRow(row uint64) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeF32s(payload), nil
+	out := make([]float32, c.cfg.Dim)
+	decodeF32s(out, payload)
+	return out, nil
 }
 
 // encodeF32s packs floats little-endian (shared with bufferoram's codec).
@@ -749,13 +757,12 @@ func encodeF32s(data []byte, f []float32) {
 	}
 }
 
-func decodeF32s(data []byte) []float32 {
-	out := make([]float32, len(data)/4)
-	for i := range out {
+// decodeF32s unpacks len(f) floats from data into f.
+func decodeF32s(f []float32, data []byte) {
+	for i := range f {
 		off := i * 4
 		bits := uint32(data[off]) | uint32(data[off+1])<<8 |
 			uint32(data[off+2])<<16 | uint32(data[off+3])<<24
-		out[i] = math.Float32frombits(bits)
+		f[i] = math.Float32frombits(bits)
 	}
-	return out
 }

@@ -41,6 +41,12 @@ func runRound(t *testing.T, c *Controller, reqs [][]uint64) RoundStats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveAndFinish(t, r, reqs)
+}
+
+// serveAndFinish is runRound from the open round on.
+func serveAndFinish(t *testing.T, r *Round, reqs [][]uint64) RoundStats {
+	t.Helper()
 	for _, rows := range reqs {
 		for _, row := range rows {
 			if row == DummyRequest {

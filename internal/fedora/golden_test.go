@@ -1,0 +1,132 @@
+package fedora
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/bufferoram"
+)
+
+// The state-bytes goldens: SHA-256 of Controller.Snapshot() after six
+// rounds of a fixed seeded request list, recorded at the commit BEFORE
+// the ORAM data path was made allocation-free (PR 13's parent). The
+// snapshot carries the tree bytes on the device, the stash in id order,
+// every bucket counter and every RNG position, so an equal hash proves
+// that buffer reuse moved no stored byte, eviction choice or RNG draw.
+// A change that moves state layout on purpose re-records these and says
+// so in CHANGES.md.
+const (
+	goldenFedoraState   = "378b29b240715766288eda5568a18fc89e7323d883693c65c13de0a7c0f8f608"
+	goldenLazyDPState   = "d2418d7b378ac98696ab60e32cf694f813a0ec473dc9310f16d7e3dc4015ce2d"
+	goldenPathPlusState = "5a91b546218eb669a3af31189b66eb71934cdfb952c60d3b8bb2ae91799a6b78"
+)
+
+func TestGoldenStateBytes(t *testing.T) {
+	// BucketBytes 512 and EvictPeriod 16 give a 7-level main tree with an
+	// eviction every 16 write-backs, so the six rounds run ~60 evictions
+	// whose greedy choices all land in the hash.
+	base := Config{
+		NumRows: 1024, Dim: 4, Epsilon: 1, Seed: 77,
+		MaxClientsPerRound: 16, MaxFeaturesPerClient: 16, LearningRate: 0.5,
+		Encrypt: true, HasScratchpad: true, BucketBytes: 512, EvictPeriod: 16,
+	}
+	for _, tc := range []struct {
+		name string
+		want string
+		edit func(t *testing.T, c *Config)
+	}{
+		{"sim", goldenFedoraState, func(*testing.T, *Config) {}},
+		{"sim-prefetch", goldenFedoraState, func(_ *testing.T, c *Config) { c.Prefetch = true }},
+		{"file", goldenFedoraState, func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }},
+		{"file-prefetch", goldenFedoraState, func(t *testing.T, c *Config) {
+			c.Storage = fileSpec(t)
+			c.Prefetch = true
+		}},
+		{"lazydp", goldenLazyDPState, func(_ *testing.T, c *Config) {
+			c.Aggregator = bufferoram.LazyDP{Clip: 1, Sigma: 0.1}
+		}},
+		{"pathoram+", goldenPathPlusState, func(_ *testing.T, c *Config) {
+			c.Backend = BackendPathORAMPlus
+			c.EvictPeriod = 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(t, &cfg)
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, reqs := range randomWorkload(5, 6, 16, 12, cfg.NumRows, cfg.Dim) {
+				goldenRound(t, c, reqs)
+			}
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(snap)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("snapshot sha256 = %s, want %s (%d bytes)", got, tc.want, len(snap))
+			}
+		})
+	}
+}
+
+// goldenRound serves every requested row and submits a row-derived
+// gradient with a row-derived sample count, one client at a time.
+func goldenRound(t *testing.T, c *Controller, reqs [][]uint64) {
+	t.Helper()
+	r, err := c.BeginRound(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prefetch mode: this test pins the schedule. A serve that overtakes
+	// the fetcher's load of a later row reorders the buffer ORAM's
+	// accesses, so its state bytes (not the model) depend on the scheduler;
+	// serving only after the fetch is complete forces the sync order. The
+	// prefetch cases therefore prove the bytes are unmoved under that one
+	// serialized order — nothing about the overlapped schedule, which
+	// TestPrefetchSnapshotPortability covers.
+	awaitFetch(t, c)
+	for ci, rows := range reqs {
+		if _, err := r.ServeEntries(rows); err != nil {
+			t.Fatal(err)
+		}
+		grads := make([]RowGradient, len(rows))
+		for i, row := range rows {
+			g := make([]float32, c.cfg.Dim)
+			for j := range g {
+				g[j] = float32(int(row%11)-5)*0.125 + float32(j+ci)*0.03125
+			}
+			grads[i] = RowGradient{Row: row, Grad: g, Samples: 1 + int(row%3)}
+		}
+		if _, err := r.SubmitGradients(grads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitFetch blocks until the open round's background fetchers — one per
+// shard — have loaded every planned row.
+func awaitFetch(t *testing.T, c *Controller) {
+	t.Helper()
+	subs := c.subs
+	if c.eng == nil {
+		subs = []*Controller{c}
+	}
+	for _, sub := range subs {
+		sub.mu.Lock()
+		cur := sub.cur
+		sub.mu.Unlock()
+		if cur != nil && cur.stream != nil {
+			if err := cur.stream.wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

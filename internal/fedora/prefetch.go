@@ -258,14 +258,11 @@ func (c *Controller) drainEvictLocked() error {
 
 // writeBackRow is one main-ORAM write-back (c.mu held).
 func (c *Controller) writeBackRow(row uint64, entry []float32) (time.Duration, error) {
+	encodeF32s(c.rowBytes, entry)
 	if c.path != nil {
-		return c.path.Write(row, f32bytes(entry))
+		return c.path.Write(row, c.rowBytes)
 	}
-	var payload []byte
-	if !c.cfg.Phantom {
-		payload = f32bytes(entry)
-	}
-	return c.raw.WriteBack(row, payload)
+	return c.raw.WriteBack(row, c.rowBytes) // ignored in phantom mode
 }
 
 // writeBackDummy is one main-ORAM dummy write-back (c.mu held). Path

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -339,13 +339,8 @@ func (r *Round) fetchRow(row uint64) error {
 	if err != nil {
 		return err
 	}
-	var entry []float32
-	if c.cfg.Phantom {
-		entry = make([]float32, c.cfg.Dim)
-	} else {
-		entry = decodeF32s(payload)
-	}
-	d, err = c.buf.Load(row, entry)
+	decodeF32s(c.rowFloats, payload) // phantom payloads are zeros
+	d, err = c.buf.Load(row, c.rowFloats)
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
@@ -528,7 +523,7 @@ func (r *Round) Finish() (RoundStats, error) {
 	for row := range r.loaded {
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	slices.Sort(rows)
 
 	if r.stream != nil {
 		// Deferred eviction: unload the buffer now (slot recycling and the
@@ -598,13 +593,6 @@ func (r *Round) Finish() (RoundStats, error) {
 	return r.stats, nil
 }
 
-// f32bytes packs floats for the main ORAM payload.
-func f32bytes(f []float32) []byte {
-	b := make([]byte, 4*len(f))
-	encodeF32s(b, f)
-	return b
-}
-
 // ---- Batched round operations ---------------------------------------
 //
 // Remote clients touch many rows per round; serving them one HTTP
@@ -640,7 +628,7 @@ type RowGradient struct {
 // anyway). Duplicate rows are allowed and served independently.
 func (r *Round) ServeEntries(rows []uint64) ([]EntryResult, error) {
 	out := make([]EntryResult, len(rows))
-	err := r.fanOut(len(rows), func(i int) error {
+	err := r.fanOut(len(rows), func(i int) uint64 { return rows[i] }, func(i int) error {
 		entry, ok, err := r.ServeEntry(rows[i])
 		if errors.Is(err, ErrShardUnavailable) {
 			// Degraded serving: the row's shard is quarantined. The batch
@@ -661,15 +649,13 @@ func (r *Round) ServeEntries(rows []uint64) ([]EntryResult, error) {
 }
 
 // SubmitGradients folds a batch of client gradients into the round's
-// aggregate (step ⑥), returning per-item delivery in input order. Rows
-// within one batch should be distinct: on a sharded controller two
-// gradients for the same row in the same batch may fold in either order
-// (floating-point aggregation is order-sensitive). Batches themselves
-// are applied in call order, which is what the FL merge step relies on
-// for seed-determinism.
+// aggregate (step ⑥), returning per-item delivery in input order. Each
+// shard folds its rows in batch order (so two gradients for one row fold
+// in the order given), and batches are applied in call order, which is
+// what the FL merge step relies on for seed-determinism.
 func (r *Round) SubmitGradients(grads []RowGradient) ([]bool, error) {
 	delivered := make([]bool, len(grads))
-	err := r.fanOut(len(grads), func(i int) error {
+	err := r.fanOut(len(grads), func(i int) uint64 { return grads[i].Row }, func(i int) error {
 		g := grads[i]
 		ok, err := r.SubmitGradient(g.Row, g.Grad, g.Samples)
 		if errors.Is(err, ErrShardUnavailable) {
@@ -704,7 +690,7 @@ type RowAggregate struct {
 // the wire aggregator emits each row at most once, in ascending order.
 func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
 	delivered := make([]bool, len(aggs))
-	err := r.fanOut(len(aggs), func(i int) error {
+	err := r.fanOut(len(aggs), func(i int) uint64 { return aggs[i].Row }, func(i int) error {
 		a := aggs[i]
 		ok, err := r.SubmitAggregate(a.Row, a.Sum, a.Count)
 		if errors.Is(err, ErrShardUnavailable) {
@@ -723,11 +709,15 @@ func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
 	return delivered, nil
 }
 
-// fanOut runs fn over [0, n): concurrently over a bounded pool when the
-// controller is sharded (per-shard pipelines proceed in parallel),
-// sequentially otherwise. The lowest-index error wins, so failures are
-// deterministic regardless of scheduling.
-func (r *Round) fanOut(n int, fn func(i int) error) error {
+// fanOut runs fn over [0, n): sequentially on a monolithic controller;
+// on a sharded one the indices are grouped by the shard that owns
+// rowOf(i) and each group runs on its own goroutine (a bounded pool), in
+// request order. One shard's ORAMs therefore see a batch's rows in the
+// same order whatever the scheduler does — dispatching per row let two
+// rows of one shard race, and the shard's state bytes with them. Every
+// index runs; the lowest-index error wins, so failures are deterministic
+// too.
+func (r *Round) fanOut(n int, rowOf func(i int) uint64, fn func(i int) error) error {
 	if r.er == nil || n < 2 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -736,26 +726,31 @@ func (r *Round) fanOut(n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	groups := make([][]int, r.c.cfg.Shards)
+	for i := 0; i < n; i++ {
+		si := 0 // out-of-range rows fail in fn; any group will do
+		if row := rowOf(i); row < r.c.cfg.NumRows {
+			si = r.c.eng.ShardOf(row)
+		}
+		groups[si] = append(groups[si], i)
 	}
 	errs := make([]error, n)
-	idx := make(chan int)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			defer func() { <-sem }()
+			for _, i := range g {
 				errs[i] = fn(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

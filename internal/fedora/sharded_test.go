@@ -306,3 +306,34 @@ func TestShardedHideCountDummies(t *testing.T) {
 		t.Errorf("per-shard K sums to %d, want 8", kPer)
 	}
 }
+
+// TestShardedBatchStateDeterminism: ten identical 2-shard runs driven
+// through the batched entry points end in one Snapshot(). A batch holds
+// several rows of each shard; they must reach that shard's buffer ORAM
+// in request order at any GOMAXPROCS, or the ORAM's state bytes — what
+// checkpoints, WAL replay and shard migration ship around — follow the
+// scheduler even though the model does not.
+func TestShardedBatchStateDeterminism(t *testing.T) {
+	script := randomWorkload(17, 4, 8, 8, 98, 4)
+	var first []byte
+	for run := 0; run < 10; run++ {
+		cfg := shardedCfg(2)
+		cfg.Epsilon = 1
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reqs := range script {
+			goldenRound(t, c, reqs)
+		}
+		snap, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = snap
+		} else if !bytes.Equal(snap, first) {
+			t.Fatalf("run %d: snapshot differs from run 0 (%d vs %d bytes)", run, len(snap), len(first))
+		}
+	}
+}

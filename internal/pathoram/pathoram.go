@@ -149,6 +149,13 @@ type ORAM struct {
 	// side with equivalent semantics.
 	counters map[uint32]uint64
 
+	// One bucket in flight, reused by every access: the device image as
+	// read or written (bucketSize bytes) and its plaintext (opened on the
+	// way in, packed on the way out). Nothing returned to a caller aliases
+	// them.
+	stored []byte
+	plain  []byte
+
 	stats Stats
 }
 
@@ -197,6 +204,10 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		counters: make(map[uint32]uint64),
 	}
 	o.bucketSize = o.storedBucketSize()
+	if !cfg.Phantom {
+		o.stored = make([]byte, o.bucketSize)
+		o.plain = make([]byte, o.plainBucketSize())
+	}
 	if need := cfg.BaseAddr + o.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("pathoram: device capacity %d < required %d", dev.Capacity(), need)
 	}
@@ -214,7 +225,7 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 
 // storedBucketSize computes the on-device size of one bucket.
 func (o *ORAM) storedBucketSize() int {
-	plain := o.cfg.BucketSlots * (slotMetaSize + o.cfg.BlockSize)
+	plain := o.plainBucketSize()
 	stored := plain
 	if o.engine != nil {
 		stored = tee.SealedSize(plain)
@@ -226,6 +237,11 @@ func (o *ORAM) storedBucketSize() int {
 		}
 	}
 	return stored
+}
+
+// plainBucketSize is the size of one bucket's plaintext image.
+func (o *ORAM) plainBucketSize() int {
+	return o.cfg.BucketSlots * (slotMetaSize + o.cfg.BlockSize)
 }
 
 // RequiredBytes is the device footprint of the whole tree.
@@ -306,12 +322,9 @@ func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, err
 		return nil, dur, err
 	}
 
-	blk := o.stash.Get(id)
-	if blk == nil {
-		blk = &stash.Block{ID: id, Data: o.initBlock(id)}
-		if err := o.stash.Put(blk); err != nil {
-			return nil, dur, err
-		}
+	blk, err := o.residentBlock(id)
+	if err != nil {
+		return nil, dur, err
 	}
 	blk.Leaf = newLeaf
 	var out []byte
@@ -350,12 +363,9 @@ func (o *ORAM) Update(id uint64, fn func(data []byte)) (time.Duration, error) {
 	if err != nil {
 		return dur, err
 	}
-	blk := o.stash.Get(id)
-	if blk == nil {
-		blk = &stash.Block{ID: id, Data: o.initBlock(id)}
-		if err := o.stash.Put(blk); err != nil {
-			return dur, err
-		}
+	blk, err := o.residentBlock(id)
+	if err != nil {
+		return dur, err
 	}
 	blk.Leaf = newLeaf
 	fn(blk.Data)
@@ -392,17 +402,16 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		return append([]byte(nil), blk.Data...), nil
 	}
 	leaf := o.pos.Get(id)
-	buf := make([]byte, o.bucketSize)
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
 		ctr, written := o.counters[idx]
 		if !written {
 			continue
 		}
-		if err := o.dev.PeekAt(o.bucketAddr(idx), buf); err != nil {
+		if err := o.dev.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
 			return nil, err
 		}
-		plain, err := o.openBucket(buf, idx, ctr)
+		plain, err := o.openBucket(idx, ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -413,18 +422,33 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 			}
 		}
 	}
-	return o.initBlock(id), nil
+	out := make([]byte, o.cfg.BlockSize)
+	o.initBlock(out, id)
+	return out, nil
 }
 
-func (o *ORAM) initBlock(id uint64) []byte {
-	if o.cfg.InitFn != nil {
-		b := o.cfg.InitFn(id)
-		if len(b) != o.cfg.BlockSize {
-			panic(fmt.Sprintf("pathoram: InitFn returned %d bytes, want %d", len(b), o.cfg.BlockSize))
-		}
-		return append([]byte(nil), b...)
+// initBlock fills dst with the initial contents of never-written block id.
+func (o *ORAM) initBlock(dst []byte, id uint64) {
+	if o.cfg.InitFn == nil {
+		clear(dst)
+		return
 	}
-	return make([]byte, o.cfg.BlockSize)
+	b := o.cfg.InitFn(id)
+	if len(b) != o.cfg.BlockSize {
+		panic(fmt.Sprintf("pathoram: InitFn returned %d bytes, want %d", len(b), o.cfg.BlockSize))
+	}
+	copy(dst, b)
+}
+
+// residentBlock returns block id from the stash — where readPath has just
+// put it if it was on the path — materializing a never-written block.
+func (o *ORAM) residentBlock(id uint64) (*stash.Block, error) {
+	if blk := o.stash.Get(id); blk != nil {
+		return blk, nil
+	}
+	blk := o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+	o.initBlock(blk.Data, id)
+	return blk, o.stash.Put(blk)
 }
 
 // chargePath accounts a full-path transfer without moving data.
@@ -441,11 +465,10 @@ func (o *ORAM) chargePath(op device.Op) time.Duration {
 // readPath brings every valid block on the path to leaf into the stash.
 func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
 	var total time.Duration
-	buf := make([]byte, o.bucketSize)
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
 		o.stats.BucketReads++
-		d, err := o.dev.ReadAt(o.bucketAddr(idx), buf)
+		d, err := o.dev.ReadAt(o.bucketAddr(idx), o.stored)
 		total += d
 		if err != nil {
 			return total, err
@@ -454,7 +477,7 @@ func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
 		if !written {
 			continue // never-written bucket: all slots empty
 		}
-		plain, err := o.openBucket(buf, idx, ctr)
+		plain, err := o.openBucket(idx, ctr)
 		if err != nil {
 			return total, err
 		}
@@ -469,18 +492,15 @@ func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
 // greedily filling each with evictable stash blocks.
 func (o *ORAM) evictPath(leaf uint32) (time.Duration, error) {
 	var total time.Duration
+	o.stash.BeginEviction(leaf, o.levels)
 	for l := o.levels - 1; l >= 0; l-- {
 		idx := o.bucketIndex(leaf, l)
-		picked := o.stash.EvictableFor(leaf, l, o.levels, o.cfg.BucketSlots)
-		plain := o.packBucket(picked)
-		for _, b := range picked {
-			o.stash.Remove(b.ID)
-		}
+		o.packBucket(o.stash.Pick(l, o.cfg.BucketSlots))
 		ctr := o.counters[idx] + 1
 		o.counters[idx] = ctr
-		stored := o.sealBucket(plain, idx, ctr)
+		o.sealBucket(idx, ctr)
 		o.stats.BucketWrite++
-		d, err := o.dev.WriteAt(o.bucketAddr(idx), stored)
+		d, err := o.dev.WriteAt(o.bucketAddr(idx), o.stored)
 		total += d
 		if err != nil {
 			return total, err
@@ -489,9 +509,10 @@ func (o *ORAM) evictPath(leaf uint32) (time.Duration, error) {
 	return total, nil
 }
 
-// packBucket serializes up to Z blocks into a plaintext bucket image.
-func (o *ORAM) packBucket(blocks []*stash.Block) []byte {
-	plain := make([]byte, o.cfg.BucketSlots*(slotMetaSize+o.cfg.BlockSize))
+// packBucket serializes up to Z blocks into the plaintext bucket image.
+func (o *ORAM) packBucket(blocks []*stash.Block) {
+	plain := o.plain
+	clear(plain) // empty slots and flags read as zero, as in a fresh image
 	for s := 0; s < o.cfg.BucketSlots; s++ {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
 		if s < len(blocks) {
@@ -504,10 +525,9 @@ func (o *ORAM) packBucket(blocks []*stash.Block) []byte {
 			putUint64(plain[off:], invalidBlockID)
 		}
 	}
-	return plain
 }
 
-// unpackBucket moves valid slots of a plaintext bucket into the stash.
+// unpackBucket copies the valid slots of a plaintext bucket into the stash.
 func (o *ORAM) unpackBucket(plain []byte) error {
 	for s := 0; s < o.cfg.BucketSlots; s++ {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
@@ -518,11 +538,8 @@ func (o *ORAM) unpackBucket(plain []byte) error {
 		if id == invalidBlockID {
 			continue
 		}
-		blk := &stash.Block{
-			ID:   id,
-			Leaf: getUint32(plain[off+8:]),
-			Data: append([]byte(nil), plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize]...),
-		}
+		blk := o.stash.NewBlock(id, getUint32(plain[off+8:]), o.cfg.BlockSize)
+		copy(blk.Data, plain[off+slotMetaSize:])
 		if err := o.stash.Put(blk); err != nil {
 			return err
 		}
@@ -530,30 +547,25 @@ func (o *ORAM) unpackBucket(plain []byte) error {
 	return nil
 }
 
-// sealBucket encrypts (if configured) and pads the plaintext image to the
-// stored bucket size.
-func (o *ORAM) sealBucket(plain []byte, idx uint32, ctr uint64) []byte {
-	var body []byte
+// sealBucket turns the packed plaintext image into the stored image:
+// encrypted (if configured) and zero-padded to the stored bucket size.
+func (o *ORAM) sealBucket(idx uint32, ctr uint64) {
+	var n int
 	if o.engine != nil {
-		body = o.engine.Seal(plain, uint64(idx), ctr)
+		n = len(o.engine.SealTo(o.stored[:0], o.plain, uint64(idx), ctr))
 	} else {
-		body = plain
+		n = copy(o.stored, o.plain)
 	}
-	if len(body) < o.bucketSize {
-		padded := make([]byte, o.bucketSize)
-		copy(padded, body)
-		return padded
-	}
-	return body
+	clear(o.stored[n:]) // the padding is stored too; the last bucket's bytes must not ride along
 }
 
-// openBucket reverses sealBucket.
-func (o *ORAM) openBucket(stored []byte, idx uint32, ctr uint64) ([]byte, error) {
-	plainLen := o.cfg.BucketSlots * (slotMetaSize + o.cfg.BlockSize)
+// openBucket returns the plaintext of the stored image just read.
+func (o *ORAM) openBucket(idx uint32, ctr uint64) ([]byte, error) {
+	plainLen := len(o.plain)
 	if o.engine == nil {
-		return stored[:plainLen], nil
+		return o.stored[:plainLen], nil
 	}
-	return o.engine.Open(stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
+	return o.engine.OpenTo(o.plain[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
 }
 
 func putUint64(b []byte, v uint64) {

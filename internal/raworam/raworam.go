@@ -141,6 +141,13 @@ type ORAM struct {
 	// pendingWrites counts write-backs since the last EO.
 	pendingWrites int
 
+	// One bucket in flight, reused by every access: the SSD image as read
+	// or written (bucketSize bytes) and its plaintext (opened on the way
+	// in, packed on the way out). Nothing returned to a caller aliases
+	// them.
+	stored []byte
+	plain  []byte
+
 	stats Stats
 }
 
@@ -187,6 +194,10 @@ func New(cfg Config, ssd, dram device.Device) (*ORAM, error) {
 		stored = (stored + pageSize - 1) / pageSize * pageSize
 	}
 	o.bucketSize = stored
+	if !cfg.Phantom {
+		o.stored = make([]byte, stored)
+		o.plain = make([]byte, plain)
+	}
 	if need := o.RequiredBytes(); ssd.Capacity() < need {
 		return nil, fmt.Errorf("raworam: SSD capacity %d < required %d", ssd.Capacity(), need)
 	}
@@ -336,13 +347,15 @@ func (o *ORAM) AOAccess(id uint64) ([]byte, time.Duration, error) {
 	if blk := o.stash.Remove(id); blk != nil {
 		return blk.Data, d, nil
 	}
-	// Scan the path for the block; clear its valid flag on hit.
-	data, found, err := o.extractFromPath(leaf, id)
+	// Scan the path for the block; clear its valid flag on hit. The
+	// result is the caller's to keep, so it gets its own bytes.
+	data := make([]byte, o.cfg.BlockSize)
+	found, err := o.findOnPath(leaf, id, data, true)
 	if err != nil {
 		return nil, d, err
 	}
 	if !found {
-		data = o.initBlock(id)
+		o.initBlock(data, id)
 	}
 	return data, d, nil
 }
@@ -379,7 +392,8 @@ func (o *ORAM) WriteBack(id uint64, data []byte) (time.Duration, error) {
 	if !o.cfg.Phantom {
 		newLeaf := o.randomLeaf()
 		o.pos.Set(id, newLeaf)
-		blk := &stash.Block{ID: id, Leaf: newLeaf, Data: append([]byte(nil), data...)}
+		blk := o.stash.NewBlock(id, newLeaf, o.cfg.BlockSize)
+		copy(blk.Data, data)
 		if err := o.stash.Put(blk); err != nil {
 			return 0, err
 		}
@@ -439,14 +453,11 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 		}
 	}
 	// Write the path back leaf→root, greedily placing stash blocks.
+	o.stash.BeginEviction(leaf, o.levels)
 	for l := o.levels - 1; l >= 0; l-- {
 		idx := o.bucketIndex(leaf, l)
-		picked := o.stash.EvictableFor(leaf, l, o.levels, o.cfg.BucketSlots)
-		if err := o.storeBucket(idx, picked); err != nil {
+		if err := o.storeBucket(idx, o.stash.Pick(l, o.cfg.BucketSlots)); err != nil {
 			return d, err
-		}
-		for _, b := range picked {
-			o.stash.Remove(b.ID)
 		}
 	}
 	return d, nil
@@ -465,29 +476,15 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 	if blk := o.stash.Get(id); blk != nil {
 		return append([]byte(nil), blk.Data...), nil
 	}
-	leaf := o.pos.Get(id)
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		ctr, written := o.counters[idx]
-		if !written {
-			continue
-		}
-		plain, err := o.readBucket(idx, ctr)
-		if err != nil {
-			return nil, err
-		}
-		vb := o.validBits(idx)
-		for s := 0; s < o.cfg.BucketSlots; s++ {
-			if !getBit(vb, s) {
-				continue
-			}
-			off := s * (slotMetaSize + o.cfg.BlockSize)
-			if getUint64(plain[off:]) == id {
-				return append([]byte(nil), plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize]...), nil
-			}
-		}
+	out := make([]byte, o.cfg.BlockSize)
+	found, err := o.findOnPath(o.pos.Get(id), id, out, false)
+	if err != nil {
+		return nil, err
 	}
-	return o.initBlock(id), nil
+	if !found {
+		o.initBlock(out, id)
+	}
+	return out, nil
 }
 
 // Flush drains the stash with repeated EO accesses until it is empty or
@@ -507,15 +504,17 @@ func (o *ORAM) Flush(maxEvictions int) (time.Duration, error) {
 	return d, nil
 }
 
-func (o *ORAM) initBlock(id uint64) []byte {
-	if o.cfg.InitFn != nil {
-		b := o.cfg.InitFn(id)
-		if len(b) != o.cfg.BlockSize {
-			panic(fmt.Sprintf("raworam: InitFn returned %d bytes, want %d", len(b), o.cfg.BlockSize))
-		}
-		return append([]byte(nil), b...)
+// initBlock fills dst with the initial contents of never-written block id.
+func (o *ORAM) initBlock(dst []byte, id uint64) {
+	if o.cfg.InitFn == nil {
+		clear(dst)
+		return
 	}
-	return make([]byte, o.cfg.BlockSize)
+	b := o.cfg.InitFn(id)
+	if len(b) != o.cfg.BlockSize {
+		panic(fmt.Sprintf("raworam: InitFn returned %d bytes, want %d", len(b), o.cfg.BlockSize))
+	}
+	copy(dst, b)
 }
 
 // validBits returns the (lazily created) valid bitmap of bucket idx.
@@ -532,9 +531,10 @@ func getBit(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 func setBit(bm []byte, i int)      { bm[i/8] |= 1 << (i % 8) }
 func clearBit(bm []byte, i int)    { bm[i/8] &^= 1 << (i % 8) }
 
-// extractFromPath scans the path to leaf for block id; on hit it clears
-// the valid flag (VTree) and returns the payload.
-func (o *ORAM) extractFromPath(leaf uint32, id uint64) ([]byte, bool, error) {
+// findOnPath scans the path to leaf for block id and copies its payload
+// into dst; with take set it also clears the slot's valid flag (VTree),
+// removing the block from the tree.
+func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, error) {
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
 		ctr, written := o.counters[idx]
@@ -543,7 +543,7 @@ func (o *ORAM) extractFromPath(leaf uint32, id uint64) ([]byte, bool, error) {
 		}
 		plain, err := o.readBucket(idx, ctr)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		vb := o.validBits(idx)
 		for s := 0; s < o.cfg.BucketSlots; s++ {
@@ -554,12 +554,14 @@ func (o *ORAM) extractFromPath(leaf uint32, id uint64) ([]byte, bool, error) {
 			if getUint64(plain[off:]) != id {
 				continue
 			}
-			clearBit(vb, s)
-			data := append([]byte(nil), plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize]...)
-			return data, true, nil
+			if take {
+				clearBit(vb, s)
+			}
+			copy(dst, plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize])
+			return true, nil
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // loadBucketToStash moves all valid blocks of bucket idx into the stash
@@ -588,11 +590,8 @@ func (o *ORAM) loadBucketToStash(idx uint32) error {
 		// never be valid in the tree while a fresher copy sits in the
 		// stash; if it somehow is, keep the stash copy.
 		if o.stash.Get(id) == nil {
-			blk := &stash.Block{
-				ID:   id,
-				Leaf: getUint32(plain[off+8:]),
-				Data: append([]byte(nil), plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize]...),
-			}
+			blk := o.stash.NewBlock(id, getUint32(plain[off+8:]), o.cfg.BlockSize)
+			copy(blk.Data, plain[off+slotMetaSize:])
 			if err := o.stash.Put(blk); err != nil {
 				return err
 			}
@@ -602,26 +601,27 @@ func (o *ORAM) loadBucketToStash(idx uint32) error {
 	return nil
 }
 
-// readBucket fetches and (if configured) decrypts bucket idx. Device
-// traffic was already charged (once, for the whole path) by
-// chargeAO/chargeEO, so the data movement here uses the unaccounted
-// PeekAt — keeping phantom and functional traffic identical.
+// readBucket fetches and (if configured) decrypts bucket idx into the
+// ORAM's scratch; the returned plaintext is valid until the next bucket
+// is read or stored. Device traffic was already charged (once, for the
+// whole path) by chargeAO/chargeEO, so the data movement here uses the
+// unaccounted PeekAt — keeping phantom and functional traffic identical.
 func (o *ORAM) readBucket(idx uint32, ctr uint64) ([]byte, error) {
-	stored := make([]byte, o.bucketSize)
-	if err := o.ssd.PeekAt(o.bucketAddr(idx), stored); err != nil {
+	if err := o.ssd.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
 		return nil, err
 	}
-	plainLen := o.cfg.BucketSlots * (slotMetaSize + o.cfg.BlockSize)
+	plainLen := len(o.plain)
 	if o.cfg.Engine == nil {
-		return stored[:plainLen], nil
+		return o.stored[:plainLen], nil
 	}
-	return o.cfg.Engine.Open(stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
+	return o.cfg.Engine.OpenTo(o.plain[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
 }
 
 // storeBucket packs, seals and writes bucket idx with the given blocks,
 // updating the VTree bitmap and the bucket counter.
 func (o *ORAM) storeBucket(idx uint32, blocks []*stash.Block) error {
-	plain := make([]byte, o.cfg.BucketSlots*(slotMetaSize+o.cfg.BlockSize))
+	plain := o.plain
+	clear(plain) // empty slots read as zero after the id, as in a fresh image
 	vb := o.validBits(idx)
 	for s := 0; s < o.cfg.BucketSlots; s++ {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
@@ -638,16 +638,15 @@ func (o *ORAM) storeBucket(idx uint32, blocks []*stash.Block) error {
 	}
 	ctr := o.counters[idx] + 1
 	o.counters[idx] = ctr
-	var body []byte
+	var n int
 	if o.cfg.Engine != nil {
-		body = o.cfg.Engine.Seal(plain, uint64(idx), ctr)
+		n = len(o.cfg.Engine.SealTo(o.stored[:0], plain, uint64(idx), ctr))
 	} else {
-		body = plain
+		n = copy(o.stored, plain)
 	}
-	stored := make([]byte, o.bucketSize)
-	copy(stored, body)
+	clear(o.stored[n:]) // the page padding is stored too; the last bucket's bytes must not ride along
 	// Traffic was charged path-wide by chargeEO; move bytes unaccounted.
-	return o.ssd.PokeAt(o.bucketAddr(idx), stored)
+	return o.ssd.PokeAt(o.bucketAddr(idx), o.stored)
 }
 
 func putUint64(b []byte, v uint64) {

@@ -3,8 +3,6 @@ package raworam
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/stash"
 )
 
 // This file implements VANILLA RAW ORAM access semantics — the design
@@ -37,31 +35,28 @@ func (o *ORAM) VanillaAccess(id uint64, mutate func(data []byte)) ([]byte, time.
 	var out []byte
 	if !o.cfg.Phantom {
 		leaf := o.pos.Get(id)
-		var data []byte
-		if blk := o.stash.Remove(id); blk != nil {
-			data = blk.Data
-		} else {
-			extracted, found, err := o.extractFromPath(leaf, id)
+		blk := o.stash.Remove(id)
+		if blk == nil {
+			blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+			found, err := o.findOnPath(leaf, id, blk.Data, true)
 			if err != nil {
 				o.stats.Time += d
 				return nil, d, err
 			}
-			if found {
-				data = extracted
-			} else {
-				data = o.initBlock(id)
+			if !found {
+				o.initBlock(blk.Data, id)
 			}
 		}
 		if mutate != nil {
-			mutate(data)
+			mutate(blk.Data)
 		}
-		newLeaf := o.randomLeaf()
-		o.pos.Set(id, newLeaf)
-		if err := o.stash.Put(&stash.Block{ID: id, Leaf: newLeaf, Data: data}); err != nil {
+		blk.Leaf = o.randomLeaf()
+		o.pos.Set(id, blk.Leaf)
+		if err := o.stash.Put(blk); err != nil {
 			o.stats.Time += d
 			return nil, d, err
 		}
-		out = append([]byte(nil), data...)
+		out = append([]byte(nil), blk.Data...)
 	} else if mutate != nil {
 		mutate(nil)
 	}

@@ -156,6 +156,11 @@ type ORAM struct {
 	evictCount uint64
 	sinceEvict int
 
+	// One slot in flight, reused by every slot read and write: the device
+	// image and its plaintext.
+	stored []byte
+	plain  []byte
+
 	stats Stats
 }
 
@@ -182,6 +187,8 @@ func New(cfg Config, dev, dram device.Device) (*ORAM, error) {
 		o.slotSize = tee.SealedSize(slotPlain)
 	}
 	o.bucketSize = o.slotSize * (cfg.RealSlots + cfg.DummySlots)
+	o.stored = make([]byte, o.slotSize)
+	o.plain = make([]byte, slotPlain)
 	if need := o.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("ringoram: device capacity %d < required %d", dev.Capacity(), need)
 	}
@@ -283,7 +290,8 @@ func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, err
 		}
 	}
 	if blk == nil {
-		blk = &stash.Block{ID: id, Data: make([]byte, o.cfg.BlockSize)}
+		blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+		clear(blk.Data)
 		if err := o.stash.Put(blk); err != nil {
 			return nil, total, err
 		}
@@ -376,12 +384,9 @@ func (o *ORAM) readOneSlot(idx uint32, id uint64, want bool) (time.Duration, *st
 	m.reads++
 	m.touched[target] = true
 	m.valid[target] = false
-	blk := &stash.Block{ID: id, Leaf: m.leaves[target]}
+	blk := o.stash.NewBlock(id, m.leaves[target], o.cfg.BlockSize)
 	d += o.chargeOrReadSlot(idx, target, blk)
 	d += o.dram.Charge(device.OpWrite, 0, o.metaBytes())
-	if o.cfg.Phantom {
-		blk.Data = make([]byte, o.cfg.BlockSize)
-	}
 	return d, blk, nil
 }
 
@@ -399,20 +404,19 @@ func (o *ORAM) chargeOrReadSlot(idx uint32, slot int, blk *stash.Block) time.Dur
 // peekSlot decrypts one slot's payload into blk without device
 // accounting (the covering bucket/path transfer was already charged).
 func (o *ORAM) peekSlot(idx uint32, slot int, blk *stash.Block) {
-	stored := make([]byte, o.slotSize)
-	if err := o.dev.PeekAt(o.slotAddr(idx, slot), stored); err != nil {
+	if err := o.dev.PeekAt(o.slotAddr(idx, slot), o.stored); err != nil {
 		panic(fmt.Sprintf("ringoram: slot read: %v", err)) // range bug, not runtime condition
 	}
-	plain := stored
+	plain := o.stored
 	if o.cfg.Engine != nil {
 		m := o.metaOf(idx)
-		p, err := o.cfg.Engine.Open(stored, slotSealID(idx, slot), m.ctr)
+		p, err := o.cfg.Engine.OpenTo(o.plain[:0], o.stored, slotSealID(idx, slot), m.ctr)
 		if err != nil {
 			panic(fmt.Sprintf("ringoram: slot auth: %v", err))
 		}
 		plain = p
 	}
-	blk.Data = append([]byte(nil), plain[slotMetaSize:slotMetaSize+o.cfg.BlockSize]...)
+	copy(blk.Data, plain[slotMetaSize:])
 }
 
 // rewriteBucket writes bucket idx fresh: surviving valid blocks stay,
@@ -428,7 +432,7 @@ func (o *ORAM) rewriteBucket(idx uint32, leaf uint32, level int) (time.Duration,
 			if !m.valid[s] {
 				continue
 			}
-			blk := &stash.Block{ID: m.ids[s], Leaf: m.leaves[s]}
+			blk := o.stash.NewBlock(m.ids[s], m.leaves[s], o.cfg.BlockSize)
 			o.peekSlot(idx, s, blk)
 			if o.stash.Get(blk.ID) == nil {
 				if err := o.stash.Put(blk); err != nil {
@@ -437,12 +441,14 @@ func (o *ORAM) rewriteBucket(idx uint32, leaf uint32, level int) (time.Duration,
 			}
 			m.valid[s] = false
 		}
+		o.stash.BeginEviction(leaf, o.levels)
 	}
-	return d + o.writeBucket(idx, leaf, level), nil
+	return d + o.writeBucket(idx, level), nil
 }
 
-// writeBucket fills bucket idx from the stash and writes all slots.
-func (o *ORAM) writeBucket(idx uint32, leaf uint32, level int) time.Duration {
+// writeBucket fills bucket idx, at depth level of the path the caller
+// began evicting, from the stash and writes all slots.
+func (o *ORAM) writeBucket(idx uint32, level int) time.Duration {
 	m := o.metaOf(idx)
 	m.ctr++
 	m.written = true
@@ -450,9 +456,8 @@ func (o *ORAM) writeBucket(idx uint32, leaf uint32, level int) time.Duration {
 	for s := range m.touched {
 		m.touched[s] = false
 	}
-	var picked []*stash.Block
 	if !o.cfg.Phantom {
-		picked = o.stash.EvictableFor(leaf, level, o.levels, o.cfg.RealSlots)
+		picked := o.stash.Pick(level, o.cfg.RealSlots)
 		for s := 0; s < o.cfg.RealSlots; s++ {
 			if s < len(picked) {
 				b := picked[s]
@@ -460,7 +465,6 @@ func (o *ORAM) writeBucket(idx uint32, leaf uint32, level int) time.Duration {
 				m.leaves[s] = b.Leaf
 				m.valid[s] = true
 				o.writeSlot(idx, s, b)
-				o.stash.Remove(b.ID)
 			} else {
 				m.ids[s] = invalidBlockID
 				m.valid[s] = false
@@ -480,7 +484,8 @@ func (o *ORAM) writeBucket(idx uint32, leaf uint32, level int) time.Duration {
 // writeSlot seals and stores one slot (functional mode only).
 func (o *ORAM) writeSlot(idx uint32, slot int, b *stash.Block) {
 	m := o.metaOf(idx)
-	plain := make([]byte, slotMetaSize+o.cfg.BlockSize)
+	plain := o.plain
+	clear(plain)
 	if b != nil {
 		putUint64(plain, b.ID)
 		putUint32(plain[8:], b.Leaf)
@@ -488,11 +493,9 @@ func (o *ORAM) writeSlot(idx uint32, slot int, b *stash.Block) {
 	} else {
 		putUint64(plain, invalidBlockID)
 	}
-	var stored []byte
+	stored := plain
 	if o.cfg.Engine != nil {
-		stored = o.cfg.Engine.Seal(plain, slotSealID(idx, slot), m.ctr)
-	} else {
-		stored = plain
+		stored = o.cfg.Engine.SealTo(o.stored[:0], plain, slotSealID(idx, slot), m.ctr)
 	}
 	if err := o.dev.PokeAt(o.slotAddr(idx, slot), stored); err != nil {
 		panic(fmt.Sprintf("ringoram: slot write: %v", err))
@@ -526,7 +529,7 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 				if !m.valid[s] {
 					continue
 				}
-				blk := &stash.Block{ID: m.ids[s], Leaf: m.leaves[s]}
+				blk := o.stash.NewBlock(m.ids[s], m.leaves[s], o.cfg.BlockSize)
 				o.peekSlot(idx, s, blk)
 				if o.stash.Get(blk.ID) == nil {
 					if err := o.stash.Put(blk); err != nil {
@@ -538,9 +541,11 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 		}
 	}
 	// Write phase: leaf → root.
+	if !o.cfg.Phantom {
+		o.stash.BeginEviction(leaf, o.levels)
+	}
 	for l := o.levels - 1; l >= 0; l-- {
-		idx := o.bucketIndex(leaf, l)
-		total += o.writeBucket(idx, leaf, l)
+		total += o.writeBucket(o.bucketIndex(leaf, l), l)
 	}
 	return total, nil
 }

@@ -2,7 +2,6 @@ package stash
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/persist"
 )
@@ -18,7 +17,6 @@ func (s *Stash) Snapshot() ([]byte, error) {
 	e.I64(int64(s.capacity))
 	e.I64(int64(s.peak))
 	ids := s.IDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	e.U64(uint64(len(ids)))
 	for _, id := range ids {
 		b := s.blocks[id]

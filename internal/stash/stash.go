@@ -13,9 +13,10 @@
 package stash
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrOverflow is returned when an insert would exceed the stash capacity.
@@ -35,6 +36,18 @@ type Stash struct {
 	capacity int
 	blocks   map[uint64]*Block
 	peak     int // high-water mark
+
+	// Eviction planner state (BeginEviction/Pick): the blocks still to be
+	// placed in ascending-ID order, the path being written, and the last
+	// Pick's result. Scratch only — rebuilt by every BeginEviction, never
+	// serialized.
+	order       []*Block
+	picked      []*Block
+	evictLeaf   uint32
+	evictLevels int
+	// free holds blocks Pick handed out and the caller has since packed
+	// into a bucket; NewBlock reuses them and their Data.
+	free []*Block
 }
 
 // New creates a stash with the given capacity. capacity <= 0 means
@@ -79,28 +92,69 @@ func (s *Stash) Peak() int { return s.peak }
 // Capacity returns the configured capacity (0 = unbounded).
 func (s *Stash) Capacity() int { return s.capacity }
 
-// EvictableFor returns up to max blocks whose assigned leaf shares the
-// same length-`level` path prefix as leaf — i.e. blocks that may legally
-// be placed into the bucket at depth `level` on the path to `leaf` in a
-// tree with `treeLevels` levels (root = level 0). This is the greedy
-// selection of Path ORAM eviction. Blocks are returned in ascending ID
-// order — map-order iteration would make the eviction choice (and hence
+// NewBlock returns a block with the given identity and len(Data) == n,
+// contents unspecified, reusing one that eviction has released when it
+// can. The block is not resident until Put.
+func (s *Stash) NewBlock(id uint64, leaf uint32, n int) *Block {
+	var b *Block
+	if k := len(s.free); k > 0 {
+		b, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		b = new(Block)
+	}
+	b.ID, b.Leaf = id, leaf
+	if cap(b.Data) < n {
+		b.Data = make([]byte, n)
+	}
+	b.Data = b.Data[:n]
+	return b
+}
+
+// BeginEviction starts the greedy Path ORAM eviction along the path to
+// leaf in a tree with treeLevels levels (root = level 0): it orders the
+// resident blocks by ID once, so the Pick calls that follow — one per
+// bucket written, deepest level first — need no further sorting. Blocks
+// Put after BeginEviction are not seen by Pick.
+func (s *Stash) BeginEviction(leaf uint32, treeLevels int) {
+	s.release()
+	s.order = s.order[:0]
+	for _, b := range s.blocks {
+		s.order = append(s.order, b)
+	}
+	slices.SortFunc(s.order, func(a, b *Block) int { return cmp.Compare(a.ID, b.ID) })
+	s.evictLeaf, s.evictLevels = leaf, treeLevels
+}
+
+// Pick removes from the stash and returns up to max blocks whose
+// assigned leaf shares the length-`level` path prefix with the eviction
+// leaf — i.e. blocks that may legally be placed into the bucket at depth
+// `level`. Among the candidates it takes the lowest IDs, in ascending
+// order: map-order iteration would make the eviction choice (and hence
 // the tree bytes) differ run to run, breaking bit-identical state
-// snapshots — and are NOT removed; callers remove the ones they place.
-func (s *Stash) EvictableFor(leaf uint32, level, treeLevels, max int) []*Block {
-	var out []*Block
-	shift := uint(treeLevels - 1 - level)
-	want := leaf >> shift
-	for _, id := range s.IDs() {
-		b := s.blocks[id]
-		if b.Leaf>>shift == want {
-			out = append(out, b)
-			if len(out) == max {
-				break
-			}
+// snapshots. The returned blocks and their Data are valid only until the
+// next Pick or BeginEviction, which recycle them through NewBlock; the
+// caller copies what it stores.
+func (s *Stash) Pick(level, max int) []*Block {
+	s.release()
+	shift := uint(s.evictLevels - 1 - level)
+	want := s.evictLeaf >> shift
+	rest := s.order[:0]
+	for _, b := range s.order {
+		if len(s.picked) < max && b.Leaf>>shift == want {
+			s.picked = append(s.picked, b)
+			delete(s.blocks, b.ID)
+		} else {
+			rest = append(rest, b)
 		}
 	}
-	return out
+	s.order = rest
+	return s.picked
+}
+
+// release recycles the previous Pick's blocks.
+func (s *Stash) release() {
+	s.free = append(s.free, s.picked...)
+	s.picked = s.picked[:0]
 }
 
 // ForEach calls fn for every block; iteration order is unspecified.
@@ -117,7 +171,7 @@ func (s *Stash) IDs() []uint64 {
 	for id := range s.blocks {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

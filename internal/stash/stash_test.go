@@ -2,6 +2,8 @@ package stash
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -78,31 +80,125 @@ func TestPeakTracksHighWater(t *testing.T) {
 	}
 }
 
-func TestEvictableFor(t *testing.T) {
+func TestPick(t *testing.T) {
 	// Tree with 3 levels => 4 leaves (0..3). Level 0 is the root (prefix
 	// length 0: everything matches), level 2 is the leaf itself.
-	s := New(0)
-	_ = s.Put(&Block{ID: 1, Leaf: 0})
-	_ = s.Put(&Block{ID: 2, Leaf: 1})
-	_ = s.Put(&Block{ID: 3, Leaf: 3})
-
-	root := s.EvictableFor(0, 0, 3, 10)
-	if len(root) != 3 {
-		t.Errorf("root-level evictable = %d, want 3", len(root))
+	fill := func() *Stash {
+		s := New(0)
+		_ = s.Put(&Block{ID: 1, Leaf: 0})
+		_ = s.Put(&Block{ID: 2, Leaf: 1})
+		_ = s.Put(&Block{ID: 3, Leaf: 3})
+		return s
+	}
+	s := fill()
+	s.BeginEviction(0, 3)
+	if root := s.Pick(0, 10); len(root) != 3 || s.Len() != 0 {
+		t.Errorf("root-level pick = %d (stash left %d), want 3 (0)", len(root), s.Len())
 	}
 	// Level 1 on the path to leaf 0: leaves 0 and 1 share that subtree.
-	mid := s.EvictableFor(0, 1, 3, 10)
-	if len(mid) != 2 {
-		t.Errorf("level-1 evictable = %d, want 2 (leaves 0,1)", len(mid))
+	s = fill()
+	s.BeginEviction(0, 3)
+	if mid := s.Pick(1, 10); len(mid) != 2 || s.Get(3) == nil {
+		t.Errorf("level-1 pick = %d, want 2 (leaves 0,1) with block 3 left", len(mid))
 	}
 	// Leaf level: only exact leaf matches.
-	leaf := s.EvictableFor(3, 2, 3, 10)
-	if len(leaf) != 1 || leaf[0].ID != 3 {
-		t.Errorf("leaf-level evictable = %+v", leaf)
+	s = fill()
+	s.BeginEviction(3, 3)
+	if leaf := s.Pick(2, 10); len(leaf) != 1 || leaf[0].ID != 3 {
+		t.Errorf("leaf-level pick = %+v", leaf)
 	}
-	// max truncates.
-	if got := s.EvictableFor(0, 0, 3, 2); len(got) != 2 {
-		t.Errorf("max=2 returned %d", len(got))
+	// max truncates to the lowest IDs; the rest stay for the next level.
+	s = fill()
+	s.BeginEviction(0, 3)
+	if got := s.Pick(0, 2); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 || s.Get(3) == nil {
+		t.Errorf("max=2 picked %+v", got)
+	}
+}
+
+// evictableFor is the eviction choice as it was made before the planner:
+// a fresh ascending-ID scan of the whole stash for every level, picked
+// blocks removed by the caller. Kept as the reference model only.
+func evictableFor(s *Stash, leaf uint32, level, treeLevels, max int) []*Block {
+	var out []*Block
+	shift := uint(treeLevels - 1 - level)
+	want := leaf >> shift
+	for _, id := range s.IDs() {
+		b := s.blocks[id]
+		if b.Leaf>>shift == want {
+			out = append(out, b)
+			if len(out) == max {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestPickMatchesReference: over random stashes, leaves, tree depths and
+// bucket sizes, a whole leaf→root eviction through BeginEviction/Pick
+// places exactly the blocks, in exactly the slots, the per-level rescan
+// placed — the tree bytes depend on nothing else.
+func TestPickMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		levels := 1 + rng.Intn(9)
+		leaves := uint32(1) << (levels - 1)
+		max := 1 + rng.Intn(5)
+		got, ref := New(0), New(0)
+		for n := rng.Intn(120); n > 0; n-- {
+			id, leaf := uint64(rng.Intn(400)), uint32(rng.Intn(int(leaves)))
+			_ = got.Put(&Block{ID: id, Leaf: leaf})
+			_ = ref.Put(&Block{ID: id, Leaf: leaf})
+		}
+		leaf := uint32(rng.Intn(int(leaves)))
+		got.BeginEviction(leaf, levels)
+		for l := levels - 1; l >= 0; l-- {
+			want := evictableFor(ref, leaf, l, levels, max)
+			for _, b := range want {
+				ref.Remove(b.ID)
+			}
+			picked := got.Pick(l, max)
+			if len(picked) != len(want) {
+				t.Fatalf("trial %d level %d: picked %d blocks, reference %d", trial, l, len(picked), len(want))
+			}
+			for i := range want {
+				if picked[i].ID != want[i].ID || picked[i].Leaf != want[i].Leaf {
+					t.Fatalf("trial %d level %d slot %d: picked %+v, reference %+v", trial, l, i, picked[i], want[i])
+				}
+			}
+		}
+		if !slices.Equal(got.IDs(), ref.IDs()) {
+			t.Fatalf("trial %d: stash left %v, reference %v", trial, got.IDs(), ref.IDs())
+		}
+	}
+}
+
+// TestNewBlockRecyclesPicked: a picked block comes back from NewBlock
+// only after the NEXT Pick/BeginEviction, so the caller can still copy
+// it into the bucket it is writing; a block taken out with Remove (its
+// Data may have been returned to a caller) is never reused.
+func TestNewBlockRecyclesPicked(t *testing.T) {
+	s := New(0)
+	a := s.NewBlock(1, 0, 8)
+	copy(a.Data, "aaaaaaaa")
+	_ = s.Put(a)
+	r := s.NewBlock(2, 0, 8)
+	_ = s.Put(r)
+	removed := s.Remove(2)
+	s.BeginEviction(0, 1)
+	picked := s.Pick(0, 4)
+	if len(picked) != 1 || picked[0] != a {
+		t.Fatalf("picked %+v", picked)
+	}
+	if n := s.NewBlock(3, 0, 8); n == a || n == removed {
+		t.Fatal("block reused while the caller may still be packing it")
+	}
+	s.Pick(0, 4)
+	if n := s.NewBlock(4, 5, 4); n != a || n.ID != 4 || n.Leaf != 5 || len(n.Data) != 4 {
+		t.Fatalf("released block not recycled: %+v", n)
+	}
+	if n := s.NewBlock(5, 0, 8); n == removed {
+		t.Fatal("a Removed block was recycled")
 	}
 }
 

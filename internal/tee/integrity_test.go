@@ -1,6 +1,7 @@
 package tee
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -21,15 +22,21 @@ import (
 // the (trusted) scratchpad and seals the parent group; the parent group
 // stores the child group's counter; the child group holds the payload.
 type ctrChain struct {
+	t       *testing.T
 	e       *Engine
 	rootCtr uint64 // scratchpad-resident, trusted
 	parent  []byte // sealed under (groupID 1, rootCtr); plaintext = child counter
 	child   []byte // sealed under (groupID 2, childCtr); plaintext = payload
+	// dst is the reused output buffer of every open on the chain, as in
+	// an ORAM path read; it starts out holding an earlier group's secret.
+	dst []byte
 }
+
+const staleSecret = "stale-plaintext-of-another-group"
 
 func newCtrChain(t *testing.T) *ctrChain {
 	t.Helper()
-	c := &ctrChain{e: testEngine(), rootCtr: 5}
+	c := &ctrChain{t: t, e: testEngine(), rootCtr: 5, dst: []byte(staleSecret)}
 	const childCtr = 9
 	c.child = c.e.Seal([]byte("bucket-payload-0123456789abcdef"), 2, childCtr)
 	var pp [CounterSize]byte
@@ -45,13 +52,31 @@ func newCtrChain(t *testing.T) *ctrChain {
 // under the trusted root counter, extract the child's counter from it,
 // then open the child under that counter.
 func (c *ctrChain) verify() error {
-	pp, err := c.e.Open(c.parent, 1, c.rootCtr)
+	pp, err := c.open(c.parent, 1, c.rootCtr)
 	if err != nil {
 		return err
 	}
 	childCtr := binary.LittleEndian.Uint64(pp[:CounterSize])
-	_, err = c.e.Open(c.child, 2, childCtr)
+	_, err = c.open(c.child, 2, childCtr)
 	return err
+}
+
+// open is OpenTo into the chain's dirty reused buffer. A failed open
+// must hand back nothing and leave the buffer as it was: neither what
+// the buffer held before nor a decryption of unauthenticated bytes may
+// pass for this group's plaintext.
+func (c *ctrChain) open(sealed []byte, groupID, counter uint64) ([]byte, error) {
+	before := append([]byte(nil), c.dst[:cap(c.dst)]...)
+	plain, err := c.e.OpenTo(c.dst[:0], sealed, groupID, counter)
+	if err != nil {
+		if plain != nil {
+			c.t.Errorf("failed open returned %d bytes", len(plain))
+		}
+		if !bytes.Equal(c.dst[:cap(c.dst)], before) {
+			c.t.Error("failed open wrote to dst")
+		}
+	}
+	return plain, err
 }
 
 // merkleStore is the Sec 5.1 baseline: sealed groups live in untrusted

@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"slices"
 )
 
 // DefaultScratchpadSize is the paper's assumed on-chip SRAM budget.
@@ -108,10 +110,16 @@ func (s *Scratchpad) Size() int { return s.size }
 // verification because the caller supplies the *current* counter, which
 // it obtained from the (already verified) parent group or from the
 // scratchpad-resident root counter.
+//
+// An Engine is for one goroutine at a time: the keyed HMAC state, the
+// tag scratch and the counters are unsynchronised. Each controller (and
+// each shard's sub-controller) owns one and calls it under its own lock.
 type Engine struct {
-	block  cipher.Block
-	macKey [32]byte
-	stats  EngineStats
+	block cipher.Block
+	mac   hash.Hash // HMAC-SHA256 keyed once in NewEngine; Reset per tag
+	sum   [sha256.Size]byte
+	id    [aes.BlockSize]byte // the group being sealed or opened, see bind
+	stats EngineStats
 }
 
 // EngineStats counts crypto work for the performance model.
@@ -130,72 +138,81 @@ func NewEngine(masterKey [32]byte) *Engine {
 	if err != nil {
 		panic("tee: aes.NewCipher: " + err.Error()) // impossible for 16-byte key
 	}
-	e := &Engine{block: block}
-	mac := sha256.Sum256(append([]byte("fedora-mac-key"), masterKey[:]...))
-	e.macKey = mac
-	return e
+	macKey := sha256.Sum256(append([]byte("fedora-mac-key"), masterKey[:]...))
+	return &Engine{block: block, mac: hmac.New(sha256.New, macKey[:])}
 }
 
-// nonce builds the 16-byte CTR initial counter block from the group
-// identity and its write counter.
-func nonce(groupID, counter uint64) [aes.BlockSize]byte {
-	var n [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(n[0:8], groupID)
-	binary.LittleEndian.PutUint64(n[8:16], counter)
-	return n
+// bind loads the group's identity — (groupID, counter), 16 bytes — which
+// is both the CTR initial counter block and the header the tag covers.
+func (e *Engine) bind(groupID, counter uint64) {
+	binary.LittleEndian.PutUint64(e.id[0:8], groupID)
+	binary.LittleEndian.PutUint64(e.id[8:16], counter)
 }
 
 // SealedSize returns the ciphertext length for a plaintext of n bytes.
 func SealedSize(n int) int { return n + TagSize }
 
 // Seal encrypts plaintext under (groupID, counter) and returns
-// ciphertext||tag. The same (groupID, counter) pair must never be reused
-// for different plaintexts; ORAM write logic guarantees monotone counters.
+// ciphertext||tag in a fresh slice. The same (groupID, counter) pair must
+// never be reused for different plaintexts; ORAM write logic guarantees
+// monotone counters.
 func (e *Engine) Seal(plaintext []byte, groupID, counter uint64) []byte {
-	out := make([]byte, len(plaintext)+TagSize)
-	iv := nonce(groupID, counter)
-	ctr := cipher.NewCTR(e.block, iv[:])
-	ctr.XORKeyStream(out[:len(plaintext)], plaintext)
-	tag := e.tag(out[:len(plaintext)], groupID, counter)
-	copy(out[len(plaintext):], tag[:TagSize])
-	e.stats.BytesSealed += uint64(len(plaintext))
+	return e.SealTo(nil, plaintext, groupID, counter)
+}
+
+// SealTo is Seal appending ciphertext||tag to dst and returning the
+// extended slice; with enough capacity in dst it does not allocate the
+// output. dst must not overlap plaintext.
+func (e *Engine) SealTo(dst, plaintext []byte, groupID, counter uint64) []byte {
+	n := len(plaintext)
+	dst = slices.Grow(dst, n+TagSize)
+	out := dst[len(dst) : len(dst)+n+TagSize]
+	e.bind(groupID, counter)
+	cipher.NewCTR(e.block, e.id[:]).XORKeyStream(out[:n], plaintext)
+	copy(out[n:], e.tag(out[:n]))
+	e.stats.BytesSealed += uint64(n)
 	e.stats.GroupsSealed++
-	return out
+	return dst[:len(dst)+n+TagSize]
 }
 
 // Open verifies and decrypts ciphertext||tag produced by Seal under the
-// same (groupID, counter). It returns ErrAuthFailed on any mismatch.
+// same (groupID, counter), returning the plaintext in a fresh slice. It
+// returns ErrAuthFailed on any mismatch.
 func (e *Engine) Open(sealed []byte, groupID, counter uint64) ([]byte, error) {
+	return e.OpenTo(nil, sealed, groupID, counter)
+}
+
+// OpenTo is Open appending the plaintext to dst and returning the
+// extended slice. The tag is verified before anything is decrypted: on
+// ErrAuthFailed the result is nil and dst's bytes are untouched, so a
+// reused buffer never hands back plaintext of an earlier group as if it
+// were this one's. dst must not overlap sealed.
+func (e *Engine) OpenTo(dst, sealed []byte, groupID, counter uint64) ([]byte, error) {
 	if len(sealed) < TagSize {
 		e.stats.AuthFailures++
 		return nil, ErrAuthFailed
 	}
 	body := sealed[:len(sealed)-TagSize]
-	wantTag := sealed[len(sealed)-TagSize:]
-	tag := e.tag(body, groupID, counter)
-	if !hmac.Equal(tag[:TagSize], wantTag) {
+	e.bind(groupID, counter)
+	if !hmac.Equal(e.tag(body), sealed[len(body):]) {
 		e.stats.AuthFailures++
 		return nil, ErrAuthFailed
 	}
-	out := make([]byte, len(body))
-	iv := nonce(groupID, counter)
-	ctr := cipher.NewCTR(e.block, iv[:])
-	ctr.XORKeyStream(out, body)
+	dst = slices.Grow(dst, len(body))
+	out := dst[len(dst) : len(dst)+len(body)]
+	cipher.NewCTR(e.block, e.id[:]).XORKeyStream(out, body)
 	e.stats.BytesOpened += uint64(len(body))
 	e.stats.GroupsOpened++
-	return out, nil
+	return dst[:len(dst)+len(body)], nil
 }
 
-func (e *Engine) tag(ciphertext []byte, groupID, counter uint64) [sha256.Size]byte {
-	mac := hmac.New(sha256.New, e.macKey[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], groupID)
-	binary.LittleEndian.PutUint64(hdr[8:16], counter)
-	mac.Write(hdr[:])
-	mac.Write(ciphertext)
-	var out [sha256.Size]byte
-	mac.Sum(out[:0])
-	return out
+// tag computes the truncated HMAC of the bound identity and ciphertext
+// into the engine's scratch; the result is valid until the next tag call.
+func (e *Engine) tag(ciphertext []byte) []byte {
+	e.mac.Reset()
+	e.mac.Write(e.id[:])
+	e.mac.Write(ciphertext)
+	return e.mac.Sum(e.sum[:0])[:TagSize]
 }
 
 // Stats returns a copy of the accumulated crypto counters.
