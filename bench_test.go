@@ -269,6 +269,80 @@ func BenchmarkRAWORAMAOAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkRAWORAMReadBatch measures a round's download phase on the main
+// ORAM at the oram_serve geometry: k = 2048 AO reads of a sealed 2^20-row
+// tree whose levels 0-10 are all written, as one merged AOAccessBatch and,
+// for comparison, as 2048 single AOAccess calls over the same ids. The
+// write-backs that return the blocks between ops are untimed.
+func BenchmarkRAWORAMReadBatch(b *testing.B) {
+	const (
+		rows = 1 << 20
+		k    = 2048
+		bs   = 64
+	)
+	for _, merged := range []bool{true, false} {
+		name := "single"
+		if merged {
+			name = "batch"
+		}
+		b.Run(name, func(b *testing.B) {
+			var key [32]byte
+			o, err := raworam.New(raworam.Config{
+				NumBlocks: rows, BlockSize: bs, Seed: 1, Engine: tee.NewEngine(key), HasScratchpad: true,
+			}, device.NewSSD(1<<40), device.NewDRAM(1<<40))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]uint64, k)
+			dst := make([]byte, k*bs)
+			var next uint64
+			read := func(batch bool) {
+				for i := range ids { // 2048 distinct rows, a new set every round
+					ids[i] = next % rows
+					next += 509
+				}
+				if batch {
+					if _, err := o.AOAccessBatch(ids, dst); err != nil {
+						b.Fatal(err)
+					}
+					return
+				}
+				for i, id := range ids {
+					data, _, err := o.AOAccess(id)
+					if err != nil {
+						b.Fatal(err)
+					}
+					copy(dst[i*bs:], data)
+				}
+			}
+			writeBack := func() {
+				for i, id := range ids {
+					if _, err := o.WriteBack(id, dst[i*bs:(i+1)*bs]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			// The g-th eviction writes the path to the g-th leaf in reverse-
+			// lexicographic order, so 2^10 evictions write every bucket of
+			// levels 0-10. Both variants warm up through the batch, so they
+			// time reads of the same tree.
+			for o.RootCounter() < 1<<10 {
+				read(true)
+				writeBack()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read(merged)
+				b.StopTimer()
+				writeBack()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/k, "us/read")
+		})
+	}
+}
+
 // BenchmarkObliviousUnion16K measures the paper's chunk-sized oblivious
 // union (the Θ(chunk²) scan of Sec 4.2) at a reduced 2K size; the cost
 // model extrapolates quadratically.

@@ -258,6 +258,12 @@ type Controller struct {
 	// (floats); both sides copy what they keep.
 	rowFloats []float32
 	rowBytes  []byte
+	// One chunk's merged main-ORAM read (readChunk): the row ids asked for
+	// and their payloads, back to back, of which the chunk's loads have
+	// decoded the first chunkNext. The slices are kept for their capacity.
+	chunkIDs  []uint64
+	chunkRows []byte
+	chunkNext int
 
 	mech    fdp.Mechanism
 	effEps  float64 // per-value epsilon after group privacy

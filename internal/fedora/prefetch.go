@@ -156,10 +156,11 @@ func (c *Controller) kickStageLocked() {
 
 // runFetcher is the round's background I/O goroutine: it drains the
 // previous round's deferred write-back pass, then executes the planned
-// main-ORAM reads, publishing each loaded row to the stream so blocked
-// serves wake per row. It takes c.mu per op, so serves and aggregates
-// interleave with the fetch stream.
-func (r *Round) runFetcher(plan []fetchOp, pending *evictPass) {
+// main-ORAM reads chunk by chunk — one merged read per chunk, then the
+// chunk's buffer loads — publishing each loaded row to the stream so
+// blocked serves wake per row. It takes c.mu once for a chunk's read and
+// once per load, so serves and aggregates interleave with the loads.
+func (r *Round) runFetcher(plan [][]fetchOp, pending *evictPass) {
 	c := r.c
 	st := r.stream
 	if pending != nil {
@@ -173,26 +174,29 @@ func (r *Round) runFetcher(plan []fetchOp, pending *evictPass) {
 		c.mu.Unlock()
 	}
 	fetchStart := time.Now()
-	for _, op := range plan {
+	// locked runs one fetcher step under c.mu unless the round was closed
+	// underneath it (AbortRound).
+	locked := func(step func() error) error {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		if r.done {
-			c.mu.Unlock()
-			st.finish(ErrRoundFinished)
-			return
+			return ErrRoundFinished
 		}
-		var err error
-		if op.dummy {
-			err = r.dummyFetch()
-		} else {
-			err = r.fetchRow(op.row)
-		}
-		c.mu.Unlock()
-		if err != nil {
+		return step()
+	}
+	for _, ops := range plan {
+		if err := locked(func() error { return r.readChunk(ops) }); err != nil {
 			st.finish(err)
 			return
 		}
-		if !op.dummy {
-			st.markReady(op.row)
+		for _, op := range ops {
+			if err := locked(func() error { return r.loadOp(op) }); err != nil {
+				st.finish(err)
+				return
+			}
+			if !op.dummy {
+				st.markReady(op.row)
+			}
 		}
 	}
 	c.mu.Lock()
@@ -294,16 +298,18 @@ type streamState struct {
 	blockedWall  time.Duration
 }
 
-func newStreamState(plan []fetchOp) *streamState {
+func newStreamState(plan [][]fetchOp) *streamState {
 	st := &streamState{
 		will:   make(map[uint64]bool),
 		ready:  make(map[uint64]bool),
 		served: make(map[uint64]bool),
 	}
 	st.cond = sync.NewCond(&st.mu)
-	for _, op := range plan {
-		if !op.dummy {
-			st.will[op.row] = true
+	for _, ops := range plan {
+		for _, op := range ops {
+			if !op.dummy {
+				st.will[op.row] = true
+			}
 		}
 	}
 	return st

@@ -157,7 +157,7 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	// previous round's deferred write-back pass drains on the same
 	// fetcher FIRST, so the main ORAM sees the identical op sequence as
 	// sync mode; only the wall-clock placement changes.
-	var plan []fetchOp
+	var plan [][]fetchOp // one op list per chunk: the fetcher merges reads chunk by chunk
 	for start := 0; start < len(flat); start += c.cfg.ChunkSize {
 		end := start + c.cfg.ChunkSize
 		if end > len(flat) {
@@ -168,7 +168,7 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 			c.inRound = false
 			return nil, err
 		}
-		plan = append(plan, ops...)
+		plan = append(plan, ops)
 	}
 	r.stats.Chunks = c.acct.Chunks()
 	r.stats.RoundEpsilon = c.acct.RoundEpsilon()
@@ -302,13 +302,11 @@ func (r *Round) processChunk(chunk []uint64) error {
 		return err
 	}
 	wallStart := time.Now()
+	if err := r.readChunk(ops); err != nil {
+		return err
+	}
 	for _, op := range ops {
-		if op.dummy {
-			err = r.dummyFetch()
-		} else {
-			err = r.fetchRow(op.row)
-		}
-		if err != nil {
+		if err := r.loadOp(op); err != nil {
 			return err
 		}
 	}
@@ -316,36 +314,69 @@ func (r *Round) processChunk(chunk []uint64) error {
 	return nil
 }
 
-// fetchRow moves one row from the main ORAM to the buffer ORAM. Rows
-// already resident (cross-chunk duplicates) still cost a full,
-// indistinguishable access pair.
-func (r *Round) fetchRow(row uint64) error {
+// readChunk performs the main-ORAM reads of one chunk's plan as a single
+// merged batch into c.chunkRows: the rows the ops will load, in op order.
+// The download phase never writes the main ORAM, so reading the whole
+// chunk before its first buffer load leaves both ORAMs, c.rng and every
+// stat where op-by-op reads would; only the host-side bucket work is
+// shared. Path ORAM+ remaps and writes back on every read and has nothing
+// to merge — loadOp reads it row by row. The caller holds c.mu.
+func (r *Round) readChunk(ops []fetchOp) error {
 	c := r.c
-	if r.loaded[row] {
+	if c.path != nil {
+		return nil
+	}
+	c.chunkIDs = c.chunkIDs[:0]
+	for _, op := range ops {
+		if !op.dummy && !r.loaded[op.row] {
+			c.chunkIDs = append(c.chunkIDs, op.row)
+		}
+	}
+	n := len(c.chunkIDs) * len(c.rowBytes)
+	c.chunkRows = slices.Grow(c.chunkRows[:0], n)[:n]
+	c.chunkNext = 0
+	d, err := c.raw.AOAccessBatch(c.chunkIDs, c.chunkRows)
+	r.stats.ReadTime += d
+	return err
+}
+
+// loadOp runs one planned op: it moves the row from the chunk's merged
+// read (the next one in c.chunkRows — the ops run in the order readChunk
+// saw them) into the buffer ORAM. Dummies, and rows already resident
+// (cross-chunk duplicates), still cost a full, indistinguishable access
+// pair. The caller holds c.mu.
+func (r *Round) loadOp(op fetchOp) error {
+	c := r.c
+	if op.dummy {
+		return r.dummyFetch()
+	}
+	if r.loaded[op.row] {
 		r.stats.CrossChunkDup++
 		return r.dummyFetch()
 	}
-	var (
-		payload []byte
-		d       time.Duration
-		err     error
-	)
+	var payload []byte
 	if c.path != nil {
-		payload, d, err = c.path.Read(row)
+		var (
+			d   time.Duration
+			err error
+		)
+		payload, d, err = c.path.Read(op.row)
+		r.stats.ReadTime += d
+		if err != nil {
+			return err
+		}
 	} else {
-		payload, d, err = c.raw.AOAccess(row)
-	}
-	r.stats.ReadTime += d
-	if err != nil {
-		return err
+		bs := len(c.rowBytes)
+		payload = c.chunkRows[c.chunkNext*bs : (c.chunkNext+1)*bs]
+		c.chunkNext++
 	}
 	decodeF32s(c.rowFloats, payload) // phantom payloads are zeros
-	d, err = c.buf.Load(row, c.rowFloats)
+	d, err := c.buf.Load(op.row, c.rowFloats)
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
 	}
-	r.loaded[row] = true
+	r.loaded[op.row] = true
 	return nil
 }
 

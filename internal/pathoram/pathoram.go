@@ -26,6 +26,7 @@
 package pathoram
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -417,7 +418,7 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		}
 		for s := 0; s < o.cfg.BucketSlots; s++ {
 			off := s * (slotMetaSize + o.cfg.BlockSize)
-			if plain[off+12] == 1 && getUint64(plain[off:]) == id {
+			if plain[off+12] == 1 && binary.LittleEndian.Uint64(plain[off:]) == id {
 				return append([]byte(nil), plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize]...), nil
 			}
 		}
@@ -517,12 +518,12 @@ func (o *ORAM) packBucket(blocks []*stash.Block) {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
 		if s < len(blocks) {
 			b := blocks[s]
-			putUint64(plain[off:], b.ID)
-			putUint32(plain[off+8:], b.Leaf)
+			binary.LittleEndian.PutUint64(plain[off:], b.ID)
+			binary.LittleEndian.PutUint32(plain[off+8:], b.Leaf)
 			plain[off+12] = 1
 			copy(plain[off+slotMetaSize:], b.Data)
 		} else {
-			putUint64(plain[off:], invalidBlockID)
+			binary.LittleEndian.PutUint64(plain[off:], invalidBlockID)
 		}
 	}
 }
@@ -534,11 +535,11 @@ func (o *ORAM) unpackBucket(plain []byte) error {
 		if plain[off+12] != 1 {
 			continue
 		}
-		id := getUint64(plain[off:])
+		id := binary.LittleEndian.Uint64(plain[off:])
 		if id == invalidBlockID {
 			continue
 		}
-		blk := o.stash.NewBlock(id, getUint32(plain[off+8:]), o.cfg.BlockSize)
+		blk := o.stash.NewBlock(id, binary.LittleEndian.Uint32(plain[off+8:]), o.cfg.BlockSize)
 		copy(blk.Data, plain[off+slotMetaSize:])
 		if err := o.stash.Put(blk); err != nil {
 			return err
@@ -566,32 +567,4 @@ func (o *ORAM) openBucket(idx uint32, ctr uint64) ([]byte, error) {
 		return o.stored[:plainLen], nil
 	}
 	return o.engine.OpenTo(o.plain[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func putUint32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getUint32(b []byte) uint32 {
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(b[i]) << (8 * i)
-	}
-	return v
 }

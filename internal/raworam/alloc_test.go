@@ -99,3 +99,49 @@ func TestAOResultsAreCallerOwned(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchSteadyStateAllocs: in steady state a 256-id AOAccessBatch
+// plus the 256 write-backs that return the blocks allocates nothing
+// unsealed — the payloads land in the caller's buffer out of the path
+// buffer and the ORAM's work list. Sealed, each bucket the batch opens
+// costs its cipher.NewCTR stream, once — at most every bucket of this
+// 8-level tree, 255, where 256 single accesses open up to 8 each — and
+// the write-backs add an open and a seal per bucket of each eviction path.
+func TestBatchSteadyStateAllocs(t *testing.T) {
+	const k = 256
+	for _, withCrypto := range []bool{false, true} {
+		cfg := Config{NumBlocks: 4096, BlockSize: 64, Seed: 5}
+		if withCrypto {
+			cfg.Engine = testEngine()
+		}
+		o, _, _ := newTestORAM(t, cfg)
+		ids := make([]uint64, k)
+		dst := make([]byte, k*cfg.BlockSize)
+		var next uint64
+		step := func() {
+			for i := range ids {
+				ids[i] = next % cfg.NumBlocks
+				next += 7
+			}
+			if _, err := o.AOAccessBatch(ids, dst); err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range ids {
+				if _, err := o.WriteBack(id, dst[i*cfg.BlockSize:(i+1)*cfg.BlockSize]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 3*int(cfg.NumBlocks)/k; i++ {
+			step()
+		}
+		want := 0.0
+		if withCrypto {
+			evictions := k/o.EvictPeriod() + 1
+			want = float64(1<<o.Levels() - 1 + evictions*2*o.Levels())
+		}
+		if n := testing.AllocsPerRun(64, step); n > want {
+			t.Errorf("crypto=%v: a %d-id batch + write-backs allocates %.1f times, want <= %.1f", withCrypto, k, n, want)
+		}
+	}
+}

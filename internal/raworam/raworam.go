@@ -42,10 +42,13 @@
 package raworam
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/device"
@@ -142,13 +145,33 @@ type ORAM struct {
 	pendingWrites int
 
 	// One bucket in flight, reused by every access: the SSD image as read
-	// or written (bucketSize bytes) and its plaintext (opened on the way
-	// in, packed on the way out). Nothing returned to a caller aliases
-	// them.
+	// or written (bucketSize bytes) and the plaintext being packed for a
+	// write. Nothing returned to a caller aliases them.
 	stored []byte
 	plain  []byte
 
+	// The DRAM path buffer of Sec 4.4: one plaintext bucket per tree level,
+	// pathIdx naming the bucket each slot holds (noBucket when empty).
+	// Every bucket read goes through it (readBucket). It is emptied at the
+	// start of each batch, lookup and eviction, so nothing in it outlives
+	// the operation that fetched and authenticated it.
+	pathBuf []byte
+	pathIdx []uint32
+	// reads is the batch read's work list, kept for its capacity.
+	reads []batchRead
+
 	stats Stats
+}
+
+// noBucket tags an empty path-buffer slot (no tree has 2^32-1 buckets).
+const noBucket = ^uint32(0)
+
+// batchRead is one id of an AOAccessBatch: where its payload goes in the
+// caller's buffer and which path holds it.
+type batchRead struct {
+	id   uint64
+	leaf uint32
+	slot int
 }
 
 // New creates the main ORAM over an SSD (tree) and a DRAM (VTree, stash,
@@ -197,6 +220,8 @@ func New(cfg Config, ssd, dram device.Device) (*ORAM, error) {
 	if !cfg.Phantom {
 		o.stored = make([]byte, stored)
 		o.plain = make([]byte, plain)
+		o.pathBuf = make([]byte, levels*stored)
+		o.pathIdx = make([]uint32, levels)
 	}
 	if need := o.RequiredBytes(); ssd.Capacity() < need {
 		return nil, fmt.Errorf("raworam: SSD capacity %d < required %d", ssd.Capacity(), need)
@@ -329,35 +354,98 @@ func (o *ORAM) chargeEO() time.Duration {
 // AOAccess reads block id and *removes* it from the ORAM (its valid flag
 // is cleared; the block is expected to move to the buffer ORAM, per
 // FEDORA step ③). No SSD write occurs. Dummy accesses — the ε-FDP
-// mechanism's k > k_union case — use AODummy instead.
+// mechanism's k > k_union case — use AODummy instead. It is the batch of
+// one; the result is the caller's to keep.
 func (o *ORAM) AOAccess(id uint64) ([]byte, time.Duration, error) {
-	if id >= o.cfg.NumBlocks {
-		return nil, 0, fmt.Errorf("raworam: block %d out of range %d", id, o.cfg.NumBlocks)
-	}
-	o.stats.AOAccesses++
-	d := o.chargeAO()
-	o.stats.Time += d
-	if o.cfg.Phantom {
-		return make([]byte, o.cfg.BlockSize), d, nil
-	}
-
-	leaf := o.pos.Get(id)
-	// Check the stash first: the block may be awaiting eviction from a
-	// previous round's write-back.
-	if blk := o.stash.Remove(id); blk != nil {
-		return blk.Data, d, nil
-	}
-	// Scan the path for the block; clear its valid flag on hit. The
-	// result is the caller's to keep, so it gets its own bytes.
 	data := make([]byte, o.cfg.BlockSize)
-	found, err := o.findOnPath(leaf, id, data, true)
+	ids := [1]uint64{id}
+	d, err := o.AOAccessBatch(ids[:], data)
 	if err != nil {
 		return nil, d, err
 	}
-	if !found {
-		o.initBlock(data, id)
-	}
 	return data, d, nil
+}
+
+// AOAccessBatch is len(ids) AO accesses whose path reads are merged: it
+// fills dst — len(ids)×BlockSize caller-owned bytes — with the payloads in
+// request order and removes every block from the ORAM, exactly as one
+// AOAccess per id would, and charges the devices one full path per id
+// (the modelled cost is the paper's per-access cost; the returned
+// duration is their sum). What is merged is the host-side work: the tree
+// lookups run in ascending-leaf order through the path buffer, so each
+// written bucket on the union of the paths is fetched, authenticated and
+// decrypted once per batch, not once per path through it. The download
+// phase never writes the tree (Sec 4.4), which is what makes a bucket read
+// once good for the whole batch.
+//
+// An out-of-range or repeated id fails the batch before any state
+// changes (phantom mode, which keeps no per-block state a repeat could
+// corrupt, does not look for repeats). A device or authentication error
+// aborts it midway: blocks already resolved are gone from the ORAM and dst
+// is partly filled, as after a failed access in a sequence of single ones.
+func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
+	bs := o.cfg.BlockSize
+	if len(dst) != len(ids)*bs {
+		return 0, fmt.Errorf("raworam: batch buffer is %d bytes, want %d ids × %d", len(dst), len(ids), bs)
+	}
+	for _, id := range ids {
+		if id >= o.cfg.NumBlocks {
+			return 0, fmt.Errorf("raworam: block %d out of range %d", id, o.cfg.NumBlocks)
+		}
+	}
+	if !o.cfg.Phantom {
+		// Ascending (leaf, id) is the lookup order below; it also puts a
+		// repeated id next to itself.
+		o.reads = o.reads[:0]
+		for i, id := range ids {
+			o.reads = append(o.reads, batchRead{id: id, leaf: o.pos.Get(id), slot: i})
+		}
+		slices.SortFunc(o.reads, func(a, b batchRead) int {
+			if c := cmp.Compare(a.leaf, b.leaf); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for i := 1; i < len(o.reads); i++ {
+			if o.reads[i].id == o.reads[i-1].id {
+				return 0, fmt.Errorf("raworam: block %d named twice in one batch", o.reads[i].id)
+			}
+		}
+	}
+
+	var d time.Duration
+	for range ids {
+		o.stats.AOAccesses++
+		d += o.chargeAO()
+	}
+	o.stats.Time += d
+	if o.cfg.Phantom {
+		clear(dst)
+		return d, nil
+	}
+
+	// Consecutive paths share their upper buckets and, in leaf order, a
+	// level's bucket index never decreases: a slot that has moved on is
+	// never wanted again, so one slot per level holds the whole union.
+	o.resetPath()
+	for _, r := range o.reads {
+		out := dst[r.slot*bs : (r.slot+1)*bs]
+		// Check the stash first: the block may be awaiting eviction from a
+		// previous round's write-back.
+		if blk := o.stash.Remove(r.id); blk != nil {
+			copy(out, blk.Data)
+			continue
+		}
+		// Scan the path for the block; clear its valid flag on hit.
+		found, err := o.findOnPath(r.leaf, r.id, out, true)
+		if err != nil {
+			return d, err
+		}
+		if !found {
+			o.initBlock(out, r.id)
+		}
+	}
+	return d, nil
 }
 
 // AODummy performs an indistinguishable access to a random path without
@@ -446,9 +534,9 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 		return d, nil
 	}
 	// Read the path: surviving valid blocks join the stash.
+	o.resetPath()
 	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		if err := o.loadBucketToStash(idx); err != nil {
+		if err := o.loadBucketToStash(l, o.bucketIndex(leaf, l)); err != nil {
 			return d, err
 		}
 	}
@@ -477,6 +565,7 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		return append([]byte(nil), blk.Data...), nil
 	}
 	out := make([]byte, o.cfg.BlockSize)
+	o.resetPath()
 	found, err := o.findOnPath(o.pos.Get(id), id, out, false)
 	if err != nil {
 		return nil, err
@@ -531,9 +620,11 @@ func getBit(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 func setBit(bm []byte, i int)      { bm[i/8] |= 1 << (i % 8) }
 func clearBit(bm []byte, i int)    { bm[i/8] &^= 1 << (i % 8) }
 
-// findOnPath scans the path to leaf for block id and copies its payload
-// into dst; with take set it also clears the slot's valid flag (VTree),
-// removing the block from the tree.
+// findOnPath scans the path to leaf, root first, for block id and copies
+// its payload into dst, stopping at the bucket that holds it; with take
+// set it also clears the slot's valid flag (VTree), removing the block
+// from the tree. Buckets already in the path buffer are not read again:
+// the caller empties it (resetPath) before the first lookup of a batch.
 func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, error) {
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
@@ -541,7 +632,7 @@ func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, 
 		if !written {
 			continue
 		}
-		plain, err := o.readBucket(idx, ctr)
+		plain, err := o.readBucket(l, idx, ctr)
 		if err != nil {
 			return false, err
 		}
@@ -551,7 +642,7 @@ func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, 
 				continue
 			}
 			off := s * (slotMetaSize + o.cfg.BlockSize)
-			if getUint64(plain[off:]) != id {
+			if binary.LittleEndian.Uint64(plain[off:]) != id {
 				continue
 			}
 			if take {
@@ -564,14 +655,15 @@ func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, 
 	return false, nil
 }
 
-// loadBucketToStash moves all valid blocks of bucket idx into the stash
-// and clears their flags (they will be re-placed by the eviction pass).
-func (o *ORAM) loadBucketToStash(idx uint32) error {
+// loadBucketToStash moves all valid blocks of bucket idx (on tree level
+// `level`) into the stash and clears their flags (they will be re-placed
+// by the eviction pass).
+func (o *ORAM) loadBucketToStash(level int, idx uint32) error {
 	ctr, written := o.counters[idx]
 	if !written {
 		return nil
 	}
-	plain, err := o.readBucket(idx, ctr)
+	plain, err := o.readBucket(level, idx, ctr)
 	if err != nil {
 		return err
 	}
@@ -581,7 +673,7 @@ func (o *ORAM) loadBucketToStash(idx uint32) error {
 			continue
 		}
 		off := s * (slotMetaSize + o.cfg.BlockSize)
-		id := getUint64(plain[off:])
+		id := binary.LittleEndian.Uint64(plain[off:])
 		if id == invalidBlockID {
 			clearBit(vb, s)
 			continue
@@ -590,7 +682,7 @@ func (o *ORAM) loadBucketToStash(idx uint32) error {
 		// never be valid in the tree while a fresher copy sits in the
 		// stash; if it somehow is, keep the stash copy.
 		if o.stash.Get(id) == nil {
-			blk := o.stash.NewBlock(id, getUint32(plain[off+8:]), o.cfg.BlockSize)
+			blk := o.stash.NewBlock(id, binary.LittleEndian.Uint32(plain[off+8:]), o.cfg.BlockSize)
 			copy(blk.Data, plain[off+slotMetaSize:])
 			if err := o.stash.Put(blk); err != nil {
 				return err
@@ -601,20 +693,41 @@ func (o *ORAM) loadBucketToStash(idx uint32) error {
 	return nil
 }
 
-// readBucket fetches and (if configured) decrypts bucket idx into the
-// ORAM's scratch; the returned plaintext is valid until the next bucket
-// is read or stored. Device traffic was already charged (once, for the
-// whole path) by chargeAO/chargeEO, so the data movement here uses the
-// unaccounted PeekAt — keeping phantom and functional traffic identical.
-func (o *ORAM) readBucket(idx uint32, ctr uint64) ([]byte, error) {
-	if err := o.ssd.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
-		return nil, err
+// resetPath empties the path buffer.
+func (o *ORAM) resetPath() {
+	for l := range o.pathIdx {
+		o.pathIdx[l] = noBucket
 	}
+}
+
+// readBucket returns the plaintext of bucket idx, which lies on tree
+// level `level`, from that level's path-buffer slot, fetching and (if
+// configured) authenticating and decrypting it first unless the slot
+// already holds it. The result is valid until the slot takes another
+// bucket. Device traffic was already charged (once, for the whole path)
+// by chargeAO/chargeEO, so the data movement here uses the unaccounted
+// PeekAt — keeping phantom and functional traffic identical.
+func (o *ORAM) readBucket(level int, idx uint32, ctr uint64) ([]byte, error) {
 	plainLen := len(o.plain)
-	if o.cfg.Engine == nil {
-		return o.stored[:plainLen], nil
+	slot := o.pathBuf[level*o.bucketSize : (level+1)*o.bucketSize : (level+1)*o.bucketSize]
+	if o.pathIdx[level] == idx {
+		return slot[:plainLen], nil
 	}
-	return o.cfg.Engine.OpenTo(o.plain[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
+	o.pathIdx[level] = noBucket // a failed read leaves the slot holding nothing
+	if o.cfg.Engine == nil {
+		if err := o.ssd.PeekAt(o.bucketAddr(idx), slot); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := o.ssd.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
+			return nil, err
+		}
+		if _, err := o.cfg.Engine.OpenTo(slot[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr); err != nil {
+			return nil, err
+		}
+	}
+	o.pathIdx[level] = idx
+	return slot[:plainLen], nil
 }
 
 // storeBucket packs, seals and writes bucket idx with the given blocks,
@@ -627,12 +740,12 @@ func (o *ORAM) storeBucket(idx uint32, blocks []*stash.Block) error {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
 		if s < len(blocks) {
 			b := blocks[s]
-			putUint64(plain[off:], b.ID)
-			putUint32(plain[off+8:], b.Leaf)
+			binary.LittleEndian.PutUint64(plain[off:], b.ID)
+			binary.LittleEndian.PutUint32(plain[off+8:], b.Leaf)
 			copy(plain[off+slotMetaSize:], b.Data)
 			setBit(vb, s)
 		} else {
-			putUint64(plain[off:], invalidBlockID)
+			binary.LittleEndian.PutUint64(plain[off:], invalidBlockID)
 			clearBit(vb, s)
 		}
 	}
@@ -647,32 +760,4 @@ func (o *ORAM) storeBucket(idx uint32, blocks []*stash.Block) error {
 	clear(o.stored[n:]) // the page padding is stored too; the last bucket's bytes must not ride along
 	// Traffic was charged path-wide by chargeEO; move bytes unaccounted.
 	return o.ssd.PokeAt(o.bucketAddr(idx), o.stored)
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func putUint32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getUint32(b []byte) uint32 {
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(b[i]) << (8 * i)
-	}
-	return v
 }

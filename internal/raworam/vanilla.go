@@ -38,6 +38,7 @@ func (o *ORAM) VanillaAccess(id uint64, mutate func(data []byte)) ([]byte, time.
 		blk := o.stash.Remove(id)
 		if blk == nil {
 			blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+			o.resetPath()
 			found, err := o.findOnPath(leaf, id, blk.Data, true)
 			if err != nil {
 				o.stats.Time += d
