@@ -10,14 +10,16 @@ all: build test
 # (the FL worker pool, the fedora round pipeline, the sharded ORAM
 # engine, the HTTP API server, the retrying HTTP client SDK, and the
 # wire upload plane) and over the ORAM data path below them, whose
-# per-ORAM scratch buffers and keyed HMAC state are single-goroutine by
-# contract (tee, raworam, pathoram, bufferoram, stash).
+# per-ORAM scratch buffers, keyed HMAC state, union scratch and paged
+# tables (a lookup moves the last-leaf memo) are single-goroutine by
+# contract (tee, raworam, pathoram, bufferoram, stash, obliv, device,
+# position, paged).
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race ./internal/fl/... ./internal/fedora/... ./internal/shard/... ./internal/api/... ./internal/client/... ./internal/wire/...
-	$(GO) test -race ./internal/tee/... ./internal/raworam/... ./internal/pathoram/... ./internal/bufferoram/... ./internal/stash/...
+	$(GO) test -race ./internal/tee/... ./internal/raworam/... ./internal/pathoram/... ./internal/bufferoram/... ./internal/stash/... ./internal/obliv/... ./internal/device/... ./internal/position/... ./internal/paged/...
 
 # Durability gate: kill-resume fingerprint identity, corrupt-checkpoint
 # fallback, torn-WAL replay, every Snapshot/Restore round trip, and a

@@ -343,18 +343,30 @@ func BenchmarkRAWORAMReadBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkObliviousUnion16K measures the paper's chunk-sized oblivious
-// union (the Θ(chunk²) scan of Sec 4.2) at a reduced 2K size; the cost
-// model extrapolates quadratically.
-func BenchmarkObliviousUnion2K(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	reqs := make([]uint64, 2048)
-	for i := range reqs {
-		reqs[i] = uint64(rng.Intn(1024))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obliv.Union(reqs)
+// BenchmarkObliviousUnion puts the paper's Θ(K²) linear scan (Sec 4.2,
+// obliv.UnionScan) beside the sorting-network union every round runs
+// (obliv.Union through a kept scratch, as the controller calls it), from
+// the scan's best case to the paper's 16K chunk: the sort replaced the
+// scan rather than joining it behind a crossover, and this is where that
+// stays checkable.
+func BenchmarkObliviousUnion(b *testing.B) {
+	for _, k := range []int{32, 256, 3200, 4096, 16384} {
+		rng := rand.New(rand.NewSource(1))
+		reqs := make([]uint64, k)
+		for i := range reqs {
+			reqs[i] = uint64(rng.Intn(k/2 + 1))
+		}
+		b.Run(fmt.Sprintf("scan/K=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				obliv.UnionScan(reqs)
+			}
+		})
+		b.Run(fmt.Sprintf("sorted/K=%d", k), func(b *testing.B) {
+			var s obliv.UnionScratch
+			for i := 0; i < b.N; i++ {
+				s.Union(reqs)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,6 @@ func main() {
 		backend  = flag.String("backend", "fedora", "fedora | pathoram+ | dram")
 		workload = flag.String("workload", "taobao-val", "workload key (see dataset.PerfWorkloads)")
 		rounds   = flag.Int("n", 2, "rounds to simulate")
-		sorted   = flag.Bool("sorted-union", false, "use the O(K log^2 K) sorting-network union")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 	)
 	flag.Parse()
@@ -64,7 +63,6 @@ func main() {
 		MaxFeaturesPerClient: featPerClient,
 		Seed:                 *seed,
 		Phantom:              true,
-		SortedUnion:          *sorted,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedora:", err)

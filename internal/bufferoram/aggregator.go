@@ -40,6 +40,20 @@ type PostCtx struct {
 	State []float32
 	// Rng supplies noise for DP aggregators.
 	Rng *rand.Rand
+
+	delta []float32 // the built-in aggregators' result, reused block after block
+}
+
+// out returns ctx's n-float result buffer, zeroed. What Post returns in
+// it is valid until the next Post with the same ctx; Unload consumes it
+// before moving on.
+func (ctx *PostCtx) out(n int) []float32 {
+	if cap(ctx.delta) < n {
+		ctx.delta = make([]float32, n)
+	}
+	ctx.delta = ctx.delta[:n]
+	clear(ctx.delta)
+	return ctx.delta
 }
 
 // Aggregator is the programmable aggregation mode of Eq. 4.
@@ -54,6 +68,7 @@ type Aggregator interface {
 	Pre(grad []float32, nSamples int)
 	// Post transforms the accumulated sum into the delta applied to the
 	// entry (before the learning-rate multiply). It may mutate ctx.State.
+	// The caller reads the result before its next Post and keeps nothing.
 	Post(sum []float32, ctx *PostCtx) []float32
 }
 
@@ -78,7 +93,7 @@ func (FedAvg) Pre(grad []float32, nSamples int) {
 
 // Post implements Aggregator.
 func (FedAvg) Post(sum []float32, ctx *PostCtx) []float32 {
-	out := make([]float32, len(sum))
+	out := ctx.out(len(sum))
 	if ctx.Count <= 0 {
 		return out // nobody uploaded: no update
 	}
@@ -117,7 +132,7 @@ func (f FedAdam) Post(sum []float32, ctx *PostCtx) []float32 {
 	m := ctx.State[:dim]
 	v := ctx.State[dim : 2*dim]
 	tSlot := &ctx.State[2*dim]
-	out := make([]float32, dim)
+	out := ctx.out(dim)
 	if ctx.Count <= 0 {
 		return out
 	}
@@ -156,7 +171,7 @@ func (e EANA) Pre(grad []float32, _ int) {
 
 // Post implements Aggregator: x + N(0, σ²C²I).
 func (e EANA) Post(sum []float32, ctx *PostCtx) []float32 {
-	out := make([]float32, len(sum))
+	out := ctx.out(len(sum))
 	sd := e.Sigma * e.Clip
 	for i := range sum {
 		out[i] = sum[i] + float32(ctx.Rng.NormFloat64()*sd)
@@ -191,7 +206,7 @@ func (l LazyDP) Post(sum []float32, ctx *PostCtx) []float32 {
 		r = 1
 	}
 	ctx.State[0] = float32(ctx.Round)
-	out := make([]float32, len(sum))
+	out := ctx.out(len(sum))
 	sd := math.Sqrt(float64(r)) * l.Sigma * l.Clip
 	for i := range sum {
 		out[i] = sum[i] + float32(ctx.Rng.NormFloat64()*sd)
@@ -258,7 +273,7 @@ func (FedAdagrad) Pre(grad []float32, nSamples int) { FedAvg{}.Pre(grad, nSample
 func (f FedAdagrad) Post(sum []float32, ctx *PostCtx) []float32 {
 	dim := len(sum)
 	acc := ctx.State[:dim]
-	out := make([]float32, dim)
+	out := ctx.out(dim)
 	if ctx.Count <= 0 {
 		return out
 	}
@@ -298,7 +313,7 @@ func (f FedYogi) Post(sum []float32, ctx *PostCtx) []float32 {
 	dim := len(sum)
 	m := ctx.State[:dim]
 	v := ctx.State[dim : 2*dim]
-	out := make([]float32, dim)
+	out := ctx.out(dim)
 	if ctx.Count <= 0 {
 		return out
 	}

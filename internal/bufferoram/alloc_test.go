@@ -1,6 +1,9 @@
 package bufferoram
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestServeAggregateSteadyStateAllocs: the buffer ORAM is unsealed, so a
 // steady-state Aggregate — gradient pre-processing, the path read, the
@@ -52,6 +55,53 @@ func TestServeAggregateSteadyStateAllocs(t *testing.T) {
 		id++
 	}); n > 1 {
 		t.Errorf("Serve allocates %.1f times per call, want <= 1 (the returned entry)", n)
+	}
+	// UnloadTo runs Post into the PostCtx's buffer and the entry into the
+	// caller's; reloading the row keeps the measurement repeatable.
+	dst := make([]float32, 16)
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := b.UnloadTo(id%rows, dst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Load(id%rows, entry); err != nil {
+			t.Fatal(err)
+		}
+		id++
+	}); n > 0 {
+		t.Errorf("UnloadTo + Load allocate %.1f times per pair, want 0", n)
+	}
+}
+
+// TestUnloadToMatchesUnload: the caller-buffer form returns what Unload
+// returns, checks its buffer, and leaves the row unloaded either way.
+func TestUnloadToMatchesUnload(t *testing.T) {
+	a := newBuf(t, Config{Capacity: 64, Dim: 4, Seed: 8, LearningRate: 0.5})
+	b := newBuf(t, Config{Capacity: 64, Dim: 4, Seed: 8, LearningRate: 0.5})
+	entry, grad := []float32{1, 2, 3, 4}, []float32{0.5, -1, 0.25, 2}
+	for _, buf := range []*Buffer{a, b} {
+		if _, err := buf.Load(9, entry); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := buf.Aggregate(9, grad, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _, err := a.Unload(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.UnloadTo(9, make([]float32, 3)); err == nil {
+		t.Fatal("UnloadTo accepted a short buffer")
+	}
+	got := make([]float32, 4)
+	if _, err := b.UnloadTo(9, got); err != nil {
+		t.Fatal(err)
+	}
+	if !approxEqual(got, want, 0) {
+		t.Errorf("UnloadTo = %v, Unload = %v", got, want)
+	}
+	if _, err := b.UnloadTo(9, got); !errors.Is(err, ErrNotLoaded) {
+		t.Errorf("second UnloadTo err = %v, want ErrNotLoaded", err)
 	}
 }
 

@@ -247,35 +247,46 @@ func (b *Buffer) AggregateRaw(id uint64, sum []float32, count float32) (time.Dur
 // Unload applies the post-aggregation update and returns the new entry
 // value for write-back to the main ORAM (step ⑦). The slot is recycled.
 func (b *Buffer) Unload(id uint64) ([]float32, time.Duration, error) {
+	out := make([]float32, b.dim)
+	d, err := b.UnloadTo(id, out)
+	if err != nil {
+		return nil, d, err
+	}
+	return out, d, nil
+}
+
+// UnloadTo is Unload into dst (len Dim), for a caller that writes the
+// entry back before unloading the next and so needs no slice of its own.
+func (b *Buffer) UnloadTo(id uint64, dst []float32) (time.Duration, error) {
+	if len(dst) != b.dim {
+		return 0, fmt.Errorf("bufferoram: UnloadTo dst dim %d != %d", len(dst), b.dim)
+	}
 	slot, ok := b.slotOf[id]
 	if !ok {
-		return nil, 0, fmt.Errorf("bufferoram: Unload(%d): %w", id, ErrNotLoaded)
+		return 0, fmt.Errorf("bufferoram: Unload(%d): %w", id, ErrNotLoaded)
 	}
-	out := make([]float32, b.dim)
 	d, err := b.oram.Update(uint64(slot), func(data []byte) {
 		f := b.scratch
 		decodeF32s(f, data)
 		entry := f[:b.dim]
 		sum := f[b.dim : 2*b.dim]
-		b.post = PostCtx{
-			Round: b.round,
-			Count: f[2*b.dim],
-			State: f[2*b.dim+1 : 2*b.dim+1+b.stateLen],
-			Rng:   b.rng,
-		}
+		b.post.Round = b.round
+		b.post.Count = f[2*b.dim]
+		b.post.State = f[2*b.dim+1 : 2*b.dim+1+b.stateLen]
+		b.post.Rng = b.rng
 		delta := b.agg.Post(sum, &b.post)
 		for i := range entry {
 			entry[i] -= b.lr * delta[i]
 		}
-		copy(out, entry)
+		copy(dst, entry)
 		encodeF32s(data, f)
 	})
 	if err != nil {
-		return nil, d, err
+		return d, err
 	}
 	delete(b.slotOf, id)
 	b.free = append(b.free, slot)
-	return out, d, nil
+	return d, nil
 }
 
 // UnloadDummy burns an indistinguishable access for a dummy write-back.

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/paged"
 )
 
 // Op identifies the direction of an access for accounting purposes.
@@ -190,9 +192,12 @@ type Sim struct {
 	mu       sync.Mutex
 	profile  Profile
 	capacity uint64
-	pages    map[uint64][]byte // page index -> storePageSize bytes
+	pages    paged.Table[*storePage] // by page index; nothing is sized from capacity
 	stats    Stats
 }
+
+// storePage is one materialized page of the sparse backing store.
+type storePage = [storePageSize]byte
 
 // storePageSize is the granularity of the sparse backing store. It is an
 // implementation detail independent of the modelled Profile.PageSize.
@@ -203,7 +208,7 @@ func NewSim(p Profile, capacity uint64) *Sim {
 	if p.PageSize <= 0 {
 		panic("device: profile PageSize must be positive")
 	}
-	return &Sim{profile: p, capacity: capacity, pages: make(map[uint64][]byte)}
+	return &Sim{profile: p, capacity: capacity}
 }
 
 // NewSSD creates a PM9A1-profile SSD of the given capacity.
@@ -295,12 +300,10 @@ func (s *Sim) copyOut(addr uint64, p []byte) {
 		if n > len(p)-off {
 			n = len(p) - off
 		}
-		if page, ok := s.pages[pageIdx]; ok {
+		if page := s.pages.Get(pageIdx); page != nil {
 			copy(p[off:off+n], page[inPage:inPage+n])
 		} else {
-			for i := off; i < off+n; i++ {
-				p[i] = 0
-			}
+			clear(p[off : off+n])
 		}
 		off += n
 	}
@@ -315,10 +318,10 @@ func (s *Sim) copyIn(addr uint64, p []byte) {
 		if n > len(p)-off {
 			n = len(p) - off
 		}
-		page, ok := s.pages[pageIdx]
-		if !ok {
-			page = make([]byte, storePageSize)
-			s.pages[pageIdx] = page
+		page := s.pages.Get(pageIdx)
+		if page == nil {
+			page = new(storePage)
+			s.pages.Set(pageIdx, page)
 		}
 		copy(page[inPage:inPage+n], p[off:off+n])
 		off += n
@@ -420,7 +423,7 @@ func (s *Sim) Close() error { return nil }
 func (s *Sim) ResidentBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return uint64(len(s.pages)) * storePageSize
+	return uint64(s.pages.Len()) * storePageSize
 }
 
 // WearBytes returns the physical flash bytes consumed by the recorded

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -165,6 +166,33 @@ func TestSparseStoreStaysSmall(t *testing.T) {
 	}
 	if rb := d.ResidentBytes(); rb > 3*4096 {
 		t.Errorf("resident = %d bytes for 3 page writes", rb)
+	}
+}
+
+// TestHugeDeviceCostsWhatItTouches: every controller's DRAM device is
+// NewDRAM(1<<62). Building one allocates no page store, and a write near
+// 2^50 costs the page it lands on — nothing is sized from the capacity.
+func TestHugeDeviceCostsWhatItTouches(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDRAM(1 << 62)
+	if _, err := d.WriteAt(1<<50+100, []byte("far")); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if rb := d.ResidentBytes(); rb != storePageSize {
+		t.Errorf("resident = %d bytes after one small write, want one page", rb)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a 2^62-byte device and one write allocated %d bytes", grew)
+	}
+	got := make([]byte, 3)
+	if _, err := d.ReadAt(1<<50+100, got); err != nil || string(got) != "far" {
+		t.Errorf("read back %q, %v", got, err)
+	}
+	if n := testing.AllocsPerRun(20, func() { NewDRAM(1 << 62) }); n > 1 {
+		t.Errorf("NewDRAM allocates %.0f times, want the Sim alone", n)
 	}
 }
 

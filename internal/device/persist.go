@@ -2,9 +2,10 @@ package device
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"repro/internal/paged"
 	"repro/internal/persist"
 )
 
@@ -33,7 +34,25 @@ const SnapshotPageSize = storePageSize
 // bytes; all-zero pages are elided, the rest are written in ascending
 // index order so encoding is deterministic.
 func EncodeSnapshot(profileName string, capacity uint64, st Stats, pages map[uint64][]byte) []byte {
-	var e persist.Encoder
+	idxs := make([]uint64, 0, len(pages))
+	for idx, page := range pages {
+		if !allZero(page) {
+			idxs = append(idxs, idx)
+		}
+	}
+	slices.Sort(idxs)
+	e := snapshotHeader(profileName, capacity, st, len(idxs))
+	for _, idx := range idxs {
+		e.U64(idx)
+		e.Bytes(pages[idx])
+	}
+	return e.Finish()
+}
+
+// snapshotHeader starts a device snapshot that numPages (index, bytes)
+// records follow.
+func snapshotHeader(profileName string, capacity uint64, st Stats, numPages int) *persist.Encoder {
+	e := new(persist.Encoder)
 	e.U8(simSnapshotVersion)
 	e.String(profileName)
 	e.U64(capacity)
@@ -42,20 +61,8 @@ func EncodeSnapshot(profileName string, capacity uint64, st Stats, pages map[uin
 	e.U64(st.BytesRead)
 	e.U64(st.BytesWritten)
 	e.I64(int64(st.BusyTime))
-
-	idxs := make([]uint64, 0, len(pages))
-	for idx, page := range pages {
-		if !allZero(page) {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	e.U64(uint64(len(idxs)))
-	for _, idx := range idxs {
-		e.U64(idx)
-		e.Bytes(pages[idx])
-	}
-	return e.Finish()
+	e.U64(uint64(numPages))
+	return e
 }
 
 // DecodeSnapshot parses the shared device-snapshot wire format. The
@@ -93,7 +100,22 @@ func DecodeSnapshot(b []byte) (profileName string, capacity uint64, st Stats, pa
 func (s *Sim) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return EncodeSnapshot(s.profile.Name, s.capacity, s.stats, s.pages), nil
+	type entry struct {
+		idx  uint64
+		page *storePage
+	}
+	var live []entry // ascending: Range's order is the format's
+	s.pages.Range(func(idx uint64, page *storePage) {
+		if !allZero(page[:]) {
+			live = append(live, entry{idx, page})
+		}
+	})
+	e := snapshotHeader(s.profile.Name, s.capacity, s.stats, len(live))
+	for _, en := range live {
+		e.U64(en.idx)
+		e.Bytes(en.page[:])
+	}
+	return e.Finish(), nil
 }
 
 // Restore replaces the device contents and counters with a snapshot.
@@ -114,7 +136,10 @@ func (s *Sim) Restore(b []byte) error {
 		return fmt.Errorf("device %s: snapshot capacity %d != device capacity %d",
 			s.profile.Name, capacity, s.capacity)
 	}
-	s.pages = pages
+	s.pages = paged.Table[*storePage]{}
+	for idx, page := range pages {
+		s.pages.Set(idx, (*storePage)(page)) // DecodeSnapshot checked the length
+	}
 	s.stats = st
 	return nil
 }

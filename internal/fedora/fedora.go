@@ -45,6 +45,7 @@ import (
 	"repro/internal/bufferoram"
 	"repro/internal/device"
 	"repro/internal/fdp"
+	"repro/internal/obliv"
 	"repro/internal/pathoram"
 	"repro/internal/persist"
 	"repro/internal/raworam"
@@ -130,11 +131,6 @@ type Config struct {
 	// EvictPeriod overrides the main RAW ORAM's eviction period A
 	// (0 = derive from the bucket size; Sec 4.4 Optimization 3).
 	EvictPeriod int
-	// SortedUnion replaces the paper's Θ(K²) linear-scan union with the
-	// O(K·log²K) oblivious sorting-network union (obliv.UnionSorted).
-	// Union entries then come out in ascending-ID rather than first-seen
-	// order, which changes what "SelectFirst" means.
-	SortedUnion bool
 	// Prefetch enables the LAORAM-style lookahead pipeline: BeginRound
 	// hands the main-ORAM reads to a background fetcher (serves block per
 	// row until loaded) and Finish defers the main-ORAM write-backs to
@@ -264,6 +260,9 @@ type Controller struct {
 	chunkIDs  []uint64
 	chunkRows []byte
 	chunkNext int
+	chunkOps  []fetchOp // the sync path's plan of the chunk in flight
+	// The union's sorting arrays, grown to the largest chunk seen.
+	unionScratch obliv.UnionScratch
 
 	mech    fdp.Mechanism
 	effEps  float64 // per-value epsilon after group privacy

@@ -531,33 +531,6 @@ func TestSelectRandomIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSortedUnionEquivalentRound(t *testing.T) {
-	// Same requests, both union algorithms: identical K/KUnion/KSampled at
-	// eps=inf and identical final table state (order-insensitive updates).
-	run := func(sorted bool) (RoundStats, []float32) {
-		c := newController(t, Config{Epsilon: fdp.EpsilonInfinity, Seed: 50, SortedUnion: sorted})
-		st := runRound(t, c, [][]uint64{{9, 2, 9, 5}, {2, 7}})
-		row, err := c.PeekRow(9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, row
-	}
-	a, rowA := run(false)
-	b, rowB := run(true)
-	if a.KUnion != b.KUnion || a.KSampled != b.KSampled {
-		t.Errorf("union algorithms disagree: %+v vs %+v", a, b)
-	}
-	if rowA[0] != rowB[0] {
-		t.Errorf("table state differs: %v vs %v", rowA[0], rowB[0])
-	}
-	// Sorted union charges less DRAM time for the union phase at scale;
-	// at this tiny K just assert both are positive.
-	if a.UnionTime <= 0 || b.UnionTime <= 0 {
-		t.Error("union time missing")
-	}
-}
-
 func TestRoundTrafficIndependentOfRequestedRows(t *testing.T) {
 	// Controller-level obliviousness: at ε=0 (k=K always) two rounds with
 	// the same K but entirely different row sets must generate identical

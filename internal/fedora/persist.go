@@ -59,7 +59,7 @@ func (cfg Config) Digest() uint64 {
 	e.U32(uint32(cfg.BucketBytes))
 	e.U8(uint8(cfg.Selection))
 	e.U32(uint32(cfg.EvictPeriod))
-	e.Bool(cfg.SortedUnion)
+	e.Bool(false) // was SortedUnion, now the only union; kept so existing checkpoints' digests match
 	// ShardWorkers, ShardBase, Storage and Prefetch are deliberately
 	// excluded: the worker count and the storage backend are purely
 	// operational knobs that never affect state — a checkpoint taken over

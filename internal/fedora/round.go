@@ -130,7 +130,8 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	}
 	c.buf.SetRound(c.round)
 
-	r := &Round{c: c, loaded: make(map[uint64]bool), number: c.round}
+	// At most one row per request is ever loaded: size the set once.
+	r := &Round{c: c, loaded: make(map[uint64]bool, len(flat)), number: c.round}
 	r.stats.K = len(flat)
 
 	if !c.cfg.Prefetch {
@@ -163,7 +164,7 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 		if end > len(flat) {
 			end = len(flat)
 		}
-		ops, err := r.planChunk(flat[start:end])
+		ops, err := r.planChunk(flat[start:end], nil) // the plan keeps each chunk's ops
 		if err != nil {
 			c.inRound = false
 			return nil, err
@@ -189,7 +190,11 @@ func (c *Controller) flattenRequests(requests [][]uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("fedora: %d clients exceed the configured max %d",
 			len(requests), c.cfg.MaxClientsPerRound)
 	}
-	var flat []uint64
+	total := 0
+	for _, reqs := range requests {
+		total += len(reqs)
+	}
+	flat := make([]uint64, 0, total)
 	for ci, reqs := range requests {
 		if len(reqs) > c.cfg.MaxFeaturesPerClient {
 			return nil, fmt.Errorf("fedora: client %d has %d features, max %d",
@@ -206,15 +211,15 @@ func (c *Controller) flattenRequests(requests [][]uint64) ([]uint64, error) {
 	return flat, nil
 }
 
-// union computes the chunk union: the real oblivious scan in functional
-// mode, a behaviour-identical map dedup in phantom mode (running the
-// Θ(K·chunk) scan for a million requests would only re-derive the same
-// sizes). Either way the oblivious scan's DRAM traffic is charged.
+// union computes the chunk union: the oblivious sorting-network union in
+// functional mode, a behaviour-identical map dedup in phantom mode
+// (sorting a million requests would only re-derive the same sizes).
+// Either way the DRAM model is charged the paper's Θ(K²) linear scan
+// (Sec 4.2) — modelled time is the paper's design, host work is this
+// implementation's. The returned ids alias c.unionScratch and are valid
+// until the next call.
 func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
 	cost := obliv.UnionScanCost(len(chunk)) * 8 // 8-byte slots
-	if c.cfg.SortedUnion {
-		cost = obliv.UnionSortedScanCost(len(chunk)) * 8
-	}
 	d := c.dram.Charge(0 /* read */, 0, int(cost))
 	if c.cfg.Phantom {
 		seen := make(map[uint64]bool, len(chunk))
@@ -228,23 +233,18 @@ func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
 		}
 		return ids, len(ids), d
 	}
-	var res obliv.UnionResult
-	if c.cfg.SortedUnion {
-		res = obliv.UnionSorted(chunk)
-	} else {
-		res = obliv.Union(chunk)
-	}
+	res := c.unionScratch.Union(chunk)
 	return res.IDs[:res.Size], res.Size, d
 }
 
 // planChunk runs the plan half of steps ①–③ for one chunk: the chunk
 // union, ε-FDP sampling and the selection-policy ordering. It returns
-// the main-ORAM ops to execute — the exec half — which the sync path
-// runs inline (processChunk) and the prefetch path hands to the
-// background fetcher. Everything that consumes the controller's RNG or
-// selector state happens here, in chunk order, so the two modes draw
-// identical streams. The caller holds c.mu.
-func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
+// the main-ORAM ops to execute — the exec half, appended to ops[:0] —
+// which the sync path runs inline (processChunk) and the prefetch path
+// hands to the background fetcher. Everything that consumes the
+// controller's RNG or selector state happens here, in chunk order, so the
+// two modes draw identical streams. The caller holds c.mu.
+func (r *Round) planChunk(chunk []uint64, ops []fetchOp) ([]fetchOp, error) {
 	c := r.c
 	wallStart := time.Now()
 	ids, kUnion, unionDur := c.union(chunk)
@@ -252,7 +252,7 @@ func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
 	r.stats.UnionWallTime += time.Since(wallStart)
 	r.stats.KUnion += kUnion
 	if len(chunk) == 0 {
-		return nil, nil
+		return ops[:0], nil
 	}
 
 	// ② choose k. Path ORAM+ has no mechanism: one main-ORAM access per
@@ -283,7 +283,7 @@ func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
 	}
 	c.sel.observe(ids)
 	ordered := c.sel.order(ids)
-	ops := make([]fetchOp, 0, k)
+	ops = slices.Grow(ops[:0], k)
 	for _, row := range ordered[:nReal] {
 		ops = append(ops, fetchOp{row: row})
 		c.sel.markRead(row)
@@ -297,10 +297,11 @@ func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
 // processChunk runs steps ①–③ for one chunk of requests, synchronously.
 // The caller (beginRoundLocked) holds c.mu.
 func (r *Round) processChunk(chunk []uint64) error {
-	ops, err := r.planChunk(chunk)
+	ops, err := r.planChunk(chunk, r.c.chunkOps)
 	if err != nil {
 		return err
 	}
+	r.c.chunkOps = ops // run to completion below; the next chunk reuses the array
 	wallStart := time.Now()
 	if err := r.readChunk(ops); err != nil {
 		return err
@@ -590,12 +591,12 @@ func (r *Round) Finish() (RoundStats, error) {
 		c.prefetchWasted += r.stats.PrefetchWasted
 	} else {
 		for _, row := range rows {
-			entry, d, err := c.buf.Unload(row)
+			d, err := c.buf.UnloadTo(row, c.rowFloats)
 			r.stats.UpdateTime += d
 			if err != nil {
 				return r.stats, err
 			}
-			wd, err := c.writeBackRow(row, entry)
+			wd, err := c.writeBackRow(row, c.rowFloats)
 			r.stats.UpdateTime += wd
 			if err != nil {
 				return r.stats, err

@@ -16,10 +16,11 @@
 //   - Nothing in this package branches on, or indexes memory by, any of
 //     its secret arguments. Loop bounds depend only on public lengths.
 //
-// Paper mapping: the Sec 4.2 oblivious union (the Θ(K²) linear-scan
-// variant the paper prototypes, plus the O(K·log²K) sorting-network
-// alternative) is the main consumer; the element-wise primitives
-// implement the Sec 4.1/5.1 constant-time discipline they build on.
+// Paper mapping: the Sec 4.2 oblivious union (the O(K·log²K) sorting-
+// network union every round runs, and the Θ(K²) linear scan the paper
+// prototypes, kept as its reference and cost model) is the main consumer;
+// the element-wise primitives implement the Sec 4.1/5.1 constant-time
+// discipline they build on.
 package obliv
 
 // mask returns an all-ones word when choice==1 and zero when choice==0.

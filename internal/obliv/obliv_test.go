@@ -354,66 +354,3 @@ func BenchmarkUnion1K(b *testing.B) {
 		Union(reqs)
 	}
 }
-
-func TestUnionSortedMatchesUnionAsSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 200; trial++ {
-		k := rng.Intn(60)
-		reqs := make([]uint64, k)
-		for i := range reqs {
-			if rng.Intn(8) == 0 {
-				reqs[i] = InvalidID // padded dummies pass through
-			} else {
-				reqs[i] = uint64(rng.Intn(12))
-			}
-		}
-		a := Union(reqs)
-		b := UnionSorted(reqs)
-		if a.Size != b.Size {
-			t.Fatalf("trial %d: sizes %d vs %d (reqs %v)", trial, a.Size, b.Size, reqs)
-		}
-		setA := map[uint64]bool{}
-		for _, id := range a.IDs[:a.Size] {
-			setA[id] = true
-		}
-		for i, id := range b.IDs[:b.Size] {
-			if !setA[id] {
-				t.Fatalf("trial %d: sorted union has extra id %d", trial, id)
-			}
-			if i > 0 && b.IDs[i-1] >= id {
-				t.Fatalf("trial %d: sorted union not ascending: %v", trial, b.IDs[:b.Size])
-			}
-		}
-		for i := b.Size; i < len(b.IDs); i++ {
-			if b.IDs[i] != InvalidID {
-				t.Fatalf("trial %d: tail not InvalidID", trial)
-			}
-		}
-	}
-}
-
-func TestUnionSortedCostBeatsQuadraticAtScale(t *testing.T) {
-	// At the paper's 16K chunk the sorting network is far cheaper than
-	// the quadratic scan.
-	quad := UnionScanCost(16384)
-	sorted := UnionSortedScanCost(16384)
-	if sorted*10 > quad {
-		t.Errorf("sorted cost %d not ≪ quadratic %d", sorted, quad)
-	}
-	// Tiny inputs behave.
-	if UnionSortedScanCost(0) != 0 || UnionSortedScanCost(1) != 1 {
-		t.Error("degenerate costs wrong")
-	}
-}
-
-func BenchmarkUnionSorted2K(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	reqs := make([]uint64, 2048)
-	for i := range reqs {
-		reqs[i] = uint64(rng.Intn(256))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		UnionSorted(reqs)
-	}
-}

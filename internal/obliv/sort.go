@@ -1,31 +1,31 @@
 package obliv
 
 // Bitonic sort: an oblivious sorting network whose compare-exchange
-// sequence depends only on the (public) input length. FEDORA uses
-// oblivious sorting when the eviction logic must reorder stash blocks by
-// secret keys without revealing the permutation; we also use it to pick
-// "the first k" union entries without leaking which slots were real.
+// sequence depends only on the (public) input length. The union sorts
+// requests by secret ids with it, and compacts the survivors, without
+// revealing the permutation.
 //
-// The network sorts any length n by operating over the next power of two
-// and treating out-of-range positions as +inf keys (compare-exchanges
-// touching them are executed against a dummy element so the touched
-// addresses remain a function of n alone).
+// The network is defined over power-of-two lengths; other lengths are
+// padded with elements that sort last (compare-exchanges touching them
+// are executed like any other), so the touched addresses remain a
+// function of the length alone.
 
-// KV is a sortable key/value pair. Sorting is by Key ascending; Val rides
-// along (e.g., a block index or request payload pointer index).
+// KV is a sortable key/value pair. Sorting is by Key ascending, then by
+// Val ascending among equal keys.
 type KV struct {
 	Key uint64
 	Val uint64
 }
 
-// BitonicSortKV sorts kvs in place by Key ascending using a bitonic
-// network. The sequence of (i, j) compare-exchange index pairs depends
-// only on len(kvs). Non-power-of-two lengths are handled by padding to
-// the next power of two with max-key sentinels, which sort to the tail
-// and are discarded; the padding size is a function of the public length.
+// BitonicSortKV sorts kvs in place by (Key, Val) ascending using a
+// bitonic network. The sequence of (i, j) compare-exchange index pairs
+// depends only on len(kvs). A length that is not a power of two is sorted
+// through a padded copy allocated per call; the union, which sorts every
+// round, pads inside its own scratch instead (UnionScratch).
 func BitonicSortKV(kvs []KV) {
 	n := len(kvs)
-	if n < 2 {
+	if n&(n-1) == 0 {
+		bitonicSort(kvs, nil)
 		return
 	}
 	pow2 := 1
@@ -35,28 +35,41 @@ func BitonicSortKV(kvs []KV) {
 	buf := make([]KV, pow2)
 	copy(buf, kvs)
 	for i := n; i < pow2; i++ {
-		buf[i] = KV{Key: ^uint64(0), Val: ^uint64(0)}
+		buf[i] = KV{Key: ^uint64(0), Val: ^uint64(0)} // sorts last
 	}
-	for size := 2; size <= pow2; size <<= 1 {
+	bitonicSort(buf, nil)
+	copy(kvs, buf[:n])
+}
+
+// bitonicSort runs the network over buf, whose length is a power of two
+// (or zero); trace, when non-nil, is told the index pair of every
+// compare-exchange in order.
+func bitonicSort(buf []KV, trace func(i, j int)) {
+	n := len(buf)
+	for size := 2; size <= n; size <<= 1 {
 		for stride := size >> 1; stride > 0; stride >>= 1 {
-			for i := 0; i < pow2; i++ {
-				j := i ^ stride
-				if j <= i {
-					continue
+			// Each block of 2·stride positions pairs its lower half with
+			// its upper half and lies in one sorting direction (2·stride
+			// divides size).
+			for base := 0; base < n; base += 2 * stride {
+				lo, hi := buf[base:base+stride], buf[base+stride:base+2*stride]
+				if base&size != 0 { // a descending block
+					lo, hi = hi, lo
 				}
-				a, b := &buf[i], &buf[j]
-				var swap uint64
-				if i&size == 0 { // ascending region
-					swap = Lt64(b.Key, a.Key)
-				} else { // descending region
-					swap = Lt64(a.Key, b.Key)
+				for i := range lo {
+					if trace != nil {
+						trace(base+i, base+stride+i)
+					}
+					// Exchange when the element due to be the larger is
+					// the smaller: (b.Key, b.Val) < (a.Key, a.Val).
+					a, b := &lo[i], &hi[i]
+					swap := Or(Lt64(b.Key, a.Key), And(Eq64(b.Key, a.Key), Lt64(b.Val, a.Val)))
+					CondSwap64(swap, &a.Key, &b.Key)
+					CondSwap64(swap, &a.Val, &b.Val)
 				}
-				CondSwap64(swap, &a.Key, &b.Key)
-				CondSwap64(swap, &a.Val, &b.Val)
 			}
 		}
 	}
-	copy(kvs, buf[:n])
 }
 
 // CompactIDs obliviously moves all real entries (!= InvalidID) of ids to

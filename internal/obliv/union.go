@@ -6,17 +6,30 @@ package obliv
 // set of unique row IDs — and its size k_union — without leaking, through
 // its memory access pattern, which requests were duplicates.
 //
-// The algorithm is the paper's O(K²) linear scan: for each incoming
-// request, scan the entire result array once, obliviously recording
-// whether the ID is already present and obliviously appending it to the
-// (secret) tail position if not. The result array is conservatively sized
-// to K entries so overflow is impossible. Every input element causes
-// exactly one full pass over the result array, so the access pattern is a
-// deterministic function of the public K alone.
+// Union is an O(K·log²K) sorting-network union whose output equals, slot
+// for slot, that of the paper's Θ(K²) linear scan:
+//
+//  1. bitonic-sort (id, arrival index) lexicographically, so the requests
+//     for one id are adjacent and the earliest of them comes first;
+//  2. one linear pass marks the first element of every run of equal ids
+//     (and no InvalidID) as kept and counts them;
+//  3. bitonic-sort again by (dropped, arrival index): the kept ids move to
+//     the front in first-seen order, InvalidID fills the rest.
+//
+// The two networks' compare-exchange sequences and the linear pass touch
+// addresses that are a function of the public K alone, and every
+// comparison and move is branch-free on the ids.
+//
+// UnionScan is the paper's algorithm itself. No round calls it: it is
+// the Sec 4.2 reference, the oracle Union is tested against, and the
+// algorithm UnionScanCost — what the controller charges its DRAM model —
+// counts.
+
+import "slices"
 
 // InvalidID is the sentinel stored in unused union slots. Real row IDs
 // must be < InvalidID. It doubles as the "dummy request" marker: inputs
-// equal to InvalidID are scanned like every other element but never
+// equal to InvalidID are processed like every other element but never
 // inserted, which lets callers pad request lists to a public length.
 const InvalidID = ^uint64(0)
 
@@ -33,8 +46,68 @@ type UnionResult struct {
 }
 
 // Union computes the oblivious union of reqs. The access pattern depends
-// only on len(reqs). Cost is Θ(K²) slot touches, as in the paper.
+// only on len(reqs). The result is freshly allocated; a caller that
+// unions every round keeps a UnionScratch instead.
 func Union(reqs []uint64) UnionResult {
+	var s UnionScratch
+	return s.Union(reqs)
+}
+
+// UnionScratch holds the working arrays of Union so that a long-lived
+// caller allocates them once (they grow to the largest K seen). The zero
+// value is ready to use. Not safe for concurrent use.
+type UnionScratch struct {
+	kv  []KV     // the network's array, padded to a power of two
+	ids []uint64 // the result
+
+	// trace, when set by a test, sees every compare-exchange's index pair.
+	trace func(i, j int)
+}
+
+// Union is the package-level Union over s's arrays: the result's IDs
+// alias them and are valid until the next call.
+func (s *UnionScratch) Union(reqs []uint64) UnionResult {
+	k := len(reqs)
+	n := 1
+	for n < k {
+		n <<= 1
+	}
+	s.kv = slices.Grow(s.kv[:0], n)[:n]
+	s.ids = slices.Grow(s.ids[:0], k)[:k]
+	kv := s.kv
+	for i, r := range reqs {
+		kv[i] = KV{Key: r, Val: uint64(i)}
+	}
+	// Padding sorts behind every request in both networks: the largest
+	// key, and arrival indices past the last real one.
+	for i := k; i < n; i++ {
+		kv[i] = KV{Key: InvalidID, Val: uint64(i)}
+	}
+	bitonicSort(kv, s.trace)
+	var size uint64
+	prev := InvalidID
+	for i := range kv {
+		id := kv[i].Key
+		keep := And(Neq64(id, prev), Neq64(id, InvalidID))
+		prev = id
+		size += keep
+		kv[i] = KV{Key: Not(keep)<<63 | kv[i].Val, Val: Select64(keep, id, InvalidID)}
+	}
+	bitonicSort(kv, s.trace)
+	for i := range s.ids {
+		s.ids[i] = kv[i].Val
+	}
+	return UnionResult{IDs: s.ids, Size: int(size)}
+}
+
+// UnionScan is the paper's Θ(K²) linear-scan union: for each incoming
+// request, scan the entire result array once, obliviously recording
+// whether the ID is already present and obliviously appending it to the
+// (secret) tail position if not. The result array is conservatively sized
+// to K entries so overflow is impossible. Every input element causes
+// exactly one full pass over the result array, so the access pattern is a
+// deterministic function of the public K alone.
+func UnionScan(reqs []uint64) UnionResult {
 	k := len(reqs)
 	out := make([]uint64, k)
 	for i := range out {
@@ -84,9 +157,10 @@ func UnionChunked(reqs []uint64, chunkSize int) []UnionResult {
 	return res
 }
 
-// UnionScanCost returns the number of slot touches Union performs for K
-// requests: 2·K² (two full passes over a K-slot array per request). Used
-// by the latency model.
+// UnionScanCost returns the number of slot touches UnionScan performs
+// for K requests: 2·K² (two full passes over a K-slot array per request).
+// The latency model charges this — the paper's design — whatever the host
+// runs.
 func UnionScanCost(k int) int64 {
 	return 2 * int64(k) * int64(k)
 }
@@ -105,51 +179,4 @@ func UnionChunkedScanCost(k, chunkSize int) int64 {
 		total += UnionScanCost(c)
 	}
 	return total
-}
-
-// UnionSorted computes the same union as Union with an O(K·log²K)
-// oblivious algorithm instead of the paper's Θ(K²) linear scan: bitonic-
-// sort the requests by ID, obliviously mark the first occurrence of each
-// run of duplicates, replace the rest with InvalidID, and obliviously
-// compact the survivors to the front. The resulting IDs are in ASCENDING
-// order (not first-seen order); callers that need arrival order — e.g.
-// the SelectFirst policy — must use Union. The access pattern depends
-// only on K.
-func UnionSorted(reqs []uint64) UnionResult {
-	k := len(reqs)
-	kvs := make([]KV, k)
-	for i, r := range reqs {
-		kvs[i] = KV{Key: r, Val: r}
-	}
-	BitonicSortKV(kvs)
-	out := make([]uint64, k)
-	var size uint64
-	for i := range kvs {
-		id := kvs[i].Val
-		dup := uint64(0)
-		if i > 0 {
-			dup = Eq64(id, kvs[i-1].Val)
-		}
-		real := Neq64(id, InvalidID)
-		keep := And(real, Not(dup))
-		out[i] = Select64(keep, id, InvalidID)
-		size += keep
-	}
-	CompactIDs(out)
-	return UnionResult{IDs: out, Size: int(size)}
-}
-
-// UnionSortedScanCost estimates the slot touches of UnionSorted: two
-// bitonic networks (sort + compaction) of ~K·log²K compare-exchanges
-// each, plus two linear passes.
-func UnionSortedScanCost(k int) int64 {
-	if k < 2 {
-		return int64(k)
-	}
-	log2 := 0
-	for p := 1; p < k; p <<= 1 {
-		log2++
-	}
-	network := int64(k) * int64(log2) * int64(log2+1) / 2
-	return 2*network + 2*int64(k)
 }

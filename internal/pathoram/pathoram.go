@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/paged"
 	"repro/internal/persist"
 	"repro/internal/position"
 	"repro/internal/stash"
@@ -144,16 +145,18 @@ type ORAM struct {
 	leaves     uint32 // number of leaf buckets (power of two)
 	bucketSize int    // stored bytes per bucket (after sealing/padding)
 
-	// counters holds per-bucket write counters for encryption freshness;
-	// absent means never written. In real FEDORA hardware these live in
-	// the parent-group scheme of Sec 5.2; the simulator keeps them host-
-	// side with equivalent semantics.
-	counters map[uint32]uint64
+	// counters holds per-bucket write counters for encryption freshness,
+	// by bucket index; 0 (absent) means never written — a written bucket's
+	// counter is at least 1. In real FEDORA hardware these live in the
+	// parent-group scheme of Sec 5.2; the simulator keeps them host-side
+	// with equivalent semantics.
+	counters paged.Table[uint64]
 
 	// One bucket in flight, reused by every access: the device image as
 	// read or written (bucketSize bytes) and its plaintext (opened on the
-	// way in, packed on the way out). Nothing returned to a caller aliases
-	// them.
+	// way in, packed on the way out). Without an engine the stored image
+	// starts with the plaintext, and plain aliases stored's front. Nothing
+	// returned to a caller aliases them.
 	stored []byte
 	plain  []byte
 
@@ -194,20 +197,23 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	leaves, levels := Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
 	src := persist.NewSource(cfg.Seed)
 	o := &ORAM{
-		cfg:      cfg,
-		dev:      dev,
-		src:      src,
-		rng:      rand.New(src),
-		engine:   cfg.Engine,
-		levels:   levels,
-		leaves:   leaves,
-		stash:    stash.New(cfg.StashCapacity),
-		counters: make(map[uint32]uint64),
+		cfg:    cfg,
+		dev:    dev,
+		src:    src,
+		rng:    rand.New(src),
+		engine: cfg.Engine,
+		levels: levels,
+		leaves: leaves,
+		stash:  stash.New(cfg.StashCapacity),
 	}
 	o.bucketSize = o.storedBucketSize()
 	if !cfg.Phantom {
 		o.stored = make([]byte, o.bucketSize)
-		o.plain = make([]byte, o.plainBucketSize())
+		if o.engine != nil {
+			o.plain = make([]byte, o.plainBucketSize())
+		} else {
+			o.plain = o.stored[:o.plainBucketSize()]
+		}
 	}
 	if need := cfg.BaseAddr + o.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("pathoram: device capacity %d < required %d", dev.Capacity(), need)
@@ -315,19 +321,10 @@ func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, err
 		return out, d, nil
 	}
 
-	newLeaf := o.randomLeaf()
-	leaf := position.GetSet(o.pos, id, newLeaf)
-
-	dur, err := o.readPath(leaf)
+	blk, leaf, dur, err := o.fetch(id)
 	if err != nil {
 		return nil, dur, err
 	}
-
-	blk, err := o.residentBlock(id)
-	if err != nil {
-		return nil, dur, err
-	}
-	blk.Leaf = newLeaf
 	var out []byte
 	if op == OpRead {
 		out = append([]byte(nil), blk.Data...)
@@ -344,6 +341,28 @@ func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, err
 	return out, dur, nil
 }
 
+// fetch is the read half of an access: it remaps block id to a fresh
+// random leaf, reads the path it was on and returns the block — resident,
+// already carrying its new leaf — with the leaf evictPath must write
+// back. The path's blocks are staged in the stash, not indexed: evictPath
+// writes almost all of them straight back. An access that fails here ends
+// here, so the staged blocks are handed to the index before returning.
+func (o *ORAM) fetch(id uint64) (*stash.Block, uint32, time.Duration, error) {
+	newLeaf := o.randomLeaf()
+	leaf := position.GetSet(o.pos, id, newLeaf)
+	dur, err := o.readPath(leaf)
+	var blk *stash.Block
+	if err == nil {
+		blk, err = o.residentBlock(id)
+	}
+	if err != nil {
+		o.stash.Unstage()
+		return nil, leaf, dur, err
+	}
+	blk.Leaf = newLeaf
+	return blk, leaf, dur, nil
+}
+
 // Update performs a single ORAM access that reads block id, lets fn
 // mutate its contents in place, and writes it back — the read-modify-
 // write the buffer ORAM needs for gradient aggregation (one path read +
@@ -358,17 +377,10 @@ func (o *ORAM) Update(id uint64, fn func(data []byte)) (time.Duration, error) {
 		o.stats.Time += d
 		return d, nil
 	}
-	newLeaf := o.randomLeaf()
-	leaf := position.GetSet(o.pos, id, newLeaf)
-	dur, err := o.readPath(leaf)
+	blk, leaf, dur, err := o.fetch(id)
 	if err != nil {
 		return dur, err
 	}
-	blk, err := o.residentBlock(id)
-	if err != nil {
-		return dur, err
-	}
-	blk.Leaf = newLeaf
 	fn(blk.Data)
 	d2, err := o.evictPath(leaf)
 	dur += d2
@@ -405,8 +417,8 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 	leaf := o.pos.Get(id)
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
-		ctr, written := o.counters[idx]
-		if !written {
+		ctr := o.counters.Get(uint64(idx))
+		if ctr == 0 {
 			continue
 		}
 		if err := o.dev.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
@@ -442,14 +454,14 @@ func (o *ORAM) initBlock(dst []byte, id uint64) {
 }
 
 // residentBlock returns block id from the stash — where readPath has just
-// put it if it was on the path — materializing a never-written block.
+// staged it if it was on the path — materializing a never-written block.
 func (o *ORAM) residentBlock(id uint64) (*stash.Block, error) {
 	if blk := o.stash.Get(id); blk != nil {
 		return blk, nil
 	}
 	blk := o.stash.NewBlock(id, 0, o.cfg.BlockSize)
 	o.initBlock(blk.Data, id)
-	return blk, o.stash.Put(blk)
+	return blk, o.stash.Stage(blk)
 }
 
 // chargePath accounts a full-path transfer without moving data.
@@ -463,7 +475,7 @@ func (o *ORAM) chargePath(op device.Op) time.Duration {
 	return d
 }
 
-// readPath brings every valid block on the path to leaf into the stash.
+// readPath stages every valid block on the path to leaf in the stash.
 func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
 	var total time.Duration
 	for l := 0; l < o.levels; l++ {
@@ -474,8 +486,8 @@ func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
 		if err != nil {
 			return total, err
 		}
-		ctr, written := o.counters[idx]
-		if !written {
+		ctr := o.counters.Get(uint64(idx))
+		if ctr == 0 {
 			continue // never-written bucket: all slots empty
 		}
 		plain, err := o.openBucket(idx, ctr)
@@ -490,15 +502,17 @@ func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
 }
 
 // evictPath writes buckets along the path to leaf from the leaf level up,
-// greedily filling each with evictable stash blocks.
+// greedily filling each with evictable stash blocks, and ends the access:
+// on every exit the staged blocks no bucket took join the stash's index.
 func (o *ORAM) evictPath(leaf uint32) (time.Duration, error) {
+	defer o.stash.Unstage()
 	var total time.Duration
 	o.stash.BeginEviction(leaf, o.levels)
 	for l := o.levels - 1; l >= 0; l-- {
 		idx := o.bucketIndex(leaf, l)
 		o.packBucket(o.stash.Pick(l, o.cfg.BucketSlots))
-		ctr := o.counters[idx] + 1
-		o.counters[idx] = ctr
+		ctr := o.counters.Get(uint64(idx)) + 1
+		o.counters.Set(uint64(idx), ctr)
 		o.sealBucket(idx, ctr)
 		o.stats.BucketWrite++
 		d, err := o.dev.WriteAt(o.bucketAddr(idx), o.stored)
@@ -528,7 +542,7 @@ func (o *ORAM) packBucket(blocks []*stash.Block) {
 	}
 }
 
-// unpackBucket copies the valid slots of a plaintext bucket into the stash.
+// unpackBucket stages the valid slots of a plaintext bucket in the stash.
 func (o *ORAM) unpackBucket(plain []byte) error {
 	for s := 0; s < o.cfg.BucketSlots; s++ {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
@@ -541,7 +555,7 @@ func (o *ORAM) unpackBucket(plain []byte) error {
 		}
 		blk := o.stash.NewBlock(id, binary.LittleEndian.Uint32(plain[off+8:]), o.cfg.BlockSize)
 		copy(blk.Data, plain[off+slotMetaSize:])
-		if err := o.stash.Put(blk); err != nil {
+		if err := o.stash.Stage(blk); err != nil {
 			return err
 		}
 	}
@@ -551,11 +565,9 @@ func (o *ORAM) unpackBucket(plain []byte) error {
 // sealBucket turns the packed plaintext image into the stored image:
 // encrypted (if configured) and zero-padded to the stored bucket size.
 func (o *ORAM) sealBucket(idx uint32, ctr uint64) {
-	var n int
+	n := len(o.plain) // without an engine packBucket wrote the stored image's front itself
 	if o.engine != nil {
 		n = len(o.engine.SealTo(o.stored[:0], o.plain, uint64(idx), ctr))
-	} else {
-		n = copy(o.stored, o.plain)
 	}
 	clear(o.stored[n:]) // the padding is stored too; the last bucket's bytes must not ride along
 }

@@ -2,9 +2,9 @@ package pathoram
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"repro/internal/paged"
 	"repro/internal/persist"
 	"repro/internal/position"
 )
@@ -58,17 +58,12 @@ func (o *ORAM) Snapshot() ([]byte, error) {
 	e.Bytes(o.src.Snapshot())
 	e.Bytes(stashBlob)
 	e.Bytes(posBlob)
-	// Per-bucket write counters, sorted by bucket index.
-	idxs := make([]uint32, 0, len(o.counters))
-	for idx := range o.counters {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	e.U64(uint64(len(idxs)))
-	for _, idx := range idxs {
-		e.U32(idx)
-		e.U64(o.counters[idx])
-	}
+	// Per-bucket write counters, in ascending bucket index.
+	e.U64(uint64(o.counters.Len()))
+	o.counters.Range(func(idx, ctr uint64) {
+		e.U32(uint32(idx))
+		e.U64(ctr)
+	})
 	return e.Finish(), nil
 }
 
@@ -107,10 +102,10 @@ func (o *ORAM) Restore(b []byte) error {
 	stashBlob := d.Bytes()
 	posBlob := d.Bytes()
 	n := d.U64()
-	counters := make(map[uint32]uint64, n)
+	var counters paged.Table[uint64]
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		idx := d.U32()
-		counters[idx] = d.U64()
+		counters.Set(uint64(idx), d.U64())
 	}
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("pathoram: snapshot: %w", err)

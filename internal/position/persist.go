@@ -2,8 +2,8 @@ package position
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/paged"
 	"repro/internal/persist"
 )
 
@@ -67,16 +67,11 @@ func (s *Sparse) Snapshot() ([]byte, error) {
 	e.U64(s.numBlocks)
 	e.U32(s.leaves)
 	e.U64(s.seed)
-	ids := make([]uint64, 0, len(s.dirty))
-	for id := range s.dirty {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.U64(uint64(len(ids)))
-	for _, id := range ids {
+	e.U64(uint64(s.dirty.Len()))
+	s.dirty.Range(func(id uint64, v uint32) {
 		e.U64(id)
-		e.U32(s.dirty[id])
-	}
+		e.U32(v - 1)
+	})
 	return e.Finish(), nil
 }
 
@@ -94,7 +89,7 @@ func (s *Sparse) Restore(b []byte) error {
 			numBlocks, leaves, seed, s.numBlocks, s.leaves, s.seed)
 	}
 	n := dec.U64()
-	dirty := make(map[uint64]uint32, n)
+	var dirty paged.Table[uint32]
 	for i := uint64(0); i < n && dec.Err() == nil; i++ {
 		id := dec.U64()
 		leaf := dec.U32()
@@ -102,7 +97,7 @@ func (s *Sparse) Restore(b []byte) error {
 			if id >= numBlocks || leaf >= leaves {
 				return fmt.Errorf("position: snapshot entry (%d→%d) out of range", id, leaf)
 			}
-			dirty[id] = leaf
+			dirty.Set(id, leaf+1)
 		}
 	}
 	if err := dec.Err(); err != nil {

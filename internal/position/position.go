@@ -10,7 +10,7 @@
 //
 //   - Dense: a flat []uint32, the straightforward choice for tables that
 //     fit comfortably in host memory.
-//   - Sparse: a PRF-derived default assignment plus a dirty overlay map.
+//   - Sparse: a PRF-derived default assignment plus a dirty overlay.
 //     A block that has never been remapped sits on the pseudorandom leaf
 //     PRF(seed, id); only remapped blocks consume host memory. This lets
 //     experiments run production-scale tables (up to 250 M entries in the
@@ -18,7 +18,11 @@
 //     remaining behaviourally identical to Dense (verified by tests).
 package position
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/paged"
+)
 
 // Map is an ORAM position map over numLeaves leaves.
 type Map interface {
@@ -99,22 +103,20 @@ func (d *Dense) NumLeaves() uint32 { return d.leaves }
 func (d *Dense) SizeBytes() uint64 { return uint64(len(d.pos)) * 4 }
 
 // Sparse is a position map whose default assignment is computed by a PRF
-// and whose reassignments live in an overlay map.
+// and whose reassignments live in an overlay.
 type Sparse struct {
 	numBlocks uint64
 	leaves    uint32
 	seed      uint64
-	dirty     map[uint64]uint32
+	// dirty holds leaf+1 for every remapped block; 0 (absent) falls
+	// through to the PRF. Its memory follows the blocks touched, never
+	// numBlocks.
+	dirty paged.Table[uint32]
 }
 
 // NewSparse builds a sparse map for numBlocks blocks.
 func NewSparse(numBlocks uint64, numLeaves uint32, seed uint64) *Sparse {
-	return &Sparse{
-		numBlocks: numBlocks,
-		leaves:    numLeaves,
-		seed:      seed,
-		dirty:     make(map[uint64]uint32),
-	}
+	return &Sparse{numBlocks: numBlocks, leaves: numLeaves, seed: seed}
 }
 
 // Get implements Map.
@@ -122,8 +124,8 @@ func (s *Sparse) Get(id uint64) uint32 {
 	if id >= s.numBlocks {
 		panic(fmt.Sprintf("position: id %d out of range %d", id, s.numBlocks))
 	}
-	if leaf, ok := s.dirty[id]; ok {
-		return leaf
+	if v := s.dirty.Get(id); v != 0 {
+		return v - 1
 	}
 	return prfLeaf(s.seed, id, s.leaves)
 }
@@ -133,7 +135,7 @@ func (s *Sparse) Set(id uint64, leaf uint32) {
 	if leaf >= s.leaves {
 		panic(fmt.Sprintf("position: leaf %d out of range %d", leaf, s.leaves))
 	}
-	s.dirty[id] = leaf
+	s.dirty.Set(id, leaf+1)
 }
 
 // GetSet implements GetSetter.
@@ -151,7 +153,7 @@ func (s *Sparse) SizeBytes() uint64 { return s.numBlocks * 4 }
 
 // DirtyCount reports how many blocks have been remapped; tests use it to
 // confirm sparseness.
-func (s *Sparse) DirtyCount() int { return len(s.dirty) }
+func (s *Sparse) DirtyCount() int { return s.dirty.Len() }
 
 // prfLeaf maps (seed, id) to a leaf in [0, numLeaves) using a splitmix64
 // finalizer — statistically uniform and deterministic.

@@ -29,6 +29,8 @@ type Block struct {
 	ID   uint64
 	Leaf uint32 // currently assigned path
 	Data []byte // payload; nil in phantom (accounting-only) mode
+
+	staged bool // resident through Stash.staged, not the index
 }
 
 // Stash holds up to capacity blocks.
@@ -36,6 +38,13 @@ type Stash struct {
 	capacity int
 	blocks   map[uint64]*Block
 	peak     int // high-water mark
+
+	// staged holds the blocks of the path an access is reading (Stage):
+	// resident, but not in the blocks index, because eviction writes
+	// almost all of them straight back. Unstage empties it; entries whose
+	// staged flag has dropped were picked or replaced and are skipped.
+	staged  []*Block
+	nStaged int // staged entries still resident
 
 	// Eviction planner state (BeginEviction/Pick): the blocks still to be
 	// placed in ascending-ID order, the path being written, and the last
@@ -74,7 +83,55 @@ func (s *Stash) Put(b *Block) error {
 }
 
 // Get returns the block with the given ID, or nil.
-func (s *Stash) Get(id uint64) *Block { return s.blocks[id] }
+func (s *Stash) Get(id uint64) *Block {
+	for _, b := range s.staged {
+		if b.ID == id && b.staged {
+			return b
+		}
+	}
+	return s.blocks[id]
+}
+
+// Stage makes b resident for the access in progress without indexing it:
+// occupancy, the high-water mark and the overflow check move exactly as
+// Put would move them, Get finds b by scanning the staged blocks (a
+// path's worth), and BeginEviction/Pick place it like any resident. The
+// caller stages each ID at most once between Unstages — a path holds a
+// block once — and calls Unstage when the access ends, on every exit;
+// Snapshot, IDs, ForEach and Remove see indexed blocks only.
+func (s *Stash) Stage(b *Block) error {
+	if _, exists := s.blocks[b.ID]; exists {
+		// Only after an access failed between reading a path and writing
+		// it back: the block is resident and on the tree. Replace it, as
+		// Put does. (The index is empty almost always, and a lookup in an
+		// empty map returns at once.)
+		s.blocks[b.ID] = b
+		return nil
+	}
+	if s.capacity > 0 && s.Len() >= s.capacity {
+		return fmt.Errorf("%w: capacity %d", ErrOverflow, s.capacity)
+	}
+	b.staged = true
+	s.staged = append(s.staged, b)
+	s.nStaged++
+	if n := s.Len(); n > s.peak {
+		s.peak = n
+	}
+	return nil
+}
+
+// Unstage ends an access: the staged blocks no bucket took become
+// ordinary indexed residents.
+func (s *Stash) Unstage() {
+	for _, b := range s.staged {
+		if b.staged {
+			b.staged = false
+			s.blocks[b.ID] = b
+		}
+	}
+	s.staged = s.staged[:0]
+	s.nStaged = 0
+}
 
 // Remove deletes and returns the block with the given ID, or nil.
 func (s *Stash) Remove(id uint64) *Block {
@@ -84,7 +141,7 @@ func (s *Stash) Remove(id uint64) *Block {
 }
 
 // Len returns the current occupancy.
-func (s *Stash) Len() int { return len(s.blocks) }
+func (s *Stash) Len() int { return len(s.blocks) + s.nStaged }
 
 // Peak returns the high-water mark since creation.
 func (s *Stash) Peak() int { return s.peak }
@@ -112,14 +169,20 @@ func (s *Stash) NewBlock(id uint64, leaf uint32, n int) *Block {
 
 // BeginEviction starts the greedy Path ORAM eviction along the path to
 // leaf in a tree with treeLevels levels (root = level 0): it orders the
-// resident blocks by ID once, so the Pick calls that follow — one per
-// bucket written, deepest level first — need no further sorting. Blocks
-// Put after BeginEviction are not seen by Pick.
+// resident blocks — indexed and staged — by ID once, so the Pick calls
+// that follow — one per bucket written, deepest level first — need no
+// further sorting. Blocks Put or staged after BeginEviction are not seen
+// by Pick.
 func (s *Stash) BeginEviction(leaf uint32, treeLevels int) {
 	s.release()
 	s.order = s.order[:0]
 	for _, b := range s.blocks {
 		s.order = append(s.order, b)
+	}
+	for _, b := range s.staged {
+		if b.staged {
+			s.order = append(s.order, b)
+		}
 	}
 	slices.SortFunc(s.order, func(a, b *Block) int { return cmp.Compare(a.ID, b.ID) })
 	s.evictLeaf, s.evictLevels = leaf, treeLevels
@@ -142,7 +205,12 @@ func (s *Stash) Pick(level, max int) []*Block {
 	for _, b := range s.order {
 		if len(s.picked) < max && b.Leaf>>shift == want {
 			s.picked = append(s.picked, b)
-			delete(s.blocks, b.ID)
+			if b.staged {
+				b.staged = false
+				s.nStaged--
+			} else {
+				delete(s.blocks, b.ID)
+			}
 		} else {
 			rest = append(rest, b)
 		}

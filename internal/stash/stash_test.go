@@ -228,3 +228,103 @@ func TestScanBytes(t *testing.T) {
 		t.Errorf("unbounded ScanBytes = %d, want 64", got)
 	}
 }
+
+// TestStageMatchesPut: random accesses — a path's worth of new blocks in,
+// a leaf→root eviction, the leftovers kept — through Stage/Unstage on one
+// stash and through Put on its twin. Occupancy, high-water mark, overflow
+// (at the same block), every Get, every Pick and the blocks left resident
+// agree; the staged path is a cheaper route to the same stash.
+func TestStageMatchesPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		levels := 2 + rng.Intn(6)
+		leaves := uint32(1) << (levels - 1)
+		max := 1 + rng.Intn(4)
+		capacity := 0
+		if trial%2 == 1 {
+			capacity = 6 + rng.Intn(30)
+		}
+		got, ref := New(capacity), New(capacity)
+		nextID := uint64(0)
+		for access := 0; access < 30; access++ {
+			overflowed := false
+			indexed := ref.IDs() // resident before this access
+			for n := rng.Intn(levels*max + 1); n > 0 && !overflowed; n-- {
+				id, leaf := nextID, uint32(rng.Intn(int(leaves)))
+				nextID++
+				if rng.Intn(10) == 0 && len(indexed) > 0 {
+					// A block the index already holds (a failed access left
+					// it both resident and on the tree): replaced, not added.
+					id, indexed = indexed[0], indexed[1:]
+				}
+				errGot := got.Stage(&Block{ID: id, Leaf: leaf})
+				errRef := ref.Put(&Block{ID: id, Leaf: leaf})
+				if errors.Is(errGot, ErrOverflow) != errors.Is(errRef, ErrOverflow) {
+					t.Fatalf("trial %d access %d: Stage err %v, Put err %v", trial, access, errGot, errRef)
+				}
+				overflowed = errRef != nil
+				if got.Len() != ref.Len() || got.Peak() != ref.Peak() {
+					t.Fatalf("trial %d access %d: Len/Peak %d/%d, Put twin %d/%d",
+						trial, access, got.Len(), got.Peak(), ref.Len(), ref.Peak())
+				}
+				if g, r := got.Get(id), ref.Get(id); (g == nil) != (r == nil) || (g != nil && g.Leaf != r.Leaf) {
+					t.Fatalf("trial %d access %d: Get(%d) = %+v, Put twin %+v", trial, access, id, g, r)
+				}
+			}
+			if !overflowed { // a failed access skips eviction, as pathoram does
+				leaf := uint32(rng.Intn(int(leaves)))
+				got.BeginEviction(leaf, levels)
+				ref.BeginEviction(leaf, levels)
+				for l := levels - 1; l >= 0; l-- {
+					a, b := got.Pick(l, max), ref.Pick(l, max)
+					if len(a) != len(b) {
+						t.Fatalf("trial %d access %d level %d: picked %d, Put twin %d", trial, access, l, len(a), len(b))
+					}
+					for i := range a {
+						if a[i].ID != b[i].ID || a[i].Leaf != b[i].Leaf {
+							t.Fatalf("trial %d access %d level %d slot %d: %+v vs %+v", trial, access, l, i, a[i], b[i])
+						}
+					}
+					if got.Len() != ref.Len() {
+						t.Fatalf("trial %d access %d level %d: Len %d, Put twin %d", trial, access, l, got.Len(), ref.Len())
+					}
+				}
+			}
+			got.Unstage()
+			if got.Len() != ref.Len() || !slices.Equal(got.IDs(), ref.IDs()) {
+				t.Fatalf("trial %d access %d: left %v, Put twin %v", trial, access, got.IDs(), ref.IDs())
+			}
+		}
+	}
+}
+
+// TestStagedBlocksAreNotIndexedUntilUnstage pins the lifetime: between
+// Stage and Unstage a block is resident (Get, Len) but outside the index
+// (IDs, Snapshot); a picked one never enters it.
+func TestStagedBlocksAreNotIndexedUntilUnstage(t *testing.T) {
+	s := New(0)
+	_ = s.Put(&Block{ID: 1, Leaf: 0})
+	_ = s.Stage(&Block{ID: 2, Leaf: 0})
+	_ = s.Stage(&Block{ID: 3, Leaf: 1})
+	if s.Len() != 3 || s.Get(2) == nil || s.Get(3) == nil {
+		t.Fatalf("staged blocks not resident: Len=%d", s.Len())
+	}
+	if ids := s.IDs(); !slices.Equal(ids, []uint64{1}) {
+		t.Fatalf("index holds %v while blocks are staged, want [1]", ids)
+	}
+	s.BeginEviction(0, 2)
+	if picked := s.Pick(1, 4); len(picked) != 2 || picked[0].ID != 1 || picked[1].ID != 2 {
+		t.Fatalf("leaf-level pick = %+v, want blocks 1 and 2", picked)
+	}
+	if s.Get(2) != nil || s.Len() != 1 {
+		t.Fatalf("a picked staged block is still resident: Len=%d", s.Len())
+	}
+	s.Unstage()
+	if ids := s.IDs(); !slices.Equal(ids, []uint64{3}) || s.Len() != 1 || s.Get(3) == nil {
+		t.Fatalf("after Unstage the index holds %v, want the leftover [3]", ids)
+	}
+	s.Unstage() // idempotent
+	if s.Len() != 1 {
+		t.Fatalf("second Unstage changed Len to %d", s.Len())
+	}
+}
