@@ -2,14 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-check bench-spine vet fmt check crash-test chaos-test storage-test cluster-test wire-test prefetch-test ha-test experiments table1 clean
+.PHONY: all build test test-short bench bench-check bench-spine vet fmt check crash-test chaos-test storage-test cluster-test wire-test ha-test experiments table1 clean
 
 all: build test
 
-# CI gate: static checks + the race detector over the concurrent layers
-# (the FL worker pool, the fedora round pipeline, the sharded ORAM
-# engine, the HTTP API server, the retrying HTTP client SDK, and the
-# wire upload plane) and over the ORAM data path below them, whose
+# CI gate: static checks + the race detector, in shuffled test order,
+# over the concurrent layers (the FL worker pool, the fedora round
+# pipeline with its two-phase stage/begin contract and background fetch
+# pass, the sharded ORAM engine, the HTTP API server, the retrying HTTP
+# client SDK, the cluster coordinator, and the wire upload plane) and
+# over the ORAM data path below them, whose
 # per-ORAM scratch buffers, keyed HMAC state, union scratch and paged
 # tables (a lookup moves the last-leaf memo) are single-goroutine by
 # contract (tee, raworam, pathoram, bufferoram, stash, obliv, device,
@@ -18,7 +20,7 @@ check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/fl/... ./internal/fedora/... ./internal/shard/... ./internal/api/... ./internal/client/... ./internal/wire/...
+	$(GO) test -race -shuffle=on ./internal/fl/... ./internal/fedora/... ./internal/shard/... ./internal/api/... ./internal/client/... ./internal/cluster/... ./internal/wire/...
 	$(GO) test -race ./internal/tee/... ./internal/raworam/... ./internal/pathoram/... ./internal/bufferoram/... ./internal/stash/... ./internal/obliv/... ./internal/device/... ./internal/position/... ./internal/paged/...
 
 # Durability gate: kill-resume fingerprint identity, corrupt-checkpoint
@@ -61,18 +63,6 @@ wire-test:
 		./internal/fl/... ./internal/api/... ./internal/client/... ./internal/cluster/...
 	$(GO) test -run=Fuzz -fuzz=FuzzAggregatorParse -fuzztime=10s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzSparseRoundTrip -fuzztime=10s ./internal/wire/
-
-# Prefetch gate: the lookahead pipeline — two-phase stage/begin contract,
-# bit-identical fingerprints prefetch on/off (in-process, over HTTP, and
-# through the cluster coordinator), snapshot portability across modes,
-# kill-resume through a mid-stage boundary, quarantine of a shard with an
-# in-flight prefetch, and the stage endpoint's idempotency/409 semantics.
-# All under the race detector (the fetcher/serve streaming is the most
-# concurrent code in the repo).
-prefetch-test:
-	$(GO) test -race -count=1 -run 'Prefetch|Stage' \
-		./internal/fedora/... ./internal/fl/... ./internal/api/... \
-		./internal/client/... ./internal/cluster/...
 
 # Cluster gate: the distributed shard-placement subsystem — placement
 # validation and round routing, remote-trainer fingerprint parity and

@@ -25,33 +25,41 @@
 //   - BackendDRAM: the Fig 9 comparison point — FEDORA's structure with
 //     the main ORAM held in (expensive) DRAM instead of an SSD.
 //
+// The code is two types. A pipeline is one shard's ORAMs, devices,
+// mechanism and RNG streams, and runs the round as ONE schedule:
+//
+//	plan → fetch pass → (gate) → serve/aggregate → unload → evict pass
+//
+// where the gate is the end of the fetch pass: every serve, gradient and
+// aggregate waits for it, so all k rows are in the buffer ORAM before any
+// download is served (Sec 4.3). Config.Prefetch decides only which
+// goroutine runs the fetch and evict passes — the caller's, inside
+// BeginRound and Finish, or the round's own, overlapping the caller's
+// compute — never what the ORAMs execute or in which order. The
+// Controller is a router over one pipeline per shard and owns the round
+// lifecycle: the open-round flag, the round counter, the staged next
+// round and the snapshot envelope.
+//
 // Key invariants: at most one round is in flight per controller
 // (BeginRound returns ErrRoundInProgress otherwise); the adversary
 // observes exactly k main-ORAM accesses in each direction per chunk —
-// dummy fetches and dummy write-backs pad both sides; and the ORAM
-// pipeline is single-writer — a controller-level mutex serializes all
-// round entry points, so many client goroutines may serve downloads and
-// stage uploads concurrently (as the parallel FL trainer does) without
-// the ORAMs ever seeing concurrent mutation.
+// dummy fetches and dummy write-backs pad both sides; and each pipeline
+// is single-writer — its mutex serializes all round entry points, so
+// many client goroutines may serve downloads and stage uploads
+// concurrently (as the parallel FL trainer does) without the ORAMs ever
+// seeing concurrent mutation.
 package fedora
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/bufferoram"
 	"repro/internal/device"
 	"repro/internal/fdp"
-	"repro/internal/obliv"
-	"repro/internal/pathoram"
-	"repro/internal/persist"
-	"repro/internal/raworam"
 	"repro/internal/shard"
 	"repro/internal/storage"
-	"repro/internal/tee"
 )
 
 // Backend selects the main-ORAM organization.
@@ -132,17 +140,18 @@ type Config struct {
 	// (0 = derive from the bucket size; Sec 4.4 Optimization 3).
 	EvictPeriod int
 	// Prefetch enables the LAORAM-style lookahead pipeline: BeginRound
-	// hands the main-ORAM reads to a background fetcher (serves block per
-	// row until loaded) and Finish defers the main-ORAM write-backs to
-	// the next round's fetcher, so both overlap with the caller's compute
-	// phase. StageRound lets two-phase callers start the next round's
-	// plan + fetch before BeginRound is even called. The main ORAM
-	// executes the identical op sequence either way, so results are
-	// bit-identical with Prefetch on or off, and the flag is excluded
-	// from ConfigDigest — checkpoints move freely between modes (any
-	// deferred pass is drained at Snapshot time). Not supported for
-	// BackendPathORAMPlus, whose per-access RNG draws happen at fetch
-	// time rather than plan time.
+	// hands the round's fetch pass (the main-ORAM reads and buffer loads)
+	// to a goroutine of its own — serves, gradients and aggregates wait
+	// until that pass has finished — and Finish leaves the main-ORAM
+	// write-backs to the next round's fetch pass, so both overlap with
+	// the caller's compute phase. StageRound lets two-phase callers start
+	// the next round's plan + fetch before BeginRound is even called.
+	// Both ORAMs execute the identical op sequence either way, so state
+	// bytes and results are bit-identical with Prefetch on or off, and
+	// the flag is excluded from ConfigDigest — checkpoints move freely
+	// between modes (any deferred pass is applied at Snapshot time). Not
+	// supported for BackendPathORAMPlus, whose per-access RNG draws
+	// happen at fetch time rather than plan time.
 	Prefetch bool
 	// Shards partitions the embedding table into this many contiguous row
 	// ranges, each with its own main ORAM, buffer ORAM, position map and
@@ -233,71 +242,38 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Controller is the trusted FEDORA controller plus its devices.
+// Controller is the trusted FEDORA controller plus its devices: a router
+// over one pipeline per shard (exactly one when Config.Shards ≤ 1). The
+// pipelines own every ORAM, device and buffer; the controller owns what
+// is one-per-round whatever the shard count — the open-round flag, the
+// round counter, the staged next round and the snapshot envelope. With
+// several pipelines a shard.Engine fans each round out across them; with
+// one, the round is that pipeline's own.
 //
-// A Controller is safe for concurrent use: mu serializes every operation
-// that touches round state or the ORAM pipeline, so multiple trainer
-// goroutines may stage downloads/uploads through the active Round while
-// the ORAMs themselves stay single-writer (the paper's controller is a
-// single trusted unit; concurrency here is in the FL harness around it).
+// A Controller is safe for concurrent use: mu guards the round lifecycle
+// here, and each pipeline serializes its own ORAMs (see pipeline).
 type Controller struct {
-	cfg Config
-	mu  sync.Mutex // guards round state and the ORAM pipeline below
+	cfg   Config
+	parts []*pipeline
+	// top is what Snapshot, Restore and AbortRound address as a whole, eng
+	// what routes a round across parts: the engine for both when there
+	// are several pipelines; parts[0] itself and nil when there is one.
+	top interface {
+		Snapshot() ([]byte, error)
+		Restore(b []byte) error
+		Abort()
+	}
+	eng *shard.Engine
 
-	ssd  device.Storage // main ORAM home (SSD profile, or DRAM profile for BackendDRAM); simulator- or file-backed per cfg.Storage
-	dram *device.Sim    // buffer ORAM, VTree, stash, position map (always simulated)
-
-	raw  *raworam.ORAM  // BackendFedora / BackendDRAM
-	path *pathoram.ORAM // BackendPathORAMPlus
-	buf  *bufferoram.Buffer
-	// One row in flight between the main ORAM (bytes) and the buffer ORAM
-	// (floats); both sides copy what they keep.
-	rowFloats []float32
-	rowBytes  []byte
-	// One chunk's merged main-ORAM read (readChunk): the row ids asked for
-	// and their payloads, back to back, of which the chunk's loads have
-	// decoded the first chunkNext. The slices are kept for their capacity.
-	chunkIDs  []uint64
-	chunkRows []byte
-	chunkNext int
-	chunkOps  []fetchOp // the sync path's plan of the chunk in flight
-	// The union's sorting arrays, grown to the largest chunk seen.
-	unionScratch obliv.UnionScratch
-
-	mech    fdp.Mechanism
-	effEps  float64 // per-value epsilon after group privacy
-	sel     *selector
-	src     *persist.Source // checkpointable state behind rng
-	selSrc  *persist.Source // checkpointable state behind the selector's rng
-	rng     *rand.Rand
-	engine  *tee.Engine // nil unless cfg.Encrypt
-	scratch *tee.Scratchpad
+	mu      sync.Mutex // guards the round lifecycle below
 	round   uint64
 	inRound bool
-	cur     *Round // the open monolithic round, for AbortRound (nil between rounds)
-	acct    fdp.Accountant
-
-	// Lookahead pipeline state (cfg.Prefetch; see prefetch.go). staged is
-	// the posted-but-not-adopted next round (top-level controller only —
-	// sub-controllers are always driven single-phase by the engine);
-	// pending is a finished round's deferred main-ORAM write-back pass,
-	// drained by the next round's fetcher or at a drain point (PeekRow,
-	// Snapshot, Close). prefetchHits/prefetchWasted accumulate per-round
-	// staging outcomes for /metrics.
-	staged         *stagedRound
-	pending        *evictPass
-	prefetchHits   uint64
-	prefetchWasted uint64
-
-	// Sharded mode (cfg.Shards > 1): eng routes rounds across the
-	// sub-controllers in subs, each a full monolithic pipeline over its
-	// contiguous row range; every ORAM/device field above is nil.
-	eng  *shard.Engine
-	subs []*Controller
+	// staged is the posted-but-not-adopted next round of the two-phase
+	// contract (see prefetch.go).
+	staged *stagedRound
 }
 
-// New builds a controller, provisioning simulated devices sized to the
-// ORAM (the paper reports SSD lifetime for an SSD the size of the ORAM).
+// New builds a controller and its pipelines.
 func New(cfg Config) (*Controller, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
@@ -306,166 +282,14 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Shards > 1 {
 		return newSharded(cfg)
 	}
-	c := &Controller{cfg: cfg}
-	c.src = persist.NewSource(cfg.Seed + 3)
-	c.rng = rand.New(c.src)
-	c.selSrc = persist.NewSource(cfg.Seed + 29)
-	c.sel = newSelector(cfg.Selection, rand.New(c.selSrc))
-
-	var engine *tee.Engine
-	if cfg.Encrypt {
-		var key [32]byte
-		key[0], key[1] = byte(cfg.Seed), byte(cfg.Seed>>8)
-		engine = tee.NewEngine(key)
-	}
-	c.engine = engine
-	c.scratch = tee.NewScratchpad(tee.DefaultScratchpadSize)
-	if err := c.scratch.Reserve("key", 32); err != nil {
-		return nil, err
-	}
-	if err := c.scratch.Reserve("root-counter", 8); err != nil {
-		return nil, err
-	}
-	if cfg.HasScratchpad {
-		if err := c.scratch.Reserve("eviction-scratch", c.scratch.Free()); err != nil {
-			return nil, err
-		}
-	}
-
-	blockSize := 4 * cfg.Dim
-	c.rowFloats = make([]float32, cfg.Dim)
-	c.rowBytes = make([]byte, blockSize)
-	var initFn func(uint64) []byte
-	if cfg.InitRow != nil {
-		dim := cfg.Dim
-		initFn = func(row uint64) []byte {
-			f := cfg.InitRow(row)
-			if len(f) != dim {
-				panic(fmt.Sprintf("fedora: InitRow returned %d floats, want %d", len(f), dim))
-			}
-			b := make([]byte, 4*dim)
-			encodeF32s(b, f)
-			return b
-		}
-	}
-
-	// Provision devices. The main device's profile depends on the backend.
-	mainProfile := device.PM9A1SSD
-	if cfg.Backend == BackendDRAM {
-		mainProfile = device.DDR5DRAM
-	}
-	// Size via a trial geometry: construct the ORAM against a probe
-	// device, then recreate the real one at exactly the required size.
-	probe := device.NewSim(mainProfile, 1<<62)
-	dram := device.NewDRAM(1 << 62)
-	c.dram = dram
-	// The ORAMs run over the (optionally fault-wrapped) device views;
-	// c.ssd/c.dram stay the raw simulators so Snapshot/Restore and stats
-	// bypass any injector.
-	dramDev := c.wrapDevice("dram", dram)
-
-	switch cfg.Backend {
-	case BackendFedora, BackendDRAM:
-		rawCfg := raworam.Config{
-			NumBlocks:     cfg.NumRows,
-			BlockSize:     blockSize,
-			EvictPeriod:   cfg.EvictPeriod,
-			Seed:          cfg.Seed,
-			Engine:        engine,
-			Phantom:       cfg.Phantom,
-			HasScratchpad: cfg.HasScratchpad,
-			InitFn:        initFn,
-		}
-		if cfg.BucketBytes > 0 {
-			rawCfg.BucketSlots = bucketSlotsFor(cfg.BucketBytes, blockSize, engine != nil)
-		}
-		trial, err := raworam.New(rawCfg, probe, dram)
-		if err != nil {
-			return nil, err
-		}
-		c.ssd, err = storage.Open("ssd", mainProfile, trial.RequiredBytes(), cfg.Storage)
-		if err != nil {
-			return nil, fmt.Errorf("fedora: main device: %w", err)
-		}
-		c.raw, err = raworam.New(rawCfg, c.wrapDevice("ssd", c.ssd), dramDev)
-		if err != nil {
-			c.ssd.Close()
-			return nil, err
-		}
-	case BackendPathORAMPlus:
-		// SSD-friendly layout (the prior-work optimizations the paper
-		// adopts, Sec 6.1): buckets sized to fill whole 4 KB pages rather
-		// than Path ORAM's classic Z=4, so no page capacity is wasted.
-		pageBytes := cfg.BucketBytes
-		if pageBytes == 0 {
-			pageBytes = 4096
-		}
-		pCfg := pathoram.Config{
-			NumBlocks:         cfg.NumRows,
-			BlockSize:         blockSize,
-			BucketSlots:       bucketSlotsFor(pageBytes, blockSize, engine != nil),
-			Amplification:     8,
-			Seed:              cfg.Seed,
-			Engine:            engine,
-			Phantom:           cfg.Phantom,
-			AlignBucketToPage: true,
-			InitFn:            initFn,
-		}
-		trial, err := pathoram.New(pCfg, probe)
-		if err != nil {
-			return nil, err
-		}
-		c.ssd, err = storage.Open("ssd", mainProfile, trial.RequiredBytes(), cfg.Storage)
-		if err != nil {
-			return nil, fmt.Errorf("fedora: main device: %w", err)
-		}
-		c.path, err = pathoram.New(pCfg, c.wrapDevice("ssd", c.ssd))
-		if err != nil {
-			c.ssd.Close()
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("fedora: unknown backend %v", cfg.Backend)
-	}
-
-	buf, err := bufferoram.New(bufferoram.Config{
-		Capacity:     cfg.MaxClientsPerRound * cfg.MaxFeaturesPerClient,
-		Dim:          cfg.Dim,
-		Aggregator:   cfg.Aggregator,
-		LearningRate: cfg.LearningRate,
-		Seed:         cfg.Seed + 11,
-		Phantom:      cfg.Phantom,
-	}, dramDev)
+	p, err := newPipeline(cfg)
 	if err != nil {
-		c.ssd.Close()
 		return nil, err
 	}
-	c.buf = buf
-
-	// ε-FDP mechanism. ε = 0 means perfect FDP: the paper achieves it
-	// with the Delta shape (always k = K). Group privacy divides ε by the
-	// padded per-client feature count when hiding the count itself.
-	c.effEps = cfg.EffectiveEpsilon()
-	shape := cfg.Shape
-	if cfg.Epsilon == 0 {
-		shape = fdp.Delta{}
-	}
-	c.mech = fdp.Mechanism{Epsilon: c.effEps, Shape: shape}
-	return c, nil
+	return &Controller{cfg: cfg, parts: []*pipeline{p}, top: p}, nil
 }
 
-// wrapDevice applies Config.WrapDevice, tolerating nil returns.
-func (c *Controller) wrapDevice(name string, d device.Device) device.Device {
-	if c.cfg.WrapDevice == nil {
-		return d
-	}
-	if w := c.cfg.WrapDevice(name, d); w != nil {
-		return w
-	}
-	return d
-}
-
-// Health reports the controller's shard-health rollup. A monolithic
+// Health reports the controller's shard-health rollup. A one-pipeline
 // controller is a single always-live pseudo-shard: it has no quarantine
 // path (a device fault fails the round loudly), so it reports healthy
 // with zero event counters.
@@ -480,55 +304,27 @@ func (c *Controller) Health() shard.HealthReport {
 }
 
 // AbortRound force-closes any open round WITHOUT running write-back,
-// leaving the pipeline quiesced but the in-memory ORAM state dirty; the
+// leaving the pipelines quiesced but the in-memory ORAM state dirty; the
 // caller is expected to Restore a trusted snapshot before serving again
 // (the shard engine's quarantine/recover path does exactly that). It is
-// idempotent and safe with no round open. A sharded controller also
-// force-quiesces its engine and every sub-controller — the orphaned
-// round a coordinator fence leaves behind would otherwise block
-// Snapshot/Restore forever.
+// idempotent and safe with no round open, and it is what clears the
+// orphaned round a coordinator fence leaves behind, which would otherwise
+// block Snapshot/Restore forever.
 func (c *Controller) AbortRound() {
 	// Settle any staged begin first: until its handshake completes, the
 	// background goroutine owns the round state. The wait is short — the
-	// begin goroutine only plans; the heavy I/O runs on the fetcher,
-	// which stops at its next op once the round is marked done below.
+	// begin goroutine only plans; the heavy I/O runs on the fetch pass.
 	c.mu.Lock()
 	s := c.staged
 	c.staged = nil
 	c.mu.Unlock()
 	if s != nil && s.started {
 		<-s.done
-		if s.round != nil {
-			c.mu.Lock()
-			s.round.done = true
-			c.mu.Unlock()
-		}
 	}
 	c.mu.Lock()
-	if c.cur != nil {
-		c.cur.done = true // stragglers see ErrRoundFinished, not dirty state
-		c.cur = nil
-	}
-	c.pending = nil // half-applied passes leave the ORAM dirty; Restore follows
 	c.inRound = false
-	eng := c.eng
 	c.mu.Unlock()
-	if eng != nil {
-		eng.Abort()
-	}
-}
-
-// bucketSlotsFor derives Z so the stored bucket fits bucketBytes.
-func bucketSlotsFor(bucketBytes, blockSize int, encrypted bool) int {
-	avail := bucketBytes
-	if encrypted {
-		avail -= tee.TagSize
-	}
-	z := avail / (12 + blockSize)
-	if z < 2 {
-		z = 2
-	}
-	return z
+	c.top.Abort()
 }
 
 // Backend reports the configured backend.
@@ -543,157 +339,104 @@ func (c *Controller) NumRows() uint64 { return c.cfg.NumRows }
 // plane; serving layers validate gradient shapes against it).
 func (c *Controller) Dim() int { return c.cfg.Dim }
 
-// EffectiveEpsilon is the per-value ε after group privacy.
-func (c *Controller) EffectiveEpsilon() float64 { return c.effEps }
+// EffectiveEpsilon is the per-value ε after group privacy. All shards
+// share the same (ε, group-privacy) configuration, and their protected
+// values are disjoint rows, so the round composes in parallel: the
+// effective per-value ε is any pipeline's.
+func (c *Controller) EffectiveEpsilon() float64 { return c.parts[0].effEps }
 
 // MainORAMBytes is the main ORAM's device footprint (= the SSD size used
-// for lifetime reporting), summed across shards when sharded.
+// for lifetime reporting), summed across shards.
 func (c *Controller) MainORAMBytes() uint64 {
-	if c.eng != nil {
-		var total uint64
-		for _, s := range c.subs {
-			total += s.MainORAMBytes()
-		}
-		return total
+	var total uint64
+	for _, p := range c.parts {
+		total += p.mainORAMBytes()
 	}
-	if c.path != nil {
-		return c.path.RequiredBytes()
-	}
-	return c.raw.RequiredBytes()
+	return total
 }
 
 // DRAMResidentBytes is the capacity the design must provision in DRAM:
 // buffer ORAM + position map + VTree (FEDORA backends) + stash headroom.
-// Summed across shards when sharded.
+// Summed across shards.
 func (c *Controller) DRAMResidentBytes() uint64 {
-	if c.eng != nil {
-		var total uint64
-		for _, s := range c.subs {
-			total += s.DRAMResidentBytes()
-		}
-		return total
-	}
-	total := c.buf.RequiredBytes()
-	total += c.cfg.NumRows * 4 // position map
-	if c.raw != nil {
-		total += c.raw.VTreeBytes()
+	var total uint64
+	for _, p := range c.parts {
+		total += p.dramResidentBytes()
 	}
 	return total
 }
 
 // SSDDevice / DRAMDevice expose the underlying devices for stats
-// capture. A sharded controller has one device pair per shard; these
-// return shard 0's — use SSDStats / DRAMStats for the aggregate
-// counters. The main device is a device.Storage: simulator- or file-
-// backed depending on Config.Storage.
-func (c *Controller) SSDDevice() device.Storage {
-	if c.eng != nil {
-		return c.subs[0].ssd
-	}
-	return c.ssd
-}
+// capture. There is one device pair per shard; these return shard 0's —
+// use SSDStats / DRAMStats for the aggregate counters. The main device
+// is a device.Storage: simulator- or file-backed depending on
+// Config.Storage.
+func (c *Controller) SSDDevice() device.Storage { return c.parts[0].ssd }
 
-func (c *Controller) DRAMDevice() *device.Sim {
-	if c.eng != nil {
-		return c.subs[0].dram
-	}
-	return c.dram
-}
+func (c *Controller) DRAMDevice() *device.Sim { return c.parts[0].dram }
 
-// SSDStats / DRAMStats aggregate the device counters across all shards
-// (identical to the single device's stats when monolithic).
+// SSDStats / DRAMStats aggregate the device counters across all shards.
 func (c *Controller) SSDStats() device.Stats {
-	if c.eng != nil {
-		var total device.Stats
-		for _, s := range c.subs {
-			total.Add(s.ssd.Stats())
-		}
-		return total
+	var total device.Stats
+	for _, p := range c.parts {
+		total.Add(p.ssd.Stats())
 	}
-	return c.ssd.Stats()
+	return total
 }
 
 func (c *Controller) DRAMStats() device.Stats {
-	if c.eng != nil {
-		var total device.Stats
-		for _, s := range c.subs {
-			total.Add(s.dram.Stats())
-		}
-		return total
+	var total device.Stats
+	for _, p := range c.parts {
+		total.Add(p.dram.Stats())
 	}
-	return c.dram.Stats()
+	return total
 }
 
 // Close releases the controller's devices — with the file backend, the
-// per-shard backing files. The controller must be quiesced; using it
-// after Close fails on the first device access. Safe to call on a
-// simulator-backed controller (the simulator's Close is a no-op) and
-// idempotent either way.
+// per-shard backing files — after applying any deferred write-back pass.
+// The controller must be quiesced; using it after Close fails on the
+// first device access. Safe to call on a simulator-backed controller (the
+// simulator's Close is a no-op) and idempotent either way.
 func (c *Controller) Close() error {
-	if c.eng != nil {
-		var firstErr error
-		for _, s := range c.subs {
-			if err := s.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	var firstErr error
+	for _, p := range c.parts {
+		if err := p.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		return firstErr
 	}
-	c.mu.Lock()
-	err := c.drainEvictLocked() // flush any deferred write-back pass
-	c.mu.Unlock()
-	if serr := c.ssd.Close(); serr != nil && err == nil {
-		err = serr
-	}
-	if derr := c.dram.Close(); derr != nil && err == nil {
-		err = derr
-	}
-	return err
+	return firstErr
 }
 
 // StorageReports returns the real-I/O telemetry of every file-backed
 // device the controller provisioned (per-op latency percentiles, fsync
-// counts, O_DIRECT state), one entry per shard when sharded. Empty on a
-// fully simulated controller — the simulator has modelled time, not
-// measured latencies.
+// counts, O_DIRECT state), one entry per shard. Empty on a fully
+// simulated controller — the simulator has modelled time, not measured
+// latencies.
 func (c *Controller) StorageReports() []storage.Report {
-	if c.eng != nil {
-		var out []storage.Report
-		for _, s := range c.subs {
-			out = append(out, s.StorageReports()...)
+	var out []storage.Report
+	for _, p := range c.parts {
+		if f, ok := p.ssd.(*storage.File); ok {
+			out = append(out, f.Report())
 		}
-		return out
 	}
-	if f, ok := c.ssd.(*storage.File); ok {
-		return []storage.Report{f.Report()}
-	}
-	return nil
+	return out
 }
 
 // SyncStorage flushes every file-backed device to disk (a durability
 // barrier for checkpoint boundaries); a no-op on simulated devices.
 func (c *Controller) SyncStorage() error {
-	if c.eng != nil {
-		for _, s := range c.subs {
-			if err := s.SyncStorage(); err != nil {
+	for _, p := range c.parts {
+		if f, ok := p.ssd.(*storage.File); ok {
+			if err := f.Sync(); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	if f, ok := c.ssd.(*storage.File); ok {
-		return f.Sync()
 	}
 	return nil
 }
 
 // Shards reports the shard count (1 when monolithic).
-func (c *Controller) Shards() int {
-	if c.eng != nil {
-		return c.eng.Shards()
-	}
-	return 1
-}
+func (c *Controller) Shards() int { return len(c.parts) }
 
 // Round returns the number of completed rounds.
 func (c *Controller) Round() uint64 {
@@ -703,71 +446,22 @@ func (c *Controller) Round() uint64 {
 }
 
 // MainEvictPeriod reports the main ORAM's eviction period A (0 for the
-// Path ORAM+ backend, which has no eviction period). Sharded controllers
-// report shard 0's period (all shards share the derivation rule).
+// Path ORAM+ backend, which has no eviction period). It is shard 0's
+// period: all shards share the derivation rule.
 func (c *Controller) MainEvictPeriod() int {
-	if c.eng != nil {
-		return c.subs[0].MainEvictPeriod()
+	if raw := c.parts[0].raw; raw != nil {
+		return raw.EvictPeriod()
 	}
-	if c.raw == nil {
-		return 0
-	}
-	return c.raw.EvictPeriod()
+	return 0
 }
 
 // PeekRow returns the current value of an embedding row without any ORAM
 // traffic or state change. It exists so evaluation code can score the
 // global model; a deployment has no such backdoor.
 func (c *Controller) PeekRow(row uint64) ([]float32, error) {
-	if c.eng != nil {
-		if row >= c.cfg.NumRows {
-			return nil, fmt.Errorf("fedora: peek row %d out of range %d", row, c.cfg.NumRows)
-		}
-		si := shard.ShardOf(c.cfg.NumRows, c.cfg.Shards, row)
-		return c.subs[si].PeekRow(row - shard.Base(c.cfg.NumRows, c.cfg.Shards, si))
+	if row >= c.cfg.NumRows {
+		return nil, fmt.Errorf("fedora: peek row %d out of range %d", row, c.cfg.NumRows)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// A deferred write-back pass holds finished-round updates the peek
-	// must observe; drain it so evaluation sees the post-round model.
-	if err := c.drainEvictLocked(); err != nil {
-		return nil, err
-	}
-	var (
-		payload []byte
-		err     error
-	)
-	if c.path != nil {
-		payload, err = c.path.Peek(row)
-	} else {
-		payload, err = c.raw.Peek(row)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, c.cfg.Dim)
-	decodeF32s(out, payload)
-	return out, nil
-}
-
-// encodeF32s packs floats little-endian (shared with bufferoram's codec).
-func encodeF32s(data []byte, f []float32) {
-	for i, v := range f {
-		bits := math.Float32bits(v)
-		off := i * 4
-		data[off] = byte(bits)
-		data[off+1] = byte(bits >> 8)
-		data[off+2] = byte(bits >> 16)
-		data[off+3] = byte(bits >> 24)
-	}
-}
-
-// decodeF32s unpacks len(f) floats from data into f.
-func decodeF32s(f []float32, data []byte) {
-	for i := range f {
-		off := i * 4
-		bits := uint32(data[off]) | uint32(data[off+1])<<8 |
-			uint32(data[off+2])<<16 | uint32(data[off+3])<<24
-		f[i] = math.Float32frombits(bits)
-	}
+	si := shard.ShardOf(c.cfg.NumRows, len(c.parts), row)
+	return c.parts[si].PeekRow(row - shard.Base(c.cfg.NumRows, len(c.parts), si))
 }

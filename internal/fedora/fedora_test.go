@@ -404,12 +404,12 @@ func TestPhantomRoundRunsAtScale(t *testing.T) {
 func TestBucketBytesAblation(t *testing.T) {
 	small := newController(t, Config{Epsilon: 0, Seed: 16, Phantom: true, NumRows: 1 << 18, Dim: 16})
 	big := newController(t, Config{Epsilon: 0, Seed: 16, Phantom: true, NumRows: 1 << 18, Dim: 16, BucketBytes: 16384})
-	if small.raw.BucketStoredSize() >= big.raw.BucketStoredSize() {
-		t.Errorf("bucket sizes %d vs %d", small.raw.BucketStoredSize(), big.raw.BucketStoredSize())
+	if small.parts[0].raw.BucketStoredSize() >= big.parts[0].raw.BucketStoredSize() {
+		t.Errorf("bucket sizes %d vs %d", small.parts[0].raw.BucketStoredSize(), big.parts[0].raw.BucketStoredSize())
 	}
 	// Larger buckets allow a larger eviction period (Sec 6.6).
-	if big.raw.EvictPeriod() <= small.raw.EvictPeriod() {
-		t.Errorf("A: %d (16K) vs %d (4K)", big.raw.EvictPeriod(), small.raw.EvictPeriod())
+	if big.parts[0].raw.EvictPeriod() <= small.parts[0].raw.EvictPeriod() {
+		t.Errorf("A: %d (16K) vs %d (4K)", big.parts[0].raw.EvictPeriod(), small.parts[0].raw.EvictPeriod())
 	}
 }
 

@@ -45,7 +45,7 @@ func TestGoldenStateBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		want       string
-		wantStored string // after c.engine.ResetStats(); "" = not checked
+		wantStored string // after c.parts[0].engine.ResetStats(); "" = not checked
 		edit       func(t *testing.T, c *Config)
 	}{
 		{"sim", goldenFedoraState, goldenFedoraStored, func(*testing.T, *Config) {}},
@@ -80,8 +80,8 @@ func TestGoldenStateBytes(t *testing.T) {
 			if tc.wantStored == "" {
 				return
 			}
-			t.Logf("tee engine work before reset: %+v", c.engine.Stats())
-			c.engine.ResetStats()
+			t.Logf("tee engine work before reset: %+v", c.parts[0].engine.Stats())
+			c.parts[0].engine.ResetStats()
 			if got, n := snapshotHash(t, c); got != tc.wantStored {
 				t.Errorf("snapshot sha256 without engine counters = %s, want %s (%d bytes)", got, tc.wantStored, n)
 			}
@@ -107,14 +107,6 @@ func goldenRound(t *testing.T, c *Controller, reqs [][]uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prefetch mode: this test pins the schedule. A serve that overtakes
-	// the fetcher's load of a later row reorders the buffer ORAM's
-	// accesses, so its state bytes (not the model) depend on the scheduler;
-	// serving only after the fetch is complete forces the sync order. The
-	// prefetch cases therefore prove the bytes are unmoved under that one
-	// serialized order — nothing about the overlapped schedule, which
-	// TestPrefetchSnapshotPortability covers.
-	awaitFetch(t, c)
 	for ci, rows := range reqs {
 		if _, err := r.ServeEntries(rows); err != nil {
 			t.Fatal(err)
@@ -133,25 +125,5 @@ func goldenRound(t *testing.T, c *Controller, reqs [][]uint64) {
 	}
 	if _, err := r.Finish(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// awaitFetch blocks until the open round's background fetchers — one per
-// shard — have loaded every planned row.
-func awaitFetch(t *testing.T, c *Controller) {
-	t.Helper()
-	subs := c.subs
-	if c.eng == nil {
-		subs = []*Controller{c}
-	}
-	for _, sub := range subs {
-		sub.mu.Lock()
-		cur := sub.cur
-		sub.mu.Unlock()
-		if cur != nil && cur.stream != nil {
-			if err := cur.stream.wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/persist"
 )
 
-// Controller.Snapshot/Restore glue every component snapshot into one
+// pipeline.Snapshot/Restore glue every component snapshot into one
 // blob: both RNG sources, the selector's cross-round metadata, the FDP
 // accountant, the TEE scratchpad and engine counters, the main ORAM
 // (backend-tagged), the buffer ORAM, and both simulated devices (whose
@@ -77,7 +77,10 @@ func (cfg Config) Digest() uint64 {
 }
 
 // Snapshot serializes the controller's full dynamic state. It fails with
-// ErrRoundOpen if called between BeginRound and Finish.
+// ErrRoundOpen if called between BeginRound and Finish. A one-pipeline
+// controller emits its pipeline's blob as is (format v1, which is also a
+// shard's section in the engine container); a sharded one wraps the
+// engine container in the v2 header.
 func (c *Controller) Snapshot() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -86,75 +89,16 @@ func (c *Controller) Snapshot() ([]byte, error) {
 		// snapshot would otherwise capture mid-consumption.
 		return nil, ErrRoundOpen
 	}
-	// Drain any deferred write-back pass so the snapshot is byte-identical
-	// to the one a synchronous run would take at this round boundary.
-	if err := c.drainEvictLocked(); err != nil {
-		return nil, err
+	blob, err := c.top.Snapshot()
+	if err != nil || c.eng == nil {
+		return blob, err
 	}
-
-	if c.eng != nil {
-		blob, err := c.eng.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		var e persist.Encoder
-		e.U8(shardedSnapshotVersion)
-		e.U32(uint32(c.cfg.Shards))
-		e.U64(c.ConfigDigest())
-		e.U64(c.round)
-		e.Bytes(blob)
-		return e.Finish(), nil
-	}
-
-	scratchBlob, err := c.scratch.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: scratchpad: %w", err)
-	}
-	var engineBlob []byte
-	if c.engine != nil {
-		engineBlob, err = c.engine.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("fedora: engine: %w", err)
-		}
-	}
-	var mainBlob []byte
-	if c.path != nil {
-		mainBlob, err = c.path.Snapshot()
-	} else {
-		mainBlob, err = c.raw.Snapshot()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fedora: main oram: %w", err)
-	}
-	bufBlob, err := c.buf.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: buffer oram: %w", err)
-	}
-	ssdBlob, err := c.ssd.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: ssd device: %w", err)
-	}
-	dramBlob, err := c.dram.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: dram device: %w", err)
-	}
-
 	var e persist.Encoder
-	e.U8(controllerSnapshotVersion)
+	e.U8(shardedSnapshotVersion)
+	e.U32(uint32(c.cfg.Shards))
 	e.U64(c.ConfigDigest())
 	e.U64(c.round)
-	e.Bytes(c.src.Snapshot())
-	e.Bytes(c.selSrc.Snapshot())
-	encodeSelector(&e, c.sel)
-	e.Bytes(c.acct.Snapshot())
-	e.Bytes(scratchBlob)
-	e.Bool(c.engine != nil)
-	e.Bytes(engineBlob)
-	e.U8(uint8(c.cfg.Backend))
-	e.Bytes(mainBlob)
-	e.Bytes(bufBlob)
-	e.Bytes(ssdBlob)
-	e.Bytes(dramBlob)
+	e.Bytes(blob)
 	return e.Finish(), nil
 }
 
@@ -166,10 +110,90 @@ func (c *Controller) Restore(b []byte) error {
 	if c.inRound || c.staged != nil {
 		return ErrRoundOpen
 	}
-	c.pending = nil // restored state supersedes any deferred pass
 	if c.eng != nil {
 		return c.restoreSharded(b)
 	}
+	if err := c.top.Restore(b); err != nil {
+		return err
+	}
+	c.round = c.parts[0].round
+	return nil
+}
+
+// Snapshot implements shard.Partition: the pipeline's full dynamic state
+// as one v1 blob. Any deferred write-back pass is applied first, so the
+// bytes are those a synchronous run would produce at this round boundary.
+func (p *pipeline) Snapshot() ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur != nil {
+		return nil, ErrRoundOpen
+	}
+	if err := p.drain(); err != nil {
+		return nil, err
+	}
+
+	scratchBlob, err := p.scratch.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fedora: scratchpad: %w", err)
+	}
+	var engineBlob []byte
+	if p.engine != nil {
+		engineBlob, err = p.engine.Snapshot()
+		if err != nil {
+			return nil, fmt.Errorf("fedora: engine: %w", err)
+		}
+	}
+	var mainBlob []byte
+	if p.path != nil {
+		mainBlob, err = p.path.Snapshot()
+	} else {
+		mainBlob, err = p.raw.Snapshot()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fedora: main oram: %w", err)
+	}
+	bufBlob, err := p.buf.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fedora: buffer oram: %w", err)
+	}
+	ssdBlob, err := p.ssd.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fedora: ssd device: %w", err)
+	}
+	dramBlob, err := p.dram.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fedora: dram device: %w", err)
+	}
+
+	var e persist.Encoder
+	e.U8(controllerSnapshotVersion)
+	e.U64(p.cfg.Digest())
+	e.U64(p.round)
+	e.Bytes(p.src.Snapshot())
+	e.Bytes(p.selSrc.Snapshot())
+	encodeSelector(&e, p.sel)
+	e.Bytes(p.acct.Snapshot())
+	e.Bytes(scratchBlob)
+	e.Bool(p.engine != nil)
+	e.Bytes(engineBlob)
+	e.U8(uint8(p.cfg.Backend))
+	e.Bytes(mainBlob)
+	e.Bytes(bufBlob)
+	e.Bytes(ssdBlob)
+	e.Bytes(dramBlob)
+	return e.Finish(), nil
+}
+
+// Restore implements shard.Partition: it replaces the pipeline's dynamic
+// state with a v1 blob from a pipeline built with an identical Config.
+func (p *pipeline) Restore(b []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur != nil {
+		return ErrRoundOpen
+	}
+	p.evict.live = false // restored state supersedes any deferred pass
 
 	d := persist.NewDecoder(b)
 	if v := d.U8(); d.Err() == nil && v != controllerSnapshotVersion {
@@ -179,9 +203,9 @@ func (c *Controller) Restore(b []byte) error {
 		return fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
 	}
 	digest := d.U64()
-	if d.Err() == nil && digest != c.ConfigDigest() {
+	if d.Err() == nil && digest != p.cfg.Digest() {
 		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, c.ConfigDigest())
+			digest, p.cfg.Digest())
 	}
 	round := d.U64()
 	srcBlob := d.Bytes()
@@ -202,54 +226,54 @@ func (c *Controller) Restore(b []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("fedora: controller snapshot: %w", err)
 	}
-	if Backend(backend) != c.cfg.Backend {
+	if Backend(backend) != p.cfg.Backend {
 		return fmt.Errorf("fedora: snapshot backend %v != controller backend %v",
-			Backend(backend), c.cfg.Backend)
+			Backend(backend), p.cfg.Backend)
 	}
-	if hasEngine != (c.engine != nil) {
+	if hasEngine != (p.engine != nil) {
 		return fmt.Errorf("fedora: snapshot encryption (engine=%v) does not match controller", hasEngine)
 	}
 
-	if err := c.src.Restore(srcBlob); err != nil {
+	if err := p.src.Restore(srcBlob); err != nil {
 		return fmt.Errorf("fedora: rng: %w", err)
 	}
-	if err := c.selSrc.Restore(selSrcBlob); err != nil {
+	if err := p.selSrc.Restore(selSrcBlob); err != nil {
 		return fmt.Errorf("fedora: selector rng: %w", err)
 	}
-	if err := c.acct.Restore(acctBlob); err != nil {
+	if err := p.acct.Restore(acctBlob); err != nil {
 		return fmt.Errorf("fedora: accountant: %w", err)
 	}
-	if err := c.scratch.Restore(scratchBlob); err != nil {
+	if err := p.scratch.Restore(scratchBlob); err != nil {
 		return fmt.Errorf("fedora: scratchpad: %w", err)
 	}
-	if c.engine != nil {
-		if err := c.engine.Restore(engineBlob); err != nil {
+	if p.engine != nil {
+		if err := p.engine.Restore(engineBlob); err != nil {
 			return fmt.Errorf("fedora: engine: %w", err)
 		}
 	}
 	// Devices first (they hold the tree bytes the ORAMs index into),
 	// then the ORAM metadata over them.
-	if err := c.ssd.Restore(ssdBlob); err != nil {
+	if err := p.ssd.Restore(ssdBlob); err != nil {
 		return fmt.Errorf("fedora: ssd device: %w", err)
 	}
-	if err := c.dram.Restore(dramBlob); err != nil {
+	if err := p.dram.Restore(dramBlob); err != nil {
 		return fmt.Errorf("fedora: dram device: %w", err)
 	}
-	if c.path != nil {
-		if err := c.path.Restore(mainBlob); err != nil {
+	if p.path != nil {
+		if err := p.path.Restore(mainBlob); err != nil {
 			return fmt.Errorf("fedora: main oram: %w", err)
 		}
 	} else {
-		if err := c.raw.Restore(mainBlob); err != nil {
+		if err := p.raw.Restore(mainBlob); err != nil {
 			return fmt.Errorf("fedora: main oram: %w", err)
 		}
 	}
-	if err := c.buf.Restore(bufBlob); err != nil {
+	if err := p.buf.Restore(bufBlob); err != nil {
 		return fmt.Errorf("fedora: buffer oram: %w", err)
 	}
-	c.round = round
-	c.sel.requestCount = requestCount
-	c.sel.readBefore = readBefore
+	p.round = round
+	p.sel.requestCount = requestCount
+	p.sel.readBefore = readBefore
 	return nil
 }
 
@@ -279,7 +303,7 @@ func (c *Controller) restoreSharded(b []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("fedora: controller snapshot: %w", err)
 	}
-	if err := c.eng.Restore(engBlob); err != nil {
+	if err := c.top.Restore(engBlob); err != nil {
 		return err
 	}
 	c.round = round
@@ -302,7 +326,7 @@ func (c *Controller) RecoverQuarantined(b []byte) ([]int, error) {
 		return nil, ErrRoundOpen
 	}
 	if c.eng == nil {
-		return nil, nil // monolithic controllers have no quarantine state
+		return nil, nil // a one-pipeline controller has no quarantine state
 	}
 	d := persist.NewDecoder(b)
 	v := d.U8()

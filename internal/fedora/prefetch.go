@@ -1,9 +1,9 @@
 package fedora
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
-	"sync"
 	"time"
 )
 
@@ -15,25 +15,26 @@ import (
 //
 //	StageRound(requests)   — post R+1's request lists; as soon as the
 //	                         current round finishes, the plan (union,
-//	                         ε-FDP sampling, selection) runs and a
-//	                         background fetcher starts moving the
-//	                         sampled paths main-ORAM → buffer-ORAM,
-//	                         concurrent with the caller's compute.
+//	                         ε-FDP sampling, selection) runs and the
+//	                         round's fetch pass starts moving the
+//	                         sampled paths main-ORAM → buffer-ORAM on
+//	                         its own goroutine, concurrent with the
+//	                         caller's compute.
 //	BeginRound(requests)   — with the SAME lists: adopts the staged
-//	                         round; serves then block per row only until
-//	                         the fetcher has loaded it.
+//	                         round; serves then wait only for whatever
+//	                         is left of the fetch pass.
 //
-// Eviction is deferred symmetrically: Finish unloads the buffer but
-// captures the main-ORAM write-backs as a pending pass that the NEXT
-// round's fetcher drains before its reads. The main ORAM therefore
-// executes exactly the op sequence of sync mode — same accesses, same
-// order, same RNG draws — which is what keeps model fingerprints
-// bit-identical and the obliviousness/ε arguments unchanged (see
-// ARCHITECTURE §15 for the leakage analysis).
+// Eviction is deferred symmetrically: Finish unloads the buffer into the
+// pipeline's evict pass, and the NEXT round's fetch pass writes it back
+// before its reads. Both ORAMs therefore execute exactly the op sequence
+// of sync mode — same accesses, same order, same RNG draws — which is
+// what keeps state bytes and model fingerprints bit-identical and the
+// obliviousness/ε arguments unchanged (see ARCHITECTURE §15 for the
+// leakage analysis).
 //
 // Single-phase callers need no changes: BeginRound without a prior
-// StageRound plans inline (cheap) and still gets the background fetcher
-// and deferred eviction.
+// StageRound plans inline (cheap) and still gets the background fetch
+// pass and deferred eviction.
 
 // ErrStageMismatch is returned when BeginRound (or a second StageRound)
 // presents different request lists than the staged round: the staged
@@ -49,14 +50,16 @@ type fetchOp struct {
 	dummy bool
 }
 
-// evictPass is a deferred write-back pass: the buffer-unloaded entries
-// (and the dummy count) of a finished prefetch-mode round, waiting for
-// the next round's fetcher — or a drain point — to apply them to the
-// main ORAM.
+// evictPass is a finished round's write-back pass: the rows Finish
+// unloaded from the buffer ORAM, ascending, their updated entries back to
+// back (len(rows)·Dim floats), and the dummy count. live is set between
+// Finish filling it and applyEvict writing it back; the slices are kept
+// for their capacity, so a warmed-up round allocates nothing here.
 type evictPass struct {
 	rows    []uint64
-	entries [][]float32
+	entries []float32
 	dummy   int
+	live    bool
 }
 
 // stagedRound is a posted-but-not-yet-adopted round. Once kicked
@@ -77,9 +80,7 @@ func requestsDigest(requests [][]uint64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
 	put(uint64(len(requests)))
@@ -122,7 +123,7 @@ func (c *Controller) StageRound(requests [][]uint64) error {
 			return ErrStageMismatch
 		}
 	}
-	if _, err := c.flattenRequests(requests); err != nil {
+	if _, err := c.cfg.checkRequests(requests); err != nil {
 		return err
 	}
 	// Deep-copy: the caller may reuse its slices before the background
@@ -154,217 +155,57 @@ func (c *Controller) kickStageLocked() {
 	}()
 }
 
-// runFetcher is the round's background I/O goroutine: it drains the
-// previous round's deferred write-back pass, then executes the planned
-// main-ORAM reads chunk by chunk — one merged read per chunk, then the
-// chunk's buffer loads — publishing each loaded row to the stream so
-// blocked serves wake per row. It takes c.mu once for a chunk's read and
-// once per load, so serves and aggregates interleave with the loads.
-func (r *Round) runFetcher(plan [][]fetchOp, pending *evictPass) {
-	c := r.c
-	st := r.stream
-	if pending != nil {
-		evictStart := time.Now()
-		if err := r.drainPending(pending); err != nil {
-			st.finish(err)
-			return
-		}
-		c.mu.Lock()
-		r.stats.EvictWallTime = time.Since(evictStart)
-		c.mu.Unlock()
+// applyEvict writes the pending evict pass, if any, back to the main
+// ORAM — every unloaded row in ascending order, then the dummies — and
+// returns the modelled device time. It is the only main-ORAM writer, and
+// runs at exactly one of three points, all before the next main-ORAM
+// read: in Finish itself (sync), at the head of the next round's fetch
+// pass (Config.Prefetch), or at a drain point. The caller holds p.mu.
+func (p *pipeline) applyEvict() (time.Duration, error) {
+	ev := &p.evict
+	if !ev.live {
+		return 0, nil
 	}
-	fetchStart := time.Now()
-	// locked runs one fetcher step under c.mu unless the round was closed
-	// underneath it (AbortRound).
-	locked := func(step func() error) error {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if r.done {
-			return ErrRoundFinished
+	ev.live = false
+	var (
+		total, d time.Duration
+		err      error
+	)
+	dim := p.cfg.Dim
+	for i, row := range ev.rows {
+		encodeF32s(p.rowBytes, ev.entries[i*dim:(i+1)*dim])
+		if p.path != nil {
+			d, err = p.path.Write(row, p.rowBytes)
+		} else {
+			d, err = p.raw.WriteBack(row, p.rowBytes) // ignored in phantom mode
 		}
-		return step()
-	}
-	for _, ops := range plan {
-		if err := locked(func() error { return r.readChunk(ops) }); err != nil {
-			st.finish(err)
-			return
-		}
-		for _, op := range ops {
-			if err := locked(func() error { return r.loadOp(op) }); err != nil {
-				st.finish(err)
-				return
-			}
-			if !op.dummy {
-				st.markReady(op.row)
-			}
-		}
-	}
-	c.mu.Lock()
-	r.stats.PrefetchWallTime = time.Since(fetchStart)
-	c.mu.Unlock()
-	st.finish(nil)
-}
-
-// drainPending applies a claimed deferred write-back pass op by op,
-// aborting if the round is closed underneath it (AbortRound).
-func (r *Round) drainPending(p *evictPass) error {
-	c := r.c
-	for i, row := range p.rows {
-		c.mu.Lock()
-		if r.done {
-			c.mu.Unlock()
-			return ErrRoundFinished
-		}
-		d, err := c.writeBackRow(row, p.entries[i])
-		r.stats.EvictTime += d
-		c.mu.Unlock()
+		total += d
 		if err != nil {
-			return err
+			return total, err
 		}
 	}
-	for i := 0; i < p.dummy; i++ {
-		c.mu.Lock()
-		if r.done {
-			c.mu.Unlock()
-			return ErrRoundFinished
+	for i := 0; i < ev.dummy; i++ {
+		if p.path != nil {
+			// Path ORAM+ has no write-back schedule; it burns an
+			// indistinguishable read instead.
+			_, d, err = p.path.Read(uint64(p.rng.Int63n(int64(p.cfg.NumRows))))
+		} else {
+			d, err = p.raw.WriteBackDummy()
 		}
-		d, err := c.writeBackDummy()
-		r.stats.EvictTime += d
-		c.mu.Unlock()
+		total += d
 		if err != nil {
-			return err
+			return total, err
 		}
 	}
-	return nil
+	return total, nil
 }
 
-// drainEvictLocked synchronously applies any pending deferred write-back
-// pass. Called with c.mu held at the drain points that need the main
-// ORAM caught up: PeekRow, Snapshot and Close.
-func (c *Controller) drainEvictLocked() error {
-	p := c.pending
-	if p == nil {
-		return nil
-	}
-	c.pending = nil
-	for i, row := range p.rows {
-		if _, err := c.writeBackRow(row, p.entries[i]); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < p.dummy; i++ {
-		if _, err := c.writeBackDummy(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeBackRow is one main-ORAM write-back (c.mu held).
-func (c *Controller) writeBackRow(row uint64, entry []float32) (time.Duration, error) {
-	encodeF32s(c.rowBytes, entry)
-	if c.path != nil {
-		return c.path.Write(row, c.rowBytes)
-	}
-	return c.raw.WriteBack(row, c.rowBytes) // ignored in phantom mode
-}
-
-// writeBackDummy is one main-ORAM dummy write-back (c.mu held). Path
-// ORAM+ has no write-back schedule; it burns an indistinguishable read
-// instead, drawing the same RNG stream the sync path did.
-func (c *Controller) writeBackDummy() (time.Duration, error) {
-	if c.path != nil {
-		_, d, err := c.path.Read(uint64(c.rng.Int63n(int64(c.cfg.NumRows))))
-		return d, err
-	}
-	return c.raw.WriteBackDummy()
-}
-
-// streamState publishes the fetcher's progress to blocked serves: will
-// is the planned row set, ready the loaded subset, served the rows some
-// client consumed. blockedWall accumulates the union of intervals in
-// which at least one serve was waiting — the round's true blocking read
-// time (RoundStats.ReadWallTime in prefetch mode).
-type streamState struct {
-	mu           sync.Mutex
-	cond         *sync.Cond
-	will         map[uint64]bool
-	ready        map[uint64]bool
-	served       map[uint64]bool
-	done         bool
-	err          error
-	waiters      int
-	blockedSince time.Time
-	blockedWall  time.Duration
-}
-
-func newStreamState(plan [][]fetchOp) *streamState {
-	st := &streamState{
-		will:   make(map[uint64]bool),
-		ready:  make(map[uint64]bool),
-		served: make(map[uint64]bool),
-	}
-	st.cond = sync.NewCond(&st.mu)
-	for _, ops := range plan {
-		for _, op := range ops {
-			if !op.dummy {
-				st.will[op.row] = true
-			}
-		}
-	}
-	return st
-}
-
-// waitFor blocks until row is loaded. Rows outside the plan return
-// immediately (they take the buffer's miss path). Returns the fetcher's
-// error if it failed.
-func (st *streamState) waitFor(row uint64) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.will[row] {
-		st.served[row] = true
-	}
-	for st.will[row] && !st.ready[row] && !st.done && st.err == nil {
-		if st.waiters == 0 {
-			st.blockedSince = time.Now()
-		}
-		st.waiters++
-		st.cond.Wait()
-		st.waiters--
-		if st.waiters == 0 {
-			st.blockedWall += time.Since(st.blockedSince)
-		}
-	}
-	return st.err
-}
-
-// markReady publishes one loaded row.
-func (st *streamState) markReady(row uint64) {
-	st.mu.Lock()
-	st.ready[row] = true
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// finish marks the fetcher complete (err nil) or failed.
-func (st *streamState) finish(err error) {
-	st.mu.Lock()
-	st.done = true
-	if st.err == nil {
-		st.err = err
-	}
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// wait blocks until the fetcher has finished and returns its error.
-func (st *streamState) wait() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for !st.done {
-		st.cond.Wait()
-	}
-	return st.err
+// drain applies a deferred evict pass at the points that need the main
+// ORAM caught up with the finished rounds: PeekRow, Snapshot and Close.
+// The caller holds p.mu.
+func (p *pipeline) drain() error {
+	_, err := p.applyEvict()
+	return err
 }
 
 // PrefetchReport is the controller's lifetime prefetch observability
@@ -374,36 +215,27 @@ type PrefetchReport struct {
 	// accumulated over all finished prefetch rounds.
 	Hits   uint64
 	Wasted uint64
-	// StagedRows is the current staging-buffer depth: rows the fetcher
-	// has loaded that no client has consumed yet.
+	// StagedRows is the current staging-buffer depth: rows the open
+	// round's fetch pass has loaded that no client has consumed yet.
 	StagedRows int
 }
 
-// PrefetchReport returns the controller's prefetch counters (summed over
-// shards when sharded).
+// PrefetchReport returns the controller's prefetch counters, summed over
+// shards. A shard whose fetch pass is running reports once it ends.
 func (c *Controller) PrefetchReport() PrefetchReport {
-	if c.eng != nil {
-		var rep PrefetchReport
-		for _, sub := range c.subs {
-			r := sub.PrefetchReport()
-			rep.Hits += r.Hits
-			rep.Wasted += r.Wasted
-			rep.StagedRows += r.StagedRows
-		}
-		return rep
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rep := PrefetchReport{Hits: c.prefetchHits, Wasted: c.prefetchWasted}
-	if c.cur != nil && c.cur.stream != nil {
-		st := c.cur.stream
-		st.mu.Lock()
-		for row := range st.ready {
-			if !st.served[row] {
-				rep.StagedRows++
+	var rep PrefetchReport
+	for _, p := range c.parts {
+		p.mu.Lock()
+		rep.Hits += p.prefetchHits
+		rep.Wasted += p.prefetchWasted
+		if p.cur != nil && p.cur.stats.Prefetched {
+			for _, consumed := range p.cur.loaded {
+				if !consumed {
+					rep.StagedRows++
+				}
 			}
 		}
-		st.mu.Unlock()
+		p.mu.Unlock()
 	}
 	return rep
 }

@@ -1,9 +1,14 @@
 package fedora
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/fdp"
 	"repro/internal/shard"
@@ -353,4 +358,104 @@ func TestPrefetchQuarantineInFlight(t *testing.T) {
 	}
 	// The healed shard serves full rounds again.
 	runRound(t, c, [][]uint64{{400, 500}, {3}})
+}
+
+// slowDRAM is a WrapDevice wrapper under which every eighth access to
+// the DRAM-side device really sleeps, so one buffer-ORAM load (some
+// twenty bucket reads and writes) holds the pipeline lock, parked, for
+// well over the millisecond after which sync.Mutex hands the lock to its
+// longest waiter instead of back to the goroutine that just released it.
+type slowDRAM struct {
+	device.Device
+	ops int // the pipeline lock serializes the device's users
+}
+
+func (d *slowDRAM) slow() {
+	if d.ops++; d.ops%8 == 0 {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (d *slowDRAM) ReadAt(addr uint64, p []byte) (time.Duration, error) {
+	d.slow()
+	return d.Device.ReadAt(addr, p)
+}
+
+func (d *slowDRAM) WriteAt(addr uint64, p []byte) (time.Duration, error) {
+	d.slow()
+	return d.Device.WriteAt(addr, p)
+}
+
+// TestPrefetchServeDuringFetchMatchesSync: serves, miss-path serves and
+// gradient submits issued while the fetch pass is still loading must not
+// reach the buffer ORAM before the pass's last load — each of them
+// accesses that Path ORAM and draws its RNG, so one that slips between
+// two loads moves the prefetch run's state bytes off the sync run's.
+func TestPrefetchServeDuringFetchMatchesSync(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 19, Shards: shards}
+			sync := newController(t, cfg)
+			cfg.Prefetch = true
+			cfg.WrapDevice = func(name string, d device.Device) device.Device {
+				if strings.HasSuffix(name, "dram") {
+					return &slowDRAM{Device: d}
+				}
+				return d
+			}
+			pre := newController(t, cfg)
+
+			// One client; with ε=∞ every requested row is planned, in
+			// request order. Rows 0–511 live on shard 0 of 2, the rest on
+			// shard 1; rows 250 and 800 are never requested.
+			reqs := [][]uint64{{3, 40, 77, 130, 260, 401, 600, 650, 700, 910}}
+			perShard := map[int]int{1: 10, 2: 6} // rows planned on the first row's shard
+			ones := []float32{1, 1, 1, 1}
+			for round := 0; round < 2; round++ {
+				for _, c := range []*Controller{sync, pre} {
+					r, err := c.BeginRound(reqs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The first planned row, a row outside the plan (miss
+					// path) and a gradient, on each shard, in fixed order.
+					for _, trio := range [][3]uint64{{3, 250, 40}, {600, 800, 650}} {
+						if _, ok, err := r.ServeEntry(trio[0]); err != nil || !ok {
+							t.Fatalf("serve row %d: ok=%v err=%v", trio[0], ok, err)
+						}
+						if trio[0] == 3 {
+							p := c.parts[0]
+							p.mu.Lock()
+							resident := p.buf.Resident()
+							p.mu.Unlock()
+							if resident != perShard[shards] {
+								t.Errorf("round %d: first serve returned with %d of %d planned rows resident",
+									round, resident, perShard[shards])
+							}
+						}
+						if _, ok, err := r.ServeEntry(trio[1]); err != nil || ok {
+							t.Fatalf("serve unplanned row %d: ok=%v err=%v", trio[1], ok, err)
+						}
+						if ok, err := r.SubmitGradient(trio[2], ones, 1); err != nil || !ok {
+							t.Fatalf("gradient row %d: delivered=%v err=%v", trio[2], ok, err)
+						}
+					}
+					if _, err := r.Finish(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			snapSync, err := sync.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapPre, err := pre.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snapSync, snapPre) {
+				t.Fatal("prefetch-mode snapshot differs from the sync twin's")
+			}
+		})
+	}
 }

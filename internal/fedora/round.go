@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufferoram"
@@ -28,26 +29,19 @@ type RoundStats = shard.RoundStats
 // ShardStats is the per-shard breakdown attached to a sharded round.
 type ShardStats = shard.ShardStats
 
-// Round is an in-flight FL round (between BeginRound and Finish).
+// Round is an in-flight FL round (between BeginRound and Finish): a
+// handle on the one pipeline's round, or on the shard engine's round when
+// the controller routes over several pipelines.
 //
 // ServeEntry, SubmitGradient and Finish are safe for concurrent use by
 // multiple goroutines: multiple trainer workers may stage downloads and
-// uploads simultaneously while the controller's mutex keeps the ORAM
-// pipeline single-writer underneath. When the controller is sharded the
-// round delegates to the shard engine instead, and operations on rows
-// owned by different shards proceed in parallel.
+// uploads simultaneously while each pipeline's mutex keeps its ORAMs
+// single-writer underneath; operations on rows owned by different shards
+// proceed in parallel.
 type Round struct {
 	c      *Controller
-	er     *shard.Round // sharded mode: the engine round (nil otherwise)
+	pr     shard.PartitionRound
 	number uint64
-	loaded map[uint64]bool
-	stats  RoundStats
-	done   bool
-	// stream carries the lookahead pipeline's per-row staging state when
-	// Config.Prefetch is on and the controller is monolithic: serves
-	// block per row until the background fetcher has loaded it. Nil in
-	// sync mode and in sharded mode (each sub-controller owns one).
-	stream *streamState
 }
 
 // Number is the controller round number this handle belongs to.
@@ -55,11 +49,11 @@ func (r *Round) Number() uint64 { return r.number }
 
 // ErrRoundInProgress is returned by BeginRound when the previous round
 // was not finished.
-var ErrRoundInProgress = errors.New("fedora: previous round not finished")
+var ErrRoundInProgress = shard.ErrRoundInProgress
 
 // ErrRoundFinished is returned by round operations after Finish closed
 // the round (including a concurrent Finish racing an in-flight serve).
-var ErrRoundFinished = errors.New("fedora: round already finished")
+var ErrRoundFinished = shard.ErrRoundFinished
 
 // ErrShardUnavailable re-exports the shard engine's sentinel for rows
 // routed to a quarantined shard; serving layers match it with errors.Is
@@ -102,113 +96,181 @@ func (c *Controller) BeginRound(requests [][]uint64) (*Round, error) {
 }
 
 // beginRoundLocked is the single-phase round begin. The caller holds
-// c.mu; in prefetch mode the heavy ORAM reads are handed to a background
-// fetcher and only the (cheap) planning runs under the lock.
+// c.mu. The engine routes the requests and drives every shard's ①–③
+// concurrently; each pipeline runs its own union, ε-FDP sampling and ORAM
+// reads over its row range.
 func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	if c.inRound {
 		return nil, ErrRoundInProgress
 	}
-	flat, err := c.flattenRequests(requests)
-	if err != nil {
+	if _, err := c.cfg.checkRequests(requests); err != nil {
 		return nil, err
 	}
 	c.inRound = true
 	c.round++
-
-	// Sharded mode: the engine routes the requests and drives every
-	// shard's ①–③ concurrently; each sub-controller runs its own union,
-	// ε-FDP sampling and ORAM reads over its row range (and, in prefetch
-	// mode, spawns its own fetcher — the staging machinery lives only on
-	// this top-level controller).
+	var (
+		pr  shard.PartitionRound
+		err error
+	)
 	if c.eng != nil {
-		er, err := c.eng.BeginRound(requests)
-		if err != nil {
-			c.inRound = false
-			return nil, err
-		}
-		return &Round{c: c, er: er, number: c.round}, nil
+		pr, err = c.eng.BeginRound(requests)
+	} else {
+		pr, err = c.parts[0].BeginRound(requests)
 	}
-	c.buf.SetRound(c.round)
-
-	// At most one row per request is ever loaded: size the set once.
-	r := &Round{c: c, loaded: make(map[uint64]bool, len(flat)), number: c.round}
-	r.stats.K = len(flat)
-
-	if !c.cfg.Prefetch {
-		for start := 0; start < len(flat); start += c.cfg.ChunkSize {
-			end := start + c.cfg.ChunkSize
-			if end > len(flat) {
-				end = len(flat)
-			}
-			if err := r.processChunk(flat[start:end]); err != nil {
-				c.inRound = false
-				return nil, err
-			}
-		}
-		r.stats.Chunks = c.acct.Chunks()
-		r.stats.RoundEpsilon = c.acct.RoundEpsilon()
-		c.acct = fdp.Accountant{} // reset per round
-		c.cur = r
-		return r, nil
+	if err != nil {
+		c.inRound = false
+		return nil, err
 	}
-
-	// Lookahead pipeline: plan every chunk now — union, ε-FDP sampling
-	// and selection consume exactly the RNG/selector stream the sync path
-	// would — then hand the main-ORAM ops to a background fetcher. The
-	// previous round's deferred write-back pass drains on the same
-	// fetcher FIRST, so the main ORAM sees the identical op sequence as
-	// sync mode; only the wall-clock placement changes.
-	var plan [][]fetchOp // one op list per chunk: the fetcher merges reads chunk by chunk
-	for start := 0; start < len(flat); start += c.cfg.ChunkSize {
-		end := start + c.cfg.ChunkSize
-		if end > len(flat) {
-			end = len(flat)
-		}
-		ops, err := r.planChunk(flat[start:end], nil) // the plan keeps each chunk's ops
-		if err != nil {
-			c.inRound = false
-			return nil, err
-		}
-		plan = append(plan, ops)
-	}
-	r.stats.Chunks = c.acct.Chunks()
-	r.stats.RoundEpsilon = c.acct.RoundEpsilon()
-	c.acct = fdp.Accountant{} // reset per round
-	r.stats.Prefetched = true
-	r.stream = newStreamState(plan)
-	pending := c.pending
-	c.pending = nil
-	c.cur = r
-	go r.runFetcher(plan, pending)
-	return r, nil
+	return &Round{c: c, pr: pr, number: c.round}, nil
 }
 
-// flattenRequests validates the per-client request lists against the
-// configured limits and returns them flattened. Caller holds c.mu.
-func (c *Controller) flattenRequests(requests [][]uint64) ([]uint64, error) {
-	if len(requests) > c.cfg.MaxClientsPerRound {
-		return nil, fmt.Errorf("fedora: %d clients exceed the configured max %d",
-			len(requests), c.cfg.MaxClientsPerRound)
+// checkRequests validates per-client request lists against the
+// configured limits and returns the total request count.
+func (cfg *Config) checkRequests(requests [][]uint64) (int, error) {
+	if len(requests) > cfg.MaxClientsPerRound {
+		return 0, fmt.Errorf("fedora: %d clients exceed the configured max %d",
+			len(requests), cfg.MaxClientsPerRound)
 	}
 	total := 0
-	for _, reqs := range requests {
-		total += len(reqs)
-	}
-	flat := make([]uint64, 0, total)
 	for ci, reqs := range requests {
-		if len(reqs) > c.cfg.MaxFeaturesPerClient {
-			return nil, fmt.Errorf("fedora: client %d has %d features, max %d",
-				ci, len(reqs), c.cfg.MaxFeaturesPerClient)
+		if len(reqs) > cfg.MaxFeaturesPerClient {
+			return 0, fmt.Errorf("fedora: client %d has %d features, max %d",
+				ci, len(reqs), cfg.MaxFeaturesPerClient)
 		}
 		for _, row := range reqs {
-			if row != DummyRequest && row >= c.cfg.NumRows {
-				return nil, fmt.Errorf("fedora: client %d requests row %d out of range %d",
-					ci, row, c.cfg.NumRows)
+			if row != DummyRequest && row >= cfg.NumRows {
+				return 0, fmt.Errorf("fedora: client %d requests row %d out of range %d",
+					ci, row, cfg.NumRows)
 			}
-			flat = append(flat, row)
+		}
+		total += len(reqs)
+	}
+	return total, nil
+}
+
+// ServeEntry serves a client's download request (step ④). ok reports
+// whether the entry was read this round; rows sacrificed by the ε-FDP
+// mechanism (k < k_union) return ok = false, and the caller applies its
+// lost-entry policy (our FL layer, like the paper's prototype, drops the
+// affected training samples).
+func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
+	return r.pr.ServeEntry(row)
+}
+
+// SubmitGradient folds one client's gradient for a row into the round's
+// aggregate (step ⑥). delivered is false when the row was not resident
+// (the gradient is dropped, matching a lost entry).
+func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
+	return r.pr.SubmitGradient(row, grad, nSamples)
+}
+
+// SubmitAggregate folds an already-aggregated multi-client contribution
+// for a row into the round's buffer: sum is Σ_c n_c·Δθ_c and count is
+// Σ_c n_c over the contributing clients. This is the upload plane's
+// entry point (internal/wire): the per-client FedAvg pre-weighting
+// happened client-side before masking, so the buffer's aggregator Pre
+// is bypassed — only the Post division by the total count runs at
+// Finish. delivered is false when the row was not resident.
+func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
+	return r.pr.SubmitAggregate(row, sum, count)
+}
+
+// Finish applies aggregated updates back to the main ORAM (step ⑦) and
+// closes the round.
+func (r *Round) Finish() (RoundStats, error) {
+	st, err := r.pr.Finish()
+	if errors.Is(err, ErrRoundFinished) {
+		return st, err // a repeated Finish; the controller may be rounds ahead
+	}
+	c := r.c
+	c.mu.Lock()
+	c.inRound = false
+	c.kickStageLocked()
+	c.mu.Unlock()
+	return st, err
+}
+
+// pipelineRound is one pipeline's open round: its plan runs as one fetch
+// pass, and every serve, gradient and aggregate — for a planned row or
+// not, both paths access the buffer ORAM — waits for that pass to finish.
+// So the buffer ORAM sees all of a round's loads before its first serve,
+// whichever goroutine ran the pass (Sec 4.3: all k rows are in the buffer
+// ORAM before any download is served), and its state bytes do not depend
+// on the scheduler.
+type pipelineRound struct {
+	p *pipeline
+	// loaded holds the rows resident in the buffer ORAM, each mapped (in a
+	// prefetch round, for its hit/waste counters) to whether a client has
+	// consumed it yet.
+	loaded map[uint64]bool
+	stats  RoundStats
+	done   bool
+	began  time.Time
+
+	fetched  chan struct{} // closed when the fetch pass has finished or failed
+	fetchErr error         // the pass's outcome; read only after fetched is closed
+	// waitedAt is how long after began the first call had to wait on
+	// fetched (0 = none has).
+	waitedAt atomic.Int64
+}
+
+// BeginRound implements shard.Partition: steps ①–③ over the pipeline's
+// LOCAL row space. It plans every chunk — union, ε-FDP sampling and
+// selection, which is everything that draws the pipeline's RNG or
+// selector state — and then runs the fetch pass: inline, or under
+// Config.Prefetch on the round's own goroutine, so that the main-ORAM
+// reads overlap the caller's compute. Both ORAMs execute the identical
+// op sequence either way; only the wall-clock placement changes.
+func (p *pipeline) BeginRound(requests [][]uint64) (shard.PartitionRound, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur != nil {
+		return nil, ErrRoundInProgress
+	}
+	total, err := p.cfg.checkRequests(requests)
+	if err != nil {
+		return nil, err
+	}
+	flat := make([]uint64, 0, total)
+	for _, reqs := range requests {
+		flat = append(flat, reqs...)
+	}
+	p.round++
+	p.buf.SetRound(p.round)
+
+	// At most one row per request is ever loaded: size the set once.
+	r := &pipelineRound{
+		p: p, loaded: make(map[uint64]bool, len(flat)),
+		began: time.Now(), fetched: make(chan struct{}),
+	}
+	r.stats.K = len(flat)
+	r.stats.Prefetched = p.cfg.Prefetch
+	p.plan, p.chunkEnds = p.plan[:0], p.chunkEnds[:0]
+	for start := 0; start < len(flat); start += p.cfg.ChunkSize {
+		if err := r.planChunk(flat[start:min(start+p.cfg.ChunkSize, len(flat))]); err != nil {
+			return nil, err
 		}
 	}
-	return flat, nil
+	r.stats.Chunks = p.acct.Chunks()
+	r.stats.RoundEpsilon = p.acct.RoundEpsilon()
+	p.acct = fdp.Accountant{} // reset per round
+	p.cur = r
+	if p.cfg.Prefetch {
+		go func() {
+			p.mu.Lock()
+			r.fetchErr = r.fetch()
+			p.mu.Unlock()
+			close(r.fetched)
+		}()
+		return r, nil
+	}
+	r.fetchErr = r.fetch()
+	close(r.fetched)
+	if r.fetchErr != nil {
+		p.cur = nil
+		return nil, r.fetchErr
+	}
+	return r, nil
 }
 
 // union computes the chunk union: the oblivious sorting-network union in
@@ -216,12 +278,12 @@ func (c *Controller) flattenRequests(requests [][]uint64) ([]uint64, error) {
 // (sorting a million requests would only re-derive the same sizes).
 // Either way the DRAM model is charged the paper's Θ(K²) linear scan
 // (Sec 4.2) — modelled time is the paper's design, host work is this
-// implementation's. The returned ids alias c.unionScratch and are valid
+// implementation's. The returned ids alias p.unionScratch and are valid
 // until the next call.
-func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
+func (p *pipeline) union(chunk []uint64) ([]uint64, int, time.Duration) {
 	cost := obliv.UnionScanCost(len(chunk)) * 8 // 8-byte slots
-	d := c.dram.Charge(0 /* read */, 0, int(cost))
-	if c.cfg.Phantom {
+	d := p.dram.Charge(0 /* read */, 0, int(cost))
+	if p.cfg.Phantom {
 		seen := make(map[uint64]bool, len(chunk))
 		var ids []uint64
 		for _, r := range chunk {
@@ -233,41 +295,36 @@ func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
 		}
 		return ids, len(ids), d
 	}
-	res := c.unionScratch.Union(chunk)
+	res := p.unionScratch.Union(chunk)
 	return res.IDs[:res.Size], res.Size, d
 }
 
 // planChunk runs the plan half of steps ①–③ for one chunk: the chunk
-// union, ε-FDP sampling and the selection-policy ordering. It returns
-// the main-ORAM ops to execute — the exec half, appended to ops[:0] —
-// which the sync path runs inline (processChunk) and the prefetch path
-// hands to the background fetcher. Everything that consumes the
-// controller's RNG or selector state happens here, in chunk order, so the
-// two modes draw identical streams. The caller holds c.mu.
-func (r *Round) planChunk(chunk []uint64, ops []fetchOp) ([]fetchOp, error) {
-	c := r.c
+// union, ε-FDP sampling and the selection-policy ordering. It appends the
+// chunk's main-ORAM ops — the exec half, which the fetch pass runs — to
+// p.plan. Everything that consumes the pipeline's RNG or selector state
+// happens here, in chunk order. The caller holds p.mu.
+func (r *pipelineRound) planChunk(chunk []uint64) error {
+	p := r.p
 	wallStart := time.Now()
-	ids, kUnion, unionDur := c.union(chunk)
+	ids, kUnion, unionDur := p.union(chunk)
 	r.stats.UnionTime += unionDur
 	r.stats.UnionWallTime += time.Since(wallStart)
 	r.stats.KUnion += kUnion
-	if len(chunk) == 0 {
-		return ops[:0], nil
-	}
 
 	// ② choose k. Path ORAM+ has no mechanism: one main-ORAM access per
 	// request (Strawman 1 policy, Sec 6.1).
 	var k int
-	if c.cfg.Backend == BackendPathORAMPlus {
+	if p.cfg.Backend == BackendPathORAMPlus {
 		k = len(chunk)
 	} else {
 		var err error
-		k, err = c.mech.Sample(len(chunk), kUnion, c.rng)
+		k, err = p.mech.Sample(len(chunk), kUnion, p.rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	c.acct.Observe(c.effEps)
+	p.acct.Observe(p.effEps)
 	r.stats.KSampled += k
 	if k > kUnion {
 		r.stats.Dummy += k - kUnion
@@ -277,351 +334,288 @@ func (r *Round) planChunk(chunk []uint64, ops []fetchOp) ([]fetchOp, error) {
 
 	// ③ order the k reads by the configured selection policy (Sec 4.2),
 	// padded with dummies when k > k_union.
-	nReal := k
-	if nReal > kUnion {
-		nReal = kUnion
-	}
-	c.sel.observe(ids)
-	ordered := c.sel.order(ids)
-	ops = slices.Grow(ops[:0], k)
+	nReal := min(k, kUnion)
+	p.sel.observe(ids)
+	ordered := p.sel.order(ids)
+	p.plan = slices.Grow(p.plan, k)
 	for _, row := range ordered[:nReal] {
-		ops = append(ops, fetchOp{row: row})
-		c.sel.markRead(row)
+		p.plan = append(p.plan, fetchOp{row: row})
+		p.sel.markRead(row)
 	}
 	for i := 0; i < k-nReal; i++ {
-		ops = append(ops, fetchOp{dummy: true})
+		p.plan = append(p.plan, fetchOp{dummy: true})
 	}
-	return ops, nil
+	p.chunkEnds = append(p.chunkEnds, len(p.plan))
+	return nil
 }
 
-// processChunk runs steps ①–③ for one chunk of requests, synchronously.
-// The caller (beginRoundLocked) holds c.mu.
-func (r *Round) processChunk(chunk []uint64) error {
-	ops, err := r.planChunk(chunk, r.c.chunkOps)
-	if err != nil {
-		return err
+// fetch is the round's I/O pass, run with p.mu held from start to end:
+// the previous round's deferred write-back pass first — so the main ORAM
+// sees the op order of a synchronous run — then, chunk by chunk, one
+// merged main-ORAM read and the chunk's buffer loads.
+func (r *pipelineRound) fetch() error {
+	p := r.p
+	if r.done {
+		return ErrRoundFinished // aborted before the pass took the lock
 	}
-	r.c.chunkOps = ops // run to completion below; the next chunk reuses the array
-	wallStart := time.Now()
-	if err := r.readChunk(ops); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := r.loadOp(op); err != nil {
+	start := time.Now()
+	if p.evict.live {
+		d, err := p.applyEvict()
+		r.stats.EvictTime += d
+		if err != nil {
 			return err
 		}
+		r.stats.EvictWallTime = time.Since(start)
+		start = time.Now()
 	}
-	r.stats.ReadWallTime += time.Since(wallStart)
+	lo := 0
+	for _, hi := range p.chunkEnds {
+		ops := p.plan[lo:hi]
+		lo = hi
+		if err := r.readChunk(ops); err != nil {
+			return err
+		}
+		for _, op := range ops {
+			if err := r.loadOp(op); err != nil {
+				return err
+			}
+		}
+	}
+	end := time.Now()
+	if !r.stats.Prefetched {
+		r.stats.ReadWallTime = end.Sub(start) // the caller waited out all of it
+		return nil
+	}
+	r.stats.PrefetchWallTime = end.Sub(start)
+	if w := time.Duration(r.waitedAt.Load()); w > 0 {
+		r.stats.ReadWallTime = end.Sub(r.began) - w
+	}
 	return nil
 }
 
 // readChunk performs the main-ORAM reads of one chunk's plan as a single
-// merged batch into c.chunkRows: the rows the ops will load, in op order.
+// merged batch into p.chunkRows: the rows the ops will load, in op order.
 // The download phase never writes the main ORAM, so reading the whole
-// chunk before its first buffer load leaves both ORAMs, c.rng and every
+// chunk before its first buffer load leaves both ORAMs, p.rng and every
 // stat where op-by-op reads would; only the host-side bucket work is
 // shared. Path ORAM+ remaps and writes back on every read and has nothing
-// to merge — loadOp reads it row by row. The caller holds c.mu.
-func (r *Round) readChunk(ops []fetchOp) error {
-	c := r.c
-	if c.path != nil {
+// to merge — loadOp reads it row by row. The caller holds p.mu.
+func (r *pipelineRound) readChunk(ops []fetchOp) error {
+	p := r.p
+	if p.path != nil {
 		return nil
 	}
-	c.chunkIDs = c.chunkIDs[:0]
+	p.chunkIDs = p.chunkIDs[:0]
 	for _, op := range ops {
-		if !op.dummy && !r.loaded[op.row] {
-			c.chunkIDs = append(c.chunkIDs, op.row)
+		if _, resident := r.loaded[op.row]; !op.dummy && !resident {
+			p.chunkIDs = append(p.chunkIDs, op.row)
 		}
 	}
-	n := len(c.chunkIDs) * len(c.rowBytes)
-	c.chunkRows = slices.Grow(c.chunkRows[:0], n)[:n]
-	c.chunkNext = 0
-	d, err := c.raw.AOAccessBatch(c.chunkIDs, c.chunkRows)
+	n := len(p.chunkIDs) * len(p.rowBytes)
+	p.chunkRows = slices.Grow(p.chunkRows[:0], n)[:n]
+	p.chunkNext = 0
+	d, err := p.raw.AOAccessBatch(p.chunkIDs, p.chunkRows)
 	r.stats.ReadTime += d
 	return err
 }
 
 // loadOp runs one planned op: it moves the row from the chunk's merged
-// read (the next one in c.chunkRows — the ops run in the order readChunk
+// read (the next one in p.chunkRows — the ops run in the order readChunk
 // saw them) into the buffer ORAM. Dummies, and rows already resident
 // (cross-chunk duplicates), still cost a full, indistinguishable access
-// pair. The caller holds c.mu.
-func (r *Round) loadOp(op fetchOp) error {
-	c := r.c
+// pair. The caller holds p.mu.
+func (r *pipelineRound) loadOp(op fetchOp) error {
+	p := r.p
 	if op.dummy {
 		return r.dummyFetch()
 	}
-	if r.loaded[op.row] {
+	if _, resident := r.loaded[op.row]; resident {
 		r.stats.CrossChunkDup++
 		return r.dummyFetch()
 	}
 	var payload []byte
-	if c.path != nil {
+	if p.path != nil {
 		var (
 			d   time.Duration
 			err error
 		)
-		payload, d, err = c.path.Read(op.row)
+		payload, d, err = p.path.Read(op.row)
 		r.stats.ReadTime += d
 		if err != nil {
 			return err
 		}
 	} else {
-		bs := len(c.rowBytes)
-		payload = c.chunkRows[c.chunkNext*bs : (c.chunkNext+1)*bs]
-		c.chunkNext++
+		bs := len(p.rowBytes)
+		payload = p.chunkRows[p.chunkNext*bs : (p.chunkNext+1)*bs]
+		p.chunkNext++
 	}
-	decodeF32s(c.rowFloats, payload) // phantom payloads are zeros
-	d, err := c.buf.Load(op.row, c.rowFloats)
+	decodeF32s(p.rowFloats, payload) // phantom payloads are zeros
+	d, err := p.buf.Load(op.row, p.rowFloats)
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
 	}
-	r.loaded[op.row] = true
+	r.loaded[op.row] = false
 	return nil
 }
 
 // dummyFetch burns an indistinguishable main-ORAM + buffer-ORAM access.
-func (r *Round) dummyFetch() error {
-	c := r.c
+func (r *pipelineRound) dummyFetch() error {
+	p := r.p
 	var (
 		d   time.Duration
 		err error
 	)
-	if c.path != nil {
-		_, d, err = c.path.Read(uint64(c.rng.Int63n(int64(c.cfg.NumRows))))
+	if p.path != nil {
+		_, d, err = p.path.Read(uint64(p.rng.Int63n(int64(p.cfg.NumRows))))
 	} else {
-		d, err = c.raw.AODummy()
+		d, err = p.raw.AODummy()
 	}
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
 	}
-	d, err = c.buf.LoadDummy()
+	d, err = p.buf.LoadDummy()
 	r.stats.ReadTime += d
 	return err
 }
 
-// ServeEntry serves a client's download request (step ④). ok reports
-// whether the entry was read this round; rows sacrificed by the ε-FDP
-// mechanism (k < k_union) return ok = false, and the caller applies its
-// lost-entry policy (our FL layer, like the paper's prototype, drops the
-// affected training samples).
-func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
-	if r.er != nil {
-		// Sharded: the engine routes to the owning shard; rows on
-		// different shards are served concurrently.
-		entry, ok, err := r.er.ServeEntry(row)
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		return entry, ok, err
+// await blocks until the fetch pass has finished and returns its error.
+func (r *pipelineRound) await() error {
+	select {
+	case <-r.fetched:
+	default:
+		r.waitedAt.CompareAndSwap(0, int64(time.Since(r.began)))
+		<-r.fetched
 	}
-	if r.stream != nil {
-		// Lookahead pipeline: block until the fetcher has loaded this row
-		// (rows outside the staged plan — sacrificed by the mechanism —
-		// pass straight through to the usual miss path below).
-		if err := r.stream.waitFor(row); err != nil {
-			return nil, false, err
-		}
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if r.done {
-		return nil, false, ErrRoundFinished
-	}
-	entry, d, err := r.c.buf.Serve(row)
-	r.stats.ServeTime += d
-	if errors.Is(err, bufferoram.ErrNotLoaded) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return r.fetchErr
 }
 
-// SubmitGradient folds one client's gradient for a row into the round's
-// aggregate (step ⑥). delivered is false when the row was not resident
-// (the gradient is dropped, matching a lost entry).
-func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
-	if r.er != nil {
-		delivered, err = r.er.SubmitGradient(row, grad, nSamples)
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		return delivered, err
+// bufferOp runs one serve-phase access to the buffer ORAM for row, after
+// the fetch pass and under p.mu, adding its modelled time to *modelled.
+// hit is false when the row is not resident — sacrificed by the mechanism
+// or never requested; the access was still made, indistinguishably.
+func (r *pipelineRound) bufferOp(row uint64, modelled *time.Duration, op func() (time.Duration, error)) (hit bool, err error) {
+	if err := r.await(); err != nil {
+		return false, err
 	}
-	if r.stream != nil {
-		// Defensive: gradients normally follow a serve (so the row is
-		// loaded), but an out-of-order caller must not see a transient
-		// miss for a row the fetcher is still loading.
-		if err := r.stream.waitFor(row); err != nil {
-			return false, err
-		}
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
 	if r.done {
 		return false, ErrRoundFinished
 	}
-	d, err := r.c.buf.Aggregate(row, grad, nSamples)
-	r.stats.AggregateTime += d
+	if r.stats.Prefetched {
+		// Staging accounting: a fetched-ahead row a client consumed is a hit.
+		if consumed, resident := r.loaded[row]; resident && !consumed {
+			r.loaded[row] = true
+		}
+	}
+	d, err := op()
+	*modelled += d
 	if errors.Is(err, bufferoram.ErrNotLoaded) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
-// SubmitAggregate folds an already-aggregated multi-client contribution
-// for a row into the round's buffer: sum is Σ_c n_c·Δθ_c and count is
-// Σ_c n_c over the contributing clients. This is the upload plane's
-// entry point (internal/wire): the per-client FedAvg pre-weighting
-// happened client-side before masking, so the buffer's aggregator Pre
-// is bypassed — only the Post division by the total count runs at
-// Finish. delivered is false when the row was not resident.
-func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
-	if r.er != nil {
-		delivered, err = r.er.SubmitAggregate(row, sum, count)
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		return delivered, err
+// ServeEntry implements shard.PartitionRound (step ④).
+func (r *pipelineRound) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
+	ok, err = r.bufferOp(row, &r.stats.ServeTime, func() (d time.Duration, err error) {
+		entry, d, err = r.p.buf.Serve(row)
+		return d, err
+	})
+	if !ok {
+		entry = nil
 	}
-	if r.stream != nil {
-		if err := r.stream.waitFor(row); err != nil {
-			return false, err
-		}
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if r.done {
-		return false, ErrRoundFinished
-	}
-	d, err := r.c.buf.AggregateRaw(row, sum, count)
-	r.stats.AggregateTime += d
-	if errors.Is(err, bufferoram.ErrNotLoaded) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return entry, ok, err
 }
 
-// Finish applies aggregated updates back to the main ORAM (step ⑦) and
-// closes the round.
-func (r *Round) Finish() (RoundStats, error) {
-	if r.er != nil {
-		st, err := r.er.Finish()
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		r.c.mu.Lock()
-		r.c.inRound = false
-		r.c.kickStageLocked()
-		r.c.mu.Unlock()
-		return st, err
-	}
-	if r.stream != nil {
-		// Wait out the fetcher: even rows no client consumed must be
-		// resident before the buffer unloads below (every planned row
-		// moves back, served or not — the adversary-visible counts do not
-		// depend on client behaviour).
-		if err := r.stream.wait(); err != nil {
-			r.c.mu.Lock()
-			st := r.stats
-			r.done = true
-			r.c.inRound = false
-			r.c.cur = nil
-			r.c.mu.Unlock()
-			return st, err
-		}
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
+// SubmitGradient implements shard.PartitionRound (step ⑥).
+func (r *pipelineRound) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
+	return r.bufferOp(row, &r.stats.AggregateTime, func() (time.Duration, error) {
+		return r.p.buf.Aggregate(row, grad, nSamples)
+	})
+}
+
+// SubmitAggregate implements shard.PartitionRound: the upload plane's
+// pre-weighted per-row sum, folded without the aggregator's Pre.
+func (r *pipelineRound) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
+	return r.bufferOp(row, &r.stats.AggregateTime, func() (time.Duration, error) {
+		return r.p.buf.AggregateRaw(row, sum, count)
+	})
+}
+
+// Finish implements shard.PartitionRound (step ⑦): it unloads every
+// resident row from the buffer ORAM — slot recycling and the aggregator's
+// Post step must run before the next round's loads — into the pipeline's
+// evict pass, and writes that pass back to the main ORAM now, or under
+// Config.Prefetch leaves it to the next round's fetch pass, off this
+// round's critical path.
+func (r *pipelineRound) Finish() (RoundStats, error) {
+	// Even rows no client consumed must be resident before the buffer
+	// unloads below (every planned row moves back, served or not — the
+	// adversary-visible counts do not depend on client behaviour).
+	fetchErr := r.await()
+	p := r.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if r.done {
 		return r.stats, ErrRoundFinished
 	}
-	c := r.c
+	if fetchErr != nil {
+		r.done = true
+		p.cur = nil
+		return r.stats, fetchErr
+	}
 	wallStart := time.Now()
 	// Deterministic write-back order: map iteration would randomize the
 	// ORAM state evolution run-to-run, breaking bit-identical snapshots
 	// (all k rows move either way, so the order leaks nothing new).
-	rows := make([]uint64, 0, len(r.loaded))
-	for row := range r.loaded {
-		rows = append(rows, row)
+	ev := &p.evict
+	ev.rows = ev.rows[:0]
+	hits := 0
+	for row, consumed := range r.loaded {
+		ev.rows = append(ev.rows, row)
+		if consumed {
+			hits++
+		}
 	}
-	slices.Sort(rows)
-
-	if r.stream != nil {
-		// Deferred eviction: unload the buffer now (slot recycling and the
-		// aggregator's Post step must run before the next round's loads)
-		// but capture the main-ORAM write-backs as a pending pass. The
-		// NEXT round's fetcher drains it before its own reads, keeping the
-		// main ORAM's op order identical to sync mode while moving the
-		// write-back wall off this round's critical path.
-		p := &evictPass{entries: make([][]float32, len(rows)), rows: rows, dummy: r.stats.Dummy}
-		for i, row := range rows {
-			entry, d, err := c.buf.Unload(row)
-			r.stats.UpdateTime += d
-			if err != nil {
-				return r.stats, err
-			}
-			p.entries[i] = entry
+	slices.Sort(ev.rows)
+	dim := p.cfg.Dim
+	ev.entries = slices.Grow(ev.entries[:0], len(ev.rows)*dim)[:len(ev.rows)*dim]
+	for i, row := range ev.rows {
+		d, err := p.buf.UnloadTo(row, ev.entries[i*dim:(i+1)*dim])
+		r.stats.UpdateTime += d
+		if err != nil {
+			return r.stats, err
 		}
-		for i := 0; i < r.stats.Dummy; i++ {
-			d, err := c.buf.UnloadDummy()
-			r.stats.UpdateTime += d
-			if err != nil {
-				return r.stats, err
-			}
+	}
+	// Dummy write-backs keep the outbound access count at k (the
+	// adversary sees k entries move in each direction, Sec 4.3).
+	ev.dummy = r.stats.Dummy
+	for i := 0; i < ev.dummy; i++ {
+		d, err := p.buf.UnloadDummy()
+		r.stats.UpdateTime += d
+		if err != nil {
+			return r.stats, err
 		}
-		c.pending = p
-		st := r.stream
-		st.mu.Lock()
-		r.stats.PrefetchHits = uint64(len(st.served))
-		r.stats.PrefetchWasted = uint64(len(st.will) - len(st.served))
-		r.stats.ReadWallTime = st.blockedWall
-		st.mu.Unlock()
-		c.prefetchHits += r.stats.PrefetchHits
-		c.prefetchWasted += r.stats.PrefetchWasted
+	}
+	ev.live = true
+	if r.stats.Prefetched {
+		r.stats.PrefetchHits = uint64(hits)
+		r.stats.PrefetchWasted = uint64(len(ev.rows) - hits)
+		p.prefetchHits += r.stats.PrefetchHits
+		p.prefetchWasted += r.stats.PrefetchWasted
 	} else {
-		for _, row := range rows {
-			d, err := c.buf.UnloadTo(row, c.rowFloats)
-			r.stats.UpdateTime += d
-			if err != nil {
-				return r.stats, err
-			}
-			wd, err := c.writeBackRow(row, c.rowFloats)
-			r.stats.UpdateTime += wd
-			if err != nil {
-				return r.stats, err
-			}
-		}
-		// Dummy write-backs keep the outbound access count at k (the
-		// adversary sees k entries move in each direction, Sec 4.3).
-		for i := 0; i < r.stats.Dummy; i++ {
-			d, err := c.writeBackDummy()
-			r.stats.UpdateTime += d
-			if err != nil {
-				return r.stats, err
-			}
-			d, err = c.buf.UnloadDummy()
-			r.stats.UpdateTime += d
-			if err != nil {
-				return r.stats, err
-			}
+		d, err := p.applyEvict()
+		r.stats.UpdateTime += d
+		if err != nil {
+			return r.stats, err
 		}
 	}
 	r.stats.FinishWallTime = time.Since(wallStart)
 	r.done = true
-	c.inRound = false
-	c.cur = nil
-	c.kickStageLocked()
+	p.cur = nil
 	return r.stats, nil
 }
 
@@ -630,8 +624,8 @@ func (r *Round) Finish() (RoundStats, error) {
 // Remote clients touch many rows per round; serving them one HTTP
 // request at a time pays the wire overhead K times. The batch entry
 // points below amortize it: one call serves (or aggregates) a whole
-// working set, and on a sharded controller the rows fan out across the
-// per-shard pipelines concurrently.
+// working set, and the rows fan out across the per-shard pipelines
+// concurrently.
 
 // EntryResult is one row's outcome in a batched download: OK is false
 // for rows the ε-FDP mechanism sacrificed this round (the caller applies
@@ -654,10 +648,10 @@ type RowGradient struct {
 }
 
 // ServeEntries serves a batch of downloads (step ④), one EntryResult per
-// requested row, in request order. On a sharded controller rows owned by
-// different shards are served in parallel; monolithic controllers serve
-// sequentially (the controller mutex would serialize the goroutines
-// anyway). Duplicate rows are allowed and served independently.
+// requested row, in request order. Rows owned by different shards are
+// served in parallel; one shard's rows sequentially (its pipeline mutex
+// would serialize the goroutines anyway). Duplicate rows are allowed and
+// served independently.
 func (r *Round) ServeEntries(rows []uint64) ([]EntryResult, error) {
 	out := make([]EntryResult, len(rows))
 	err := r.fanOut(len(rows), func(i int) uint64 { return rows[i] }, func(i int) error {
@@ -741,16 +735,30 @@ func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
 	return delivered, nil
 }
 
-// fanOut runs fn over [0, n): sequentially on a monolithic controller;
-// on a sharded one the indices are grouped by the shard that owns
-// rowOf(i) and each group runs on its own goroutine (a bounded pool), in
-// request order. One shard's ORAMs therefore see a batch's rows in the
-// same order whatever the scheduler does — dispatching per row let two
-// rows of one shard race, and the shard's state bytes with them. Every
-// index runs; the lowest-index error wins, so failures are deterministic
-// too.
+// fanOut runs fn over [0, n): inline when every row lives on one shard;
+// otherwise the indices are grouped by the shard that owns rowOf(i) and
+// each group runs on its own goroutine (a bounded pool), in request
+// order. One shard's ORAMs therefore see a batch's rows in the same order
+// whatever the scheduler does — dispatching per row let two rows of one
+// shard race, and the shard's state bytes with them. Every index of a
+// fanned-out batch runs; the lowest-index error wins, so failures are
+// deterministic too.
 func (r *Round) fanOut(n int, rowOf func(i int) uint64, fn func(i int) error) error {
-	if r.er == nil || n < 2 {
+	c := r.c
+	shardOf := func(i int) int {
+		if row := rowOf(i); row < c.cfg.NumRows {
+			return shard.ShardOf(c.cfg.NumRows, len(c.parts), row)
+		}
+		return 0 // out-of-range rows fail in fn; any group will do
+	}
+	spread := false
+	if n > 1 {
+		first := shardOf(0)
+		for i := 1; i < n && !spread; i++ {
+			spread = shardOf(i) != first
+		}
+	}
+	if !spread {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -758,12 +766,9 @@ func (r *Round) fanOut(n int, rowOf func(i int) uint64, fn func(i int) error) er
 		}
 		return nil
 	}
-	groups := make([][]int, r.c.cfg.Shards)
+	groups := make([][]int, len(c.parts))
 	for i := 0; i < n; i++ {
-		si := 0 // out-of-range rows fail in fn; any group will do
-		if row := rowOf(i); row < r.c.cfg.NumRows {
-			si = r.c.eng.ShardOf(row)
-		}
+		si := shardOf(i)
 		groups[si] = append(groups[si], i)
 	}
 	errs := make([]error, n)

@@ -7,56 +7,22 @@ import (
 	"repro/internal/shard"
 )
 
-// newSharded builds a sharded controller: cfg.Shards sub-controllers,
-// each a complete monolithic FEDORA pipeline (own main ORAM, buffer
-// ORAM, position map, devices, TEE engine and ε-FDP sampler) over one
-// contiguous row range, driven concurrently by a shard.Engine. The
-// parent Controller owns no ORAM state itself — it routes.
+// newSharded builds a sharded controller: cfg.Shards pipelines, each
+// complete (own main ORAM, buffer ORAM, position map, devices, TEE engine
+// and ε-FDP sampler) over one contiguous row range, driven concurrently
+// by a shard.Engine.
 func newSharded(cfg Config) (*Controller, error) {
-	c := &Controller{cfg: cfg}
-	n := cfg.Shards
-	c.subs = make([]*Controller, n)
-	parts := make([]shard.Partition, n)
-	for i := 0; i < n; i++ {
-		// g is the shard's GLOBAL index: a standalone sharded controller
-		// has ShardBase 0 and g == i; a cluster member serving the slice
-		// [ShardBase, ShardBase+Shards) derives seeds, prefixes and
-		// device names from g so its shards are state-identical to the
-		// same shards of a single-process run.
-		g := cfg.ShardBase + i
-		sub := cfg
-		sub.Shards = 0
-		sub.ShardWorkers = 0
-		sub.ShardBase = g
-		sub.NumRows = shard.Rows(cfg.NumRows, n, i)
-		// Independent, deterministic RNG stream per shard: results are
-		// bit-identical at any worker count.
-		sub.Seed = shard.Seed(cfg.Seed, g)
-		// One backing file per shard under the file backend; the prefix
-		// also qualifies the device name ("shard3/ssd") in storage reports.
-		sub.Storage.Prefix = fmt.Sprintf("shard%d", g)
-		if cfg.InitRow != nil {
-			base := shard.Base(cfg.NumRows, n, i)
-			init := cfg.InitRow
-			sub.InitRow = func(row uint64) []float32 { return init(base + row) }
-		}
-		if cfg.WrapDevice != nil {
-			// Qualify device names per shard so a fault plan can target
-			// "shard1/ssd" (one shard's SSD) or "shard*/ssd" (all of them).
-			wrap, idx := cfg.WrapDevice, g
-			sub.WrapDevice = func(name string, d device.Device) device.Device {
-				return wrap(fmt.Sprintf("shard%d/%s", idx, name), d)
-			}
-		}
-		s, err := New(sub)
+	c := &Controller{cfg: cfg, parts: make([]*pipeline, cfg.Shards)}
+	parts := make([]shard.Partition, cfg.Shards)
+	for i := range c.parts {
+		p, err := newPipeline(shardConfig(cfg, cfg.Shards, i))
 		if err != nil {
-			return nil, fmt.Errorf("fedora: shard %d: %w", g, err)
+			return nil, fmt.Errorf("fedora: shard %d: %w", cfg.ShardBase+i, err)
 		}
-		c.subs[i] = s
-		parts[i] = (*subPartition)(s)
+		c.parts[i], parts[i] = p, p
 	}
 	eng, err := shard.NewEngine(shard.Config{
-		Shards:  n,
+		Shards:  cfg.Shards,
 		NumRows: cfg.NumRows,
 		Workers: cfg.ShardWorkers,
 		Dummy:   DummyRequest,
@@ -65,27 +31,39 @@ func newSharded(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.eng = eng
-	// All shards share the same (ε, group-privacy) configuration, and
-	// their protected values are disjoint rows, so the round composes in
-	// parallel: the effective per-value ε is any sub-controller's.
-	c.effEps = c.subs[0].effEps
+	c.eng, c.top = eng, eng
 	return c, nil
 }
 
-// subPartition adapts a monolithic sub-controller to the engine's
-// Partition interface (Go needs the exact interface types in the return
-// positions, hence the thin wrapper).
-type subPartition Controller
-
-func (p *subPartition) BeginRound(requests [][]uint64) (shard.PartitionRound, error) {
-	r, err := (*Controller)(p).BeginRound(requests)
-	if err != nil {
-		return nil, err
+// shardConfig derives the pipeline config of shard i when cfg's rows are
+// split S ways. Seeds, storage prefixes and device names come from the
+// shard's GLOBAL index g: a standalone sharded controller has ShardBase 0
+// and g == i; a cluster member serving the slice [ShardBase,
+// ShardBase+Shards) gets the values the same shard has in a single-
+// process run, so the two are state-identical.
+func shardConfig(cfg Config, S, i int) Config {
+	g := cfg.ShardBase + i
+	sub := cfg
+	sub.Shards = 0
+	sub.ShardWorkers = 0
+	sub.ShardBase = g
+	sub.NumRows = shard.Rows(cfg.NumRows, S, i)
+	// Independent, deterministic RNG stream per shard: results are
+	// bit-identical at any worker count.
+	sub.Seed = shard.Seed(cfg.Seed, g)
+	// One backing file per shard under the file backend; the prefix
+	// also qualifies the device name ("shard3/ssd") in storage reports.
+	sub.Storage.Prefix = fmt.Sprintf("shard%d", g)
+	if init := cfg.InitRow; init != nil {
+		base := shard.Base(cfg.NumRows, S, i)
+		sub.InitRow = func(row uint64) []float32 { return init(base + row) }
 	}
-	return r, nil
+	if wrap := cfg.WrapDevice; wrap != nil {
+		// Qualify device names per shard so a fault plan can target
+		// "shard1/ssd" (one shard's SSD) or "shard*/ssd" (all of them).
+		sub.WrapDevice = func(name string, d device.Device) device.Device {
+			return wrap(fmt.Sprintf("shard%d/%s", g, name), d)
+		}
+	}
+	return sub
 }
-
-func (p *subPartition) Snapshot() ([]byte, error) { return (*Controller)(p).Snapshot() }
-func (p *subPartition) Restore(b []byte) error    { return (*Controller)(p).Restore(b) }
-func (p *subPartition) Abort()                    { (*Controller)(p).AbortRound() }

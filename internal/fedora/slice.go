@@ -3,7 +3,6 @@ package fedora
 import (
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/fdp"
 	"repro/internal/shard"
 )
@@ -21,8 +20,8 @@ import (
 
 // SliceConfig derives the Config of a cluster member serving the
 // contiguous shard slice [first, first+count) of the global sharded
-// config. A one-shard slice becomes the monolithic sub-controller the
-// single-process engine would have built for that shard (same derived
+// config. A one-shard slice becomes a controller over the one pipeline
+// the single-process engine would have built for that shard (same derived
 // seed, storage prefix, device names and row offset); a wider slice
 // becomes a sharded controller with ShardBase pinning the global
 // indices.
@@ -53,26 +52,9 @@ func SliceConfig(global Config, first, count int) (Config, error) {
 		return global, nil
 	}
 	if count == 1 {
-		// Exactly the sub-config newSharded builds for global shard `first`.
-		sub := global
-		sub.Shards = 0
-		sub.ShardWorkers = 0
-		sub.ShardBase = first
-		sub.NumRows = shard.Rows(global.NumRows, S, first)
-		sub.Seed = shard.Seed(global.Seed, first)
-		sub.Storage.Prefix = fmt.Sprintf("shard%d", first)
-		if global.InitRow != nil {
-			base := shard.Base(global.NumRows, S, first)
-			init := global.InitRow
-			sub.InitRow = func(row uint64) []float32 { return init(base + row) }
-		}
-		if global.WrapDevice != nil {
-			wrap, idx := global.WrapDevice, first
-			sub.WrapDevice = func(name string, d device.Device) device.Device {
-				return wrap(fmt.Sprintf("shard%d/%s", idx, name), d)
-			}
-		}
-		return sub, nil
+		// Exactly the pipeline config newSharded derives for global shard
+		// `first` (global.ShardBase is 0 here).
+		return shardConfig(global, S, first), nil
 	}
 	slice := global
 	slice.Shards = count
@@ -114,11 +96,7 @@ func (cfg Config) EffectiveEpsilon() float64 {
 // [first, first+count). A standalone controller serves [0, Shards) (or
 // the single pseudo-shard [0, 1) when monolithic).
 func (c *Controller) ShardRange() (first, count int) {
-	n := c.cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	return c.cfg.ShardBase, n
+	return c.cfg.ShardBase, len(c.parts)
 }
 
 // SnapshotShard serializes one shard's complete pipeline state,

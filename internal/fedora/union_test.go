@@ -38,7 +38,7 @@ func TestUnionChargesThePapersScan(t *testing.T) {
 	}
 
 	before := c.DRAMStats()
-	_, _, d := c.union(make([]uint64, 100))
+	_, _, d := c.parts[0].union(make([]uint64, 100))
 	after := c.DRAMStats()
 	if got, want := after.BytesRead-before.BytesRead, uint64(obliv.UnionScanCost(100)*8); got != want || d <= 0 {
 		t.Errorf("a 100-request union charged %d bytes (%v), want UnionScanCost(100)*8 = %d", got, d, want)
@@ -59,11 +59,11 @@ func TestControllerUnionIsTheScanWithoutAllocating(t *testing.T) {
 		}
 	}
 	want := obliv.UnionScan(chunk)
-	ids, size, _ := c.union(chunk)
+	ids, size, _ := c.parts[0].union(chunk)
 	if size != want.Size || !slices.Equal(ids, want.IDs[:want.Size]) {
 		t.Fatalf("controller union: %d ids, scan %d; order equal: %v", size, want.Size, slices.Equal(ids, want.IDs[:want.Size]))
 	}
-	if n := testing.AllocsPerRun(5, func() { c.union(chunk) }); n != 0 {
+	if n := testing.AllocsPerRun(5, func() { c.parts[0].union(chunk) }); n != 0 {
 		t.Errorf("steady-state union allocates %.1f times per chunk, want 0", n)
 	}
 }

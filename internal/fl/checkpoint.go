@@ -2,7 +2,6 @@ package fl
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,20 +17,8 @@ import (
 // durable Runner does exactly that) — this is the library-user
 // convenience for model export.
 //
-// The current format is the framed/CRC-checked persist container
-// (sections model/meta, model/mlp, model/rows). Files written by the
-// original gob-based version are still readable: LoadModel sniffs the
-// magic and falls back to the legacy decoder.
-
-// legacyCheckpoint is the original gob-serialized form, kept for decode
-// compatibility.
-type legacyCheckpoint struct {
-	Version   int
-	Dim       int
-	NumRows   uint64
-	MLPParams []float32
-	Rows      map[uint64][]float32
-}
+// The format is the framed/CRC-checked persist container (sections
+// model/meta, model/mlp, model/rows).
 
 const (
 	checkpointVersion = 2
@@ -87,8 +74,7 @@ func (t *Trainer) SaveModelFile(path string) error {
 }
 
 // LoadModel restores the global MLP from r and returns the embedding
-// table snapshot. Both the framed format and the original gob format
-// decode. The trainer's ORAM state is NOT rewritten (ORAM contents
+// table snapshot. The trainer's ORAM state is NOT rewritten (ORAM contents
 // evolve through rounds); use the returned table with
 // recmodel.MapSource for inference, or seed a fresh trainer's InitRow.
 func LoadModel(r io.Reader) (mlpParams []float32, dim int, rows map[uint64][]float32, err error) {
@@ -97,14 +83,10 @@ func LoadModel(r io.Reader) (mlpParams []float32, dim int, rows map[uint64][]flo
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("fl: decode checkpoint: %w", err)
 	}
-	if string(head) == persist.Magic {
-		return loadFramedModel(br)
+	if string(head) != persist.Magic {
+		return nil, 0, nil, fmt.Errorf("fl: decode checkpoint: stream starts with %q, not the %q of a model checkpoint", head, persist.Magic)
 	}
-	return loadLegacyModel(br)
-}
-
-func loadFramedModel(r io.Reader) (mlpParams []float32, dim int, rows map[uint64][]float32, err error) {
-	fr, err := persist.NewFrameReader(r, persist.Magic)
+	fr, err := persist.NewFrameReader(br, persist.Magic)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("fl: decode checkpoint: %w", err)
 	}
@@ -151,40 +133,6 @@ func loadFramedModel(r io.Reader) (mlpParams []float32, dim int, rows map[uint64
 		return nil, 0, nil, fmt.Errorf("fl: checkpoint claims %d rows, holds %d", numRows, len(rows))
 	}
 	return mlpParams, dim, rows, nil
-}
-
-func loadLegacyModel(r io.Reader) (mlpParams []float32, dim int, rows map[uint64][]float32, err error) {
-	var cp legacyCheckpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, 0, nil, fmt.Errorf("fl: decode checkpoint: %w", err)
-	}
-	if cp.Version != 1 {
-		return nil, 0, nil, fmt.Errorf("fl: unsupported checkpoint version %d", cp.Version)
-	}
-	if cp.Dim <= 0 || len(cp.MLPParams) == 0 {
-		return nil, 0, nil, errors.New("fl: malformed checkpoint")
-	}
-	return cp.MLPParams, cp.Dim, cp.Rows, nil
-}
-
-// SaveLegacyModel writes the original gob format (used by tests to prove
-// the compatibility path; new code should use SaveModel).
-func (t *Trainer) SaveLegacyModel(w io.Writer) error {
-	cp := legacyCheckpoint{
-		Version:   1,
-		Dim:       t.cfg.Dim,
-		NumRows:   t.cfg.Dataset.NumItems,
-		MLPParams: t.global.MLP.Params(),
-		Rows:      make(map[uint64][]float32, t.cfg.Dataset.NumItems),
-	}
-	for row := uint64(0); row < cp.NumRows; row++ {
-		v, err := t.orch.PeekRow(row)
-		if err != nil {
-			return fmt.Errorf("fl: snapshot row %d: %w", row, err)
-		}
-		cp.Rows[row] = v
-	}
-	return gob.NewEncoder(w).Encode(cp)
 }
 
 // RestoreMLP installs checkpointed MLP parameters into this trainer.

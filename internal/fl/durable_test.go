@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"sort"
@@ -263,34 +262,6 @@ func TestResumeRejectsDivergentConfig(t *testing.T) {
 	defer r2.Close()
 	if _, err := r2.Resume(); err == nil {
 		t.Fatal("divergent replay accepted")
-	}
-}
-
-func TestLegacyModelCheckpointDecodes(t *testing.T) {
-	ds := smallMovieLens()
-	tr := newDurableTrainer(t, ds)
-	if _, err := tr.RunRound(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.SaveLegacyModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	params, dim, rows, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dim != 8 || uint64(len(rows)) != ds.NumItems {
-		t.Fatalf("dim=%d rows=%d", dim, len(rows))
-	}
-	wantParams := tr.global.MLP.Params()
-	if len(params) != len(wantParams) {
-		t.Fatalf("param count %d != %d", len(params), len(wantParams))
-	}
-	for i := range params {
-		if params[i] != wantParams[i] {
-			t.Fatalf("param %d diverged", i)
-		}
 	}
 }
 

@@ -286,4 +286,10 @@ func TestLoadModelErrors(t *testing.T) {
 	if _, _, _, err := LoadModel(strings.NewReader("garbage")); err == nil {
 		t.Error("garbage checkpoint accepted")
 	}
+	// A stream in any other format — the retired gob one began with a
+	// type descriptor — is named as such, not half-decoded.
+	_, _, _, err := LoadModel(strings.NewReader("\x3f\xff\x81\x03\x01\x01\x10legacyCheckpoint"))
+	if err == nil || !strings.Contains(err.Error(), "not the") {
+		t.Errorf("non-checkpoint stream: err = %v, want one naming the expected magic", err)
+	}
 }

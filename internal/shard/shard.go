@@ -17,9 +17,9 @@
 //
 // The engine is deliberately generic: it routes rows, fans rounds out,
 // and merges statistics, while the actual pipelines are supplied as
-// Partition values (the fedora package wraps one sub-controller per
-// shard). This keeps the package free of a dependency on the controller
-// that embeds it.
+// Partition values (the fedora package supplies one pipeline per shard).
+// This keeps the package free of a dependency on the controller that
+// embeds it.
 //
 // Key invariants:
 //
@@ -85,7 +85,7 @@ type Partition interface {
 }
 
 // PartitionRound is one shard's in-flight round. Implementations must be
-// safe for concurrent use (the fedora Round is).
+// safe for concurrent use (the fedora pipeline's round is).
 type PartitionRound interface {
 	ServeEntry(row uint64) (entry []float32, ok bool, err error)
 	SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error)
@@ -392,93 +392,66 @@ func (e *Engine) BeginRound(requests [][]uint64) (*Round, error) {
 	return r, nil
 }
 
-// ServeEntry serves a client download (step ④), routed to the owning
-// shard. ok is false for rows the shard's ε-FDP mechanism sacrificed.
-// Rows owned by a quarantined shard return ErrShardUnavailable (wrapped
+// onShard runs one round operation against the shard that owns row,
+// handing op the shard's round and the row's LOCAL index. Rows owned by a
+// quarantined (or never-begun) shard return ErrShardUnavailable (wrapped
 // with the quarantine cause) so the trainer can skip or resample them; a
-// quarantine-trigger error quarantines the shard mid-round.
-func (r *Round) ServeEntry(row uint64) ([]float32, bool, error) {
+// quarantine-trigger error from op quarantines the shard mid-round and is
+// reported the same way. Any other error is op's own.
+func (r *Round) onShard(row uint64, op func(sub PartitionRound, local uint64) error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.done {
-		return nil, false, ErrRoundFinished
+		return ErrRoundFinished
 	}
 	if row >= r.e.cfg.NumRows {
-		return nil, false, fmt.Errorf("shard: row %d out of range %d", row, r.e.cfg.NumRows)
+		return fmt.Errorf("shard: row %d out of range %d", row, r.e.cfg.NumRows)
 	}
 	s, local := r.e.locate(row)
 	sub := r.subs[s]
 	if sub == nil || r.e.isQuarantined(s) {
-		return nil, false, r.e.unavailable(s)
+		return r.e.unavailable(s)
 	}
-	entry, ok, err := sub.ServeEntry(local)
+	err := op(sub, local)
 	if err != nil {
 		if r.e.trigger(err) {
 			r.e.quarantine(s, err)
 		}
 		if r.e.isQuarantined(s) {
-			return nil, false, r.e.unavailable(s)
+			return r.e.unavailable(s)
 		}
 	}
+	return err
+}
+
+// ServeEntry serves a client download (step ④), routed to the owning
+// shard. ok is false for rows the shard's ε-FDP mechanism sacrificed.
+func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
+	err = r.onShard(row, func(sub PartitionRound, local uint64) (err error) {
+		entry, ok, err = sub.ServeEntry(local)
+		return err
+	})
 	return entry, ok, err
 }
 
 // SubmitGradient folds a client gradient into the owning shard's
-// aggregate (step ⑥). Gradients for a quarantined shard's rows return
-// ErrShardUnavailable.
-func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.done {
-		return false, ErrRoundFinished
-	}
-	if row >= r.e.cfg.NumRows {
-		return false, fmt.Errorf("shard: row %d out of range %d", row, r.e.cfg.NumRows)
-	}
-	s, local := r.e.locate(row)
-	sub := r.subs[s]
-	if sub == nil || r.e.isQuarantined(s) {
-		return false, r.e.unavailable(s)
-	}
-	delivered, err := sub.SubmitGradient(local, grad, nSamples)
-	if err != nil {
-		if r.e.trigger(err) {
-			r.e.quarantine(s, err)
-		}
-		if r.e.isQuarantined(s) {
-			return false, r.e.unavailable(s)
-		}
-	}
+// aggregate (step ⑥).
+func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
+	err = r.onShard(row, func(sub PartitionRound, local uint64) (err error) {
+		delivered, err = sub.SubmitGradient(local, grad, nSamples)
+		return err
+	})
 	return delivered, err
 }
 
 // SubmitAggregate folds an already-aggregated multi-client sum (the
 // upload plane's unmasked per-row output: Σ n_c·Δθ and Σ n_c) into the
 // owning shard, bypassing the aggregator's per-client pre-weighting.
-// Rows of a quarantined shard return ErrShardUnavailable.
-func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.done {
-		return false, ErrRoundFinished
-	}
-	if row >= r.e.cfg.NumRows {
-		return false, fmt.Errorf("shard: row %d out of range %d", row, r.e.cfg.NumRows)
-	}
-	s, local := r.e.locate(row)
-	sub := r.subs[s]
-	if sub == nil || r.e.isQuarantined(s) {
-		return false, r.e.unavailable(s)
-	}
-	delivered, err := sub.SubmitAggregate(local, sum, count)
-	if err != nil {
-		if r.e.trigger(err) {
-			r.e.quarantine(s, err)
-		}
-		if r.e.isQuarantined(s) {
-			return false, r.e.unavailable(s)
-		}
-	}
+func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
+	err = r.onShard(row, func(sub PartitionRound, local uint64) (err error) {
+		delivered, err = sub.SubmitAggregate(local, sum, count)
+		return err
+	})
 	return delivered, err
 }
 

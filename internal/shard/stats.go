@@ -44,26 +44,28 @@ type RoundStats struct {
 	// Finish. When sharded these are the PARALLEL section's elapsed time,
 	// which is what shrinks as the shard count grows.
 	//
-	// Under the lookahead prefetch pipeline (Prefetched true) the reads
-	// run on a background fetcher concurrent with training, and
-	// ReadWallTime narrows to mean BLOCKING read time only: the union of
-	// intervals in which at least one serve was waiting for a row the
-	// fetcher had not loaded yet. The fetcher's own elapsed time is
+	// Under the lookahead prefetch pipeline (Prefetched true) the fetch
+	// pass runs on its own goroutine concurrent with training, and
+	// ReadWallTime narrows to mean BLOCKING read time only: the wall from
+	// the first call that had to wait for the pass (a serve, a gradient,
+	// an aggregate or Finish) to the pass's completion — zero when the
+	// pass was done before anyone asked. The pass's own elapsed time is
 	// reported separately as PrefetchWallTime.
 	UnionWallTime  time.Duration
 	ReadWallTime   time.Duration
 	FinishWallTime time.Duration
 	// Prefetched reports whether this round ran the lookahead prefetch
-	// pipeline (fedora.Config.Prefetch): reads streamed from a background
-	// fetcher and the write-back pass was deferred to the next round's
-	// fetcher. It flips the meaning of ReadWallTime (see above) and is
-	// how merge layers know to aggregate the streamed walls.
+	// pipeline (fedora.Config.Prefetch): the fetch pass ran on a
+	// background goroutine and the write-back pass was deferred to the
+	// next round's. It flips the meaning of ReadWallTime (see above) and
+	// is how merge layers know to aggregate the per-shard walls.
 	Prefetched bool
-	// PrefetchWallTime is the background fetcher's elapsed time for this
-	// round's main-ORAM → buffer-ORAM reads (overlapped with training).
-	// EvictWallTime is the elapsed time of draining the PREVIOUS round's
-	// deferred write-back pass, which runs on this round's fetcher before
-	// its reads. Sharded: max across shards (fetchers run concurrently).
+	// PrefetchWallTime is the background fetch pass's elapsed time for
+	// this round's main-ORAM → buffer-ORAM reads (overlapped with
+	// training). EvictWallTime is the elapsed time of applying the
+	// PREVIOUS round's deferred write-back pass, which this round's fetch
+	// pass does before its reads. Sharded: max across shards (the passes
+	// run concurrently).
 	PrefetchWallTime time.Duration
 	EvictWallTime    time.Duration
 	// EvictTime is the modelled device time of the drained write-back
@@ -169,8 +171,8 @@ func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, 
 	}
 	m.RoundEpsilon = acct.RoundEpsilon()
 	if m.Prefetched {
-		// Streamed rounds: each shard reports its own blocking-read wall
-		// (reads happened on background fetchers, not inside the begin
+		// Prefetched rounds: each shard reports its own blocking-read wall
+		// (reads happened on background fetch passes, not inside the begin
 		// section). Shards blocked concurrently, so take the max.
 		for _, st := range stats {
 			if st.ReadWallTime > m.ReadWallTime {
