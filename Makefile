@@ -10,8 +10,9 @@ all: build test
 # over the concurrent layers (the FL worker pool, the fedora round
 # pipeline with its two-phase stage/begin contract and background fetch
 # pass, the sharded ORAM engine, the HTTP API server, the retrying HTTP
-# client SDK, the cluster coordinator, and the wire upload plane) and
-# over the ORAM data path below them, whose
+# client SDK, the cluster coordinator, and the wire upload plane with
+# its secagg mask stream — Plan.Encode runs concurrently on the FL pool)
+# and over the ORAM data path below them, whose
 # per-ORAM scratch buffers, keyed HMAC state, union scratch and paged
 # tables (a lookup moves the last-leaf memo) are single-goroutine by
 # contract (tee, raworam, pathoram, bufferoram, stash, obliv, device,
@@ -20,7 +21,7 @@ check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race -shuffle=on ./internal/fl/... ./internal/fedora/... ./internal/shard/... ./internal/api/... ./internal/client/... ./internal/cluster/... ./internal/wire/...
+	$(GO) test -race -shuffle=on ./internal/fl/... ./internal/fedora/... ./internal/shard/... ./internal/api/... ./internal/client/... ./internal/cluster/... ./internal/wire/... ./internal/secagg/...
 	$(GO) test -race ./internal/tee/... ./internal/raworam/... ./internal/pathoram/... ./internal/bufferoram/... ./internal/stash/... ./internal/obliv/... ./internal/device/... ./internal/position/... ./internal/paged/...
 
 # Durability gate: kill-resume fingerprint identity, corrupt-checkpoint
@@ -55,10 +56,12 @@ storage-test:
 # Wire gate: the gradient upload plane — codec round trips, pairwise
 # masking + dropout unmasking, cross-codec model parity (local,
 # in-process trainer, remote HTTP, cluster fan-out), the upload-codec
-# server policy, and a short pass of the payload fuzzers. All under the
+# server policy, and a short pass of the payload fuzzers. The wire and
+# secagg packages' own suites run under -race -shuffle=on in `make
+# check` (a strict superset of a plain -race pass here, so this gate
+# does not repeat them); the cross-package tests below run under the
 # race detector.
 wire-test:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/secagg/...
 	$(GO) test -race -count=1 -run 'Wire|UploadCodec' \
 		./internal/fl/... ./internal/api/... ./internal/client/... ./internal/cluster/...
 	$(GO) test -run=Fuzz -fuzz=FuzzAggregatorParse -fuzztime=10s ./internal/wire/

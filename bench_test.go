@@ -22,6 +22,7 @@ import (
 	"repro/internal/ringoram"
 	"repro/internal/secagg"
 	"repro/internal/tee"
+	"repro/internal/wire"
 
 	"repro/internal/device"
 )
@@ -478,6 +479,42 @@ func BenchmarkSecAggMask(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.Mask(i%10, x); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireEncodeRound measures one round of upload encodes at the
+// train_cluster shape: a 32-client roster, each masking the whole
+// ~560-row × dim-16 union domain (31 pair streams of ~9.5K words) under
+// masked-sparse. One op = all 32 payloads, encoded serially.
+func BenchmarkWireEncodeRound(b *testing.B) {
+	const roster, domainRows, rowsPerClient, dim = 32, 560, 30, 16
+	domain := make([]uint64, domainRows)
+	for i := range domain {
+		domain[i] = uint64(7 * i)
+	}
+	plan, err := wire.NewPlan(wire.Params{
+		Codec: wire.CodecMaskedSparse, NumRows: 7 * domainRows, Dim: dim, Round: 1,
+		Roster: roster, SessionKey: wire.DeriveSessionKey(7, 1),
+	}, domain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deltas := make([][]float32, rowsPerClient)
+	for i := range deltas {
+		deltas[i] = make([]float32, dim)
+		for j := range deltas[i] {
+			deltas[i][j] = 0.01
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < roster; c++ {
+			rows := domain[c*17 : c*17+rowsPerClient]
+			if _, _, err := plan.Encode(c, rows, deltas, 30); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

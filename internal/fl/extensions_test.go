@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fedora"
 	"repro/internal/recmodel"
+	"repro/internal/wire"
 )
 
 func TestLostDefaultKeepsSamples(t *testing.T) {
@@ -58,6 +59,29 @@ func TestSecAggMatchesPlainAggregation(t *testing.T) {
 	masked := run(true)
 	if math.Abs(plain-masked) > 0.02 {
 		t.Errorf("SecAgg AUC %v deviates from plain %v", masked, plain)
+	}
+}
+
+// TestMLPSessionKeyUsesFullSeedAndRound: the dense-model SecAgg key
+// must not repeat every 256 rounds or across seeds equal mod 256 (a
+// repeated key repeats the pair masks, and the difference of two such
+// uploads is the difference of one client's plaintext deltas), and must
+// differ from the embedding plane's key for the same (seed, round).
+func TestMLPSessionKeyUsesFullSeedAndRound(t *testing.T) {
+	base := mlpSessionKey(7, 3)
+	if base != mlpSessionKey(7, 3) {
+		t.Fatal("session key not deterministic")
+	}
+	for name, other := range map[string][32]byte{
+		"round+1":    mlpSessionKey(7, 4),
+		"round+256":  mlpSessionKey(7, 3+256),
+		"seed+256":   mlpSessionKey(7+256, 3),
+		"seed+2^32":  mlpSessionKey(7+(1<<32), 3),
+		"wire plane": wire.DeriveSessionKey(7, 3),
+	} {
+		if other == base {
+			t.Errorf("%s: session key collides", name)
+		}
 	}
 }
 

@@ -29,6 +29,8 @@
 package fl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -451,13 +453,17 @@ type clientOutcome struct {
 	rows     []uint64
 	deltas   [][]float32
 	mlpDelta []float32
+	// payload/sats are the client's encoded wire-plane upload (nil when
+	// no upload codec is selected, or the client dropped out).
+	payload []byte
+	sats    int
 }
 
 // RunRound executes one FL round: selection and request building stay on
 // the caller's goroutine (they consume the trainer RNG), the per-client
-// download + local-SGD work fans out over the worker pool, and a merge
-// step replays uploads in client order so aggregation keeps the exact
-// sequential semantics regardless of worker count.
+// download + local-SGD + upload-encoding work fans out over the worker
+// pool, and a merge step delivers uploads in client order so aggregation
+// keeps the exact sequential semantics regardless of worker count.
 func (t *Trainer) RunRound() (RoundReport, error) {
 	cfg := t.cfg
 	workers := t.Workers()
@@ -498,9 +504,9 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 	}
 
 	// Per-client local training over the bounded worker pool. Workers
-	// only read shared state (global model, dataset) and call the
-	// concurrency-safe Round entry points; all mutation happens in the
-	// merge below.
+	// only read shared state (global model, dataset, the upload plan) and
+	// call the concurrency-safe Round entry points; all mutation happens
+	// in the merge below.
 	trainStart := time.Now()
 	outcomes := make([]clientOutcome, len(users))
 	var wg sync.WaitGroup
@@ -510,7 +516,7 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				outcomes[i] = t.trainClient(round, users[i], reqs[i], roundSeed, i)
+				outcomes[i] = t.trainClient(round, plane, users[i], reqs[i], roundSeed, i)
 			}
 		}()
 	}
@@ -547,9 +553,10 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 		// Upload plane: every surviving roster member uploads — including
 		// trained==0 clients, whose empty payloads keep their masks in the
 		// cancellation — in client order (the order is irrelevant to the
-		// integer word sums, but keeps the transcript deterministic).
+		// integer word sums, but keeps the transcript deterministic). The
+		// payload was encoded on the worker that trained the client.
 		if plane != nil {
-			if err := plane.upload(i, out.rows, out.deltas, out.trained); err != nil {
+			if err := plane.upload(i, out.payload, out.sats); err != nil {
 				return report, err
 			}
 		}
@@ -623,11 +630,25 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 	return report, nil
 }
 
-// trainClient runs one client's round: download the working set, local
-// SGD, and delta computation. It is called from pool workers and must
-// not touch trainer state other than reads of immutable/global data; the
-// only side effects go through the concurrency-safe round handle.
-func (t *Trainer) trainClient(round RoundHandle, u *dataset.User, req []uint64, roundSeed int64, clientIdx int) clientOutcome {
+// trainClient runs one client's round — download, local SGD, deltas —
+// and, when an upload codec is selected (plane non-nil), encodes the
+// client's wire payload: Plan.Encode is a pure function of the read-only
+// plan and this client's own outcome, so it runs here on the pool
+// instead of serially in the merge. Dropped and failed clients never
+// encode; a survivor that trained nothing encodes its empty payload.
+func (t *Trainer) trainClient(round RoundHandle, plane *wirePlane, u *dataset.User, req []uint64, roundSeed int64, clientIdx int) clientOutcome {
+	out := t.localTrain(round, u, req, roundSeed, clientIdx)
+	if plane != nil && out.err == nil && !out.droppedClient {
+		out.payload, out.sats, out.err = plane.plan.Encode(clientIdx, out.rows, out.deltas, out.trained)
+	}
+	return out
+}
+
+// localTrain is the client's download, local SGD and delta computation.
+// It is called from pool workers and must not touch trainer state other
+// than reads of immutable/global data; the only side effects go through
+// the concurrency-safe round handle.
+func (t *Trainer) localTrain(round RoundHandle, u *dataset.User, req []uint64, roundSeed int64, clientIdx int) clientOutcome {
 	cfg := t.cfg
 	var out clientOutcome
 	// Per-client RNG: deterministic in (round seed, client index) so the
@@ -788,9 +809,7 @@ func (t *Trainer) applyMLPUpdates(uploads []mlpUpload) (int, error) {
 	var sum []float32
 	sats := 0
 	if cfg.UseSecAgg && len(weighted) >= 2 {
-		var key [32]byte
-		key[0], key[1], key[2] = byte(t.cfg.Seed), byte(t.orch.Round()), 0x5A
-		sess, err := secagg.NewSession(key, len(weighted), length)
+		sess, err := secagg.NewSession(mlpSessionKey(cfg.Seed, t.orch.Round()), len(weighted), length)
 		if err != nil {
 			return 0, err
 		}
@@ -829,6 +848,20 @@ func (t *Trainer) applyMLPUpdates(uploads []mlpUpload) (int, error) {
 		gp[j] -= cfg.ServerLR * sum[j]
 	}
 	return sats, t.global.MLP.SetParams(gp)
+}
+
+// mlpSessionKey derives the dense-model SecAgg session key for a round:
+// SHA-256 over its own label, the full seed and the round, like
+// wire.DeriveSessionKey — so pair masks never recur across rounds or
+// seeds, and never coincide with the embedding plane's masks (both
+// planes draw from the one secagg keystream).
+func mlpSessionKey(seed int64, round uint64) [32]byte {
+	const label = "fedora-mlp-sess-v1"
+	var buf [len(label) + 16]byte
+	copy(buf[:], label)
+	binary.LittleEndian.PutUint64(buf[len(label):], uint64(seed))
+	binary.LittleEndian.PutUint64(buf[len(label)+8:], round)
+	return sha256.Sum256(buf[:])
 }
 
 // clipL2 scales v to L2 norm at most c.

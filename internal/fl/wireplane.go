@@ -81,15 +81,13 @@ func (t *Trainer) newWirePlane(round RoundHandle, codec wire.Codec, roster int, 
 	return pl, nil
 }
 
-// upload encodes and delivers one surviving client's contribution.
-// Clients that trained nothing still upload (an empty-domain payload):
-// under a masked codec their masks are part of the cancellation, and
-// counting them as survivors avoids a needless unmasking pair.
-func (pl *wirePlane) upload(clientIdx int, rows []uint64, deltas [][]float32, samples int) error {
-	payload, sats, err := pl.plan.Encode(clientIdx, rows, deltas, samples)
-	if err != nil {
-		return err
-	}
+// upload accounts for and delivers one surviving client's encoded
+// contribution (trainClient encoded it on the worker pool; this runs in
+// the merge loop, in client order). Clients that trained nothing still
+// upload (an empty-domain payload): under a masked codec their masks
+// are part of the cancellation, and counting them as survivors avoids a
+// needless unmasking pair.
+func (pl *wirePlane) upload(clientIdx int, payload []byte, sats int) error {
 	pl.bytes += uint64(len(payload))
 	pl.sats += sats
 	pl.uploaders = append(pl.uploaders, clientIdx)

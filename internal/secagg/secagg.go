@@ -14,7 +14,10 @@
 //  2. Client i uploads y_i = x_i + Σ_{j>i} PRG(s_ij) − Σ_{j<i} PRG(s_ij)
 //     (mod 2³², fixed-point encoded). Each mask appears once positively
 //     and once negatively, so Σ y_i = Σ x_i while every individual y_i
-//     is uniformly random to the server.
+//     is uniformly random to the server. PRG is AES-256-CTR keyed by
+//     s_ij with a zero IV, read as little-endian words (AddKeystream):
+//     session keys are per round, so a pair seed keys exactly one
+//     stream and the fixed IV never repeats under a key.
 //  3. If a client drops out after masks were committed, the survivors
 //     reveal their shared seeds with the dropout so the server can
 //     subtract the orphaned masks (the "unmasking" round).
@@ -24,12 +27,13 @@
 package secagg
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-
-	"crypto/sha256"
 )
 
 // Scale is the fixed-point resolution: values are encoded as
@@ -105,49 +109,79 @@ func PairSeed(sessionKey [32]byte, i, j int) [32]byte {
 	return sha256.Sum256(buf[:])
 }
 
-// pairSeed is the unexported alias the Session methods use.
-func pairSeed(sessionKey [32]byte, i, j int) [32]byte { return PairSeed(sessionKey, i, j) }
+// streamWords is the keystream chunk: masks are generated 16 KiB at a
+// time into one scratch buffer and folded into the caller's words, so
+// no allocation scales with the vector being masked.
+const streamWords = 4096
 
-// PRG expands a seed into length uint32 mask words (SHA-256 in counter
-// mode; stdlib-only and deterministic). Exported for the wire upload
-// plane, which masks word vectors of arbitrary layout with the same
-// stream the Session uses.
-func PRG(seed [32]byte, length int) []uint32 {
-	out := make([]uint32, length)
-	var block [36]byte
-	copy(block[:32], seed[:])
-	for i := 0; i < length; i += 8 {
-		binary.LittleEndian.PutUint32(block[32:36], uint32(i/8))
-		h := sha256.Sum256(block[:])
-		for w := 0; w < 8 && i+w < length; w++ {
-			out[i+w] = binary.LittleEndian.Uint32(h[w*4 : w*4+4])
-		}
-	}
-	return out
+// AddKeystream adds the mask stream of seed into words in place
+// (subtracts it when subtract is set), modulo 2³² per word. The stream
+// is AES-256-CTR keyed by the 32-byte seed with an all-zero IV, read as
+// little-endian uint32 words — exactly cipher.NewCTR(aes.NewCipher(seed),
+// zeroIV) over zeros, so a second implementation can interoperate. The
+// stream for n words is a prefix of the stream for m > n words.
+//
+// The zero IV is sound because a seed keys exactly ONE stream: pair
+// seeds are derived from a per-round session key (PairSeed), each
+// (round, pair) masks one vector, and the two members of the pair use
+// the same stream with opposite signs so it cancels in the sum. Reusing
+// a seed for a second vector would leak the difference of the two
+// plaintexts — callers must derive a fresh session key per aggregation.
+//
+// This is the single mask primitive: the Session, the wire upload
+// plane's masked codecs and its public subspace selection all draw from
+// it.
+func AddKeystream(words []uint32, seed [32]byte, subtract bool) {
+	addKeystream(words, seed, subtract, newStreamBuf(len(words)))
 }
 
-// prg is the unexported alias the Session methods use.
-func prg(seed [32]byte, length int) []uint32 { return PRG(seed, length) }
+// newStreamBuf sizes the scratch buffer for masking n words: the fixed
+// chunk, or less for a short vector.
+func newStreamBuf(n int) []byte { return make([]byte, 4*min(n, streamWords)) }
 
-// AddPairwiseMasks folds client i's pairwise masks into words in place:
-// +PRG(s_ij) for every roster partner j > i, −PRG(s_ij) for j < i. Over
-// a full roster the masks cancel word-for-word; MaskWords(Words(x)) is
-// exactly what Session.Mask produces, factored out so the wire plane
-// can mask word vectors with its own layout.
-func AddPairwiseMasks(words []uint32, sessionKey [32]byte, i, roster int) {
-	for j := 0; j < roster; j++ {
-		if j == i {
-			continue
-		}
-		mask := PRG(PairSeed(sessionKey, i, j), len(words))
-		if j > i {
-			for w := range words {
-				words[w] += mask[w]
+// addKeystream is AddKeystream through a caller-owned scratch buffer, so
+// one buffer serves every partner of a client (or every orphaned pair
+// of an unmasking).
+func addKeystream(words []uint32, seed [32]byte, subtract bool, buf []byte) {
+	if len(words) == 0 {
+		return
+	}
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err) // unreachable: a 32-byte key is always valid
+	}
+	var iv [aes.BlockSize]byte
+	stream := cipher.NewCTR(block, iv[:])
+	for len(words) > 0 {
+		n := min(len(words), len(buf)/4)
+		ks := buf[:4*n]
+		clear(ks)
+		stream.XORKeyStream(ks, ks)
+		chunk := words[:n]
+		if subtract {
+			for w := range chunk {
+				chunk[w] -= binary.LittleEndian.Uint32(ks[4*w:])
 			}
 		} else {
-			for w := range words {
-				words[w] -= mask[w]
+			for w := range chunk {
+				chunk[w] += binary.LittleEndian.Uint32(ks[4*w:])
 			}
+		}
+		words = words[n:]
+	}
+}
+
+// AddPairwiseMasks folds client i's pairwise masks into words in place:
+// +stream(s_ij) for every roster partner j > i, −stream(s_ij) for j < i.
+// Over a full roster the masks cancel word-for-word; this is exactly
+// what Session.Mask applies, factored out so the wire plane can mask
+// word vectors with its own layout. The masks depend only on client i's
+// own pair seeds — what a real device can compute.
+func AddPairwiseMasks(words []uint32, sessionKey [32]byte, i, roster int) {
+	buf := newStreamBuf(len(words))
+	for j := 0; j < roster; j++ {
+		if j != i {
+			addKeystream(words, PairSeed(sessionKey, i, j), j < i, buf)
 		}
 	}
 }
@@ -157,16 +191,7 @@ func AddPairwiseMasks(words []uint32, sessionKey [32]byte, i, roster int) {
 // added +mask if dropout > survivor, −mask otherwise, so the correction
 // applies the opposite sign.
 func SubtractOrphanMask(sum []uint32, pairSeed [32]byte, survivor, dropout int) {
-	mask := PRG(pairSeed, len(sum))
-	if dropout > survivor {
-		for w := range sum {
-			sum[w] -= mask[w]
-		}
-	} else {
-		for w := range sum {
-			sum[w] += mask[w]
-		}
-	}
+	AddKeystream(sum, pairSeed, dropout > survivor)
 }
 
 // Session is one aggregation round among a fixed roster of clients.
@@ -248,18 +273,10 @@ func (s *Session) Aggregate(uploads map[int][]uint32, dropouts []int) ([]float32
 	// Remove masks that never found their partner: each survivor i holds
 	// a mask with every dropout d. If d > i the survivor added +mask; if
 	// d < i the survivor added −mask. Subtract accordingly.
+	buf := newStreamBuf(s.length)
 	for i := range uploads {
 		for d := range dropped {
-			mask := prg(pairSeed(s.sessionKey, i, d), s.length)
-			if d > i {
-				for w := range sum {
-					sum[w] -= mask[w]
-				}
-			} else {
-				for w := range sum {
-					sum[w] += mask[w]
-				}
-			}
+			addKeystream(sum, PairSeed(s.sessionKey, i, d), d > i, buf)
 		}
 	}
 	out := make([]float32, s.length)

@@ -1,11 +1,23 @@
 package secagg
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// keystream returns the first n mask words of seed.
+func keystream(seed [32]byte, n int) []uint32 {
+	out := make([]uint32, n)
+	AddKeystream(out, seed, false)
+	return out
+}
 
 func testSession(t *testing.T, n, length int) *Session {
 	t.Helper()
@@ -202,10 +214,10 @@ func TestValidation(t *testing.T) {
 
 func TestPairSeedSymmetric(t *testing.T) {
 	var key [32]byte
-	if pairSeed(key, 2, 7) != pairSeed(key, 7, 2) {
+	if PairSeed(key, 2, 7) != PairSeed(key, 7, 2) {
 		t.Error("pair seed not symmetric")
 	}
-	if pairSeed(key, 2, 7) == pairSeed(key, 2, 8) {
+	if PairSeed(key, 2, 7) == PairSeed(key, 2, 8) {
 		t.Error("distinct pairs share a seed")
 	}
 }
@@ -213,8 +225,8 @@ func TestPairSeedSymmetric(t *testing.T) {
 func TestPRGDeterministicAndSpread(t *testing.T) {
 	var seed [32]byte
 	seed[5] = 1
-	a := prg(seed, 100)
-	b := prg(seed, 100)
+	a := keystream(seed, 100)
+	b := keystream(seed, 100)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("PRG not deterministic")
@@ -229,5 +241,135 @@ func TestPRGDeterministicAndSpread(t *testing.T) {
 	center := float64(uint64(1) << 31)
 	if mean < 0.8*center || mean > 1.2*center {
 		t.Errorf("PRG mean %v far from 2^31", mean)
+	}
+}
+
+// TestKeystreamKnownAnswer pins the mask stream to the standard
+// construction — AES-256-CTR keyed by the seed, zero IV, little-endian
+// words — both against crypto/cipher and as a constant, so a second
+// implementation (a real client device) can interoperate.
+func TestKeystreamKnownAnswer(t *testing.T) {
+	var seed [32]byte
+	for i := range seed {
+		seed[i] = byte(i)
+	}
+	const n = 2*streamWords + 3 // crosses two chunk seams
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]byte, 4*n)
+	cipher.NewCTR(block, make([]byte, aes.BlockSize)).XORKeyStream(ref, ref)
+	got := keystream(seed, n)
+	for w := range got {
+		if want := binary.LittleEndian.Uint32(ref[4*w:]); got[w] != want {
+			t.Fatalf("word %d: %08x, crypto/cipher CTR gives %08x", w, got[w], want)
+		}
+	}
+	// The first two counter blocks under key 00 01 … 1f (the same bytes
+	// `openssl enc -aes-256-ctr` with a zero IV produces over zeros): the
+	// first eight stream words, little-endian.
+	const pinned = "f29000b62a499fd0a9f39a6add2e7780" + "f05d76ae4ab99fe5a6f69b3148c2363d"
+	var first [32]byte
+	for w, v := range got[:8] {
+		binary.LittleEndian.PutUint32(first[4*w:], v)
+	}
+	if h := hex.EncodeToString(first[:]); h != pinned {
+		t.Errorf("keystream head %s, pinned %s", h, pinned)
+	}
+	// Subtracting the same stream restores the input exactly.
+	words := []uint32{1, 2, 3, 0xFFFFFFFF}
+	AddKeystream(words, seed, false)
+	AddKeystream(words, seed, true)
+	if words[0] != 1 || words[1] != 2 || words[2] != 3 || words[3] != 0xFFFFFFFF {
+		t.Errorf("add then subtract = %v", words)
+	}
+}
+
+// seamLengths are the vector lengths around the keystream chunk seams.
+var seamLengths = []int{1, 7, streamWords - 1, streamWords, streamWords + 1, 3*streamWords + 5}
+
+func TestKeystreamPrefixProperty(t *testing.T) {
+	var seed [32]byte
+	seed[0] = 9
+	long := keystream(seed, seamLengths[len(seamLengths)-1])
+	for _, n := range seamLengths {
+		short := keystream(seed, n)
+		for w := range short {
+			if short[w] != long[w] {
+				t.Fatalf("mask(%d) word %d = %08x, mask(%d) has %08x", n, w, short[w], len(long), long[w])
+			}
+		}
+	}
+}
+
+// TestPairwiseMasksCancelAcrossSeams: over a full roster the masks sum
+// to zero word for word, and with dropouts the survivors' sum is
+// restored by SubtractOrphanMask from the revealed pair seeds — at every
+// chunk-seam length and roster size.
+func TestPairwiseMasksCancelAcrossSeams(t *testing.T) {
+	var key [32]byte
+	key[3] = 0x77
+	for _, length := range seamLengths {
+		for roster := 2; roster <= 8; roster++ {
+			for _, dropouts := range [][]int{nil, {0}, {1, roster - 1}} {
+				if len(dropouts) == 2 && roster < 4 {
+					continue
+				}
+				t.Run(fmt.Sprintf("len%d/roster%d/drop%d", length, roster, len(dropouts)), func(t *testing.T) {
+					dropped := map[int]bool{}
+					for _, d := range dropouts {
+						dropped[d] = true
+					}
+					sum := make([]uint32, length)
+					want := make([]uint32, length)
+					for i := 0; i < roster; i++ {
+						if dropped[i] {
+							continue
+						}
+						words := make([]uint32, length)
+						for w := range words {
+							words[w] = uint32(i*31 + w)
+							want[w] += words[w]
+						}
+						AddPairwiseMasks(words, key, i, roster)
+						for w := range sum {
+							sum[w] += words[w]
+						}
+					}
+					for i := 0; i < roster; i++ {
+						for _, d := range dropouts {
+							if !dropped[i] {
+								SubtractOrphanMask(sum, PairSeed(key, i, d), i, d)
+							}
+						}
+					}
+					for w := range sum {
+						if sum[w] != want[w] {
+							t.Fatalf("word %d: %08x, want %08x", w, sum[w], want[w])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMaskAllocationsDoNotScale: masking allocates a small fixed number
+// of objects per pair (cipher state) plus one scratch buffer — the same
+// count for a 1 K-word and a 64 K-word vector.
+func TestMaskAllocationsDoNotScale(t *testing.T) {
+	var key [32]byte
+	const roster = 5
+	allocs := func(n int) float64 {
+		words := make([]uint32, n)
+		return testing.AllocsPerRun(10, func() { AddPairwiseMasks(words, key, 2, roster) })
+	}
+	small, large := allocs(1<<10), allocs(64<<10)
+	if small != large {
+		t.Errorf("AddPairwiseMasks allocates %v objects at 1K words but %v at 64K", small, large)
+	}
+	if perPair := large / (roster - 1); perPair > 8 {
+		t.Errorf("%v allocations per pair", perPair)
 	}
 }

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -83,12 +83,14 @@ func NewAggregator(numRows uint64, dim int, round uint64) *Aggregator {
 
 // Add validates and folds one client payload into the running sums.
 // The first payload fixes codec, roster, subspace dim and domain; later
-// payloads must agree exactly.
+// payloads must agree exactly. The whole payload is validated before the
+// first word is added, so a rejected upload leaves the sums untouched.
 func (a *Aggregator) Add(payload []byte) error {
-	h, words, domain, err := a.parse(payload)
+	u, err := a.parse(payload)
 	if err != nil {
 		return err
 	}
+	h := u.header
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -100,11 +102,9 @@ func (a *Aggregator) Add(payload []byte) error {
 		a.codec = h.codec
 		a.roster = h.roster
 		a.subDim = h.subDim
-		if h.codec == CodecMaskedSparse || h.codec == CodecSubspace {
-			a.domain = domain
-			a.sum = make([]uint32, len(words))
-		} else if h.codec == CodecMasked {
-			a.sum = make([]uint32, len(words))
+		if h.codec.Masked() {
+			a.domain = u.domain
+			a.sum = make([]uint32, len(u.raw)/4)
 		}
 	} else {
 		if h.codec != a.codec {
@@ -116,10 +116,8 @@ func (a *Aggregator) Add(payload []byte) error {
 		if h.subDim != a.subDim {
 			return fmt.Errorf("wire: subspace dim %d conflicts with %d", h.subDim, a.subDim)
 		}
-		if a.codec == CodecMaskedSparse || a.codec == CodecSubspace {
-			if !equalDomains(domain, a.domain) {
-				return fmt.Errorf("wire: payload domain (%d rows) does not match the round domain (%d rows)", len(domain), len(a.domain))
-			}
+		if a.codec.Masked() && !equalDomains(u.domain, a.domain) {
+			return fmt.Errorf("wire: payload domain (%d rows) does not match the round domain (%d rows)", len(u.domain), len(a.domain))
 		}
 	}
 	if a.uploaded[h.client] {
@@ -131,20 +129,22 @@ func (a *Aggregator) Add(payload []byte) error {
 
 	if a.codec == CodecPlaintext {
 		stride := a.subDim + 1
-		for t, r := range domain {
+		for t, r := range u.domain {
 			acc := a.rows[r]
 			if acc == nil {
 				acc = make([]uint32, stride)
 				a.rows[r] = acc
 			}
 			for w := 0; w < stride; w++ {
-				acc[w] += words[t*stride+w]
+				acc[w] += u.words[t*stride+w]
 			}
 		}
 		return nil
 	}
-	for w := range words {
-		a.sum[w] += words[w]
+	// Masked codecs: fold the raw words straight from the payload (equal
+	// domains imply equal lengths, checked exactly by parse).
+	for w := range a.sum {
+		a.sum[w] += binary.LittleEndian.Uint32(u.raw[4*w:])
 	}
 	return nil
 }
@@ -159,20 +159,33 @@ type header struct {
 	sats   int
 }
 
-// parse decodes and validates a payload against the round geometry,
-// returning the header, the word vector and the explicit domain (the
-// client's own rows for plaintext; nil for masked).
-func (a *Aggregator) parse(payload []byte) (header, []uint32, []uint64, error) {
-	var h header
-	if len(payload) < len(magic)+1 || !bytes.Equal(payload[:4], magic[:]) {
-		return h, nil, nil, fmt.Errorf("wire: bad payload magic")
+// upload is one parsed, fully validated payload. domain is the explicit
+// row domain (the client's own rows for plaintext; nil for masked, whose
+// domain is the full table). The word vector is decoded into words for
+// plaintext; for the masked codecs raw aliases the payload's
+// little-endian words, length-checked, so Add folds them without a copy.
+type upload struct {
+	header
+	domain []uint64
+	words  []uint32
+	raw    []byte
+}
+
+// parse decodes and validates a payload against the round geometry.
+// Nothing sized by a header field is allocated before the payload is
+// known to be long enough to back it.
+func (a *Aggregator) parse(payload []byte) (upload, error) {
+	var u upload
+	if err := checkMagic(payload); err != nil {
+		return u, err
 	}
-	codec, err := codecOf(payload[4])
+	codec, err := codecOf(payload[len(magic)])
 	if err != nil {
-		return h, nil, nil, err
+		return u, err
 	}
+	h := &u.header
 	h.codec = codec
-	r := &reader{b: payload, off: 5}
+	r := &reader{b: payload, off: len(magic) + 1}
 	h.round = r.uvarint()
 	h.roster = int(r.uvarint())
 	h.client = int(r.uvarint())
@@ -181,74 +194,89 @@ func (a *Aggregator) parse(payload []byte) (header, []uint32, []uint64, error) {
 	h.subDim = int(r.uvarint())
 	h.sats = int(r.uvarint())
 	if r.err != nil {
-		return h, nil, nil, r.err
+		return u, r.err
 	}
 	if h.round != a.round {
-		return h, nil, nil, fmt.Errorf("wire: payload for round %d, aggregator round %d", h.round, a.round)
+		return u, fmt.Errorf("wire: payload for round %d, aggregator round %d", h.round, a.round)
 	}
 	if numRows != a.numRows || h.dim != a.dim {
-		return h, nil, nil, fmt.Errorf("wire: payload geometry %d×%d, table %d×%d", numRows, h.dim, a.numRows, a.dim)
+		return u, fmt.Errorf("wire: payload geometry %d×%d, table %d×%d", numRows, h.dim, a.numRows, a.dim)
 	}
 	if h.roster < 1 || h.client < 0 || h.client >= h.roster {
-		return h, nil, nil, fmt.Errorf("wire: client %d outside roster %d", h.client, h.roster)
+		return u, fmt.Errorf("wire: client %d outside roster %d", h.client, h.roster)
+	}
+	if h.sats < 0 {
+		return u, fmt.Errorf("wire: saturation count overflows")
 	}
 	wantK := h.dim
 	if codec == CodecSubspace {
 		if h.subDim < 1 || h.subDim > h.dim {
-			return h, nil, nil, fmt.Errorf("wire: subspace dim %d outside [1, %d]", h.subDim, h.dim)
+			return u, fmt.Errorf("wire: subspace dim %d outside [1, %d]", h.subDim, h.dim)
 		}
 		wantK = h.subDim
 	} else if h.subDim != h.dim {
-		return h, nil, nil, fmt.Errorf("wire: codec %q wants subspace dim %d, got %d", codec, h.dim, h.subDim)
+		return u, fmt.Errorf("wire: codec %q wants subspace dim %d, got %d", codec, h.dim, h.subDim)
 	}
-	stride := wantK + 1
+	stride := uint64(wantK + 1)
 
-	var domain []uint64
-	nDomain := int(a.numRows)
+	nDomain := a.numRows
 	if codec != CodecMasked {
-		n := int(r.uvarint())
+		nDomain = r.uvarint()
 		if r.err != nil {
-			return h, nil, nil, r.err
+			return u, r.err
 		}
-		if uint64(n) > a.numRows {
-			return h, nil, nil, fmt.Errorf("wire: domain of %d rows exceeds table of %d", n, a.numRows)
+		if nDomain > a.numRows {
+			return u, fmt.Errorf("wire: domain of %d rows exceeds table of %d", nDomain, a.numRows)
 		}
-		domain = make([]uint64, n)
+		// Every domain row takes at least one byte.
+		if nDomain > uint64(r.remaining()) {
+			return u, fmt.Errorf("wire: domain of %d rows in %d payload bytes", nDomain, r.remaining())
+		}
+		u.domain = make([]uint64, nDomain)
 		prev := uint64(0)
-		for i := range domain {
+		for i := range u.domain {
 			d := r.uvarint()
+			if r.err != nil {
+				return u, r.err
+			}
 			if i == 0 {
 				prev = d
 			} else {
 				if d == 0 {
-					return h, nil, nil, fmt.Errorf("wire: domain not strictly ascending at index %d", i)
+					return u, fmt.Errorf("wire: domain not strictly ascending at index %d", i)
 				}
 				prev += d
 			}
 			if prev >= a.numRows {
-				return h, nil, nil, fmt.Errorf("wire: domain row %d outside table of %d", prev, a.numRows)
+				return u, fmt.Errorf("wire: domain row %d outside table of %d", prev, a.numRows)
 			}
-			domain[i] = prev
+			u.domain[i] = prev
 		}
-		nDomain = n
 	}
-	words := make([]uint32, nDomain*stride)
-	if codec == CodecPlaintext {
-		for i := range words {
-			words[i] = uint32(r.zigzag())
+	nWords := nDomain * stride
+	if codec != CodecPlaintext {
+		// Raw words: the rest of the payload is exactly the word vector.
+		if uint64(r.remaining()) != 4*nWords {
+			return u, fmt.Errorf("wire: %d word bytes after the header, want %d", r.remaining(), 4*nWords)
 		}
-	} else {
-		for i := range words {
-			words[i] = r.word()
-		}
+		u.raw = payload[r.off:]
+		return u, nil
+	}
+	// Varint words take at least one byte each.
+	if nWords > uint64(r.remaining()) {
+		return u, fmt.Errorf("wire: %d words in %d payload bytes", nWords, r.remaining())
+	}
+	u.words = make([]uint32, nWords)
+	for i := range u.words {
+		u.words[i] = uint32(r.zigzag())
 	}
 	if r.err != nil {
-		return h, nil, nil, r.err
+		return u, r.err
 	}
 	if r.remaining() != 0 {
-		return h, nil, nil, fmt.Errorf("wire: %d trailing bytes after payload", r.remaining())
+		return u, fmt.Errorf("wire: %d trailing bytes after payload", r.remaining())
 	}
-	return h, words, domain, nil
+	return u, nil
 }
 
 func equalDomains(a, b []uint64) bool {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/secagg"
@@ -8,7 +9,9 @@ import (
 
 // payload layout (all codecs):
 //
-//	magic "FWR1"
+//	magic "FWR2" (the version names the mask stream, see the package
+//	    doc; the layout alone cannot tell an FWR1 sender apart, so
+//	    checkMagic refuses it by name)
 //	codec byte
 //	uvarint round | roster | clientIndex | numRows | dim | subDim | saturations
 //	uvarint domainLen + delta-coded row ids   (omitted for masked: the
@@ -18,7 +21,7 @@ import (
 //	    plaintext: zigzag varints (sparse deltas compress well)
 //	    masked*:   raw little-endian uint32 (masked words are uniformly
 //	               random — varint coding would EXPAND them)
-var magic = [4]byte{'F', 'W', 'R', '1'}
+var magic = [4]byte{'F', 'W', 'R', '2'}
 
 // Plan is one round's client-side encoding plan: the agreed Params plus
 // the agreed word-vector domain. All roster members must build the plan
@@ -40,7 +43,7 @@ func NewPlan(p Params, union []uint64) (*Plan, error) {
 	if p.Codec == CodecLegacy {
 		return nil, fmt.Errorf("wire: legacy path has no plan")
 	}
-	if _, ok := codecByte[p.Codec]; !ok {
+	if codecByte(p.Codec) == 0 {
 		return nil, fmt.Errorf("wire: unknown codec %q", p.Codec)
 	}
 	if p.NumRows == 0 || p.Dim <= 0 {
@@ -165,7 +168,7 @@ func (pl *Plan) Encode(clientIndex int, rows []uint64, deltas [][]float32, sampl
 	// Assemble.
 	out := make([]byte, 0, 64+len(domain)*3+len(words)*4)
 	out = append(out, magic[:]...)
-	out = append(out, codecByte[p.Codec])
+	out = append(out, codecByte(p.Codec))
 	out = putUvarint(out, p.Round)
 	out = putUvarint(out, uint64(p.Roster))
 	out = putUvarint(out, uint64(clientIndex))
@@ -191,7 +194,7 @@ func (pl *Plan) Encode(clientIndex int, rows []uint64, deltas [][]float32, sampl
 		}
 	} else {
 		for _, w := range words {
-			out = append(out, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+			out = binary.LittleEndian.AppendUint32(out, w)
 		}
 	}
 	return out, sats, nil

@@ -36,6 +36,16 @@
 // selected coordinates. Masking is perfectly invertible (exact uint32
 // arithmetic), so turning it on can never change the model.
 //
+// Mask stream: the masked codecs add, per roster partner, the one
+// internal/secagg keystream — AES-256-CTR keyed by the 32-byte pair seed,
+// zero IV, little-endian words — over the whole word vector. The zero IV
+// is sound because the session key is per round (DeriveSessionKey), so
+// each pair seed keys exactly one stream, used once with each sign. The
+// public subspace selection draws from the same primitive under its own
+// label. Payloads carry the version tag "FWR2"; "FWR1" (the retired
+// SHA-256 counter stream) is refused by name, since its words could
+// never cancel against FWR2 masks.
+//
 // Dropout protocol: the roster is the set of clients that reached mask
 // commitment (downloaded their rows). A roster member that never
 // uploads is a dropout; the survivors (here: the trainer, which holds
@@ -70,10 +80,12 @@ const (
 	CodecSubspace Codec = "subspace"
 )
 
+// wireCodecs is the one codec table: a codec's payload header byte is
+// its index here plus one.
+var wireCodecs = [...]Codec{CodecPlaintext, CodecMasked, CodecMaskedSparse, CodecSubspace}
+
 // Codecs lists every wire codec (excluding the legacy path).
-func Codecs() []Codec {
-	return []Codec{CodecPlaintext, CodecMasked, CodecMaskedSparse, CodecSubspace}
-}
+func Codecs() []Codec { return append([]Codec(nil), wireCodecs[:]...) }
 
 // ParseCodec validates a codec name from a flag or config ("" = legacy).
 func ParseCodec(s string) (Codec, error) {
@@ -91,28 +103,48 @@ func (c Codec) Masked() bool {
 	return c == CodecMasked || c == CodecMaskedSparse || c == CodecSubspace
 }
 
-// wire codec bytes in the payload header.
-var codecByte = map[Codec]byte{
-	CodecPlaintext: 1, CodecMasked: 2, CodecMaskedSparse: 3, CodecSubspace: 4,
+// codecByte returns the codec's payload header byte (0 = not a wire
+// codec).
+func codecByte(c Codec) byte {
+	for i, wc := range wireCodecs {
+		if wc == c {
+			return byte(i + 1)
+		}
+	}
+	return 0
 }
 
 func codecOf(b byte) (Codec, error) {
-	for c, cb := range codecByte {
-		if cb == b {
-			return c, nil
-		}
+	if b < 1 || int(b) > len(wireCodecs) {
+		return "", fmt.Errorf("wire: unknown codec byte %d", b)
 	}
-	return "", fmt.Errorf("wire: unknown codec byte %d", b)
+	return wireCodecs[b-1], nil
 }
 
 // PayloadCodec peeks a payload's codec from its header without parsing
 // the rest — a server enforcing an upload-codec policy rejects a
 // mismatched payload before absorbing it into the aggregator.
 func PayloadCodec(payload []byte) (Codec, error) {
-	if len(payload) < len(magic)+1 || string(payload[:len(magic)]) != string(magic[:]) {
-		return "", fmt.Errorf("wire: bad payload magic")
+	if err := checkMagic(payload); err != nil {
+		return "", err
 	}
 	return codecOf(payload[len(magic)])
+}
+
+// checkMagic validates the payload's version tag and that a codec byte
+// follows it. The previous version is named in its own error: an FWR1
+// sender masks with a different keystream, so its words can never be
+// folded into an FWR2 sum.
+func checkMagic(payload []byte) error {
+	if len(payload) > len(magic) {
+		switch string(payload[:len(magic)]) {
+		case string(magic[:]):
+			return nil
+		case "FWR1":
+			return fmt.Errorf("wire: payload version FWR1 is no longer accepted (want %s: masks are AES-256-CTR)", magic[:])
+		}
+	}
+	return fmt.Errorf("wire: bad payload magic")
 }
 
 // Params fixes one round's upload-plane geometry. Everything here is
@@ -181,7 +213,8 @@ func SubspaceCoords(round, row uint64, dim, subDim int) []int {
 	copy(buf[:19], "fedora-wire-proj-v1")
 	binary.LittleEndian.PutUint64(buf[19:27], round)
 	binary.LittleEndian.PutUint64(buf[27:35], row)
-	stream := secagg.PRG(sha256.Sum256(buf[:]), subDim)
+	stream := make([]uint32, subDim)
+	secagg.AddKeystream(stream, sha256.Sum256(buf[:]), false)
 	idx := make([]int, dim)
 	for i := range idx {
 		idx[i] = i
@@ -210,7 +243,7 @@ func putZigzag(b []byte, v int32) []byte {
 	return append(b, tmp[:n]...)
 }
 
-// reader is a bounds-checked varint/word cursor over a payload.
+// reader is a bounds-checked varint cursor over a payload.
 type reader struct {
 	b   []byte
 	off int
@@ -245,19 +278,6 @@ func (r *reader) zigzag() int32 {
 	}
 	r.off += n
 	return int32(v)
-}
-
-func (r *reader) word() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.b) {
-		r.err = fmt.Errorf("wire: truncated word at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
 }
 
 func (r *reader) remaining() int { return len(r.b) - r.off }

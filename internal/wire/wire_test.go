@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/secagg"
@@ -441,6 +443,12 @@ func TestAggregatorRejectsMalformed(t *testing.T) {
 		"wrong dim":   {NewAggregator(32, 8, 5), payload},
 		"truncated":   {NewAggregator(32, 4, 5), payload[:len(payload)-3]},
 		"trailing":    {NewAggregator(32, 4, 5), append(append([]byte{}, payload...), 0)},
+		"old version": {NewAggregator(32, 4, 5), append([]byte("FWR1"), payload[4:]...)},
+		// A header alone: promises a word vector the payload does not hold.
+		"short masked": {NewAggregator(1<<20, 16, 5), headerOnly(CodecMasked, 5, 2, 0, 1<<20, 16, 16, 0)},
+		"short sparse": {NewAggregator(1<<20, 16, 5), headerOnly(CodecMaskedSparse, 5, 2, 0, 1<<20, 16, 16, 0, 1<<20)},
+		"short plain":  {NewAggregator(1<<20, 16, 5), headerOnly(CodecPlaintext, 5, 2, 0, 1<<20, 16, 16, 0, 1<<20)},
+		"huge sats":    {NewAggregator(32, 4, 5), headerOnly(CodecMaskedSparse, 5, 2, 0, 32, 4, 4, 1<<63, 0)},
 	}
 	for name, tc := range cases {
 		if err := tc.agg.Add(tc.payload); err == nil {
@@ -463,6 +471,113 @@ func TestAggregatorRejectsMalformed(t *testing.T) {
 	}
 	if err := agg.Add(p2); err == nil {
 		t.Fatal("conflicting domain accepted")
+	}
+}
+
+// headerOnly builds a payload that stops after its header fields:
+// round | roster | client | numRows | dim | subDim | sats [| domainLen].
+func headerOnly(c Codec, fields ...uint64) []byte {
+	out := append(magic[:len(magic):len(magic)], codecByte(c))
+	for _, f := range fields {
+		out = putUvarint(out, f)
+	}
+	return out
+}
+
+// TestParseValidatesBeforeAllocating: a ~20-byte header over a 2^20-row
+// table must be refused before anything sized by its fields is
+// allocated (the word vector it promises would be ~71 MB).
+func TestParseValidatesBeforeAllocating(t *testing.T) {
+	agg := NewAggregator(1<<20, 16, 5)
+	short := headerOnly(CodecMasked, 5, 2, 0, 1<<20, 16, 16, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := agg.Add(short)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header-only masked payload accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte payload allocated %d bytes", len(short), grew)
+	}
+}
+
+// TestOldPayloadVersionRefused: FWR1 senders mask with the retired
+// SHA-256 stream; both entry points refuse them by name.
+func TestOldPayloadVersionRefused(t *testing.T) {
+	pl, err := NewPlan(Params{Codec: CodecMaskedSparse, NumRows: 32, Dim: 4, Round: 5, Roster: 2}, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := pl.Encode(0, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(payload[:4]) != "FWR2" {
+		t.Fatalf("payload magic %q, want FWR2", payload[:4])
+	}
+	old := append([]byte("FWR1"), payload[4:]...)
+	if _, err := PayloadCodec(old); err == nil || !strings.Contains(err.Error(), "FWR1") {
+		t.Errorf("PayloadCodec(FWR1 payload) = %v, want an error naming FWR1", err)
+	}
+	if err := NewAggregator(32, 4, 5).Add(old); err == nil || !strings.Contains(err.Error(), "FWR1") {
+		t.Errorf("Add(FWR1 payload) = %v, want an error naming FWR1", err)
+	}
+}
+
+// TestRejectedUploadLeavesSumUntouched: every check runs before the
+// first word is folded in, so refused payloads between two good ones
+// cannot disturb the exact sum.
+func TestRejectedUploadLeavesSumUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	clients := synthClients(rng, 2, 32, 4)
+	for _, codec := range []Codec{CodecPlaintext, CodecMasked, CodecMaskedSparse} {
+		p := Params{Codec: codec, NumRows: 32, Dim: 4, Round: 5, Roster: 2, SessionKey: DeriveSessionKey(3, 5)}
+		pl, err := NewPlan(p, union(clients))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payloads [2][]byte
+		for c := range payloads {
+			if payloads[c], _, err = pl.Encode(c, clients[c].rows, clients[c].deltas, clients[c].samples); err != nil {
+				t.Fatal(err)
+			}
+		}
+		otherRoster := p
+		otherRoster.Roster = 3
+		pl3, _ := NewPlan(otherRoster, union(clients))
+		wrongRoster, _, _ := pl3.Encode(1, clients[1].rows, clients[1].deltas, clients[1].samples)
+		pld, _ := NewPlan(p, []uint64{0, 1, 2, 3})
+		wrongDomain, _, _ := pld.Encode(1, nil, nil, 1)
+
+		agg := NewAggregator(32, 4, 5)
+		if err := agg.Add(payloads[0]); err != nil {
+			t.Fatal(err)
+		}
+		bad := map[string][]byte{
+			"duplicate":    payloads[0],
+			"wrong roster": wrongRoster,
+			"truncated":    payloads[1][:len(payloads[1])-1],
+		}
+		if codec == CodecMaskedSparse {
+			bad["wrong domain"] = wrongDomain
+		}
+		for name, b := range bad {
+			if err := agg.Add(b); err == nil {
+				t.Fatalf("%s/%s: accepted", codec, name)
+			}
+		}
+		if err := agg.Add(payloads[1]); err != nil {
+			t.Fatalf("%s: good upload after rejected ones: %v", codec, err)
+		}
+		res, err := agg.Unmask(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExact(t, res, expectedSums(clients, allOf(2), 4), 4)
+		if want := uint64(len(payloads[0]) + len(payloads[1])); res.Bytes != want {
+			t.Errorf("%s: %d bytes accounted, want %d", codec, res.Bytes, want)
+		}
 	}
 }
 
@@ -536,7 +651,8 @@ func FuzzAggregatorParse(f *testing.F) {
 			f.Add(p)
 		}
 	}
-	f.Add([]byte("FWR1"))
+	f.Add([]byte("FWR2"))
+	f.Add(headerOnly(CodecMasked, 2, 2, 0, 32, 4, 4, 0)) // header, no words
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		agg := NewAggregator(32, 4, 2)
 		_ = agg.Add(payload) // must not panic
