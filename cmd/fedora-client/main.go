@@ -6,12 +6,10 @@
 //	fedora-client -server http://localhost:8080 round -requests "1,2,3;4,5"
 //	fedora-client -server http://localhost:8080 bench -clients 8 -k 32
 //
-// The bench subcommand runs one FL round twice — over the deprecated
-// per-row v1 API and over the batched v2 API — and reports the HTTP
-// request counts and wall time of each, demonstrating the O(K) → O(K/
-// batch) request reduction of the batched protocol. It then replays the
-// same round once per wire upload codec (see internal/wire) and reports
-// the gradient-upload bytes each codec puts on the wire.
+// The bench subcommand runs one FL round over the batched API and
+// reports its HTTP request count and wall time, then replays the same
+// round once per wire upload codec (see internal/wire) and reports the
+// gradient-upload bytes each codec puts on the wire.
 package main
 
 import (
@@ -73,7 +71,7 @@ func main() {
 		k := fs.Int("k", 32, "rows per client")
 		seed := fs.Int64("seed", 1, "row-selection seed")
 		fs.Parse(args[1:])
-		runBench(ctx, c, *server, *clients, *k, *seed)
+		runBench(ctx, c, *clients, *k, *seed)
 	default:
 		fatal(fmt.Errorf("unknown subcommand %q", args[0]))
 	}
@@ -235,8 +233,8 @@ func runRound(ctx context.Context, c *client.Client, requests string, deadline t
 	}
 	if done.Stats != nil {
 		st := done.Stats
-		fmt.Printf("finished: k=%d union=%d sampled=%d dummy=%d lost=%d chunks=%d eps=%s overhead=%s\n",
-			st.K, st.KUnion, st.KSampled, st.Dummy, st.Lost, st.Chunks, st.RoundEpsilon, st.TotalOverhead)
+		fmt.Printf("finished: k=%d sampled=%d chunks=%d eps=%s overhead=%s\n",
+			st.K, st.KSampled, st.Chunks, st.RoundEpsilon, st.TotalOverhead)
 	} else {
 		fmt.Println("finished")
 	}
@@ -244,9 +242,9 @@ func runRound(ctx context.Context, c *client.Client, requests string, deadline t
 	fmt.Printf("http: %d requests, %d retries, %d failures\n", stats.Requests, stats.Retries, stats.Failures)
 }
 
-// runBench measures one identical round driven over the v1 per-row API
-// and over the v2 batched API.
-func runBench(ctx context.Context, c *client.Client, server string, clients, k int, seed int64) {
+// runBench measures one round of batched transfers, then the upload
+// bytes of each wire codec.
+func runBench(ctx context.Context, c *client.Client, clients, k int, seed int64) {
 	st, err := c.Status(ctx)
 	if err != nil {
 		fatal(err)
@@ -273,39 +271,9 @@ func runBench(ctx context.Context, c *client.Client, server string, clients, k i
 	}
 	zero := make([]float32, len(row0))
 
-	// --- v1: one HTTP request per row download and per gradient row.
-	v1 := api.NewClient(server)
-	v1Requests := 0
-	v1Start := time.Now()
-	if err := v1.BeginRound(reqs); err != nil {
-		fatal(err)
-	}
-	v1Requests++
-	for _, rows := range reqs {
-		for _, row := range rows {
-			if _, _, err := v1.Entry(row); err != nil {
-				fatal(err)
-			}
-			v1Requests++
-		}
-	}
-	for _, rows := range reqs {
-		for _, row := range rows {
-			if _, err := v1.SubmitGradient(row, zero, 1); err != nil {
-				fatal(err)
-			}
-			v1Requests++
-		}
-	}
-	if _, err := v1.FinishRound(); err != nil {
-		fatal(err)
-	}
-	v1Requests++
-	v1Elapsed := time.Since(v1Start)
-
-	// --- v2: batched transfers through the SDK.
+	// Batched transfers through the SDK.
 	before := c.Stats()
-	v2Start := time.Now()
+	start := time.Now()
 	info, err := c.BeginRound(ctx, reqs)
 	if err != nil {
 		fatal(err)
@@ -327,15 +295,12 @@ func runBench(ctx context.Context, c *client.Client, server string, clients, k i
 	if _, err := c.FinishRound(ctx, info.RoundID); err != nil {
 		fatal(err)
 	}
-	v2Elapsed := time.Since(v2Start)
+	elapsed := time.Since(start)
 	after := c.Stats()
-	v2Requests := int(after.Requests - before.Requests)
+	requests := int(after.Requests - before.Requests)
 
 	fmt.Printf("bench: %d clients × %d rows = %d row transfers each way\n", clients, k, total)
-	fmt.Printf("%-22s %12s %14s\n", "protocol", "http reqs", "wall time")
-	fmt.Printf("%-22s %12d %14v\n", "v1 (per-row)", v1Requests, v1Elapsed.Round(time.Millisecond))
-	fmt.Printf("%-22s %12d %14v\n", "v2 (batched)", v2Requests, v2Elapsed.Round(time.Millisecond))
-	fmt.Printf("request reduction: %.1f×\n", float64(v1Requests)/float64(v2Requests))
+	fmt.Printf("%d http requests, %v wall time\n", requests, elapsed.Round(time.Millisecond))
 
 	// --- wire upload plane: drive the same round once per codec and
 	// report what the gradient upload leg costs on the wire.

@@ -17,7 +17,7 @@
 //	fedora-server -listen :8080 -fl-dataset movielens -fl-mode hide-val -eps 1 -fl-quick
 //	fedora-train  -single -remote http://localhost:8080 -dataset movielens -mode hide-val -eps 1 -quick
 //
-// Try it (v2 API; see docs/API.md — /v1 is deprecated):
+// Try it (v2 API; see docs/API.md):
 //
 //	curl -s localhost:8080/v2/status | jq .
 //	curl -s -X POST localhost:8080/v2/rounds -d '{"requests":[[7,21],[7,99]]}'

@@ -280,8 +280,15 @@ func runSingle(o singleOptions) {
 	}
 	fmt.Printf("AUC:              %.4f\n", res.AUC)
 	fmt.Printf("reduced accesses: %.2f%%\n", 100*res.ReducedAccesses)
-	fmt.Printf("dummy accesses:   %.2f%% of optimum\n", 100*res.DummyFrac)
-	fmt.Printf("lost accesses:    %.2f%% of optimum\n", 100*res.LostFrac)
+	if tr.Controller() != nil {
+		fmt.Printf("dummy accesses:   %.2f%% of optimum\n", 100*res.DummyFrac)
+		fmt.Printf("lost accesses:    %.2f%% of optimum\n", 100*res.LostFrac)
+	} else {
+		// k_union and the dummy/lost split are what ε-FDP noises; the API
+		// does not return them, so a remote trainer has nothing to report.
+		fmt.Println("dummy accesses:   n/a (secret, not exported)")
+		fmt.Println("lost accesses:    n/a (secret, not exported)")
+	}
 	fmt.Printf("wall time:        %v\n", res.Elapsed.Round(1e6))
 	if o.uploadCodec != "" {
 		perRound := uint64(0)

@@ -89,8 +89,10 @@ func main() {
 		log.Fatal(err)
 	}
 	st := done.Stats
-	fmt.Printf("round done: K=%d unique=%d oram-accesses=%d dummy=%d lost=%d overhead=%s\n",
-		st.K, st.KUnion, st.KSampled, st.Dummy, st.Lost, st.TotalOverhead)
+	// The reply carries what an observer may learn — K, the noised access
+	// count and ε — never the unique-row count the mechanism hides.
+	fmt.Printf("round done: K=%d oram-accesses=%d eps=%s overhead=%s\n",
+		st.K, st.KSampled, st.RoundEpsilon, st.TotalOverhead)
 	hs := c.Stats()
 	fmt.Printf("http: %d requests, %d retries, %d failures\n", hs.Requests, hs.Retries, hs.Failures)
 }

@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/client"
 	"repro/internal/dataset"
 	"repro/internal/fdp"
 	"repro/internal/fedora"
@@ -15,7 +17,8 @@ import (
 // TestEndToEndFLOverHTTP is the capstone integration test: federated
 // training of the recommendation model where every interaction with the
 // FEDORA controller — round start, entry downloads, gradient uploads,
-// round finish — travels through the HTTP API. It verifies the whole
+// round finish — travels through the HTTP API by way of the SDK
+// (internal/client). It verifies the whole
 // stack composes: dataset → clients → wire → controller → ε-FDP → RAW
 // ORAM → buffer ORAM aggregation → table updates → measurable learning.
 func TestEndToEndFLOverHTTP(t *testing.T) {
@@ -46,7 +49,11 @@ func TestEndToEndFLOverHTTP(t *testing.T) {
 	}
 	srv := httptest.NewServer(api.NewServer(ctrl).Handler())
 	defer srv.Close()
-	client := api.NewClient(srv.URL)
+	sdk, err := client.New(client.Config{BaseURL: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 
 	global := recmodel.New(recmodel.Config{
 		Dim: dim, Hidden: 16, UsePrivate: true, LR: 0.1, Seed: 2,
@@ -91,7 +98,8 @@ func TestEndToEndFLOverHTTP(t *testing.T) {
 			users[i] = &ds.Users[idx]
 			reqs[i] = users[i].Rows(100)
 		}
-		if err := client.BeginRound(reqs); err != nil {
+		info, err := sdk.BeginRound(ctx, reqs)
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 
@@ -104,14 +112,14 @@ func TestEndToEndFLOverHTTP(t *testing.T) {
 			// Download over HTTP.
 			local := recmodel.MapSource{}
 			downloaded := recmodel.MapSource{}
-			for _, row := range reqs[i] {
-				entry, ok, err := client.Entry(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok {
-					local[row] = entry
-					downloaded[row] = append([]float32(nil), entry...)
+			entries, err := sdk.Entries(ctx, info.RoundID, reqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.OK {
+					local[e.Row] = e.Entry
+					downloaded[e.Row] = append([]float32(nil), e.Entry...)
 				}
 			}
 			// Local training.
@@ -143,6 +151,7 @@ func TestEndToEndFLOverHTTP(t *testing.T) {
 				continue
 			}
 			// Upload embedding deltas over HTTP.
+			var grads []api.GradientRequest
 			for row, down := range downloaded {
 				vec := local[row]
 				delta := make([]float32, dim)
@@ -156,9 +165,10 @@ func TestEndToEndFLOverHTTP(t *testing.T) {
 				if !changed {
 					continue
 				}
-				if _, err := client.SubmitGradient(row, delta, trained); err != nil {
-					t.Fatal(err)
-				}
+				grads = append(grads, api.GradientRequest{Row: row, Grad: delta, Samples: trained})
+			}
+			if _, err := sdk.SubmitGradients(ctx, info.RoundID, grads); err != nil {
+				t.Fatal(err)
 			}
 			// MLP delta (dense FedAvg outside FEDORA).
 			gp := global.MLP.Params()
@@ -169,7 +179,7 @@ func TestEndToEndFLOverHTTP(t *testing.T) {
 			}
 			mlpUploads = append(mlpUploads, upload{delta, trained})
 		}
-		if _, err := client.FinishRound(); err != nil {
+		if _, err := sdk.FinishRound(ctx, info.RoundID); err != nil {
 			t.Fatal(err)
 		}
 		// FedAvg the MLP.

@@ -82,13 +82,6 @@ type Aborter interface {
 	AbortRound()
 }
 
-// PrefetchReporter is the optional lookahead-observability capability:
-// lifetime staged-row hit/waste counters plus the current staging-buffer
-// depth, surfaced on /metrics. *fedora.Controller implements it.
-type PrefetchReporter interface {
-	PrefetchReport() fedora.PrefetchReport
-}
-
 // fedoraController adapts *fedora.Controller to Controller: BeginRound
 // returns a concrete *fedora.Round there, and Backend() returns the
 // enum rather than a string. Everything else — including the optional

@@ -11,8 +11,7 @@ import (
 //	{"error": {"code": "round_not_found", "message": "..."}}
 //
 // with a machine-readable code the SDK switches on and a human-readable
-// message. The v1 shim keeps its original plain-text errors for
-// compatibility.
+// message.
 
 // Error codes returned by the v2 API.
 const (

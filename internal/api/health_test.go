@@ -101,8 +101,8 @@ func getHealthz(t *testing.T, base string) (int, HealthzResponse) {
 // TestHealthzHealthy: a fresh monolithic server reports healthy with a
 // single synthetic shard entry.
 func TestHealthzHealthy(t *testing.T) {
-	c, _ := newTestServer(t)
-	code, out := getHealthz(t, strings.TrimSuffix(c.base, "/"))
+	base, _ := newTestServer(t)
+	code, out := getHealthz(t, base)
 	if code != http.StatusOK {
 		t.Fatalf("healthz status = %d", code)
 	}

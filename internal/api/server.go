@@ -3,17 +3,18 @@
 // clients download their embedding rows, upload gradients, and the
 // orchestrator finishes the round. JSON in, JSON out, stdlib only.
 //
-// Two API generations are served side by side:
+// One protocol is served, and internal/client is its only client:
 //
-//	/v2/...    the current protocol — per-round IDs, batched entry and
-//	           gradient transfers, idempotent begin/upload/finish,
-//	           round deadlines, JSON error envelopes (see v2.go and
-//	           docs/API.md)
-//	/v1/...    DEPRECATED thin shim over the same round state, kept for
-//	           old clients; single-row transfers against the ambient
-//	           "current" round, plain-text errors
+//	/v2/...    per-round IDs, batched entry and gradient transfers,
+//	           idempotent begin/upload/finish, round deadlines, JSON
+//	           error envelopes (see v2.go and docs/API.md)
 //	/metrics   Prometheus text format: controller counters plus
 //	           per-endpoint request counters and latency histograms
+//
+// What a caller may learn about a round is what the ε-FDP adversary
+// already observes — K, the noised access count k_sampled, ε. The counts
+// the mechanism noises never leave the controller through this package,
+// in a JSON body or on /metrics (see RoundStatsJSON).
 //
 // The row a client asks for is visible to this HTTP layer, exactly as a
 // client's download request is visible to the FEDORA controller in the
@@ -35,7 +36,6 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -129,8 +129,7 @@ func NewServerFor(ctrl Controller, opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the routed HTTP handler (v2 + deprecated v1 +
-// /metrics).
+// Handler returns the routed HTTP handler (v2, /healthz, /metrics).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -164,26 +163,9 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("/v2/", s.handleV2Fallback)
 
-	// v1: deprecated shim, original plain-text error behavior.
-	mux.HandleFunc("/v1/status", s.met.instrument("v1_status", deprecated(s.handleStatus)))
-	mux.HandleFunc("/v1/rounds", s.met.instrument("v1_begin", deprecated(s.limit(s.handleBegin))))
-	mux.HandleFunc("/v1/rounds/current/entry", s.met.instrument("v1_entry", deprecated(s.limit(s.handleEntry))))
-	mux.HandleFunc("/v1/rounds/current/gradient", s.met.instrument("v1_gradient", deprecated(s.limit(s.handleGradient))))
-	mux.HandleFunc("/v1/rounds/current/finish", s.met.instrument("v1_finish", deprecated(s.limit(s.handleFinish))))
-
 	mux.HandleFunc("/healthz", s.met.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
-}
-
-// deprecated marks v1 responses with a Deprecation header (RFC 9745
-// style) pointing clients at /v2.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v2/status>; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // StatusResponse reports controller configuration and device traffic.
@@ -207,8 +189,7 @@ type StatusResponse struct {
 
 // statusSnapshot reads the server round state under the mutex, then
 // queries the controller OUTSIDE it (the getters are concurrency-safe;
-// holding the server mutex across them would block round operations —
-// the bug the v1 handlers used to have).
+// holding the server mutex across them would block round operations).
 func (s *Server) statusSnapshot() StatusResponse {
 	s.mu.Lock()
 	inProgress := s.current != nil || s.beginning
@@ -235,21 +216,16 @@ func (s *Server) statusSnapshot() StatusResponse {
 	}
 }
 
-// BeginRequest starts a round (v1 wire shape).
-type BeginRequest struct {
-	// Requests holds per-client row lists; null entries are dummies.
-	Requests [][]uint64 `json:"requests"`
-}
-
-// RoundStatsJSON mirrors fedora.RoundStats for the wire.
+// RoundStatsJSON is the public part of fedora.RoundStats: what the
+// ε-FDP adversary observes anyway (K, the noised access count, chunks,
+// ε) plus timings and upload accounting. The counts the mechanism
+// noises — KUnion, Dummy, Lost, CrossChunkDup — and the prefetch
+// hit/waste counters (their sum is KSampled − Dummy) have no field here
+// on purpose; in-process callers read them off fedora.RoundStats.
 type RoundStatsJSON struct {
-	K             int `json:"k_total"`
-	KUnion        int `json:"k_union"`
-	KSampled      int `json:"k_sampled"`
-	Dummy         int `json:"dummy"`
-	Lost          int `json:"lost"`
-	CrossChunkDup int `json:"cross_chunk_dup"`
-	Chunks        int `json:"chunks"`
+	K        int `json:"k_total"`
+	KSampled int `json:"k_sampled"`
+	Chunks   int `json:"chunks"`
 	// RoundEpsilon is a string because ε may be +Inf, which JSON numbers
 	// cannot represent. The 'g'/-1 formatting round-trips float64
 	// exactly, so remote trainers accumulate the same ε as local ones.
@@ -264,12 +240,10 @@ type RoundStatsJSON struct {
 	ReadWallNS   int64 `json:"read_wall_ns"`
 	FinishWallNS int64 `json:"finish_wall_ns"`
 	// Lookahead prefetch accounting (zero / absent in sync mode).
-	Prefetched     bool   `json:"prefetched,omitempty"`
-	PrefetchWallNS int64  `json:"prefetch_wall_ns,omitempty"`
-	EvictWallNS    int64  `json:"evict_wall_ns,omitempty"`
-	EvictNS        int64  `json:"evict_ns,omitempty"`
-	PrefetchHits   uint64 `json:"prefetch_hits,omitempty"`
-	PrefetchWasted uint64 `json:"prefetch_wasted,omitempty"`
+	Prefetched     bool  `json:"prefetched,omitempty"`
+	PrefetchWallNS int64 `json:"prefetch_wall_ns,omitempty"`
+	EvictWallNS    int64 `json:"evict_wall_ns,omitempty"`
+	EvictNS        int64 `json:"evict_ns,omitempty"`
 	// Wire upload plane accounting (zero when the legacy JSON gradient
 	// path was used).
 	WireBytes   uint64 `json:"wire_bytes,omitempty"`
@@ -278,9 +252,7 @@ type RoundStatsJSON struct {
 
 func statsJSON(st fedora.RoundStats) RoundStatsJSON {
 	return RoundStatsJSON{
-		K: st.K, KUnion: st.KUnion, KSampled: st.KSampled,
-		Dummy: st.Dummy, Lost: st.Lost,
-		CrossChunkDup: st.CrossChunkDup, Chunks: st.Chunks,
+		K: st.K, KSampled: st.KSampled, Chunks: st.Chunks,
 		RoundEpsilon:   strconv.FormatFloat(st.RoundEpsilon, 'g', -1, 64),
 		TotalOverhead:  st.Total().String(),
 		UnionWallNS:    st.UnionWallTime.Nanoseconds(),
@@ -290,25 +262,21 @@ func statsJSON(st fedora.RoundStats) RoundStatsJSON {
 		PrefetchWallNS: st.PrefetchWallTime.Nanoseconds(),
 		EvictWallNS:    st.EvictWallTime.Nanoseconds(),
 		EvictNS:        st.EvictTime.Nanoseconds(),
-		PrefetchHits:   st.PrefetchHits,
-		PrefetchWasted: st.PrefetchWasted,
 		WireBytes:      st.WireBytes,
 		Saturations:    st.Saturations,
 	}
 }
 
 // Stats converts the wire shape back to fedora.RoundStats (the fields
-// the FL trainer consumes; modelled per-phase device times and the
-// per-shard breakdown do not cross the wire).
+// the FL trainer consumes; the secret counts, modelled per-phase device
+// times and the per-shard breakdown do not cross the wire and read 0).
 func (j RoundStatsJSON) Stats() (fedora.RoundStats, error) {
 	eps, err := strconv.ParseFloat(j.RoundEpsilon, 64)
 	if err != nil {
 		return fedora.RoundStats{}, fmt.Errorf("api: round_epsilon %q: %w", j.RoundEpsilon, err)
 	}
 	return shard.RoundStats{
-		K: j.K, KUnion: j.KUnion, KSampled: j.KSampled,
-		Dummy: j.Dummy, Lost: j.Lost,
-		CrossChunkDup: j.CrossChunkDup, Chunks: j.Chunks,
+		K: j.K, KSampled: j.KSampled, Chunks: j.Chunks,
 		RoundEpsilon:     eps,
 		UnionWallTime:    time.Duration(j.UnionWallNS),
 		ReadWallTime:     time.Duration(j.ReadWallNS),
@@ -317,8 +285,6 @@ func (j RoundStatsJSON) Stats() (fedora.RoundStats, error) {
 		PrefetchWallTime: time.Duration(j.PrefetchWallNS),
 		EvictWallTime:    time.Duration(j.EvictWallNS),
 		EvictTime:        time.Duration(j.EvictNS),
-		PrefetchHits:     j.PrefetchHits,
-		PrefetchWasted:   j.PrefetchWasted,
 		WireBytes:        j.WireBytes,
 		Saturations:      j.Saturations,
 	}, nil
@@ -340,135 +306,6 @@ type GradientRequest struct {
 	Row     uint64    `json:"row"`
 	Grad    []float32 `json:"grad"`
 	Samples int       `json:"samples"`
-}
-
-// GradientResponse acknowledges an upload (v1 wire shape).
-type GradientResponse struct {
-	Delivered bool `json:"delivered"`
-}
-
-// ---- v1 shim handlers (deprecated) -----------------------------------
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.statusSnapshot())
-}
-
-func (s *Server) handleBegin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var req BeginRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Requests) == 0 {
-		http.Error(w, "no client requests", http.StatusBadRequest)
-		return
-	}
-	sr, _, aerr := s.beginRound(BeginV2Request{Requests: req.Requests})
-	if aerr != nil {
-		if aerr.code == CodeRoundInProgress {
-			http.Error(w, "round already in progress", http.StatusConflict)
-			return
-		}
-		http.Error(w, aerr.msg, aerr.status)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]uint64{"round": sr.seq})
-}
-
-// currentServerRound reads the active round under the server mutex.
-func (s *Server) currentServerRound() *serverRound {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.current
-}
-
-func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	row, err := strconv.ParseUint(r.URL.Query().Get("row"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad row: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Snapshot the round, then serve OUTSIDE the server mutex: Round
-	// entry points are concurrency-safe, and on a sharded controller
-	// downloads for rows on different shards proceed in parallel.
-	sr := s.currentServerRound()
-	if sr == nil {
-		http.Error(w, "no round in progress", http.StatusConflict)
-		return
-	}
-	round, aerr := s.liveRound(sr)
-	if aerr != nil {
-		http.Error(w, "no round in progress", http.StatusConflict)
-		return
-	}
-	entry, ok, err := round.ServeEntry(row)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, EntryResponse{Row: row, Entry: entry, OK: ok})
-}
-
-func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var req GradientRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Samples <= 0 {
-		http.Error(w, "samples must be positive", http.StatusBadRequest)
-		return
-	}
-	sr := s.currentServerRound()
-	if sr == nil {
-		http.Error(w, "no round in progress", http.StatusConflict)
-		return
-	}
-	round, aerr := s.liveRound(sr)
-	if aerr != nil {
-		http.Error(w, "no round in progress", http.StatusConflict)
-		return
-	}
-	delivered, err := round.SubmitGradient(req.Row, req.Grad, req.Samples)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, http.StatusOK, GradientResponse{Delivered: delivered})
-}
-
-func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	sr := s.currentServerRound()
-	if sr == nil {
-		http.Error(w, "no round in progress", http.StatusConflict)
-		return
-	}
-	st, msg := s.finishRound(sr, false)
-	if msg != "" {
-		http.Error(w, msg, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, statsJSON(st))
 }
 
 // handleMetrics exposes Prometheus-style counters (text format):
@@ -514,16 +351,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, c := range wire.Codecs() {
 		fmt.Fprintf(w, "fedora_wire_uploads_total{codec=%q} %d\n", string(c), s.wireUploads[c].Load())
 	}
-	// Lookahead prefetch observability, present when the backend reports
-	// it (an in-process fedora controller always does; a coordinator sums
-	// members'). Hits/wasted are lifetime staged-row counters; staged_rows
-	// is the current staging-buffer depth (loaded but not yet served).
-	if pr, ok := s.ctrl.(PrefetchReporter); ok {
-		rep := pr.PrefetchReport()
-		fmt.Fprintf(w, "# TYPE fedora_prefetch_hits_total counter\nfedora_prefetch_hits_total %d\n", rep.Hits)
-		fmt.Fprintf(w, "# TYPE fedora_prefetch_wasted_total counter\nfedora_prefetch_wasted_total %d\n", rep.Wasted)
-		fmt.Fprintf(w, "# TYPE fedora_prefetch_staged_rows gauge\nfedora_prefetch_staged_rows %d\n", rep.StagedRows)
-	}
 	// Real-I/O telemetry, present only when the controller's main device
 	// is file-backed: measured (not modelled) latency quantiles per device.
 	if reps := s.ctrl.StorageReports(); len(reps) > 0 {
@@ -568,91 +395,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// Headers already sent; nothing sensible left to do.
 		_ = err
 	}
-}
-
-// ---- v1 Client (deprecated) ------------------------------------------
-
-// Client is a typed HTTP client for the DEPRECATED v1 API. New code
-// should use internal/client, which speaks v2 (batched transfers,
-// retries with backoff, idempotency keys).
-type Client struct {
-	base string
-	http *http.Client
-}
-
-// NewClient points at a server base URL (e.g. "http://127.0.0.1:8080").
-func NewClient(base string) *Client {
-	return &Client{base: base, http: &http.Client{Timeout: 30 * time.Second}}
-}
-
-// Status fetches controller status.
-func (c *Client) Status() (StatusResponse, error) {
-	var out StatusResponse
-	err := c.get("/v1/status", &out)
-	return out, err
-}
-
-// BeginRound starts a round with the given per-client requests.
-func (c *Client) BeginRound(requests [][]uint64) error {
-	return c.post("/v1/rounds", BeginRequest{Requests: requests}, nil)
-}
-
-// Entry downloads one row.
-func (c *Client) Entry(row uint64) ([]float32, bool, error) {
-	var out EntryResponse
-	if err := c.get(fmt.Sprintf("/v1/rounds/current/entry?row=%d", row), &out); err != nil {
-		return nil, false, err
-	}
-	return out.Entry, out.OK, nil
-}
-
-// SubmitGradient uploads one row gradient.
-func (c *Client) SubmitGradient(row uint64, grad []float32, samples int) (bool, error) {
-	var out GradientResponse
-	err := c.post("/v1/rounds/current/gradient",
-		GradientRequest{Row: row, Grad: grad, Samples: samples}, &out)
-	return out.Delivered, err
-}
-
-// FinishRound completes the round and returns its stats.
-func (c *Client) FinishRound() (RoundStatsJSON, error) {
-	var out RoundStatsJSON
-	err := c.post("/v1/rounds/current/finish", nil, &out)
-	return out, err
-}
-
-func (c *Client) get(path string, out any) error {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decode(resp, out)
-}
-
-func (c *Client) post(path string, in, out any) error {
-	var buf bytes.Buffer
-	if in != nil {
-		if err := json.NewEncoder(&buf).Encode(in); err != nil {
-			return err
-		}
-	}
-	resp, err := c.http.Post(c.base+path, "application/json", &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decode(resp, out)
-}
-
-func decode(resp *http.Response, out any) error {
-	if resp.StatusCode >= 300 {
-		var msg [256]byte
-		n, _ := resp.Body.Read(msg[:])
-		return fmt.Errorf("api: %s: %s", resp.Status, string(msg[:n]))
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -1,67 +1,113 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/fdp"
 	"repro/internal/fedora"
 )
 
-func newTestServer(t *testing.T) (*Client, *fedora.Controller) {
+func newTestServer(t *testing.T) (string, *fedora.Controller) {
 	t.Helper()
-	ctrl, err := fedora.New(fedora.Config{
-		NumRows: 1024, Dim: 4, Epsilon: fdp.EpsilonInfinity,
-		MaxClientsPerRound: 8, MaxFeaturesPerClient: 8,
-		LearningRate: 1, Seed: 1,
-	})
+	srv, ctrl := newV2TestServer(t)
+	return srv.URL, ctrl
+}
+
+// postJSON posts body and decodes a 200 reply into out. It reports
+// failures as an error so goroutines other than the test's own can use
+// it (doReq calls t.Fatal).
+func postJSON(url, body string, out any) error {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// serveRow downloads one row of an open round.
+func serveRow(base, roundID string, row uint64) (EntryResponse, error) {
+	var out EntriesResponse
+	err := postJSON(base+"/v2/rounds/"+roundID+"/entries", fmt.Sprintf(`{"rows":[%d]}`, row), &out)
+	if err != nil {
+		return EntryResponse{}, err
+	}
+	if len(out.Entries) != 1 || out.Entries[0].Row != row {
+		return EntryResponse{}, fmt.Errorf("entries for row %d = %+v", row, out.Entries)
+	}
+	return out.Entries[0], nil
+}
+
+// submitRow uploads an all-ones dim-4 gradient for one row and reports
+// whether it was delivered.
+func submitRow(base, roundID string, row uint64) (bool, error) {
+	var out GradientBatchResponse
+	err := postJSON(base+"/v2/rounds/"+roundID+"/gradients",
+		fmt.Sprintf(`{"gradients":[{"row":%d,"grad":[1,1,1,1],"samples":1}]}`, row), &out)
+	return out.Delivered == 1, err
+}
+
+// wantErr asserts one request fails with the given status and envelope
+// code.
+func wantErr(t *testing.T, method, url, body string, status int, code string) {
+	t.Helper()
+	got, data := doReq(t, method, url, body)
+	if got != status {
+		t.Errorf("%s %s: status %d, want %d (body %s)", method, url, got, status, data)
+		return
+	}
+	if c := decodeErr(t, data).Code; c != code {
+		t.Errorf("%s %s: code %q, want %q", method, url, c, code)
+	}
+}
+
+func getStatus(t *testing.T, base string) StatusResponse {
+	t.Helper()
+	status, data := doReq(t, http.MethodGet, base+"/v2/status", "")
+	if status != http.StatusOK {
+		t.Fatalf("status: %d %s", status, data)
+	}
+	var st StatusResponse
+	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(ctrl).Handler())
-	t.Cleanup(srv.Close)
-	return NewClient(srv.URL), ctrl
+	return st
 }
 
 func TestFullRoundOverHTTP(t *testing.T) {
-	c, ctrl := newTestServer(t)
+	base, ctrl := newTestServer(t)
 
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != "fedora" || st.RoundInProgress {
+	if st := getStatus(t, base); st.Backend != "fedora" || st.RoundInProgress {
 		t.Errorf("status = %+v", st)
 	}
 
-	if err := c.BeginRound([][]uint64{{5, 9}, {9, 12}}); err != nil {
-		t.Fatal(err)
-	}
+	info := beginV2(t, base, `{"requests":[[5,9],[9,12]]}`)
 	for _, row := range []uint64{5, 9, 12} {
-		entry, ok, err := c.Entry(row)
-		if err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", row, ok, err)
+		e, err := serveRow(base, info.RoundID, row)
+		if err != nil || !e.OK {
+			t.Fatalf("row %d: %+v err=%v", row, e, err)
 		}
-		if len(entry) != 4 {
-			t.Fatalf("entry dim = %d", len(entry))
+		if len(e.Entry) != 4 {
+			t.Fatalf("entry dim = %d", len(e.Entry))
 		}
-		delivered, err := c.SubmitGradient(row, []float32{1, 1, 1, 1}, 1)
+		delivered, err := submitRow(base, info.RoundID, row)
 		if err != nil || !delivered {
 			t.Fatalf("gradient row %d: %v %v", row, delivered, err)
 		}
 	}
-	stats, err := c.FinishRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.K != 4 || stats.KUnion != 3 {
-		t.Errorf("stats = %+v", stats)
+	done := finishV2(t, base, info.RoundID)
+	if done.Stats == nil || done.Stats.K != 4 || done.Stats.KSampled != 3 {
+		t.Errorf("stats = %+v", done.Stats)
 	}
 
-	// The update took effect: row 9 got gradient 1 from two clients.
+	// The update took effect: rows 5, 9 and 12 each got one gradient of 1.
 	row9, err := ctrl.PeekRow(9)
 	if err != nil {
 		t.Fatal(err)
@@ -72,103 +118,46 @@ func TestFullRoundOverHTTP(t *testing.T) {
 }
 
 func TestDoubleBeginRejected(t *testing.T) {
-	c, _ := newTestServer(t)
-	if err := c.BeginRound([][]uint64{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	err := c.BeginRound([][]uint64{{2}})
-	if err == nil || !strings.Contains(err.Error(), "409") {
-		t.Errorf("second begin err = %v, want conflict", err)
-	}
-	if _, err := c.FinishRound(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.BeginRound([][]uint64{{2}}); err != nil {
-		t.Errorf("begin after finish: %v", err)
-	}
+	base, _ := newTestServer(t)
+	info := beginV2(t, base, `{"requests":[[1]]}`)
+	wantErr(t, http.MethodPost, base+"/v2/rounds", `{"requests":[[2]]}`,
+		http.StatusConflict, CodeRoundInProgress)
+	finishV2(t, base, info.RoundID)
+	beginV2(t, base, `{"requests":[[2]]}`)
 }
 
 func TestOperationsWithoutRoundRejected(t *testing.T) {
-	c, _ := newTestServer(t)
-	if _, _, err := c.Entry(1); err == nil {
-		t.Error("entry without round accepted")
-	}
-	if _, err := c.SubmitGradient(1, []float32{0, 0, 0, 0}, 1); err == nil {
-		t.Error("gradient without round accepted")
-	}
-	if _, err := c.FinishRound(); err == nil {
-		t.Error("finish without round accepted")
-	}
+	base, _ := newTestServer(t)
+	// No round was ever begun, so no id resolves.
+	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/entries", `{"rows":[1]}`,
+		http.StatusNotFound, CodeRoundNotFound)
+	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/gradients",
+		`{"gradients":[{"row":1,"grad":[0,0,0,0],"samples":1}]}`,
+		http.StatusNotFound, CodeRoundNotFound)
+	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/finish", "",
+		http.StatusNotFound, CodeRoundNotFound)
 }
 
 func TestBadRequests(t *testing.T) {
-	c, _ := newTestServer(t)
-	srvURL := c.base
+	base, _ := newTestServer(t)
 
-	// Bad JSON.
-	resp, err := http.Post(srvURL+"/v1/rounds", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad json status = %d", resp.StatusCode)
-	}
+	wantErr(t, http.MethodPost, base+"/v2/rounds", "{", http.StatusBadRequest, CodeBadJSON)
+	wantErr(t, http.MethodPost, base+"/v2/rounds", `{"requests":[]}`,
+		http.StatusBadRequest, CodeInvalidArgument)
+	wantErr(t, http.MethodPost, base+"/v2/rounds", `{"requests":[[999999]]}`,
+		http.StatusBadRequest, CodeInvalidArgument)
+	wantErr(t, http.MethodGet, base+"/v2/rounds", "",
+		http.StatusMethodNotAllowed, CodeMethodNotAllowed)
 
-	// Empty requests.
-	resp, err = http.Post(srvURL+"/v1/rounds", "application/json", strings.NewReader(`{"requests":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty requests status = %d", resp.StatusCode)
-	}
-
-	// Out-of-range row.
-	resp, err = http.Post(srvURL+"/v1/rounds", "application/json",
-		strings.NewReader(`{"requests":[[999999]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("out-of-range row status = %d", resp.StatusCode)
-	}
-
-	// Wrong method.
-	resp, err = http.Get(srvURL + "/v1/rounds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/rounds status = %d", resp.StatusCode)
-	}
-
-	// Bad row parameter.
-	if err := c.BeginRound([][]uint64{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Get(srvURL + "/v1/rounds/current/entry?row=abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad row param status = %d", resp.StatusCode)
-	}
-
+	info := beginV2(t, base, `{"requests":[[1]]}`)
+	round := base + "/v2/rounds/" + info.RoundID
+	// A row that is not a number.
+	wantErr(t, http.MethodPost, round+"/entries", `{"rows":["abc"]}`,
+		http.StatusBadRequest, CodeBadJSON)
 	// Non-positive samples.
-	resp, err = http.Post(srvURL+"/v1/rounds/current/gradient", "application/json",
-		strings.NewReader(`{"row":1,"grad":[0,0,0,0],"samples":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("zero samples status = %d", resp.StatusCode)
-	}
+	wantErr(t, http.MethodPost, round+"/gradients",
+		`{"gradients":[{"row":1,"grad":[0,0,0,0],"samples":0}]}`,
+		http.StatusBadRequest, CodeInvalidArgument)
 }
 
 func TestLostEntryOverHTTP(t *testing.T) {
@@ -181,29 +170,25 @@ func TestLostEntryOverHTTP(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewServer(ctrl).Handler())
 	defer srv.Close()
-	c := NewClient(srv.URL)
 
 	sawLost := false
 	for round := 0; round < 10 && !sawLost; round++ {
-		rows := make([]uint64, 16)
+		rows := make([]string, 16)
 		for i := range rows {
-			rows[i] = uint64(round*16 + i)
+			rows[i] = fmt.Sprint(round*16 + i)
 		}
-		if err := c.BeginRound([][]uint64{rows}); err != nil {
+		list := strings.Join(rows, ",")
+		info := beginV2(t, srv.URL, `{"requests":[[`+list+`]]}`)
+		var out EntriesResponse
+		if err := postJSON(srv.URL+"/v2/rounds/"+info.RoundID+"/entries", `{"rows":[`+list+`]}`, &out); err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
-			_, ok, err := c.Entry(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
+		for _, e := range out.Entries {
+			if !e.OK {
 				sawLost = true
 			}
 		}
-		if _, err := c.FinishRound(); err != nil {
-			t.Fatal(err)
-		}
+		finishV2(t, srv.URL, info.RoundID)
 	}
 	if !sawLost {
 		t.Error("tiny epsilon never lost an entry over HTTP")
@@ -211,20 +196,17 @@ func TestLostEntryOverHTTP(t *testing.T) {
 }
 
 func TestConcurrentEntryRequests(t *testing.T) {
-	c, _ := newTestServer(t)
+	base, _ := newTestServer(t)
 	rows := []uint64{1, 2, 3, 4, 5, 6}
-	reqs := [][]uint64{rows[:3], rows[3:]}
-	if err := c.BeginRound(reqs); err != nil {
-		t.Fatal(err)
-	}
+	info := beginV2(t, base, `{"requests":[[1,2,3],[4,5,6]]}`)
 	// Many clients hammer the serve endpoint concurrently; the server
 	// serializes access to the single trusted controller.
 	errCh := make(chan error, 24)
 	for g := 0; g < 24; g++ {
 		go func(g int) {
 			row := rows[g%len(rows)]
-			_, ok, err := c.Entry(row)
-			if err == nil && !ok {
+			e, err := serveRow(base, info.RoundID, row)
+			if err == nil && !e.OK {
 				err = fmt.Errorf("row %d not resident", row)
 			}
 			errCh <- err
@@ -235,27 +217,18 @@ func TestConcurrentEntryRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.FinishRound(); err != nil {
-		t.Fatal(err)
-	}
+	finishV2(t, base, info.RoundID)
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	c, _ := newTestServer(t)
-	if err := c.BeginRound([][]uint64{{1, 2}}); err != nil {
-		t.Fatal(err)
+	base, _ := newTestServer(t)
+	info := beginV2(t, base, `{"requests":[[1,2]]}`)
+	finishV2(t, base, info.RoundID)
+	status, data := doReq(t, http.MethodGet, base+"/metrics", "")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: status %d", status)
 	}
-	if _, err := c.FinishRound(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(c.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body := make([]byte, 4096)
-	n, _ := resp.Body.Read(body)
-	out := string(body[:n])
+	out := string(data)
 	for _, want := range []string{
 		"fedora_rounds_total 1",
 		"fedora_round_in_progress 0",
@@ -264,5 +237,28 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// v1Paths are the five routes of the per-row protocol removed in PR 21.
+var v1Paths = []string{
+	"/v1/status", "/v1/rounds", "/v1/rounds/current/entry?row=1",
+	"/v1/rounds/current/gradient", "/v1/rounds/current/finish",
+}
+
+// TestV1Gone: every former /v1 path answers the mux's plain 404 under
+// either verb, and /metrics carries no v1 endpoint label.
+func TestV1Gone(t *testing.T) {
+	base, _ := newTestServer(t)
+	for _, path := range v1Paths {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if status, data := doReq(t, method, base+path, ""); status != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404 (body %s)", method, path, status, data)
+			}
+		}
+	}
+	_, data := doReq(t, http.MethodGet, base+"/metrics", "")
+	if strings.Contains(string(data), `endpoint="v1_`) {
+		t.Errorf("/metrics still labels a v1 endpoint:\n%s", data)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/fedora"
 )
 
-func newShardedServer(t *testing.T, shards int) (*Client, *fedora.Controller) {
+func newShardedServer(t *testing.T, shards int) (string, *fedora.Controller) {
 	t.Helper()
 	ctrl, err := fedora.New(fedora.Config{
 		NumRows: 1024, Dim: 4, Epsilon: fdp.EpsilonInfinity,
@@ -24,42 +24,24 @@ func newShardedServer(t *testing.T, shards int) (*Client, *fedora.Controller) {
 	}
 	srv := httptest.NewServer(NewServer(ctrl).Handler())
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL), ctrl
+	return srv.URL, ctrl
 }
 
 // TestShardedStatusReportsShards: the status and metrics endpoints
 // surface the shard count and aggregate device counters.
 func TestShardedStatusReportsShards(t *testing.T) {
-	c, _ := newShardedServer(t, 4)
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Shards != 4 {
+	base, _ := newShardedServer(t, 4)
+	if st := getStatus(t, base); st.Shards != 4 {
 		t.Errorf("status shards = %d, want 4", st.Shards)
 	}
-	if err := c.BeginRound([][]uint64{{1, 600}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FinishRound(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SSDBytesRead == 0 {
+	info := beginV2(t, base, `{"requests":[[1,600]]}`)
+	finishV2(t, base, info.RoundID)
+	if st := getStatus(t, base); st.SSDBytesRead == 0 {
 		t.Error("aggregated SSD read counter is zero after a round")
 	}
-	resp, err := http.Get(c.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body := make([]byte, 4096)
-	n, _ := resp.Body.Read(body)
-	if !strings.Contains(string(body[:n]), "fedora_shards 4") {
-		t.Errorf("metrics missing fedora_shards gauge:\n%s", body[:n])
+	_, data := doReq(t, http.MethodGet, base+"/metrics", "")
+	if !strings.Contains(string(data), "fedora_shards 4") {
+		t.Errorf("metrics missing fedora_shards gauge:\n%s", data)
 	}
 }
 
@@ -67,27 +49,25 @@ func TestShardedStatusReportsShards(t *testing.T) {
 // downloads AND uploads spanning every shard; every operation must
 // succeed and every gradient must be delivered.
 func TestShardedConcurrentEntryAndGradient(t *testing.T) {
-	c, _ := newShardedServer(t, 4)
+	base, _ := newShardedServer(t, 4)
 	// Rows chosen to span all 4 shards of the 1024-row table.
 	rows := []uint64{1, 2, 300, 301, 600, 601, 900, 901}
-	if err := c.BeginRound([][]uint64{rows[:4], rows[4:]}); err != nil {
-		t.Fatal(err)
-	}
+	info := beginV2(t, base, `{"requests":[[1,2,300,301],[600,601,900,901]]}`)
 	var wg sync.WaitGroup
-	errCh := make(chan error, 64)
+	errCh := make(chan error, 32)
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			row := rows[g%len(rows)]
 			if g%2 == 0 {
-				_, ok, err := c.Entry(row)
-				if err == nil && !ok {
+				e, err := serveRow(base, info.RoundID, row)
+				if err == nil && !e.OK {
 					err = fmt.Errorf("row %d not resident", row)
 				}
 				errCh <- err
 			} else {
-				delivered, err := c.SubmitGradient(row, []float32{1, 1, 1, 1}, 1)
+				delivered, err := submitRow(base, info.RoundID, row)
 				if err == nil && !delivered {
 					err = fmt.Errorf("row %d gradient dropped", row)
 				}
@@ -102,73 +82,47 @@ func TestShardedConcurrentEntryAndGradient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.FinishRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.K != len(rows) {
-		t.Errorf("finish stats K = %d, want %d", st.K, len(rows))
+	done := finishV2(t, base, info.RoundID)
+	if done.Stats == nil || done.Stats.K != len(rows) {
+		t.Errorf("finish stats = %+v, want K = %d", done.Stats, len(rows))
 	}
 }
 
 // TestShardedErrorPaths: unknown rows, operations after finish, and
 // malformed bodies all fail with client errors, sharded or not.
 func TestShardedErrorPaths(t *testing.T) {
-	c, _ := newShardedServer(t, 4)
+	base, _ := newShardedServer(t, 4)
 
 	// Begin with a row beyond the table: rejected up front.
-	resp, err := http.Post(c.base+"/v1/rounds", "application/json",
-		strings.NewReader(`{"requests":[[4096]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("out-of-range begin status = %d", resp.StatusCode)
-	}
+	wantErr(t, http.MethodPost, base+"/v2/rounds", `{"requests":[[4096]]}`,
+		http.StatusBadRequest, CodeInvalidArgument)
 
-	if err := c.BeginRound([][]uint64{{1, 900}}); err != nil {
-		t.Fatal(err)
-	}
+	info := beginV2(t, base, `{"requests":[[1,900]]}`)
+	round := base + "/v2/rounds/" + info.RoundID
 	// Unknown-but-in-range row: an indistinguishable miss, not an error.
-	if _, ok, err := c.Entry(700); err != nil || ok {
-		t.Errorf("entry for unrequested row: ok=%v err=%v, want miss", ok, err)
+	if e, err := serveRow(base, info.RoundID, 700); err != nil || e.OK {
+		t.Errorf("entry for unrequested row: %+v err=%v, want miss", e, err)
 	}
 	// Unknown row in a gradient: dropped, not delivered.
-	if delivered, err := c.SubmitGradient(700, []float32{0, 0, 0, 0}, 1); err != nil || delivered {
+	if delivered, err := submitRow(base, info.RoundID, 700); err != nil || delivered {
 		t.Errorf("gradient for unrequested row: delivered=%v err=%v", delivered, err)
 	}
-	// Out-of-range row during the round: a client error from the router.
-	resp, err = http.Get(c.base + "/v1/rounds/current/entry?row=4096")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode < 400 {
-		t.Errorf("out-of-range entry status = %d, want error", resp.StatusCode)
-	}
+	// Out-of-range row during the round: a client error.
+	wantErr(t, http.MethodPost, round+"/entries", `{"rows":[4096]}`,
+		http.StatusBadRequest, CodeInvalidArgument)
 	// Malformed gradient JSON.
-	resp, err = http.Post(c.base+"/v1/rounds/current/gradient", "application/json",
-		strings.NewReader(`{"row":`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed gradient status = %d", resp.StatusCode)
-	}
+	wantErr(t, http.MethodPost, round+"/gradients", `{"gradients":`,
+		http.StatusBadRequest, CodeBadJSON)
 
-	if _, err := c.FinishRound(); err != nil {
-		t.Fatal(err)
-	}
-	// Everything after finish: 409 conflict.
-	if _, _, err := c.Entry(1); err == nil {
-		t.Error("entry after finish accepted")
-	}
-	if _, err := c.SubmitGradient(1, []float32{0, 0, 0, 0}, 1); err == nil {
-		t.Error("gradient after finish accepted")
-	}
-	if _, err := c.FinishRound(); err == nil {
-		t.Error("double finish accepted")
+	finishV2(t, base, info.RoundID)
+	// Transfers after finish: 409 round_finished. Finish itself is
+	// idempotent and replays the recorded outcome.
+	wantErr(t, http.MethodPost, round+"/entries", `{"rows":[1]}`,
+		http.StatusConflict, CodeRoundFinished)
+	wantErr(t, http.MethodPost, round+"/gradients",
+		`{"gradients":[{"row":1,"grad":[0,0,0,0],"samples":1}]}`,
+		http.StatusConflict, CodeRoundFinished)
+	if again := finishV2(t, base, info.RoundID); !again.Finished {
+		t.Errorf("repeated finish = %+v", again)
 	}
 }

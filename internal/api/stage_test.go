@@ -137,10 +137,11 @@ func TestV2StageValidation(t *testing.T) {
 }
 
 // TestV2StageNextHint: the optional stage_next field on round creation
-// stages the following round in the same request, the staged reads serve
-// round 2 from the prefetch buffer, and the hit shows up on /metrics.
+// stages the following round in the same request, and the staged reads
+// serve round 2 from the prefetch buffer. The hit count is secret-derived
+// (k_sampled − dummy), so it is read off the controller, not the API.
 func TestV2StageNextHint(t *testing.T) {
-	srv, _ := newStageTestServer(t)
+	srv, ctrl := newStageTestServer(t)
 
 	r1 := beginV2(t, srv.URL, `{"requests":[[5,9]],"stage_next":[[7,21]]}`)
 	finishV2(t, srv.URL, r1.RoundID)
@@ -152,23 +153,10 @@ func TestV2StageNextHint(t *testing.T) {
 		t.Fatalf("entries: status %d body %s", status, data)
 	}
 	info := finishV2(t, srv.URL, r2.RoundID)
-	if info.Stats == nil || !info.Stats.Prefetched || info.Stats.PrefetchHits == 0 {
-		t.Fatalf("round 2 stats = %+v, want prefetched with hits", info.Stats)
+	if info.Stats == nil || !info.Stats.Prefetched {
+		t.Fatalf("round 2 stats = %+v, want prefetched", info.Stats)
 	}
-
-	status, data = doReq(t, http.MethodGet, srv.URL+"/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("metrics: status %d", status)
-	}
-	body := string(data)
-	for _, metric := range []string{
-		"fedora_prefetch_hits_total", "fedora_prefetch_wasted_total", "fedora_prefetch_staged_rows",
-	} {
-		if !strings.Contains(body, metric) {
-			t.Errorf("metrics missing %s", metric)
-		}
-	}
-	if strings.Contains(body, "fedora_prefetch_hits_total 0\n") {
-		t.Errorf("prefetch hits not counted:\n%s", body)
+	if rep := ctrl.PrefetchReport(); rep.Hits == 0 {
+		t.Errorf("prefetch report = %+v, want staged rows served", rep)
 	}
 }

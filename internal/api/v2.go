@@ -14,8 +14,7 @@ import (
 	"repro/internal/wire"
 )
 
-// The v2 protocol replaces v1's single ambient "current" round with
-// explicitly addressed rounds and batched transfers:
+// The v2 protocol: explicitly addressed rounds and batched transfers.
 //
 //	POST /v2/rounds                     begin (idempotent via round_key)
 //	GET  /v2/rounds/{id}                round info
@@ -162,8 +161,8 @@ type serverRound struct {
 
 	// Mutable fields below are guarded by the server mutex. finishMu
 	// additionally serializes the finish transition itself so exactly
-	// one caller (explicit finish, deadline timer, or v1 shim) runs
-	// the round's Finish.
+	// one caller (explicit finish or deadline timer) runs the round's
+	// Finish.
 	round       Round // nil once finished
 	finished    bool
 	expired     bool
@@ -186,7 +185,7 @@ type serverRound struct {
 	unmaskResp UnmaskResponse
 }
 
-// ---- round lifecycle core (shared by v1 shim and v2) -----------------
+// ---- round lifecycle core --------------------------------------------
 
 // apiError is an internal carrier for (status, code, message).
 type apiError struct {
@@ -320,8 +319,8 @@ func (s *Server) liveRound(sr *serverRound) (Round, *apiError) {
 	return sr.round, nil
 }
 
-// finishRound finishes sr exactly once (explicit finish, v1 shim, and
-// the deadline timer all funnel here); later callers get the recorded
+// finishRound finishes sr exactly once (explicit finish and the
+// deadline timer both funnel here); later callers get the recorded
 // outcome. Returns the stats and the recorded finish error ("" = ok).
 func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, string) {
 	sr.finishMu.Lock()

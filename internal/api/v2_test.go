@@ -135,12 +135,11 @@ func TestV2FullBatchedRound(t *testing.T) {
 	if !done.Finished || done.Expired || done.Stats == nil {
 		t.Fatalf("finish info = %+v", done)
 	}
-	if done.Stats.K != 4 || done.Stats.KUnion != 3 {
+	if done.Stats.K != 4 {
 		t.Errorf("stats = %+v", done.Stats)
 	}
 
-	// Same model effect as the per-row v1 flow: row 9 averaged gradient 1
-	// from two clients.
+	// Row 9 averaged gradient 1 from two clients.
 	row9, err := ctrl.PeekRow(9)
 	if err != nil {
 		t.Fatal(err)
@@ -463,13 +462,13 @@ func TestV2DeadlineExpiry(t *testing.T) {
 	beginV2(t, srv.URL, `{"requests":[[5]]}`)
 }
 
-// TestMetricsReadableMidRound guards the mutex fix: /metrics and both
-// status endpoints answer while a round is open.
+// TestMetricsReadableMidRound guards the mutex fix: /metrics and the
+// status endpoint answer while a round is open.
 func TestMetricsReadableMidRound(t *testing.T) {
 	srv, _ := newV2TestServer(t)
 	info := beginV2(t, srv.URL, `{"requests":[[1,2],[2,3]]}`)
 
-	for _, path := range []string{"/metrics", "/v2/status", "/v1/status"} {
+	for _, path := range []string{"/metrics", "/v2/status"} {
 		status, data := doReq(t, http.MethodGet, srv.URL+path, "")
 		if status != http.StatusOK {
 			t.Fatalf("%s mid-round: status %d body %s", path, status, data)
@@ -522,46 +521,5 @@ func TestHTTPMetricsExported(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestV1Deprecated: the shim still works and announces its deprecation.
-func TestV1DeprecationHeader(t *testing.T) {
-	srv, _ := newV2TestServer(t)
-	resp, err := http.Get(srv.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("v1 response missing Deprecation header")
-	}
-}
-
-// TestV1V2Interop: a round begun over v1 is addressable over v2 (same
-// underlying state), and vice versa.
-func TestV1V2Interop(t *testing.T) {
-	srv, _ := newV2TestServer(t)
-	v1 := NewClient(srv.URL)
-
-	if err := v1.BeginRound([][]uint64{{4}}); err != nil {
-		t.Fatal(err)
-	}
-	_, data := doReq(t, http.MethodGet, srv.URL+"/v2/status", "")
-	var st StatusResponse
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.CurrentRoundID == "" {
-		t.Fatalf("v1-begun round invisible to v2 status: %+v", st)
-	}
-	// Download over v2, finish over v1.
-	status, data := doReq(t, http.MethodPost,
-		srv.URL+"/v2/rounds/"+st.CurrentRoundID+"/entries", `{"rows":[4]}`)
-	if status != http.StatusOK {
-		t.Fatalf("v2 entries on v1 round: %d %s", status, data)
-	}
-	if _, err := v1.FinishRound(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -7,7 +7,7 @@ package cluster_test
 // model to match an in-process single-controller run row for row. Then
 // it kills one member and requires the next round to degrade (rows on
 // the dead node unavailable) instead of failing. This is the
-// multi-process capstone behind `make cluster-test`; the in-process
+// multi-process capstone, run by `make check`; the in-process
 // tests in cluster_test.go cover the same invariants with httptest
 // servers plus checkpoint assembly and join-time migration.
 

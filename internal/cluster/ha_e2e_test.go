@@ -7,7 +7,7 @@ package cluster_test
 // discard the torn round, replay the WAL's committed rounds, and serve
 // a model bit-identical to an uninterrupted in-process run — while the
 // client SDK fails over to it on its own. Afterwards both members must
-// reject the dead primary's epoch. `make ha-test` runs this under
+// reject the dead primary's epoch. `make check` runs this under
 // -race; the in-process tests in ha_test.go cover the same state
 // machine with httptest servers.
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/fdp"
 	"repro/internal/fedora"
 	"repro/internal/shard"
 )
@@ -438,7 +437,8 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 	defer r.c.endRound()
 
 	finishStart := time.Now()
-	stats := make([]*shard.RoundStats, len(r.c.members))
+	stats := make([]shard.RoundStats, len(r.c.members))
+	served := make([]bool, len(r.c.members))
 	var wg sync.WaitGroup
 	for n := range r.c.members {
 		if !r.live(n) {
@@ -461,52 +461,21 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 				r.drop(n, fmt.Errorf("finish round %d: %w", r.seq, err))
 				return
 			}
-			stats[n] = &st
+			stats[n], served[n] = st, true
 		}(n)
 	}
 	wg.Wait()
 	finishWall := time.Since(finishStart)
 
-	var m shard.RoundStats
-	var acct fdp.Accountant
-	survivors := 0
-	for n, st := range stats {
-		if st == nil {
-			m.QuarantinedShards += r.c.members[n].spec.Count
-			continue
+	// A lost member's stats stay zero: it contributes its shard count to
+	// the quarantine tally and nothing to the merge.
+	survivors, quarantined := 0, 0
+	for n, ok := range served {
+		if ok {
+			survivors++
+		} else {
+			quarantined += r.c.members[n].spec.Count
 		}
-		survivors++
-		m.K += st.K
-		m.KUnion += st.KUnion
-		m.KSampled += st.KSampled
-		m.Dummy += st.Dummy
-		m.Lost += st.Lost
-		m.CrossChunkDup += st.CrossChunkDup
-		m.Chunks += st.Chunks
-		m.UnionTime += st.UnionTime
-		m.ReadTime += st.ReadTime
-		m.ServeTime += st.ServeTime
-		m.AggregateTime += st.AggregateTime
-		m.UpdateTime += st.UpdateTime
-		m.EvictTime += st.EvictTime
-		m.PrefetchHits += st.PrefetchHits
-		m.PrefetchWasted += st.PrefetchWasted
-		if st.Prefetched {
-			m.Prefetched = true
-		}
-		if st.UnionWallTime > m.UnionWallTime {
-			m.UnionWallTime = st.UnionWallTime
-		}
-		if st.PrefetchWallTime > m.PrefetchWallTime {
-			m.PrefetchWallTime = st.PrefetchWallTime
-		}
-		if st.EvictWallTime > m.EvictWallTime {
-			m.EvictWallTime = st.EvictWallTime
-		}
-		if st.Chunks > 0 {
-			acct.Observe(st.RoundEpsilon)
-		}
-		m.QuarantinedShards += st.QuarantinedShards
 	}
 	if survivors == 0 {
 		if r.c.deposed.Load() {
@@ -515,24 +484,8 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 		}
 		return fedora.RoundStats{}, fmt.Errorf("cluster: round lost on every node: %w", fedora.ErrShardUnavailable)
 	}
-	m.RoundEpsilon = acct.RoundEpsilon()
-	if m.Prefetched {
-		// Streamed rounds: each member already reports blocking-read wall
-		// only (its reads ran on background fetchers, not inside the begin
-		// fan-out). Members blocked concurrently, so take the max — the
-		// same aggregation the sharded engine applies.
-		for _, st := range stats {
-			if st != nil && st.ReadWallTime > m.ReadWallTime {
-				m.ReadWallTime = st.ReadWallTime
-			}
-		}
-	} else {
-		m.ReadWallTime = r.beginWall - m.UnionWallTime
-		if m.ReadWallTime < 0 {
-			m.ReadWallTime = 0
-		}
-	}
-	m.FinishWallTime = finishWall
+	m := shard.MergeStats(stats, r.beginWall, finishWall)
+	m.QuarantinedShards = quarantined
 
 	// Durability point: the commit frame seals the round in the WAL —
 	// replay redrives only rounds whose commit made it to disk, so a

@@ -987,7 +987,8 @@ type Result struct {
 	// saved relative to the perfect-privacy (ε=0, k=K) configuration.
 	ReducedAccesses float64
 	// DummyFrac / LostFrac are Σdummy and Σlost over Σk_union — the
-	// paper's Dummy/Lost columns (relative to the ε=∞ optimum).
+	// paper's Dummy/Lost columns (relative to the ε=∞ optimum). Zero on a
+	// remote trainer: the API does not export the counts ε-FDP noises.
 	DummyFrac float64
 	LostFrac  float64
 	// CumulativeEpsilon is the total ε-FDP budget spent across all rounds

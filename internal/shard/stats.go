@@ -120,15 +120,17 @@ type ShardStats struct {
 	Quarantined bool
 }
 
-// merge folds per-shard round statistics into the round view: counts and
-// modelled device times sum; wall times take the parallel section's
-// elapsed time; the round ε composes in parallel across shards (max, via
-// the same accountant the chunked union uses).
-func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, beginShard, finishShard []time.Duration) RoundStats {
+// MergeStats folds the statistics of parts that served one round side by
+// side — an engine's shards, a cluster's member nodes — into the round
+// view: counts and modelled device times sum; wall times take the
+// parallel section's elapsed time (beginWall and finishWall are the
+// caller's own measurements of its fan-outs); the round ε composes in
+// parallel across parts (max, via the same accountant the chunked union
+// uses). A part that sat the round out is passed as the zero value.
+func MergeStats(parts []RoundStats, beginWall, finishWall time.Duration) RoundStats {
 	var m RoundStats
 	var acct fdp.Accountant
-	m.PerShard = make([]ShardStats, len(stats))
-	for i, st := range stats {
+	for _, st := range parts {
 		m.K += st.K
 		m.KUnion += st.KUnion
 		m.KSampled += st.KSampled
@@ -146,21 +148,34 @@ func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, 
 		m.EvictTime += st.EvictTime
 		m.PrefetchHits += st.PrefetchHits
 		m.PrefetchWasted += st.PrefetchWasted
-		if st.Prefetched {
-			m.Prefetched = true
-		}
-		if st.UnionWallTime > m.UnionWallTime {
-			m.UnionWallTime = st.UnionWallTime
-		}
-		if st.PrefetchWallTime > m.PrefetchWallTime {
-			m.PrefetchWallTime = st.PrefetchWallTime
-		}
-		if st.EvictWallTime > m.EvictWallTime {
-			m.EvictWallTime = st.EvictWallTime
-		}
+		m.Prefetched = m.Prefetched || st.Prefetched
+		m.UnionWallTime = max(m.UnionWallTime, st.UnionWallTime)
+		m.PrefetchWallTime = max(m.PrefetchWallTime, st.PrefetchWallTime)
+		m.EvictWallTime = max(m.EvictWallTime, st.EvictWallTime)
 		if st.Chunks > 0 {
 			acct.Observe(st.RoundEpsilon)
 		}
+	}
+	m.RoundEpsilon = acct.RoundEpsilon()
+	if m.Prefetched {
+		// Prefetched rounds: each part reports its own blocking-read wall
+		// (reads happened on background fetch passes, not inside the begin
+		// section). Parts blocked concurrently, so take the max.
+		for _, st := range parts {
+			m.ReadWallTime = max(m.ReadWallTime, st.ReadWallTime)
+		}
+	} else {
+		m.ReadWallTime = max(beginWall-m.UnionWallTime, 0)
+	}
+	m.FinishWallTime = finishWall
+	return m
+}
+
+// merge is MergeStats plus the per-shard breakdown.
+func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, beginShard, finishShard []time.Duration) RoundStats {
+	m := MergeStats(stats, beginWall, finishWall)
+	m.PerShard = make([]ShardStats, len(stats))
+	for i, st := range stats {
 		m.PerShard[i] = ShardStats{
 			Shard: e.cfg.Base + i, Rows: Rows(e.cfg.NumRows, e.cfg.Shards, i),
 			K: st.K, KUnion: st.KUnion, KSampled: st.KSampled,
@@ -169,22 +184,5 @@ func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, 
 			BeginWall:    beginShard[i], FinishWall: finishShard[i],
 		}
 	}
-	m.RoundEpsilon = acct.RoundEpsilon()
-	if m.Prefetched {
-		// Prefetched rounds: each shard reports its own blocking-read wall
-		// (reads happened on background fetch passes, not inside the begin
-		// section). Shards blocked concurrently, so take the max.
-		for _, st := range stats {
-			if st.ReadWallTime > m.ReadWallTime {
-				m.ReadWallTime = st.ReadWallTime
-			}
-		}
-	} else {
-		m.ReadWallTime = beginWall - m.UnionWallTime
-		if m.ReadWallTime < 0 {
-			m.ReadWallTime = 0
-		}
-	}
-	m.FinishWallTime = finishWall
 	return m
 }
