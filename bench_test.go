@@ -8,9 +8,14 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/api"
+	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fdp"
@@ -18,9 +23,11 @@ import (
 	"repro/internal/fl"
 	"repro/internal/obliv"
 	"repro/internal/pathoram"
+	"repro/internal/persist"
 	"repro/internal/raworam"
 	"repro/internal/ringoram"
 	"repro/internal/secagg"
+	"repro/internal/storage"
 	"repro/internal/tee"
 	"repro/internal/wire"
 
@@ -533,5 +540,125 @@ func BenchmarkRecursiveMapLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rm.GetSet(uint64(i)&0xFFFF, uint32(i)&0x3FFF)
+	}
+}
+
+// --- checkpoint byte path ----------------------------------------------
+
+// checkpointBenchConfig is the train_cluster cell of the benchmark spine
+// as the controller sees it: the MovieLens item table at dim 16,
+// encrypted, 32 clients × 100 features a round, two shards.
+func checkpointBenchConfig() fedora.Config {
+	return fedora.Config{
+		NumRows: dataset.MovieLensConfig().NumItems, Dim: 16, Epsilon: 1, Encrypt: true,
+		MaxClientsPerRound: 32, MaxFeaturesPerClient: 100, LearningRate: 0.1, Seed: 7, Shards: 2,
+	}
+}
+
+// checkpointBenchRounds fills the ORAM trees the way training does, so
+// the snapshot has a steady-state image to carry.
+func checkpointBenchRounds(b *testing.B, cfg fedora.Config, begin func([][]uint64) (api.Round, error)) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 10; round++ {
+		reqs := make([][]uint64, cfg.MaxClientsPerRound)
+		var grads []fedora.RowGradient
+		for c := range reqs {
+			for j := 0; j < cfg.MaxFeaturesPerClient; j++ {
+				row := uint64(rng.Int63n(int64(cfg.NumRows)))
+				reqs[c] = append(reqs[c], row)
+				grads = append(grads, fedora.RowGradient{Row: row, Grad: make([]float32, cfg.Dim), Samples: 1})
+			}
+		}
+		r, err := begin(reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.SubmitGradients(grads); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkControllerSnapshot measures Controller.Snapshot() at the
+// train_cluster geometry over both storage backends. B/op against the
+// MB/s column's bytes is the copies-per-snapshot-byte figure
+// (TestSnapshotAllocatesOnce bounds it at 1.25).
+func BenchmarkControllerSnapshot(b *testing.B) {
+	for _, kind := range []storage.Kind{storage.KindSim, storage.KindFile} {
+		b.Run(kind.String(), func(b *testing.B) {
+			cfg := checkpointBenchConfig()
+			cfg.Storage = storage.Spec{Kind: kind, Dir: b.TempDir()}
+			ctrl, err := fedora.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ctrl.Close()
+			checkpointBenchRounds(b, cfg, func(reqs [][]uint64) (api.Round, error) { return ctrl.BeginRound(reqs) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blob, err := ctrl.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(blob)))
+			}
+		})
+	}
+}
+
+// BenchmarkClusterCheckpoint measures one cluster checkpoint as the
+// coordinator's maintenance pass takes it — Snapshot() pulling one
+// section from each of two loopback members, then the atomic save and
+// prune — at the train_cluster geometry. Members, coordinator and file
+// write share the process, so B/op is the whole byte path
+// (TestCheckpointAllocBounded bounds it at 4× the blob).
+func BenchmarkClusterCheckpoint(b *testing.B) {
+	global := checkpointBenchConfig()
+	var nodes []cluster.NodeSpec
+	for g := 0; g < global.Shards; g++ {
+		sub, err := fedora.SliceConfig(global, g, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctrl, err := fedora.New(sub)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ctrl.Close()
+		srv := httptest.NewServer(api.NewServer(ctrl).Handler())
+		defer srv.Close()
+		nodes = append(nodes, cluster.NodeSpec{URL: srv.URL, First: g, Count: 1})
+	}
+	mgr, err := persist.OpenManager(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	co, err := cluster.New(cluster.Config{
+		Fedora: global, Nodes: nodes, ProbeInterval: time.Hour,
+		Client: client.Config{Timeout: 30 * time.Second, RetrySeed: 1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.StopProbes()
+	checkpointBenchRounds(b, global, co.BeginRound)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blob, err := co.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp := persist.NewCheckpoint()
+		cp.Put(cluster.CheckpointSection, blob)
+		if _, err := mgr.SaveNext(cp, 3); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(blob)))
 	}
 }

@@ -138,6 +138,13 @@ func runCluster(ctx context.Context, c *client.Client) {
 	}
 	fmt.Printf("cluster: %d shards over %d rows, round %d, %s\n",
 		st.Shards, st.NumRows, st.Round, st.Status)
+	if st.LastCheckpointRound > 0 || st.LastCheckpointError != "" {
+		fmt.Printf("checkpoint: sealed round %d", st.LastCheckpointRound)
+		if st.LastCheckpointError != "" {
+			fmt.Printf(", latest attempt FAILED: %s", st.LastCheckpointError)
+		}
+		fmt.Println()
+	}
 	// Leader/epoch exists only on HA-enabled coordinators; a 404 from an
 	// older (or non-durable) one just means there is nothing to print.
 	if ld, err := c.ClusterLeader(ctx); err == nil {

@@ -300,16 +300,5 @@ func saveCluster(mgr *persist.Manager, co *cluster.Coordinator) (uint64, error) 
 	}
 	cp := persist.NewCheckpoint()
 	cp.Put(ctrlSection, blob)
-	epochs, err := mgr.Epochs()
-	if err != nil {
-		return 0, err
-	}
-	var epoch uint64 = 1
-	if len(epochs) > 0 {
-		epoch = epochs[len(epochs)-1] + 1
-	}
-	if err := mgr.Save(epoch, cp); err != nil {
-		return 0, err
-	}
-	return epoch, mgr.Prune(3)
+	return mgr.SaveNext(cp, 3)
 }

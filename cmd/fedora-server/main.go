@@ -266,16 +266,5 @@ func saveController(mgr *persist.Manager, ctrl *fedora.Controller) (uint64, erro
 	}
 	cp := persist.NewCheckpoint()
 	cp.Put(ctrlSection, blob)
-	epochs, err := mgr.Epochs()
-	if err != nil {
-		return 0, err
-	}
-	var epoch uint64 = 1
-	if len(epochs) > 0 {
-		epoch = epochs[len(epochs)-1] + 1
-	}
-	if err := mgr.Save(epoch, cp); err != nil {
-		return 0, err
-	}
-	return epoch, mgr.Prune(3)
+	return mgr.SaveNext(cp, 3)
 }

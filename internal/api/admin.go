@@ -2,7 +2,6 @@ package api
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -23,10 +22,6 @@ import (
 // the caller is a coordinator re-syncing a member whose previous round
 // was orphaned by a fence, so there is no graceful finish to wait for.
 // A backend without the corresponding capability answers 501.
-
-// maxAdminBlob bounds admin restore bodies (a denial-of-service guard,
-// not a format limit).
-const maxAdminBlob = 1 << 30
 
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap, ok := s.ctrl.(Snapshotter)
@@ -50,9 +45,8 @@ func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, CodeUnsupported, "backend does not support snapshots")
 		return
 	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAdminBlob))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "read body: %s", err.Error())
+	blob, ok := readRequestBody(w, r, MaxAdminBlob)
+	if !ok {
 		return
 	}
 	s.abortForRestore()
@@ -95,9 +89,8 @@ func (s *Server) handleAdminShardRestore(w http.ResponseWriter, r *http.Request)
 		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
 		return
 	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAdminBlob))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "read body: %s", err.Error())
+	blob, ok := readRequestBody(w, r, MaxAdminBlob)
+	if !ok {
 		return
 	}
 	s.abortForRestore()

@@ -47,6 +47,12 @@ type ClusterStatusResponse struct {
 	// all are.
 	Status string        `json:"status"`
 	Nodes  []ClusterNode `json:"nodes"`
+	// LastCheckpointRound is the round the newest checkpoint this
+	// coordinator wrote sealed (0 before the first). LastCheckpointError
+	// is why the latest attempt failed, "" once one succeeds: a failed
+	// checkpoint never fails a round, so this is where it shows.
+	LastCheckpointRound uint64 `json:"last_checkpoint_round"`
+	LastCheckpointError string `json:"last_checkpoint_error,omitempty"`
 }
 
 // ClusterJoinRequest registers a (possibly replacement) member with the

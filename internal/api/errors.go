@@ -3,6 +3,7 @@ package api
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -39,6 +40,60 @@ const (
 // them). The v2 handlers map it to 409 with code "stale_epoch", which
 // the SDK treats as a failover trigger.
 var ErrStaleEpoch = errors.New("api: stale coordinator epoch")
+
+// ErrBodyTooLarge is returned by ReadBody for a body longer than its
+// limit — never a silently truncated prefix. The SDK does not retry it.
+var ErrBodyTooLarge = errors.New("api: body exceeds the size limit")
+
+// Body limits. Checkpoint blobs are persist-framed and can reach many
+// megabytes (a 2^20-row controller snapshots to 73 MB), so the admin
+// transfers share one generous bound on both ends of the connection;
+// everything else the SDK reads is a JSON reply.
+const (
+	// MaxAdminBlob bounds a checkpoint blob in either direction (a
+	// denial-of-service guard, not a format limit).
+	MaxAdminBlob = 1 << 30
+	// MaxReplyBody bounds any other reply the SDK reads.
+	MaxReplyBody = 64 << 20
+)
+
+// ReadBody reads one HTTP body — a request's on the server, a reply's in
+// the SDK — into exactly the buffer it declared: with a Content-Length
+// (declared ≥ 0) that is one allocation of that size and one ReadFull,
+// and a body that ends early is io.ErrUnexpectedEOF; only a chunked body
+// (declared < 0) is read by growing. A body past limit, declared or
+// discovered, is ErrBodyTooLarge.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrBodyTooLarge, declared, limit)
+	}
+	if declared >= 0 {
+		body := make([]byte, declared)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("%w: chunked body past %d bytes", ErrBodyTooLarge, limit)
+	}
+	return body, nil
+}
+
+// readRequestBody is ReadBody over a request, answering 400 itself on
+// failure (ok false).
+func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := ReadBody(r.Body, r.ContentLength, limit)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "read body: %s", err.Error())
+		return nil, false
+	}
+	return body, true
+}
 
 // ErrorBody is the inner object of the v2 error envelope.
 type ErrorBody struct {

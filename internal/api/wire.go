@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/fedora"
@@ -107,14 +106,8 @@ func (s *Server) wireAggregator(sr *serverRound) *wire.Aggregator {
 // Dedup mirrors the JSON path: the batch id (header) is reserved
 // before applying, and a duplicate replays the recorded response.
 func (s *Server) handleWireUpload(w http.ResponseWriter, r *http.Request, sr *serverRound) {
-	payload, err := io.ReadAll(io.LimitReader(r.Body, maxWirePayload+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "read payload: %s", err.Error())
-		return
-	}
-	if len(payload) > maxWirePayload {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"payload exceeds %d bytes", maxWirePayload)
+	payload, ok := readRequestBody(w, r, maxWirePayload)
+	if !ok {
 		return
 	}
 

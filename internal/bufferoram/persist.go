@@ -15,14 +15,19 @@ import (
 
 const bufferSnapshotVersion = 1
 
-// Snapshot serializes the buffer's dynamic state.
-func (b *Buffer) Snapshot() ([]byte, error) {
-	oramBlob, err := b.oram.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("bufferoram: inner oram: %w", err)
-	}
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (b *Buffer) Snapshot() ([]byte, error) { return persist.Build(b.SnapshotTo) }
 
-	var e persist.Encoder
+// SnapshotSize bounds the bytes SnapshotTo appends: the fixed fields
+// and RNG blob (under 128 bytes), one record per occupied and per free
+// slot, and the inner ORAM's section.
+func (b *Buffer) SnapshotSize() int {
+	return 128 + len(b.slotOf)*(8+4) + len(b.free)*4 + 8 + b.oram.SnapshotSize()
+}
+
+// SnapshotTo appends the buffer's dynamic state.
+func (b *Buffer) SnapshotTo(e *persist.Encoder) error {
+	e.Grow(b.SnapshotSize())
 	e.U8(bufferSnapshotVersion)
 	// Geometry guard.
 	e.U32(uint32(b.dim))
@@ -46,8 +51,12 @@ func (b *Buffer) Snapshot() ([]byte, error) {
 	for _, slot := range b.free {
 		e.U32(uint32(slot))
 	}
-	e.Bytes(oramBlob)
-	return e.Finish(), nil
+	m := e.BeginBytes()
+	if err := b.oram.SnapshotTo(e); err != nil {
+		return fmt.Errorf("bufferoram: inner oram: %w", err)
+	}
+	e.EndBytes(m)
+	return nil
 }
 
 // Restore replaces the buffer's dynamic state with a snapshot taken from

@@ -23,19 +23,19 @@ import (
 // All of them ride the same retry/backoff/classification loop as the
 // round calls and feed the same byte counters.
 
-// doRaw runs one logical octet-stream call: like do(), but the request
-// and reply bodies are raw checkpoint blobs rather than JSON.
-func (c *Client) doRaw(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+// doRaw runs one logical call whose request and reply bodies are raw
+// bytes rather than JSON: like do(), same retry loop.
+func (c *Client) doRaw(ctx context.Context, req rawRequest) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			if err := c.backoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
 				c.failures.Add(1)
-				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, err, lastErr)
+				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", req.method, req.path, err, lastErr)
 			}
 		}
-		data, status, hdr, err := c.rawAttempt(ctx, method, path, body, "application/octet-stream")
+		data, status, hdr, err := c.rawAttempt(ctx, req)
 		if err == nil && status < 300 {
 			return data, nil
 		}
@@ -46,35 +46,44 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body []byte) ([
 		if ctx.Err() != nil || !c.classifyRetry(lastErr) || attempt >= c.cfg.MaxRetries {
 			c.failures.Add(1)
 			return nil, fmt.Errorf("client: %s %s failed after %d attempt(s): %w",
-				method, path, attempt+1, lastErr)
+				req.method, req.path, attempt+1, lastErr)
 		}
 	}
 }
 
+// doBlob is doRaw for the admin checkpoint transfers: octet-stream
+// bodies, bounded in both directions by the limit the server applies.
+func (c *Client) doBlob(ctx context.Context, method, path string, blob []byte) ([]byte, error) {
+	return c.doRaw(ctx, rawRequest{
+		method: method, path: path, body: blob,
+		contentType: "application/octet-stream", replyLimit: api.MaxAdminBlob,
+	})
+}
+
 // Snapshot downloads the server's whole-controller checkpoint blob.
 func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
-	return c.doRaw(ctx, http.MethodGet, "/v2/admin/snapshot", nil)
+	return c.doBlob(ctx, http.MethodGet, "/v2/admin/snapshot", nil)
 }
 
 // Restore replaces the server's controller state with a previously
 // exported snapshot. Any open round on the server is force-aborted
 // first.
 func (c *Client) Restore(ctx context.Context, blob []byte) error {
-	_, err := c.doRaw(ctx, http.MethodPost, "/v2/admin/restore", blob)
+	_, err := c.doBlob(ctx, http.MethodPost, "/v2/admin/restore", blob)
 	return err
 }
 
 // SnapshotShard downloads one shard's checkpoint section by GLOBAL
 // shard index.
 func (c *Client) SnapshotShard(ctx context.Context, shard int) ([]byte, error) {
-	return c.doRaw(ctx, http.MethodGet, fmt.Sprintf("/v2/admin/shards/%d/snapshot", shard), nil)
+	return c.doBlob(ctx, http.MethodGet, fmt.Sprintf("/v2/admin/shards/%d/snapshot", shard), nil)
 }
 
 // RestoreShard replays one shard's checkpoint section onto the server
 // by GLOBAL shard index, clearing any quarantine on that shard. Any
 // open round on the server is force-aborted first.
 func (c *Client) RestoreShard(ctx context.Context, shard int, blob []byte) error {
-	_, err := c.doRaw(ctx, http.MethodPost, fmt.Sprintf("/v2/admin/shards/%d/restore", shard), blob)
+	_, err := c.doBlob(ctx, http.MethodPost, fmt.Sprintf("/v2/admin/shards/%d/restore", shard), blob)
 	return err
 }
 
@@ -94,7 +103,7 @@ func (c *Client) Healthz(ctx context.Context) (api.HealthzResponse, error) {
 				return out, fmt.Errorf("client: GET /healthz: %w (last error: %v)", err, lastErr)
 			}
 		}
-		data, status, hdr, err := c.rawAttempt(ctx, http.MethodGet, "/healthz", nil, "")
+		data, status, hdr, err := c.rawAttempt(ctx, rawRequest{method: http.MethodGet, path: "/healthz"})
 		if err == nil {
 			if status == http.StatusOK || status == http.StatusServiceUnavailable {
 				if jerr := json.Unmarshal(data, &out); jerr == nil {

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -359,11 +358,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 
 // attempt performs a single HTTP round trip with a JSON body/reply.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	contentType := ""
+	req := rawRequest{method: method, path: path, body: body}
 	if body != nil {
-		contentType = "application/json"
+		req.contentType = "application/json"
 	}
-	data, status, hdr, err := c.rawAttempt(ctx, method, path, body, contentType)
+	data, status, hdr, err := c.rawAttempt(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -379,31 +378,56 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	return nil
 }
 
-// rawAttempt is the transport core shared by the JSON calls, the raw
-// admin blob transfers and the health probe: one HTTP round trip, body
-// fully read, byte counters updated. The returned error covers only
-// transport failures — callers classify non-2xx statuses themselves.
-func (c *Client) rawAttempt(ctx context.Context, method, path string, body []byte, contentType string) ([]byte, int, http.Header, error) {
+// rawRequest is the input of one HTTP round trip.
+type rawRequest struct {
+	method, path string
+	body         []byte
+	contentType  string
+	// header is one optional extra header, name then value (the wire
+	// upload's batch id).
+	header [2]string
+	// replyLimit bounds the reply body; 0 means api.MaxReplyBody.
+	replyLimit int64
+}
+
+// rawAttempt is the transport core shared by the JSON calls, the binary
+// wire upload, the raw admin blob transfers and the health probe: one
+// HTTP round trip, the reply read into a buffer of its declared length,
+// byte counters updated. A reply cut short of its Content-Length is a
+// transport error; one past the limit is api.ErrBodyTooLarge, which no
+// retry can fix. Otherwise the returned error covers only transport
+// failures — callers classify non-2xx statuses themselves.
+func (c *Client) rawAttempt(ctx context.Context, r rawRequest) ([]byte, int, http.Header, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, method, c.baseURL()+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, r.method, c.baseURL()+r.path, bytes.NewReader(r.body))
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("client: build request: %w", err)
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if r.contentType != "" {
+		req.Header.Set("Content-Type", r.contentType)
+	}
+	if r.header[0] != "" && r.header[1] != "" {
+		req.Header.Set(r.header[0], r.header[1])
 	}
 	if e := c.epoch.Load(); e != 0 {
 		req.Header.Set(api.EpochHeader, strconv.FormatUint(e, 10))
 	}
 	c.requests.Add(1)
-	c.bytesSent.Add(uint64(len(body)))
+	c.bytesSent.Add(uint64(len(r.body)))
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, 0, nil, &transportError{err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	limit := r.replyLimit
+	if limit == 0 {
+		limit = api.MaxReplyBody
+	}
+	data, err := api.ReadBody(resp.Body, resp.ContentLength, limit)
+	if errors.Is(err, api.ErrBodyTooLarge) {
+		return nil, 0, nil, fmt.Errorf("client: %s %s reply: %w", r.method, r.path, err)
+	}
 	if err != nil {
 		return nil, 0, nil, &transportError{err}
 	}
@@ -610,60 +634,12 @@ func (c *Client) SubmitAggregates(ctx context.Context, roundID string, aggs []ap
 // callers MUST pass a batch id stable across retries of the same
 // payload (the fl wire plane derives it from round and client index).
 func (c *Client) SubmitWireUpload(ctx context.Context, roundID, batchID string, payload []byte) error {
-	path := "/v2/rounds/" + roundID + "/gradients"
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := c.backoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
-				c.failures.Add(1)
-				return fmt.Errorf("client: POST %s: %w (last error: %v)", path, err, lastErr)
-			}
-		}
-		lastErr = c.wireAttempt(ctx, path, batchID, payload)
-		if lastErr == nil {
-			return nil
-		}
-		if ctx.Err() != nil || !c.classifyRetry(lastErr) || attempt >= c.cfg.MaxRetries {
-			c.failures.Add(1)
-			return fmt.Errorf("client: POST %s failed after %d attempt(s): %w",
-				path, attempt+1, lastErr)
-		}
-	}
-}
-
-// wireAttempt is one binary-upload round trip (rawAttempt cannot carry
-// the batch-id header).
-func (c *Client) wireAttempt(ctx context.Context, path, batchID string, payload []byte) error {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.baseURL()+path, bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("client: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", api.WireContentType)
-	if batchID != "" {
-		req.Header.Set(api.WireBatchIDHeader, batchID)
-	}
-	if e := c.epoch.Load(); e != 0 {
-		req.Header.Set(api.EpochHeader, strconv.FormatUint(e, 10))
-	}
-	c.requests.Add(1)
-	c.bytesSent.Add(uint64(len(payload)))
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return &transportError{err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return &transportError{err}
-	}
-	c.bytesRecv.Add(uint64(len(data)))
-	if resp.StatusCode >= 300 {
-		return c.statusError(resp.StatusCode, resp.Header, data)
-	}
-	return nil
+	_, err := c.doRaw(ctx, rawRequest{
+		method: http.MethodPost, path: "/v2/rounds/" + roundID + "/gradients",
+		body: payload, contentType: api.WireContentType,
+		header: [2]string{api.WireBatchIDHeader, batchID},
+	})
+	return err
 }
 
 // Unmask runs the round's unmasking step, revealing the orphaned pair

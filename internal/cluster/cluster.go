@@ -136,6 +136,11 @@ type Coordinator struct {
 	stageSeq    uint64   // StageRound fan-outs issued (idempotency keys)
 	quarantines uint64   // node fence events
 	recoveries  uint64   // node unfence events
+	// The latest checkpointNow outcome, for /cluster/status: the round the
+	// newest checkpoint sealed, and the error of the latest attempt (""
+	// once one succeeds).
+	lastCkptRound uint64
+	lastCkptErr   string
 
 	// epoch is this coordinator incarnation's fencing token: every
 	// member-facing call carries it, and members reject lower epochs.

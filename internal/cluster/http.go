@@ -32,6 +32,9 @@ func (c *Coordinator) Status() api.ClusterStatusResponse {
 		Shards:  c.shards,
 		NumRows: c.numRows,
 		Round:   c.round,
+
+		LastCheckpointRound: c.lastCkptRound,
+		LastCheckpointError: c.lastCkptErr,
 	}
 	fencedN := 0
 	for _, m := range c.members {

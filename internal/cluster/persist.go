@@ -80,27 +80,25 @@ func (c *Coordinator) Snapshot() ([]byte, error) {
 		}
 	}
 
-	cp := persist.NewCheckpoint()
-	var meta persist.Encoder
-	meta.U8(2) // shard engine snapshot version
-	meta.U32(uint32(c.shards))
-	meta.U64(c.numRows)
-	meta.U32(0) // base: the assembled blob covers the whole range
-	cp.Put("shard/meta", meta.Finish())
-	for g := 0; g < c.shards; g++ {
-		cp.Put(shard.SectionName(g), sections[g])
+	// The engine container is framed straight into the final buffer,
+	// presized from the sections as received.
+	size := 1 + 4 + 8 + 8 + 8 + shard.ContainerOverhead(c.shards)
+	for _, blob := range sections {
+		size += len(blob)
 	}
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		return nil, err
-	}
-
 	var e persist.Encoder
+	e.Grow(size)
 	e.U8(shardedSnapshotVersion)
 	e.U32(uint32(c.shards))
 	e.U64(c.digest)
 	e.U64(round)
-	e.Bytes(buf.Bytes())
+	m := e.BeginBytes()
+	cp := shard.BeginContainer(&e, c.shards, c.numRows, 0) // base 0: the assembled blob covers the whole range
+	for g, blob := range sections {
+		cp.Section(shard.SectionName(g), blob)
+	}
+	cp.Close()
+	e.EndBytes(m)
 	return e.Finish(), nil
 }
 

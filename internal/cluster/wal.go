@@ -432,26 +432,29 @@ func (c *Coordinator) deliveredAggs(aggs []fedora.RowAggregate, applied []bool) 
 
 // checkpointNow assembles a cluster snapshot, saves it as the next
 // checkpoint epoch, prunes to 3, and resets the round WAL. Caller must
-// have no round in flight.
+// have no round in flight. The outcome — the round sealed, or why not —
+// is kept for /cluster/status whichever caller asked.
 func (c *Coordinator) checkpointNow() error {
+	err := c.checkpoint()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.lastCkptErr = err.Error()
+		return err
+	}
+	c.lastCkptRound, c.lastCkptErr = c.round, ""
+	return nil
+}
+
+// checkpoint is checkpointNow's work.
+func (c *Coordinator) checkpoint() error {
 	blob, err := c.Snapshot()
 	if err != nil {
 		return err
 	}
 	cp := persist.NewCheckpoint()
 	cp.Put(CheckpointSection, blob)
-	epochs, err := c.mgr.Epochs()
-	if err != nil {
-		return err
-	}
-	next := uint64(1)
-	if len(epochs) > 0 {
-		next = epochs[len(epochs)-1] + 1
-	}
-	if err := c.mgr.Save(next, cp); err != nil {
-		return err
-	}
-	if err := c.mgr.Prune(3); err != nil {
+	if _, err := c.mgr.SaveNext(cp, 3); err != nil {
 		return err
 	}
 	c.walMu.Lock()
@@ -463,9 +466,10 @@ func (c *Coordinator) checkpointNow() error {
 // serving layer's WithAutoRecover but at cluster scope: on the healthy
 // checkpoint cadence, checkpoint + reset the WAL; while degraded,
 // attempt shard migration from the newest checkpoint. Maintenance
-// failures are deliberately swallowed — the round already succeeded,
-// and the next finish retries; durability degrades to a longer replay,
-// never to failed training.
+// failures never fail the round — it already succeeded, and the next
+// finish retries; durability degrades to a longer replay, never to
+// failed training — but a failed checkpoint is not silent:
+// checkpointNow leaves it in /cluster/status.
 func (c *Coordinator) maybeMaintain(seq uint64) {
 	if c.mgr == nil || c.replaying.Load() {
 		return
@@ -481,6 +485,6 @@ func (c *Coordinator) maybeMaintain(seq uint64) {
 		return
 	}
 	if seq%uint64(c.ckptEvery) == 0 {
-		_ = c.checkpointNow()
+		_ = c.checkpointNow() // reported through Status, see above
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/paged"
+	"repro/internal/persist"
 )
 
 // Op identifies the direction of an access for accounting purposes.
@@ -109,8 +110,12 @@ type Storage interface {
 	// logical writes after write amplification (lifetime model input).
 	WearBytes() uint64
 	// Snapshot / Restore serialize the device contents and counters in
-	// the shared device-snapshot wire format.
+	// the shared device-snapshot wire format. SnapshotTo appends the same
+	// bytes to an encoder its owner is building (SnapshotSize bounds how
+	// many), so the pages are copied once, into the final buffer.
 	Snapshot() ([]byte, error)
+	SnapshotSize() int
+	SnapshotTo(e *persist.Encoder) error
 	Restore(b []byte) error
 	// Close releases any OS resources (backing files). The simulator's
 	// Close is a no-op; using a Storage after Close is an error for

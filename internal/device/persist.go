@@ -1,8 +1,8 @@
 package device
 
 import (
+	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/paged"
@@ -17,7 +17,7 @@ import (
 // touched, not the provisioned capacity.
 //
 // The wire format is shared across Storage implementations (the Sim here
-// and internal/storage's file-backed device): EncodeSnapshot and
+// and internal/storage's file-backed device): SnapshotWriter and
 // DecodeSnapshot below are the single encoder/decoder pair, which is
 // what makes a checkpoint taken over one backend restorable onto the
 // other.
@@ -29,30 +29,27 @@ const simSnapshotVersion = 1
 // implementation detail independent of the modelled Profile.PageSize.
 const SnapshotPageSize = storePageSize
 
-// EncodeSnapshot serializes device contents and counters in the shared
-// device-snapshot wire format. pages maps page index -> SnapshotPageSize
-// bytes; all-zero pages are elided, the rest are written in ascending
-// index order so encoding is deterministic.
-func EncodeSnapshot(profileName string, capacity uint64, st Stats, pages map[uint64][]byte) []byte {
-	idxs := make([]uint64, 0, len(pages))
-	for idx, page := range pages {
-		if !allZero(page) {
-			idxs = append(idxs, idx)
-		}
-	}
-	slices.Sort(idxs)
-	e := snapshotHeader(profileName, capacity, st, len(idxs))
-	for _, idx := range idxs {
-		e.U64(idx)
-		e.Bytes(pages[idx])
-	}
-	return e.Finish()
+// snapshotRecord is one page's bytes on the wire: index, length prefix,
+// contents.
+const snapshotRecord = 8 + 8 + SnapshotPageSize
+
+// SnapshotSizeFor bounds a device snapshot holding up to numPages pages.
+func SnapshotSizeFor(profileName string, numPages int) int {
+	return 1 + 8 + len(profileName) + 8 + 5*8 + 8 + numPages*snapshotRecord
 }
 
-// snapshotHeader starts a device snapshot that numPages (index, bytes)
-// records follow.
-func snapshotHeader(profileName string, capacity uint64, st Stats, numPages int) *persist.Encoder {
-	e := new(persist.Encoder)
+// SnapshotWriter appends a device snapshot in the shared wire format to
+// an Encoder: BeginSnapshot writes the counters, the pages follow in
+// ascending index order, and End fills in how many were kept. All-zero
+// pages are dropped — they read back as zeros either way.
+type SnapshotWriter struct {
+	e     *persist.Encoder
+	count persist.Mark
+	pages uint64
+}
+
+// BeginSnapshot starts a device snapshot on e.
+func BeginSnapshot(e *persist.Encoder, profileName string, capacity uint64, st Stats) SnapshotWriter {
 	e.U8(simSnapshotVersion)
 	e.String(profileName)
 	e.U64(capacity)
@@ -61,9 +58,55 @@ func snapshotHeader(profileName string, capacity uint64, st Stats, numPages int)
 	e.U64(st.BytesRead)
 	e.U64(st.BytesWritten)
 	e.I64(int64(st.BusyTime))
-	e.U64(uint64(numPages))
-	return e
+	return SnapshotWriter{e: e, count: e.ReserveU64()}
 }
+
+// Page appends one page unless it is all zero.
+func (w *SnapshotWriter) Page(idx uint64, page []byte) {
+	if allZero(page) {
+		return
+	}
+	w.e.U64(idx)
+	w.e.Bytes(page)
+	w.pages++
+}
+
+// Run appends the n adjacent pages starting at index first. read fills
+// its argument with their n×SnapshotPageSize bytes; it is handed the
+// tail of the encoder's own buffer, and the pages are then moved down
+// into their records in place, so a backend that can fetch a run with
+// one call copies nothing through a buffer of its own.
+func (w *SnapshotWriter) Run(first uint64, n int, read func(dst []byte) error) error {
+	base := w.e.Len()
+	buf := w.e.Extend(n * snapshotRecord)
+	// The run lands at the END of the reserved span: record t's page then
+	// starts at or before where its source bytes sit (equal for the last
+	// record of a run without zero pages), so moving ascending never
+	// overwrites a page not yet moved.
+	src := buf[n*(snapshotRecord-SnapshotPageSize):]
+	if err := read(src); err != nil {
+		w.e.Truncate(base)
+		return err
+	}
+	out := 0
+	for t := 0; t < n; t++ {
+		page := src[t*SnapshotPageSize : (t+1)*SnapshotPageSize]
+		if allZero(page) {
+			continue
+		}
+		rec := buf[out : out+snapshotRecord]
+		binary.LittleEndian.PutUint64(rec, first+uint64(t))
+		binary.LittleEndian.PutUint64(rec[8:], SnapshotPageSize)
+		copy(rec[16:], page)
+		out += snapshotRecord
+		w.pages++
+	}
+	w.e.Truncate(base + out)
+	return nil
+}
+
+// End completes the snapshot.
+func (w *SnapshotWriter) End() { w.e.SetU64(w.count, w.pages) }
 
 // DecodeSnapshot parses the shared device-snapshot wire format. The
 // returned pages are freshly allocated SnapshotPageSize buffers.
@@ -96,26 +139,29 @@ func DecodeSnapshot(b []byte) (profileName string, capacity uint64, st Stats, pa
 	return profileName, capacity, st, pages, nil
 }
 
-// Snapshot serializes the device contents and traffic counters.
-func (s *Sim) Snapshot() ([]byte, error) {
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (s *Sim) Snapshot() ([]byte, error) { return persist.Build(s.SnapshotTo) }
+
+// SnapshotSize bounds the bytes SnapshotTo appends (exact unless some
+// resident page is all zero).
+func (s *Sim) SnapshotSize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type entry struct {
-		idx  uint64
-		page *storePage
-	}
-	var live []entry // ascending: Range's order is the format's
-	s.pages.Range(func(idx uint64, page *storePage) {
-		if !allZero(page[:]) {
-			live = append(live, entry{idx, page})
-		}
+	return SnapshotSizeFor(s.profile.Name, s.pages.Len())
+}
+
+// SnapshotTo appends the device contents and traffic counters, copying
+// each non-zero page once, straight from the page store.
+func (s *Sim) SnapshotTo(e *persist.Encoder) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.Grow(SnapshotSizeFor(s.profile.Name, s.pages.Len()))
+	w := BeginSnapshot(e, s.profile.Name, s.capacity, s.stats)
+	s.pages.Range(func(idx uint64, page *storePage) { // ascending: Range's order is the format's
+		w.Page(idx, page[:])
 	})
-	e := snapshotHeader(s.profile.Name, s.capacity, s.stats, len(live))
-	for _, en := range live {
-		e.U64(en.idx)
-		e.Bytes(en.page[:])
-	}
-	return e.Finish(), nil
+	w.End()
+	return nil
 }
 
 // Restore replaces the device contents and counters with a snapshot.

@@ -58,6 +58,7 @@ import (
 	"repro/internal/bufferoram"
 	"repro/internal/device"
 	"repro/internal/fdp"
+	"repro/internal/persist"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -259,7 +260,8 @@ type Controller struct {
 	// what routes a round across parts: the engine for both when there
 	// are several pipelines; parts[0] itself and nil when there is one.
 	top interface {
-		Snapshot() ([]byte, error)
+		SnapshotSize() int
+		SnapshotTo(e *persist.Encoder) error
 		Restore(b []byte) error
 		Abort()
 	}

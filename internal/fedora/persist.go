@@ -81,25 +81,32 @@ func (cfg Config) Digest() uint64 {
 // controller emits its pipeline's blob as is (format v1, which is also a
 // shard's section in the engine container); a sharded one wraps the
 // engine container in the v2 header.
-func (c *Controller) Snapshot() ([]byte, error) {
+func (c *Controller) Snapshot() ([]byte, error) { return persist.Build(c.SnapshotTo) }
+
+// SnapshotTo appends Snapshot's bytes to e: every pipeline, ORAM and
+// device below encodes straight into e's buffer, sized once up front.
+func (c *Controller) SnapshotTo(e *persist.Encoder) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.inRound || c.staged != nil {
 		// A staged round counts as open: its plan has consumed RNG state a
 		// snapshot would otherwise capture mid-consumption.
-		return nil, ErrRoundOpen
+		return ErrRoundOpen
 	}
-	blob, err := c.top.Snapshot()
-	if err != nil || c.eng == nil {
-		return blob, err
+	if c.eng == nil {
+		return c.top.SnapshotTo(e)
 	}
-	var e persist.Encoder
+	e.Grow(1 + 4 + 8 + 8 + 8 + c.top.SnapshotSize())
 	e.U8(shardedSnapshotVersion)
 	e.U32(uint32(c.cfg.Shards))
 	e.U64(c.ConfigDigest())
 	e.U64(c.round)
-	e.Bytes(blob)
-	return e.Finish(), nil
+	m := e.BeginBytes()
+	if err := c.top.SnapshotTo(e); err != nil {
+		return err
+	}
+	e.EndBytes(m)
+	return nil
 }
 
 // Restore replaces the controller's dynamic state with a snapshot taken
@@ -120,69 +127,87 @@ func (c *Controller) Restore(b []byte) error {
 	return nil
 }
 
-// Snapshot implements shard.Partition: the pipeline's full dynamic state
-// as one v1 blob. Any deferred write-back pass is applied first, so the
-// bytes are those a synchronous run would produce at this round boundary.
-func (p *pipeline) Snapshot() ([]byte, error) {
+// SnapshotSize implements shard.Partition.
+func (p *pipeline) SnapshotSize() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.snapshotSize()
+}
+
+// snapshotSize bounds the bytes SnapshotTo appends: the fixed fields,
+// RNG and accountant blobs and section prefixes (under 256 bytes), the
+// selector's two tables, and every component's own bound. Caller holds
+// p.mu.
+func (p *pipeline) snapshotSize() int {
+	n := 256 + 16*len(p.sel.requestCount) + 8*len(p.sel.readBefore) +
+		p.scratch.SnapshotSize() + p.buf.SnapshotSize() + p.ssd.SnapshotSize() + p.dram.SnapshotSize()
+	if p.engine != nil {
+		n += p.engine.SnapshotSize()
+	}
+	if p.path != nil {
+		return n + p.path.SnapshotSize()
+	}
+	return n + p.raw.SnapshotSize()
+}
+
+// SnapshotTo implements shard.Partition: the pipeline's full dynamic
+// state as one v1 blob, each component encoding straight into its
+// section. Any deferred write-back pass is applied first, so the bytes
+// are those a synchronous run would produce at this round boundary.
+func (p *pipeline) SnapshotTo(e *persist.Encoder) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.cur != nil {
-		return nil, ErrRoundOpen
+		return ErrRoundOpen
 	}
 	if err := p.drain(); err != nil {
-		return nil, err
+		return err
 	}
 
-	scratchBlob, err := p.scratch.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: scratchpad: %w", err)
-	}
-	var engineBlob []byte
-	if p.engine != nil {
-		engineBlob, err = p.engine.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("fedora: engine: %w", err)
-		}
-	}
-	var mainBlob []byte
-	if p.path != nil {
-		mainBlob, err = p.path.Snapshot()
-	} else {
-		mainBlob, err = p.raw.Snapshot()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fedora: main oram: %w", err)
-	}
-	bufBlob, err := p.buf.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: buffer oram: %w", err)
-	}
-	ssdBlob, err := p.ssd.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: ssd device: %w", err)
-	}
-	dramBlob, err := p.dram.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fedora: dram device: %w", err)
-	}
-
-	var e persist.Encoder
+	e.Grow(p.snapshotSize())
 	e.U8(controllerSnapshotVersion)
 	e.U64(p.cfg.Digest())
 	e.U64(p.round)
 	e.Bytes(p.src.Snapshot())
 	e.Bytes(p.selSrc.Snapshot())
-	encodeSelector(&e, p.sel)
+	encodeSelector(e, p.sel)
 	e.Bytes(p.acct.Snapshot())
-	e.Bytes(scratchBlob)
+	section := func(what string, snapshotTo func(*persist.Encoder) error) error {
+		m := e.BeginBytes()
+		if err := snapshotTo(e); err != nil {
+			return fmt.Errorf("fedora: %s: %w", what, err)
+		}
+		e.EndBytes(m)
+		return nil
+	}
+	if err := section("scratchpad", p.scratch.SnapshotTo); err != nil {
+		return err
+	}
 	e.Bool(p.engine != nil)
-	e.Bytes(engineBlob)
+	if p.engine != nil {
+		if err := section("engine", p.engine.SnapshotTo); err != nil {
+			return err
+		}
+	} else {
+		e.Bytes(nil)
+	}
 	e.U8(uint8(p.cfg.Backend))
-	e.Bytes(mainBlob)
-	e.Bytes(bufBlob)
-	e.Bytes(ssdBlob)
-	e.Bytes(dramBlob)
-	return e.Finish(), nil
+	var mainTo func(*persist.Encoder) error
+	if p.path != nil {
+		mainTo = p.path.SnapshotTo
+	} else {
+		mainTo = p.raw.SnapshotTo
+	}
+	if err := section("main oram", mainTo); err != nil {
+		return err
+	}
+	if err := section("buffer oram", p.buf.SnapshotTo); err != nil {
+		return err
+	}
+	if err := section("ssd device", p.ssd.SnapshotTo); err != nil {
+		return err
+	}
+	return section("dram device", p.dram.SnapshotTo)
 }
 
 // Restore implements shard.Partition: it replaces the pipeline's dynamic

@@ -2,6 +2,7 @@ package fedora
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/fdp"
@@ -103,5 +104,55 @@ func TestControllerRestoreRejectsConfigMismatch(t *testing.T) {
 
 	if err := newController(t, persistCfg()).Restore(snap[:len(snap)/3]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestSnapshotAllocatesOnce: Snapshot builds the blob in place in one
+// buffer sized up front — every ORAM and device appends into it — so
+// what a snapshot allocates is the blob plus the small sort keys of the
+// maps it walks, not a copy per nesting level grown by doubling (≈ 5×
+// before SnapshotTo existed). Sharded controllers add the engine
+// container around the same path.
+func TestSnapshotAllocatesOnce(t *testing.T) {
+	base := Config{
+		NumRows: 1024, Dim: 4, Epsilon: 1, Seed: 77,
+		MaxClientsPerRound: 16, MaxFeaturesPerClient: 16, LearningRate: 0.5,
+		Encrypt: true, HasScratchpad: true, BucketBytes: 512, EvictPeriod: 16,
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, c *Config)
+	}{
+		{"sim", func(*testing.T, *Config) {}},
+		{"file", func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }},
+		{"sim-2-shards", func(_ *testing.T, c *Config) { c.Shards = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(t, &cfg)
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, reqs := range randomWorkload(5, 6, 16, 12, cfg.NumRows, cfg.Dim) {
+				goldenRound(t, c, reqs)
+			}
+			if _, err := c.Snapshot(); err != nil { // warm: the file device's bounce buffer, lazy state
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			blob, err := c.Snapshot()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(blob))*5/4
+			t.Logf("snapshot %d bytes, allocated %d (%.2f×)", len(blob), got, float64(got)/float64(len(blob)))
+			if got > limit {
+				t.Errorf("Snapshot allocated %d bytes for a %d-byte blob, want ≤ %d (1.25×)", got, len(blob), limit)
+			}
+		})
 	}
 }

@@ -19,27 +19,28 @@ import (
 
 const pathSnapshotVersion = 1
 
-// Snapshot serializes the ORAM's dynamic state.
-func (o *ORAM) Snapshot() ([]byte, error) {
-	var posBlob []byte
-	ownPos := o.cfg.PositionMap == nil
-	if ownPos {
-		snap, ok := o.pos.(position.Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("pathoram: position map %T does not support snapshots", o.pos)
-		}
-		b, err := snap.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("pathoram: position map: %w", err)
-		}
-		posBlob = b
-	}
-	stashBlob, err := o.stash.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("pathoram: stash: %w", err)
-	}
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (o *ORAM) Snapshot() ([]byte, error) { return persist.Build(o.SnapshotTo) }
 
-	var e persist.Encoder
+// SnapshotSize bounds the bytes SnapshotTo appends: the fixed fields
+// and RNG blob (under 128 bytes), the stash and (owned) position map
+// sections, and one record per bucket counter.
+func (o *ORAM) SnapshotSize() int {
+	n := 128 + 8 + o.stash.SnapshotSize() + 8
+	if posSnap, ok := o.pos.(position.Snapshotter); ok && o.cfg.PositionMap == nil {
+		n += posSnap.SnapshotSize()
+	}
+	return n + o.counters.Len()*(4+8)
+}
+
+// SnapshotTo appends the ORAM's dynamic state.
+func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
+	ownPos := o.cfg.PositionMap == nil
+	posSnap, ok := o.pos.(position.Snapshotter)
+	if ownPos && !ok {
+		return fmt.Errorf("pathoram: position map %T does not support snapshots", o.pos)
+	}
+	e.Grow(o.SnapshotSize())
 	e.U8(pathSnapshotVersion)
 	// Geometry guard.
 	e.U64(o.cfg.NumBlocks)
@@ -56,15 +57,25 @@ func (o *ORAM) Snapshot() ([]byte, error) {
 	e.U64(o.stats.BucketWrite)
 	e.I64(int64(o.stats.Time))
 	e.Bytes(o.src.Snapshot())
-	e.Bytes(stashBlob)
-	e.Bytes(posBlob)
+	m := e.BeginBytes()
+	if err := o.stash.SnapshotTo(e); err != nil {
+		return fmt.Errorf("pathoram: stash: %w", err)
+	}
+	e.EndBytes(m)
+	m = e.BeginBytes() // empty when the next smaller ORAM owns the map
+	if ownPos {
+		if err := posSnap.SnapshotTo(e); err != nil {
+			return fmt.Errorf("pathoram: position map: %w", err)
+		}
+	}
+	e.EndBytes(m)
 	// Per-bucket write counters, in ascending bucket index.
 	e.U64(uint64(o.counters.Len()))
 	o.counters.Range(func(idx, ctr uint64) {
 		e.U32(uint32(idx))
 		e.U64(ctr)
 	})
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore replaces the ORAM's dynamic state with a snapshot taken from

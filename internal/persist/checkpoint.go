@@ -65,6 +65,60 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return fw.Close()
 }
 
+// CheckpointEncoder appends a checkpoint stream — byte for byte what
+// Checkpoint.Encode writes for the same epoch and sections — to an
+// Encoder one section at a time, so a section's producer encodes
+// straight into the enclosing buffer instead of returning a blob for
+// Put and Encode to copy. One section is open at a time.
+type CheckpointEncoder struct {
+	e      *Encoder
+	frames uint64
+	name   string // the open section
+	mark   Mark
+}
+
+// BeginCheckpoint writes the stream magic and the meta frame.
+func BeginCheckpoint(e *Encoder, epoch uint64) *CheckpointEncoder {
+	c := &CheckpointEncoder{e: e}
+	e.b = append(e.b, Magic...)
+	c.BeginSection(metaFrameName)
+	e.U32(checkpointVersion)
+	e.U64(epoch)
+	c.EndSection()
+	return c
+}
+
+// BeginSection opens a frame; everything appended to the Encoder until
+// EndSection is its payload.
+func (c *CheckpointEncoder) BeginSection(name string) {
+	c.e.U32(uint32(len(name)))
+	c.e.b = append(c.e.b, name...)
+	c.name, c.mark = name, c.e.BeginBytes()
+}
+
+// EndSection closes the open frame: payload length, then the CRC over
+// name ‖ payload.
+func (c *CheckpointEncoder) EndSection() {
+	c.e.EndBytes(c.mark)
+	c.e.U32(crc32ChecksumFrame([]byte(c.name), c.e.b[int(c.mark)+8:]))
+	c.frames++
+}
+
+// Section appends a frame whose payload already exists.
+func (c *CheckpointEncoder) Section(name string, payload []byte) {
+	c.BeginSection(name)
+	c.e.b = append(c.e.b, payload...)
+	c.EndSection()
+}
+
+// Close writes the trailer frame.
+func (c *CheckpointEncoder) Close() {
+	frames := c.frames
+	c.BeginSection(endFrameName)
+	c.e.U64(frames)
+	c.EndSection()
+}
+
 // DecodeCheckpoint parses a framed checkpoint stream, validating the
 // magic, every frame CRC, and the trailer.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {

@@ -1,15 +1,83 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
 
 // Encoder builds a component snapshot payload: little-endian primitives
 // plus length-prefixed byte strings. The zero value is ready to use.
+//
+// A component that nests other components' snapshots does not build
+// their blobs and copy them in: it opens a length-prefixed section with
+// BeginBytes, hands the encoder to the child's SnapshotTo, and closes
+// the section with EndBytes, so every byte of a snapshot is written
+// once, into the buffer the outermost caller sized with Grow.
 type Encoder struct {
 	b []byte
 }
+
+// Build runs a component's SnapshotTo over a fresh encoder and returns
+// the payload — the body of every Snapshot() that survives as a wrapper.
+// The buffer is sized by SnapshotTo's own leading Grow.
+func Build(snapshotTo func(*Encoder) error) ([]byte, error) {
+	var e Encoder
+	if err := snapshotTo(&e); err != nil {
+		return nil, err
+	}
+	return e.Finish(), nil
+}
+
+// Grow makes room for n more bytes, so the appends that follow do not
+// reallocate until they exceed it.
+func (e *Encoder) Grow(n int) {
+	if n > cap(e.b)-len(e.b) {
+		b := make([]byte, len(e.b), len(e.b)+n)
+		copy(b, e.b)
+		e.b = b
+	}
+}
+
+// Len reports the bytes encoded so far.
+func (e *Encoder) Len() int { return len(e.b) }
+
+// Mark is the position of a u64 reserved by ReserveU64 or BeginBytes.
+type Mark int
+
+// ReserveU64 appends a u64 whose value is only known later (a count of
+// records that follow); SetU64 fills it in.
+func (e *Encoder) ReserveU64() Mark {
+	m := Mark(len(e.b))
+	e.U64(0)
+	return m
+}
+
+// SetU64 overwrites the u64 reserved at m.
+func (e *Encoder) SetU64(m Mark, v uint64) {
+	binary.LittleEndian.PutUint64(e.b[m:], v)
+}
+
+// BeginBytes opens a nested byte string: everything appended until the
+// matching EndBytes becomes its contents. The result is byte-identical
+// to Bytes(child) for a child encoded on its own. Sections nest.
+func (e *Encoder) BeginBytes() Mark { return e.ReserveU64() }
+
+// EndBytes closes the section opened at m by back-patching its length.
+func (e *Encoder) EndBytes(m Mark) {
+	e.SetU64(m, uint64(len(e.b)-int(m)-8))
+}
+
+// Extend appends n bytes and returns them for the caller to fill (a
+// pread target). Their initial contents are unspecified.
+func (e *Encoder) Extend(n int) []byte {
+	e.Grow(n)
+	e.b = e.b[:len(e.b)+n]
+	return e.b[len(e.b)-n:]
+}
+
+// Truncate drops everything after the first n bytes.
+func (e *Encoder) Truncate(n int) { e.b = e.b[:n] }
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.b = append(e.b, v) }

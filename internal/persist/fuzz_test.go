@@ -30,6 +30,26 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[len(Magic)+2] ^= 0xFF
 	f.Add(mut)
+	// The same stream built in place (sections streamed into the encoder,
+	// one of them empty) must be the same bytes; so must one nested in an
+	// outer section, which is how a sharded controller snapshot carries
+	// its engine container.
+	cp.Put("empty", nil)
+	buf.Reset()
+	if err := cp.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	var e Encoder
+	m := e.BeginBytes()
+	inPlace := checkpointInPlace(cp, map[string]bool{"fl/trainer": true, "empty": true})
+	e.b = append(e.b, inPlace...)
+	e.EndBytes(m)
+	nested := NewDecoder(e.Finish()).Bytes()
+	if !bytes.Equal(inPlace, buf.Bytes()) || !bytes.Equal(nested, buf.Bytes()) {
+		f.Fatal("in-place checkpoint stream differs from Checkpoint.Encode")
+	}
+	f.Add(inPlace)
+	f.Add(inPlace[:len(inPlace)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint(bytes.NewReader(data))

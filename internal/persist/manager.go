@@ -52,6 +52,24 @@ func (m *Manager) Save(epoch uint64, cp *Checkpoint) error {
 	})
 }
 
+// SaveNext writes cp as the epoch after the newest one on disk, then
+// prunes to the newest keep (as Prune does), reading the directory
+// once for both. Returns the epoch written.
+func (m *Manager) SaveNext(cp *Checkpoint, keep int) (uint64, error) {
+	epochs, err := m.Epochs()
+	if err != nil {
+		return 0, err
+	}
+	next := uint64(1)
+	if len(epochs) > 0 {
+		next = epochs[len(epochs)-1] + 1
+	}
+	if err := m.Save(next, cp); err != nil {
+		return 0, err
+	}
+	return next, m.prune(append(epochs, next), keep)
+}
+
 // Epochs lists the on-disk checkpoint epochs in ascending order.
 func (m *Manager) Epochs() ([]uint64, error) {
 	entries, err := os.ReadDir(m.dir)
@@ -123,7 +141,12 @@ func (m *Manager) Prune(keep int) error {
 	if err != nil {
 		return err
 	}
-	for len(epochs) > keep {
+	return m.prune(epochs, keep)
+}
+
+// prune removes all but the newest keep of the given ascending epochs.
+func (m *Manager) prune(epochs []uint64, keep int) error {
+	for keep > 0 && len(epochs) > keep {
 		if err := os.Remove(m.CheckpointPath(epochs[0])); err != nil && !os.IsNotExist(err) {
 			return err
 		}

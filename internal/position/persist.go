@@ -11,7 +11,8 @@ import (
 // Both built-in implementations qualify; ORAM-backed recursive maps do
 // not (their state lives in the backing ORAM, which snapshots itself).
 type Snapshotter interface {
-	Snapshot() ([]byte, error)
+	SnapshotSize() int
+	SnapshotTo(e *persist.Encoder) error
 	Restore([]byte) error
 }
 
@@ -20,16 +21,22 @@ const (
 	sparseSnapshotVersion = 1
 )
 
-// Snapshot serializes the full leaf assignment.
-func (d *Dense) Snapshot() ([]byte, error) {
-	var e persist.Encoder
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (d *Dense) Snapshot() ([]byte, error) { return persist.Build(d.SnapshotTo) }
+
+// SnapshotSize is the number of bytes SnapshotTo appends.
+func (d *Dense) SnapshotSize() int { return 1 + 4 + 8 + 4*len(d.pos) }
+
+// SnapshotTo appends the full leaf assignment.
+func (d *Dense) SnapshotTo(e *persist.Encoder) error {
+	e.Grow(d.SnapshotSize())
 	e.U8(denseSnapshotVersion)
 	e.U32(d.leaves)
 	e.U64(uint64(len(d.pos)))
 	for _, leaf := range d.pos {
 		e.U32(leaf)
 	}
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore replaces the assignment from a snapshot taken over a map of
@@ -59,10 +66,16 @@ func (d *Dense) Restore(b []byte) error {
 	return nil
 }
 
-// Snapshot serializes the PRF parameters and the dirty overlay (sorted
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (s *Sparse) Snapshot() ([]byte, error) { return persist.Build(s.SnapshotTo) }
+
+// SnapshotSize is the number of bytes SnapshotTo appends.
+func (s *Sparse) SnapshotSize() int { return 1 + 8 + 4 + 8 + 8 + 12*s.dirty.Len() }
+
+// SnapshotTo appends the PRF parameters and the dirty overlay (sorted
 // by ID so encoding is deterministic).
-func (s *Sparse) Snapshot() ([]byte, error) {
-	var e persist.Encoder
+func (s *Sparse) SnapshotTo(e *persist.Encoder) error {
+	e.Grow(s.SnapshotSize())
 	e.U8(sparseSnapshotVersion)
 	e.U64(s.numBlocks)
 	e.U32(s.leaves)
@@ -72,7 +85,7 @@ func (s *Sparse) Snapshot() ([]byte, error) {
 		e.U64(id)
 		e.U32(v - 1)
 	})
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore replaces the overlay from a snapshot of a same-geometry map.

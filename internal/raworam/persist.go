@@ -19,22 +19,28 @@ import (
 
 const oramSnapshotVersion = 1
 
-// Snapshot serializes the ORAM's dynamic state.
-func (o *ORAM) Snapshot() ([]byte, error) {
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (o *ORAM) Snapshot() ([]byte, error) { return persist.Build(o.SnapshotTo) }
+
+// SnapshotSize bounds the bytes SnapshotTo appends: the fixed fields
+// and RNG blob (under 128 bytes), the stash and position map sections,
+// and one record per VTree bitmap and per bucket counter.
+func (o *ORAM) SnapshotSize() int {
+	n := 128 + 8 + o.stash.SnapshotSize() + 8
+	if posSnap, ok := o.pos.(position.Snapshotter); ok {
+		n += posSnap.SnapshotSize()
+	}
+	bmLen := (o.cfg.BucketSlots + 7) / 8
+	return n + len(o.vtree)*(4+8+bmLen) + len(o.counters)*(4+8)
+}
+
+// SnapshotTo appends the ORAM's dynamic state.
+func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
 	posSnap, ok := o.pos.(position.Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("raworam: position map %T does not support snapshots", o.pos)
+		return fmt.Errorf("raworam: position map %T does not support snapshots", o.pos)
 	}
-	posBlob, err := posSnap.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("raworam: position map: %w", err)
-	}
-	stashBlob, err := o.stash.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("raworam: stash: %w", err)
-	}
-
-	var e persist.Encoder
+	e.Grow(o.SnapshotSize())
 	e.U8(oramSnapshotVersion)
 	// Geometry guard: a snapshot only restores into an identically
 	// configured ORAM.
@@ -55,8 +61,16 @@ func (o *ORAM) Snapshot() ([]byte, error) {
 	e.U64(o.stats.WriteBacks)
 	e.I64(int64(o.stats.Time))
 	e.Bytes(o.src.Snapshot())
-	e.Bytes(stashBlob)
-	e.Bytes(posBlob)
+	m := e.BeginBytes()
+	if err := o.stash.SnapshotTo(e); err != nil {
+		return fmt.Errorf("raworam: stash: %w", err)
+	}
+	e.EndBytes(m)
+	m = e.BeginBytes()
+	if err := posSnap.SnapshotTo(e); err != nil {
+		return fmt.Errorf("raworam: position map: %w", err)
+	}
+	e.EndBytes(m)
 	// VTree bitmaps, sorted by bucket index.
 	vIdxs := make([]uint32, 0, len(o.vtree))
 	for idx := range o.vtree {
@@ -79,7 +93,7 @@ func (o *ORAM) Snapshot() ([]byte, error) {
 		e.U32(idx)
 		e.U64(o.counters[idx])
 	}
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore replaces the ORAM's dynamic state with a snapshot taken from

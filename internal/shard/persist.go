@@ -31,34 +31,61 @@ func SectionName(i int) string { return fmt.Sprintf("shard/%04d", i) }
 // ErrRoundOpen is returned by Snapshot when a round is in flight.
 var ErrRoundOpen = errors.New("shard: cannot snapshot mid-round")
 
-// Snapshot serializes the engine geometry and every partition.
-func (e *Engine) Snapshot() ([]byte, error) {
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (e *Engine) Snapshot() ([]byte, error) { return persist.Build(e.SnapshotTo) }
+
+// BeginContainer starts an engine snapshot container on enc — the
+// checkpoint stream's magic and the meta section pinning the geometry —
+// and returns the encoder the per-shard sections (SectionName) are then
+// added to, in index order, before Close. The engine and the cluster
+// coordinator, which assembles the same container from its members'
+// sections, both build it here.
+func BeginContainer(enc *persist.Encoder, shards int, numRows uint64, base int) *persist.CheckpointEncoder {
+	cp := persist.BeginCheckpoint(enc, 0)
+	cp.BeginSection(metaSection)
+	enc.U8(engineSnapshotVersion)
+	enc.U32(uint32(shards))
+	enc.U64(numRows)
+	enc.U32(uint32(base))
+	cp.EndSection()
+	return cp
+}
+
+// ContainerOverhead bounds the bytes a container adds around the
+// payloads of n shard sections: under 64 bytes of frame each, the magic,
+// meta and trailer frames included.
+func ContainerOverhead(n int) int { return 64 * (n + 4) }
+
+// SnapshotSize bounds the bytes SnapshotTo appends.
+func (e *Engine) SnapshotSize() int {
+	n := ContainerOverhead(len(e.parts))
+	for _, p := range e.parts {
+		n += p.SnapshotSize()
+	}
+	return n
+}
+
+// SnapshotTo appends the engine geometry and every partition, each
+// partition encoding straight into its section of the container.
+func (e *Engine) SnapshotTo(enc *persist.Encoder) error {
 	e.mu.Lock()
 	if e.inRound {
 		e.mu.Unlock()
-		return nil, ErrRoundOpen
+		return ErrRoundOpen
 	}
 	e.mu.Unlock()
 
-	cp := persist.NewCheckpoint()
-	var meta persist.Encoder
-	meta.U8(engineSnapshotVersion)
-	meta.U32(uint32(e.cfg.Shards))
-	meta.U64(e.cfg.NumRows)
-	meta.U32(uint32(e.cfg.Base))
-	cp.Put(metaSection, meta.Finish())
+	enc.Grow(e.SnapshotSize())
+	cp := BeginContainer(enc, e.cfg.Shards, e.cfg.NumRows, e.cfg.Base)
 	for i, p := range e.parts {
-		blob, err := p.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", e.cfg.Base+i, err)
+		cp.BeginSection(SectionName(e.cfg.Base + i))
+		if err := p.SnapshotTo(enc); err != nil {
+			return fmt.Errorf("shard %d: %w", e.cfg.Base+i, err)
 		}
-		cp.Put(SectionName(e.cfg.Base+i), blob)
+		cp.EndSection()
 	}
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	cp.Close()
+	return nil
 }
 
 // Restore replaces every partition's state from a snapshot taken by an
@@ -129,7 +156,7 @@ func (e *Engine) SnapshotShard(global int) ([]byte, error) {
 		return nil, ErrRoundOpen
 	}
 	e.mu.Unlock()
-	blob, err := e.parts[local].Snapshot()
+	blob, err := persist.Build(e.parts[local].SnapshotTo)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", global, err)
 	}

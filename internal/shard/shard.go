@@ -42,6 +42,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/persist"
 )
 
 // Config parameterizes an Engine.
@@ -76,7 +78,11 @@ type Config struct {
 // partition's LOCAL row space.
 type Partition interface {
 	BeginRound(requests [][]uint64) (PartitionRound, error)
-	Snapshot() ([]byte, error)
+	// SnapshotTo appends the partition's state to an encoder its owner is
+	// building (SnapshotSize bounds how many bytes); Restore takes those
+	// bytes back.
+	SnapshotSize() int
+	SnapshotTo(e *persist.Encoder) error
 	Restore(b []byte) error
 	// Abort force-closes any open or half-open round state so that a
 	// subsequent Restore (or BeginRound) finds the partition quiesced. It

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/persist"
 )
 
 const testDummy = ^uint64(0)
@@ -109,7 +111,11 @@ func (p *fakePart) Abort() {
 	p.aborts++
 }
 
-func (p *fakePart) Snapshot() ([]byte, error) { return p.state, nil }
+func (p *fakePart) SnapshotSize() int { return len(p.state) }
+func (p *fakePart) SnapshotTo(e *persist.Encoder) error {
+	copy(e.Extend(len(p.state)), p.state)
+	return nil
+}
 func (p *fakePart) Restore(b []byte) error {
 	p.state = append([]byte(nil), b...)
 	return nil

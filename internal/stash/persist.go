@@ -8,11 +8,23 @@ import (
 
 const stashSnapshotVersion = 1
 
-// Snapshot serializes the resident blocks (sorted by ID for determinism)
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (s *Stash) Snapshot() ([]byte, error) { return persist.Build(s.SnapshotTo) }
+
+// SnapshotSize is the number of bytes SnapshotTo appends.
+func (s *Stash) SnapshotSize() int {
+	n := 1 + 8 + 8 + 8
+	for _, b := range s.blocks {
+		n += 8 + 4 + 8 + len(b.Data)
+	}
+	return n
+}
+
+// SnapshotTo appends the resident blocks (sorted by ID for determinism)
 // plus the high-water mark. Capacity is configuration, recorded only as
 // a restore-time guard.
-func (s *Stash) Snapshot() ([]byte, error) {
-	var e persist.Encoder
+func (s *Stash) SnapshotTo(e *persist.Encoder) error {
+	e.Grow(s.SnapshotSize())
 	e.U8(stashSnapshotVersion)
 	e.I64(int64(s.capacity))
 	e.I64(int64(s.peak))
@@ -24,7 +36,7 @@ func (s *Stash) Snapshot() ([]byte, error) {
 		e.U32(b.Leaf)
 		e.Bytes(b.Data)
 	}
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore replaces the stash contents with a snapshot taken from a

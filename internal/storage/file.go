@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/persist"
 )
 
 // pageAlign is the alignment unit for file I/O: offsets, lengths and
@@ -176,6 +178,20 @@ func (fd *File) pread(addr uint64, p []byte) error {
 			fd.name, start, start+uint64(length), n, length, err)
 	}
 	copy(p, buf[addr-start:])
+	return nil
+}
+
+// preadPages fills p, whole pages from a page-aligned addr, for the
+// snapshot: straight from the file into p, which only O_DIRECT (aligned
+// user memory) forbids. Caller holds fd.mu.
+func (fd *File) preadPages(addr uint64, p []byte) error {
+	if fd.direct {
+		return fd.pread(addr, p)
+	}
+	if n, err := fd.f.ReadAt(p, int64(addr)); n != len(p) {
+		return fmt.Errorf("storage %s: short read [%d,%d): got %d of %d bytes: %w",
+			fd.name, addr, addr+uint64(len(p)), n, len(p), err)
+	}
 	return nil
 }
 
@@ -399,26 +415,57 @@ func (fd *File) Report() Report {
 	}
 }
 
-// Snapshot implements Storage in the shared device-snapshot wire format:
-// it reads back every page ever written and serializes the non-zero
-// ones, so a file-backend checkpoint restores onto a simulator and vice
-// versa. Snapshot I/O is unaccounted (checkpointing is harness work, not
-// modelled device traffic — matching the simulator's semantics).
-func (fd *File) Snapshot() ([]byte, error) {
+// Snapshot implements Storage: SnapshotTo's bytes as a blob of their own.
+func (fd *File) Snapshot() ([]byte, error) { return persist.Build(fd.SnapshotTo) }
+
+// SnapshotSize implements Storage (exact unless some written page is
+// all zero).
+func (fd *File) SnapshotSize() int {
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	return device.SnapshotSizeFor(fd.profile.Name, len(fd.written))
+}
+
+// snapshotRunPages caps how many adjacent pages one snapshot pread
+// fetches: long enough that a dense tree image costs a few hundred
+// syscalls, short enough that the O_DIRECT bounce buffer stays at 1 MiB.
+const snapshotRunPages = 256
+
+// SnapshotTo implements Storage in the shared device-snapshot wire
+// format: it reads back every page ever written, in ascending order and
+// one pread per run of adjacent pages, straight into the encoder, and
+// keeps the non-zero ones, so a file-backend checkpoint restores onto a
+// simulator and vice versa. Snapshot I/O is unaccounted (checkpointing
+// is harness work, not modelled device traffic — matching the
+// simulator's semantics).
+func (fd *File) SnapshotTo(e *persist.Encoder) error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	if fd.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	pages := make(map[uint64][]byte, len(fd.written))
+	pages := make([]uint64, 0, len(fd.written))
 	for pg := range fd.written {
-		buf := make([]byte, device.SnapshotPageSize)
-		if err := fd.pread(pg*device.SnapshotPageSize, buf); err != nil {
-			return nil, err
-		}
-		pages[pg] = buf
+		pages = append(pages, pg)
 	}
-	return device.EncodeSnapshot(fd.profile.Name, fd.capacity, fd.stats, pages), nil
+	slices.Sort(pages)
+	e.Grow(device.SnapshotSizeFor(fd.profile.Name, len(pages)))
+	w := device.BeginSnapshot(e, fd.profile.Name, fd.capacity, fd.stats)
+	for len(pages) > 0 {
+		n := 1
+		for n < len(pages) && n < snapshotRunPages && pages[n] == pages[0]+uint64(n) {
+			n++
+		}
+		err := w.Run(pages[0], n, func(dst []byte) error {
+			return fd.preadPages(pages[0]*device.SnapshotPageSize, dst)
+		})
+		if err != nil {
+			return err
+		}
+		pages = pages[n:]
+	}
+	w.End()
+	return nil
 }
 
 // Restore implements Storage: the backing file is zeroed (re-sparsified)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/persist"
 )
 
 // newTestFile opens a file-backed device in a test temp dir.
@@ -472,5 +474,86 @@ func TestFileDeviceWearBytes(t *testing.T) {
 	}
 	if fd.WearBytes() != sim.WearBytes() {
 		t.Fatalf("WearBytes %d != sim %d", fd.WearBytes(), sim.WearBytes())
+	}
+}
+
+// TestFileSnapshotCoalescedRuns: the file device fetches adjacent
+// written pages with one pread per run, straight into the snapshot
+// buffer, and moves them into their records in place. Whatever the page
+// layout — a run longer than one pread's cap, isolated pages, a page
+// that was written and then zeroed in the middle of a run, at its end
+// and alone, a partial tail page — the bytes are those of a simulator
+// holding the same pages, nested in an outer section or not.
+func TestFileSnapshotCoalescedRuns(t *testing.T) {
+	t.Run("buffered", func(t *testing.T) { testCoalescedRuns(t, Spec{}) })
+	// O_DIRECT reads go through the aligned bounce buffer (where the
+	// filesystem refuses the flag this repeats the buffered case).
+	t.Run("direct", func(t *testing.T) { testCoalescedRuns(t, Spec{Direct: true}) })
+}
+
+func testCoalescedRuns(t *testing.T, spec Spec) {
+	const capacity = 4 << 20
+	sim := device.NewSim(device.PM9A1SSD, capacity)
+	fd := newTestFile(t, capacity, spec)
+	rng := rand.New(rand.NewSource(11))
+	write := func(page uint64, pages int, zero bool) {
+		p := make([]byte, pages*pageAlign)
+		if !zero {
+			rng.Read(p)
+		}
+		for _, d := range []device.Device{sim, fd} {
+			if _, err := d.WriteAt(page*pageAlign, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(0, 3, false)                    // a run from page 0
+	write(1, 1, true)                     // zeroed in the middle of it
+	write(10, 1, false)                   // isolated
+	write(12, 1, false)                   // isolated, one page apart
+	write(20, 4, false)                   // a run
+	write(23, 1, true)                    // zeroed at its end
+	write(40, 1, true)                    // written, all zero, alone
+	write(100, snapshotRunPages+5, false) // longer than one pread
+	tail := make([]byte, 100)             // a partial page, the device's last
+	rng.Read(tail)
+	for _, d := range []device.Device{sim, fd} {
+		if err := d.PokeAt(capacity-uint64(len(tail)), tail); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The traffic counters differ by design (the file's BusyTime is
+	// measured); the pages are what is compared.
+	sim.ResetStats()
+	fd.ResetStats()
+
+	want, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fd.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("file snapshot (%d bytes) differs from the simulator's (%d bytes)", len(got), len(want))
+	}
+
+	var e persist.Encoder
+	e.String("before")
+	m := e.BeginBytes()
+	if err := fd.SnapshotTo(&e); err != nil {
+		t.Fatal(err)
+	}
+	e.EndBytes(m)
+	e.U32(7)
+	d := persist.NewDecoder(e.Finish())
+	if d.String() != "before" || !bytes.Equal(d.Bytes(), want) || d.U32() != 7 || d.Err() != nil {
+		t.Fatal("file snapshot nested in an outer section differs from the simulator's blob")
+	}
+
+	if n := fd.SnapshotSize(); n < len(want) {
+		t.Fatalf("SnapshotSize %d is below the %d bytes written", n, len(want))
 	}
 }

@@ -19,9 +19,21 @@ const (
 	engineSnapshotVersion     = 1
 )
 
-// Snapshot serializes the reservation table (sorted by name).
-func (s *Scratchpad) Snapshot() ([]byte, error) {
-	var e persist.Encoder
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (s *Scratchpad) Snapshot() ([]byte, error) { return persist.Build(s.SnapshotTo) }
+
+// SnapshotSize is the number of bytes SnapshotTo appends.
+func (s *Scratchpad) SnapshotSize() int {
+	n := 1 + 8 + 8
+	for name := range s.regions {
+		n += 8 + len(name) + 8
+	}
+	return n
+}
+
+// SnapshotTo appends the reservation table (sorted by name).
+func (s *Scratchpad) SnapshotTo(e *persist.Encoder) error {
+	e.Grow(s.SnapshotSize())
 	e.U8(scratchpadSnapshotVersion)
 	e.I64(int64(s.size))
 	names := make([]string, 0, len(s.regions))
@@ -34,7 +46,7 @@ func (s *Scratchpad) Snapshot() ([]byte, error) {
 		e.String(name)
 		e.I64(int64(s.regions[name]))
 	}
-	return e.Finish(), nil
+	return nil
 }
 
 // Restore replaces the reservation table from a same-size snapshot.
@@ -69,18 +81,24 @@ func (s *Scratchpad) Restore(b []byte) error {
 	return nil
 }
 
-// Snapshot serializes the crypto-work counters. The keys are derived
+// Snapshot returns SnapshotTo's bytes as a blob of their own.
+func (e *Engine) Snapshot() ([]byte, error) { return persist.Build(e.SnapshotTo) }
+
+// SnapshotSize is the number of bytes SnapshotTo appends.
+func (e *Engine) SnapshotSize() int { return 1 + 5*8 }
+
+// SnapshotTo appends the crypto-work counters. The keys are derived
 // from configuration at construction and are deliberately NOT written to
 // checkpoints.
-func (e *Engine) Snapshot() ([]byte, error) {
-	var enc persist.Encoder
+func (e *Engine) SnapshotTo(enc *persist.Encoder) error {
+	enc.Grow(e.SnapshotSize())
 	enc.U8(engineSnapshotVersion)
 	enc.U64(e.stats.BytesSealed)
 	enc.U64(e.stats.BytesOpened)
 	enc.U64(e.stats.GroupsSealed)
 	enc.U64(e.stats.GroupsOpened)
 	enc.U64(e.stats.AuthFailures)
-	return enc.Finish(), nil
+	return nil
 }
 
 // Restore replaces the counters from a snapshot.
