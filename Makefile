@@ -10,8 +10,8 @@ all: build test
 # the race detector in shuffled order (the durability, chaos, storage,
 # wire, cluster and HA suites and both multi-process capstones are
 # ordinary tests of their packages, so no -run regex can skip one), a
-# short pass of the four format fuzzers, and the bench/ module's own vet
-# and tests. ~5½ min on 2 vCPUs.
+# short pass of the five format fuzzers, and the bench/ module's own vet
+# and tests. ~6 min on 2 vCPUs.
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -21,6 +21,7 @@ check:
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/
 	$(GO) test -run=Fuzz -fuzz=FuzzAggregatorParse -fuzztime=10s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzSparseRoundTrip -fuzztime=10s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeRowFrame -fuzztime=10s ./internal/api/
 	$(MAKE) bench-check
 
 build:

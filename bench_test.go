@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -660,5 +661,90 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(blob)))
+	}
+}
+
+// rowFrameBatch is the /entries batch the spine's trainers ask for: 100
+// rows × Dim 16, every third one lost.
+func rowFrameBatch() api.RowFrame {
+	f := api.RowFrame{Kind: api.FrameEntries, Dim: 16, Entries: make([]fedora.EntryResult, 100)}
+	rng := rand.New(rand.NewSource(3))
+	for i := range f.Entries {
+		f.Entries[i] = fedora.EntryResult{Row: uint64(rng.Int63())}
+		if i%3 != 2 {
+			v := make([]float32, f.Dim)
+			for j := range v {
+				v[j] = rng.Float32()*2 - 1
+			}
+			f.Entries[i].OK, f.Entries[i].Entry = true, v
+		}
+	}
+	return f
+}
+
+// BenchmarkRowFrame measures the row frame codec on its own: MB/s of
+// frame bytes, and B/op — the reply buffer for encode, the record slice
+// plus one backing array for decode.
+func BenchmarkRowFrame(b *testing.B) {
+	f := rowFrameBatch()
+	frame, err := api.AppendRowFrame(nil, f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, err := api.AppendRowFrame(nil, f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, err := api.DecodeRowFrame(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkEntriesRoundTrip is one SDK Entries call of 100 rows × Dim 16
+// against a loopback api.Server with the round open: request JSON, reply
+// frame, both ends' allocations in B/op.
+func BenchmarkEntriesRoundTrip(b *testing.B) {
+	ctrl, err := fedora.New(fedora.Config{
+		NumRows: 1 << 12, Dim: 16, Epsilon: fdp.EpsilonInfinity,
+		MaxClientsPerRound: 1, MaxFeaturesPerClient: 100, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ctrl.Close()
+	srv := httptest.NewServer(api.NewServer(ctrl).Handler())
+	defer srv.Close()
+	sdk, err := client.New(client.Config{BaseURL: srv.URL, BatchSize: 100, RetrySeed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]uint64, 100)
+	for i := range rows {
+		rows[i] = uint64(i * 37)
+	}
+	ctx := context.Background()
+	info, err := sdk.BeginRound(ctx, [][]uint64{rows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(api.FrameSize(len(rows), 16)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, err := sdk.Entries(ctx, info.RoundID, rows)
+		if err != nil || len(entries) != len(rows) || !entries[0].OK {
+			b.Fatalf("%d entries, err %v", len(entries), err)
+		}
 	}
 }

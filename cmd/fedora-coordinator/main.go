@@ -81,7 +81,7 @@ func main() {
 		lease         = flag.Duration("lease", 2*time.Second, "missed-heartbeat budget before a standby promotes itself")
 		roundDeadline = flag.Duration("round-deadline", 0, "finish rounds with partial gradients after this long (0 = no deadline)")
 		maxInflight   = flag.Int("max-inflight", 0, "bound concurrent round operations; excess requests are shed with 503 + Retry-After (0 = unbounded)")
-		uploadCodec   = flag.String("upload-codec", "", "upload-plane policy: require this wire codec on gradient uploads (plaintext | masked | masked-sparse | subspace); a masked policy also rejects plain JSON gradients (\"\" = accept anything)")
+		uploadCodec   = flag.String("upload-codec", "", "upload-plane policy: require this wire codec on gradient uploads (plaintext | masked | masked-sparse | subspace); a masked policy also rejects plain gradient frames (\"\" = accept anything)")
 		drain         = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain limit")
 	)
 	flag.Parse()

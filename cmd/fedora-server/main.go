@@ -21,10 +21,11 @@
 //
 //	curl -s localhost:8080/v2/status | jq .
 //	curl -s -X POST localhost:8080/v2/rounds -d '{"requests":[[7,21],[7,99]]}'
-//	curl -s -X POST localhost:8080/v2/rounds/r1/entries -d '{"rows":[7,21,99]}'
-//	curl -s -X POST localhost:8080/v2/rounds/r1/gradients \
-//	     -d '{"gradients":[{"row":7,"grad":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"samples":1}]}'
+//	curl -s -X POST localhost:8080/v2/rounds/r1/entries -d '{"rows":[7,21,99]}' | xxd | head
 //	curl -s -X POST localhost:8080/v2/rounds/r1/finish | jq .
+//
+// Rows travel as binary row frames (the /entries reply above, gradient
+// uploads); `fedora-client round` drives a whole round through the SDK.
 package main
 
 import (
@@ -71,7 +72,7 @@ func main() {
 		flQuick   = flag.Bool("fl-quick", false, "trimmed dataset with -fl-dataset")
 
 		roundDeadline = flag.Duration("round-deadline", 0, "finish rounds with partial gradients after this long (0 = no deadline)")
-		uploadCodec   = flag.String("upload-codec", "", "upload-plane policy: require this wire codec on gradient uploads (plaintext | masked | masked-sparse | subspace); a masked policy also rejects plain JSON gradients (\"\" = accept anything)")
+		uploadCodec   = flag.String("upload-codec", "", "upload-plane policy: require this wire codec on gradient uploads (plaintext | masked | masked-sparse | subspace); a masked policy also rejects plain gradient frames (\"\" = accept anything)")
 
 		memberFirst = flag.Int("member-first", 0, "with -member-count: first GLOBAL shard this member serves in a fedora-coordinator cluster")
 		memberCount = flag.Int("member-count", 0, "serve only shards [member-first, member-first+member-count) of the GLOBAL -shards partition as a cluster member (0 = serve everything)")

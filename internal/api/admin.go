@@ -34,9 +34,7 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeAdminError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	_, _ = w.Write(blob)
+	writeBody(w, http.StatusOK, "application/octet-stream", blob)
 }
 
 func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
@@ -54,7 +52,7 @@ func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
 		writeAdminError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"restored": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"restored": true})
 }
 
 func (s *Server) handleAdminShardSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -73,9 +71,7 @@ func (s *Server) handleAdminShardSnapshot(w http.ResponseWriter, r *http.Request
 		writeAdminError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	_, _ = w.Write(blob)
+	writeBody(w, http.StatusOK, "application/octet-stream", blob)
 }
 
 func (s *Server) handleAdminShardRestore(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +94,7 @@ func (s *Server) handleAdminShardRestore(w http.ResponseWriter, r *http.Request)
 		writeAdminError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"restored": true, "shard": global})
+	WriteJSON(w, http.StatusOK, map[string]any{"restored": true, "shard": global})
 }
 
 // adminShardIndex parses {shard} and checks it against the backend's

@@ -2,33 +2,14 @@ package api
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 	"testing"
 )
 
 // doReqEpoch is doReq with the coordinator-epoch header set.
 func doReqEpoch(t *testing.T, method, url, body, epoch string) (int, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(EpochHeader, epoch)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, data
+	return doReq(t, method, url, body, EpochHeader, epoch)
 }
 
 // TestEpochGateFencesStaleCoordinators is the member half of split-brain
@@ -123,15 +104,13 @@ func TestEpochAdvanceAbortsOpenRound(t *testing.T) {
 	// The old coordinator's round is dead: writes against it fail, and
 	// they fail as ROUND errors (the round was aborted), with the stale
 	// epoch also rejected at the gate.
-	status, data = doReqEpoch(t, http.MethodPost, srv.URL+"/v2/rounds/"+old.RoundID+"/gradients",
-		`{"gradients":[{"row":1,"grad":[1,1,1,1],"samples":1}]}`, "1")
+	status, data = doReqEpoch(t, http.MethodPost, srv.URL+"/v2/rounds/"+old.RoundID+"/gradients", gradsBody(1, 1, 1), "1")
 	if status != http.StatusConflict || decodeErr(t, data).Code != CodeStaleEpoch {
 		t.Fatalf("old-round gradients after takeover: status %d body %s", status, data)
 	}
 	// Even a request that somehow carries the NEW epoch cannot write to
 	// the aborted round.
-	status, data = doReqEpoch(t, http.MethodPost, srv.URL+"/v2/rounds/"+old.RoundID+"/gradients",
-		`{"gradients":[{"row":1,"grad":[1,1,1,1],"samples":1}]}`, "2")
+	status, data = doReqEpoch(t, http.MethodPost, srv.URL+"/v2/rounds/"+old.RoundID+"/gradients", gradsBody(1, 1, 1), "2")
 	if status == http.StatusOK {
 		t.Fatalf("aborted round accepted gradients: body %s", data)
 	}

@@ -1,10 +1,12 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // The v2 API reports every failure as a JSON envelope:
@@ -17,6 +19,7 @@ import (
 // Error codes returned by the v2 API.
 const (
 	CodeBadJSON          = "bad_json"           // 400: request body is not valid JSON
+	CodeUnsupportedMedia = "unsupported_media"  // 415: gradients body is neither a wire payload nor a row frame
 	CodeInvalidArgument  = "invalid_argument"   // 400: well-formed but semantically wrong
 	CodeMethodNotAllowed = "method_not_allowed" // 405
 	CodeNotFound         = "not_found"          // 404: no such route
@@ -48,13 +51,17 @@ var ErrBodyTooLarge = errors.New("api: body exceeds the size limit")
 // Body limits. Checkpoint blobs are persist-framed and can reach many
 // megabytes (a 2^20-row controller snapshots to 73 MB), so the admin
 // transfers share one generous bound on both ends of the connection;
-// everything else the SDK reads is a JSON reply.
+// everything else is a JSON body or a row frame.
 const (
 	// MaxAdminBlob bounds a checkpoint blob in either direction (a
 	// denial-of-service guard, not a format limit).
 	MaxAdminBlob = 1 << 30
-	// MaxReplyBody bounds any other reply the SDK reads.
+	// MaxReplyBody bounds any other reply the SDK reads; /entries refuses
+	// a row list whose reply frame would pass it.
 	MaxReplyBody = 64 << 20
+	// MaxRequestBody bounds every JSON request body and row frame the
+	// server reads.
+	MaxRequestBody = 64 << 20
 )
 
 // ReadBody reads one HTTP body — a request's on the server, a reply's in
@@ -95,6 +102,40 @@ func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) (body 
 	return body, true
 }
 
+// DecodeJSONBody reads a request's JSON body, whole and bounded by
+// MaxRequestBody, into v, answering 400 itself (ok false) for a body
+// past the limit, malformed JSON or bytes after the top-level value.
+func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	body, ok := readRequestBody(w, r, MaxRequestBody)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad json: %s", err.Error())
+		return false
+	}
+	return true
+}
+
+// writeBody sends a finished reply body at its declared length.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // the peer hung up; nothing left to tell it
+}
+
+// WriteJSON marshals v before the status line goes out, so a value JSON
+// cannot carry (a non-finite float) is a 500 envelope, not an empty 200.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorEnvelope{Error: ErrorBody{Code: CodeInternal, Message: "encode reply: " + err.Error()}})
+	}
+	writeBody(w, status, "application/json", append(body, '\n'))
+}
+
 // ErrorBody is the inner object of the v2 error envelope.
 type ErrorBody struct {
 	Code    string `json:"code"`
@@ -112,7 +153,7 @@ type ErrorEnvelope struct {
 
 // writeError emits the v2 JSON error envelope.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
+	WriteJSON(w, status, ErrorEnvelope{Error: ErrorBody{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})

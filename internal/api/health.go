@@ -133,7 +133,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if resp.Status == shard.StatusUnavailable {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // bootstrapRecover runs once at construction: adopt the newest existing

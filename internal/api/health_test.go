@@ -184,38 +184,24 @@ func TestEntriesReportUnavailable(t *testing.T) {
 		t.Fatalf("begin: %d", resp.StatusCode)
 	}
 
-	resp, err = http.Post(srv.URL+"/v2/rounds/"+info.RoundID+"/entries",
-		"application/json", strings.NewReader(`{"rows": [5, 900]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries EntriesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("entries: %d", resp.StatusCode)
+	status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/entries", `{"rows": [5, 900]}`)
+	entries, err := entriesOf(data)
+	if status != http.StatusOK || err != nil || len(entries) != 2 {
+		t.Fatalf("entries: status %d, %d rows, err %v", status, len(entries), err)
 	}
 	// Row 5 lives on shard 0 (healthy); row 900 on shard 1 (tripped).
-	if !entries.Entries[0].OK || entries.Entries[0].Unavailable {
-		t.Errorf("healthy-shard entry = %+v", entries.Entries[0])
+	if !entries[0].OK || entries[0].Unavailable {
+		t.Errorf("healthy-shard entry = %+v", entries[0])
 	}
-	if !entries.Entries[1].Unavailable || entries.Entries[1].OK {
-		t.Errorf("quarantined-shard entry = %+v", entries.Entries[1])
+	if !entries[1].Unavailable || entries[1].OK {
+		t.Errorf("quarantined-shard entry = %+v", entries[1])
 	}
 
-	resp, err = http.Post(srv.URL+"/v2/rounds/"+info.RoundID+"/gradients",
-		"application/json",
-		strings.NewReader(`{"gradients": [{"row": 900, "grad": [1,1,1,1], "samples": 1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data = doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", gradsBody(1, 1, 900))
 	var grads GradientBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&grads); err != nil {
+	if err := json.Unmarshal(data, &grads); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if grads.Delivered != 0 || grads.Dropped != 1 {
 		t.Errorf("gradient to quarantined shard = %+v", grads)
 	}

@@ -1,7 +1,8 @@
 // Package api exposes a FEDORA controller over HTTP, turning the
 // simulator into a runnable service: an FL orchestrator starts rounds,
 // clients download their embedding rows, upload gradients, and the
-// orchestrator finishes the round. JSON in, JSON out, stdlib only.
+// orchestrator finishes the round. The control plane is JSON, rows
+// travel as binary row frames (rowframe.go); stdlib only.
 //
 // One protocol is served, and internal/client is its only client:
 //
@@ -36,7 +37,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -178,7 +178,7 @@ type StatusResponse struct {
 	RoundInProgress bool   `json:"round_in_progress"`
 	CurrentRoundID  string `json:"current_round_id,omitempty"`
 	// UploadCodec advertises the server's upload-plane policy ("" =
-	// any codec accepted, including legacy JSON gradients).
+	// any codec accepted, and plain gradient frames too).
 	UploadCodec      string `json:"upload_codec,omitempty"`
 	EffectiveEpsilon string `json:"effective_epsilon"`
 	MainORAMBytes    uint64 `json:"main_oram_bytes"`
@@ -244,8 +244,8 @@ type RoundStatsJSON struct {
 	PrefetchWallNS int64 `json:"prefetch_wall_ns,omitempty"`
 	EvictWallNS    int64 `json:"evict_wall_ns,omitempty"`
 	EvictNS        int64 `json:"evict_ns,omitempty"`
-	// Wire upload plane accounting (zero when the legacy JSON gradient
-	// path was used).
+	// Wire upload plane accounting (zero when gradients came as row
+	// frames).
 	WireBytes   uint64 `json:"wire_bytes,omitempty"`
 	Saturations int    `json:"saturations,omitempty"`
 }
@@ -290,23 +290,13 @@ func (j RoundStatsJSON) Stats() (fedora.RoundStats, error) {
 	}, nil
 }
 
-// EntryResponse is a download reply.
-type EntryResponse struct {
-	Row   uint64    `json:"row"`
-	Entry []float32 `json:"entry,omitempty"`
-	OK    bool      `json:"ok"`
-	// Unavailable reports the row's shard is quarantined (degraded
-	// mode): no update for this row can apply this round. Distinct from
-	// !OK, which means the ε-FDP mechanism sacrificed the row.
-	Unavailable bool `json:"unavailable,omitempty"`
-}
-
-// GradientRequest uploads one row gradient.
-type GradientRequest struct {
-	Row     uint64    `json:"row"`
-	Grad    []float32 `json:"grad"`
-	Samples int       `json:"samples"`
-}
+// The row types of the SDK's calls are the controller's own; the names
+// the JSON protocol gave them stay as aliases for its callers.
+type (
+	EntryResponse    = fedora.EntryResult
+	GradientRequest  = fedora.RowGradient
+	AggregateRequest = fedora.RowAggregate
+)
 
 // handleMetrics exposes Prometheus-style counters (text format):
 // controller/device counters plus per-endpoint HTTP request counters
@@ -386,13 +376,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.met.render(w)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing sensible left to do.
-		_ = err
-	}
 }

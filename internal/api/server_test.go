@@ -17,40 +17,32 @@ func newTestServer(t *testing.T) (string, *fedora.Controller) {
 	return srv.URL, ctrl
 }
 
-// postJSON posts body and decodes a 200 reply into out. It reports
-// failures as an error so goroutines other than the test's own can use
-// it (doReq calls t.Fatal).
-func postJSON(url, body string, out any) error {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// serveRow downloads one row of an open round.
+// serveRow downloads one row of an open round. Like submitRow it
+// reports failures as an error, for goroutines other than the test's own.
 func serveRow(base, roundID string, row uint64) (EntryResponse, error) {
-	var out EntriesResponse
-	err := postJSON(base+"/v2/rounds/"+roundID+"/entries", fmt.Sprintf(`{"rows":[%d]}`, row), &out)
+	status, data, err := httpDo(http.MethodPost, base+"/v2/rounds/"+roundID+"/entries", fmt.Sprintf(`{"rows":[%d]}`, row))
+	if err != nil || status != http.StatusOK {
+		return EntryResponse{}, fmt.Errorf("entries for row %d: status %d err %v", row, status, err)
+	}
+	entries, err := entriesOf(data)
 	if err != nil {
 		return EntryResponse{}, err
 	}
-	if len(out.Entries) != 1 || out.Entries[0].Row != row {
-		return EntryResponse{}, fmt.Errorf("entries for row %d = %+v", row, out.Entries)
+	if len(entries) != 1 || entries[0].Row != row {
+		return EntryResponse{}, fmt.Errorf("entries for row %d = %+v", row, entries)
 	}
-	return out.Entries[0], nil
+	return entries[0], nil
 }
 
 // submitRow uploads an all-ones dim-4 gradient for one row and reports
 // whether it was delivered.
 func submitRow(base, roundID string, row uint64) (bool, error) {
+	status, data, err := httpDo(http.MethodPost, base+"/v2/rounds/"+roundID+"/gradients", gradsBody(1, 1, row))
+	if err != nil || status != http.StatusOK {
+		return false, fmt.Errorf("gradient for row %d: status %d err %v", row, status, err)
+	}
 	var out GradientBatchResponse
-	err := postJSON(base+"/v2/rounds/"+roundID+"/gradients",
-		fmt.Sprintf(`{"gradients":[{"row":%d,"grad":[1,1,1,1],"samples":1}]}`, row), &out)
+	err = json.Unmarshal(data, &out)
 	return out.Delivered == 1, err
 }
 
@@ -131,8 +123,7 @@ func TestOperationsWithoutRoundRejected(t *testing.T) {
 	// No round was ever begun, so no id resolves.
 	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/entries", `{"rows":[1]}`,
 		http.StatusNotFound, CodeRoundNotFound)
-	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/gradients",
-		`{"gradients":[{"row":1,"grad":[0,0,0,0],"samples":1}]}`,
+	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/gradients", gradsBody(0, 1, 1),
 		http.StatusNotFound, CodeRoundNotFound)
 	wantErr(t, http.MethodPost, base+"/v2/rounds/r1/finish", "",
 		http.StatusNotFound, CodeRoundNotFound)
@@ -155,8 +146,7 @@ func TestBadRequests(t *testing.T) {
 	wantErr(t, http.MethodPost, round+"/entries", `{"rows":["abc"]}`,
 		http.StatusBadRequest, CodeBadJSON)
 	// Non-positive samples.
-	wantErr(t, http.MethodPost, round+"/gradients",
-		`{"gradients":[{"row":1,"grad":[0,0,0,0],"samples":0}]}`,
+	wantErr(t, http.MethodPost, round+"/gradients", gradsBody(0, 0, 1),
 		http.StatusBadRequest, CodeInvalidArgument)
 }
 
@@ -179,11 +169,12 @@ func TestLostEntryOverHTTP(t *testing.T) {
 		}
 		list := strings.Join(rows, ",")
 		info := beginV2(t, srv.URL, `{"requests":[[`+list+`]]}`)
-		var out EntriesResponse
-		if err := postJSON(srv.URL+"/v2/rounds/"+info.RoundID+"/entries", `{"rows":[`+list+`]}`, &out); err != nil {
-			t.Fatal(err)
+		_, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/entries", `{"rows":[`+list+`]}`)
+		entries, err := entriesOf(data)
+		if err != nil || len(entries) != len(rows) {
+			t.Fatalf("%d entries, err %v", len(entries), err)
 		}
-		for _, e := range out.Entries {
+		for _, e := range entries {
 			if !e.OK {
 				sawLost = true
 			}

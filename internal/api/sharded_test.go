@@ -110,17 +110,16 @@ func TestShardedErrorPaths(t *testing.T) {
 	// Out-of-range row during the round: a client error.
 	wantErr(t, http.MethodPost, round+"/entries", `{"rows":[4096]}`,
 		http.StatusBadRequest, CodeInvalidArgument)
-	// Malformed gradient JSON.
-	wantErr(t, http.MethodPost, round+"/gradients", `{"gradients":`,
-		http.StatusBadRequest, CodeBadJSON)
+	// A gradient frame cut short.
+	wantErr(t, http.MethodPost, round+"/gradients", gradsBody(1, 1, 1)[:30],
+		http.StatusBadRequest, CodeInvalidArgument)
 
 	finishV2(t, base, info.RoundID)
 	// Transfers after finish: 409 round_finished. Finish itself is
 	// idempotent and replays the recorded outcome.
 	wantErr(t, http.MethodPost, round+"/entries", `{"rows":[1]}`,
 		http.StatusConflict, CodeRoundFinished)
-	wantErr(t, http.MethodPost, round+"/gradients",
-		`{"gradients":[{"row":1,"grad":[0,0,0,0],"samples":1}]}`,
+	wantErr(t, http.MethodPost, round+"/gradients", gradsBody(0, 1, 1),
 		http.StatusConflict, CodeRoundFinished)
 	if again := finishV2(t, base, info.RoundID); !again.Finished {
 		t.Errorf("repeated finish = %+v", again)

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,8 +17,9 @@ import (
 //
 //	POST /v2/rounds                     begin (idempotent via round_key)
 //	GET  /v2/rounds/{id}                round info
-//	POST /v2/rounds/{id}/entries        batched download
-//	POST /v2/rounds/{id}/gradients      batched upload (idempotent via batch_id)
+//	POST /v2/rounds/{id}/entries        batched download (reply: row frame)
+//	POST /v2/rounds/{id}/gradients      batched upload: a row frame or a wire
+//	                                    payload (idempotent via X-Fedora-Batch-ID)
 //	POST /v2/rounds/{id}/stage          stage the NEXT round's requests
 //	                                    (idempotent via stage_key)
 //	POST /v2/rounds/{id}/finish         finish (idempotent)
@@ -28,7 +28,7 @@ import (
 //
 // Idempotency is what makes SDK retries safe: a duplicate begin with
 // the same round_key returns the existing round, a duplicate gradient
-// batch with the same batch_id replays the recorded response instead of
+// batch with the same batch id replays the recorded response instead of
 // double-applying, and a repeated finish returns the recorded stats.
 // Rounds may carry a deadline; when it passes the server finishes the
 // round with whatever gradients arrived (partial aggregation), exactly
@@ -84,29 +84,11 @@ type RoundInfo struct {
 	Stats      *RoundStatsJSON `json:"stats,omitempty"` // set once finished
 }
 
-// EntriesRequest downloads a batch of rows in one request.
+// EntriesRequest downloads a batch of rows in one request; the reply is
+// a FrameEntries row frame, one record per requested row, in request
+// order.
 type EntriesRequest struct {
 	Rows []uint64 `json:"rows"`
-}
-
-// EntriesResponse carries one EntryResponse per requested row, in
-// request order.
-type EntriesResponse struct {
-	RoundID string          `json:"round_id"`
-	Entries []EntryResponse `json:"entries"`
-}
-
-// GradientBatchRequest uploads a batch of row gradients in one request.
-type GradientBatchRequest struct {
-	// BatchID, when set, deduplicates retries: the server applies a
-	// given batch id at most once per round and replays the recorded
-	// response for duplicates.
-	BatchID   string            `json:"batch_id,omitempty"`
-	Gradients []GradientRequest `json:"gradients"`
-	// Aggregates carries already-summed row updates instead of raw
-	// gradients (a coordinator fanning a wire round's unmasked output
-	// to members). A batch is either gradients or aggregates, not both.
-	Aggregates []AggregateRequest `json:"aggregates,omitempty"`
 }
 
 // GradientBatchResponse acknowledges a gradient batch.
@@ -126,17 +108,13 @@ type RowResponse struct {
 	Entry []float32 `json:"entry"`
 }
 
-// batchEntry records one gradient batch application (or its failure)
-// for replay to retries. done is closed once the outcome fields are
-// set; a concurrent duplicate waits on it instead of re-applying.
+// batchEntry records one upload's outcome for replay to retries. done
+// is closed once resp and err are set; a concurrent duplicate waits on
+// it instead of re-applying.
 type batchEntry struct {
 	done chan struct{}
-
-	// Exactly one of the two outcomes is recorded before done closes.
-	resp      GradientBatchResponse
-	errStatus int // 0 = success
-	errCode   string
-	errMsg    string
+	resp GradientBatchResponse
+	err  *apiError // nil = success
 }
 
 // stageEntry records one stage application (or its failure) for replay
@@ -414,13 +392,12 @@ func (s *Server) pruneLocked() {
 // ---- v2 handlers -----------------------------------------------------
 
 func (s *Server) handleStatusV2(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statusSnapshot())
+	WriteJSON(w, http.StatusOK, s.statusSnapshot())
 }
 
 func (s *Server) handleBeginV2(w http.ResponseWriter, r *http.Request) {
 	var req BeginV2Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad json: %s", err.Error())
+	if !DecodeJSONBody(w, r, &req) {
 		return
 	}
 	sr, created, aerr := s.beginRound(req)
@@ -432,7 +409,7 @@ func (s *Server) handleBeginV2(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, s.roundInfo(sr))
+	WriteJSON(w, status, s.roundInfo(sr))
 }
 
 func (s *Server) handleRoundInfoV2(w http.ResponseWriter, r *http.Request) {
@@ -441,7 +418,7 @@ func (s *Server) handleRoundInfoV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.roundInfo(sr))
+	WriteJSON(w, http.StatusOK, s.roundInfo(sr))
 }
 
 func (s *Server) handleEntriesV2(w http.ResponseWriter, r *http.Request) {
@@ -451,8 +428,13 @@ func (s *Server) handleEntriesV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EntriesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad json: %s", err.Error())
+	if !DecodeJSONBody(w, r, &req) {
+		return
+	}
+	dim := s.ctrl.Dim()
+	if size := FrameSize(len(req.Rows), dim); size > MaxReplyBody {
+		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
+			"%d rows make a %d-byte reply, limit %d; ask in smaller batches", len(req.Rows), size, MaxReplyBody)
 		return
 	}
 	for _, row := range req.Rows {
@@ -482,117 +464,133 @@ func (s *Server) handleEntriesV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
 		return
 	}
-	resp := EntriesResponse{RoundID: sr.id, Entries: make([]EntryResponse, len(results))}
-	for i, res := range results {
-		resp.Entries[i] = EntryResponse{
-			Row: res.Row, Entry: res.Entry, OK: res.OK, Unavailable: res.Unavailable,
-		}
+	body, err := AppendRowFrame(nil, RowFrame{Kind: FrameEntries, Dim: dim, Entries: results})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, RowFrameContentType, body)
 }
 
+// handleGradientsV2 takes one upload: an opaque wire-plane payload
+// (masked or compressed, wire.go) or a row frame of gradients or of
+// already-summed aggregates. The body is validated whole before the
+// batch id is reserved, so a refused batch touched nothing — not the
+// round, not a coordinator's WAL, not a member.
 func (s *Server) handleGradientsV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
 		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
 		return
 	}
-	// Content negotiation: an application/x-fedora-wire body is an
-	// opaque wire-plane payload (masked/compressed upload), everything
-	// else is the JSON gradient batch.
-	if strings.HasPrefix(r.Header.Get("Content-Type"), WireContentType) {
-		s.handleWireUpload(w, r, sr)
-		return
-	}
-	var req GradientBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad json: %s", err.Error())
-		return
-	}
-	if len(req.Aggregates) > 0 && len(req.Gradients) > 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"a batch carries gradients or aggregates, not both")
-		return
-	}
-	if len(req.Aggregates) == 0 && s.uploadPolicy.Masked() {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"server policy %q requires wire uploads; plaintext gradients rejected", s.uploadPolicy)
-		return
-	}
-	for i, g := range req.Gradients {
-		if g.Samples <= 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-				"gradient %d: samples must be positive", i)
+	var apply func() (GradientBatchResponse, *apiError)
+	switch ct := r.Header.Get("Content-Type"); {
+	case strings.HasPrefix(ct, WireContentType):
+		payload, ok := readRequestBody(w, r, maxWirePayload)
+		if !ok {
 			return
 		}
-		if g.Row >= s.ctrl.NumRows() {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-				"gradient %d: row %d out of range %d", i, g.Row, s.ctrl.NumRows())
+		apply = func() (GradientBatchResponse, *apiError) { return s.applyWireUpload(sr, payload) }
+	case strings.HasPrefix(ct, RowFrameContentType):
+		body, ok := readRequestBody(w, r, MaxRequestBody)
+		if !ok {
 			return
 		}
+		f, aerr := s.checkUploadFrame(body)
+		if aerr != nil {
+			writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+			return
+		}
+		apply = func() (GradientBatchResponse, *apiError) { return s.applyRows(sr, f) }
+	default:
+		writeError(w, http.StatusUnsupportedMediaType, CodeUnsupportedMedia,
+			"gradients take %s or %s, not %q", RowFrameContentType, WireContentType, ct)
+		return
 	}
+	resp, aerr := s.reserveBatch(sr, r.Header.Get(BatchIDHeader), apply)
+	if aerr != nil {
+		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		return
+	}
+	WriteJSON(w, http.StatusOK, resp)
+}
 
-	// Dedup: reserve the batch id before applying, so a concurrent
-	// retry of the same batch waits for the first application instead
-	// of double-applying.
-	var be *batchEntry
-	if req.BatchID != "" {
-		s.mu.Lock()
-		if prev, ok := sr.batches[req.BatchID]; ok {
-			s.mu.Unlock()
-			<-prev.done
-			if prev.errStatus != 0 {
-				writeError(w, prev.errStatus, prev.errCode, "%s", prev.errMsg)
-				return
-			}
-			resp := prev.resp
-			resp.Duplicate = true
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		be = &batchEntry{done: make(chan struct{})}
-		sr.batches[req.BatchID] = be
+// reserveBatch runs apply at most once per (round, batch id): the id is
+// reserved before applying, so a concurrent retry of the same batch
+// waits for the first application and replays its recorded outcome
+// instead of double-applying. An empty id opts out.
+func (s *Server) reserveBatch(sr *serverRound, id string, apply func() (GradientBatchResponse, *apiError)) (GradientBatchResponse, *apiError) {
+	if id == "" {
+		return apply()
+	}
+	s.mu.Lock()
+	if prev, ok := sr.batches[id]; ok {
 		s.mu.Unlock()
-		defer close(be.done)
+		<-prev.done
+		resp := prev.resp
+		resp.Duplicate = prev.err == nil
+		return resp, prev.err
 	}
+	be := &batchEntry{done: make(chan struct{})}
+	sr.batches[id] = be
+	s.mu.Unlock()
+	defer close(be.done)
+	be.resp, be.err = apply()
+	return be.resp, be.err
+}
 
-	fail := func(status int, code, msg string) {
-		if be != nil {
-			be.errStatus, be.errCode, be.errMsg = status, code, msg
+// checkUploadFrame decodes an uploaded row frame and validates every
+// record against the controller's geometry and the upload policy.
+func (s *Server) checkUploadFrame(body []byte) (RowFrame, *apiError) {
+	f, err := DecodeRowFrame(body)
+	switch {
+	case err != nil:
+		return f, errf(http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
+	case f.Kind == FrameEntries:
+		return f, errf(http.StatusBadRequest, CodeInvalidArgument, "an upload carries gradients or aggregates, not entries")
+	case f.Dim != s.ctrl.Dim():
+		return f, errf(http.StatusBadRequest, CodeInvalidArgument, "frame dim %d != table dim %d", f.Dim, s.ctrl.Dim())
+	case f.Kind == FrameGradients && s.uploadPolicy.Masked():
+		return f, errf(http.StatusBadRequest, CodeInvalidArgument,
+			"server policy %q requires wire uploads; plaintext gradients rejected", s.uploadPolicy)
+	}
+	rows := s.ctrl.NumRows()
+	for i, g := range f.Gradients {
+		if g.Samples <= 0 {
+			return f, errf(http.StatusBadRequest, CodeInvalidArgument, "gradient %d: samples must be positive", i)
 		}
-		writeError(w, status, code, "%s", msg)
+		if g.Row >= rows {
+			return f, errf(http.StatusBadRequest, CodeInvalidArgument, "gradient %d: row %d out of range %d", i, g.Row, rows)
+		}
 	}
-
-	if len(req.Aggregates) > 0 {
-		s.submitAggregatesJSON(w, sr, req, fail, func(resp GradientBatchResponse) {
-			if be != nil {
-				be.resp = resp
-			}
-		})
-		return
+	for i, a := range f.Aggregates {
+		if a.Row >= rows {
+			return f, errf(http.StatusBadRequest, CodeInvalidArgument, "aggregate %d: row %d out of range %d", i, a.Row, rows)
+		}
 	}
+	return f, nil
+}
 
+// applyRows folds a validated gradient or aggregate frame into the round.
+func (s *Server) applyRows(sr *serverRound, f RowFrame) (GradientBatchResponse, *apiError) {
 	round, aerr := s.liveRound(sr)
 	if aerr != nil {
-		fail(aerr.status, aerr.code, aerr.msg)
-		return
+		return GradientBatchResponse{}, aerr
 	}
-	grads := make([]fedora.RowGradient, len(req.Gradients))
-	for i, g := range req.Gradients {
-		grads[i] = fedora.RowGradient{Row: g.Row, Grad: g.Grad, Samples: g.Samples}
+	var results []bool
+	var err error
+	if f.Kind == FrameAggregates {
+		results, err = round.SubmitAggregates(f.Aggregates)
+	} else {
+		results, err = round.SubmitGradients(f.Gradients)
 	}
-	results, err := round.SubmitGradients(grads)
-	if err != nil {
-		if errors.Is(err, fedora.ErrRoundFinished) {
-			fail(http.StatusConflict, CodeRoundFinished, err.Error())
-			return
-		}
-		if errors.Is(err, ErrStaleEpoch) {
-			fail(http.StatusConflict, CodeStaleEpoch, err.Error())
-			return
-		}
-		fail(http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
+	switch {
+	case errors.Is(err, fedora.ErrRoundFinished):
+		return GradientBatchResponse{}, errf(http.StatusConflict, CodeRoundFinished, "%s", err.Error())
+	case errors.Is(err, ErrStaleEpoch):
+		return GradientBatchResponse{}, errf(http.StatusConflict, CodeStaleEpoch, "%s", err.Error())
+	case err != nil:
+		return GradientBatchResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
 	}
 	resp := GradientBatchResponse{RoundID: sr.id, Results: results}
 	for _, ok := range results {
@@ -602,10 +600,7 @@ func (s *Server) handleGradientsV2(w http.ResponseWriter, r *http.Request) {
 			resp.Dropped++
 		}
 	}
-	if be != nil {
-		be.resp = resp
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // handleStageV2 posts the NEXT round's request lists against the latest
@@ -620,8 +615,7 @@ func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StageV2Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad json: %s", err.Error())
+	if !DecodeJSONBody(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -657,7 +651,7 @@ func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 			}
 			resp := prev.resp
 			resp.Duplicate = true
-			writeJSON(w, http.StatusOK, resp)
+			WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		se = &stageEntry{done: make(chan struct{})}
@@ -691,7 +685,7 @@ func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 	if se != nil {
 		se.resp = resp
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleFinishV2(w http.ResponseWriter, r *http.Request) {
@@ -712,7 +706,7 @@ func (s *Server) handleFinishV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.roundInfo(sr))
+	WriteJSON(w, http.StatusOK, s.roundInfo(sr))
 }
 
 func (s *Server) handleRowV2(w http.ResponseWriter, r *http.Request) {
@@ -735,7 +729,7 @@ func (s *Server) handleRowV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, RowResponse{Row: row, Entry: entry})
+	WriteJSON(w, http.StatusOK, RowResponse{Row: row, Entry: entry})
 }
 
 func (s *Server) handleV2Fallback(w http.ResponseWriter, r *http.Request) {

@@ -30,26 +30,77 @@ func newV2TestServer(t *testing.T, opts ...Option) (*httptest.Server, *fedora.Co
 	return srv, ctrl
 }
 
-// doReq performs one HTTP request and returns status + body.
-func doReq(t *testing.T, method, url, body string) (int, []byte) {
-	t.Helper()
+// httpDo performs one HTTP request and returns status + body. The
+// content type follows the body — a row frame (gradsBody, aggsBody) or
+// JSON; hdr is extra header name/value pairs. It reports failures as an
+// error so goroutines other than the test's own can use it.
+func httpDo(method, url, body string, hdr ...string) (int, []byte, error) {
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	if body != "" {
+	switch {
+	case strings.HasPrefix(body, frameMagic):
+		req.Header.Set("Content-Type", RowFrameContentType)
+	case body != "":
 		req.Header.Set("Content-Type", "application/json")
+	}
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, data, err
+}
+
+// doReq is httpDo for the test's own goroutine.
+func doReq(t *testing.T, method, url, body string, hdr ...string) (int, []byte) {
+	t.Helper()
+	status, data, err := httpDo(method, url, body, hdr...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, data
+	return status, data
+}
+
+// gradsBody is a gradient row frame at the test servers' dim 4: one
+// all-v gradient with the given sample count per row.
+func gradsBody(v float32, samples int, rows ...uint64) string {
+	f := RowFrame{Kind: FrameGradients, Dim: 4}
+	for _, row := range rows {
+		f.Gradients = append(f.Gradients, GradientRequest{Row: row, Grad: []float32{v, v, v, v}, Samples: samples})
+	}
+	return frameBody(f)
+}
+
+// aggsBody is gradsBody for already-summed aggregates of count 1.
+func aggsBody(v float32, rows ...uint64) string {
+	f := RowFrame{Kind: FrameAggregates, Dim: 4}
+	for _, row := range rows {
+		f.Aggregates = append(f.Aggregates, AggregateRequest{Row: row, Sum: []float32{v, v, v, v}, Count: 1})
+	}
+	return frameBody(f)
+}
+
+func frameBody(f RowFrame) string {
+	b, err := AppendRowFrame(nil, f)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+// entriesOf decodes an /entries reply.
+func entriesOf(data []byte) ([]EntryResponse, error) {
+	f, err := DecodeRowFrame(data)
+	if err == nil && f.Kind != FrameEntries {
+		err = fmt.Errorf("reply frame kind %d, want entries", f.Kind)
+	}
+	return f.Entries, err
 }
 
 // decodeErr parses a v2 error envelope.
@@ -89,15 +140,15 @@ func TestV2FullBatchedRound(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("entries: status %d body %s", status, data)
 	}
-	var entries EntriesResponse
-	if err := json.Unmarshal(data, &entries); err != nil {
+	entries, err := entriesOf(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries.Entries) != 3 {
+	if len(entries) != 3 {
 		t.Fatalf("entries = %+v", entries)
 	}
 	for i, want := range []uint64{5, 9, 12} {
-		e := entries.Entries[i]
+		e := entries[i]
 		if e.Row != want || !e.OK || len(e.Entry) != 4 {
 			t.Fatalf("entry %d = %+v", i, e)
 		}
@@ -105,13 +156,8 @@ func TestV2FullBatchedRound(t *testing.T) {
 
 	// Batched upload: both clients' gradients, one request each.
 	for _, rows := range [][]uint64{{5, 9}, {9, 12}} {
-		var grads []string
-		for _, row := range rows {
-			grads = append(grads, fmt.Sprintf(`{"row":%d,"grad":[1,1,1,1],"samples":1}`, row))
-		}
-		body := fmt.Sprintf(`{"gradients":[%s]}`, strings.Join(grads, ","))
 		status, data = doReq(t, http.MethodPost,
-			srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", body)
+			srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", gradsBody(1, 1, rows...))
 		if status != http.StatusOK {
 			t.Fatalf("gradients: status %d body %s", status, data)
 		}
@@ -185,7 +231,7 @@ func TestV2ErrorTable(t *testing.T) {
 		{"entries wrong verb", "GET", "/v2/rounds/r1/entries", "", 405, CodeMethodNotAllowed},
 		{"entries unknown round", "POST", "/v2/rounds/nope/entries", `{"rows":[1]}`, 404, CodeRoundNotFound},
 		{"gradients wrong verb", "GET", "/v2/rounds/r1/gradients", "", 405, CodeMethodNotAllowed},
-		{"gradients unknown round", "POST", "/v2/rounds/nope/gradients", `{"gradients":[]}`, 404, CodeRoundNotFound},
+		{"gradients unknown round", "POST", "/v2/rounds/nope/gradients", gradsBody(1, 1), 404, CodeRoundNotFound},
 		{"finish wrong verb", "GET", "/v2/rounds/r1/finish", "", 405, CodeMethodNotAllowed},
 		{"finish unknown round", "POST", "/v2/rounds/nope/finish", "", 404, CodeRoundNotFound},
 		{"row wrong verb", "POST", "/v2/rows/3", "", 405, CodeMethodNotAllowed},
@@ -218,11 +264,18 @@ func TestV2ErrorTable(t *testing.T) {
 		{"second begin conflicts", "POST", "/v2/rounds", `{"requests":[[3]]}`, 409, CodeRoundInProgress},
 		{"entries bad json", "POST", "/v2/rounds/" + info.RoundID + "/entries", "{", 400, CodeBadJSON},
 		{"entries row out of range", "POST", "/v2/rounds/" + info.RoundID + "/entries", `{"rows":[99999]}`, 400, CodeInvalidArgument},
-		{"gradients bad json", "POST", "/v2/rounds/" + info.RoundID + "/gradients", "{", 400, CodeBadJSON},
+		{"gradients bad json", "POST", "/v2/rounds/" + info.RoundID + "/gradients", "{", 415, CodeUnsupportedMedia},
+		{"gradients as json", "POST", "/v2/rounds/" + info.RoundID + "/gradients",
+			`{"gradients":[{"row":1,"grad":[1,1,1,1],"samples":1}]}`, 415, CodeUnsupportedMedia},
+		{"gradients without a content type", "POST", "/v2/rounds/" + info.RoundID + "/gradients", "", 415, CodeUnsupportedMedia},
+		{"gradients torn frame", "POST", "/v2/rounds/" + info.RoundID + "/gradients",
+			gradsBody(1, 1, 1)[:20], 400, CodeInvalidArgument},
 		{"gradients zero samples", "POST", "/v2/rounds/" + info.RoundID + "/gradients",
-			`{"gradients":[{"row":1,"grad":[1,1,1,1],"samples":0}]}`, 400, CodeInvalidArgument},
+			gradsBody(1, 0, 1), 400, CodeInvalidArgument},
 		{"gradients row out of range", "POST", "/v2/rounds/" + info.RoundID + "/gradients",
-			`{"gradients":[{"row":99999,"grad":[1,1,1,1],"samples":1}]}`, 400, CodeInvalidArgument},
+			gradsBody(1, 1, 99999), 400, CodeInvalidArgument},
+		{"gradients entries frame", "POST", "/v2/rounds/" + info.RoundID + "/gradients",
+			frameBody(RowFrame{Kind: FrameEntries, Dim: 4, Entries: []EntryResponse{{Row: 1}}}), 400, CodeInvalidArgument},
 	}
 	for _, tc := range roundCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,8 +301,7 @@ func TestV2ErrorTable(t *testing.T) {
 		body   string
 	}{
 		{"entries after finish", "POST", "/v2/rounds/" + info.RoundID + "/entries", `{"rows":[1]}`},
-		{"gradients after finish", "POST", "/v2/rounds/" + info.RoundID + "/gradients",
-			`{"gradients":[{"row":1,"grad":[1,1,1,1],"samples":1}]}`},
+		{"gradients after finish", "POST", "/v2/rounds/" + info.RoundID + "/gradients", gradsBody(1, 1, 1)},
 	}
 	for _, tc := range finishedCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -336,15 +388,14 @@ func TestV2GradientBatchDedup(t *testing.T) {
 	// Client A uploads 4s, client B uploads 0s; if B's batch were
 	// double-applied the average would shift from (4+0)/2 = 2 to
 	// (4+0+0)/3 ≈ 1.33.
-	bodyA := `{"batch_id":"batch-A","gradients":[{"row":7,"grad":[4,4,4,4],"samples":1}]}`
-	bodyB := `{"batch_id":"batch-B","gradients":[{"row":7,"grad":[0,0,0,0],"samples":1}]}`
-	for _, body := range []string{bodyA, bodyB} {
-		if status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", body); status != 200 {
+	bodyA, bodyB := gradsBody(4, 1, 7), gradsBody(0, 1, 7)
+	for id, body := range map[string]string{"batch-A": bodyA, "batch-B": bodyB} {
+		if status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", body, BatchIDHeader, id); status != 200 {
 			t.Fatalf("upload: %d %s", status, data)
 		}
 	}
 	// Retry batch B.
-	status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", bodyB)
+	status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", bodyB, BatchIDHeader, "batch-B")
 	if status != http.StatusOK {
 		t.Fatalf("duplicate upload: %d %s", status, data)
 	}
@@ -371,7 +422,7 @@ func TestV2GradientBatchDedup(t *testing.T) {
 func TestV2ConcurrentDuplicateBatch(t *testing.T) {
 	srv, _ := newV2TestServer(t)
 	info := beginV2(t, srv.URL, `{"requests":[[3]]}`)
-	body := `{"batch_id":"race","gradients":[{"row":3,"grad":[1,1,1,1],"samples":1}]}`
+	body := gradsBody(1, 1, 3)
 
 	var wg sync.WaitGroup
 	resps := make([]GradientBatchResponse, 2)
@@ -379,9 +430,9 @@ func TestV2ConcurrentDuplicateBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", body)
-			if status != http.StatusOK {
-				t.Errorf("racer %d: status %d body %s", i, status, data)
+			status, data, err := httpDo(http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", body, BatchIDHeader, "race")
+			if err != nil || status != http.StatusOK {
+				t.Errorf("racer %d: status %d body %s err %v", i, status, data, err)
 				return
 			}
 			if err := json.Unmarshal(data, &resps[i]); err != nil {
@@ -409,8 +460,7 @@ func TestV2DeadlineExpiry(t *testing.T) {
 	}
 
 	// This gradient lands before the deadline.
-	status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients",
-		`{"gradients":[{"row":1,"grad":[1,1,1,1],"samples":1}]}`)
+	status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", gradsBody(1, 1, 1))
 	if status != http.StatusOK {
 		t.Fatalf("pre-deadline upload: %d %s", status, data)
 	}
@@ -439,8 +489,7 @@ func TestV2DeadlineExpiry(t *testing.T) {
 	}
 
 	// Straggler upload after expiry is rejected.
-	status, data = doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients",
-		`{"gradients":[{"row":2,"grad":[1,1,1,1],"samples":1}]}`)
+	status, data = doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", gradsBody(1, 1, 2))
 	if status != 409 || decodeErr(t, data).Code != CodeRoundFinished {
 		t.Fatalf("straggler: %d %s", status, data)
 	}

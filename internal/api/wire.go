@@ -2,9 +2,7 @@ package api
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"repro/internal/fedora"
@@ -13,7 +11,7 @@ import (
 
 // The wire upload plane: clients POST opaque internal/wire payloads to
 // the gradients endpoint with Content-Type application/x-fedora-wire
-// instead of a JSON gradient batch. The server hosts a wire.Aggregator
+// instead of a gradient row frame. The server hosts a wire.Aggregator
 // per round — under a masked codec it only ever sees masked words, and
 // learns nothing about an individual client's update beyond the final
 // sum. Once every surviving client has uploaded, the orchestrator runs
@@ -33,25 +31,14 @@ import (
 // endpoint.
 const WireContentType = "application/x-fedora-wire"
 
-// WireBatchIDHeader carries the retry-dedup key for binary uploads
-// (the JSON path carries it in the body as batch_id).
-const WireBatchIDHeader = "X-Fedora-Batch-ID"
+// BatchIDHeader carries an upload's retry-dedup key, wire payload and
+// row frame alike.
+const BatchIDHeader = "X-Fedora-Batch-ID"
 
 // maxWirePayload bounds one upload's size (a full-table masked payload
 // for 1<<24 rows × dim 64 is ~4 GiB and is rejected by the codec long
 // before this; real payloads are KBs to MBs).
 const maxWirePayload = 256 << 20
-
-// AggregateRequest is one already-summed row update: the unmasked
-// output of a wire round, fanned out by a cluster coordinator to the
-// member owning the row. Sum is Σ_c n_c·Δθ over the quantization grid
-// and Count is Σ_c n_c; float32 round-trips JSON exactly, so the
-// member applies bit-identical values.
-type AggregateRequest struct {
-	Row   uint64    `json:"row"`
-	Sum   []float32 `json:"sum"`
-	Count float32   `json:"count"`
-}
 
 // RevealJSON is one orphaned pair seed, base64-encoded for JSON.
 type RevealJSON struct {
@@ -82,7 +69,7 @@ type UnmaskResponse struct {
 
 // WithUploadCodec pins the server's upload-plane policy: binary wire
 // uploads must use exactly this codec, and — when the policy codec is
-// a masked one — plain JSON gradient submissions are rejected too, so
+// a masked one — plain gradient frames are rejected too, so
 // a server deployed for secure aggregation cannot be handed individual
 // plaintext updates by a misconfigured trainer. The zero policy
 // (CodecLegacy) accepts everything.
@@ -102,77 +89,32 @@ func (s *Server) wireAggregator(sr *serverRound) *wire.Aggregator {
 	return sr.wireAgg
 }
 
-// handleWireUpload is the binary branch of the gradients endpoint.
-// Dedup mirrors the JSON path: the batch id (header) is reserved
-// before applying, and a duplicate replays the recorded response.
-func (s *Server) handleWireUpload(w http.ResponseWriter, r *http.Request, sr *serverRound) {
-	payload, ok := readRequestBody(w, r, maxWirePayload)
-	if !ok {
-		return
-	}
-
-	var be *batchEntry
-	if id := r.Header.Get(WireBatchIDHeader); id != "" {
-		s.mu.Lock()
-		if prev, ok := sr.batches[id]; ok {
-			s.mu.Unlock()
-			<-prev.done
-			if prev.errStatus != 0 {
-				writeError(w, prev.errStatus, prev.errCode, "%s", prev.errMsg)
-				return
-			}
-			resp := prev.resp
-			resp.Duplicate = true
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		be = &batchEntry{done: make(chan struct{})}
-		sr.batches[id] = be
-		s.mu.Unlock()
-		defer close(be.done)
-	}
-	fail := func(status int, code, msg string) {
-		if be != nil {
-			be.errStatus, be.errCode, be.errMsg = status, code, msg
-		}
-		writeError(w, status, code, "%s", msg)
-	}
-
+// applyWireUpload hands one wire payload to the round's aggregator.
+func (s *Server) applyWireUpload(sr *serverRound, payload []byte) (GradientBatchResponse, *apiError) {
 	// Uploads are only accepted while the round is live; the aggregator
 	// itself never touches the round until unmask.
 	if _, aerr := s.liveRound(sr); aerr != nil {
-		fail(aerr.status, aerr.code, aerr.msg)
-		return
+		return GradientBatchResponse{}, aerr
 	}
 	codec, err := wire.PayloadCodec(payload)
 	if err != nil {
-		fail(http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
+		return GradientBatchResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
 	}
 	if s.uploadPolicy != wire.CodecLegacy && codec != s.uploadPolicy {
 		// Enforced BEFORE the aggregator sees the payload: a rejected
 		// upload must not contribute to a later unmask.
-		fail(http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("upload codec %q rejected by server policy %q", codec, s.uploadPolicy))
-		return
+		return GradientBatchResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
+			"upload codec %q rejected by server policy %q", codec, s.uploadPolicy)
 	}
-	agg := s.wireAggregator(sr)
-	if err := agg.Add(payload); err != nil {
-		fail(http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
+	if err := s.wireAggregator(sr).Add(payload); err != nil {
+		return GradientBatchResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
 	}
 	s.wireBytes.Add(uint64(len(payload)))
 	if ctr, ok := s.wireUploads[codec]; ok {
 		ctr.Add(1)
 	}
-
-	// The wire shape reuses the JSON acknowledgment so the dedup entry
-	// replays identically: one payload, delivered.
-	resp := GradientBatchResponse{RoundID: sr.id, Delivered: 1, Results: []bool{true}}
-	if be != nil {
-		be.resp = resp
-	}
-	writeJSON(w, http.StatusOK, resp)
+	// One payload, delivered: the acknowledgment a row frame gets.
+	return GradientBatchResponse{RoundID: sr.id, Delivered: 1, Results: []bool{true}}, nil
 }
 
 // handleUnmaskV2 runs the unmasking round and applies the reconstructed
@@ -185,8 +127,7 @@ func (s *Server) handleUnmaskV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UnmaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad json: %s", err.Error())
+	if !DecodeJSONBody(w, r, &req) {
 		return
 	}
 	reveals := make([]wire.Reveal, len(req.Reveals))
@@ -208,7 +149,7 @@ func (s *Server) handleUnmaskV2(w http.ResponseWriter, r *http.Request) {
 	if sr.unmaskDone {
 		resp := sr.unmaskResp
 		resp.Duplicate = true
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -269,47 +210,5 @@ func (s *Server) handleUnmaskV2(w http.ResponseWriter, r *http.Request) {
 	s.wireSats.Add(uint64(res.Saturations))
 	sr.unmaskResp = resp
 	sr.unmaskDone = true
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// submitAggregatesJSON is the JSON-path handler for a gradient batch
-// that carries Aggregates instead of Gradients (a coordinator fanning
-// unmasked sums out to members). Shares the caller's dedup entry.
-func (s *Server) submitAggregatesJSON(w http.ResponseWriter, sr *serverRound,
-	req GradientBatchRequest, fail func(status int, code, msg string), record func(GradientBatchResponse)) {
-	for i, a := range req.Aggregates {
-		if a.Row >= s.ctrl.NumRows() {
-			fail(http.StatusBadRequest, CodeInvalidArgument,
-				fmt.Sprintf("aggregate %d: row %d out of range %d", i, a.Row, s.ctrl.NumRows()))
-			return
-		}
-	}
-	round, aerr := s.liveRound(sr)
-	if aerr != nil {
-		fail(aerr.status, aerr.code, aerr.msg)
-		return
-	}
-	aggs := make([]fedora.RowAggregate, len(req.Aggregates))
-	for i, a := range req.Aggregates {
-		aggs[i] = fedora.RowAggregate{Row: a.Row, Sum: a.Sum, Count: a.Count}
-	}
-	results, err := round.SubmitAggregates(aggs)
-	if err != nil {
-		if errors.Is(err, fedora.ErrRoundFinished) {
-			fail(http.StatusConflict, CodeRoundFinished, err.Error())
-			return
-		}
-		fail(http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
-	resp := GradientBatchResponse{RoundID: sr.id, Results: results}
-	for _, ok := range results {
-		if ok {
-			resp.Delivered++
-		} else {
-			resp.Dropped++
-		}
-	}
-	record(resp)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -20,7 +20,7 @@ func wirePost(t *testing.T, url, batchID string, payload []byte) (int, []byte) {
 	}
 	req.Header.Set("Content-Type", WireContentType)
 	if batchID != "" {
-		req.Header.Set(WireBatchIDHeader, batchID)
+		req.Header.Set(BatchIDHeader, batchID)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -35,7 +35,7 @@ func wirePost(t *testing.T, url, batchID string, payload []byte) (int, []byte) {
 }
 
 // TestWireUploadUnmaskRound drives the binary upload path end to end at
-// the HTTP layer: content negotiation on the gradients endpoint,
+// the HTTP layer: the content type picking the path on the gradients endpoint,
 // batch-id dedup of a replayed payload, the unmask round applying the
 // reconstructed sums, unmask idempotency, and the /metrics counters.
 func TestWireUploadUnmaskRound(t *testing.T) {
@@ -139,8 +139,8 @@ func TestWireUploadUnmaskRound(t *testing.T) {
 }
 
 // TestWireUploadPolicy: a server pinned to a codec rejects mismatched
-// wire payloads and plain JSON gradients but keeps accepting aggregate
-// batches (coordinator fan-out of already-summed values).
+// wire payloads and plain gradient frames but keeps accepting aggregate
+// frames (coordinator fan-out of already-summed values).
 func TestWireUploadPolicy(t *testing.T) {
 	srv, _ := newV2TestServer(t, WithUploadCodec(wire.CodecMasked))
 	info := beginV2(t, srv.URL, `{"requests":[[5,9]]}`)
@@ -160,13 +160,11 @@ func TestWireUploadPolicy(t *testing.T) {
 	if status, data := wirePost(t, gradURL, "p0", payload); status != http.StatusBadRequest {
 		t.Fatalf("mismatched codec accepted: status %d body %s", status, data)
 	}
-	status, data := doReq(t, http.MethodPost, gradURL,
-		`{"gradients":[{"row":5,"grad":[1,1,1,1],"samples":1}]}`)
+	status, data := doReq(t, http.MethodPost, gradURL, gradsBody(1, 1, 5))
 	if status != http.StatusBadRequest {
-		t.Fatalf("plaintext JSON accepted under masked policy: status %d body %s", status, data)
+		t.Fatalf("plaintext gradients accepted under masked policy: status %d body %s", status, data)
 	}
-	status, data = doReq(t, http.MethodPost, gradURL,
-		`{"aggregates":[{"row":5,"sum":[1,1,1,1],"count":1}]}`)
+	status, data = doReq(t, http.MethodPost, gradURL, aggsBody(1, 5))
 	if status != http.StatusOK {
 		t.Fatalf("aggregates rejected under masked policy: status %d body %s", status, data)
 	}

@@ -23,8 +23,9 @@ import (
 // All of them ride the same retry/backoff/classification loop as the
 // round calls and feed the same byte counters.
 
-// doRaw runs one logical call whose request and reply bodies are raw
-// bytes rather than JSON: like do(), same retry loop.
+// doRaw runs one logical call on raw request and reply bodies: attempt,
+// classify, back off, retry. The caller's ctx spans all attempts; each
+// attempt additionally gets the configured per-attempt timeout.
 func (c *Client) doRaw(ctx context.Context, req rawRequest) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {

@@ -4,7 +4,7 @@
 //   - per-attempt timeouts and capped exponential backoff with jitter,
 //   - retries restricted to failures that are safe to repeat — transport
 //     errors, 5xx, and 429 — against endpoints the server makes
-//     idempotent (begin via round_key, gradient batches via batch_id,
+//     idempotent (begin via round_key, gradient batches via a batch id,
 //     finish by construction),
 //   - context cancellation across attempts and backoff sleeps,
 //   - transfer chunking (BatchSize rows per HTTP request), and
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/fedora"
 	"repro/internal/wire"
 )
 
@@ -90,7 +91,7 @@ type Stats struct {
 	// retried, waiting out the server's Retry-After when it sent one.
 	Shed uint64
 	// BytesSent / BytesReceived count request and response body bytes
-	// across every attempt (JSON and raw admin blobs alike) — the wire
+	// across every attempt (JSON, row frames and raw admin blobs alike) — the wire
 	// cost a bytes/round experiment measures.
 	BytesSent     uint64
 	BytesReceived uint64
@@ -324,53 +325,20 @@ func (c *Client) nextID() string {
 
 // ---- request core ----------------------------------------------------
 
-// do runs one logical call: attempt, classify, back off, retry. The
-// caller's ctx spans all attempts; each attempt additionally gets the
-// configured per-attempt timeout.
+// do runs one logical call with a JSON body and reply over doRaw's
+// retry loop (admin.go).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
+	req := rawRequest{method: method, path: path}
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if req.body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
 		}
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := c.backoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
-				c.failures.Add(1)
-				return fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, err, lastErr)
-			}
-		}
-		lastErr = c.attempt(ctx, method, path, body, out)
-		if lastErr == nil {
-			return nil
-		}
-		if ctx.Err() != nil || !c.classifyRetry(lastErr) || attempt >= c.cfg.MaxRetries {
-			c.failures.Add(1)
-			return fmt.Errorf("client: %s %s failed after %d attempt(s): %w",
-				method, path, attempt+1, lastErr)
-		}
-	}
-}
-
-// attempt performs a single HTTP round trip with a JSON body/reply.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	req := rawRequest{method: method, path: path, body: body}
-	if body != nil {
 		req.contentType = "application/json"
 	}
-	data, status, hdr, err := c.rawAttempt(ctx, req)
-	if err != nil {
+	data, err := c.doRaw(ctx, req)
+	if err != nil || out == nil {
 		return err
-	}
-	if status >= 300 {
-		return c.statusError(status, hdr, data)
-	}
-	if out == nil {
-		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decode %s %s: %w", method, path, err)
@@ -555,74 +523,83 @@ func (c *Client) RoundInfo(ctx context.Context, roundID string) (api.RoundInfo, 
 }
 
 // Entries downloads the given rows, chunked into BatchSize-row
-// requests; replies come back in request order.
-func (c *Client) Entries(ctx context.Context, roundID string, rows []uint64) ([]api.EntryResponse, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	out := make([]api.EntryResponse, 0, len(rows))
+// requests; replies come back in request order. The caller owns the
+// result: each chunk's vectors share one backing array nothing else
+// references.
+func (c *Client) Entries(ctx context.Context, roundID string, rows []uint64) ([]fedora.EntryResult, error) {
+	var out []fedora.EntryResult
 	for start := 0; start < len(rows); start += c.cfg.BatchSize {
 		end := min(start+c.cfg.BatchSize, len(rows))
-		var resp api.EntriesResponse
-		err := c.do(ctx, http.MethodPost, "/v2/rounds/"+roundID+"/entries",
-			api.EntriesRequest{Rows: rows[start:end]}, &resp)
+		body, err := json.Marshal(api.EntriesRequest{Rows: rows[start:end]})
+		if err != nil {
+			return nil, fmt.Errorf("client: encode entries request: %w", err)
+		}
+		data, err := c.doRaw(ctx, rawRequest{
+			method: http.MethodPost, path: "/v2/rounds/" + roundID + "/entries",
+			body: body, contentType: "application/json",
+		})
 		if err != nil {
 			return nil, err
 		}
-		if len(resp.Entries) != end-start {
-			return nil, fmt.Errorf("client: entries batch returned %d of %d rows",
-				len(resp.Entries), end-start)
+		f, err := api.DecodeRowFrame(data)
+		if err != nil {
+			return nil, fmt.Errorf("client: entries reply: %w", err)
 		}
-		out = append(out, resp.Entries...)
+		if f.Kind != api.FrameEntries || len(f.Entries) != end-start {
+			return nil, fmt.Errorf("client: entries batch returned %d of %d rows (frame kind %d)",
+				len(f.Entries), end-start, f.Kind)
+		}
+		if start == 0 {
+			out = f.Entries
+		} else {
+			out = append(out, f.Entries...)
+		}
 	}
 	return out, nil
 }
 
 // SubmitGradients uploads the given row gradients, chunked into
-// BatchSize-row batches. Every batch carries a fresh batch_id, so a
-// retried batch is applied at most once. Returns per-gradient delivery
+// BatchSize-row frames. Every frame carries a fresh batch id, so a
+// retried frame is applied at most once. Returns per-gradient delivery
 // flags in input order.
-func (c *Client) SubmitGradients(ctx context.Context, roundID string, grads []api.GradientRequest) ([]bool, error) {
-	if len(grads) == 0 {
-		return nil, nil
-	}
-	results := make([]bool, 0, len(grads))
-	for start := 0; start < len(grads); start += c.cfg.BatchSize {
-		end := min(start+c.cfg.BatchSize, len(grads))
-		var resp api.GradientBatchResponse
-		err := c.do(ctx, http.MethodPost, "/v2/rounds/"+roundID+"/gradients",
-			api.GradientBatchRequest{BatchID: c.nextID(), Gradients: grads[start:end]}, &resp)
-		if err != nil {
-			return nil, err
-		}
-		if len(resp.Results) != end-start {
-			return nil, fmt.Errorf("client: gradient batch returned %d of %d results",
-				len(resp.Results), end-start)
-		}
-		results = append(results, resp.Results...)
-	}
-	return results, nil
+func (c *Client) SubmitGradients(ctx context.Context, roundID string, grads []fedora.RowGradient) ([]bool, error) {
+	return c.submitRows(ctx, roundID, len(grads), func(lo, hi int) api.RowFrame {
+		return api.RowFrame{Kind: api.FrameGradients, Dim: len(grads[0].Grad), Gradients: grads[lo:hi]}
+	})
 }
 
 // SubmitAggregates uploads already-summed row updates (the unmasked
 // output of a wire round — the coordinator's member fan-out path),
-// chunked like gradients with a fresh batch_id per chunk.
-func (c *Client) SubmitAggregates(ctx context.Context, roundID string, aggs []api.AggregateRequest) ([]bool, error) {
-	if len(aggs) == 0 {
-		return nil, nil
-	}
-	results := make([]bool, 0, len(aggs))
-	for start := 0; start < len(aggs); start += c.cfg.BatchSize {
-		end := min(start+c.cfg.BatchSize, len(aggs))
-		var resp api.GradientBatchResponse
-		err := c.do(ctx, http.MethodPost, "/v2/rounds/"+roundID+"/gradients",
-			api.GradientBatchRequest{BatchID: c.nextID(), Aggregates: aggs[start:end]}, &resp)
+// chunked like gradients with a fresh batch id per chunk.
+func (c *Client) SubmitAggregates(ctx context.Context, roundID string, aggs []fedora.RowAggregate) ([]bool, error) {
+	return c.submitRows(ctx, roundID, len(aggs), func(lo, hi int) api.RowFrame {
+		return api.RowFrame{Kind: api.FrameAggregates, Dim: len(aggs[0].Sum), Aggregates: aggs[lo:hi]}
+	})
+}
+
+// submitRows posts records [0, n) as one row frame per BatchSize chunk.
+func (c *Client) submitRows(ctx context.Context, roundID string, n int, chunk func(lo, hi int) api.RowFrame) ([]bool, error) {
+	var results []bool
+	for start := 0; start < n; start += c.cfg.BatchSize {
+		end := min(start+c.cfg.BatchSize, n)
+		body, err := api.AppendRowFrame(nil, chunk(start, end))
+		if err != nil {
+			return nil, fmt.Errorf("client: %w", err)
+		}
+		data, err := c.doRaw(ctx, rawRequest{
+			method: http.MethodPost, path: "/v2/rounds/" + roundID + "/gradients",
+			body: body, contentType: api.RowFrameContentType,
+			header: [2]string{api.BatchIDHeader, c.nextID()},
+		})
 		if err != nil {
 			return nil, err
 		}
+		var resp api.GradientBatchResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			return nil, fmt.Errorf("client: decode gradients reply: %w", err)
+		}
 		if len(resp.Results) != end-start {
-			return nil, fmt.Errorf("client: aggregate batch returned %d of %d results",
-				len(resp.Results), end-start)
+			return nil, fmt.Errorf("client: batch returned %d of %d results", len(resp.Results), end-start)
 		}
 		results = append(results, resp.Results...)
 	}
@@ -637,7 +614,7 @@ func (c *Client) SubmitWireUpload(ctx context.Context, roundID, batchID string, 
 	_, err := c.doRaw(ctx, rawRequest{
 		method: http.MethodPost, path: "/v2/rounds/" + roundID + "/gradients",
 		body: payload, contentType: api.WireContentType,
-		header: [2]string{api.WireBatchIDHeader, batchID},
+		header: [2]string{api.BatchIDHeader, batchID},
 	})
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -228,18 +229,24 @@ func TestTransferChunking(t *testing.T) {
 		case strings.HasSuffix(r.URL.Path, "/entries"):
 			entryCalls.Add(1)
 			var req api.EntriesRequest
-			json.NewDecoder(r.Body).Decode(&req)
-			resp := api.EntriesResponse{RoundID: "r1", Entries: make([]api.EntryResponse, len(req.Rows))}
-			for i, row := range req.Rows {
-				resp.Entries[i] = api.EntryResponse{Row: row, Entry: []float32{1}, OK: true}
+			if !api.DecodeJSONBody(w, r, &req) {
+				return
 			}
-			json.NewEncoder(w).Encode(resp)
+			f := api.RowFrame{Kind: api.FrameEntries, Dim: 1, Entries: make([]api.EntryResponse, len(req.Rows))}
+			for i, row := range req.Rows {
+				f.Entries[i] = api.EntryResponse{Row: row, Entry: []float32{1}, OK: true}
+			}
+			body, _ := api.AppendRowFrame(nil, f)
+			w.Write(body)
 		case strings.HasSuffix(r.URL.Path, "/gradients"):
 			gradCalls.Add(1)
-			var req api.GradientBatchRequest
-			json.NewDecoder(r.Body).Decode(&req)
-			batchIDs <- req.BatchID
-			resp := api.GradientBatchResponse{RoundID: "r1", Results: make([]bool, len(req.Gradients))}
+			body, _ := io.ReadAll(r.Body)
+			f, err := api.DecodeRowFrame(body)
+			if err != nil || f.Kind != api.FrameGradients || r.Header.Get("Content-Type") != api.RowFrameContentType {
+				t.Errorf("gradient chunk is not a gradient frame: kind %d, err %v", f.Kind, err)
+			}
+			batchIDs <- r.Header.Get(api.BatchIDHeader)
+			resp := api.GradientBatchResponse{RoundID: "r1", Results: make([]bool, len(f.Gradients))}
 			json.NewEncoder(w).Encode(resp)
 		default:
 			t.Errorf("unexpected path %s", r.URL.Path)
@@ -263,6 +270,11 @@ func TestTransferChunking(t *testing.T) {
 	}
 	if len(entries) != 10 || entryCalls.Load() != 3 {
 		t.Fatalf("%d entries over %d calls, want 10 over 3", len(entries), entryCalls.Load())
+	}
+	for i, e := range entries {
+		if e.Row != rows[i] || !e.OK || len(e.Entry) != 1 || e.Entry[0] != 1 {
+			t.Fatalf("entry %d = %+v, want row %d served", i, e, rows[i])
+		}
 	}
 
 	grads := make([]api.GradientRequest, 10)
@@ -296,7 +308,9 @@ func TestBeginRoundKeyStableAcrossRetries(t *testing.T) {
 	keys := make(chan string, 4)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req api.BeginV2Request
-		json.NewDecoder(r.Body).Decode(&req)
+		if !api.DecodeJSONBody(w, r, &req) {
+			return
+		}
 		keys <- req.RoundKey
 		if calls.Add(1) == 1 {
 			w.WriteHeader(http.StatusServiceUnavailable)

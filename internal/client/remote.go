@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/api"
 	"repro/internal/fedora"
 	"repro/internal/fl"
 	"repro/internal/wire"
@@ -130,15 +129,7 @@ func (r *remoteRound) ServeEntry(row uint64) ([]float32, bool, error) {
 }
 
 func (r *remoteRound) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) {
-	entries, err := r.o.c.Entries(r.o.ctx, r.id, rows)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]fedora.EntryResult, len(entries))
-	for i, e := range entries {
-		out[i] = fedora.EntryResult{Row: e.Row, Entry: e.Entry, OK: e.OK, Unavailable: e.Unavailable}
-	}
-	return out, nil
+	return r.o.c.Entries(r.o.ctx, r.id, rows)
 }
 
 func (r *remoteRound) SubmitGradient(row uint64, grad []float32, samples int) (bool, error) {
@@ -150,11 +141,7 @@ func (r *remoteRound) SubmitGradient(row uint64, grad []float32, samples int) (b
 }
 
 func (r *remoteRound) SubmitGradients(grads []fedora.RowGradient) ([]bool, error) {
-	reqs := make([]api.GradientRequest, len(grads))
-	for i, g := range grads {
-		reqs[i] = api.GradientRequest{Row: g.Row, Grad: g.Grad, Samples: g.Samples}
-	}
-	return r.o.c.SubmitGradients(r.o.ctx, r.id, reqs)
+	return r.o.c.SubmitGradients(r.o.ctx, r.id, grads)
 }
 
 // SubmitUpload implements fl.WireRound: one client's opaque wire

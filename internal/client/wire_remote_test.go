@@ -161,7 +161,7 @@ func TestRemoteWireSurvivesFaults(t *testing.T) {
 }
 
 // TestServerUploadCodecPolicy: a server pinned to a masked codec
-// rejects plaintext JSON gradients and mismatched wire codecs, and
+// rejects plaintext gradient frames and mismatched wire codecs, and
 // serves a matching trainer normally.
 func TestServerUploadCodecPolicy(t *testing.T) {
 	cfg := parityConfig(t)
@@ -172,7 +172,7 @@ func TestServerUploadCodecPolicy(t *testing.T) {
 	srv := httptest.NewServer(api.NewServer(ctrl, api.WithUploadCodec(wire.CodecMasked)).Handler())
 	defer srv.Close()
 
-	// Legacy JSON gradients violate the policy mid-round.
+	// Plain gradient frames violate the policy mid-round.
 	legacy := cfg
 	cc := Config{BaseURL: srv.URL, MaxRetries: 0, RetrySeed: 1}
 	c, err := New(cc)
@@ -184,7 +184,7 @@ func TestServerUploadCodecPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := tr.RunRound(); err == nil {
-		t.Fatal("policy server accepted plaintext JSON gradients")
+		t.Fatal("policy server accepted plaintext gradient frames")
 	}
 	// The rejected round is still open server-side; close it so the
 	// masked trainer can begin.

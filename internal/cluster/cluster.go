@@ -261,13 +261,19 @@ func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
 // api.ErrStaleEpoch.
 func (c *Coordinator) Deposed() bool { return c.deposed.Load() }
 
-// staleEpoch reports whether a member call failed because THIS
-// coordinator's epoch is stale (the member's envelope code was
-// stale_epoch).
-func staleEpoch(err error) bool {
+// memberCode is the envelope code a member answered a failed call with
+// ("" for a transport error or a reply that was no envelope).
+func memberCode(err error) string {
 	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Code == api.CodeStaleEpoch
+	if errors.As(err, &apiErr) {
+		return apiErr.Code
+	}
+	return ""
 }
+
+// staleEpoch reports whether a member call failed because THIS
+// coordinator's epoch is stale.
+func staleEpoch(err error) bool { return memberCode(err) == api.CodeStaleEpoch }
 
 // newMember builds a member's runtime state (SDK client + row range).
 func (c *Coordinator) newMember(spec NodeSpec) (*member, error) {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -74,7 +73,7 @@ func (c *Coordinator) Status() api.ClusterStatusResponse {
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	api.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // Join registers a (replacement) member. The slice must match an
@@ -157,14 +156,12 @@ func (c *Coordinator) Join(req api.ClusterJoinRequest) (api.ClusterJoinResponse,
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterJoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, api.ErrorEnvelope{Error: api.ErrorBody{
-			Code: api.CodeBadJSON, Message: err.Error()}})
+	if !api.DecodeJSONBody(w, r, &req) {
 		return
 	}
 	resp, err := c.Join(req)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, api.ErrorEnvelope{Error: api.ErrorBody{
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorEnvelope{Error: api.ErrorBody{
 			Code: api.CodeInternal, Message: err.Error()}})
 		return
 	}
@@ -172,12 +169,5 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !resp.Accepted {
 		status = http.StatusConflict
 	}
-	writeJSON(w, status, resp)
-}
-
-// writeJSON mirrors the api package's helper (unexported there).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	api.WriteJSON(w, status, resp)
 }

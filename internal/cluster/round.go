@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -182,20 +183,27 @@ func (r *Round) live(n int) bool {
 	return b && !r.c.isFenced(n)
 }
 
-// drop marks node n's local round unusable after a transport failure
-// and fences the node. A stale_epoch rejection instead latches the
-// deposed flag without fencing: the member is healthy and owned by a
-// newer coordinator — fencing it would poison the successor's view via
-// shared state, and this coordinator must simply stand down.
-func (r *Round) drop(n int, err error) {
-	if staleEpoch(err) {
+// drop marks node n's local round unusable after a failed member call
+// and fences the node — for a transport error, a 5xx or a lost round. Two
+// replies come from a healthy member instead. stale_epoch latches the
+// deposed flag without fencing: the member is owned by a newer
+// coordinator — fencing it would poison the successor's view via shared
+// state, and this coordinator must simply stand down. invalid_argument
+// refuses the batch, not the caller: the member's round stays usable and
+// the error is returned for the trainer.
+func (r *Round) drop(n int, err error) error {
+	switch memberCode(err) {
+	case api.CodeInvalidArgument:
+		return err
+	case api.CodeStaleEpoch:
 		r.c.deposed.Store(true)
-	} else {
+	default:
 		r.c.fence(n, err)
 	}
 	r.mu.Lock()
 	r.begun[n] = false
 	r.mu.Unlock()
+	return nil
 }
 
 // roundID returns the server round ID node n's local round runs under.
@@ -205,29 +213,33 @@ func (r *Round) roundID(n int) string {
 	return r.ids[n]
 }
 
-// ServeEntries batches step-④ lookups: rows group by owning member
-// (input order preserved within each group), fan out in parallel, and
-// scatter back in input order. Rows owned by a fenced or round-lost
-// member come back Unavailable, exactly like rows on a quarantined
-// shard in the single-process engine.
-func (r *Round) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) {
-	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
-		return nil, fedora.ErrRoundFinished
-	}
-	r.mu.Unlock()
-
-	results := make([]fedora.EntryResult, len(rows))
+// group sorts batch positions [0, n) by the member owning each row. It
+// runs before the WAL or any member sees the batch and refuses the whole
+// batch for a row outside the table or a vector that is not Dim wide
+// (width < 0: the position carries none).
+func (r *Round) group(n int, at func(i int) (row uint64, width int)) ([][]int, error) {
 	idxByNode := make([][]int, len(r.c.members))
-	for i, row := range rows {
-		results[i] = fedora.EntryResult{Row: row, Unavailable: true}
+	for i := 0; i < n; i++ {
+		row, width := at(i)
 		if row >= r.c.numRows {
 			return nil, fmt.Errorf("cluster: row %d out of range %d", row, r.c.numRows)
 		}
-		n := r.c.nodeOf[shard.ShardOf(r.c.numRows, r.c.shards, row)]
-		idxByNode[n] = append(idxByNode[n], i)
+		if width >= 0 && width != r.c.norm.Dim {
+			return nil, fmt.Errorf("cluster: row %d carries %d values, table dim is %d", row, width, r.c.norm.Dim)
+		}
+		node := r.c.nodeOf[shard.ShardOf(r.c.numRows, r.c.shards, row)]
+		idxByNode[node] = append(idxByNode[node], i)
 	}
+	return idxByNode, nil
+}
+
+// fanOut runs call, in parallel, on every live member that owns part of
+// the batch, handing it the member's round ID and batch positions. A
+// member whose call fails is dropped; ok marks the members call
+// succeeded on, err joins the failures drop blames on the batch.
+func (r *Round) fanOut(op string, idxByNode [][]int, call func(m *member, id string, idxs []int) error) (ok []bool, err error) {
+	ok = make([]bool, len(r.c.members))
+	errs := make([]error, len(r.c.members))
 	var wg sync.WaitGroup
 	for n, idxs := range idxByNode {
 		if len(idxs) == 0 || !r.live(n) {
@@ -236,27 +248,59 @@ func (r *Round) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) {
 		wg.Add(1)
 		go func(n int, idxs []int) {
 			defer wg.Done()
-			m := r.c.members[n]
-			local := make([]uint64, len(idxs))
-			for k, i := range idxs {
-				local[k] = rows[i] - m.rowBase
-			}
-			res, err := m.cli.Entries(context.Background(), r.roundID(n), local)
-			if err != nil {
-				r.drop(n, fmt.Errorf("serve entries round %d: %w", r.seq, err))
+			if err := call(r.c.members[n], r.roundID(n), idxs); err != nil {
+				errs[n] = r.drop(n, fmt.Errorf("%s round %d: %w", op, r.seq, err))
 				return
 			}
-			for k, i := range idxs {
-				results[i] = fedora.EntryResult{
-					Row:         rows[i],
-					Entry:       res[k].Entry,
-					OK:          res[k].OK,
-					Unavailable: res[k].Unavailable,
-				}
-			}
+			ok[n] = true
 		}(n, idxs)
 	}
 	wg.Wait()
+	return ok, errors.Join(errs...)
+}
+
+// finished reports whether Finish has closed the round.
+func (r *Round) finished() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.done
+}
+
+// ServeEntries batches step-④ lookups: rows group by owning member
+// (input order preserved within each group), fan out in parallel, and
+// scatter back in input order. Rows owned by a fenced or round-lost
+// member come back Unavailable, exactly like rows on a quarantined
+// shard in the single-process engine.
+func (r *Round) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) {
+	if r.finished() {
+		return nil, fedora.ErrRoundFinished
+	}
+	idxByNode, err := r.group(len(rows), func(i int) (uint64, int) { return rows[i], -1 })
+	if err != nil {
+		return nil, err
+	}
+	results := make([]fedora.EntryResult, len(rows))
+	for i, row := range rows {
+		results[i] = fedora.EntryResult{Row: row, Unavailable: true}
+	}
+	_, err = r.fanOut("serve entries", idxByNode, func(m *member, id string, idxs []int) error {
+		local := make([]uint64, len(idxs))
+		for k, i := range idxs {
+			local[k] = rows[i] - m.rowBase
+		}
+		res, err := m.cli.Entries(context.Background(), id, local)
+		if err != nil {
+			return err
+		}
+		for k, i := range idxs {
+			results[i] = res[k]
+			results[i].Row = rows[i]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return results, nil
 }
 
@@ -278,134 +322,84 @@ func (r *Round) ServeEntry(row uint64) ([]float32, bool, error) {
 // like ServeEntries; gradients for rows on lost members report
 // delivered=false.
 func (r *Round) SubmitGradients(grads []fedora.RowGradient) ([]bool, error) {
-	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
+	if r.finished() {
 		return nil, fedora.ErrRoundFinished
 	}
-	r.mu.Unlock()
-
+	idxByNode, err := r.group(len(grads), func(i int) (uint64, int) { return grads[i].Row, len(grads[i].Grad) })
+	if err != nil {
+		return nil, err
+	}
 	// Durability point: gradients are WAL'd before any member applies
 	// them, so replay reapplies exactly what the members saw.
 	opIdx, err := r.c.logGrads(r.seq, grads)
 	if err != nil {
 		return nil, err
 	}
-
 	delivered := make([]bool, len(grads))
-	applied := make([]bool, len(r.c.members))
-	idxByNode := make([][]int, len(r.c.members))
-	for i, g := range grads {
-		if g.Row >= r.c.numRows {
-			return nil, fmt.Errorf("cluster: row %d out of range %d", g.Row, r.c.numRows)
+	applied, batchErr := r.fanOut("submit gradients", idxByNode, func(m *member, id string, idxs []int) error {
+		local := make([]fedora.RowGradient, len(idxs))
+		for k, i := range idxs {
+			local[k] = grads[i]
+			local[k].Row -= m.rowBase
 		}
-		n := r.c.nodeOf[shard.ShardOf(r.c.numRows, r.c.shards, g.Row)]
-		idxByNode[n] = append(idxByNode[n], i)
-	}
-	var wg sync.WaitGroup
-	for n, idxs := range idxByNode {
-		if len(idxs) == 0 || !r.live(n) {
-			continue
+		ok, err := m.cli.SubmitGradients(context.Background(), id, local)
+		if err != nil {
+			return err
 		}
-		wg.Add(1)
-		go func(n int, idxs []int) {
-			defer wg.Done()
-			m := r.c.members[n]
-			local := make([]api.GradientRequest, len(idxs))
-			for k, i := range idxs {
-				local[k] = api.GradientRequest{
-					Row:     grads[i].Row - m.rowBase,
-					Grad:    grads[i].Grad,
-					Samples: grads[i].Samples,
-				}
-			}
-			ok, err := m.cli.SubmitGradients(context.Background(), r.roundID(n), local)
-			if err != nil {
-				r.drop(n, fmt.Errorf("submit gradients round %d: %w", r.seq, err))
-				return
-			}
-			applied[n] = true
-			for k, i := range idxs {
-				delivered[i] = ok[k]
-			}
-		}(n, idxs)
-	}
-	wg.Wait()
+		for k, i := range idxs {
+			delivered[i] = ok[k]
+		}
+		return nil
+	})
 	// Durability point: record which nodes the batch actually landed on.
 	// Without it, replay would land a bounced batch on the restored
 	// member AND the trainer's logged resubmission — double-applied.
 	if err := r.c.logApplied(r.seq, opIdx, applied); err != nil {
 		return nil, err
 	}
-	return delivered, nil
+	return delivered, batchErr
 }
 
 // SubmitAggregates fans already-summed row updates out to the owning
 // members — the coordinator-side application step of a wire upload
 // round. The coordinator hosts the wire aggregator (in its api.Server
 // wrapper) and only ever handles masked payloads and the final sums;
-// members receive the sums as a gradient batch carrying Aggregates,
-// translated to member-local row indices like every other fan-out.
-// Rows on lost members report delivered=false, mirroring quarantined
-// shards.
+// members receive the sums as an aggregate row frame, translated to
+// member-local row indices like every other fan-out. Rows on lost
+// members report delivered=false, mirroring quarantined shards.
 func (r *Round) SubmitAggregates(aggs []fedora.RowAggregate) ([]bool, error) {
-	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
+	if r.finished() {
 		return nil, fedora.ErrRoundFinished
 	}
-	r.mu.Unlock()
-
-	// Durability point, mirroring SubmitGradients.
+	idxByNode, err := r.group(len(aggs), func(i int) (uint64, int) { return aggs[i].Row, len(aggs[i].Sum) })
+	if err != nil {
+		return nil, err
+	}
+	// Durability points, mirroring SubmitGradients.
 	opIdx, err := r.c.logAggs(r.seq, aggs)
 	if err != nil {
 		return nil, err
 	}
-
 	delivered := make([]bool, len(aggs))
-	applied := make([]bool, len(r.c.members))
-	idxByNode := make([][]int, len(r.c.members))
-	for i, a := range aggs {
-		if a.Row >= r.c.numRows {
-			return nil, fmt.Errorf("cluster: row %d out of range %d", a.Row, r.c.numRows)
+	applied, batchErr := r.fanOut("submit aggregates", idxByNode, func(m *member, id string, idxs []int) error {
+		local := make([]fedora.RowAggregate, len(idxs))
+		for k, i := range idxs {
+			local[k] = aggs[i]
+			local[k].Row -= m.rowBase
 		}
-		n := r.c.nodeOf[shard.ShardOf(r.c.numRows, r.c.shards, a.Row)]
-		idxByNode[n] = append(idxByNode[n], i)
-	}
-	var wg sync.WaitGroup
-	for n, idxs := range idxByNode {
-		if len(idxs) == 0 || !r.live(n) {
-			continue
+		ok, err := m.cli.SubmitAggregates(context.Background(), id, local)
+		if err != nil {
+			return err
 		}
-		wg.Add(1)
-		go func(n int, idxs []int) {
-			defer wg.Done()
-			m := r.c.members[n]
-			local := make([]api.AggregateRequest, len(idxs))
-			for k, i := range idxs {
-				local[k] = api.AggregateRequest{
-					Row:   aggs[i].Row - m.rowBase,
-					Sum:   aggs[i].Sum,
-					Count: aggs[i].Count,
-				}
-			}
-			ok, err := m.cli.SubmitAggregates(context.Background(), r.roundID(n), local)
-			if err != nil {
-				r.drop(n, fmt.Errorf("submit aggregates round %d: %w", r.seq, err))
-				return
-			}
-			applied[n] = true
-			for k, i := range idxs {
-				delivered[i] = ok[k]
-			}
-		}(n, idxs)
-	}
-	wg.Wait()
-	// Durability point, mirroring SubmitGradients' applied frame.
+		for k, i := range idxs {
+			delivered[i] = ok[k]
+		}
+		return nil
+	})
 	if err := r.c.logApplied(r.seq, opIdx, applied); err != nil {
 		return nil, err
 	}
-	return delivered, nil
+	return delivered, batchErr
 }
 
 // SubmitGradient is the singular form; a gradient for a lost member's

@@ -63,12 +63,12 @@ import (
 	"repro/internal/secagg"
 )
 
-// Codec names an upload-plane encoding. The empty string is the legacy
-// float JSON gradient path (no plane).
+// Codec names an upload-plane encoding. The empty string is the float
+// gradient path (api row frames, no plane).
 type Codec string
 
 const (
-	// CodecLegacy is the pre-plane float JSON path (not a wire codec).
+	// CodecLegacy is the pre-plane float path (not a wire codec).
 	CodecLegacy Codec = ""
 	// CodecPlaintext is the sparse fixed-point encoding, unmasked.
 	CodecPlaintext Codec = "plaintext"
