@@ -7,6 +7,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -227,6 +228,63 @@ func BenchmarkRoundShards(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkClientStep measures one client's share of a round on the
+// benchmark spine's FL cell — its working set filled from a download,
+// two epochs of local SGD, the embedding and MLP deltas — against a
+// round that serves preallocated entries, so B/op is the client step's
+// own allocation (zero once the worker scratch is warm).
+func BenchmarkClientStep(b *testing.B) {
+	ds := dataset.Generate(dataset.MovieLensConfig())
+	tr, err := fl.New(fl.Config{
+		Dataset: ds, Dim: 16, Hidden: 32,
+		UsePrivate: true, Epsilon: 1, LocalEpochs: 2, LocalLR: 0.1, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	u := &ds.Users[0]
+	req := u.Rows(100)
+	round := &servedRound{}
+	for _, row := range req {
+		v, err := tr.Controller().PeekRow(row)
+		if err != nil {
+			b.Fatal(err)
+		}
+		round.res = append(round.res, fedora.EntryResult{Row: row, Entry: v, OK: true})
+	}
+	step := func() {
+		if _, err := tr.TrainClient(round, u, req, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(len(u.Train)*2), "samples/op")
+}
+
+// servedRound is an fl.RoundHandle that serves the same preallocated
+// entries to every download and accepts nothing else.
+type servedRound struct{ res []fedora.EntryResult }
+
+var errDownloadOnly = errors.New("servedRound: download only")
+
+func (r *servedRound) ServeEntries([]uint64) ([]fedora.EntryResult, error) { return r.res, nil }
+func (r *servedRound) ServeEntry(uint64) ([]float32, bool, error)          { return nil, false, errDownloadOnly }
+func (r *servedRound) SubmitGradient(uint64, []float32, int) (bool, error) {
+	return false, errDownloadOnly
+}
+func (r *servedRound) SubmitGradients([]fedora.RowGradient) ([]bool, error) {
+	return nil, errDownloadOnly
+}
+func (r *servedRound) Finish() (fedora.RoundStats, error) {
+	return fedora.RoundStats{}, errDownloadOnly
 }
 
 // --- Core primitive microbenchmarks -----------------------------------

@@ -2,7 +2,7 @@ package fl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fedora"
 	"repro/internal/wire"
@@ -51,19 +51,15 @@ func (t *Trainer) newWirePlane(round RoundHandle, codec wire.Codec, roster int, 
 	}
 	var union []uint64
 	if codec == wire.CodecMaskedSparse || codec == wire.CodecSubspace {
-		seen := map[uint64]bool{}
 		for _, rq := range reqs {
 			for _, r := range rq {
 				if r != fedora.DummyRequest {
-					seen[r] = true
+					union = append(union, r)
 				}
 			}
 		}
-		union = make([]uint64, 0, len(seen))
-		for r := range seen {
-			union = append(union, r)
-		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
+		slices.Sort(union)
+		union = slices.Compact(union)
 	}
 	plan, err := wire.NewPlan(p, union)
 	if err != nil {

@@ -13,7 +13,9 @@ func TestAttentionPoolBasics(t *testing.T) {
 		{-1, 0}, // anti-aligned
 	}
 	cand := []float32{5, 0}
-	h, st := attentionPool(rows, cand)
+	var st attnState
+	h := make([]float32, 2)
+	attentionPool(&st, h, rows, cand)
 	if st.weights[0] <= st.weights[1] {
 		t.Errorf("weights = %v, aligned row should dominate", st.weights)
 	}
@@ -27,20 +29,23 @@ func TestAttentionPoolBasics(t *testing.T) {
 }
 
 func TestAttentionPoolEmptyHistory(t *testing.T) {
-	h, st := attentionPool(nil, []float32{1, 2})
+	var st attnState
+	h := make([]float32, 2)
+	attentionPool(&st, h, nil, []float32{1, 2})
 	if h[0] != 0 || h[1] != 0 {
 		t.Errorf("h = %v, want zeros", h)
 	}
-	gRows, gCand := attentionBackprop(st, []float32{1, 2}, []float32{1, 1})
-	if gRows != nil || gCand[0] != 0 {
-		t.Errorf("backprop on empty history = %v %v", gRows, gCand)
+	attentionBackprop(&st, []float32{1, 2}, []float32{1, 1})
+	if len(st.gRows) != 0 || st.gCand[0] != 0 {
+		t.Errorf("backprop on empty history = %v %v", st.gRows, st.gCand)
 	}
 }
 
 func TestAttentionUniformWhenScoresEqual(t *testing.T) {
 	rows := [][]float32{{1, 0}, {0, 1}}
 	cand := []float32{1, 1} // equal dot with both rows
-	_, st := attentionPool(rows, cand)
+	var st attnState
+	attentionPool(&st, make([]float32, 2), rows, cand)
 	if math.Abs(st.weights[0]-0.5) > 1e-12 {
 		t.Errorf("weights = %v, want uniform", st.weights)
 	}

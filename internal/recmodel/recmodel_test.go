@@ -373,3 +373,45 @@ func TestDenseFeaturesLearnable(t *testing.T) {
 		t.Errorf("dense-only AUC = %v, want ≥ 0.9", auc)
 	}
 }
+
+// foldSink is a GradSink that folds every gradient into one sum and
+// allocates nothing.
+type foldSink struct{ sum float32 }
+
+func (f *foldSink) Add(_ uint64, g []float32) {
+	for _, v := range g {
+		f.sum += v
+	}
+}
+
+// TestTrainStepAllocs: with the scratch warm, a training step and a
+// prediction allocate nothing, on every path the model has — mean and
+// attention pooling, dropout, dense features and weight decay.
+func TestTrainStepAllocs(t *testing.T) {
+	tbl := MapSource{
+		0: {0.1, -0.2, 0.3, 0}, 1: {-0.1, 0.2, 0, 0.1},
+		2: {0.2, 0, -0.1, 0.3}, 3: {0, 0.1, 0.1, -0.2},
+	}
+	s := Sample{Hist: []uint64{0, 1, 2}, Cand: 3, Dense: []float32{0.5, -1}, Label: 1}
+	for _, pool := range []Pooling{PoolMean, PoolAttention} {
+		m := New(Config{
+			Dim: 4, Hidden: 8, UsePrivate: true, LR: 0.05, Seed: 30,
+			Dropout: 0.5, Pooling: pool, DenseIn: 2, L2: 0.01,
+		})
+		var sink foldSink
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := m.TrainStep(s, tbl, &sink); !ok {
+				t.Fatal("dropped")
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: TrainStep allocates %v times per step", pool, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := m.Predict(s, tbl); !ok {
+				t.Fatal("dropped")
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: Predict allocates %v times per call", pool, allocs)
+		}
+	}
+}
