@@ -181,15 +181,10 @@ func BenchmarkRoundWorkers(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var rep fl.RoundReport
 			for i := 0; i < b.N; i++ {
-				rep, err = tr.RunRound()
-				if err != nil {
+				if _, err := tr.RunRound(); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if rep.Timings.Train > 0 {
-				b.ReportMetric(float64(rep.Timings.Train.Microseconds()), "train-us/round")
 			}
 		})
 	}
@@ -216,15 +211,10 @@ func BenchmarkRoundShards(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var rep fl.RoundReport
 			for i := 0; i < b.N; i++ {
-				rep, err = tr.RunRound()
-				if err != nil {
+				if _, err := tr.RunRound(); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if rep.Timings.ORAMRead > 0 {
-				b.ReportMetric(float64(rep.Timings.ORAMRead.Microseconds()), "oram-read-us/round")
 			}
 		})
 	}

@@ -9,11 +9,14 @@
 //	fedora-bench -ablation-evict   eviction-period (A) sweep
 //	fedora-bench -ablation-chunk   union chunk-size sweep
 //	fedora-bench -ablation-shape   e-FDP shape (Y) sweep
-//	fedora-bench -parallel         FL round wall-clock vs worker count
-//	fedora-bench -shards           FL round wall-clock vs ORAM shard count
+//	fedora-bench -ablation-schedule  FL-friendly vs vanilla RAW ORAM schedule
+//	fedora-bench -ablation-family  tree vs shuffling ORAM family (Sec 7)
+//	fedora-bench -geometry         derived ORAM configurations (Sec 6.1)
+//	fedora-bench -fig8-breakdown   per-phase breakdown of Figure 8
+//	fedora-bench -seeds N          multi-seed mean ± CI at Small/10K
 //	fedora-bench -storage-compare  sim vs file-backed storage: latency + determinism
 //	fedora-bench -wire             upload bytes/round per wire codec (8×32, 16×64)
-//	fedora-bench -all              everything above
+//	fedora-bench -all              every mode above except -seeds
 //
 // -quick restricts sweeps to the Small/10K point for a fast smoke run.
 package main
@@ -22,14 +25,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -46,9 +47,6 @@ func main() {
 		chunk  = flag.Bool("ablation-chunk", false, "sweep the union chunk size")
 		shape  = flag.Bool("ablation-shape", false, "sweep the e-FDP shape Y")
 		sched  = flag.Bool("ablation-schedule", false, "FL-friendly vs vanilla RAW ORAM schedule")
-		par    = flag.Bool("parallel", false, "sweep the FL trainer's worker count and report round wall-clock + speedup")
-		shardS = flag.Bool("shards", false, "sweep the embedding-table shard count and report round wall-clock + oram-read speedup")
-		prefB  = flag.Bool("prefetch", false, "compare sync vs lookahead-prefetch rounds at several worker x shard points: blocking oram-read wall, hidden fraction, bit-identical fingerprints")
 		geom   = flag.Bool("geometry", false, "print the derived ORAM configurations (Sec 6.1)")
 		family = flag.Bool("ablation-family", false, "tree vs shuffling ORAM family (Sec 7)")
 		all    = flag.Bool("all", false, "run every experiment")
@@ -201,39 +199,11 @@ func main() {
 		}
 		fmt.Println(experiments.RenderFamilyAblation(rows))
 	}
-	if *par || *all {
-		any = true
-		if err := runParallelSweep(*rounds, *seed, *quick); err != nil {
-			fail(err)
-		}
-	}
-	if *shardS || *all {
+	if *wireB || *all {
 		any = true
 		// The -csv path is owned by the Fig 7/8 sweep when that runs too.
 		csvPath := *csvOut
 		if needSweep {
-			csvPath = ""
-		}
-		if err := runShardSweep(*rounds, *seed, *quick, csvPath); err != nil {
-			fail(err)
-		}
-	}
-	if *prefB || *all {
-		any = true
-		// The -csv path is owned by earlier sweeps when those run too.
-		csvPath := *csvOut
-		if needSweep || *shardS {
-			csvPath = ""
-		}
-		if err := runPrefetchSweep(*rounds, *seed, *quick, csvPath); err != nil {
-			fail(err)
-		}
-	}
-	if *wireB || *all {
-		any = true
-		// The -csv path is owned by earlier sweeps when those run too.
-		csvPath := *csvOut
-		if needSweep || *shardS || *prefB {
 			csvPath = ""
 		}
 		if err := runWireSweep(*rounds, *seed, *quick, csvPath); err != nil {
@@ -250,248 +220,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runParallelSweep measures FL round wall-clock at increasing worker
-// counts on one dataset/config, verifying along the way that every
-// worker count reproduces the same model (same seed ⇒ same AUC).
-func runParallelSweep(rounds int, seed int64, quick bool) error {
-	cfg := dataset.MovieLensConfig()
-	cfg.NumItems, cfg.NumUsers, cfg.SamplesPerUser = 2000, 400, 60
-	if quick {
-		cfg.NumItems, cfg.NumUsers, cfg.SamplesPerUser = 400, 150, 40
-	}
-	ds := dataset.Generate(cfg)
-	if rounds <= 0 {
-		rounds = 2
-	}
-
-	max := runtime.GOMAXPROCS(0)
-	var counts []int
-	for w := 1; w < max; w *= 2 {
-		counts = append(counts, w)
-	}
-	counts = append(counts, max)
-
-	fmt.Printf("FL round parallelism (MovieLens-like, %d users, %d rounds, GOMAXPROCS=%d)\n\n",
-		cfg.NumUsers, rounds, max)
-	fmt.Printf("%8s  %12s  %12s  %8s  %7s\n", "workers", "round wall", "train phase", "speedup", "AUC")
-	var base float64
-	var baseAUC float64
-	var lastPhases fl.PhaseTimings
-	for _, w := range counts {
-		tr, err := fl.New(fl.Config{
-			Dataset: ds, Dim: 8, Hidden: 16, UsePrivate: true,
-			Epsilon: 1, ClientsPerRound: 50, LocalEpochs: 2,
-			LocalLR: 0.1, Seed: seed, Workers: w,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := tr.Run(rounds)
-		if err != nil {
-			return err
-		}
-		perRound := res.Phases.Total / time.Duration(rounds)
-		trainPer := res.Phases.Train / time.Duration(rounds)
-		if w == 1 {
-			base = float64(res.Phases.Total)
-			baseAUC = res.AUC
-		} else if res.AUC != baseAUC {
-			return fmt.Errorf("determinism violated: workers=%d AUC %v != workers=1 AUC %v",
-				w, res.AUC, baseAUC)
-		}
-		fmt.Printf("%8d  %12v  %12v  %7.2fx  %.4f\n",
-			w, perRound.Round(time.Microsecond), trainPer.Round(time.Microsecond),
-			base/float64(res.Phases.Total), res.AUC)
-		lastPhases = res.Phases
-	}
-	fmt.Printf("\nphase breakdown at workers=%d (wall clock, %d rounds):\n", max, rounds)
-	fmt.Print(metrics.RenderPhases([]metrics.Phase{
-		{Name: "select", D: lastPhases.Select},
-		{Name: "union", D: lastPhases.Union},
-		{Name: "oram-read", D: lastPhases.ORAMRead},
-		{Name: "train", D: lastPhases.Train},
-		{Name: "aggregate", D: lastPhases.Aggregate},
-	}))
-	return nil
-}
-
-// runShardSweep measures FL round wall-clock as the embedding table is
-// partitioned across S parallel per-shard ORAMs (ShardWorkers = S). At
-// ε = 0 every union entry is read and sharding must not change the
-// model, so the sweep doubles as a determinism check: every shard count
-// has to land on the same AUC.
-func runShardSweep(rounds int, seed int64, quick bool, csvPath string) error {
-	cfg := dataset.MovieLensConfig()
-	cfg.NumItems, cfg.NumUsers, cfg.SamplesPerUser = 2000, 400, 60
-	if quick {
-		cfg.NumItems, cfg.NumUsers, cfg.SamplesPerUser = 400, 150, 40
-	}
-	ds := dataset.Generate(cfg)
-	if rounds <= 0 {
-		rounds = 2
-	}
-
-	counts := []int{1, 2, 4, 8}
-	fmt.Printf("ORAM sharding (MovieLens-like, %d items, %d rounds, GOMAXPROCS=%d)\n\n",
-		cfg.NumItems, rounds, runtime.GOMAXPROCS(0))
-	fmt.Printf("%8s  %12s  %12s  %12s  %8s  %7s\n",
-		"shards", "round wall", "oram-read", "union", "speedup", "AUC")
-	var csv strings.Builder
-	csv.WriteString("shards,round_wall_us,oram_read_us,union_us,speedup,auc\n")
-	var base float64
-	var baseAUC float64
-	for _, s := range counts {
-		tr, err := fl.New(fl.Config{
-			Dataset: ds, Dim: 8, Hidden: 16, UsePrivate: true,
-			Epsilon: 0, ClientsPerRound: 50, LocalEpochs: 2,
-			LocalLR: 0.1, Seed: seed, Shards: s, ShardWorkers: s,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := tr.Run(rounds)
-		if err != nil {
-			return err
-		}
-		perRound := res.Phases.Total / time.Duration(rounds)
-		readPer := res.Phases.ORAMRead / time.Duration(rounds)
-		unionPer := res.Phases.Union / time.Duration(rounds)
-		if s == 1 {
-			base = float64(res.Phases.ORAMRead)
-			baseAUC = res.AUC
-		} else if res.AUC != baseAUC {
-			return fmt.Errorf("determinism violated: shards=%d AUC %v != shards=1 AUC %v",
-				s, res.AUC, baseAUC)
-		}
-		speedup := base / float64(res.Phases.ORAMRead)
-		fmt.Printf("%8d  %12v  %12v  %12v  %7.2fx  %.4f\n",
-			s, perRound.Round(time.Microsecond), readPer.Round(time.Microsecond),
-			unionPer.Round(time.Microsecond), speedup, res.AUC)
-		fmt.Fprintf(&csv, "%d,%d,%d,%d,%.3f,%.4f\n",
-			s, perRound.Microseconds(), readPer.Microseconds(),
-			unionPer.Microseconds(), speedup, res.AUC)
-	}
-	fmt.Println()
-	if csvPath != "" {
-		if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", csvPath)
-	}
-	return nil
-}
-
-// runPrefetchSweep measures how much of the sync pipeline's oram-read
-// wall the lookahead prefetch pipeline hides behind training. Each
-// (workers, shards) point trains the same study twice — synchronous and
-// prefetch — over a shared driver loop; the first (inherently cold)
-// round is excluded from the tally, fingerprints must match bit for bit,
-// and the hidden fraction is 1 − blocked/sync where "blocked" is the
-// pipeline's residual blocking read wall. The 16×64 point carries the
-// acceptance bar: the pipeline must hide ≥50% of the sync read wall.
-func runPrefetchSweep(rounds int, seed int64, quick bool, csvPath string) error {
-	cfg := dataset.MovieLensConfig()
-	cfg.NumItems, cfg.NumUsers, cfg.SamplesPerUser = 2000, 400, 60
-	if quick {
-		cfg.NumItems, cfg.NumUsers, cfg.SamplesPerUser = 400, 150, 40
-	}
-	ds := dataset.Generate(cfg)
-	if rounds <= 0 {
-		rounds = 2
-	}
-	points := []struct{ workers, shards int }{{4, 1}, {8, 16}, {16, 64}}
-	if quick {
-		points = []struct{ workers, shards int }{{2, 1}, {4, 4}}
-	}
-
-	// measure drives rounds+1 rounds (round 1 is the cold warmup) and
-	// tallies walls over the steady-state rounds only.
-	type tally struct {
-		read, train, prefetchW, evictW time.Duration
-		hits, wasted                   uint64
-		fp                             uint64
-	}
-	measure := func(workers, shards int, prefetch bool) (tally, error) {
-		tr, err := fl.New(fl.Config{
-			Dataset: ds, Dim: 8, Hidden: 16, UsePrivate: true,
-			Epsilon: 1, ClientsPerRound: 50, LocalEpochs: 2,
-			LocalLR: 0.1, Seed: seed, Workers: workers,
-			Shards: shards, ShardWorkers: shards, Prefetch: prefetch,
-		})
-		if err != nil {
-			return tally{}, err
-		}
-		defer tr.Close()
-		var out tally
-		for r := 0; r <= rounds; r++ {
-			rep, err := tr.RunRound()
-			if err != nil {
-				return tally{}, err
-			}
-			if r > 0 {
-				out.read += rep.Timings.ORAMRead
-				out.train += rep.Timings.Train
-				out.prefetchW += rep.Timings.Prefetch
-				out.evictW += rep.Timings.Evict
-				out.hits += rep.PrefetchHits
-				out.wasted += rep.PrefetchWasted
-			}
-			if r < rounds {
-				tr.StageNext()
-			}
-		}
-		out.fp, err = tr.Fingerprint()
-		return out, err
-	}
-
-	fmt.Printf("lookahead prefetch pipeline (MovieLens-like, %d items, %d steady rounds after warmup)\n\n",
-		cfg.NumItems, rounds)
-	fmt.Printf("%16s  %12s  %12s  %12s  %8s  %10s\n",
-		"workers x shards", "sync read", "blocked read", "train", "hidden", "hits/waste")
-	var csv strings.Builder
-	csv.WriteString("workers,shards,sync_read_us,blocked_read_us,prefetch_us,evict_us,train_us,hidden_frac,hits,wasted,fingerprint\n")
-	for _, p := range points {
-		sync, err := measure(p.workers, p.shards, false)
-		if err != nil {
-			return err
-		}
-		pf, err := measure(p.workers, p.shards, true)
-		if err != nil {
-			return err
-		}
-		if pf.fp != sync.fp {
-			return fmt.Errorf("prefetch changed the model at %dx%d: %016x != sync %016x",
-				p.workers, p.shards, pf.fp, sync.fp)
-		}
-		hidden := 0.0
-		if sync.read > 0 {
-			hidden = 1 - float64(pf.read)/float64(sync.read)
-		}
-		fmt.Printf("%11dx%-4d  %12v  %12v  %12v  %7.1f%%  %5d/%d\n",
-			p.workers, p.shards, sync.read.Round(time.Microsecond),
-			pf.read.Round(time.Microsecond), pf.train.Round(time.Microsecond),
-			100*hidden, pf.hits, pf.wasted)
-		fmt.Fprintf(&csv, "%d,%d,%d,%d,%d,%d,%d,%.3f,%d,%d,%016x\n",
-			p.workers, p.shards, sync.read.Microseconds(), pf.read.Microseconds(),
-			pf.prefetchW.Microseconds(), pf.evictW.Microseconds(),
-			pf.train.Microseconds(), hidden, pf.hits, pf.wasted, pf.fp)
-		if p.workers == 16 && p.shards == 64 && hidden < 0.5 {
-			return fmt.Errorf("16x64 acceptance: pipeline hides only %.1f%% of the sync oram-read wall (≥50%% required)", 100*hidden)
-		}
-		if p.workers == 16 && p.shards == 64 {
-			fmt.Printf("\n  16x64 acceptance: %.1f%% of the sync oram-read wall hidden behind train (≥50%% required)\n", 100*hidden)
-		}
-	}
-	fmt.Println()
-	if csvPath != "" {
-		if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", csvPath)
-	}
-	return nil
 }
 
 // runWireSweep measures upload bytes/round for every wire codec at two
@@ -620,7 +348,7 @@ func runStorageCompare(rounds int, seed int64, quick bool, dir string, direct bo
 	specs = append(specs, fileSpec)
 
 	fmt.Printf("storage backends (MovieLens-like, %d users, %d rounds)\n\n", cfg.NumUsers, rounds)
-	fmt.Printf("%8s  %12s  %12s  %7s  %18s\n", "backend", "round wall", "oram-read", "AUC", "fingerprint")
+	fmt.Printf("%8s  %12s  %7s  %18s\n", "backend", "round wall", "AUC", "fingerprint")
 	var (
 		baseFP  uint64
 		baseAUC float64
@@ -652,10 +380,9 @@ func runStorageCompare(rounds int, seed int64, quick bool, dir string, direct bo
 			return fmt.Errorf("backend changed the model: %s fingerprint %016x (AUC %v) != sim %016x (AUC %v)",
 				spec.Kind, fp, res.AUC, baseFP, baseAUC)
 		}
-		perRound := res.Phases.Total / time.Duration(rounds)
-		readPer := res.Phases.ORAMRead / time.Duration(rounds)
-		fmt.Printf("%8s  %12v  %12v  %.4f  %16x\n",
-			spec.Kind, perRound.Round(time.Microsecond), readPer.Round(time.Microsecond), res.AUC, fp)
+		perRound := res.Elapsed / time.Duration(rounds)
+		fmt.Printf("%8s  %12v  %.4f  %16x\n",
+			spec.Kind, perRound.Round(time.Microsecond), res.AUC, fp)
 		reports = append(reports, tr.Controller().StorageReports()...)
 		if err := tr.Close(); err != nil {
 			return err

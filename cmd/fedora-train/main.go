@@ -28,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/fl"
-	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -298,22 +297,6 @@ func runSingle(o singleOptions) {
 		fmt.Printf("upload plane:     codec=%s %d bytes total (%d bytes/round), %d saturations\n",
 			o.uploadCodec, res.WireBytes, perRound, res.Saturations)
 	}
-	fmt.Printf("phase breakdown (wall clock, %d rounds):\n", res.Rounds)
-	phases := []metrics.Phase{
-		{Name: "select", D: res.Phases.Select},
-		{Name: "union", D: res.Phases.Union},
-		{Name: "oram-read", D: res.Phases.ORAMRead},
-		{Name: "train", D: res.Phases.Train},
-		{Name: "aggregate", D: res.Phases.Aggregate},
-	}
-	if o.prefetch {
-		// Background phases, overlapped with train: oram-read above is
-		// blocking read time only under the pipeline.
-		phases = append(phases,
-			metrics.Phase{Name: "prefetch", D: res.Phases.Prefetch},
-			metrics.Phase{Name: "evict", D: res.Phases.Evict})
-	}
-	fmt.Print(indent(metrics.RenderPhases(phases), "  "))
 	if ctrl := tr.Controller(); ctrl != nil && o.prefetch {
 		rep := ctrl.PrefetchReport()
 		fmt.Printf("prefetch: %d staged rows served, %d staged but never served\n", rep.Hits, rep.Wasted)

@@ -21,6 +21,12 @@ var secretNames = []string{
 	"prefetch_hits", "prefetch_wasted", "staged_rows",
 }
 
+// phaseDurationNames are the JSON-key fragments of per-phase durations,
+// which must not leave the controller either: a round reports its
+// modelled total_overhead and nothing finer. internal/cluster walks a
+// coordinator for the same list.
+var phaseDurationNames = []string{"_wall_ns", "evict_ns"}
+
 // TestNoSecretStatsOverAPI runs sharded, prefetching rounds with a
 // masked-sparse upload and checks every reply body and /metrics for the
 // forbidden names.
@@ -43,9 +49,11 @@ func TestNoSecretStatsOverAPI(t *testing.T) {
 		if status/100 != 2 {
 			t.Fatalf("%s %s: status %d body %s", method, path, status, data)
 		}
-		for _, name := range secretNames {
-			if strings.Contains(string(data), name) {
-				t.Errorf("%s %s exposes %q:\n%s", method, path, name, data)
+		for _, names := range [][]string{secretNames, phaseDurationNames} {
+			for _, name := range names {
+				if strings.Contains(string(data), name) {
+					t.Errorf("%s %s exposes %q:\n%s", method, path, name, data)
+				}
 			}
 		}
 	}

@@ -218,7 +218,7 @@ func (s *Server) statusSnapshot() StatusResponse {
 
 // RoundStatsJSON is the public part of fedora.RoundStats: what the
 // ε-FDP adversary observes anyway (K, the noised access count, chunks,
-// ε) plus timings and upload accounting. The counts the mechanism
+// ε) plus the modelled overhead and upload accounting. The counts the mechanism
 // noises — KUnion, Dummy, Lost, CrossChunkDup — and the prefetch
 // hit/waste counters (their sum is KSampled − Dummy) have no field here
 // on purpose; in-process callers read them off fedora.RoundStats.
@@ -231,19 +231,8 @@ type RoundStatsJSON struct {
 	// exactly, so remote trainers accumulate the same ε as local ones.
 	RoundEpsilon  string `json:"round_epsilon"`
 	TotalOverhead string `json:"total_overhead"`
-	// Wall-clock phase durations in nanoseconds (what a remote trainer
-	// reports in its per-round timing breakdown). With Prefetched set,
-	// ReadWallNS counts only BLOCKING read time; the fetch itself ran
-	// concurrently for PrefetchWallNS, and EvictWallNS drained the
-	// previous round's deferred write-backs (see fedora.RoundStats).
-	UnionWallNS  int64 `json:"union_wall_ns"`
-	ReadWallNS   int64 `json:"read_wall_ns"`
-	FinishWallNS int64 `json:"finish_wall_ns"`
-	// Lookahead prefetch accounting (zero / absent in sync mode).
-	Prefetched     bool  `json:"prefetched,omitempty"`
-	PrefetchWallNS int64 `json:"prefetch_wall_ns,omitempty"`
-	EvictWallNS    int64 `json:"evict_wall_ns,omitempty"`
-	EvictNS        int64 `json:"evict_ns,omitempty"`
+	// Prefetched marks a round run under the lookahead prefetch pipeline.
+	Prefetched bool `json:"prefetched,omitempty"`
 	// Wire upload plane accounting (zero when gradients came as row
 	// frames).
 	WireBytes   uint64 `json:"wire_bytes,omitempty"`
@@ -253,17 +242,11 @@ type RoundStatsJSON struct {
 func statsJSON(st fedora.RoundStats) RoundStatsJSON {
 	return RoundStatsJSON{
 		K: st.K, KSampled: st.KSampled, Chunks: st.Chunks,
-		RoundEpsilon:   strconv.FormatFloat(st.RoundEpsilon, 'g', -1, 64),
-		TotalOverhead:  st.Total().String(),
-		UnionWallNS:    st.UnionWallTime.Nanoseconds(),
-		ReadWallNS:     st.ReadWallTime.Nanoseconds(),
-		FinishWallNS:   st.FinishWallTime.Nanoseconds(),
-		Prefetched:     st.Prefetched,
-		PrefetchWallNS: st.PrefetchWallTime.Nanoseconds(),
-		EvictWallNS:    st.EvictWallTime.Nanoseconds(),
-		EvictNS:        st.EvictTime.Nanoseconds(),
-		WireBytes:      st.WireBytes,
-		Saturations:    st.Saturations,
+		RoundEpsilon:  strconv.FormatFloat(st.RoundEpsilon, 'g', -1, 64),
+		TotalOverhead: st.Total().String(),
+		Prefetched:    st.Prefetched,
+		WireBytes:     st.WireBytes,
+		Saturations:   st.Saturations,
 	}
 }
 
@@ -277,16 +260,10 @@ func (j RoundStatsJSON) Stats() (fedora.RoundStats, error) {
 	}
 	return shard.RoundStats{
 		K: j.K, KSampled: j.KSampled, Chunks: j.Chunks,
-		RoundEpsilon:     eps,
-		UnionWallTime:    time.Duration(j.UnionWallNS),
-		ReadWallTime:     time.Duration(j.ReadWallNS),
-		FinishWallTime:   time.Duration(j.FinishWallNS),
-		Prefetched:       j.Prefetched,
-		PrefetchWallTime: time.Duration(j.PrefetchWallNS),
-		EvictWallTime:    time.Duration(j.EvictWallNS),
-		EvictTime:        time.Duration(j.EvictNS),
-		WireBytes:        j.WireBytes,
-		Saturations:      j.Saturations,
+		RoundEpsilon: eps,
+		Prefetched:   j.Prefetched,
+		WireBytes:    j.WireBytes,
+		Saturations:  j.Saturations,
 	}, nil
 }
 

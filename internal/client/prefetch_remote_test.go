@@ -43,8 +43,7 @@ func TestRemotePrefetchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Run(parityRounds)
-	if err != nil {
+	if _, err := tr.Run(parityRounds); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tr.Fingerprint()
@@ -59,8 +58,13 @@ func TestRemotePrefetchParity(t *testing.T) {
 	if rep := ctrl.PrefetchReport(); rep.Hits == 0 {
 		t.Fatalf("no prefetch hits on the server: %+v", rep)
 	}
-	if res.Phases.Prefetch == 0 {
-		t.Fatalf("trainer phases carry no prefetch wall: %+v", res.Phases)
+	// And the round stats the trainer reads off the wire say so.
+	rep, err := tr.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Prefetched {
+		t.Fatalf("remote round stats not marked Prefetched: %+v", rep.RoundStats)
 	}
 }
 

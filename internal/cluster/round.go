@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/fedora"
@@ -56,7 +55,6 @@ func (c *Coordinator) BeginRound(requests [][]uint64) (api.Round, error) {
 		seq:   seq,
 		ids:   make([]string, len(c.members)),
 		begun: make([]bool, len(c.members)),
-		start: time.Now(),
 	}
 	var wg sync.WaitGroup
 	for n := range c.members {
@@ -87,7 +85,6 @@ func (c *Coordinator) BeginRound(requests [][]uint64) (api.Round, error) {
 		}(n)
 	}
 	wg.Wait()
-	r.beginWall = time.Since(r.start)
 
 	if c.deposed.Load() {
 		c.endRound()
@@ -169,9 +166,6 @@ type Round struct {
 	ids   []string // per-member server round IDs
 	begun []bool   // member has an open local round
 	done  bool
-
-	start     time.Time
-	beginWall time.Duration
 }
 
 // live reports whether node n's local round is open (begun, not fenced
@@ -415,10 +409,8 @@ func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (bool, 
 
 // Finish closes every surviving member round in parallel and merges the
 // per-node statistics with the engine's arithmetic: counts and modelled
-// device times sum, UnionWallTime takes the slowest node, the round ε
-// composes in parallel (max via the accountant), and ReadWallTime is
-// the coordinator's own begin-fan-out elapsed time minus the union
-// section. If every member round was lost, the round fails with a
+// device times sum and the round ε composes in parallel (max via the
+// accountant). If every member round was lost, the round fails with a
 // wrapped ErrShardUnavailable, mirroring the engine's total-loss path.
 func (r *Round) Finish() (fedora.RoundStats, error) {
 	r.mu.Lock()
@@ -430,7 +422,6 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 	r.mu.Unlock()
 	defer r.c.endRound()
 
-	finishStart := time.Now()
 	stats := make([]shard.RoundStats, len(r.c.members))
 	served := make([]bool, len(r.c.members))
 	var wg sync.WaitGroup
@@ -459,7 +450,6 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 		}(n)
 	}
 	wg.Wait()
-	finishWall := time.Since(finishStart)
 
 	// A lost member's stats stay zero: it contributes its shard count to
 	// the quarantine tally and nothing to the merge.
@@ -478,7 +468,7 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 		}
 		return fedora.RoundStats{}, fmt.Errorf("cluster: round lost on every node: %w", fedora.ErrShardUnavailable)
 	}
-	m := shard.MergeStats(stats, r.beginWall, finishWall)
+	m := shard.MergeStats(stats)
 	m.QuarantinedShards = quarantined
 
 	// Durability point: the commit frame seals the round in the WAL —

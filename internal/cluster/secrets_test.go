@@ -43,12 +43,14 @@ func (b *bodyTap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // over a coordinator: a prefetching, masked-sparse remote study runs
 // through it, then every body it served — round replies, status, health,
 // /cluster/status, /metrics — is checked for the names of the counts
-// ε-FDP noises and of the prefetch counters that sum to them.
+// ε-FDP noises, of the prefetch counters that sum to them, and of
+// per-phase durations.
 func TestNoSecretStatsOverCluster(t *testing.T) {
 	secretNames := []string{
 		"k_union", "dummy", "lost", "cross_chunk_dup",
 		"prefetch_hits", "prefetch_wasted", "staged_rows",
 	}
+	phaseDurationNames := []string{"_wall_ns", "evict_ns"}
 	flCfg := testFLConfig()
 	flCfg.Prefetch = true
 	flCfg.UploadCodec = "masked-sparse"
@@ -98,9 +100,11 @@ func TestNoSecretStatsOverCluster(t *testing.T) {
 		}
 	}
 	for route, body := range tap.seen {
-		for _, name := range secretNames {
-			if strings.Contains(string(body), name) {
-				t.Errorf("%s exposes %q:\n%.400s", route, name, body)
+		for _, names := range [][]string{secretNames, phaseDurationNames} {
+			for _, name := range names {
+				if strings.Contains(string(body), name) {
+					t.Errorf("%s exposes %q:\n%.400s", route, name, body)
+				}
 			}
 		}
 	}

@@ -150,26 +150,3 @@ func TestFinishRacesWithLateUploads(t *testing.T) {
 	}()
 	wg.Wait()
 }
-
-// TestWallClockStatsPopulated checks BeginRound/Finish record host wall-
-// clock phase durations alongside the modelled device times.
-func TestWallClockStatsPopulated(t *testing.T) {
-	c := newConcurrencyController(t)
-	round, err := c.BeginRound([][]uint64{{1, 2, 3}, {2, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := round.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.UnionWallTime <= 0 {
-		t.Errorf("UnionWallTime = %v, want > 0", st.UnionWallTime)
-	}
-	if st.ReadWallTime <= 0 {
-		t.Errorf("ReadWallTime = %v, want > 0", st.ReadWallTime)
-	}
-	if st.FinishWallTime <= 0 {
-		t.Errorf("FinishWallTime = %v, want > 0", st.FinishWallTime)
-	}
-}

@@ -209,7 +209,8 @@ func (p *pipeline) drain() error {
 }
 
 // PrefetchReport is the controller's lifetime prefetch observability
-// snapshot, surfaced on /metrics.
+// snapshot, for in-process callers only: Hits + Wasted is the number of
+// real rows loaded (k_sampled − dummy), so no served surface carries it.
 type PrefetchReport struct {
 	// Hits / Wasted count staged rows that were / were never served,
 	// accumulated over all finished prefetch rounds.

@@ -68,6 +68,38 @@ func TestPrefetchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPrefetchModelledTimeMatchesSync: the prefetch pipeline moves the
+// write-back pass to the next round's fetch, never drops it. Summed over
+// R rounds, the prefetch run's Total() plus the still-deferred last pass
+// must equal the sync run's Total() exactly.
+func TestPrefetchModelledTimeMatchesSync(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := Config{Epsilon: 1, Seed: 17, Shards: shards}
+			sync := newController(t, cfg)
+			cfg.Prefetch = true
+			pre := newController(t, cfg)
+			var syncTotal, preTotal time.Duration
+			for _, reqs := range randomWorkload(23, 5, 4, 6, 1024, 4) {
+				syncTotal += runRound(t, sync, reqs).Total()
+				preTotal += runRound(t, pre, reqs).Total()
+			}
+			for _, p := range pre.parts {
+				p.mu.Lock()
+				d, err := p.applyEvict()
+				p.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				preTotal += d
+			}
+			if preTotal != syncTotal {
+				t.Fatalf("prefetch Σ Total() + drained pass = %v, sync Σ Total() = %v", preTotal, syncTotal)
+			}
+		})
+	}
+}
+
 // TestPrefetchHitAccounting: serving every requested row scores every
 // staged row as a hit; leaving staged rows unserved counts them wasted.
 func TestPrefetchHitAccounting(t *testing.T) {

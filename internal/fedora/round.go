@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bufferoram"
@@ -205,13 +204,9 @@ type pipelineRound struct {
 	loaded map[uint64]bool
 	stats  RoundStats
 	done   bool
-	began  time.Time
 
 	fetched  chan struct{} // closed when the fetch pass has finished or failed
 	fetchErr error         // the pass's outcome; read only after fetched is closed
-	// waitedAt is how long after began the first call had to wait on
-	// fetched (0 = none has).
-	waitedAt atomic.Int64
 }
 
 // BeginRound implements shard.Partition: steps ①–③ over the pipeline's
@@ -240,8 +235,7 @@ func (p *pipeline) BeginRound(requests [][]uint64) (shard.PartitionRound, error)
 
 	// At most one row per request is ever loaded: size the set once.
 	r := &pipelineRound{
-		p: p, loaded: make(map[uint64]bool, len(flat)),
-		began: time.Now(), fetched: make(chan struct{}),
+		p: p, loaded: make(map[uint64]bool, len(flat)), fetched: make(chan struct{}),
 	}
 	r.stats.K = len(flat)
 	r.stats.Prefetched = p.cfg.Prefetch
@@ -306,10 +300,8 @@ func (p *pipeline) union(chunk []uint64) ([]uint64, int, time.Duration) {
 // happens here, in chunk order. The caller holds p.mu.
 func (r *pipelineRound) planChunk(chunk []uint64) error {
 	p := r.p
-	wallStart := time.Now()
 	ids, kUnion, unionDur := p.union(chunk)
 	r.stats.UnionTime += unionDur
-	r.stats.UnionWallTime += time.Since(wallStart)
 	r.stats.KUnion += kUnion
 
 	// ② choose k. Path ORAM+ has no mechanism: one main-ORAM access per
@@ -351,22 +343,20 @@ func (r *pipelineRound) planChunk(chunk []uint64) error {
 
 // fetch is the round's I/O pass, run with p.mu held from start to end:
 // the previous round's deferred write-back pass first — so the main ORAM
-// sees the op order of a synchronous run — then, chunk by chunk, one
-// merged main-ORAM read and the chunk's buffer loads.
+// sees the op order of a synchronous run, and its modelled time lands in
+// this round's UpdateTime — then, chunk by chunk, one merged main-ORAM
+// read and the chunk's buffer loads.
 func (r *pipelineRound) fetch() error {
 	p := r.p
 	if r.done {
 		return ErrRoundFinished // aborted before the pass took the lock
 	}
-	start := time.Now()
 	if p.evict.live {
 		d, err := p.applyEvict()
-		r.stats.EvictTime += d
+		r.stats.UpdateTime += d
 		if err != nil {
 			return err
 		}
-		r.stats.EvictWallTime = time.Since(start)
-		start = time.Now()
 	}
 	lo := 0
 	for _, hi := range p.chunkEnds {
@@ -380,15 +370,6 @@ func (r *pipelineRound) fetch() error {
 				return err
 			}
 		}
-	}
-	end := time.Now()
-	if !r.stats.Prefetched {
-		r.stats.ReadWallTime = end.Sub(start) // the caller waited out all of it
-		return nil
-	}
-	r.stats.PrefetchWallTime = end.Sub(start)
-	if w := time.Duration(r.waitedAt.Load()); w > 0 {
-		r.stats.ReadWallTime = end.Sub(r.began) - w
 	}
 	return nil
 }
@@ -482,12 +463,7 @@ func (r *pipelineRound) dummyFetch() error {
 
 // await blocks until the fetch pass has finished and returns its error.
 func (r *pipelineRound) await() error {
-	select {
-	case <-r.fetched:
-	default:
-		r.waitedAt.CompareAndSwap(0, int64(time.Since(r.began)))
-		<-r.fetched
-	}
+	<-r.fetched
 	return r.fetchErr
 }
 
@@ -567,7 +543,6 @@ func (r *pipelineRound) Finish() (RoundStats, error) {
 		p.cur = nil
 		return r.stats, fetchErr
 	}
-	wallStart := time.Now()
 	// Deterministic write-back order: map iteration would randomize the
 	// ORAM state evolution run-to-run, breaking bit-identical snapshots
 	// (all k rows move either way, so the order leaks nothing new).
@@ -613,7 +588,6 @@ func (r *pipelineRound) Finish() (RoundStats, error) {
 			return r.stats, err
 		}
 	}
-	r.stats.FinishWallTime = time.Since(wallStart)
 	r.done = true
 	p.cur = nil
 	return r.stats, nil

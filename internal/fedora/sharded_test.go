@@ -3,6 +3,7 @@ package fedora
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -154,15 +155,18 @@ func TestShardedMatchesMonolithicEpsilonZero(t *testing.T) {
 // TestShardedWorkerCountDeterminism pins the scheduling invariant: with
 // real ε-FDP randomness in play, the post-round snapshot must be
 // byte-identical at any worker count (per-shard RNG streams are a
-// function of seed and shard index alone).
+// function of seed and shard index alone), and so must every round's
+// full RoundStats — it carries counts and modelled device time only.
 func TestShardedWorkerCountDeterminism(t *testing.T) {
 	workload := randomWorkload(11, 3, 4, 6, 98, 4)
 	var ref []byte
+	var refStats []RoundStats
 	for _, workers := range []int{1, 2, 4, 8} {
 		cfg := shardedCfg(4)
 		cfg.Epsilon = 1 // real sampling randomness
 		cfg.ShardWorkers = workers
 		c := newController(t, cfg)
+		var stats []RoundStats
 		for _, reqs := range workload {
 			r, err := c.BeginRound(reqs)
 			if err != nil {
@@ -179,18 +183,25 @@ func TestShardedWorkerCountDeterminism(t *testing.T) {
 					}
 				}
 			}
-			if _, err := r.Finish(); err != nil {
+			st, err := r.Finish()
+			if err != nil {
 				t.Fatal(err)
 			}
+			stats = append(stats, st)
 		}
 		blob, err := c.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ref == nil {
-			ref = blob
-		} else if !bytes.Equal(ref, blob) {
+			ref, refStats = blob, stats
+			continue
+		}
+		if !bytes.Equal(ref, blob) {
 			t.Fatalf("workers=%d produced a different state snapshot", workers)
+		}
+		if !reflect.DeepEqual(refStats, stats) {
+			t.Fatalf("workers=%d round stats differ:\n got %+v\nwant %+v", workers, stats, refStats)
 		}
 	}
 }

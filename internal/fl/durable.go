@@ -187,7 +187,6 @@ func (r *Runner) Run(totalRounds int) (Result, error) {
 			res.Elapsed = time.Since(start)
 			return res, fmt.Errorf("round %d failed: %w", r.t.Rounds(), err)
 		}
-		res.Phases = res.Phases.Add(rep.Timings)
 		res.WireBytes += rep.WireBytes
 		res.Saturations += rep.Saturations
 		// Stage the next round only after the WAL record (and any

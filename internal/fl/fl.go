@@ -373,43 +373,6 @@ func (t *Trainer) Close() error {
 	return t.ctrl.Close()
 }
 
-// PhaseTimings is the host wall-clock breakdown of one FL round. Select,
-// Train and Aggregate are measured by the trainer; Union and ORAMRead
-// come from the controller (fedora.RoundStats' *WallTime fields). Train
-// covers the parallel section: per-client downloads plus local SGD
-// across the worker pool. Aggregate covers the deterministic merge —
-// gradient submission in client order, the buffer-ORAM → main-ORAM
-// write-back, and the dense FedAvg apply.
-type PhaseTimings struct {
-	Select    time.Duration
-	Union     time.Duration
-	ORAMRead  time.Duration
-	Train     time.Duration
-	Aggregate time.Duration
-	Total     time.Duration
-	// Prefetch and Evict report the lookahead pipeline's background
-	// phases (zero with Config.Prefetch off): the fetcher's elapsed read
-	// time and the deferred write-back drain, both overlapped with Train
-	// — NOT part of Total's critical path. ORAMRead then means blocking
-	// read time only (see fedora.RoundStats).
-	Prefetch time.Duration
-	Evict    time.Duration
-}
-
-// Add returns the field-wise sum (used to accumulate across rounds).
-func (p PhaseTimings) Add(q PhaseTimings) PhaseTimings {
-	return PhaseTimings{
-		Select:    p.Select + q.Select,
-		Union:     p.Union + q.Union,
-		ORAMRead:  p.ORAMRead + q.ORAMRead,
-		Train:     p.Train + q.Train,
-		Aggregate: p.Aggregate + q.Aggregate,
-		Total:     p.Total + q.Total,
-		Prefetch:  p.Prefetch + q.Prefetch,
-		Evict:     p.Evict + q.Evict,
-	}
-}
-
 // RoundReport summarizes one round.
 type RoundReport struct {
 	fedora.RoundStats
@@ -430,8 +393,6 @@ type RoundReport struct {
 	MeanLoss float64
 	// Workers is the worker-pool size the round trained with.
 	Workers int
-	// Timings is the wall-clock phase breakdown of the round.
-	Timings PhaseTimings
 	// RoundSeed is the seed that drove all per-client randomness this
 	// round; ClientDigest fingerprints (seed, selected users). Both are
 	// logged to the round WAL so crash recovery can verify that replayed
@@ -477,7 +438,6 @@ type clientOutcome struct {
 func (t *Trainer) RunRound() (RoundReport, error) {
 	cfg := t.cfg
 	workers := t.Workers()
-	selStart := time.Now()
 	// Consume the lookahead plan when one was staged (stageNext drew it
 	// from the identical RNG position a cold draw here would use).
 	var users []*dataset.User
@@ -492,7 +452,6 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 	report := RoundReport{Participants: len(users), Workers: workers}
 	report.RoundSeed = roundSeed
 	report.ClientDigest = clientDigest(roundSeed, users)
-	report.Timings.Select = time.Since(selStart)
 
 	round, err := t.orch.BeginRound(reqs)
 	if err != nil {
@@ -517,7 +476,6 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 	// only read shared state (global model, dataset, the upload plan) and
 	// call the concurrency-safe Round entry points; all mutation happens
 	// in the merge below.
-	trainStart := time.Now()
 	t.reserve(workers, len(users))
 	outcomes := slices.Grow(t.outcomes[:0], len(users))[:len(users)]
 	t.outcomes = outcomes
@@ -541,12 +499,10 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 	}
 	close(idx)
 	wg.Wait()
-	report.Timings.Train = time.Since(trainStart)
 
 	// Merge in client order: float aggregation is order-sensitive, so a
 	// fixed replay order keeps results identical at any worker count (and
 	// identical to the sequential implementation this replaced).
-	aggStart := time.Now()
 	mlpUploads := t.mlpUps[:0]
 	var dropouts []int
 	var lossSum float64
@@ -624,10 +580,6 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 		report.WireBytes = planeSummary.Bytes
 		report.Saturations = planeSummary.Saturations
 	}
-	report.Timings.Union = st.UnionWallTime
-	report.Timings.ORAMRead = st.ReadWallTime
-	report.Timings.Prefetch = st.PrefetchWallTime
-	report.Timings.Evict = st.EvictWallTime
 	if lossN > 0 {
 		report.MeanLoss = lossSum / float64(lossN)
 	}
@@ -642,8 +594,6 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 		}
 		report.Saturations += msats
 	}
-	report.Timings.Aggregate = time.Since(aggStart)
-	report.Timings.Total = time.Since(selStart)
 
 	t.totK += st.K
 	t.totUnion += st.KUnion
@@ -1008,8 +958,6 @@ type Result struct {
 	Elapsed time.Duration
 	// Workers is the worker-pool size the run trained with.
 	Workers int
-	// Phases accumulates the per-round wall-clock phase breakdown.
-	Phases PhaseTimings
 	// WireBytes totals the upload-plane payload bytes across all rounds
 	// (zero under the legacy float path).
 	WireBytes uint64
@@ -1020,8 +968,8 @@ type Result struct {
 // Run trains for the given number of rounds and evaluates. When a round
 // fails mid-loop it aborts cleanly: the returned error names the failing
 // round, and the partial Result still reports the rounds that DID
-// complete (with their accumulated phase timings and elapsed time) so
-// callers can see how far training got.
+// complete (and their elapsed time) so callers can see how far training
+// got.
 func (t *Trainer) Run(rounds int) (Result, error) {
 	start := time.Now()
 	res := Result{Workers: t.Workers()}
@@ -1035,7 +983,6 @@ func (t *Trainer) Run(rounds int) (Result, error) {
 			res.Elapsed = time.Since(start)
 			return res, fmt.Errorf("round %d failed after %d completed: %w", r, r, err)
 		}
-		res.Phases = res.Phases.Add(rep.Timings)
 		res.WireBytes += rep.WireBytes
 		res.Saturations += rep.Saturations
 		if r+1 < rounds {

@@ -47,15 +47,14 @@ func TestPrefetchTrainingBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPrefetchRoundReportsStats: prefetch rounds report the new phase
-// accounting — the Prefetched flag, the overlapped prefetch/evict walls,
-// and an ORAMRead that now counts only blocking time.
+// TestPrefetchRoundReportsStats: prefetch rounds report the Prefetched
+// flag and the staged-row hits, and the controller's lifetime report
+// accumulates them across the loop.
 func TestPrefetchRoundReportsStats(t *testing.T) {
 	tr := newTrainer(t, Config{
 		Epsilon: 1, UsePrivate: true, Seed: 12, Workers: 3, Prefetch: true,
 	})
-	res, err := tr.Run(3)
-	if err != nil {
+	if _, err := tr.Run(3); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := tr.RunRound()
@@ -65,16 +64,11 @@ func TestPrefetchRoundReportsStats(t *testing.T) {
 	if !rep.Prefetched {
 		t.Errorf("round not marked Prefetched: %+v", rep.RoundStats)
 	}
-	if rep.Timings.Prefetch <= 0 {
-		t.Errorf("Timings.Prefetch not populated: %+v", rep.Timings)
-	}
 	if rep.PrefetchHits == 0 {
 		t.Errorf("no prefetch hits recorded: %+v", rep.RoundStats)
 	}
-	// Run accumulated phases across the loop (second round onward also
-	// drains the previous round's deferred eviction).
-	if res.Phases.Prefetch <= 0 || res.Phases.Evict <= 0 {
-		t.Errorf("accumulated phases missing prefetch/evict: %+v", res.Phases)
+	if lifetime := tr.Controller().PrefetchReport(); lifetime.Hits <= rep.PrefetchHits {
+		t.Errorf("lifetime hits %d do not accumulate past the last round's %d", lifetime.Hits, rep.PrefetchHits)
 	}
 }
 

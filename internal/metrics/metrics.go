@@ -4,8 +4,7 @@
 // bars in Figs 7–9), and histograms for distribution sanity checks.
 //
 // Paper mapping: the reporting conventions of Sec 6 — geomean bars
-// (Figs 7–9), multi-seed mean ± CI — plus the wall-clock phase
-// breakdown of the parallel FL round. Key invariant: every helper is a
+// (Figs 7–9), multi-seed mean ± CI. Key invariant: every helper is a
 // pure function of its inputs; nothing here mutates the samples it is
 // handed.
 package metrics
@@ -16,7 +15,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Summary holds the descriptive statistics of a sample.
@@ -141,43 +139,6 @@ func (h *Histogram) Render(width int) string {
 		}
 		fmt.Fprintf(&b, "%10.3g |%s %d\n", h.Min+float64(i)*binW, strings.Repeat("#", bar), c)
 	}
-	return b.String()
-}
-
-// Phase is one named wall-clock phase of a larger operation — the unit
-// of the per-round select/union/ORAM/train/aggregate breakdown the FL
-// harness reports.
-type Phase struct {
-	Name string
-	D    time.Duration
-}
-
-// RenderPhases renders a phase breakdown as aligned rows with each
-// phase's share of the total, e.g.:
-//
-//	select      112µs   0.3%
-//	train     31.2ms  92.1%
-//
-// Zero-duration phases still render (a 0.0% row is informative: it shows
-// the phase ran and was free). The total row is appended last.
-func RenderPhases(phases []Phase) string {
-	var total time.Duration
-	width := 5 // minimum name column width
-	for _, p := range phases {
-		total += p.D
-		if len(p.Name) > width {
-			width = len(p.Name)
-		}
-	}
-	var b strings.Builder
-	for _, p := range phases {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(p.D) / float64(total)
-		}
-		fmt.Fprintf(&b, "%-*s  %10v  %5.1f%%\n", width, p.Name, p.D.Round(time.Microsecond), pct)
-	}
-	fmt.Fprintf(&b, "%-*s  %10v\n", width, "total", total.Round(time.Microsecond))
 	return b.String()
 }
 

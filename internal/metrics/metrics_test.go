@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarizeKnown(t *testing.T) {
@@ -126,22 +125,5 @@ func TestSummaryString(t *testing.T) {
 	s, _ := Summarize([]float64{1, 2, 3})
 	if !strings.Contains(s.String(), "n=3") {
 		t.Errorf("String = %q", s.String())
-	}
-}
-
-func TestRenderPhases(t *testing.T) {
-	out := RenderPhases([]Phase{
-		{Name: "select", D: 1 * time.Millisecond},
-		{Name: "train", D: 3 * time.Millisecond},
-		{Name: "aggregate", D: 0},
-	})
-	for _, want := range []string{"select", "train", "aggregate", "total", "75.0%", "0.0%", "4ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RenderPhases output missing %q:\n%s", want, out)
-		}
-	}
-	// Degenerate all-zero breakdown must not divide by zero.
-	if out := RenderPhases([]Phase{{Name: "x", D: 0}}); !strings.Contains(out, "0.0%") {
-		t.Errorf("zero breakdown = %q", out)
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/persist"
 )
@@ -309,16 +308,13 @@ func (e *Engine) Abort() {
 	}
 }
 
-// Round is an in-flight sharded round: one PartitionRound per shard plus
-// the wall-clock bookkeeping needed to attribute phase time. ServeEntry
-// and SubmitGradient are safe for concurrent use and, unlike the
-// monolithic pipeline, proceed in parallel when the rows live on
+// Round is an in-flight sharded round: one PartitionRound per shard.
+// ServeEntry and SubmitGradient are safe for concurrent use and, unlike
+// the monolithic pipeline, proceed in parallel when the rows live on
 // different shards (each shard serializes only its own pipeline).
 type Round struct {
-	e         *Engine
-	subs      []PartitionRound
-	beginWall time.Duration   // wall clock of the parallel ①–③ section
-	shardWall []time.Duration // per-shard BeginRound wall clock
+	e    *Engine
+	subs []PartitionRound
 
 	mu   sync.RWMutex
 	done bool
@@ -347,27 +343,19 @@ func (e *Engine) BeginRound(requests [][]uint64) (*Round, error) {
 		return nil, err
 	}
 	S := e.cfg.Shards
-	r := &Round{
-		e:         e,
-		subs:      make([]PartitionRound, S),
-		shardWall: make([]time.Duration, S),
-	}
+	r := &Round{e: e, subs: make([]PartitionRound, S)}
 	errs := make([]error, S)
-	wallStart := time.Now()
 	e.forEach(func(i int) {
 		if quar[i] {
 			return
 		}
-		start := time.Now()
 		sub, err := e.parts[i].BeginRound(perShard[i])
-		r.shardWall[i] = time.Since(start)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		r.subs[i] = sub
 	})
-	r.beginWall = time.Since(wallStart)
 	live := 0
 	for i := range errs {
 		switch {
@@ -463,12 +451,11 @@ func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (deliv
 
 // Finish runs every live shard's write-back (step ⑦) concurrently,
 // merges the per-shard statistics (sums for counts and modelled device
-// time, parallel-section wall clock for the wall-time phases, parallel ε
-// composition for the round guarantee) and closes the round. Quarantined
-// shards are skipped and their half-open rounds aborted — this round's
-// updates to those shards are lost, which is the documented blast radius
-// of a quarantine (recovery restores the shard from the newest
-// checkpoint). A quarantine-trigger error during a shard's write-back
+// time, parallel ε composition for the round guarantee) and closes the
+// round. Quarantined shards are skipped and their half-open rounds
+// aborted — this round's updates to those shards are lost, which is the
+// documented blast radius of a quarantine (recovery restores the shard
+// from the newest checkpoint). A quarantine-trigger error during a shard's write-back
 // quarantines it the same way; the round still succeeds over the
 // survivors.
 func (r *Round) Finish() (RoundStats, error) {
@@ -479,17 +466,13 @@ func (r *Round) Finish() (RoundStats, error) {
 	}
 	S := r.e.cfg.Shards
 	stats := make([]RoundStats, S)
-	finishShard := make([]time.Duration, S)
 	errs := make([]error, S)
 	survived := make([]bool, S)
-	wallStart := time.Now()
 	r.e.forEach(func(i int) {
 		if r.subs[i] == nil || r.e.isQuarantined(i) {
 			return
 		}
-		start := time.Now()
 		st, err := r.subs[i].Finish()
-		finishShard[i] = time.Since(start)
 		if err != nil {
 			if r.e.trigger(err) {
 				r.e.quarantine(i, err)
@@ -500,7 +483,6 @@ func (r *Round) Finish() (RoundStats, error) {
 		}
 		stats[i], survived[i] = st, true
 	})
-	finishWall := time.Since(wallStart)
 	r.done = true
 	r.e.endRound()
 	// Abort the half-open rounds of every quarantined shard so a later
@@ -523,7 +505,7 @@ func (r *Round) Finish() (RoundStats, error) {
 	if live == 0 {
 		return RoundStats{}, fmt.Errorf("shard: round lost on every shard: %w", ErrShardUnavailable)
 	}
-	m := r.e.merge(stats, r.beginWall, finishWall, r.shardWall, finishShard)
+	m := r.e.merge(stats)
 	for i, q := range quar {
 		if q {
 			m.PerShard[i].Quarantined = true

@@ -273,12 +273,12 @@ func TestServeAndSubmitRouted(t *testing.T) {
 	}
 }
 
-// TestStatsMerge verifies count summing, wall-clock attribution and the
-// parallel-composition round ε.
+// TestStatsMerge verifies count and modelled-time summing, the
+// Prefetched flag and the parallel-composition round ε.
 func TestStatsMerge(t *testing.T) {
 	e, fakes := newFakeEngine(t, 100, 3, 0)
 	fakes[0].stats = RoundStats{K: 5, KUnion: 4, KSampled: 4, Chunks: 1, RoundEpsilon: 1,
-		ReadTime: 10 * time.Millisecond, UnionWallTime: time.Millisecond}
+		ReadTime: 10 * time.Millisecond, Prefetched: true}
 	fakes[1].stats = RoundStats{K: 7, KUnion: 6, KSampled: 8, Dummy: 2, Chunks: 2, RoundEpsilon: 0.5,
 		ReadTime: 20 * time.Millisecond}
 	fakes[2].stats = RoundStats{} // idle shard: no chunks, must not affect ε
@@ -298,6 +298,9 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if st.ReadTime != 30*time.Millisecond {
 		t.Errorf("ReadTime = %v, want summed 30ms", st.ReadTime)
+	}
+	if !st.Prefetched {
+		t.Error("Prefetched lost in the merge")
 	}
 	if len(st.PerShard) != 3 || st.PerShard[1].KSampled != 8 || st.PerShard[1].RoundEpsilon != 0.5 {
 		t.Errorf("PerShard breakdown = %+v", st.PerShard)

@@ -38,40 +38,11 @@ type RoundStats struct {
 	ServeTime     time.Duration
 	AggregateTime time.Duration
 	UpdateTime    time.Duration
-	// Wall-clock phase durations measured on the host (as opposed to the
-	// modelled device times above): the oblivious-union scans, the main-
-	// ORAM → buffer-ORAM reads of BeginRound, and the write-back pass of
-	// Finish. When sharded these are the PARALLEL section's elapsed time,
-	// which is what shrinks as the shard count grows.
-	//
-	// Under the lookahead prefetch pipeline (Prefetched true) the fetch
-	// pass runs on its own goroutine concurrent with training, and
-	// ReadWallTime narrows to mean BLOCKING read time only: the wall from
-	// the first call that had to wait for the pass (a serve, a gradient,
-	// an aggregate or Finish) to the pass's completion — zero when the
-	// pass was done before anyone asked. The pass's own elapsed time is
-	// reported separately as PrefetchWallTime.
-	UnionWallTime  time.Duration
-	ReadWallTime   time.Duration
-	FinishWallTime time.Duration
 	// Prefetched reports whether this round ran the lookahead prefetch
 	// pipeline (fedora.Config.Prefetch): the fetch pass ran on a
 	// background goroutine and the write-back pass was deferred to the
-	// next round's. It flips the meaning of ReadWallTime (see above) and
-	// is how merge layers know to aggregate the per-shard walls.
+	// next round's, whose UpdateTime then carries its modelled time.
 	Prefetched bool
-	// PrefetchWallTime is the background fetch pass's elapsed time for
-	// this round's main-ORAM → buffer-ORAM reads (overlapped with
-	// training). EvictWallTime is the elapsed time of applying the
-	// PREVIOUS round's deferred write-back pass, which this round's fetch
-	// pass does before its reads. Sharded: max across shards (the passes
-	// run concurrently).
-	PrefetchWallTime time.Duration
-	EvictWallTime    time.Duration
-	// EvictTime is the modelled device time of the drained write-back
-	// pass (the share of the previous round's UpdateTime that sync mode
-	// would have spent inside Finish). Summed across shards.
-	EvictTime time.Duration
 	// PrefetchHits / PrefetchWasted count the distinct staged rows that
 	// were / were never served this round. Summed across shards.
 	PrefetchHits   uint64
@@ -112,22 +83,16 @@ type ShardStats struct {
 	Chunks   int
 	// RoundEpsilon is the shard's own parallel-composition guarantee.
 	RoundEpsilon float64
-	// BeginWall / FinishWall are the shard's own wall-clock times for
-	// steps ①–③ and ⑦ (each shard ran concurrently with the others).
-	BeginWall  time.Duration
-	FinishWall time.Duration
 	// Quarantined marks a shard that did not serve this round.
 	Quarantined bool
 }
 
 // MergeStats folds the statistics of parts that served one round side by
 // side — an engine's shards, a cluster's member nodes — into the round
-// view: counts and modelled device times sum; wall times take the
-// parallel section's elapsed time (beginWall and finishWall are the
-// caller's own measurements of its fan-outs); the round ε composes in
+// view: counts and modelled device times sum; the round ε composes in
 // parallel across parts (max, via the same accountant the chunked union
 // uses). A part that sat the round out is passed as the zero value.
-func MergeStats(parts []RoundStats, beginWall, finishWall time.Duration) RoundStats {
+func MergeStats(parts []RoundStats) RoundStats {
 	var m RoundStats
 	var acct fdp.Accountant
 	for _, st := range parts {
@@ -145,35 +110,20 @@ func MergeStats(parts []RoundStats, beginWall, finishWall time.Duration) RoundSt
 		m.ServeTime += st.ServeTime
 		m.AggregateTime += st.AggregateTime
 		m.UpdateTime += st.UpdateTime
-		m.EvictTime += st.EvictTime
 		m.PrefetchHits += st.PrefetchHits
 		m.PrefetchWasted += st.PrefetchWasted
 		m.Prefetched = m.Prefetched || st.Prefetched
-		m.UnionWallTime = max(m.UnionWallTime, st.UnionWallTime)
-		m.PrefetchWallTime = max(m.PrefetchWallTime, st.PrefetchWallTime)
-		m.EvictWallTime = max(m.EvictWallTime, st.EvictWallTime)
 		if st.Chunks > 0 {
 			acct.Observe(st.RoundEpsilon)
 		}
 	}
 	m.RoundEpsilon = acct.RoundEpsilon()
-	if m.Prefetched {
-		// Prefetched rounds: each part reports its own blocking-read wall
-		// (reads happened on background fetch passes, not inside the begin
-		// section). Parts blocked concurrently, so take the max.
-		for _, st := range parts {
-			m.ReadWallTime = max(m.ReadWallTime, st.ReadWallTime)
-		}
-	} else {
-		m.ReadWallTime = max(beginWall-m.UnionWallTime, 0)
-	}
-	m.FinishWallTime = finishWall
 	return m
 }
 
 // merge is MergeStats plus the per-shard breakdown.
-func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, beginShard, finishShard []time.Duration) RoundStats {
-	m := MergeStats(stats, beginWall, finishWall)
+func (e *Engine) merge(stats []RoundStats) RoundStats {
+	m := MergeStats(stats)
 	m.PerShard = make([]ShardStats, len(stats))
 	for i, st := range stats {
 		m.PerShard[i] = ShardStats{
@@ -181,7 +131,6 @@ func (e *Engine) merge(stats []RoundStats, beginWall, finishWall time.Duration, 
 			K: st.K, KUnion: st.KUnion, KSampled: st.KSampled,
 			Dummy: st.Dummy, Lost: st.Lost, Chunks: st.Chunks,
 			RoundEpsilon: st.RoundEpsilon,
-			BeginWall:    beginShard[i], FinishWall: finishShard[i],
 		}
 	}
 	return m
