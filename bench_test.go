@@ -796,3 +796,46 @@ func BenchmarkEntriesRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRoundBatch is one client's round traffic on the in-process
+// controller: a 100-row ServeEntries and a SubmitGradients for the same
+// rows on a begun round of the encrypted train_cluster geometry, over one
+// pipeline and over two shards (where the engine splits each batch).
+func BenchmarkRoundBatch(b *testing.B) {
+	for _, s := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
+			cfg := checkpointBenchConfig()
+			cfg.Shards = s
+			ctrl, err := fedora.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ctrl.Close()
+			rng := rand.New(rand.NewSource(3))
+			rows := make([]uint64, cfg.MaxFeaturesPerClient)
+			grads := make([]fedora.RowGradient, len(rows))
+			for i := range rows {
+				rows[i] = uint64(rng.Int63n(int64(cfg.NumRows)))
+				grads[i] = fedora.RowGradient{Row: rows[i], Grad: make([]float32, cfg.Dim), Samples: 1}
+			}
+			r, err := ctrl.BeginRound([][]uint64{rows})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.ServeEntries(rows); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.SubmitGradients(grads); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if _, err := r.Finish(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

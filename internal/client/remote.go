@@ -121,11 +121,7 @@ func (o *Orchestrator) PeekRow(row uint64) ([]float32, error) {
 }
 
 func (r *remoteRound) ServeEntry(row uint64) ([]float32, bool, error) {
-	res, err := r.ServeEntries([]uint64{row})
-	if err != nil {
-		return nil, false, err
-	}
-	return res[0].Entry, res[0].OK, nil
+	return fedora.ServeOne(r.ServeEntries, row)
 }
 
 func (r *remoteRound) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) {
@@ -133,11 +129,7 @@ func (r *remoteRound) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) 
 }
 
 func (r *remoteRound) SubmitGradient(row uint64, grad []float32, samples int) (bool, error) {
-	res, err := r.SubmitGradients([]fedora.RowGradient{{Row: row, Grad: grad, Samples: samples}})
-	if err != nil {
-		return false, err
-	}
-	return res[0], nil
+	return fedora.SubmitOne(r.SubmitGradients, row, grad, samples)
 }
 
 func (r *remoteRound) SubmitGradients(grads []fedora.RowGradient) ([]bool, error) {

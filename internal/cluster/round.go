@@ -298,18 +298,10 @@ func (r *Round) ServeEntries(rows []uint64) ([]fedora.EntryResult, error) {
 	return results, nil
 }
 
-// ServeEntry is the singular form: an unavailable row surfaces as a
-// wrapped ErrShardUnavailable, like fedora.Round.ServeEntry; OK=false
-// with a nil error means the ε-FDP mechanism sacrificed the row.
+// ServeEntry is the singular form, with fedora.ServeOne's semantics: an
+// unavailable row is a wrapped ErrShardUnavailable.
 func (r *Round) ServeEntry(row uint64) ([]float32, bool, error) {
-	res, err := r.ServeEntries([]uint64{row})
-	if err != nil {
-		return nil, false, err
-	}
-	if res[0].Unavailable {
-		return nil, false, fmt.Errorf("cluster: row %d: %w", row, fedora.ErrShardUnavailable)
-	}
-	return res[0].Entry, res[0].OK, nil
+	return fedora.ServeOne(r.ServeEntries, row)
 }
 
 // SubmitGradients batches step-⑥ submissions, grouped and scattered
@@ -396,15 +388,10 @@ func (r *Round) SubmitAggregates(aggs []fedora.RowAggregate) ([]bool, error) {
 	return delivered, batchErr
 }
 
-// SubmitGradient is the singular form; a gradient for a lost member's
-// row reports (false, nil), matching the engine's degraded-mode
-// contract.
+// SubmitGradient is the singular form, with fedora.SubmitOne's
+// semantics: a gradient for a lost member's row reports (false, nil).
 func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (bool, error) {
-	ok, err := r.SubmitGradients([]fedora.RowGradient{{Row: row, Grad: grad, Samples: nSamples}})
-	if err != nil {
-		return false, err
-	}
-	return ok[0], nil
+	return fedora.SubmitOne(r.SubmitGradients, row, grad, nSamples)
 }
 
 // Finish closes every surviving member round in parallel and merges the

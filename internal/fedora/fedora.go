@@ -160,10 +160,11 @@ type Config struct {
 	// monolithic). The round ε is unchanged: chunks already compose in
 	// parallel, and per-shard chunks partition the same request set.
 	Shards int
-	// ShardWorkers bounds the goroutines driving shards concurrently
-	// (0 = min(GOMAXPROCS, Shards)). The worker count never changes
-	// results: each shard's RNG stream is derived from Seed and the shard
-	// index alone.
+	// ShardWorkers bounds the goroutines driving shards concurrently —
+	// round begin, every batch call and finish (0 = one per usable CPU,
+	// capped at Shards; 1 = fully sequential). The worker count never
+	// changes results: each shard's RNG stream is derived from Seed and
+	// the shard index alone.
 	ShardWorkers int
 	// ShardBase is the GLOBAL index of this controller's first shard — 0
 	// for a standalone controller, the slice start for a cluster member

@@ -3,9 +3,7 @@ package fedora
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/bufferoram"
@@ -30,13 +28,14 @@ type ShardStats = shard.ShardStats
 
 // Round is an in-flight FL round (between BeginRound and Finish): a
 // handle on the one pipeline's round, or on the shard engine's round when
-// the controller routes over several pipelines.
+// the controller routes over several pipelines. Either is a
+// shard.PartitionRound, so every operation below is one batch call.
 //
-// ServeEntry, SubmitGradient and Finish are safe for concurrent use by
-// multiple goroutines: multiple trainer workers may stage downloads and
-// uploads simultaneously while each pipeline's mutex keeps its ORAMs
-// single-writer underneath; operations on rows owned by different shards
-// proceed in parallel.
+// Its methods are safe for concurrent use by multiple goroutines:
+// multiple trainer workers may stage downloads and uploads
+// simultaneously while each pipeline's mutex keeps its ORAMs
+// single-writer underneath; the shard engine runs a batch's per-shard
+// groups in parallel.
 type Round struct {
 	c      *Controller
 	pr     shard.PartitionRound
@@ -147,31 +146,45 @@ func (cfg *Config) checkRequests(requests [][]uint64) (int, error) {
 	return total, nil
 }
 
-// ServeEntry serves a client's download request (step ④). ok reports
-// whether the entry was read this round; rows sacrificed by the ε-FDP
-// mechanism (k < k_union) return ok = false, and the caller applies its
-// lost-entry policy (our FL layer, like the paper's prototype, drops the
-// affected training samples).
+// ServeEntry serves one download (step ④) as a batch of one, with
+// ServeOne's semantics. ok is false for rows sacrificed by the ε-FDP
+// mechanism (k < k_union), and the caller applies its lost-entry policy
+// (our FL layer, like the paper's prototype, drops the affected training
+// samples).
 func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
-	return r.pr.ServeEntry(row)
+	return ServeOne(r.ServeEntries, row)
 }
 
 // SubmitGradient folds one client's gradient for a row into the round's
-// aggregate (step ⑥). delivered is false when the row was not resident
-// (the gradient is dropped, matching a lost entry).
+// aggregate (step ⑥) as a batch of one, with SubmitOne's semantics.
 func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
-	return r.pr.SubmitGradient(row, grad, nSamples)
+	return SubmitOne(r.SubmitGradients, row, grad, nSamples)
 }
 
-// SubmitAggregate folds an already-aggregated multi-client contribution
-// for a row into the round's buffer: sum is Σ_c n_c·Δθ_c and count is
-// Σ_c n_c over the contributing clients. This is the upload plane's
-// entry point (internal/wire): the per-client FedAvg pre-weighting
-// happened client-side before masking, so the buffer's aggregator Pre
-// is bypassed — only the Post division by the total count runs at
-// Finish. delivered is false when the row was not resident.
-func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
-	return r.pr.SubmitAggregate(row, sum, count)
+// ServeOne is the single-row form of a batched serve, shared by every
+// round implementation: a row the batch reports Unavailable (its shard
+// quarantined, its cluster member lost) is a wrapped ErrShardUnavailable;
+// ok=false with a nil error means the ε-FDP mechanism sacrificed the row.
+func ServeOne(serve func([]uint64) ([]EntryResult, error), row uint64) (entry []float32, ok bool, err error) {
+	res, err := serve([]uint64{row})
+	if err != nil {
+		return nil, false, err
+	}
+	if res[0].Unavailable {
+		return nil, false, fmt.Errorf("fedora: row %d: %w", row, ErrShardUnavailable)
+	}
+	return res[0].Entry, res[0].OK, nil
+}
+
+// SubmitOne is the single-row form of a batched gradient upload, shared
+// by every round implementation: a gradient for an unavailable row
+// reports (false, nil), as the batch does.
+func SubmitOne(submit func([]RowGradient) ([]bool, error), row uint64, grad []float32, nSamples int) (delivered bool, err error) {
+	ok, err := submit([]RowGradient{{Row: row, Grad: grad, Samples: nSamples}})
+	if err != nil {
+		return false, err
+	}
+	return ok[0], nil
 }
 
 // Finish applies aggregated updates back to the main ORAM (step ⑦) and
@@ -467,58 +480,76 @@ func (r *pipelineRound) await() error {
 	return r.fetchErr
 }
 
-// bufferOp runs one serve-phase access to the buffer ORAM for row, after
-// the fetch pass and under p.mu, adding its modelled time to *modelled.
-// hit is false when the row is not resident — sacrificed by the mechanism
-// or never requested; the access was still made, indistinguishably.
-func (r *pipelineRound) bufferOp(row uint64, modelled *time.Duration, op func() (time.Duration, error)) (hit bool, err error) {
+// batch runs one serve-phase buffer-ORAM access per row idx lists (all n
+// when idx is nil), in order, after the fetch pass and under p.mu,
+// adding the accesses' modelled time to *modelled. local gives a batch
+// row's LOCAL index; op makes the access and records its outcome. A row
+// that is not resident — sacrificed by the mechanism or never requested
+// — is a miss (bufferoram.ErrNotLoaded), not a failure: the access was
+// still made, indistinguishably.
+func (r *pipelineRound) batch(n int, idx []int, local func(i int) uint64, modelled *time.Duration,
+	op func(i int, row uint64) (time.Duration, error)) (int, error) {
 	if err := r.await(); err != nil {
-		return false, err
+		return 0, err
 	}
 	r.p.mu.Lock()
 	defer r.p.mu.Unlock()
 	if r.done {
-		return false, ErrRoundFinished
+		return 0, ErrRoundFinished
 	}
-	if r.stats.Prefetched {
-		// Staging accounting: a fetched-ahead row a client consumed is a hit.
-		if consumed, resident := r.loaded[row]; resident && !consumed {
-			r.loaded[row] = true
+	if idx != nil {
+		n = len(idx)
+	}
+	for p := 0; p < n; p++ {
+		i := shard.At(idx, p)
+		row := local(i)
+		if r.stats.Prefetched {
+			// Staging accounting: a fetched-ahead row a client consumed is a hit.
+			if consumed, resident := r.loaded[row]; resident && !consumed {
+				r.loaded[row] = true
+			}
+		}
+		d, err := op(i, row)
+		*modelled += d
+		if err != nil && !errors.Is(err, bufferoram.ErrNotLoaded) {
+			return p, err
 		}
 	}
-	d, err := op()
-	*modelled += d
-	if errors.Is(err, bufferoram.ErrNotLoaded) {
-		return false, nil
-	}
-	return err == nil, err
+	return n, nil
 }
 
-// ServeEntry implements shard.PartitionRound (step ④).
-func (r *pipelineRound) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
-	ok, err = r.bufferOp(row, &r.stats.ServeTime, func() (d time.Duration, err error) {
-		entry, d, err = r.p.buf.Serve(row)
-		return d, err
-	})
-	if !ok {
-		entry = nil
-	}
-	return entry, ok, err
+// ServeEntries implements shard.PartitionRound (step ④).
+func (r *pipelineRound) ServeEntries(rows []uint64, idx []int, base uint64, out []EntryResult) (int, error) {
+	return r.batch(len(rows), idx, func(i int) uint64 { return rows[i] - base }, &r.stats.ServeTime,
+		func(i int, row uint64) (time.Duration, error) {
+			entry, d, err := r.p.buf.Serve(row)
+			if err != nil {
+				entry = nil
+			}
+			out[i] = EntryResult{Row: rows[i], Entry: entry, OK: err == nil}
+			return d, err
+		})
 }
 
-// SubmitGradient implements shard.PartitionRound (step ⑥).
-func (r *pipelineRound) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
-	return r.bufferOp(row, &r.stats.AggregateTime, func() (time.Duration, error) {
-		return r.p.buf.Aggregate(row, grad, nSamples)
-	})
+// SubmitGradients implements shard.PartitionRound (step ⑥).
+func (r *pipelineRound) SubmitGradients(grads []RowGradient, idx []int, base uint64, out []bool) (int, error) {
+	return r.batch(len(grads), idx, func(i int) uint64 { return grads[i].Row - base }, &r.stats.AggregateTime,
+		func(i int, row uint64) (time.Duration, error) {
+			d, err := r.p.buf.Aggregate(row, grads[i].Grad, grads[i].Samples)
+			out[i] = err == nil
+			return d, err
+		})
 }
 
-// SubmitAggregate implements shard.PartitionRound: the upload plane's
-// pre-weighted per-row sum, folded without the aggregator's Pre.
-func (r *pipelineRound) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
-	return r.bufferOp(row, &r.stats.AggregateTime, func() (time.Duration, error) {
-		return r.p.buf.AggregateRaw(row, sum, count)
-	})
+// SubmitAggregates implements shard.PartitionRound: the upload plane's
+// pre-weighted per-row sums, folded without the aggregator's Pre.
+func (r *pipelineRound) SubmitAggregates(aggs []RowAggregate, idx []int, base uint64, out []bool) (int, error) {
+	return r.batch(len(aggs), idx, func(i int) uint64 { return aggs[i].Row - base }, &r.stats.AggregateTime,
+		func(i int, row uint64) (time.Duration, error) {
+			d, err := r.p.buf.AggregateRaw(row, aggs[i].Sum, aggs[i].Count)
+			out[i] = err == nil
+			return d, err
+		})
 }
 
 // Finish implements shard.PartitionRound (step ⑦): it unloads every
@@ -598,175 +629,58 @@ func (r *pipelineRound) Finish() (RoundStats, error) {
 // Remote clients touch many rows per round; serving them one HTTP
 // request at a time pays the wire overhead K times. The batch entry
 // points below amortize it: one call serves (or aggregates) a whole
-// working set, and the rows fan out across the per-shard pipelines
+// working set, and the shard engine runs each shard's share of it
 // concurrently.
 
-// EntryResult is one row's outcome in a batched download: OK is false
-// for rows the ε-FDP mechanism sacrificed this round (the caller applies
-// its lost-entry policy, exactly as with ServeEntry). Unavailable marks
-// rows owned by a quarantined shard (always with OK false): the row
-// could not be served this round at all, and the trainer should skip or
-// resample it rather than treat the silence as a model value.
-type EntryResult struct {
-	Row         uint64
-	Entry       []float32
-	OK          bool
-	Unavailable bool
-}
+// EntryResult is one row's outcome in a batched download (see
+// shard.EntryResult).
+type EntryResult = shard.EntryResult
 
 // RowGradient is one row's contribution to a batched gradient upload.
-type RowGradient struct {
-	Row     uint64
-	Grad    []float32
-	Samples int
-}
+type RowGradient = shard.RowGradient
+
+// RowAggregate is one row's combined contribution in a batched
+// aggregate upload: the unmasked per-row output of the wire plane.
+type RowAggregate = shard.RowAggregate
 
 // ServeEntries serves a batch of downloads (step ④), one EntryResult per
-// requested row, in request order. Rows owned by different shards are
-// served in parallel; one shard's rows sequentially (its pipeline mutex
-// would serialize the goroutines anyway). Duplicate rows are allowed and
-// served independently.
+// requested row, in request order. Rows on a quarantined shard come back
+// Unavailable. Duplicate rows are allowed and served independently.
 func (r *Round) ServeEntries(rows []uint64) ([]EntryResult, error) {
 	out := make([]EntryResult, len(rows))
-	err := r.fanOut(len(rows), func(i int) uint64 { return rows[i] }, func(i int) error {
-		entry, ok, err := r.ServeEntry(rows[i])
-		if errors.Is(err, ErrShardUnavailable) {
-			// Degraded serving: the row's shard is quarantined. The batch
-			// succeeds; this row is reported unserveable.
-			out[i] = EntryResult{Row: rows[i], Unavailable: true}
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		out[i] = EntryResult{Row: rows[i], Entry: entry, OK: ok}
-		return nil
-	})
-	if err != nil {
+	if _, err := r.pr.ServeEntries(rows, nil, 0, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // SubmitGradients folds a batch of client gradients into the round's
-// aggregate (step ⑥), returning per-item delivery in input order. Each
+// aggregate (step ⑥), returning per-item delivery in input order;
+// delivered is false when the row was not resident (the gradient is
+// dropped, matching a lost entry) or its shard is quarantined. Each
 // shard folds its rows in batch order (so two gradients for one row fold
 // in the order given), and batches are applied in call order, which is
 // what the FL merge step relies on for seed-determinism.
 func (r *Round) SubmitGradients(grads []RowGradient) ([]bool, error) {
-	delivered := make([]bool, len(grads))
-	err := r.fanOut(len(grads), func(i int) uint64 { return grads[i].Row }, func(i int) error {
-		g := grads[i]
-		ok, err := r.SubmitGradient(g.Row, g.Grad, g.Samples)
-		if errors.Is(err, ErrShardUnavailable) {
-			// The shard quarantined mid-round; this gradient is lost, the
-			// rest of the batch still folds.
-			delivered[i] = false
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		delivered[i] = ok
-		return nil
-	})
-	if err != nil {
+	out := make([]bool, len(grads))
+	if _, err := r.pr.SubmitGradients(grads, nil, 0, out); err != nil {
 		return nil, err
 	}
-	return delivered, nil
+	return out, nil
 }
 
-// RowAggregate is one row's combined contribution in a batched
-// aggregate upload: the unmasked per-row output of the wire plane.
-type RowAggregate struct {
-	Row   uint64
-	Sum   []float32
-	Count float32
-}
-
-// SubmitAggregates folds a batch of per-row aggregates (the unmasked
-// output of the upload plane) into the round, returning per-item
-// delivery in input order. Rows within one batch must be distinct —
-// the wire aggregator emits each row at most once, in ascending order.
+// SubmitAggregates folds a batch of per-row aggregates into the round,
+// returning per-item delivery in input order: sum is Σ_c n_c·Δθ_c and
+// count is Σ_c n_c over the contributing clients. This is the upload
+// plane's entry point (internal/wire): the per-client FedAvg
+// pre-weighting happened client-side before masking, so the buffer's
+// aggregator Pre is bypassed — only the Post division by the total count
+// runs at Finish. Rows within one batch must be distinct — the wire
+// aggregator emits each row at most once, in ascending order.
 func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
-	delivered := make([]bool, len(aggs))
-	err := r.fanOut(len(aggs), func(i int) uint64 { return aggs[i].Row }, func(i int) error {
-		a := aggs[i]
-		ok, err := r.SubmitAggregate(a.Row, a.Sum, a.Count)
-		if errors.Is(err, ErrShardUnavailable) {
-			delivered[i] = false
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		delivered[i] = ok
-		return nil
-	})
-	if err != nil {
+	out := make([]bool, len(aggs))
+	if _, err := r.pr.SubmitAggregates(aggs, nil, 0, out); err != nil {
 		return nil, err
 	}
-	return delivered, nil
-}
-
-// fanOut runs fn over [0, n): inline when every row lives on one shard;
-// otherwise the indices are grouped by the shard that owns rowOf(i) and
-// each group runs on its own goroutine (a bounded pool), in request
-// order. One shard's ORAMs therefore see a batch's rows in the same order
-// whatever the scheduler does — dispatching per row let two rows of one
-// shard race, and the shard's state bytes with them. Every index of a
-// fanned-out batch runs; the lowest-index error wins, so failures are
-// deterministic too.
-func (r *Round) fanOut(n int, rowOf func(i int) uint64, fn func(i int) error) error {
-	c := r.c
-	shardOf := func(i int) int {
-		if row := rowOf(i); row < c.cfg.NumRows {
-			return shard.ShardOf(c.cfg.NumRows, len(c.parts), row)
-		}
-		return 0 // out-of-range rows fail in fn; any group will do
-	}
-	spread := false
-	if n > 1 {
-		first := shardOf(0)
-		for i := 1; i < n && !spread; i++ {
-			spread = shardOf(i) != first
-		}
-	}
-	if !spread {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	groups := make([][]int, len(c.parts))
-	for i := 0; i < n; i++ {
-		si := shardOf(i)
-		groups[si] = append(groups[si], i)
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, i := range g {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return out, nil
 }

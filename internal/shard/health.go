@@ -19,9 +19,10 @@ import (
 // until Recover replays its section from a trusted checkpoint; the
 // engine keeps serving rounds over the surviving shards meanwhile.
 
-// ErrShardUnavailable is returned for operations routed to a quarantined
-// (or never-begun) shard. It always arrives wrapped with shard index and
-// cause; match it with errors.Is.
+// ErrShardUnavailable marks work a quarantined (or never-begun) shard
+// cannot do: a round no shard can begin or finish, or — in the single-row
+// forms above the engine — a row the batch reported Unavailable. It
+// arrives wrapped; match it with errors.Is.
 var ErrShardUnavailable = errors.New("shard: shard unavailable")
 
 // DefaultTrigger is the quarantine policy used when Config.Trigger is
@@ -67,19 +68,6 @@ func (e *Engine) quarantineSnapshot() []bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]bool(nil), e.quarantined...)
-}
-
-// unavailable builds the wrapped ErrShardUnavailable for shard s,
-// carrying the quarantine cause so errors.Is matches both the sentinel
-// and (say) device.ErrInjected.
-func (e *Engine) unavailable(s int) error {
-	e.mu.Lock()
-	cause := e.causes[s]
-	e.mu.Unlock()
-	if cause != nil {
-		return fmt.Errorf("shard %d: %w: %w", e.cfg.Base+s, ErrShardUnavailable, cause)
-	}
-	return fmt.Errorf("shard %d: %w", e.cfg.Base+s, ErrShardUnavailable)
 }
 
 // HealthStatus is the engine-level health rollup.

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -38,7 +39,7 @@ func TestDefaultTrigger(t *testing.T) {
 
 // TestBeginRoundQuarantinesTriggerShard: a shard whose BeginRound fails
 // with a quarantine-trigger error is isolated, the round proceeds over
-// the survivors, and operations routed to it get ErrShardUnavailable.
+// the survivors, and rows routed to it come back unavailable.
 func TestBeginRoundQuarantinesTriggerShard(t *testing.T) {
 	e, fakes := newFakeEngine(t, 100, 4, 2)
 	fakes[1].beginErr = injectedErr
@@ -53,20 +54,20 @@ func TestBeginRoundQuarantinesTriggerShard(t *testing.T) {
 	if !rep.Shards[1].Quarantined || rep.Shards[1].Cause == "" {
 		t.Errorf("shard 1 health = %+v", rep.Shards[1])
 	}
-	// Shard 1 owns rows [25, 50): serving one must fail typed.
-	_, _, err = r.ServeEntry(30)
-	if !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("serve on quarantined shard: err = %v", err)
+	// Shard 1 owns rows [25, 50): serving one must report it unavailable.
+	res, err := serve(r, 30)
+	if err != nil || !res[0].Unavailable {
+		t.Fatalf("serve on quarantined shard: %+v err = %v", res[0], err)
 	}
-	if !errors.Is(err, device.ErrInjected) {
-		t.Errorf("unavailable error lost its cause: %v", err)
+	if cause := e.Health().Shards[1].Cause; !strings.Contains(cause, device.ErrInjected.Error()) {
+		t.Errorf("unavailable shard lost its cause: %q", cause)
 	}
-	if _, err := r.SubmitGradient(30, []float32{1}, 1); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("submit on quarantined shard: err = %v", err)
+	if ok, err := submit(r, 30); err != nil || ok[0] {
+		t.Fatalf("submit on quarantined shard: delivered=%v err = %v", ok[0], err)
 	}
 	// Rows on live shards keep serving.
-	if _, ok, err := r.ServeEntry(10); err != nil || !ok {
-		t.Fatalf("live-shard serve: ok=%v err=%v", ok, err)
+	if res, err := serve(r, 10); err != nil || !res[0].OK {
+		t.Fatalf("live-shard serve: ok=%v err=%v", res[0].OK, err)
 	}
 	st, err := r.Finish()
 	if err != nil {
@@ -106,7 +107,7 @@ func TestBeginRoundFatalErrorStillFails(t *testing.T) {
 	}
 }
 
-// TestServeQuarantinesMidRound: a trigger error during ServeEntry
+// TestServeQuarantinesMidRound: a trigger error during ServeEntries
 // quarantines the owning shard mid-round; Finish drops its stats and
 // aborts it, and the round still completes.
 func TestServeQuarantinesMidRound(t *testing.T) {
@@ -116,8 +117,8 @@ func TestServeQuarantinesMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	fakes[1].failOn("serve", injectedErr)
-	if _, _, err := r.ServeEntry(90); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("err = %v", err)
+	if res, err := serve(r, 90); err != nil || !res[0].Unavailable {
+		t.Fatalf("serve = %+v, err = %v", res[0], err)
 	}
 	if rep := e.Health(); rep.Status != StatusDegraded {
 		t.Fatalf("health = %v mid-round", rep.Status)
@@ -231,8 +232,8 @@ func TestRecoverRestoresQuarantinedSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := r2.ServeEntry(50); err != nil || !ok {
-		t.Fatalf("recovered shard serve: ok=%v err=%v", ok, err)
+	if res, err := serve(r2, 50); err != nil || !res[0].OK {
+		t.Fatalf("recovered shard serve: ok=%v err=%v", res[0].OK, err)
 	}
 	if _, err := r2.Finish(); err != nil {
 		t.Fatal(err)
@@ -255,7 +256,7 @@ func TestRecoverGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _ = r.ServeEntry(10) // quarantine shard 0 mid-round
+	_, _ = serve(r, 10) // quarantine shard 0 mid-round
 	if _, err := e.Recover(snap); !errors.Is(err, ErrRoundOpen) {
 		t.Fatalf("mid-round Recover = %v, want ErrRoundOpen", err)
 	}

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/persist"
@@ -91,11 +92,62 @@ type Partition interface {
 
 // PartitionRound is one shard's in-flight round. Implementations must be
 // safe for concurrent use (the fedora pipeline's round is).
+//
+// The batch methods work on the rows of the caller's batch that idx lists
+// (every row when idx is nil), in that order: a row's LOCAL index is its
+// batch row minus base, and its outcome goes to the same index of out, so
+// a shard's share of a batch moves no row, gradient or result. n counts
+// the listed rows that completed; when err is non-nil the row listed at
+// position n failed and every row listed before it completed.
 type PartitionRound interface {
-	ServeEntry(row uint64) (entry []float32, ok bool, err error)
-	SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error)
-	SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error)
+	// ServeEntries serves downloads (step ④); OK is false for rows the
+	// shard's ε-FDP mechanism sacrificed.
+	ServeEntries(rows []uint64, idx []int, base uint64, out []EntryResult) (n int, err error)
+	// SubmitGradients folds client gradients into the shard's aggregate
+	// (step ⑥); out[i] is false when the row was not resident.
+	SubmitGradients(grads []RowGradient, idx []int, base uint64, out []bool) (n int, err error)
+	// SubmitAggregates folds already-aggregated multi-client sums (the
+	// upload plane's unmasked per-row output: Σ n_c·Δθ and Σ n_c),
+	// bypassing the aggregator's per-client pre-weighting.
+	SubmitAggregates(aggs []RowAggregate, idx []int, base uint64, out []bool) (n int, err error)
 	Finish() (RoundStats, error)
+}
+
+// At returns the batch index idx lists at position p: p itself when idx
+// is nil (the whole batch, in order).
+func At(idx []int, p int) int {
+	if idx == nil {
+		return p
+	}
+	return idx[p]
+}
+
+// EntryResult is one row's outcome in a batched download: OK is false
+// for rows the ε-FDP mechanism sacrificed this round (the caller applies
+// its lost-entry policy). Unavailable marks rows owned by a quarantined
+// shard (always with OK false): the row could not be served this round
+// at all, and the trainer should skip or resample it rather than treat
+// the silence as a model value.
+type EntryResult struct {
+	Row         uint64
+	Entry       []float32
+	OK          bool
+	Unavailable bool
+}
+
+// RowGradient is one row's contribution to a batched gradient upload.
+type RowGradient struct {
+	Row     uint64
+	Grad    []float32
+	Samples int
+}
+
+// RowAggregate is one row's combined contribution in a batched
+// aggregate upload: the unmasked per-row output of the wire plane.
+type RowAggregate struct {
+	Row   uint64
+	Sum   []float32
+	Count float32
 }
 
 // ErrRoundInProgress is returned by BeginRound when the previous round
@@ -247,8 +299,8 @@ func (e *Engine) route(requests [][]uint64) ([][][]uint64, error) {
 	return perShard, nil
 }
 
-// forEach runs fn(i) for every shard index over the bounded worker pool
-// and blocks until all complete.
+// forEach runs fn(i) for every shard index, each on its own goroutine
+// with at most Workers() running at once, and blocks until all complete.
 func (e *Engine) forEach(fn func(i int)) {
 	workers := e.Workers()
 	if workers == 1 {
@@ -257,21 +309,17 @@ func (e *Engine) forEach(fn func(i int)) {
 		}
 		return
 	}
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for i := 0; i < e.cfg.Shards; i++ {
+		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
+			fn(i)
+			<-sem
 		}()
 	}
-	for i := 0; i < e.cfg.Shards; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 }
 
@@ -308,10 +356,11 @@ func (e *Engine) Abort() {
 	}
 }
 
-// Round is an in-flight sharded round: one PartitionRound per shard.
-// ServeEntry and SubmitGradient are safe for concurrent use and, unlike
-// the monolithic pipeline, proceed in parallel when the rows live on
-// different shards (each shard serializes only its own pipeline).
+// Round is an in-flight sharded round: one PartitionRound per shard. It
+// is itself a PartitionRound over the whole table. Its batch methods are
+// safe for concurrent use; each splits its batch by owning shard and runs
+// the shards' groups on the engine's worker pool (each shard serializes
+// only its own pipeline).
 type Round struct {
 	e    *Engine
 	subs []PartitionRound
@@ -386,67 +435,110 @@ func (e *Engine) BeginRound(requests [][]uint64) (*Round, error) {
 	return r, nil
 }
 
-// onShard runs one round operation against the shard that owns row,
-// handing op the shard's round and the row's LOCAL index. Rows owned by a
-// quarantined (or never-begun) shard return ErrShardUnavailable (wrapped
-// with the quarantine cause) so the trainer can skip or resample them; a
-// quarantine-trigger error from op quarantines the shard mid-round and is
-// reported the same way. Any other error is op's own.
-func (r *Round) onShard(row uint64, op func(sub PartitionRound, local uint64) error) error {
+// ServeEntries implements PartitionRound. Rows of a quarantined (or
+// never-begun) shard come back Unavailable.
+func (r *Round) ServeEntries(rows []uint64, idx []int, base uint64, out []EntryResult) (int, error) {
+	return r.split(len(rows), idx, base, func(i int) uint64 { return rows[i] },
+		func(sub PartitionRound, idx []int, base uint64) (int, error) {
+			return sub.ServeEntries(rows, idx, base, out)
+		},
+		func(i int) { out[i] = EntryResult{Row: rows[i], Unavailable: true} })
+}
+
+// SubmitGradients implements PartitionRound. Gradients for rows of a
+// quarantined (or never-begun) shard are not delivered.
+func (r *Round) SubmitGradients(grads []RowGradient, idx []int, base uint64, out []bool) (int, error) {
+	return r.split(len(grads), idx, base, func(i int) uint64 { return grads[i].Row },
+		func(sub PartitionRound, idx []int, base uint64) (int, error) {
+			return sub.SubmitGradients(grads, idx, base, out)
+		},
+		func(i int) { out[i] = false })
+}
+
+// SubmitAggregates implements PartitionRound, with SubmitGradients'
+// delivery rules.
+func (r *Round) SubmitAggregates(aggs []RowAggregate, idx []int, base uint64, out []bool) (int, error) {
+	return r.split(len(aggs), idx, base, func(i int) uint64 { return aggs[i].Row },
+		func(sub PartitionRound, idx []int, base uint64) (int, error) {
+			return sub.SubmitAggregates(aggs, idx, base, out)
+		},
+		func(i int) { out[i] = false })
+}
+
+// split runs one batch operation: it groups the listed batch indices by
+// owning shard (rowOf(i) - base is the row's engine-wide index), keeping
+// request order within each group, so a shard's ORAMs see its rows in
+// batch order whatever the scheduler does, and runs each shard's group as
+// one partition call on the worker pool. Every row of a quarantined (or
+// never-begun) shard is unavailable. A quarantine-trigger error
+// quarantines the shard, and the failing row and the rest of its group
+// are unavailable while the rows it completed keep their results. Any
+// other error, like an out-of-range row, fails the batch at its position;
+// of several, the lowest position's is returned.
+func (r *Round) split(n int, idx []int, base uint64, rowOf func(i int) uint64,
+	call func(sub PartitionRound, idx []int, base uint64) (int, error), unavailable func(i int)) (int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.done {
-		return ErrRoundFinished
+		return 0, ErrRoundFinished
 	}
-	if row >= r.e.cfg.NumRows {
-		return fmt.Errorf("shard: row %d out of range %d", row, r.e.cfg.NumRows)
+	if idx != nil {
+		n = len(idx)
 	}
-	s, local := r.e.locate(row)
-	sub := r.subs[s]
-	if sub == nil || r.e.isQuarantined(s) {
-		return r.e.unavailable(s)
+	e := r.e
+	N, S := e.cfg.NumRows, e.cfg.Shards
+	failed, err := n, error(nil) // the failing position and its error
+	groups := make([][]int, S)   // the batch indices each shard owns
+	for p := 0; p < n; p++ {
+		i := At(idx, p)
+		if row := rowOf(i) - base; row < N {
+			s := ShardOf(N, S, row)
+			groups[s] = append(groups[s], i)
+		} else if err == nil {
+			failed, err = p, fmt.Errorf("shard: row %d out of range %d", row, N)
+		}
 	}
-	err := op(sub, local)
+	failedAt := make([]int, S) // per shard: the failing batch index
+	errs := make([]error, S)
+	e.forEach(func(s int) {
+		g, sub := groups[s], r.subs[s]
+		if len(g) == 0 {
+			return
+		}
+		k := 0
+		if sub != nil && !e.isQuarantined(s) {
+			var err error
+			if k, err = call(sub, g, base+Base(N, S, s)); err == nil {
+				return
+			}
+			if e.trigger(err) {
+				e.quarantine(s, err)
+			}
+			if !e.isQuarantined(s) {
+				failedAt[s], errs[s] = g[k], err
+				return
+			}
+		}
+		for _, i := range g[k:] {
+			unavailable(i)
+		}
+	})
+	for s, gerr := range errs {
+		if gerr == nil {
+			continue
+		}
+		p := failedAt[s]
+		if idx != nil {
+			p = slices.Index(idx, p)
+		}
+		if p < failed {
+			failed, err = p, gerr
+		}
+	}
 	if err != nil {
-		if r.e.trigger(err) {
-			r.e.quarantine(s, err)
-		}
-		if r.e.isQuarantined(s) {
-			return r.e.unavailable(s)
-		}
+		return failed, err
 	}
-	return err
-}
-
-// ServeEntry serves a client download (step ④), routed to the owning
-// shard. ok is false for rows the shard's ε-FDP mechanism sacrificed.
-func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
-	err = r.onShard(row, func(sub PartitionRound, local uint64) (err error) {
-		entry, ok, err = sub.ServeEntry(local)
-		return err
-	})
-	return entry, ok, err
-}
-
-// SubmitGradient folds a client gradient into the owning shard's
-// aggregate (step ⑥).
-func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
-	err = r.onShard(row, func(sub PartitionRound, local uint64) (err error) {
-		delivered, err = sub.SubmitGradient(local, grad, nSamples)
-		return err
-	})
-	return delivered, err
-}
-
-// SubmitAggregate folds an already-aggregated multi-client sum (the
-// upload plane's unmasked per-row output: Σ n_c·Δθ and Σ n_c) into the
-// owning shard, bypassing the aggregator's per-client pre-weighting.
-func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
-	err = r.onShard(row, func(sub PartitionRound, local uint64) (err error) {
-		delivered, err = sub.SubmitAggregate(local, sum, count)
-		return err
-	})
-	return delivered, err
+	return n, nil
 }
 
 // Finish runs every live shard's write-back (step ⑦) concurrently,
