@@ -704,8 +704,8 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		cp := persist.NewCheckpoint()
-		cp.Put(cluster.CheckpointSection, blob)
-		if _, err := mgr.SaveNext(cp, 3); err != nil {
+		cp.Put(persist.ControllerSection, blob)
+		if _, err := mgr.SaveNext(cp); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(blob)))

@@ -45,11 +45,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ctrlSection names the controller snapshot inside checkpoint files,
-// shared with fedora-server so checkpoints are portable between a
-// coordinator and a single process.
-const ctrlSection = cluster.CheckpointSection
-
 func main() {
 	var (
 		listen   = flag.String("listen", ":8080", "listen address")
@@ -133,7 +128,6 @@ func main() {
 		if mgr, err = persist.OpenManager(*ckptDir); err != nil {
 			log.Fatal(err)
 		}
-		ccfg.Checkpoint = func() ([]byte, error) { return latestBlob(mgr) }
 		ccfg.Manager = mgr
 		ccfg.CheckpointEvery = *ckptEvery
 	}
@@ -202,10 +196,12 @@ func main() {
 	if *ckptEvery > 0 && mgr == nil {
 		log.Fatal("fedora-coordinator: -checkpoint-every requires -checkpoint-dir")
 	}
-	// Checkpoint cadence and degraded-round migration run inside the
-	// coordinator itself (Config.Manager) rather than api.WithAutoRecover:
-	// the cluster layer must pair every checkpoint with a WAL reset, and
-	// two independent writers would collide on checkpoint epochs.
+	// The post-round rule (api.AfterRound: checkpoint cadence and
+	// degraded-round migration) runs inside the coordinator itself
+	// (Config.Manager), with the round-WAL reset as its after-save hook,
+	// so the api.Server below gets no WithAutoRecover: running the rule
+	// there too would save a second checkpoint per due round, unpaired
+	// with any WAL reset.
 	mux := http.NewServeMux()
 	co.RegisterRoutes(mux)
 	mux.Handle("/", api.NewServerFor(co, opts...).Handler())
@@ -232,7 +228,7 @@ func main() {
 		log.Printf("fedora-coordinator: drain: %v", err)
 	}
 	if mgr != nil && (ha == nil || ha.Role() == "primary") {
-		epoch, err := saveCluster(mgr, co)
+		epoch, err := mgr.SaveSection(persist.ControllerSection, co.Snapshot)
 		switch {
 		case errors.Is(err, fedora.ErrRoundOpen):
 			log.Printf("fedora-coordinator: shutdown checkpoint skipped: %v", err)
@@ -273,32 +269,4 @@ func parseMembers(s string) ([]cluster.NodeSpec, error) {
 		nodes = append(nodes, cluster.NodeSpec{URL: url, First: first, Count: count})
 	}
 	return nodes, nil
-}
-
-// latestBlob returns the newest checkpoint's controller section for
-// join-time shard migration.
-func latestBlob(mgr *persist.Manager) ([]byte, error) {
-	cp, skipped, err := mgr.LoadLatest()
-	if err != nil {
-		return nil, err
-	}
-	for _, skip := range skipped {
-		log.Printf("fedora-coordinator: skipped corrupt checkpoint: %v", skip)
-	}
-	blob, ok := cp.Get(ctrlSection)
-	if !ok {
-		return nil, fmt.Errorf("checkpoint epoch %d has no %q section", cp.Epoch, ctrlSection)
-	}
-	return blob, nil
-}
-
-// saveCluster assembles and persists a cluster-wide checkpoint.
-func saveCluster(mgr *persist.Manager, co *cluster.Coordinator) (uint64, error) {
-	blob, err := co.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	cp := persist.NewCheckpoint()
-	cp.Put(ctrlSection, blob)
-	return mgr.SaveNext(cp, 3)
 }

@@ -49,9 +49,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ctrlSection names the controller snapshot inside checkpoint files.
-const ctrlSection = "fedora/controller"
-
 func main() {
 	var (
 		listen   = flag.String("listen", ":8080", "listen address")
@@ -161,8 +158,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := restoreController(mgr, ctrl); err != nil {
+		blob, epoch, skipped, err := mgr.LoadSection(persist.ControllerSection)
+		for _, skip := range skipped {
+			log.Printf("fedora-server: skipped corrupt checkpoint: %v", skip)
+		}
+		switch {
+		case errors.Is(err, persist.ErrNoCheckpoint):
+		case err != nil:
 			log.Fatal(err)
+		default:
+			if err := ctrl.Restore(blob); err != nil {
+				log.Fatalf("restore epoch %d: %v", epoch, err)
+			}
+			fmt.Printf("fedora-server: restored epoch %d (round %d) from %s\n", epoch, ctrl.Round(), mgr.Dir())
 		}
 	}
 
@@ -219,7 +227,7 @@ func main() {
 		log.Printf("fedora-server: drain: %v", err)
 	}
 	if mgr != nil {
-		epoch, err := saveController(mgr, ctrl)
+		epoch, err := mgr.SaveSection(persist.ControllerSection, ctrl.Snapshot)
 		switch {
 		case errors.Is(err, fedora.ErrRoundOpen):
 			// A round was in flight when the drain deadline hit; its state
@@ -234,38 +242,4 @@ func main() {
 	if err := ctrl.Close(); err != nil {
 		log.Printf("fedora-server: close storage: %v", err)
 	}
-}
-
-// restoreController loads the newest valid checkpoint, if any.
-func restoreController(mgr *persist.Manager, ctrl *fedora.Controller) error {
-	cp, skipped, err := mgr.LoadLatest()
-	if errors.Is(err, persist.ErrNoCheckpoint) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, skip := range skipped {
-		log.Printf("fedora-server: skipped corrupt checkpoint: %v", skip)
-	}
-	blob, ok := cp.Get(ctrlSection)
-	if !ok {
-		return fmt.Errorf("checkpoint epoch %d has no %q section", cp.Epoch, ctrlSection)
-	}
-	if err := ctrl.Restore(blob); err != nil {
-		return fmt.Errorf("restore epoch %d: %w", cp.Epoch, err)
-	}
-	fmt.Printf("fedora-server: restored epoch %d (round %d) from %s\n", cp.Epoch, ctrl.Round(), mgr.Dir())
-	return nil
-}
-
-// saveController writes the controller as the next epoch.
-func saveController(mgr *persist.Manager, ctrl *fedora.Controller) (uint64, error) {
-	blob, err := ctrl.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	cp := persist.NewCheckpoint()
-	cp.Put(ctrlSection, blob)
-	return mgr.SaveNext(cp, 3)
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-
-	"repro/internal/fedora"
 )
 
 // Admin endpoints move raw checkpoint state over the wire — the
@@ -21,35 +19,26 @@ import (
 // megabytes. The restore endpoints force-quiesce any open round first —
 // the caller is a coordinator re-syncing a member whose previous round
 // was orphaned by a fence, so there is no graceful finish to wait for.
-// A backend without the corresponding capability answers 501.
+// The shard routes need the ShardPorter capability; a backend without it
+// (a cluster coordinator) answers 501 there.
 
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.ctrl.(Snapshotter)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeUnsupported, "backend does not support snapshots")
-		return
-	}
-	blob, err := snap.Snapshot()
+	blob, err := s.ctrl.Snapshot()
 	if err != nil {
-		writeAdminError(w, err)
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	writeBody(w, http.StatusOK, "application/octet-stream", blob)
 }
 
 func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.ctrl.(Snapshotter)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeUnsupported, "backend does not support snapshots")
-		return
-	}
 	blob, ok := readRequestBody(w, r, MaxAdminBlob)
 	if !ok {
 		return
 	}
 	s.abortForRestore()
-	if err := snap.Restore(blob); err != nil {
-		writeAdminError(w, err)
+	if err := s.ctrl.Restore(blob); err != nil {
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]bool{"restored": true})
@@ -63,12 +52,12 @@ func (s *Server) handleAdminShardSnapshot(w http.ResponseWriter, r *http.Request
 	}
 	global, aerr := adminShardIndex(r, porter)
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	blob, err := porter.SnapshotShard(global)
 	if err != nil {
-		writeAdminError(w, err)
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	writeBody(w, http.StatusOK, "application/octet-stream", blob)
@@ -82,7 +71,7 @@ func (s *Server) handleAdminShardRestore(w http.ResponseWriter, r *http.Request)
 	}
 	global, aerr := adminShardIndex(r, porter)
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	blob, ok := readRequestBody(w, r, MaxAdminBlob)
@@ -91,7 +80,7 @@ func (s *Server) handleAdminShardRestore(w http.ResponseWriter, r *http.Request)
 	}
 	s.abortForRestore()
 	if err := porter.RestoreShard(global, blob); err != nil {
-		writeAdminError(w, err)
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"restored": true, "shard": global})
@@ -128,7 +117,7 @@ func (s *Server) abortOpenRound(msg string) {
 	if sr := s.current; sr != nil {
 		sr.finished = true
 		sr.round = nil
-		sr.finishErr = msg
+		sr.finishErr = errors.New(msg)
 		if sr.timer != nil {
 			sr.timer.Stop()
 			sr.timer = nil
@@ -136,17 +125,5 @@ func (s *Server) abortOpenRound(msg string) {
 		s.current = nil
 	}
 	s.mu.Unlock()
-	if ab, ok := s.ctrl.(Aborter); ok {
-		ab.AbortRound()
-	}
-}
-
-// writeAdminError maps backend errors to the envelope: a round in
-// flight is 409 (retry after finish), everything else 500.
-func writeAdminError(w http.ResponseWriter, err error) {
-	if errors.Is(err, fedora.ErrRoundOpen) {
-		writeError(w, http.StatusConflict, CodeRoundInProgress, "%s", err.Error())
-		return
-	}
-	writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
+	s.ctrl.AbortRound()
 }

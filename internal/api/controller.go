@@ -36,6 +36,18 @@ type Controller interface {
 	PeekRow(row uint64) ([]float32, error)
 	Health() shard.HealthReport
 	StorageReports() []storage.Report
+
+	// Snapshot and Restore move the whole controller state: the blob
+	// behind every checkpoint and the /v2/admin/snapshot|restore routes.
+	Snapshot() ([]byte, error)
+	Restore(b []byte) error
+	// RecoverQuarantined replays only the quarantined shards' sections of
+	// a Snapshot blob and returns their global indices (nil when nothing
+	// needed recovery); fedora.ErrRoundOpen while a round is open.
+	RecoverQuarantined(b []byte) ([]int, error)
+	// AbortRound force-closes an open round without finishing it — what
+	// a restore or an epoch fence does to the round it supersedes.
+	AbortRound()
 }
 
 // Round is an in-flight round as the handlers drive it — the same
@@ -52,41 +64,22 @@ type Round interface {
 	Finish() (fedora.RoundStats, error)
 }
 
-// Snapshotter is the optional whole-state checkpoint capability. The
-// auto-recover machinery and the /v2/admin/snapshot|restore endpoints
-// use it when the backend provides it.
-type Snapshotter interface {
-	Snapshot() ([]byte, error)
-	Restore(b []byte) error
-}
-
-// Recoverer is the optional quarantine-recovery capability
-// (checkpoint-section replay of only the fenced shards).
-type Recoverer interface {
-	RecoverQuarantined(b []byte) ([]int, error)
-}
-
-// ShardPorter is the optional per-shard state-migration capability,
-// addressed by GLOBAL shard index; it powers the
-// /v2/admin/shards/{shard}/... endpoints a cluster coordinator uses to
+// ShardPorter is the one optional capability, found by type assertion:
+// per-shard state migration addressed by GLOBAL shard index, behind the
+// /v2/admin/shards/{shard}/... routes a cluster coordinator uses to
 // export sections from members and replay them onto replacements.
+// Members serve it; a coordinator does not (its shards live on the
+// members), so there those routes answer 501 unsupported.
 type ShardPorter interface {
 	ShardRange() (first, count int)
 	SnapshotShard(global int) ([]byte, error)
 	RestoreShard(global int, blob []byte) error
 }
 
-// Aborter is the optional force-quiesce capability the admin restore
-// path uses to clear a round a coordinator fence orphaned.
-type Aborter interface {
-	AbortRound()
-}
-
 // fedoraController adapts *fedora.Controller to Controller: BeginRound
 // returns a concrete *fedora.Round there, and Backend() returns the
-// enum rather than a string. Everything else — including the optional
-// Snapshotter/Recoverer/ShardPorter/Aborter capabilities — promotes
-// from the embedded controller.
+// enum rather than a string. Everything else — the ShardPorter
+// capability included — promotes from the embedded controller.
 type fedoraController struct{ *fedora.Controller }
 
 func (c fedoraController) BeginRound(requests [][]uint64) (Round, error) {

@@ -33,7 +33,7 @@ const (
 	CodeInternal         = "internal"           // 500
 	CodeOverloaded       = "overloaded"         // 503: shed by overload protection (Retry-After set)
 	CodeUnavailable      = "unavailable"        // 503: every shard is quarantined
-	CodeUnsupported      = "unsupported"        // 501: backend lacks the capability (admin routes)
+	CodeUnsupported      = "unsupported"        // 501: shard admin routes on a backend without ShardPorter (a coordinator)
 	CodeStaleEpoch       = "stale_epoch"        // 409: request epoch below the highest fenced epoch
 	CodeNotLeader        = "not_leader"         // 409: this coordinator is a standby; follow leader_hint
 )

@@ -2,7 +2,6 @@ package api
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"repro/internal/fedora"
@@ -29,11 +28,6 @@ import (
 // returns to "healthy". Only when EVERY shard is quarantined does
 // /healthz answer 503.
 
-// recoverSection is the checkpoint section holding the controller
-// snapshot — the same section name cmd/fedora-server and the durable
-// fl.Runner use, so one checkpoint directory serves both.
-const recoverSection = "fedora/controller"
-
 // WithMaxInFlight bounds the number of round operations (begin, entry
 // and gradient transfers, finish) the server runs concurrently. Excess
 // requests are shed immediately with 503, code "overloaded", and a
@@ -53,11 +47,12 @@ func WithMaxInFlight(n int) Option {
 //
 //   - on construction, a bootstrap checkpoint is written if the
 //     directory has none (recovery needs something to replay);
-//   - after every `every`-th round finishes healthy, the controller is
-//     checkpointed as the next epoch (older epochs pruned to 3);
-//   - after a round finishes degraded (a shard was quarantined by a
-//     fault or integrity violation), the quarantined shards — and only
-//     those — are restored from the newest checkpoint and rejoin.
+//   - after every round, AfterRound runs: every `every`-th round that
+//     finishes healthy checkpoints the controller as the next epoch
+//     (older epochs pruned to 3), and after a round finishes degraded (a
+//     shard was quarantined by a fault or integrity violation) the
+//     quarantined shards — and only those — are restored from the
+//     newest checkpoint and rejoin.
 //
 // The restored shards lose the rounds since that checkpoint (bounded by
 // `every`); the surviving shards and the round counter are untouched.
@@ -136,85 +131,74 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, status, resp)
 }
 
-// bootstrapRecover runs once at construction: adopt the newest existing
-// epoch, or write epoch 1 so recovery always has a checkpoint to replay.
+// bootstrapRecover runs once at construction: write epoch 1 unless the
+// directory already has a checkpoint, so recovery always has one to
+// replay.
 func (s *Server) bootstrapRecover() {
-	s.recoverMu.Lock()
-	defer s.recoverMu.Unlock()
 	epochs, err := s.recoverMgr.Epochs()
-	if err != nil {
-		s.recoverErr = err.Error()
-		return
+	if err == nil && len(epochs) == 0 {
+		_, err = s.recoverMgr.SaveSection(persist.ControllerSection, s.ctrl.Snapshot)
 	}
-	if len(epochs) > 0 {
-		s.lastEpoch = epochs[len(epochs)-1]
-		return
-	}
-	s.recoverErr = errString(s.checkpointLocked())
+	s.recoverErr = errString(err)
 }
 
-// maybeRecover runs after every round finish (outside all server round
-// state mutexes): checkpoint on a healthy cadence, recover quarantined
-// shards otherwise. Recovery-machinery errors are recorded for /healthz
-// but never propagate into round traffic.
+// maybeRecover runs AfterRound after every round finish (outside all
+// server round state mutexes). The outcome of a checkpoint or recovery
+// is recorded for /healthz but never propagates into round traffic.
 func (s *Server) maybeRecover() {
 	if s.recoverMgr == nil {
 		return
 	}
 	s.recoverMu.Lock()
 	defer s.recoverMu.Unlock()
-	if s.ctrl.Health().Status == shard.StatusHealthy {
-		if s.ctrl.Round()%uint64(s.recoverEvery) == 0 {
-			s.recoverErr = errString(s.checkpointLocked())
-		}
-		return
+	if op, err := AfterRound(s.ctrl, s.recoverMgr, s.recoverEvery, s.ctrl.Round(), nil); op != UpkeepNone {
+		s.recoverErr = errString(err)
 	}
-	// Degraded (or worse): replay the quarantined shards' sections from
-	// the newest checkpoint. The survivors keep their current state.
-	rec, ok := s.ctrl.(Recoverer)
-	if !ok {
-		return
-	}
-	cp, _, err := s.recoverMgr.LoadLatest()
-	if err != nil {
-		s.recoverErr = err.Error()
-		return
-	}
-	blob, ok := cp.Get(recoverSection)
-	if !ok {
-		s.recoverErr = fmt.Sprintf("checkpoint epoch %d has no %q section", cp.Epoch, recoverSection)
-		return
-	}
-	if _, err := rec.RecoverQuarantined(blob); err != nil {
-		if errors.Is(err, fedora.ErrRoundOpen) {
-			// A new round raced in; the next finish retries recovery.
-			return
-		}
-		s.recoverErr = err.Error()
-		return
-	}
-	s.recoverErr = ""
 }
 
-// checkpointLocked snapshots the controller as the next epoch and
-// prunes old epochs. Caller holds s.recoverMu.
-func (s *Server) checkpointLocked() error {
-	snap, ok := s.ctrl.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("api: controller does not support snapshots")
+// Upkeep names the branch of AfterRound that ran.
+type Upkeep int
+
+const (
+	// UpkeepNone: a healthy round off the cadence, or a recovery that
+	// met a round opened meanwhile (benign: the next finish retries).
+	UpkeepNone Upkeep = iota
+	// UpkeepCheckpoint: healthy and due — the controller was saved as the
+	// next epoch and the hook run, or the error says why not.
+	UpkeepCheckpoint
+	// UpkeepRecover: not healthy — the quarantined shards were replayed
+	// from the newest checkpoint, or the error says why not.
+	UpkeepRecover
+)
+
+// AfterRound is the post-round checkpoint rule, written once for both
+// durable serving layers — api.Server under WithAutoRecover and the
+// cluster coordinator. When ctrl is healthy and round is a multiple of
+// every, it snapshots ctrl, saves the snapshot as mgr's next epoch and
+// runs afterSave (nil = none); when ctrl is degraded, it replays the
+// quarantined shards from mgr's newest checkpoint through
+// RecoverQuarantined. It returns the branch that ran and its error;
+// each caller records them where its operators look.
+func AfterRound(ctrl Controller, mgr *persist.Manager, every int, round uint64, afterSave func() error) (Upkeep, error) {
+	if ctrl.Health().Status == shard.StatusHealthy {
+		if round%uint64(every) != 0 {
+			return UpkeepNone, nil
+		}
+		_, err := mgr.SaveSection(persist.ControllerSection, ctrl.Snapshot)
+		if err == nil && afterSave != nil {
+			err = afterSave()
+		}
+		return UpkeepCheckpoint, err
 	}
-	blob, err := snap.Snapshot()
-	if err != nil {
-		return err
+	// Degraded (or worse): the survivors keep their current state.
+	blob, _, _, err := mgr.LoadSection(persist.ControllerSection)
+	if err == nil {
+		_, err = ctrl.RecoverQuarantined(blob)
 	}
-	cp := persist.NewCheckpoint()
-	cp.Put(recoverSection, blob)
-	next := s.lastEpoch + 1
-	if err := s.recoverMgr.Save(next, cp); err != nil {
-		return err
+	if errors.Is(err, fedora.ErrRoundOpen) {
+		return UpkeepNone, nil
 	}
-	s.lastEpoch = next
-	return s.recoverMgr.Prune(3)
+	return UpkeepRecover, err
 }
 
 func errString(err error) string {

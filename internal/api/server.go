@@ -79,7 +79,6 @@ type Server struct {
 	recoverMgr   *persist.Manager
 	recoverEvery int
 	recoverMu    sync.Mutex
-	lastEpoch    uint64
 	recoverErr   string
 
 	mu        sync.Mutex

@@ -108,24 +108,14 @@ type RowResponse struct {
 	Entry []float32 `json:"entry"`
 }
 
-// batchEntry records one upload's outcome for replay to retries. done
-// is closed once resp and err are set; a concurrent duplicate waits on
-// it instead of re-applying.
-type batchEntry struct {
+// reservation records one keyed request's reply — a gradient batch's
+// or a stage's — for replay to retries. done is closed once resp and
+// err are set; a concurrent duplicate waits on it instead of
+// re-applying.
+type reservation[T any] struct {
 	done chan struct{}
-	resp GradientBatchResponse
+	resp T
 	err  *apiError // nil = success
-}
-
-// stageEntry records one stage application (or its failure) for replay
-// to retries, exactly like batchEntry does for gradient batches.
-type stageEntry struct {
-	done chan struct{}
-
-	resp      StageV2Response
-	errStatus int // 0 = success
-	errCode   string
-	errMsg    string
 }
 
 // serverRound is the server-side state of one round.
@@ -141,14 +131,13 @@ type serverRound struct {
 	// additionally serializes the finish transition itself so exactly
 	// one caller (explicit finish or deadline timer) runs the round's
 	// Finish.
-	round       Round // nil once finished
-	finished    bool
-	expired     bool
-	stats       fedora.RoundStats
-	finishErr   string
-	finishStale bool // finish failed because the coordinator was deposed
-	batches     map[string]*batchEntry
-	stages      map[string]*stageEntry
+	round     Round // nil once finished
+	finished  bool
+	expired   bool
+	stats     fedora.RoundStats
+	finishErr error // mapped to its envelope at reply time
+	batches   map[string]*reservation[GradientBatchResponse]
+	stages    map[string]*reservation[StageV2Response]
 
 	// Wire upload plane (wire.go). wireAgg is created lazily on the
 	// first binary upload; wireBytes/wireSats are recorded at unmask and
@@ -177,6 +166,30 @@ func (e *apiError) Error() string { return e.msg }
 func errf(status int, code, format string, args ...any) *apiError {
 	return &apiError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
 }
+
+// errorReply maps a backend error to its envelope, the one table every
+// handler uses: each round-lifecycle sentinel has a fixed reply, and any
+// other error gets the call site's fallback status and code.
+func errorReply(err error, status int, code string) *apiError {
+	switch {
+	case errors.Is(err, fedora.ErrRoundFinished):
+		status, code = http.StatusConflict, CodeRoundFinished
+	case errors.Is(err, fedora.ErrRoundInProgress), errors.Is(err, fedora.ErrRoundOpen):
+		status, code = http.StatusConflict, CodeRoundInProgress
+	case errors.Is(err, ErrStaleEpoch):
+		// A deposed coordinator: the SDK fails over on stale_epoch.
+		status, code = http.StatusConflict, CodeStaleEpoch
+	case errors.Is(err, fedora.ErrStageMismatch):
+		status, code = http.StatusConflict, CodeStageMismatch
+	case errors.Is(err, fedora.ErrShardUnavailable):
+		// Nothing can serve until recovery runs: 503 so clients back off.
+		status, code = http.StatusServiceUnavailable, CodeUnavailable
+	}
+	return &apiError{status: status, code: code, msg: err.Error()}
+}
+
+// write sends e as the JSON error envelope.
+func (e *apiError) write(w http.ResponseWriter) { writeError(w, e.status, e.code, "%s", e.msg) }
 
 // beginRound runs the begin flow: idempotency check, controller
 // BeginRound (outside the server mutex), round registration, deadline
@@ -218,21 +231,7 @@ func (s *Server) beginRound(req BeginV2Request) (*serverRound, bool, *apiError) 
 	s.beginning = false
 	if err != nil {
 		s.mu.Unlock()
-		if errors.Is(err, fedora.ErrRoundInProgress) {
-			return nil, false, errf(http.StatusConflict, CodeRoundInProgress, "%s", err.Error())
-		}
-		if errors.Is(err, ErrStaleEpoch) {
-			// This server fronts a deposed coordinator: the members have
-			// been fenced by a newer epoch. 409 stale_epoch tells the SDK
-			// to fail over to the new leader.
-			return nil, false, errf(http.StatusConflict, CodeStaleEpoch, "%s", err.Error())
-		}
-		if errors.Is(err, fedora.ErrShardUnavailable) {
-			// Every shard is quarantined: nothing can serve until
-			// recovery runs. 503 so clients back off rather than fail.
-			return nil, false, errf(http.StatusServiceUnavailable, CodeUnavailable, "%s", err.Error())
-		}
-		return nil, false, errf(http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
+		return nil, false, errorReply(err, http.StatusBadRequest, CodeInvalidArgument)
 	}
 	s.roundSeq++
 	sr := &serverRound{
@@ -240,8 +239,8 @@ func (s *Server) beginRound(req BeginV2Request) (*serverRound, bool, *apiError) 
 		seq:     s.ctrl.Round(),
 		key:     req.RoundKey,
 		round:   round,
-		batches: make(map[string]*batchEntry),
-		stages:  make(map[string]*stageEntry),
+		batches: make(map[string]*reservation[GradientBatchResponse]),
+		stages:  make(map[string]*reservation[StageV2Response]),
 	}
 	deadline := s.defaultDeadline
 	if req.DeadlineMS > 0 {
@@ -299,16 +298,16 @@ func (s *Server) liveRound(sr *serverRound) (Round, *apiError) {
 
 // finishRound finishes sr exactly once (explicit finish and the
 // deadline timer both funnel here); later callers get the recorded
-// outcome. Returns the stats and the recorded finish error ("" = ok).
-func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, string) {
+// outcome. Returns the stats and the recorded finish error.
+func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, error) {
 	sr.finishMu.Lock()
 	defer sr.finishMu.Unlock()
 
 	s.mu.Lock()
 	if sr.finished {
-		st, msg := sr.stats, sr.finishErr
+		st, ferr := sr.stats, sr.finishErr
 		s.mu.Unlock()
-		return st, msg
+		return st, ferr
 	}
 	round := sr.round
 	s.mu.Unlock()
@@ -326,8 +325,7 @@ func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, 
 	st.Saturations += sr.wireSats
 	sr.stats = st
 	if err != nil && !errors.Is(err, fedora.ErrRoundFinished) {
-		sr.finishErr = err.Error()
-		sr.finishStale = errors.Is(err, ErrStaleEpoch)
+		sr.finishErr = err
 	}
 	if sr.timer != nil {
 		sr.timer.Stop()
@@ -336,14 +334,14 @@ func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, 
 	if s.current == sr {
 		s.current = nil
 	}
-	msg := sr.finishErr
+	ferr := sr.finishErr
 	s.mu.Unlock()
 
 	// Post-finish resilience hook: checkpoint on a healthy cadence,
 	// recover quarantined shards from the newest checkpoint otherwise.
 	// Runs outside the server mutex; errors surface on /healthz only.
 	s.maybeRecover()
-	return st, msg
+	return st, ferr
 }
 
 // roundInfo snapshots sr for the wire.
@@ -357,7 +355,7 @@ func (s *Server) roundInfo(sr *serverRound) RoundInfo {
 		Expired:    sr.expired,
 		DeadlineMS: sr.deadlineMS,
 	}
-	if sr.finished && sr.finishErr == "" {
+	if sr.finished && sr.finishErr == nil {
 		st := statsJSON(sr.stats)
 		info.Stats = &st
 	}
@@ -402,7 +400,7 @@ func (s *Server) handleBeginV2(w http.ResponseWriter, r *http.Request) {
 	}
 	sr, created, aerr := s.beginRound(req)
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	status := http.StatusOK // idempotent re-fetch
@@ -415,7 +413,7 @@ func (s *Server) handleBeginV2(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRoundInfoV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	WriteJSON(w, http.StatusOK, s.roundInfo(sr))
@@ -424,7 +422,7 @@ func (s *Server) handleRoundInfoV2(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEntriesV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	var req EntriesRequest
@@ -446,22 +444,14 @@ func (s *Server) handleEntriesV2(w http.ResponseWriter, r *http.Request) {
 	}
 	round, aerr := s.liveRound(sr)
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	// ServeEntries fans out across shards internally; an empty batch is
 	// legal (a fully-padded client has nothing real to download).
 	results, err := round.ServeEntries(req.Rows)
 	if err != nil {
-		if errors.Is(err, fedora.ErrRoundFinished) {
-			writeError(w, http.StatusConflict, CodeRoundFinished, "%s", err.Error())
-			return
-		}
-		if errors.Is(err, ErrStaleEpoch) {
-			writeError(w, http.StatusConflict, CodeStaleEpoch, "%s", err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	body, err := AppendRowFrame(nil, RowFrame{Kind: FrameEntries, Dim: dim, Entries: results})
@@ -480,7 +470,7 @@ func (s *Server) handleEntriesV2(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGradientsV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	var apply func() (GradientBatchResponse, *apiError)
@@ -498,7 +488,7 @@ func (s *Server) handleGradientsV2(w http.ResponseWriter, r *http.Request) {
 		}
 		f, aerr := s.checkUploadFrame(body)
 		if aerr != nil {
-			writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+			aerr.write(w)
 			return
 		}
 		apply = func() (GradientBatchResponse, *apiError) { return s.applyRows(sr, f) }
@@ -507,36 +497,37 @@ func (s *Server) handleGradientsV2(w http.ResponseWriter, r *http.Request) {
 			"gradients take %s or %s, not %q", RowFrameContentType, WireContentType, ct)
 		return
 	}
-	resp, aerr := s.reserveBatch(sr, r.Header.Get(BatchIDHeader), apply)
+	resp, dup, aerr := reserve(&s.mu, sr.batches, r.Header.Get(BatchIDHeader), apply)
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
+	resp.Duplicate = dup
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// reserveBatch runs apply at most once per (round, batch id): the id is
-// reserved before applying, so a concurrent retry of the same batch
-// waits for the first application and replays its recorded outcome
-// instead of double-applying. An empty id opts out.
-func (s *Server) reserveBatch(sr *serverRound, id string, apply func() (GradientBatchResponse, *apiError)) (GradientBatchResponse, *apiError) {
-	if id == "" {
-		return apply()
+// reserve runs apply at most once per key of a round's reservations
+// (gradient batch ids, stage keys): the key is reserved under mu before
+// applying, so a concurrent retry waits for the first application and
+// replays its recorded outcome instead of applying twice. dup reports
+// such a replay. An empty key opts out.
+func reserve[T any](mu *sync.Mutex, m map[string]*reservation[T], key string, apply func() (T, *apiError)) (resp T, dup bool, err *apiError) {
+	if key == "" {
+		resp, err = apply()
+		return resp, false, err
 	}
-	s.mu.Lock()
-	if prev, ok := sr.batches[id]; ok {
-		s.mu.Unlock()
+	mu.Lock()
+	if prev, ok := m[key]; ok {
+		mu.Unlock()
 		<-prev.done
-		resp := prev.resp
-		resp.Duplicate = prev.err == nil
-		return resp, prev.err
+		return prev.resp, true, prev.err
 	}
-	be := &batchEntry{done: make(chan struct{})}
-	sr.batches[id] = be
-	s.mu.Unlock()
-	defer close(be.done)
-	be.resp, be.err = apply()
-	return be.resp, be.err
+	res := &reservation[T]{done: make(chan struct{})}
+	m[key] = res
+	mu.Unlock()
+	defer close(res.done)
+	res.resp, res.err = apply()
+	return res.resp, false, res.err
 }
 
 // checkUploadFrame decodes an uploaded row frame and validates every
@@ -584,13 +575,8 @@ func (s *Server) applyRows(sr *serverRound, f RowFrame) (GradientBatchResponse, 
 	} else {
 		results, err = round.SubmitGradients(f.Gradients)
 	}
-	switch {
-	case errors.Is(err, fedora.ErrRoundFinished):
-		return GradientBatchResponse{}, errf(http.StatusConflict, CodeRoundFinished, "%s", err.Error())
-	case errors.Is(err, ErrStaleEpoch):
-		return GradientBatchResponse{}, errf(http.StatusConflict, CodeStaleEpoch, "%s", err.Error())
-	case err != nil:
-		return GradientBatchResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
+	if err != nil {
+		return GradientBatchResponse{}, errorReply(err, http.StatusBadRequest, CodeInvalidArgument)
 	}
 	resp := GradientBatchResponse{RoundID: sr.id, Results: results}
 	for _, ok := range results {
@@ -611,7 +597,7 @@ func (s *Server) applyRows(sr *serverRound, f RowFrame) (GradientBatchResponse, 
 func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	var req StageV2Request
@@ -637,73 +623,31 @@ func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Dedup: reserve the stage key before applying, so a concurrent retry
-	// waits for the first application instead of re-staging.
-	var se *stageEntry
-	if req.StageKey != "" {
-		s.mu.Lock()
-		if prev, ok := sr.stages[req.StageKey]; ok {
-			s.mu.Unlock()
-			<-prev.done
-			if prev.errStatus != 0 {
-				writeError(w, prev.errStatus, prev.errCode, "%s", prev.errMsg)
-				return
-			}
-			resp := prev.resp
-			resp.Duplicate = true
-			WriteJSON(w, http.StatusOK, resp)
-			return
-		}
-		se = &stageEntry{done: make(chan struct{})}
-		sr.stages[req.StageKey] = se
-		s.mu.Unlock()
-		defer close(se.done)
-	}
-
-	fail := func(status int, code, msg string) {
-		if se != nil {
-			se.errStatus, se.errCode, se.errMsg = status, code, msg
-		}
-		writeError(w, status, code, "%s", msg)
-	}
-
 	// StageRound validates and registers; on a prefetch-enabled
 	// controller the background plan+fetch kicks off as soon as the
 	// current round (if any) finishes. Never under the server mutex.
-	if err := s.ctrl.StageRound(req.Requests); err != nil {
-		switch {
-		case errors.Is(err, fedora.ErrStageMismatch):
-			fail(http.StatusConflict, CodeStageMismatch, err.Error())
-		case errors.Is(err, fedora.ErrShardUnavailable):
-			fail(http.StatusServiceUnavailable, CodeUnavailable, err.Error())
-		default:
-			fail(http.StatusBadRequest, CodeInvalidArgument, err.Error())
+	resp, dup, aerr := reserve(&s.mu, sr.stages, req.StageKey, func() (StageV2Response, *apiError) {
+		if err := s.ctrl.StageRound(req.Requests); err != nil {
+			return StageV2Response{}, errorReply(err, http.StatusBadRequest, CodeInvalidArgument)
 		}
+		return StageV2Response{RoundID: sr.id, Staged: true}, nil
+	})
+	if aerr != nil {
+		aerr.write(w)
 		return
 	}
-	resp := StageV2Response{RoundID: sr.id, Staged: true}
-	if se != nil {
-		se.resp = resp
-	}
+	resp.Duplicate = dup
 	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleFinishV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
-	_, msg := s.finishRound(sr, false)
-	if msg != "" {
-		s.mu.Lock()
-		stale := sr.finishStale
-		s.mu.Unlock()
-		if stale {
-			writeError(w, http.StatusConflict, CodeStaleEpoch, "%s", msg)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", msg)
+	if _, err := s.finishRound(sr, false); err != nil {
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	WriteJSON(w, http.StatusOK, s.roundInfo(sr))
@@ -722,11 +666,7 @@ func (s *Server) handleRowV2(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.ctrl.PeekRow(row)
 	if err != nil {
-		if errors.Is(err, fedora.ErrShardUnavailable) {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "%s", err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	WriteJSON(w, http.StatusOK, RowResponse{Row: row, Entry: entry})

@@ -2,7 +2,6 @@ package api
 
 import (
 	"encoding/base64"
-	"errors"
 	"net/http"
 
 	"repro/internal/fedora"
@@ -123,7 +122,7 @@ func (s *Server) applyWireUpload(sr *serverRound, payload []byte) (GradientBatch
 func (s *Server) handleUnmaskV2(w http.ResponseWriter, r *http.Request) {
 	sr, aerr := s.lookupRound(r.PathValue("id"))
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	var req UnmaskRequest
@@ -163,16 +162,12 @@ func (s *Server) handleUnmaskV2(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := agg.Unmask(reveals)
 	if err != nil {
-		if errors.Is(err, wire.ErrNoUploads) {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
-			return
-		}
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "%s", err.Error())
 		return
 	}
 	round, aerr := s.liveRound(sr)
 	if aerr != nil {
-		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	aggs := make([]fedora.RowAggregate, len(res.Rows))
@@ -181,11 +176,7 @@ func (s *Server) handleUnmaskV2(w http.ResponseWriter, r *http.Request) {
 	}
 	delivered, err := round.SubmitAggregates(aggs)
 	if err != nil {
-		if errors.Is(err, fedora.ErrRoundFinished) {
-			writeError(w, http.StatusConflict, CodeRoundFinished, "%s", err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%s", err.Error())
+		errorReply(err, http.StatusInternalServerError, CodeInternal).write(w)
 		return
 	}
 	nd := 0

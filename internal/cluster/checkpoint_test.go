@@ -173,9 +173,9 @@ func TestCheckpointAllocBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, ok := cp.Get(CheckpointSection)
+	blob, ok := cp.Get(persist.ControllerSection)
 	if !ok {
-		t.Fatalf("saved checkpoint has no %q section", CheckpointSection)
+		t.Fatalf("saved checkpoint has no %q section", persist.ControllerSection)
 	}
 	want, err := twin.Snapshot()
 	if err != nil {

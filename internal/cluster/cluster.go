@@ -3,8 +3,7 @@
 // to member fedora-server processes, each hosting a contiguous shard
 // slice of the global sharded config.
 //
-// The coordinator implements api.Controller (plus the Snapshotter,
-// Recoverer and Aborter capabilities), so the existing api.Server
+// The coordinator implements api.Controller, so the existing api.Server
 // fronts it unchanged — a remote trainer pointed at the coordinator
 // speaks the same v2 protocol it would speak to a single process, and
 // produces a bit-identical model fingerprint at any node count. The
@@ -76,13 +75,6 @@ type Config struct {
 	// overridden per node). Keep MaxRetries/backoff small: the retry
 	// budget is also the node-failure detection latency.
 	Client client.Config
-	// Checkpoint, when set, supplies the newest assembled cluster
-	// snapshot (the blob Coordinator.Snapshot returned) for join-time
-	// migration: a replacement node registering via /cluster/join gets
-	// its shards' sections replayed from it. Without it, joins are
-	// registered but recovery waits for the serving layer's
-	// auto-recovery pass.
-	Checkpoint func() ([]byte, error)
 	// ProbeInterval is the background health-probe period for
 	// StartProbes (0 = 5s). Consecutive all-fail passes back the probes
 	// off exponentially (capped at 8× the interval) with ±25% jitter, so
@@ -92,8 +84,10 @@ type Config struct {
 	// Manager, when set, makes the coordinator durable: every round is
 	// written to a round WAL under the manager's directory before it fans
 	// out, cluster checkpoints are saved there on the CheckpointEvery
-	// cadence, and Recover replays checkpoint + WAL after a crash or a
-	// standby promotion.
+	// cadence, Recover replays checkpoint + WAL after a crash or a
+	// standby promotion, and a node registering via /cluster/join gets
+	// its shards migrated from the newest checkpoint. Without it a join
+	// registers the node fenced.
 	Manager *persist.Manager
 	// CheckpointEvery is the healthy-round checkpoint cadence when
 	// Manager is set (0 or negative = every round).
@@ -117,8 +111,7 @@ type member struct {
 }
 
 // Coordinator fans rounds out across the members. It implements
-// api.Controller, api.Snapshotter, api.Recoverer and api.Aborter; serve
-// it with api.NewServerFor.
+// api.Controller; serve it with api.NewServerFor.
 type Coordinator struct {
 	cfg     Config
 	norm    fedora.Config // defaults-applied global config
@@ -660,8 +653,8 @@ func (c *Coordinator) StageRound(requests [][]uint64) error {
 	return firstErr
 }
 
-// AbortRound force-closes the coordinator's round bookkeeping (the
-// api.Aborter capability the admin-restore path uses). Members'
+// AbortRound force-closes the coordinator's round bookkeeping (what the
+// admin-restore path and the epoch fence call). Members'
 // orphaned rounds are cleaned up when sections are replayed onto them —
 // the admin restore endpoints abort server-side first.
 func (c *Coordinator) AbortRound() {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fedora"
 	"repro/internal/fl"
+	"repro/internal/persist"
 	"repro/internal/shard"
 )
 
@@ -386,14 +387,20 @@ func TestClusterNodeLossAndMigration(t *testing.T) {
 	m0, _ := startMember(t, global, 0, 1)
 	m1, _ := startMember(t, global, 1, 1)
 
-	var checkpoint []byte
+	// The join migrates from the manager's newest checkpoint: the one the
+	// test saves after round 2 (the cadence is never reached).
+	mgr, err := persist.OpenManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	co, csrv := startCoordinator(t, Config{
 		Fedora: global,
 		Nodes: []NodeSpec{
 			{URL: m0.URL, First: 0, Count: 1},
 			{URL: m1.URL, First: 1, Count: 1},
 		},
-		Checkpoint: func() ([]byte, error) { return checkpoint, nil },
+		Manager:         mgr,
+		CheckpointEvery: 1 << 30,
 	})
 
 	cc := testClientConfig()
@@ -409,7 +416,7 @@ func TestClusterNodeLossAndMigration(t *testing.T) {
 	if _, err := tr.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if checkpoint, err = co.Snapshot(); err != nil {
+	if _, err := mgr.SaveSection(persist.ControllerSection, co.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 
@@ -449,6 +456,41 @@ func TestClusterNodeLossAndMigration(t *testing.T) {
 	}
 	if rep.UnavailableRows != 0 {
 		t.Fatalf("post-migration round still degraded: %d unavailable rows", rep.UnavailableRows)
+	}
+}
+
+// TestJoinWithoutManagerRegistersFenced: a coordinator without a
+// checkpoint directory has nothing to migrate from, so a joining node
+// is registered fenced and no shard is migrated onto it.
+func TestJoinWithoutManagerRegistersFenced(t *testing.T) {
+	global, err := fl.ControllerConfig(testFLConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, _ := startMember(t, global, 0, 1)
+	m1, _ := startMember(t, global, 1, 1)
+	co, _ := startCoordinator(t, Config{
+		Fedora: global,
+		Nodes: []NodeSpec{
+			{URL: m0.URL, First: 0, Count: 1},
+			{URL: m1.URL, First: 1, Count: 1},
+		},
+	})
+
+	r1, _ := startMember(t, global, 1, 1)
+	resp, err := co.Join(api.ClusterJoinRequest{URL: r1.URL, FirstShard: 1, ShardCount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Accepted || len(resp.Migrated) != 0 {
+		t.Fatalf("join = %+v, want accepted with nothing migrated", resp)
+	}
+	st := co.Status()
+	if n := st.Nodes[1]; n.URL != r1.URL || n.State != "fenced" {
+		t.Fatalf("joined node = %+v, want %s fenced", n, r1.URL)
+	}
+	if h := co.Health(); h.Status != shard.StatusDegraded {
+		t.Fatalf("health after an unmigrated join = %s, want degraded", h.Status)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/fdp"
 	"repro/internal/fedora"
 	"repro/internal/persist"
+	"repro/internal/wire"
 )
 
 // haGlobal is the small raw-table study the HA tests drive: ε = ∞ so
@@ -396,6 +397,71 @@ func TestStalePrimaryFencedNoDoubleApply(t *testing.T) {
 	driveHARounds(t, co2, rng, 1)
 	if got := co2.Round(); got != 3 {
 		t.Fatalf("successor round after takeover = %d, want 3", got)
+	}
+}
+
+// TestDeposedUnmaskIsStaleEpoch: a masked-codec round's uploads wait in
+// the old primary's aggregator when a successor takes over; the unmask
+// step then fans the sums out, the members refuse the old epoch, and
+// the round's error wraps api.ErrStaleEpoch. /unmask must answer it as
+// 409 stale_epoch — the reply the SDK fails over on — not 500 internal,
+// which the SDK retries against the same deposed leader.
+func TestDeposedUnmaskIsStaleEpoch(t *testing.T) {
+	nodes := haMembers(t)
+	dir := t.TempDir()
+	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
+	startHA(t, co1)
+	driveHARounds(t, co1, rand.New(rand.NewSource(5)), 1)
+	old := httptest.NewServer(api.NewServerFor(co1).Handler())
+	t.Cleanup(old.Close)
+	cc := testClientConfig()
+	cc.BaseURL = old.URL
+	cli, err := client.New(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Round 2 opens on the old primary and takes both clients' masked
+	// uploads, rows on both members.
+	rows := [][]uint64{{1, 2}, {3, 200}}
+	info, err := cli.BeginRound(context.Background(), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := haGlobal()
+	plan, err := wire.NewPlan(wire.Params{
+		Codec: wire.CodecMasked, NumRows: g.NumRows, Dim: g.Dim,
+		Round: info.Round, Roster: len(rows),
+		SessionKey: wire.DeriveSessionKey(1, info.Round),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rs := range rows {
+		payload, _, err := plan.Encode(i, rs, [][]float32{haGrad(rs[0]), haGrad(rs[1])}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.SubmitWireUpload(context.Background(), info.RoundID, fmt.Sprintf("u%d", i), payload); err != nil {
+			t.Fatalf("upload %d: %v", i, err)
+		}
+	}
+	co1.StopProbes()
+
+	// Takeover: the successor fences every member at epoch 2.
+	co2 := haCoordinator(t, nodes, dir, 0)
+	startHA(t, co2)
+	if got := co2.Epoch(); got != 2 {
+		t.Fatalf("successor epoch = %d, want 2", got)
+	}
+
+	_, err = cli.Unmask(context.Background(), info.RoundID, nil)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict || apiErr.Code != api.CodeStaleEpoch {
+		t.Fatalf("unmask on the deposed primary: err = %v, want 409 %s", err, api.CodeStaleEpoch)
+	}
+	if !co1.Deposed() {
+		t.Fatal("old primary not deposed after the members refused its unmask")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/api"
+	"repro/internal/persist"
 	"repro/internal/shard"
 )
 
@@ -79,10 +80,10 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // Join registers a (replacement) member. The slice must match an
 // existing placement exactly — the balanced partition pins every
 // shard's row range, so a different split cannot serve the same state.
-// When the coordinator has a checkpoint source, the node's shards are
-// migrated onto it immediately and it goes live; otherwise it is
-// registered fenced and the next recovery pass (the serving layer's
-// auto-recover, or an operator restore) migrates state onto it.
+// When the coordinator is durable (Config.Manager), the node's shards
+// are migrated onto it from the newest checkpoint and it goes live;
+// otherwise it is registered fenced and the next recovery pass (an
+// operator restore) migrates state onto it.
 func (c *Coordinator) Join(req api.ClusterJoinRequest) (api.ClusterJoinResponse, error) {
 	if req.URL == "" {
 		return api.ClusterJoinResponse{Message: "url required"}, nil
@@ -125,13 +126,13 @@ func (c *Coordinator) Join(req api.ClusterJoinRequest) (api.ClusterJoinResponse,
 	nm.cli.SetEpoch(c.epoch.Load())
 	c.mu.Unlock()
 
-	if c.cfg.Checkpoint == nil {
+	if c.mgr == nil {
 		return api.ClusterJoinResponse{
 			Accepted: true,
 			Message:  "registered; no checkpoint source configured, awaiting recovery pass",
 		}, nil
 	}
-	blob, err := c.cfg.Checkpoint()
+	blob, _, _, err := c.mgr.LoadSection(persist.ControllerSection)
 	if err != nil {
 		return api.ClusterJoinResponse{
 			Accepted: true,

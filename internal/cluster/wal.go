@@ -42,12 +42,6 @@ import (
 // but not necessarily the one the members originally executed; such
 // deployments should checkpoint every round.
 
-// CheckpointSection is the checkpoint section the coordinator's
-// assembled snapshot is stored under — the same name the
-// single-process serving layer uses, so one checkpoint directory (and
-// one set of tools) serves both.
-const CheckpointSection = "fedora/controller"
-
 // WAL frame names. Each payload begins with a version byte.
 const (
 	walBeginFrame   = "cluster/begin"
@@ -323,18 +317,14 @@ func (c *Coordinator) Recover() (replayed int, err error) {
 	if c.mgr == nil {
 		return 0, nil
 	}
-	cp, _, err := c.mgr.LoadLatest()
+	blob, epoch, _, err := c.mgr.LoadSection(persist.ControllerSection)
 	fresh := errors.Is(err, persist.ErrNoCheckpoint)
 	if err != nil && !fresh {
 		return 0, fmt.Errorf("cluster: recover: %w", err)
 	}
 	if !fresh {
-		blob, ok := cp.Get(CheckpointSection)
-		if !ok {
-			return 0, fmt.Errorf("cluster: recover: checkpoint epoch %d has no %q section", cp.Epoch, CheckpointSection)
-		}
 		if err := c.Restore(blob); err != nil {
-			return 0, fmt.Errorf("cluster: recover: restore checkpoint epoch %d: %w", cp.Epoch, err)
+			return 0, fmt.Errorf("cluster: recover: restore checkpoint epoch %d: %w", epoch, err)
 		}
 	}
 
@@ -431,60 +421,50 @@ func (c *Coordinator) deliveredAggs(aggs []fedora.RowAggregate, applied []bool) 
 }
 
 // checkpointNow assembles a cluster snapshot, saves it as the next
-// checkpoint epoch, prunes to 3, and resets the round WAL. Caller must
-// have no round in flight. The outcome — the round sealed, or why not —
-// is kept for /cluster/status whichever caller asked.
+// checkpoint epoch (pruning to 3), and resets the round WAL. Caller
+// must have no round in flight. The outcome is kept for /cluster/status.
 func (c *Coordinator) checkpointNow() error {
-	err := c.checkpoint()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		c.lastCkptErr = err.Error()
-		return err
+	_, err := c.mgr.SaveSection(persist.ControllerSection, c.Snapshot)
+	if err == nil {
+		err = c.resetWAL()
 	}
-	c.lastCkptRound, c.lastCkptErr = c.round, ""
-	return nil
+	c.recordCheckpoint(err)
+	return err
 }
 
-// checkpoint is checkpointNow's work.
-func (c *Coordinator) checkpoint() error {
-	blob, err := c.Snapshot()
-	if err != nil {
-		return err
-	}
-	cp := persist.NewCheckpoint()
-	cp.Put(CheckpointSection, blob)
-	if _, err := c.mgr.SaveNext(cp, 3); err != nil {
-		return err
-	}
+// resetWAL empties the round WAL once a checkpoint holds its rounds.
+func (c *Coordinator) resetWAL() error {
 	c.walMu.Lock()
 	defer c.walMu.Unlock()
 	return c.wal.Reset()
 }
 
-// maybeMaintain runs the post-round maintenance pass, mirroring the
-// serving layer's WithAutoRecover but at cluster scope: on the healthy
+// recordCheckpoint keeps a checkpoint attempt's outcome for
+// /cluster/status — the round the newest checkpoint sealed, or why the
+// latest attempt failed — whichever caller asked.
+func (c *Coordinator) recordCheckpoint(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.lastCkptErr = err.Error()
+		return
+	}
+	c.lastCkptRound, c.lastCkptErr = c.round, ""
+}
+
+// maybeMaintain runs the post-round rule, api.AfterRound, at cluster
+// scope with the WAL reset as its after-save hook: on the healthy
 // checkpoint cadence, checkpoint + reset the WAL; while degraded,
-// attempt shard migration from the newest checkpoint. Maintenance
-// failures never fail the round — it already succeeded, and the next
-// finish retries; durability degrades to a longer replay, never to
-// failed training — but a failed checkpoint is not silent:
-// checkpointNow leaves it in /cluster/status.
+// migrate shards from the newest checkpoint. It is skipped during
+// replay. Maintenance failures never fail the round — it already
+// succeeded, and the next finish retries; durability degrades to a
+// longer replay, never to failed training — but a failed checkpoint is
+// not silent: it stays in /cluster/status.
 func (c *Coordinator) maybeMaintain(seq uint64) {
 	if c.mgr == nil || c.replaying.Load() {
 		return
 	}
-	if c.Health().Status != shard.StatusHealthy {
-		cp, _, err := c.mgr.LoadLatest()
-		if err != nil {
-			return
-		}
-		if blob, ok := cp.Get(CheckpointSection); ok {
-			_, _ = c.RecoverQuarantined(blob)
-		}
-		return
-	}
-	if seq%uint64(c.ckptEvery) == 0 {
-		_ = c.checkpointNow() // reported through Status, see above
+	if op, err := api.AfterRound(c, c.mgr, c.ckptEvery, seq, c.resetWAL); op == api.UpkeepCheckpoint {
+		c.recordCheckpoint(err)
 	}
 }

@@ -30,15 +30,12 @@ type Runner struct {
 	mgr   *persist.Manager
 	wal   *persist.WAL
 	every int
-	keep  int
 	epoch uint64 // newest checkpoint epoch on disk
 }
 
-// Checkpoint section names.
-const (
-	sectionTrainer    = "fl/trainer"
-	sectionController = "fedora/controller"
-)
+// sectionTrainer names the trainer's checkpoint section; the controller
+// is stored under persist.ControllerSection.
+const sectionTrainer = "fl/trainer"
 
 // ResumeReport describes what recovery did.
 type ResumeReport struct {
@@ -71,7 +68,7 @@ func NewRunner(t *Trainer, dir string, every int) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{t: t, mgr: mgr, wal: wal, every: every, keep: 3}
+	r := &Runner{t: t, mgr: mgr, wal: wal, every: every}
 	if epochs, err := mgr.Epochs(); err == nil && len(epochs) > 0 {
 		r.epoch = epochs[len(epochs)-1]
 	}
@@ -103,13 +100,13 @@ func (r *Runner) Resume() (*ResumeReport, error) {
 	case err != nil:
 		return rep, err
 	default:
-		trainerBlob, ok := cp.Get(sectionTrainer)
-		if !ok {
-			return rep, fmt.Errorf("%w: checkpoint epoch %d has no %q section", persist.ErrCorrupt, cp.Epoch, sectionTrainer)
+		trainerBlob, err := cp.Section(sectionTrainer)
+		if err != nil {
+			return rep, err
 		}
-		ctrlBlob, ok := cp.Get(sectionController)
-		if !ok {
-			return rep, fmt.Errorf("%w: checkpoint epoch %d has no %q section", persist.ErrCorrupt, cp.Epoch, sectionController)
+		ctrlBlob, err := cp.Section(persist.ControllerSection)
+		if err != nil {
+			return rep, err
 		}
 		if err := r.t.Restore(trainerBlob); err != nil {
 			return rep, fmt.Errorf("fl: restore trainer from epoch %d: %w", cp.Epoch, err)
@@ -202,7 +199,8 @@ func (r *Runner) Run(totalRounds int) (Result, error) {
 }
 
 // Checkpoint writes a full snapshot (trainer + controller) as the next
-// epoch, atomically, then prunes old epochs. Returns the new epoch.
+// epoch, atomically, then prunes old epochs (persist.Manager.SaveNext).
+// Returns the new epoch.
 func (r *Runner) Checkpoint() (uint64, error) {
 	// Crash point: WAL is committed, checkpoint write about to start —
 	// recovery falls back to the previous epoch and replays the WAL.
@@ -217,14 +215,11 @@ func (r *Runner) Checkpoint() (uint64, error) {
 	}
 	cp := persist.NewCheckpoint()
 	cp.Put(sectionTrainer, trainerBlob)
-	cp.Put(sectionController, ctrlBlob)
-	epoch := r.epoch + 1
-	if err := r.mgr.Save(epoch, cp); err != nil {
-		return 0, fmt.Errorf("fl: save checkpoint epoch %d: %w", epoch, err)
+	cp.Put(persist.ControllerSection, ctrlBlob)
+	epoch, err := r.mgr.SaveNext(cp)
+	if err != nil {
+		return 0, fmt.Errorf("fl: save checkpoint: %w", err)
 	}
 	r.epoch = epoch
-	if err := r.mgr.Prune(r.keep); err != nil {
-		return 0, err
-	}
 	return epoch, nil
 }

@@ -863,9 +863,8 @@ func (t *Trainer) drawRound() (users []*dataset.User, reqs [][]uint64, roundSeed
 }
 
 // stageNext draws round R+1's plan ahead of time and posts it to the
-// orchestrator's two-phase leg (when it has one), letting a prefetch-
-// enabled controller start its ORAM reads while the caller is still
-// between rounds. Call sites sit AFTER the current round is fully
+// orchestrator's two-phase leg, letting a prefetch-enabled controller
+// start its ORAM reads while the caller is still between rounds. Call sites sit AFTER the current round is fully
 // applied — the t.rng stream position is then identical to what the
 // next RunRound's cold draw would see, so staged and unstaged runs are
 // bit-identical. No-op unless Config.Prefetch is on.
@@ -875,11 +874,9 @@ func (t *Trainer) stageNext() {
 	}
 	users, reqs, seed := t.drawRound()
 	t.next = &stagedPlan{users: users, reqs: reqs, seed: seed}
-	if st, ok := t.orch.(RoundStager); ok {
-		// Best-effort: a stage error just means the next BeginRound runs
-		// cold (the plan itself is already drawn and will be consumed).
-		_ = st.StageRound(reqs)
-	}
+	// Best-effort: a stage error just means the next BeginRound runs
+	// cold (the plan itself is already drawn and will be consumed).
+	_ = t.orch.StageRound(reqs)
 }
 
 // StageNext is the exported two-phase leg for callers driving RunRound

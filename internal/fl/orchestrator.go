@@ -73,20 +73,21 @@ type aggregateSubmitter interface {
 // EvaluateAUC and model export read through.
 type Orchestrator interface {
 	BeginRound(requests [][]uint64) (RoundHandle, error)
+	RoundStager
 	Round() uint64
 	EffectiveEpsilon() float64
 	PeekRow(row uint64) ([]float32, error)
 }
 
-// RoundStager is the OPTIONAL two-phase leg of an Orchestrator,
-// discovered by type assertion when Config.Prefetch is on: StageRound
-// posts round R+1's request lists while the caller is still between
-// rounds, so a prefetch-enabled controller can plan the round and start
-// its ORAM reads concurrent with whatever the caller does next. The
-// caller MUST then BeginRound with the same lists (the staged plan has
-// consumed RNG state). Staging is best-effort: an orchestrator that
-// does not implement it — or a StageRound error — just means the next
-// BeginRound runs cold, with bit-identical results.
+// RoundStager is the two-phase leg of an Orchestrator, used when
+// Config.Prefetch is on: StageRound posts round R+1's request lists
+// while the caller is still between rounds, so a prefetch-enabled
+// controller can plan the round and start its ORAM reads concurrent
+// with whatever the caller does next. The caller MUST then BeginRound
+// with the same lists (the staged plan has consumed RNG state). Staging
+// is best-effort: a StageRound error just means the next BeginRound
+// runs cold, with bit-identical results. On a controller without
+// prefetch the stage is merely remembered.
 type RoundStager interface {
 	StageRound(requests [][]uint64) error
 }

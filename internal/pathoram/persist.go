@@ -27,7 +27,7 @@ func (o *ORAM) Snapshot() ([]byte, error) { return persist.Build(o.SnapshotTo) }
 // sections, and one record per bucket counter.
 func (o *ORAM) SnapshotSize() int {
 	n := 128 + 8 + o.stash.SnapshotSize() + 8
-	if posSnap, ok := o.pos.(position.Snapshotter); ok && o.cfg.PositionMap == nil {
+	if posSnap, ok := o.pos.(position.Checkpointable); ok && o.cfg.PositionMap == nil {
 		n += posSnap.SnapshotSize()
 	}
 	return n + o.counters.Len()*(4+8)
@@ -36,7 +36,7 @@ func (o *ORAM) SnapshotSize() int {
 // SnapshotTo appends the ORAM's dynamic state.
 func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
 	ownPos := o.cfg.PositionMap == nil
-	posSnap, ok := o.pos.(position.Snapshotter)
+	posSnap, ok := o.pos.(position.Checkpointable)
 	if ownPos && !ok {
 		return fmt.Errorf("pathoram: position map %T does not support snapshots", o.pos)
 	}
@@ -129,7 +129,7 @@ func (o *ORAM) Restore(b []byte) error {
 		return fmt.Errorf("pathoram: stash: %w", err)
 	}
 	if ownPos {
-		if err := o.pos.(position.Snapshotter).Restore(posBlob); err != nil {
+		if err := o.pos.(position.Checkpointable).Restore(posBlob); err != nil {
 			return fmt.Errorf("pathoram: position map: %w", err)
 		}
 	}

@@ -40,6 +40,16 @@ func (c *Checkpoint) Get(name string) ([]byte, bool) {
 	return p, ok
 }
 
+// Section returns a section's payload, or an ErrCorrupt error naming
+// the epoch and the section when the checkpoint has none.
+func (c *Checkpoint) Section(name string) ([]byte, error) {
+	p, ok := c.sections[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: checkpoint epoch %d has no %q section", ErrCorrupt, c.Epoch, name)
+	}
+	return p, nil
+}
+
 // Sections lists section names in insertion order.
 func (c *Checkpoint) Sections() []string {
 	return append([]string(nil), c.order...)

@@ -15,6 +15,15 @@ const checkpointPattern = "checkpoint-%08d.fckpt"
 // walFileName is the round WAL inside a checkpoint directory.
 const walFileName = "rounds.wal"
 
+// keepEpochs is how many checkpoint epochs SaveNext retains.
+const keepEpochs = 3
+
+// ControllerSection is the checkpoint section holding a controller
+// snapshot. Every durable layer — fedora-server, api.WithAutoRecover,
+// the cluster coordinator and fl.Runner — stores it under this one
+// name, so one checkpoint directory serves all of them.
+const ControllerSection = "fedora/controller"
+
 // Manager owns a checkpoint directory: epoch-numbered checkpoint files
 // written atomically, plus the round WAL. It is the single place that
 // decides which checkpoint recovery starts from.
@@ -53,9 +62,9 @@ func (m *Manager) Save(epoch uint64, cp *Checkpoint) error {
 }
 
 // SaveNext writes cp as the epoch after the newest one on disk, then
-// prunes to the newest keep (as Prune does), reading the directory
+// prunes to the newest three (as Prune does), reading the directory
 // once for both. Returns the epoch written.
-func (m *Manager) SaveNext(cp *Checkpoint, keep int) (uint64, error) {
+func (m *Manager) SaveNext(cp *Checkpoint) (uint64, error) {
 	epochs, err := m.Epochs()
 	if err != nil {
 		return 0, err
@@ -67,7 +76,31 @@ func (m *Manager) SaveNext(cp *Checkpoint, keep int) (uint64, error) {
 	if err := m.Save(next, cp); err != nil {
 		return 0, err
 	}
-	return next, m.prune(append(epochs, next), keep)
+	return next, m.prune(append(epochs, next), keepEpochs)
+}
+
+// SaveSection saves the blob snapshot returns as the only section of
+// the next epoch (see SaveNext). A snapshot error is returned as is.
+func (m *Manager) SaveSection(name string, snapshot func() ([]byte, error)) (uint64, error) {
+	blob, err := snapshot()
+	if err != nil {
+		return 0, err
+	}
+	cp := NewCheckpoint()
+	cp.Put(name, blob)
+	return m.SaveNext(cp)
+}
+
+// LoadSection returns the named section of the newest checkpoint that
+// validates, with that checkpoint's epoch; skipped and the
+// ErrNoCheckpoint case are as LoadLatest's.
+func (m *Manager) LoadSection(name string) (blob []byte, epoch uint64, skipped []error, err error) {
+	cp, skipped, err := m.LoadLatest()
+	if err != nil {
+		return nil, 0, skipped, err
+	}
+	blob, err = cp.Section(name)
+	return blob, cp.Epoch, skipped, err
 }
 
 // Epochs lists the on-disk checkpoint epochs in ascending order.

@@ -211,7 +211,7 @@ func TestManagerSaveNext(t *testing.T) {
 	for want := uint64(1); want <= 5; want++ {
 		cp := NewCheckpoint()
 		cp.Put("s", []byte{byte(want)})
-		got, err := m.SaveNext(cp, 3)
+		got, err := m.SaveNext(cp)
 		if err != nil || got != want {
 			t.Fatalf("SaveNext = %d, %v; want %d", got, err, want)
 		}

@@ -131,12 +131,11 @@ type RawRecord struct {
 	Payload []byte
 }
 
-// ReadRawWALFile parses a WAL into generic records with the same
-// torn-tail tolerance as ReadWALFile: parsing stops at the first frame
-// that fails its CRC or decodes short, `torn` reports whether such a
-// tail was discarded, and a missing file reads as an empty log. Unlike
-// ReadWALFile it accepts any frame name, so typed and raw records can
-// share one log.
+// ReadRawWALFile parses a WAL into generic records — the one frame loop
+// both WAL readers share: parsing stops at the first frame that fails
+// its CRC or decodes short, `torn` reports whether such a tail was
+// discarded, and a missing file reads as an empty log. It accepts any
+// frame name; ReadWALFile decodes its records as RoundRecords.
 func ReadRawWALFile(path string) (records []RawRecord, torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -172,50 +171,26 @@ func (w *WAL) Close() error { return w.f.Close() }
 // Path returns the WAL file path.
 func (w *WAL) Path() string { return w.path }
 
-// ReadWALFile parses a WAL, tolerating a torn tail: a crash can truncate
-// the final append mid-frame, so parsing stops at the first frame that
-// fails to decode and `torn` reports whether such a tail was discarded.
-// Records before the tear are returned intact (each is independently
-// CRC-protected). A missing file reads as an empty log.
+// ReadWALFile parses a WAL of RoundRecords, tolerating a torn tail: a
+// crash can truncate the final append mid-frame, so parsing stops at the
+// first frame that fails to decode — a torn or corrupt frame, one not
+// named "round", or an undecodable record — and `torn` reports whether
+// such a tail was discarded. Records before the tear are returned intact
+// (each is independently CRC-protected). A missing file reads as an
+// empty log.
 func ReadWALFile(path string) (records []RoundRecord, torn bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	return readWAL(bufio.NewReader(f))
-}
-
-func readWAL(r io.Reader) (records []RoundRecord, torn bool, err error) {
-	magic := make([]byte, len(WALMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		// Empty or shorter-than-magic file: treat as empty log (torn at 0).
-		return nil, true, nil
-	}
-	if string(magic) != WALMagic {
-		return nil, false, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, magic)
-	}
-	for {
-		name, payload, err := readOneFrame(r)
-		if err == io.EOF {
-			return records, false, nil
-		}
-		if err != nil {
-			// Torn or corrupt tail: keep everything before it.
+	raw, torn, err := ReadRawWALFile(path)
+	for _, r := range raw {
+		if r.Name != walRecordFrame {
 			return records, true, nil
 		}
-		if name != walRecordFrame {
-			return records, true, nil
-		}
-		rec, err := decodeRoundRecord(payload)
+		rec, err := decodeRoundRecord(r.Payload)
 		if err != nil {
 			return records, true, nil
 		}
 		records = append(records, rec)
 	}
+	return records, torn, err
 }
 
 // readOneFrame reads a single raw frame (no trailer handling — the WAL

@@ -7,10 +7,10 @@ import (
 	"repro/internal/persist"
 )
 
-// Snapshotter is implemented by position maps that can be checkpointed.
+// Checkpointable is implemented by position maps that can be checkpointed.
 // Both built-in implementations qualify; ORAM-backed recursive maps do
 // not (their state lives in the backing ORAM, which snapshots itself).
-type Snapshotter interface {
+type Checkpointable interface {
 	SnapshotSize() int
 	SnapshotTo(e *persist.Encoder) error
 	Restore([]byte) error

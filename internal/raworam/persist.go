@@ -27,7 +27,7 @@ func (o *ORAM) Snapshot() ([]byte, error) { return persist.Build(o.SnapshotTo) }
 // and one record per VTree bitmap and per bucket counter.
 func (o *ORAM) SnapshotSize() int {
 	n := 128 + 8 + o.stash.SnapshotSize() + 8
-	if posSnap, ok := o.pos.(position.Snapshotter); ok {
+	if posSnap, ok := o.pos.(position.Checkpointable); ok {
 		n += posSnap.SnapshotSize()
 	}
 	bmLen := (o.cfg.BucketSlots + 7) / 8
@@ -36,7 +36,7 @@ func (o *ORAM) SnapshotSize() int {
 
 // SnapshotTo appends the ORAM's dynamic state.
 func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
-	posSnap, ok := o.pos.(position.Snapshotter)
+	posSnap, ok := o.pos.(position.Checkpointable)
 	if !ok {
 		return fmt.Errorf("raworam: position map %T does not support snapshots", o.pos)
 	}
@@ -159,7 +159,7 @@ func (o *ORAM) Restore(b []byte) error {
 	if err := o.stash.Restore(stashBlob); err != nil {
 		return fmt.Errorf("raworam: stash: %w", err)
 	}
-	if err := o.pos.(position.Snapshotter).Restore(posBlob); err != nil {
+	if err := o.pos.(position.Checkpointable).Restore(posBlob); err != nil {
 		return fmt.Errorf("raworam: position map: %w", err)
 	}
 	o.evictCount = evictCount
