@@ -113,6 +113,9 @@ func TestShardedErrorPaths(t *testing.T) {
 	// A gradient frame cut short.
 	wantErr(t, http.MethodPost, round+"/gradients", gradsBody(1, 1, 1)[:30],
 		http.StatusBadRequest, CodeInvalidArgument)
+	// A shard export mid-round: 409, like the whole-snapshot route.
+	wantErr(t, http.MethodGet, base+"/v2/admin/shards/0/snapshot", "",
+		http.StatusConflict, CodeRoundInProgress)
 
 	finishV2(t, base, info.RoundID)
 	// Transfers after finish: 409 round_finished. Finish itself is

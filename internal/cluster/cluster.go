@@ -117,7 +117,6 @@ type Coordinator struct {
 	norm    fedora.Config // defaults-applied global config
 	shards  int           // S ≥ 1
 	numRows uint64
-	digest  uint64
 	effEps  float64
 	nodeOf  []int // global shard index → member index
 	members []*member
@@ -163,7 +162,7 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	// SliceConfig over the whole range applies setDefaults+validate and
 	// returns the normalized global config — the one whose digest equals
-	// a single-process controller's ConfigDigest.
+	// a single-process controller's config digest.
 	shards := cfg.Fedora.Shards
 	if shards < 1 {
 		shards = 1
@@ -180,7 +179,6 @@ func New(cfg Config) (*Coordinator, error) {
 		norm:    norm,
 		shards:  shards,
 		numRows: norm.NumRows,
-		digest:  norm.Digest(),
 		effEps:  norm.EffectiveEpsilon(),
 		nodeOf:  make([]int, shards),
 	}

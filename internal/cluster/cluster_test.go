@@ -323,54 +323,100 @@ func TestClusterWireParity(t *testing.T) {
 
 // TestClusterSnapshotMatchesSingleProcess: the coordinator's assembled
 // checkpoint is byte-identical to the snapshot of a single-process
-// sharded controller that served the same round sequence — the property
-// that makes checkpoints portable between deployment shapes.
+// controller that served the same round sequence — the property that
+// makes checkpoints portable between deployment shapes — at every shard
+// count and placement, the one-shard cluster included.
 func TestClusterSnapshotMatchesSingleProcess(t *testing.T) {
-	flCfg := testFLConfig()
-	// One trainer worker: ORAM-internal counters depend on serve order,
-	// and byte-identity needs the deterministic sequential order (the
-	// MODEL is order-independent — that's the fingerprint test).
-	flCfg.Workers = 1
-	global, err := fl.ControllerConfig(flCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		nodes  [][2]int // {first, count} per member
+	}{
+		{"1shard-1member", 1, [][2]int{{0, 1}}},
+		{"2shards-2members", 2, [][2]int{{0, 1}, {1, 1}}},
+		{"3shards-members-0:1-1:2", 3, [][2]int{{0, 1}, {1, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flCfg := testFLConfig()
+			flCfg.Shards = tc.shards
+			// One trainer worker: ORAM-internal counters depend on serve
+			// order, and byte-identity needs the deterministic sequential
+			// order (the MODEL is order-independent — that's the
+			// fingerprint test).
+			flCfg.Workers = 1
+			global, err := fl.ControllerConfig(flCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Reference: one process, one sharded controller, driven remotely so
-	// the round sequence is identical to the cluster run below.
-	ctrl, err := fedora.New(global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssrv := httptest.NewServer(api.NewServer(ctrl).Handler())
-	t.Cleanup(ssrv.Close)
-	runRemote(t, flCfg, ssrv.URL)
-	want, err := ctrl.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Reference: one process, one controller, driven remotely so
+			// the round sequence is identical to the cluster run below.
+			ctrl, err := fedora.New(global)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ssrv := httptest.NewServer(api.NewServer(ctrl).Handler())
+			t.Cleanup(ssrv.Close)
+			runRemote(t, flCfg, ssrv.URL)
+			want, err := ctrl.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	m0, _ := startMember(t, global, 0, 1)
-	m1, _ := startMember(t, global, 1, 1)
-	co, csrv := startCoordinator(t, Config{
-		Fedora: global,
-		Nodes: []NodeSpec{
-			{URL: m0.URL, First: 0, Count: 1},
-			{URL: m1.URL, First: 1, Count: 1},
-		},
-	})
-	runRemote(t, flCfg, csrv.URL)
-	got, err := co.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("assembled cluster snapshot differs from single-process snapshot (%d vs %d bytes)", len(got), len(want))
-	}
+			cfg := Config{Fedora: global}
+			var members []*httptest.Server
+			for _, n := range tc.nodes {
+				m, _ := startMember(t, global, n[0], n[1])
+				members = append(members, m)
+				cfg.Nodes = append(cfg.Nodes, NodeSpec{URL: m.URL, First: n[0], Count: n[1]})
+			}
+			rejoin := tc.shards == 1
+			if rejoin {
+				mgr, err := persist.OpenManager(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Manager, cfg.CheckpointEvery = mgr, 1<<30
+			}
+			co, csrv := startCoordinator(t, cfg)
+			runRemote(t, flCfg, csrv.URL)
+			got, err := co.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("assembled cluster snapshot differs from single-process snapshot (%d vs %d bytes)", len(got), len(want))
+			}
 
-	// And it restores back through the coordinator.
-	if err := co.Restore(got); err != nil {
-		t.Fatal(err)
+			// And it restores back through the coordinator.
+			if err := co.Restore(got); err != nil {
+				t.Fatal(err)
+			}
+			if !rejoin {
+				return
+			}
+
+			// A replacement member joining the one-shard placement gets the
+			// checkpoint's section replayed onto it (RecoverQuarantined).
+			if _, err := cfg.Manager.SaveSection(persist.ControllerSection, co.Snapshot); err != nil {
+				t.Fatal(err)
+			}
+			members[0].Close()
+			r0, _ := startMember(t, global, 0, 1)
+			resp, err := co.Join(api.ClusterJoinRequest{URL: r0.URL, FirstShard: 0, ShardCount: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Accepted || len(resp.Migrated) != 1 || resp.Migrated[0] != 0 {
+				t.Fatalf("join = %+v, want accepted with shard 0 migrated", resp)
+			}
+			if h := co.Health(); h.Status != shard.StatusHealthy {
+				t.Fatalf("health after migration = %s, want healthy", h.Status)
+			}
+			if again, err := co.Snapshot(); err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("snapshot after migration differs from the checkpoint (err %v)", err)
+			}
+		})
 	}
 }
 

@@ -149,7 +149,7 @@ type Config struct {
 	// the next round's plan + fetch before BeginRound is even called.
 	// Both ORAMs execute the identical op sequence either way, so state
 	// bytes and results are bit-identical with Prefetch on or off, and
-	// the flag is excluded from ConfigDigest — checkpoints move freely
+	// the flag is excluded from Config.Digest — checkpoints move freely
 	// between modes (any deferred pass is applied at Snapshot time). Not
 	// supported for BackendPathORAMPlus, whose per-access RNG draws
 	// happen at fetch time rather than plan time.
@@ -185,7 +185,7 @@ type Config struct {
 	// per shard. The DRAM-side device (buffer ORAM, position map, VTree,
 	// stash) always stays simulated: it models memory, not a disk.
 	// Like ShardWorkers, Storage is an operational knob excluded from
-	// ConfigDigest — both backends store bit-identical contents and
+	// Config.Digest — both backends store bit-identical contents and
 	// share one snapshot format, so checkpoints move freely between a
 	// simulated and a file-backed run of the same config.
 	Storage storage.Spec
@@ -196,7 +196,7 @@ type Config struct {
 	// Snapshot/Restore and PeekRow bypass the wrapper (they address the
 	// underlying simulated device directly), so recovery and evaluation
 	// see true stored bytes. Functions are not encodable, so WrapDevice is
-	// naturally excluded from ConfigDigest: a faulted run restores
+	// naturally excluded from Config.Digest: a faulted run restores
 	// checkpoints from a fault-free run of the same config and vice versa.
 	WrapDevice func(name string, d device.Device) device.Device
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/persist"
+	"repro/internal/shard"
 )
 
 // pipeline.Snapshot/Restore glue every component snapshot into one
@@ -28,19 +29,15 @@ const (
 	shardedSnapshotVersion = 2
 )
 
-// ErrRoundOpen is returned by Snapshot when a round is in flight.
-var ErrRoundOpen = errors.New("fedora: cannot snapshot mid-round")
+// ErrRoundOpen is returned by Snapshot when a round is in flight. It is
+// the shard engine's sentinel, so a sharded controller's per-shard
+// export reports the same error as its whole snapshot.
+var ErrRoundOpen = shard.ErrRoundOpen
 
-// ConfigDigest fingerprints the semantically relevant Config fields. A
-// snapshot only restores into a controller with an identical digest —
-// geometry, privacy parameters, and seeds must all match for replay to
-// be meaningful.
-func (c *Controller) ConfigDigest() uint64 { return c.cfg.Digest() }
-
-// Digest fingerprints the semantically relevant Config fields without
-// building a controller. The cluster coordinator uses it to stamp and
-// verify assembled checkpoints for the GLOBAL config while only member
-// controllers (built from slices of it) actually exist.
+// Digest fingerprints the semantically relevant Config fields. A
+// snapshot only restores into a controller whose config has an
+// identical digest — geometry, privacy parameters, and seeds must all
+// match for replay to be meaningful.
 func (cfg Config) Digest() uint64 {
 	var e persist.Encoder
 	e.U8(uint8(cfg.Backend))
@@ -96,17 +93,7 @@ func (c *Controller) SnapshotTo(e *persist.Encoder) error {
 	if c.eng == nil {
 		return c.top.SnapshotTo(e)
 	}
-	e.Grow(1 + 4 + 8 + 8 + 8 + c.top.SnapshotSize())
-	e.U8(shardedSnapshotVersion)
-	e.U32(uint32(c.cfg.Shards))
-	e.U64(c.ConfigDigest())
-	e.U64(c.round)
-	m := e.BeginBytes()
-	if err := c.top.SnapshotTo(e); err != nil {
-		return err
-	}
-	e.EndBytes(m)
-	return nil
+	return encodeEnvelope(e, c.cfg, c.round, c.top.SnapshotSize(), func() error { return c.top.SnapshotTo(e) })
 }
 
 // Restore replaces the controller's dynamic state with a snapshot taken
@@ -117,14 +104,151 @@ func (c *Controller) Restore(b []byte) error {
 	if c.inRound || c.staged != nil {
 		return ErrRoundOpen
 	}
-	if c.eng != nil {
-		return c.restoreSharded(b)
+	if c.eng == nil {
+		if err := c.top.Restore(b); err != nil {
+			return err
+		}
+		c.round = c.parts[0].round
+		return nil
 	}
-	if err := c.top.Restore(b); err != nil {
+	round, container, err := decodeEnvelope(c.cfg, b)
+	if err != nil {
 		return err
 	}
-	c.round = c.parts[0].round
+	if err := c.eng.Restore(container); err != nil {
+		return err
+	}
+	c.round = round
 	return nil
+}
+
+// SplitSnapshot decodes a snapshot of a controller built from the
+// global config cfg into its round and its per-shard sections by global
+// index — the sections SnapshotShard exports and RestoreShard replays.
+// With one shard the snapshot is its own single section, a v1 pipeline
+// blob whose header carries the round; with several it is the v2
+// envelope around the engine container. Headers are checked against cfg
+// (version, shard count, config digest, geometry); each section is
+// verified by the controller that restores it.
+func SplitSnapshot(cfg Config, b []byte) (round uint64, sections [][]byte, err error) {
+	cfg.setDefaults()
+	if cfg.Shards <= 1 {
+		d := persist.NewDecoder(b)
+		if round, err = decodePipelineHeader(d, cfg); err != nil {
+			return 0, nil, err
+		}
+		if err := d.Err(); err != nil {
+			return 0, nil, fmt.Errorf("fedora: controller snapshot: %w", err)
+		}
+		return round, [][]byte{b}, nil
+	}
+	round, container, err := decodeEnvelope(cfg, b)
+	if err != nil {
+		return 0, nil, err
+	}
+	sections, err = shard.DecodeContainer(container, containerGeometry(cfg))
+	if err != nil {
+		return 0, nil, err
+	}
+	return round, sections, nil
+}
+
+// AssembleSnapshot is SplitSnapshot's inverse: from the per-shard
+// sections of cfg's shards it builds the snapshot a single-process
+// controller built from cfg takes at round, byte for byte. One shard's
+// section is that snapshot as is (its v1 header carries its own round,
+// so round is unused); several are framed into the v2 envelope in one
+// presized buffer.
+func AssembleSnapshot(cfg Config, round uint64, sections [][]byte) []byte {
+	cfg.setDefaults()
+	if cfg.Shards <= 1 {
+		return sections[0]
+	}
+	size := shard.ContainerOverhead(len(sections))
+	for _, blob := range sections {
+		size += len(blob)
+	}
+	var e persist.Encoder
+	// Appending sections that are already bytes cannot fail.
+	_ = encodeEnvelope(&e, cfg, round, size, func() error {
+		return shard.EncodeContainer(&e, containerGeometry(cfg), func(i int) error {
+			copy(e.Extend(len(sections[i])), sections[i])
+			return nil
+		})
+	})
+	return e.Finish()
+}
+
+// containerGeometry is the engine-container geometry of a sharded cfg.
+func containerGeometry(cfg Config) shard.Config {
+	return shard.Config{Shards: cfg.Shards, NumRows: cfg.NumRows, Base: cfg.ShardBase}
+}
+
+// envelopeHeader is the v2 envelope's size around its engine container:
+// version, shard count, config digest, round and the length prefix.
+const envelopeHeader = 1 + 4 + 8 + 8 + 8
+
+// encodeEnvelope is the v2 envelope's one writer: the header for cfg's
+// shard count and digest and the round, around the engine container
+// that container appends (at most size bytes; e is grown once).
+func encodeEnvelope(e *persist.Encoder, cfg Config, round uint64, size int, container func() error) error {
+	e.Grow(envelopeHeader + size)
+	e.U8(shardedSnapshotVersion)
+	e.U32(uint32(cfg.Shards))
+	e.U64(cfg.Digest())
+	e.U64(round)
+	m := e.BeginBytes()
+	if err := container(); err != nil {
+		return err
+	}
+	e.EndBytes(m)
+	return nil
+}
+
+// decodeEnvelope is the v2 envelope's one reader: it checks the header
+// against cfg and returns the round and the engine container. The shard
+// count is checked before the digest so a mismatched partitioning gets
+// the specific error, not the generic one.
+func decodeEnvelope(cfg Config, b []byte) (round uint64, container []byte, err error) {
+	d := persist.NewDecoder(b)
+	v := d.U8()
+	if d.Err() == nil && v != shardedSnapshotVersion {
+		if v == controllerSnapshotVersion {
+			return 0, nil, fmt.Errorf("fedora: snapshot was taken by an unsharded controller, this one is configured with %d shards", cfg.Shards)
+		}
+		return 0, nil, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
+	}
+	shards := int(d.U32())
+	if d.Err() == nil && shards != cfg.Shards {
+		return 0, nil, fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, cfg.Shards)
+	}
+	if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
+		return 0, nil, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
+			digest, cfg.Digest())
+	}
+	round = d.U64()
+	container = d.Bytes()
+	if err := d.Err(); err != nil {
+		return 0, nil, fmt.Errorf("fedora: controller snapshot: %w", err)
+	}
+	return round, container, nil
+}
+
+// decodePipelineHeader reads a v1 pipeline blob's header — version,
+// config digest, round — and checks it against cfg. A short read is
+// left on d for the caller's d.Err().
+func decodePipelineHeader(d *persist.Decoder, cfg Config) (round uint64, err error) {
+	if v := d.U8(); d.Err() == nil && v != controllerSnapshotVersion {
+		if v == shardedSnapshotVersion {
+			return 0, errors.New("fedora: snapshot was taken by a sharded controller; configure the same Shards count to restore it")
+		}
+		return 0, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
+	}
+	if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
+		return 0, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
+			digest, cfg.Digest())
+	}
+	return d.U64(), nil
 }
 
 // SnapshotSize implements shard.Partition.
@@ -221,18 +345,10 @@ func (p *pipeline) Restore(b []byte) error {
 	p.evict.live = false // restored state supersedes any deferred pass
 
 	d := persist.NewDecoder(b)
-	if v := d.U8(); d.Err() == nil && v != controllerSnapshotVersion {
-		if v == shardedSnapshotVersion {
-			return errors.New("fedora: snapshot was taken by a sharded controller; configure the same Shards count to restore it")
-		}
-		return fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
+	round, err := decodePipelineHeader(d, p.cfg)
+	if err != nil {
+		return err
 	}
-	digest := d.U64()
-	if d.Err() == nil && digest != p.cfg.Digest() {
-		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, p.cfg.Digest())
-	}
-	round := d.U64()
 	srcBlob := d.Bytes()
 	selSrcBlob := d.Bytes()
 	requestCount, readBefore, selErr := decodeSelector(d)
@@ -302,39 +418,6 @@ func (p *pipeline) Restore(b []byte) error {
 	return nil
 }
 
-// restoreSharded restores a sharded controller from a v2 snapshot. The
-// caller holds c.mu. The shard count is checked before the digest so a
-// mismatched partitioning gets the specific error, not the generic one.
-func (c *Controller) restoreSharded(b []byte) error {
-	d := persist.NewDecoder(b)
-	v := d.U8()
-	if d.Err() == nil && v != shardedSnapshotVersion {
-		if v == controllerSnapshotVersion {
-			return fmt.Errorf("fedora: snapshot was taken by an unsharded controller, this one is configured with %d shards", c.cfg.Shards)
-		}
-		return fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
-	}
-	shards := int(d.U32())
-	if d.Err() == nil && shards != c.cfg.Shards {
-		return fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, c.cfg.Shards)
-	}
-	digest := d.U64()
-	if d.Err() == nil && digest != c.ConfigDigest() {
-		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, c.ConfigDigest())
-	}
-	round := d.U64()
-	engBlob := d.Bytes()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("fedora: controller snapshot: %w", err)
-	}
-	if err := c.top.Restore(engBlob); err != nil {
-		return err
-	}
-	c.round = round
-	return nil
-}
-
 // RecoverQuarantined restores every quarantined shard from its section
 // of a sharded controller snapshot (the newest durable checkpoint) and
 // returns the shard indices recovered. Healthy shards — and the
@@ -353,26 +436,12 @@ func (c *Controller) RecoverQuarantined(b []byte) ([]int, error) {
 	if c.eng == nil {
 		return nil, nil // a one-pipeline controller has no quarantine state
 	}
-	d := persist.NewDecoder(b)
-	v := d.U8()
-	if d.Err() == nil && v != shardedSnapshotVersion {
-		return nil, fmt.Errorf("fedora: recover: unsupported controller snapshot version %d", v)
+	// The snapshot round is NOT restored: survivors advanced past it.
+	_, container, err := decodeEnvelope(c.cfg, b)
+	if err != nil {
+		return nil, err
 	}
-	shards := int(d.U32())
-	if d.Err() == nil && shards != c.cfg.Shards {
-		return nil, fmt.Errorf("fedora: recover: snapshot was taken with %d shards, controller is configured with %d", shards, c.cfg.Shards)
-	}
-	digest := d.U64()
-	if d.Err() == nil && digest != c.ConfigDigest() {
-		return nil, fmt.Errorf("fedora: recover: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, c.ConfigDigest())
-	}
-	_ = d.U64() // snapshot round: NOT restored — survivors advanced past it
-	engBlob := d.Bytes()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("fedora: recover: %w", err)
-	}
-	return c.eng.Recover(engBlob)
+	return c.eng.Recover(container)
 }
 
 // encodeSelector writes the selector's cross-round metadata (sorted for

@@ -70,13 +70,10 @@ func (fw *FrameWriter) Close() error {
 func writeRawFrame(w io.Writer, name string, payload []byte, count *uint64) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(name)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte(name))
-	crc.Write(payload)
 	var plen [8]byte
 	binary.LittleEndian.PutUint64(plen[:], uint64(len(payload)))
 	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
+	binary.LittleEndian.PutUint32(tail[:], crc32ChecksumFrame([]byte(name), payload))
 	for _, p := range [][]byte{hdr[:], []byte(name), plen[:], payload, tail[:]} {
 		if _, err := w.Write(p); err != nil {
 			return err
@@ -112,38 +109,13 @@ func (fr *FrameReader) Next() (name string, payload []byte, err error) {
 	if fr.ended {
 		return "", nil, io.EOF
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: stream ended without trailer frame: %v", ErrCorrupt, err)
+	name, payload, err = readFrame(fr.r)
+	if err == io.EOF {
+		return "", nil, fmt.Errorf("%w: stream ended without trailer frame", ErrCorrupt)
 	}
-	nameLen := binary.LittleEndian.Uint32(hdr[:])
-	if nameLen == 0 || nameLen > maxNameLen {
-		return "", nil, fmt.Errorf("%w: frame name length %d out of range", ErrCorrupt, nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(fr.r, nameBuf); err != nil {
-		return "", nil, fmt.Errorf("%w: truncated frame name: %v", ErrCorrupt, err)
-	}
-	var plen [8]byte
-	if _, err := io.ReadFull(fr.r, plen[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: truncated payload length: %v", ErrCorrupt, err)
-	}
-	payloadLen := binary.LittleEndian.Uint64(plen[:])
-	payload, err = readPayload(fr.r, payloadLen)
 	if err != nil {
 		return "", nil, err
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(fr.r, tail[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: truncated frame CRC: %v", ErrCorrupt, err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(nameBuf)
-	crc.Write(payload)
-	if crc.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
-		return "", nil, fmt.Errorf("%w: CRC mismatch in frame %q", ErrCorrupt, nameBuf)
-	}
-	name = string(nameBuf)
 	fr.seen++
 	if name == endFrameName {
 		if len(payload) != 8 || binary.LittleEndian.Uint64(payload) != fr.seen-1 {
@@ -153,6 +125,45 @@ func (fr *FrameReader) Next() (name string, payload []byte, err error) {
 		return "", nil, io.EOF
 	}
 	return name, payload, nil
+}
+
+// readFrame parses one frame — name length, name, payload length,
+// payload, CRC — with no trailer rule: the one frame parser under both
+// the checkpoint reader (Next) and the WAL, which has no trailer and ends
+// at EOF. io.EOF is returned only at a clean frame boundary; anything
+// torn or failing its CRC is ErrCorrupt.
+func readFrame(r io.Reader) (string, []byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return "", nil, io.EOF
+		}
+		return "", nil, fmt.Errorf("%w: truncated frame header: %v", ErrCorrupt, err)
+	}
+	nameLen := binary.LittleEndian.Uint32(hdr[:])
+	if nameLen == 0 || nameLen > maxNameLen {
+		return "", nil, fmt.Errorf("%w: frame name length %d out of range", ErrCorrupt, nameLen)
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(r, name); err != nil {
+		return "", nil, fmt.Errorf("%w: truncated frame name: %v", ErrCorrupt, err)
+	}
+	var plen [8]byte
+	if _, err := io.ReadFull(r, plen[:]); err != nil {
+		return "", nil, fmt.Errorf("%w: truncated payload length: %v", ErrCorrupt, err)
+	}
+	payload, err := readPayload(r, binary.LittleEndian.Uint64(plen[:]))
+	if err != nil {
+		return "", nil, err
+	}
+	var tail [4]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return "", nil, fmt.Errorf("%w: truncated frame CRC: %v", ErrCorrupt, err)
+	}
+	if crc32ChecksumFrame(name, payload) != binary.LittleEndian.Uint32(tail[:]) {
+		return "", nil, fmt.Errorf("%w: CRC mismatch in frame %q", ErrCorrupt, name)
+	}
+	return string(name), payload, nil
 }
 
 // crc32ChecksumFrame computes the frame checksum over name ‖ payload.

@@ -154,7 +154,7 @@ func ReadRawWALFile(path string) (records []RawRecord, torn bool, err error) {
 		return nil, false, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, magic)
 	}
 	for {
-		name, payload, err := readOneFrame(r)
+		name, payload, err := readFrame(r)
 		if err == io.EOF {
 			return records, false, nil
 		}
@@ -191,45 +191,4 @@ func ReadWALFile(path string) (records []RoundRecord, torn bool, err error) {
 		records = append(records, rec)
 	}
 	return records, torn, err
-}
-
-// readOneFrame reads a single raw frame (no trailer handling — the WAL
-// has no trailer, it is terminated by EOF). io.EOF is returned only at a
-// clean frame boundary.
-func readOneFrame(r io.Reader) (string, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return "", nil, io.EOF
-		}
-		return "", nil, fmt.Errorf("%w: torn frame header: %v", ErrCorrupt, err)
-	}
-	nameLen := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-	if nameLen == 0 || nameLen > maxNameLen {
-		return "", nil, fmt.Errorf("%w: frame name length %d out of range", ErrCorrupt, nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return "", nil, fmt.Errorf("%w: torn frame name: %v", ErrCorrupt, err)
-	}
-	var plen [8]byte
-	if _, err := io.ReadFull(r, plen[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: torn payload length: %v", ErrCorrupt, err)
-	}
-	n := uint64(plen[0]) | uint64(plen[1])<<8 | uint64(plen[2])<<16 | uint64(plen[3])<<24 |
-		uint64(plen[4])<<32 | uint64(plen[5])<<40 | uint64(plen[6])<<48 | uint64(plen[7])<<56
-	payload, err := readPayload(r, n)
-	if err != nil {
-		return "", nil, err
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: torn frame CRC: %v", ErrCorrupt, err)
-	}
-	want := uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24
-	crc := crc32ChecksumFrame(nameBuf, payload)
-	if crc != want {
-		return "", nil, fmt.Errorf("%w: CRC mismatch in frame %q", ErrCorrupt, nameBuf)
-	}
-	return string(nameBuf), payload, nil
 }

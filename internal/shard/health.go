@@ -1,12 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/persist"
 	"repro/internal/tee"
 )
 
@@ -143,13 +140,11 @@ func (e *Engine) Health() HealthReport {
 // before any partition is modified. Recovery requires a quiesced engine
 // (no round in flight).
 func (e *Engine) Recover(b []byte) ([]int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.inRound {
-		return nil, ErrRoundOpen
+	if err := e.quiesced(); err != nil {
+		return nil, err
 	}
 	var idx []int
-	for i, q := range e.quarantined {
+	for i, q := range e.quarantineSnapshot() {
 		if q {
 			idx = append(idx, i)
 		}
@@ -157,42 +152,15 @@ func (e *Engine) Recover(b []byte) ([]int, error) {
 	if len(idx) == 0 {
 		return nil, nil
 	}
-	cp, err := persist.DecodeCheckpoint(bytes.NewReader(b))
+	sections, err := DecodeContainer(b, e.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("shard: recover: %w", err)
-	}
-	meta, ok := cp.Get(metaSection)
-	if !ok {
-		return nil, fmt.Errorf("shard: recover: snapshot has no %q section", metaSection)
-	}
-	d := persist.NewDecoder(meta)
-	version := d.U8()
-	shards := int(d.U32())
-	numRows := d.U64()
-	base := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("shard: recover: snapshot meta: %w", err)
-	}
-	if version != engineSnapshotVersion {
-		return nil, fmt.Errorf("shard: recover: unsupported engine snapshot version %d", version)
-	}
-	if shards != e.cfg.Shards || numRows != e.cfg.NumRows || base != e.cfg.Base {
-		return nil, fmt.Errorf("shard: recover: snapshot geometry (%d shards, %d rows, base %d) does not match engine (%d shards, %d rows, base %d)",
-			shards, numRows, base, e.cfg.Shards, e.cfg.NumRows, e.cfg.Base)
+		return nil, err
 	}
 	var recovered []int
 	for _, i := range idx {
-		blob, ok := cp.Get(SectionName(e.cfg.Base + i))
-		if !ok {
-			return recovered, fmt.Errorf("shard: recover: snapshot has no %q section", SectionName(e.cfg.Base+i))
+		if err := e.restorePart(i, sections[i]); err != nil {
+			return recovered, err
 		}
-		e.parts[i].Abort()
-		if err := e.parts[i].Restore(blob); err != nil {
-			return recovered, fmt.Errorf("shard %d: recover: %w", e.cfg.Base+i, err)
-		}
-		e.quarantined[i] = false
-		e.causes[i] = nil
-		e.recoveries++
 		recovered = append(recovered, e.cfg.Base+i)
 	}
 	return recovered, nil

@@ -240,6 +240,63 @@ func TestRecoverRestoresQuarantinedSection(t *testing.T) {
 	}
 }
 
+// TestRestoreReturnsQuarantinedShardsToService: a full Restore is a
+// restore of every part — each is aborted and replayed, and a
+// quarantined shard comes back into service counted as a recovery, as
+// RestoreShard and Recover already did.
+func TestRestoreReturnsQuarantinedShardsToService(t *testing.T) {
+	e, fakes := newFakeEngine(t, 100, 3, 1)
+	for i, f := range fakes {
+		f.state = []byte{byte('A' + i)}
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fakes[1].beginErr = injectedErr
+	r, err := e.BeginRound(requests(10, 50, 90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := e.Health(); rep.Status != StatusDegraded {
+		t.Fatalf("health after fault = %s, want degraded", rep.Status)
+	}
+	fakes[1].beginErr = nil
+	aborts := make([]int, len(fakes))
+	for i, f := range fakes {
+		aborts[i] = f.aborts
+	}
+
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fakes {
+		if f.aborts <= aborts[i] {
+			t.Errorf("Restore did not abort partition %d", i)
+		}
+		if want := string(rune('A' + i)); string(f.state) != want {
+			t.Errorf("shard %d state = %q, want %q", i, f.state, want)
+		}
+	}
+	rep := e.Health()
+	if rep.Status != StatusHealthy || rep.Shards[1].Quarantined || rep.Recoveries != 1 {
+		t.Fatalf("health after Restore = %+v, want healthy with one recovery", rep)
+	}
+	r2, err := e.BeginRound(requests(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := serve(r2, 50); err != nil || !res[0].OK || res[0].Unavailable {
+		t.Fatalf("restored shard serve: %+v err=%v", res[0], err)
+	}
+	if _, err := r2.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoverGuards: no-op with nothing quarantined, refuses mid-round
 // and on geometry mismatch.
 func TestRecoverGuards(t *testing.T) {
