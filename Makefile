@@ -9,15 +9,18 @@ all: build test
 # The gate, and the only one: static checks, every package's tests under
 # the race detector in shuffled order (the durability, chaos, storage,
 # wire, cluster and HA suites and both multi-process capstones are
-# ordinary tests of their packages, so no -run regex can skip one), a
-# short pass of the six format fuzzers (checkpoint, WAL, aggregator,
-# sparse upload, row frame, controller envelope), and the bench/
-# module's own vet and tests. ~6 min on 2 vCPUs.
+# ordinary tests of their packages, so no -run regex can skip one), the
+# shard engine and controller suites again on one proc (every controller
+# routes its batches through the engine's worker loop, which runs inline
+# there), a short pass of the six format fuzzers (checkpoint, WAL,
+# aggregator, sparse upload, row frame, controller envelope), and the
+# bench/ module's own vet and tests. ~6 min on 2 vCPUs.
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -shuffle=on ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/shard/ ./internal/fedora/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/persist/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/
 	$(GO) test -run=Fuzz -fuzz=FuzzAggregatorParse -fuzztime=10s ./internal/wire/

@@ -36,9 +36,11 @@
 // goroutine runs the fetch and evict passes — the caller's, inside
 // BeginRound and Finish, or the round's own, overlapping the caller's
 // compute — never what the ORAMs execute or in which order. The
-// Controller is a router over one pipeline per shard and owns the round
-// lifecycle: the open-round flag, the round counter, the staged next
-// round and the snapshot envelope.
+// Controller drives one pipeline per shard through a shard.Engine — an
+// engine of one part when Config.Shards ≤ 1, so every shard count takes
+// the same round path — and owns the round lifecycle: the open-round
+// flag, the round counter, the staged next round and the snapshot
+// envelope.
 //
 // Key invariants: at most one round is in flight per controller
 // (BeginRound returns ErrRoundInProgress otherwise); the adversary
@@ -58,7 +60,6 @@ import (
 	"repro/internal/bufferoram"
 	"repro/internal/device"
 	"repro/internal/fdp"
-	"repro/internal/persist"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -157,7 +158,7 @@ type Config struct {
 	// Shards partitions the embedding table into this many contiguous row
 	// ranges, each with its own main ORAM, buffer ORAM, position map and
 	// ε-FDP sampler, executed concurrently each round (0 or 1 =
-	// monolithic). The round ε is unchanged: chunks already compose in
+	// one shard). The round ε is unchanged: chunks already compose in
 	// parallel, and per-shard chunks partition the same request set.
 	Shards int
 	// ShardWorkers bounds the goroutines driving shards concurrently —
@@ -192,7 +193,7 @@ type Config struct {
 	// WrapDevice, when non-nil, interposes on every device the controller
 	// provisions before the ORAMs are built over it — the fault-injection
 	// seam (internal/fault's Plan.Wrap has this signature). Names are
-	// "ssd"/"dram" monolithic and "shard<i>/ssd"/"shard<i>/dram" sharded.
+	// "ssd"/"dram" at one shard and "shard<i>/ssd"/"shard<i>/dram" sharded.
 	// Snapshot/Restore and PeekRow bypass the wrapper (they address the
 	// underlying simulated device directly), so recovery and evaluation
 	// see true stored bytes. Functions are not encodable, so WrapDevice is
@@ -244,29 +245,21 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Controller is the trusted FEDORA controller plus its devices: a router
-// over one pipeline per shard (exactly one when Config.Shards ≤ 1). The
-// pipelines own every ORAM, device and buffer; the controller owns what
-// is one-per-round whatever the shard count — the open-round flag, the
-// round counter, the staged next round and the snapshot envelope. With
-// several pipelines a shard.Engine fans each round out across them; with
-// one, the round is that pipeline's own.
+// Controller is the trusted FEDORA controller plus its devices: one
+// shard.Engine over one pipeline per shard — a single pipeline when
+// Config.Shards ≤ 1, which is the engine's degenerate case, not a second
+// code path. The pipelines own every ORAM, device and buffer; the engine
+// routes rounds, batches, snapshots and restores across them; the
+// controller owns what is one-per-round whatever the shard count — the
+// open-round flag, the round counter, the staged next round and the
+// snapshot envelope.
 //
 // A Controller is safe for concurrent use: mu guards the round lifecycle
 // here, and each pipeline serializes its own ORAMs (see pipeline).
 type Controller struct {
 	cfg   Config
 	parts []*pipeline
-	// top is what Snapshot, Restore and AbortRound address as a whole, eng
-	// what routes a round across parts: the engine for both when there
-	// are several pipelines; parts[0] itself and nil when there is one.
-	top interface {
-		SnapshotSize() int
-		SnapshotTo(e *persist.Encoder) error
-		Restore(b []byte) error
-		Abort()
-	}
-	eng *shard.Engine
+	eng   *shard.Engine
 
 	mu      sync.Mutex // guards the round lifecycle below
 	round   uint64
@@ -276,35 +269,57 @@ type Controller struct {
 	staged *stagedRound
 }
 
-// New builds a controller and its pipelines.
+// New builds a controller: max(Shards, 1) pipelines, each complete (own
+// main ORAM, buffer ORAM, position map, devices, TEE engine and ε-FDP
+// sampler) over one contiguous row range, and the engine driving them.
+// A lone pipeline is built from cfg as is; several get shardConfig's
+// per-shard seeds, storage prefixes and device names.
 func New(cfg Config) (*Controller, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		return newSharded(cfg)
+	S := max(cfg.Shards, 1)
+	c := &Controller{cfg: cfg, parts: make([]*pipeline, S)}
+	parts := make([]shard.Partition, S)
+	for i := range c.parts {
+		pcfg := cfg
+		if S > 1 {
+			pcfg = shardConfig(cfg, S, i)
+		}
+		p, err := newPipeline(pcfg)
+		if err != nil {
+			if S > 1 {
+				err = fmt.Errorf("fedora: shard %d: %w", cfg.ShardBase+i, err)
+			}
+			return nil, err
+		}
+		c.parts[i], parts[i] = p, p
 	}
-	p, err := newPipeline(cfg)
+	ecfg := shard.Config{
+		Shards:  S,
+		NumRows: cfg.NumRows,
+		Workers: cfg.ShardWorkers,
+		Dummy:   DummyRequest,
+		Base:    cfg.ShardBase,
+	}
+	if S == 1 {
+		// A lone shard has no survivors to degrade to: a device fault
+		// fails the round loudly instead of quarantining it.
+		ecfg.Trigger = func(error) bool { return false }
+	}
+	eng, err := shard.NewEngine(ecfg, parts)
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, parts: []*pipeline{p}, top: p}, nil
+	c.eng = eng
+	return c, nil
 }
 
-// Health reports the controller's shard-health rollup. A one-pipeline
-// controller is a single always-live pseudo-shard: it has no quarantine
-// path (a device fault fails the round loudly), so it reports healthy
-// with zero event counters.
-func (c *Controller) Health() shard.HealthReport {
-	if c.eng != nil {
-		return c.eng.Health()
-	}
-	return shard.HealthReport{
-		Status: shard.StatusHealthy,
-		Shards: []shard.ShardHealth{{Shard: c.cfg.ShardBase, Rows: c.cfg.NumRows}},
-	}
-}
+// Health reports the controller's shard-health rollup. A one-shard
+// controller never quarantines, so it always reports healthy with zero
+// event counters.
+func (c *Controller) Health() shard.HealthReport { return c.eng.Health() }
 
 // AbortRound force-closes any open round WITHOUT running write-back,
 // leaving the pipelines quiesced but the in-memory ORAM state dirty; the
@@ -327,7 +342,7 @@ func (c *Controller) AbortRound() {
 	c.mu.Lock()
 	c.inRound = false
 	c.mu.Unlock()
-	c.top.Abort()
+	c.eng.Abort()
 }
 
 // Backend reports the configured backend.
@@ -438,7 +453,7 @@ func (c *Controller) SyncStorage() error {
 	return nil
 }
 
-// Shards reports the shard count (1 when monolithic).
+// Shards reports the shard count (at least 1).
 func (c *Controller) Shards() int { return len(c.parts) }
 
 // Round returns the number of completed rounds.

@@ -74,10 +74,10 @@ func (cfg Config) Digest() uint64 {
 }
 
 // Snapshot serializes the controller's full dynamic state. It fails with
-// ErrRoundOpen if called between BeginRound and Finish. A one-pipeline
-// controller emits its pipeline's blob as is (format v1, which is also a
-// shard's section in the engine container); a sharded one wraps the
-// engine container in the v2 header.
+// ErrRoundOpen if called between BeginRound and Finish. A one-shard
+// controller's snapshot is its pipeline's blob as is (format v1, which
+// is also a shard's section in the engine container); a sharded one
+// wraps the engine container in the v2 header.
 func (c *Controller) Snapshot() ([]byte, error) { return persist.Build(c.SnapshotTo) }
 
 // SnapshotTo appends Snapshot's bytes to e: every pipeline, ORAM and
@@ -90,10 +90,9 @@ func (c *Controller) SnapshotTo(e *persist.Encoder) error {
 		// snapshot would otherwise capture mid-consumption.
 		return ErrRoundOpen
 	}
-	if c.eng == nil {
-		return c.top.SnapshotTo(e)
-	}
-	return encodeEnvelope(e, c.cfg, c.round, c.top.SnapshotSize(), func() error { return c.top.SnapshotTo(e) })
+	return c.eng.SnapshotTo(e, func(size int, section func(i int) error) error {
+		return writeSnapshot(e, c.cfg, c.round, size, section)
+	})
 }
 
 // Restore replaces the controller's dynamic state with a snapshot taken
@@ -104,21 +103,37 @@ func (c *Controller) Restore(b []byte) error {
 	if c.inRound || c.staged != nil {
 		return ErrRoundOpen
 	}
-	if c.eng == nil {
-		if err := c.top.Restore(b); err != nil {
-			return err
-		}
-		c.round = c.parts[0].round
-		return nil
-	}
-	round, container, err := decodeEnvelope(c.cfg, b)
+	round, sections, err := SplitSnapshot(c.cfg, b)
 	if err != nil {
 		return err
 	}
-	if err := c.eng.Restore(container); err != nil {
+	if err := c.eng.Restore(sections); err != nil {
 		return err
 	}
 	c.round = round
+	return nil
+}
+
+// writeSnapshot is the one writer of a controller snapshot of cfg at
+// round, from sections that section(i) appends for local shard i (size
+// bounds their bytes). With one shard the snapshot is its single
+// section as is: a v1 pipeline blob, whose header carries the round.
+// With several it is the v2 envelope around the engine container, in
+// one buffer grown once. SplitSnapshot is its reader.
+func writeSnapshot(e *persist.Encoder, cfg Config, round uint64, size int, section func(i int) error) error {
+	if cfg.Shards <= 1 {
+		return section(0)
+	}
+	e.Grow(envelopeHeader + shard.ContainerOverhead(cfg.Shards) + size)
+	e.U8(shardedSnapshotVersion)
+	e.U32(uint32(cfg.Shards))
+	e.U64(cfg.Digest())
+	e.U64(round)
+	m := e.BeginBytes()
+	if err := shard.EncodeContainer(e, containerGeometry(cfg), section); err != nil {
+		return err
+	}
+	e.EndBytes(m)
 	return nil
 }
 
@@ -132,22 +147,36 @@ func (c *Controller) Restore(b []byte) error {
 // verified by the controller that restores it.
 func SplitSnapshot(cfg Config, b []byte) (round uint64, sections [][]byte, err error) {
 	cfg.setDefaults()
+	d := persist.NewDecoder(b)
 	if cfg.Shards <= 1 {
-		d := persist.NewDecoder(b)
-		if round, err = decodePipelineHeader(d, cfg); err != nil {
-			return 0, nil, err
+		round, err = decodePipelineHeader(d, cfg)
+	} else {
+		// The shard count is checked before the digest so a mismatched
+		// partitioning gets the specific error, not the generic one.
+		if v := d.U8(); d.Err() == nil && v != shardedSnapshotVersion {
+			if v == controllerSnapshotVersion {
+				return 0, nil, fmt.Errorf("fedora: snapshot was taken by an unsharded controller, this one is configured with %d shards", cfg.Shards)
+			}
+			return 0, nil, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
 		}
-		if err := d.Err(); err != nil {
-			return 0, nil, fmt.Errorf("fedora: controller snapshot: %w", err)
+		if shards := int(d.U32()); d.Err() == nil && shards != cfg.Shards {
+			return 0, nil, fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, cfg.Shards)
 		}
-		return round, [][]byte{b}, nil
+		if err = checkDigest(d, cfg); err == nil {
+			round = d.U64()
+			b = d.Bytes() // the engine container
+		}
 	}
-	round, container, err := decodeEnvelope(cfg, b)
+	if err == nil && d.Err() != nil {
+		err = fmt.Errorf("fedora: controller snapshot: %w", d.Err())
+	}
 	if err != nil {
 		return 0, nil, err
 	}
-	sections, err = shard.DecodeContainer(container, containerGeometry(cfg))
-	if err != nil {
+	if cfg.Shards <= 1 {
+		return round, [][]byte{b}, nil
+	}
+	if sections, err = shard.DecodeContainer(b, containerGeometry(cfg)); err != nil {
 		return 0, nil, err
 	}
 	return round, sections, nil
@@ -155,26 +184,19 @@ func SplitSnapshot(cfg Config, b []byte) (round uint64, sections [][]byte, err e
 
 // AssembleSnapshot is SplitSnapshot's inverse: from the per-shard
 // sections of cfg's shards it builds the snapshot a single-process
-// controller built from cfg takes at round, byte for byte. One shard's
-// section is that snapshot as is (its v1 header carries its own round,
-// so round is unused); several are framed into the v2 envelope in one
+// controller built from cfg takes at round, byte for byte, in one
 // presized buffer.
 func AssembleSnapshot(cfg Config, round uint64, sections [][]byte) []byte {
 	cfg.setDefaults()
-	if cfg.Shards <= 1 {
-		return sections[0]
-	}
-	size := shard.ContainerOverhead(len(sections))
+	size := 0
 	for _, blob := range sections {
 		size += len(blob)
 	}
 	var e persist.Encoder
 	// Appending sections that are already bytes cannot fail.
-	_ = encodeEnvelope(&e, cfg, round, size, func() error {
-		return shard.EncodeContainer(&e, containerGeometry(cfg), func(i int) error {
-			copy(e.Extend(len(sections[i])), sections[i])
-			return nil
-		})
+	_ = writeSnapshot(&e, cfg, round, size, func(i int) error {
+		copy(e.Extend(len(sections[i])), sections[i])
+		return nil
 	})
 	return e.Finish()
 }
@@ -188,52 +210,6 @@ func containerGeometry(cfg Config) shard.Config {
 // version, shard count, config digest, round and the length prefix.
 const envelopeHeader = 1 + 4 + 8 + 8 + 8
 
-// encodeEnvelope is the v2 envelope's one writer: the header for cfg's
-// shard count and digest and the round, around the engine container
-// that container appends (at most size bytes; e is grown once).
-func encodeEnvelope(e *persist.Encoder, cfg Config, round uint64, size int, container func() error) error {
-	e.Grow(envelopeHeader + size)
-	e.U8(shardedSnapshotVersion)
-	e.U32(uint32(cfg.Shards))
-	e.U64(cfg.Digest())
-	e.U64(round)
-	m := e.BeginBytes()
-	if err := container(); err != nil {
-		return err
-	}
-	e.EndBytes(m)
-	return nil
-}
-
-// decodeEnvelope is the v2 envelope's one reader: it checks the header
-// against cfg and returns the round and the engine container. The shard
-// count is checked before the digest so a mismatched partitioning gets
-// the specific error, not the generic one.
-func decodeEnvelope(cfg Config, b []byte) (round uint64, container []byte, err error) {
-	d := persist.NewDecoder(b)
-	v := d.U8()
-	if d.Err() == nil && v != shardedSnapshotVersion {
-		if v == controllerSnapshotVersion {
-			return 0, nil, fmt.Errorf("fedora: snapshot was taken by an unsharded controller, this one is configured with %d shards", cfg.Shards)
-		}
-		return 0, nil, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
-	}
-	shards := int(d.U32())
-	if d.Err() == nil && shards != cfg.Shards {
-		return 0, nil, fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, cfg.Shards)
-	}
-	if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
-		return 0, nil, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, cfg.Digest())
-	}
-	round = d.U64()
-	container = d.Bytes()
-	if err := d.Err(); err != nil {
-		return 0, nil, fmt.Errorf("fedora: controller snapshot: %w", err)
-	}
-	return round, container, nil
-}
-
 // decodePipelineHeader reads a v1 pipeline blob's header — version,
 // config digest, round — and checks it against cfg. A short read is
 // left on d for the caller's d.Err().
@@ -244,11 +220,20 @@ func decodePipelineHeader(d *persist.Decoder, cfg Config) (round uint64, err err
 		}
 		return 0, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
 	}
-	if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
-		return 0, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, cfg.Digest())
+	if err := checkDigest(d, cfg); err != nil {
+		return 0, err
 	}
 	return d.U64(), nil
+}
+
+// checkDigest reads a snapshot header's config digest and checks it
+// against cfg's.
+func checkDigest(d *persist.Decoder, cfg Config) error {
+	if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
+		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
+			digest, cfg.Digest())
+	}
+	return nil
 }
 
 // SnapshotSize implements shard.Partition.
@@ -433,15 +418,12 @@ func (c *Controller) RecoverQuarantined(b []byte) ([]int, error) {
 	if c.inRound || c.staged != nil {
 		return nil, ErrRoundOpen
 	}
-	if c.eng == nil {
-		return nil, nil // a one-pipeline controller has no quarantine state
-	}
 	// The snapshot round is NOT restored: survivors advanced past it.
-	_, container, err := decodeEnvelope(c.cfg, b)
+	_, sections, err := SplitSnapshot(c.cfg, b)
 	if err != nil {
 		return nil, err
 	}
-	return c.eng.Recover(container)
+	return c.eng.Recover(sections)
 }
 
 // encodeSelector writes the selector's cross-round metadata (sorted for

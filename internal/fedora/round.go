@@ -18,18 +18,17 @@ import (
 const DummyRequest = obliv.InvalidID
 
 // RoundStats summarizes one FL round for the evaluation harness. The
-// canonical definition lives in the shard package (both the monolithic
-// pipeline here and the sharded engine produce it); the alias keeps
-// fedora.RoundStats the name the fl/api/experiment layers use.
+// canonical definition lives in the shard package (the engine merges it
+// from its pipelines' rounds); the alias keeps fedora.RoundStats the
+// name the fl/api/experiment layers use.
 type RoundStats = shard.RoundStats
 
-// ShardStats is the per-shard breakdown attached to a sharded round.
+// ShardStats is one shard's entry in a round's per-shard breakdown.
 type ShardStats = shard.ShardStats
 
 // Round is an in-flight FL round (between BeginRound and Finish): a
-// handle on the one pipeline's round, or on the shard engine's round when
-// the controller routes over several pipelines. Either is a
-// shard.PartitionRound, so every operation below is one batch call.
+// handle on the shard engine's round, so every operation below is one
+// batch call.
 //
 // Its methods are safe for concurrent use by multiple goroutines:
 // multiple trainer workers may stage downloads and uploads
@@ -38,7 +37,7 @@ type ShardStats = shard.ShardStats
 // groups in parallel.
 type Round struct {
 	c      *Controller
-	pr     shard.PartitionRound
+	pr     *shard.Round
 	number uint64
 }
 
@@ -95,8 +94,8 @@ func (c *Controller) BeginRound(requests [][]uint64) (*Round, error) {
 
 // beginRoundLocked is the single-phase round begin. The caller holds
 // c.mu. The engine routes the requests and drives every shard's ①–③
-// concurrently; each pipeline runs its own union, ε-FDP sampling and ORAM
-// reads over its row range.
+// (concurrently when there are several); each pipeline runs its own
+// union, ε-FDP sampling and ORAM reads over its row range.
 func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	if c.inRound {
 		return nil, ErrRoundInProgress
@@ -106,15 +105,7 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	}
 	c.inRound = true
 	c.round++
-	var (
-		pr  shard.PartitionRound
-		err error
-	)
-	if c.eng != nil {
-		pr, err = c.eng.BeginRound(requests)
-	} else {
-		pr, err = c.parts[0].BeginRound(requests)
-	}
+	pr, err := c.eng.BeginRound(requests)
 	if err != nil {
 		c.inRound = false
 		return nil, err

@@ -3,6 +3,7 @@ package fedora
 import (
 	"fmt"
 
+	"repro/internal/device"
 	"repro/internal/fdp"
 	"repro/internal/shard"
 )
@@ -52,7 +53,7 @@ func SliceConfig(global Config, first, count int) (Config, error) {
 		return global, nil
 	}
 	if count == 1 {
-		// Exactly the pipeline config newSharded derives for global shard
+		// Exactly the pipeline config New derives for global shard
 		// `first` (global.ShardBase is 0 here).
 		return shardConfig(global, S, first), nil
 	}
@@ -65,10 +66,43 @@ func SliceConfig(global Config, first, count int) (Config, error) {
 		init := global.InitRow
 		slice.InitRow = func(row uint64) []float32 { return init(rowBase + row) }
 	}
-	// Seed, Storage and WrapDevice stay global: newSharded derives the
+	// Seed, Storage and WrapDevice stay global: New derives the
 	// per-shard seed, prefix and device name from ShardBase+i, which are
 	// the global shard indices.
 	return slice, nil
+}
+
+// shardConfig derives the pipeline config of shard i when cfg's rows are
+// split S ways. Seeds, storage prefixes and device names come from the
+// shard's GLOBAL index g: a standalone sharded controller has ShardBase 0
+// and g == i; a cluster member serving the slice [ShardBase,
+// ShardBase+Shards) gets the values the same shard has in a single-
+// process run, so the two are state-identical.
+func shardConfig(cfg Config, S, i int) Config {
+	g := cfg.ShardBase + i
+	sub := cfg
+	sub.Shards = 0
+	sub.ShardWorkers = 0
+	sub.ShardBase = g
+	sub.NumRows = shard.Rows(cfg.NumRows, S, i)
+	// Independent, deterministic RNG stream per shard: results are
+	// bit-identical at any worker count.
+	sub.Seed = shard.Seed(cfg.Seed, g)
+	// One backing file per shard under the file backend; the prefix
+	// also qualifies the device name ("shard3/ssd") in storage reports.
+	sub.Storage.Prefix = fmt.Sprintf("shard%d", g)
+	if init := cfg.InitRow; init != nil {
+		base := shard.Base(cfg.NumRows, S, i)
+		sub.InitRow = func(row uint64) []float32 { return init(base + row) }
+	}
+	if wrap := cfg.WrapDevice; wrap != nil {
+		// Qualify device names per shard so a fault plan can target
+		// "shard1/ssd" (one shard's SSD) or "shard*/ssd" (all of them).
+		sub.WrapDevice = func(name string, d device.Device) device.Device {
+			return wrap(fmt.Sprintf("shard%d/%s", g, name), d)
+		}
+	}
+	return sub
 }
 
 // SliceRowBase returns the first global row of the shard slice
@@ -94,24 +128,19 @@ func (cfg Config) EffectiveEpsilon() float64 {
 
 // ShardRange reports the GLOBAL shard slice this controller serves:
 // [first, first+count). A standalone controller serves [0, Shards) (or
-// the single pseudo-shard [0, 1) when monolithic).
+// the single shard [0, 1) when Shards ≤ 1).
 func (c *Controller) ShardRange() (first, count int) {
 	return c.cfg.ShardBase, len(c.parts)
 }
 
 // SnapshotShard serializes one shard's complete pipeline state,
-// addressed by GLOBAL shard index. The blob is a monolithic controller
-// snapshot — exactly the checkpoint section a full engine snapshot
-// stores for that shard — so it can be replayed by RestoreShard on any
-// controller that owns the shard, in any process.
+// addressed by GLOBAL shard index. The blob is a v1 pipeline blob —
+// exactly the checkpoint section a full engine snapshot stores for that
+// shard, and the whole snapshot of a one-shard controller — so it can be
+// replayed by RestoreShard on any controller that owns the shard, in any
+// process.
 func (c *Controller) SnapshotShard(global int) ([]byte, error) {
-	if c.eng != nil {
-		return c.eng.SnapshotShard(global)
-	}
-	if global != c.cfg.ShardBase {
-		return nil, fmt.Errorf("fedora: shard %d outside controller slice [%d,%d)", global, c.cfg.ShardBase, c.cfg.ShardBase+1)
-	}
-	return c.Snapshot()
+	return c.eng.SnapshotShard(global)
 }
 
 // RestoreShard replays one shard's section, addressed by GLOBAL shard
@@ -119,13 +148,17 @@ func (c *Controller) SnapshotShard(global int) ([]byte, error) {
 // a recovery). This is the migration primitive: a coordinator exports
 // the section from the newest cluster checkpoint and replays it onto
 // whichever node owns the shard now. The controller must be quiesced
-// (AbortRound first if a fence orphaned a round).
+// (AbortRound first if a fence orphaned a round). A one-shard
+// controller's section is its whole snapshot, so it also takes the
+// section's round, as Restore would.
 func (c *Controller) RestoreShard(global int, blob []byte) error {
-	if c.eng != nil {
-		return c.eng.RestoreShard(global, blob)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.eng.RestoreShard(global, blob); err != nil {
+		return err
 	}
-	if global != c.cfg.ShardBase {
-		return fmt.Errorf("fedora: shard %d outside controller slice [%d,%d)", global, c.cfg.ShardBase, c.cfg.ShardBase+1)
+	if len(c.parts) == 1 {
+		c.round = c.parts[0].round
 	}
-	return c.Restore(blob)
+	return nil
 }

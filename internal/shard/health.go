@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/device"
 	"repro/internal/tee"
@@ -130,16 +131,16 @@ func (e *Engine) Health() HealthReport {
 	return rep
 }
 
-// Recover restores every quarantined shard from its section of an engine
-// snapshot (the newest durable checkpoint) and returns the indices
+// Recover restores every quarantined shard from its section of an
+// engine snapshot (the newest durable checkpoint; sections by local
+// index, as DecodeContainer returns them) and returns the GLOBAL indices
 // recovered. Healthy shards are not touched — only the suspect state is
 // replaced — so the survivors keep every round they served since the
 // checkpoint, while recovered shards roll back to checkpoint time (the
 // documented data-loss window; the FL runner's WAL covers whole-run
-// replay, not per-shard deltas). The snapshot's geometry is verified
-// before any partition is modified. Recovery requires a quiesced engine
-// (no round in flight).
-func (e *Engine) Recover(b []byte) ([]int, error) {
+// replay, not per-shard deltas). Recovery requires a quiesced engine (no
+// round in flight) and is a no-op, (nil, nil), with nothing quarantined.
+func (e *Engine) Recover(sections [][]byte) ([]int, error) {
 	if err := e.quiesced(); err != nil {
 		return nil, err
 	}
@@ -152,9 +153,8 @@ func (e *Engine) Recover(b []byte) ([]int, error) {
 	if len(idx) == 0 {
 		return nil, nil
 	}
-	sections, err := DecodeContainer(b, e.cfg)
-	if err != nil {
-		return nil, err
+	if len(sections) != e.cfg.Shards {
+		return nil, fmt.Errorf("shard: %d sections for %d shards", len(sections), e.cfg.Shards)
 	}
 	var recovered []int
 	for _, i := range idx {

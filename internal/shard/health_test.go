@@ -187,7 +187,7 @@ func TestRecoverRestoresQuarantinedSection(t *testing.T) {
 	for i, f := range fakes {
 		f.state = []byte{byte('A' + i)}
 	}
-	snap, err := e.Snapshot()
+	snap, err := snapshot(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRecoverRestoresQuarantinedSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	abortsBefore := fakes[1].aborts
-	recovered, err := e.Recover(snap)
+	recovered, err := recoverFrom(e, snap)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestRestoreReturnsQuarantinedShardsToService(t *testing.T) {
 	for i, f := range fakes {
 		f.state = []byte{byte('A' + i)}
 	}
-	snap, err := e.Snapshot()
+	snap, err := snapshot(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRestoreReturnsQuarantinedShardsToService(t *testing.T) {
 		aborts[i] = f.aborts
 	}
 
-	if err := e.Restore(snap); err != nil {
+	if err := restore(e, snap); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range fakes {
@@ -301,11 +301,11 @@ func TestRestoreReturnsQuarantinedShardsToService(t *testing.T) {
 // and on geometry mismatch.
 func TestRecoverGuards(t *testing.T) {
 	e, fakes := newFakeEngine(t, 100, 2, 1)
-	snap, err := e.Snapshot()
+	snap, err := snapshot(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := e.Recover(snap); err != nil || rec != nil {
+	if rec, err := recoverFrom(e, snap); err != nil || rec != nil {
 		t.Fatalf("healthy Recover = %v, %v; want nil, nil", rec, err)
 	}
 	fakes[0].failOn("serve", injectedErr)
@@ -314,7 +314,7 @@ func TestRecoverGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _ = serve(r, 10) // quarantine shard 0 mid-round
-	if _, err := e.Recover(snap); !errors.Is(err, ErrRoundOpen) {
+	if _, err := recoverFrom(e, snap); !errors.Is(err, ErrRoundOpen) {
 		t.Fatalf("mid-round Recover = %v, want ErrRoundOpen", err)
 	}
 	if _, err := r.Finish(); err != nil {
@@ -322,15 +322,15 @@ func TestRecoverGuards(t *testing.T) {
 	}
 	// Mismatched geometry: snapshot from a 3-shard engine.
 	other, _ := newFakeEngine(t, 100, 3, 1)
-	otherSnap, err := other.Snapshot()
+	otherSnap, err := snapshot(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Recover(otherSnap); err == nil {
+	if _, err := recoverFrom(e, otherSnap); err == nil {
 		t.Fatal("Recover accepted a snapshot with foreign geometry")
 	}
 	// The matching snapshot still works.
-	if rec, err := e.Recover(snap); err != nil || len(rec) != 1 {
+	if rec, err := recoverFrom(e, snap); err != nil || len(rec) != 1 {
 		t.Fatalf("Recover = %v, %v", rec, err)
 	}
 }

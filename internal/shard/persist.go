@@ -8,15 +8,17 @@ import (
 	"repro/internal/persist"
 )
 
-// Engine.Snapshot/Restore serialize every partition as a NAMED section
-// of a persist.Checkpoint container (the same CRC-framed format the
-// durable checkpoint files use), plus a meta section pinning the shard
-// geometry. Restoring a snapshot taken at a different shard count is
-// rejected: the per-shard ORAM trees, position maps and RNG streams are
-// only meaningful under the exact partition they were written with.
-// Sections are named by GLOBAL shard index (Config.Base + local index)
-// so a cluster member's sections are interchangeable with the matching
-// sections of a single-process engine snapshot.
+// An engine snapshot is a persist.Checkpoint container: one NAMED
+// section per partition plus a meta section pinning the shard geometry
+// (EncodeContainer writes it, DecodeContainer reads it). Restoring a
+// snapshot taken at a different shard count is rejected: the per-shard
+// ORAM trees, position maps and RNG streams are only meaningful under
+// the exact partition they were written with. Sections are named by
+// GLOBAL shard index (Config.Base + local index) so a cluster member's
+// sections are interchangeable with the matching sections of a
+// single-process engine snapshot. The engine itself moves partitions
+// in and out of sections (SnapshotTo, Restore, RestoreShard, Recover);
+// what frames them is its owner's format.
 
 // engineSnapshotVersion stamps the meta section. Version 2 added the
 // Base field for slice engines (cluster members).
@@ -28,19 +30,17 @@ const metaSection = "shard/meta"
 // SectionName returns the checkpoint-section name of shard i.
 func SectionName(i int) string { return fmt.Sprintf("shard/%04d", i) }
 
-// ErrRoundOpen is returned by Snapshot when a round is in flight.
+// ErrRoundOpen is returned by SnapshotTo, SnapshotShard and the restore
+// paths while a round is in flight.
 var ErrRoundOpen = errors.New("shard: cannot snapshot mid-round")
-
-// Snapshot returns SnapshotTo's bytes as a blob of their own.
-func (e *Engine) Snapshot() ([]byte, error) { return persist.Build(e.SnapshotTo) }
 
 // EncodeContainer appends an engine snapshot container for the geometry
 // in cfg (Shards, NumRows, Base) to enc: the checkpoint stream's magic,
 // the meta section pinning the geometry, one section per shard — named
 // by its GLOBAL index, with the payload section(i) appends for local
-// index i — and the trailer. It is the container's one writer: the
-// engine streams its partitions through it, and fedora assembles a
-// cluster checkpoint from members' sections through it.
+// index i — and the trailer. It is the container's one writer: fedora
+// frames a sharded controller's snapshot with it, whether the sections
+// stream from the engine's partitions or from cluster members.
 func EncodeContainer(enc *persist.Encoder, cfg Config, section func(i int) error) error {
 	cp := persist.BeginCheckpoint(enc, 0)
 	cp.BeginSection(metaSection)
@@ -107,36 +107,30 @@ func DecodeContainer(b []byte, cfg Config) ([][]byte, error) {
 // meta and trailer frames included.
 func ContainerOverhead(n int) int { return 64 * (n + 4) }
 
-// SnapshotSize bounds the bytes SnapshotTo appends.
-func (e *Engine) SnapshotSize() int {
-	n := ContainerOverhead(len(e.parts))
+// SnapshotTo has write encode every partition into enc, once no round
+// is in flight: size bounds the partitions' bytes, and section(i)
+// appends local partition i's state. write frames the sections — in an
+// engine container (EncodeContainer), or any format its owner defines.
+func (e *Engine) SnapshotTo(enc *persist.Encoder, write func(size int, section func(i int) error) error) error {
+	if err := e.quiesced(); err != nil {
+		return err
+	}
+	size := 0
 	for _, p := range e.parts {
-		n += p.SnapshotSize()
+		size += p.SnapshotSize()
 	}
-	return n
+	return write(size, func(i int) error { return e.parts[i].SnapshotTo(enc) })
 }
 
-// SnapshotTo appends the engine geometry and every partition, each
-// partition encoding straight into its section of the container.
-func (e *Engine) SnapshotTo(enc *persist.Encoder) error {
+// Restore replaces every partition's state from its section, by local
+// index as DecodeContainer returns them, and returns every quarantined
+// shard to service.
+func (e *Engine) Restore(sections [][]byte) error {
 	if err := e.quiesced(); err != nil {
 		return err
 	}
-	enc.Grow(e.SnapshotSize())
-	return EncodeContainer(enc, e.cfg, func(i int) error { return e.parts[i].SnapshotTo(enc) })
-}
-
-// Restore replaces every partition's state from a snapshot taken by an
-// engine with identical geometry, returning every quarantined shard to
-// service. A diverging geometry or a missing section is rejected before
-// any partition is touched.
-func (e *Engine) Restore(b []byte) error {
-	if err := e.quiesced(); err != nil {
-		return err
-	}
-	sections, err := DecodeContainer(b, e.cfg)
-	if err != nil {
-		return err
+	if len(sections) != e.cfg.Shards {
+		return fmt.Errorf("shard: %d sections for %d shards", len(sections), e.cfg.Shards)
 	}
 	for i, blob := range sections {
 		if err := e.restorePart(i, blob); err != nil {

@@ -3,7 +3,35 @@ package shard
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/persist"
 )
+
+// snapshot, restore and recoverFrom move an engine's partitions through
+// an engine container, as a sharded fedora.Controller frames them.
+func snapshot(e *Engine) ([]byte, error) {
+	return persist.Build(func(enc *persist.Encoder) error {
+		return e.SnapshotTo(enc, func(_ int, section func(i int) error) error {
+			return EncodeContainer(enc, e.cfg, section)
+		})
+	})
+}
+
+func restore(e *Engine, b []byte) error {
+	sections, err := DecodeContainer(b, e.cfg)
+	if err != nil {
+		return err
+	}
+	return e.Restore(sections)
+}
+
+func recoverFrom(e *Engine, b []byte) ([]int, error) {
+	sections, err := DecodeContainer(b, e.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Recover(sections)
+}
 
 // TestEngineSnapshotRoundTrip verifies every partition's blob survives
 // the checkpoint container, keyed by its section name.
@@ -12,12 +40,12 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	for i, fake := range fakes {
 		fake.state = []byte{byte(i), byte(i + 1), byte(i + 2)}
 	}
-	blob, err := e.Snapshot()
+	blob, err := snapshot(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, fakes2 := newFakeEngine(t, 100, 4, 0)
-	if err := e2.Restore(blob); err != nil {
+	if err := restore(e2, blob); err != nil {
 		t.Fatal(err)
 	}
 	for i, fake := range fakes2 {
@@ -31,12 +59,12 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 // a snapshot written under a different partition count must not restore.
 func TestRestoreRejectsShardCountMismatch(t *testing.T) {
 	e4, _ := newFakeEngine(t, 100, 4, 0)
-	blob, err := e4.Snapshot()
+	blob, err := snapshot(e4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, fakes2 := newFakeEngine(t, 100, 2, 0)
-	err = e2.Restore(blob)
+	err = restore(e2, blob)
 	if err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
@@ -53,12 +81,12 @@ func TestRestoreRejectsShardCountMismatch(t *testing.T) {
 // TestRestoreRejectsRowCountMismatch: same geometry guard for NumRows.
 func TestRestoreRejectsRowCountMismatch(t *testing.T) {
 	e, _ := newFakeEngine(t, 100, 4, 0)
-	blob, err := e.Snapshot()
+	blob, err := snapshot(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := newFakeEngine(t, 200, 4, 0)
-	if err := e2.Restore(blob); err == nil || !strings.Contains(err.Error(), "rows") {
+	if err := restore(e2, blob); err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Errorf("row-count mismatch error = %v", err)
 	}
 }
@@ -66,7 +94,7 @@ func TestRestoreRejectsRowCountMismatch(t *testing.T) {
 // TestRestoreRejectsGarbage: corrupt container bytes fail cleanly.
 func TestRestoreRejectsGarbage(t *testing.T) {
 	e, _ := newFakeEngine(t, 100, 4, 0)
-	if err := e.Restore([]byte("not a checkpoint")); err == nil {
+	if err := restore(e, []byte("not a checkpoint")); err == nil {
 		t.Fatal("garbage restore accepted")
 	}
 }
@@ -79,13 +107,13 @@ func TestSnapshotRejectedMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Snapshot(); err != ErrRoundOpen {
+	if _, err := snapshot(e); err != ErrRoundOpen {
 		t.Errorf("mid-round Snapshot = %v, want ErrRoundOpen", err)
 	}
 	if _, err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Snapshot(); err != nil {
+	if _, err := snapshot(e); err != nil {
 		t.Errorf("post-round Snapshot failed: %v", err)
 	}
 }

@@ -11,15 +11,19 @@
 // Within a shard the ε-FDP mechanism bounds what the shard's access
 // count k reveals about its k_union; across shards the protected values
 // are disjoint feature values, so by parallel composition the round
-// satisfies the same per-value ε the monolithic pipeline gives (the
-// round ε is the maximum, not the sum, of the per-shard chunk εs — see
-// fdp.Accountant).
+// satisfies the same per-value ε a single pipeline over the whole table
+// gives (the round ε is the maximum, not the sum, of the per-shard chunk
+// εs — see fdp.Accountant).
 //
 // The engine is deliberately generic: it routes rows, fans rounds out,
 // and merges statistics, while the actual pipelines are supplied as
 // Partition values (the fedora package supplies one pipeline per shard).
 // This keeps the package free of a dependency on the controller that
-// embeds it.
+// embeds it. One shard is the degenerate case, not a separate path: the
+// fedora controller runs through an engine of one part whenever it is
+// not sharded, where the worker pool runs inline, the request lists and
+// single-shard batches pass through ungrouped, and its owner's trigger
+// never quarantines.
 //
 // Key invariants:
 //
@@ -75,7 +79,8 @@ type Config struct {
 
 // Partition is one shard's pipeline, as supplied by the embedding layer.
 // BeginRound receives per-client request lists already translated to the
-// partition's LOCAL row space.
+// partition's LOCAL row space; the lone partition of a one-shard engine
+// gets the caller's lists unchecked, and range-checks them itself.
 type Partition interface {
 	BeginRound(requests [][]uint64) (PartitionRound, error)
 	// SnapshotTo appends the partition's state to an encoder its owner is
@@ -273,9 +278,15 @@ func (e *Engine) locate(row uint64) (int, uint64) {
 }
 
 // route splits per-client request lists into per-shard per-client lists
-// of LOCAL rows. Dummy padding requests route by (client, position).
+// of LOCAL rows. Dummy padding requests route by (client, position). A
+// one-shard engine passes the lists through as they are — its local rows
+// are the global ones and all padding is its own — leaving the range
+// check to its partition.
 func (e *Engine) route(requests [][]uint64) ([][][]uint64, error) {
 	S := e.cfg.Shards
+	if S == 1 {
+		return [][][]uint64{requests}, nil
+	}
 	perShard := make([][][]uint64, S)
 	for s := 0; s < S; s++ {
 		perShard[s] = make([][]uint64, len(requests))
@@ -469,12 +480,11 @@ func (r *Round) SubmitAggregates(aggs []RowAggregate, idx []int, base uint64, ou
 // owning shard (rowOf(i) - base is the row's engine-wide index), keeping
 // request order within each group, so a shard's ORAMs see its rows in
 // batch order whatever the scheduler does, and runs each shard's group as
-// one partition call on the worker pool. Every row of a quarantined (or
-// never-begun) shard is unavailable. A quarantine-trigger error
-// quarantines the shard, and the failing row and the rest of its group
-// are unavailable while the rows it completed keep their results. Any
-// other error, like an out-of-range row, fails the batch at its position;
-// of several, the lowest position's is returned.
+// one partition call on the worker pool. A batch whose rows all land on
+// one shard skips the grouping: that shard gets the caller's listing as
+// is. Any error other than a quarantine trigger (see runGroup), like an
+// out-of-range row, fails the batch at its position; of several, the
+// lowest position's is returned.
 func (r *Round) split(n int, idx []int, base uint64, rowOf func(i int) uint64,
 	call func(sub PartitionRound, idx []int, base uint64) (int, error), unavailable func(i int)) (int, error) {
 	r.mu.RLock()
@@ -486,6 +496,9 @@ func (r *Round) split(n int, idx []int, base uint64, rowOf func(i int) uint64,
 		n = len(idx)
 	}
 	e := r.e
+	if s, ok := e.soleShard(n, idx, base, rowOf); ok {
+		return r.runGroup(s, idx, n, base, call, unavailable)
+	}
 	N, S := e.cfg.NumRows, e.cfg.Shards
 	failed, err := n, error(nil) // the failing position and its error
 	groups := make([][]int, S)   // the batch indices each shard owns
@@ -501,26 +514,11 @@ func (r *Round) split(n int, idx []int, base uint64, rowOf func(i int) uint64,
 	failedAt := make([]int, S) // per shard: the failing batch index
 	errs := make([]error, S)
 	e.forEach(func(s int) {
-		g, sub := groups[s], r.subs[s]
-		if len(g) == 0 {
-			return
-		}
-		k := 0
-		if sub != nil && !e.isQuarantined(s) {
-			var err error
-			if k, err = call(sub, g, base+Base(N, S, s)); err == nil {
-				return
+		if g := groups[s]; len(g) > 0 {
+			var k int
+			if k, errs[s] = r.runGroup(s, g, len(g), base, call, unavailable); errs[s] != nil {
+				failedAt[s] = g[k]
 			}
-			if e.trigger(err) {
-				e.quarantine(s, err)
-			}
-			if !e.isQuarantined(s) {
-				failedAt[s], errs[s] = g[k], err
-				return
-			}
-		}
-		for _, i := range g[k:] {
-			unavailable(i)
 		}
 	})
 	for s, gerr := range errs {
@@ -535,8 +533,53 @@ func (r *Round) split(n int, idx []int, base uint64, rowOf func(i int) uint64,
 			failed, err = p, gerr
 		}
 	}
-	if err != nil {
-		return failed, err
+	return failed, err
+}
+
+// soleShard reports the shard that owns every listed row, if there is
+// one: no row is out of range and no two land on different shards.
+func (e *Engine) soleShard(n int, idx []int, base uint64, rowOf func(i int) uint64) (int, bool) {
+	N, S := e.cfg.NumRows, e.cfg.Shards
+	s := 0
+	for p := 0; p < n; p++ {
+		row := rowOf(At(idx, p)) - base
+		if row >= N {
+			return 0, false
+		}
+		if t := ShardOf(N, S, row); p == 0 {
+			s = t
+		} else if t != s {
+			return 0, false
+		}
+	}
+	return s, n > 0
+}
+
+// runGroup runs shard s's share of a batch, the n batch indices g lists
+// (all n, in order, when g is nil), as one partition call. Every row of a
+// quarantined (or never-begun) shard is unavailable. A quarantine-trigger
+// error quarantines the shard, and the failing row and the rest of the
+// group are unavailable while the rows it completed keep their results.
+// Any other error is returned with the position in g that failed;
+// otherwise the result is n.
+func (r *Round) runGroup(s int, g []int, n int, base uint64,
+	call func(sub PartitionRound, idx []int, base uint64) (int, error), unavailable func(i int)) (int, error) {
+	e := r.e
+	k := 0
+	if sub := r.subs[s]; sub != nil && !e.isQuarantined(s) {
+		var err error
+		if k, err = call(sub, g, base+Base(e.cfg.NumRows, e.cfg.Shards, s)); err == nil {
+			return n, nil
+		}
+		if e.trigger(err) {
+			e.quarantine(s, err)
+		}
+		if !e.isQuarantined(s) {
+			return k, err
+		}
+	}
+	for p := k; p < n; p++ {
+		unavailable(At(g, p))
 	}
 	return n, nil
 }

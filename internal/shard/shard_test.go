@@ -596,7 +596,9 @@ func TestBatchTriggerMidGroup(t *testing.T) {
 
 // TestBatchErrorLowestIndex: non-trigger failures on two shards fail the
 // batch with the error of the lower batch index, whichever shard it is
-// on; an out-of-range row fails at its own index the same way.
+// on; an out-of-range row fails at its own index the same way. Either
+// way every row listed before the failing one was applied, including
+// when all the in-range rows sit on one shard.
 func TestBatchErrorLowestIndex(t *testing.T) {
 	e, fakes := newFakeEngine(t, 100, 2, 2)
 	r, err := e.BeginRound(requests(10, 60))
@@ -614,12 +616,21 @@ func TestBatchErrorLowestIndex(t *testing.T) {
 		{[]uint64{10, 60, 20, 70}, errB, 1},
 		{[]uint64{10, 20, 60, 70}, errA, 1},
 		{[]uint64{70, 200, 20}, nil, 1},
+		{[]uint64{10, 20, 200, 70}, errA, 1},
+		{[]uint64{70, 90, 200}, nil, 2}, // every in-range row on shard 1
+		{[]uint64{30, 200, 40}, nil, 1}, // ... on shard 0
 	} {
 		grads := make([]RowGradient, len(c.rows))
 		for i, row := range c.rows {
 			grads[i] = RowGradient{Row: row}
 		}
-		n, err := r.SubmitGradients(grads, nil, 0, make([]bool, len(c.rows)))
+		out := make([]bool, len(c.rows))
+		n, err := r.SubmitGradients(grads, nil, 0, out)
+		for p := 0; p < min(n, len(out)); p++ {
+			if !out[p] {
+				t.Errorf("rows %v: row %d, listed before the failure, was not applied", c.rows, c.rows[p])
+			}
+		}
 		if c.want == nil {
 			if err == nil || !strings.Contains(err.Error(), "out of range") {
 				t.Errorf("rows %v: err = %v, want out of range", c.rows, err)

@@ -6,10 +6,10 @@ import (
 	"repro/internal/fdp"
 )
 
-// RoundStats summarizes one FL round for the evaluation harness. It is
-// produced by the monolithic fedora pipeline and by this package's
-// Engine alike (the fedora package aliases it), so the fl/api/experiment
-// layers see one shape regardless of the shard count.
+// RoundStats summarizes one FL round for the evaluation harness. Each
+// fedora pipeline produces one for its shard and the Engine merges them
+// (the fedora package aliases it), so the fl/api/experiment layers see
+// one shape regardless of the shard count.
 type RoundStats struct {
 	// K is the total number of client requests (public).
 	K int
@@ -59,7 +59,9 @@ type RoundStats struct {
 	// QuarantinedShards counts shards that sat out this round (their
 	// PerShard entries are zero and carry Quarantined=true).
 	QuarantinedShards int
-	// PerShard is the per-shard breakdown (nil for a monolithic round).
+	// PerShard is the engine's per-shard breakdown, one entry per shard
+	// (one for a one-shard controller). A cluster's merged round has
+	// none: MergeStats leaves it out.
 	PerShard []ShardStats
 }
 
