@@ -60,6 +60,59 @@ type RowFrame struct {
 // Len is the number of records.
 func (f RowFrame) Len() int { return len(f.Entries) + len(f.Gradients) + len(f.Aggregates) }
 
+// Record returns record i's row and vector: an entry's value, a
+// gradient or an aggregate's sum.
+func (f RowFrame) Record(i int) (row uint64, vals []float32) {
+	switch f.Kind {
+	case FrameEntries:
+		return f.Entries[i].Row, f.Entries[i].Entry
+	case FrameGradients:
+		return f.Gradients[i].Row, f.Gradients[i].Grad
+	default:
+		return f.Aggregates[i].Row, f.Aggregates[i].Sum
+	}
+}
+
+// Slice returns records [lo, hi) as a frame sharing f's storage.
+func (f RowFrame) Slice(lo, hi int) RowFrame {
+	switch f.Kind {
+	case FrameEntries:
+		f.Entries = f.Entries[lo:hi]
+	case FrameGradients:
+		f.Gradients = f.Gradients[lo:hi]
+	default:
+		f.Aggregates = f.Aggregates[lo:hi]
+	}
+	return f
+}
+
+// Select returns a frame of the records idx lists, in idx order, with
+// every row lowered by base — a batch translated into the row space of
+// a member whose first row is base. Vectors are shared with f; the
+// record slice is one fresh allocation.
+func (f RowFrame) Select(idx []int, base uint64) RowFrame {
+	out := RowFrame{Kind: f.Kind, Dim: f.Dim}
+	switch f.Kind {
+	case FrameEntries:
+		out.Entries = selectRows(f.Entries, idx, func(e *fedora.EntryResult) *uint64 { return &e.Row }, base)
+	case FrameGradients:
+		out.Gradients = selectRows(f.Gradients, idx, func(g *fedora.RowGradient) *uint64 { return &g.Row }, base)
+	default:
+		out.Aggregates = selectRows(f.Aggregates, idx, func(a *fedora.RowAggregate) *uint64 { return &a.Row }, base)
+	}
+	return out
+}
+
+// selectRows copies recs[idx[k]] to position k, lowering each row by base.
+func selectRows[T any](recs []T, idx []int, row func(*T) *uint64, base uint64) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = recs[i]
+		*row(&out[k]) -= base
+	}
+	return out
+}
+
 // AppendRowFrame appends f's encoding to dst. Every vector must be
 // f.Dim wide — except a lost or unavailable entry's, which is written
 // as zeros whatever it holds — and a sample count must fit an int32.

@@ -115,6 +115,41 @@ func TestRowFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowFrameSliceSelect: Slice shares the records; Select copies the
+// listed ones in one allocation, rows lowered by base, vectors shared.
+func TestRowFrameSliceSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, kind := range []FrameKind{FrameEntries, FrameGradients, FrameAggregates} {
+		in := randomFrame(rng, kind, 10, 3)
+		same := func(got RowFrame, k, i int, base uint64) {
+			t.Helper()
+			gr, gv := got.Record(k)
+			wr, wv := in.Record(i)
+			if gr != wr-base || len(gv) != len(wv) || (len(wv) > 0 && &gv[0] != &wv[0]) {
+				t.Fatalf("kind %d record %d = (%d, %p), want record %d (%d, %p) lowered by %d", kind, k, gr, gv, i, wr, wv, base)
+			}
+		}
+		sl := in.Slice(2, 7)
+		if sl.Kind != kind || sl.Dim != 3 || sl.Len() != 5 {
+			t.Fatalf("kind %d: slice is kind %d dim %d len %d", kind, sl.Kind, sl.Dim, sl.Len())
+		}
+		for k := 0; k < 5; k++ {
+			same(sl, k, 2+k, 0)
+		}
+		idx := []int{7, 1, 4}
+		sel := in.Select(idx, 5)
+		if sel.Kind != kind || sel.Dim != 3 || sel.Len() != len(idx) {
+			t.Fatalf("kind %d: select is kind %d dim %d len %d", kind, sel.Kind, sel.Dim, sel.Len())
+		}
+		for k, i := range idx {
+			same(sel, k, i, 5)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { in.Select(idx, 5) }); allocs != 1 {
+			t.Fatalf("kind %d: select made %v allocations, want 1", kind, allocs)
+		}
+	}
+}
+
 // TestRowFrameEncodeRejects: a vector of the wrong width or a sample
 // count past int32 fails the encode instead of writing a frame the other
 // side would misread.

@@ -558,31 +558,34 @@ func (c *Client) Entries(ctx context.Context, roundID string, rows []uint64) ([]
 	return out, nil
 }
 
-// SubmitGradients uploads the given row gradients, chunked into
-// BatchSize-row frames. Every frame carries a fresh batch id, so a
-// retried frame is applied at most once. Returns per-gradient delivery
-// flags in input order.
+// SubmitGradients uploads row gradients; see SubmitRows.
 func (c *Client) SubmitGradients(ctx context.Context, roundID string, grads []fedora.RowGradient) ([]bool, error) {
-	return c.submitRows(ctx, roundID, len(grads), func(lo, hi int) api.RowFrame {
-		return api.RowFrame{Kind: api.FrameGradients, Dim: len(grads[0].Grad), Gradients: grads[lo:hi]}
-	})
+	f := api.RowFrame{Kind: api.FrameGradients, Gradients: grads}
+	if len(grads) > 0 {
+		f.Dim = len(grads[0].Grad)
+	}
+	return c.SubmitRows(ctx, roundID, f)
 }
 
 // SubmitAggregates uploads already-summed row updates (the unmasked
-// output of a wire round — the coordinator's member fan-out path),
-// chunked like gradients with a fresh batch id per chunk.
+// output of a wire round); see SubmitRows.
 func (c *Client) SubmitAggregates(ctx context.Context, roundID string, aggs []fedora.RowAggregate) ([]bool, error) {
-	return c.submitRows(ctx, roundID, len(aggs), func(lo, hi int) api.RowFrame {
-		return api.RowFrame{Kind: api.FrameAggregates, Dim: len(aggs[0].Sum), Aggregates: aggs[lo:hi]}
-	})
+	f := api.RowFrame{Kind: api.FrameAggregates, Aggregates: aggs}
+	if len(aggs) > 0 {
+		f.Dim = len(aggs[0].Sum)
+	}
+	return c.SubmitRows(ctx, roundID, f)
 }
 
-// submitRows posts records [0, n) as one row frame per BatchSize chunk.
-func (c *Client) submitRows(ctx context.Context, roundID string, n int, chunk func(lo, hi int) api.RowFrame) ([]bool, error) {
+// SubmitRows uploads a gradient or aggregate frame, chunked into
+// BatchSize-record frames. Every chunk carries a fresh batch id, so a
+// retried chunk is applied at most once. Returns per-record delivery
+// flags in input order; an empty frame sends nothing.
+func (c *Client) SubmitRows(ctx context.Context, roundID string, f api.RowFrame) ([]bool, error) {
 	var results []bool
-	for start := 0; start < n; start += c.cfg.BatchSize {
-		end := min(start+c.cfg.BatchSize, n)
-		body, err := api.AppendRowFrame(nil, chunk(start, end))
+	for start := 0; start < f.Len(); start += c.cfg.BatchSize {
+		end := min(start+c.cfg.BatchSize, f.Len())
+		body, err := api.AppendRowFrame(nil, f.Slice(start, end))
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
 		}

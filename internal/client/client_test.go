@@ -301,6 +301,31 @@ func TestTransferChunking(t *testing.T) {
 	}
 }
 
+// TestEmptyBatchSendsNothing: an empty gradient or aggregate upload
+// returns no results and no error without a request.
+func TestEmptyBatchSendsNothing(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, "unexpected request", http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+	c, err := New(fastConfig(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if got, err := c.SubmitGradients(ctx, "r1", nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty gradients = %v, %v; want [], nil", got, err)
+	}
+	if got, err := c.SubmitAggregates(ctx, "r1", nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty aggregates = %v, %v; want [], nil", got, err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("empty batches sent %d requests", n)
+	}
+}
+
 // TestBeginRoundKeyStableAcrossRetries: the idempotency key survives
 // retries of one logical begin, so the server can dedup.
 func TestBeginRoundKeyStableAcrossRetries(t *testing.T) {

@@ -45,7 +45,7 @@ func TestFailedCheckpointIsVisible(t *testing.T) {
 	co := haCoordinator(t, haMembers(t), dir, 5)
 	rng := rand.New(rand.NewSource(3))
 
-	driveHARounds(t, co, rng, 5)
+	driveHARounds(t, co, api.FrameGradients, rng, 5)
 	if st := clusterStatus(t, co); st.LastCheckpointRound != 5 || st.LastCheckpointError != "" {
 		t.Fatalf("after five healthy rounds: checkpoint round %d, error %q; want 5 and none",
 			st.LastCheckpointRound, st.LastCheckpointError)
@@ -59,7 +59,7 @@ func TestFailedCheckpointIsVisible(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	driveHARounds(t, co, rng, 5) // fails the test if any round does
+	driveHARounds(t, co, api.FrameGradients, rng, 5) // fails the test if any round does
 	st := clusterStatus(t, co)
 	if st.LastCheckpointError == "" || st.LastCheckpointRound != 5 || st.Round != 10 {
 		t.Fatalf("after five rounds over a broken checkpoint directory: round %d, checkpoint round %d, error %q; want 10, 5 and the save failure",
@@ -73,7 +73,7 @@ func TestFailedCheckpointIsVisible(t *testing.T) {
 	if err := os.Rename(dir+".aside", dir); err != nil {
 		t.Fatal(err)
 	}
-	driveHARounds(t, co, rng, 5)
+	driveHARounds(t, co, api.FrameGradients, rng, 5)
 	if st := clusterStatus(t, co); st.LastCheckpointRound != 15 || st.LastCheckpointError != "" {
 		t.Fatalf("after the directory came back: checkpoint round %d, error %q; want 15 and none",
 			st.LastCheckpointRound, st.LastCheckpointError)

@@ -329,18 +329,22 @@ func (c *Coordinator) endRound() {
 	c.mu.Unlock()
 }
 
-// forEachMember runs fn(n) for every member concurrently and waits.
-func (c *Coordinator) forEachMember(fn func(n int)) {
+// parallel runs fn(i) for every i in [0, k), each on its own
+// goroutine, and waits for all of them: the coordinator's one fan-out.
+func parallel(k int, fn func(i int)) {
 	var wg sync.WaitGroup
-	for n := range c.members {
-		wg.Add(1)
-		go func(n int) {
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func() {
 			defer wg.Done()
-			fn(n)
-		}(n)
+			fn(i)
+		}()
 	}
 	wg.Wait()
 }
+
+// forEachMember runs fn(n) for every member concurrently and waits.
+func (c *Coordinator) forEachMember(fn func(n int)) { parallel(len(c.members), fn) }
 
 // ---- api.Controller getters ------------------------------------------
 
@@ -374,7 +378,7 @@ func (c *Coordinator) EffectiveEpsilon() float64 { return c.effEps }
 // unreachable members contribute zero).
 func (c *Coordinator) MainORAMBytes() uint64 {
 	var total uint64
-	for st := range c.memberStatuses() {
+	for _, st := range c.memberStatuses() {
 		total += st.MainORAMBytes
 	}
 	return total
@@ -383,7 +387,7 @@ func (c *Coordinator) MainORAMBytes() uint64 {
 // DRAMResidentBytes sums the members' DRAM-resident footprints.
 func (c *Coordinator) DRAMResidentBytes() uint64 {
 	var total uint64
-	for st := range c.memberStatuses() {
+	for _, st := range c.memberStatuses() {
 		total += st.DRAMBytes
 	}
 	return total
@@ -393,7 +397,7 @@ func (c *Coordinator) DRAMResidentBytes() uint64 {
 // carries bytes only; op counts and busy time stay per-member).
 func (c *Coordinator) SSDStats() device.Stats {
 	var agg device.Stats
-	for st := range c.memberStatuses() {
+	for _, st := range c.memberStatuses() {
 		agg.BytesRead += st.SSDBytesRead
 		agg.BytesWritten += st.SSDBytesWritten
 	}
@@ -406,27 +410,18 @@ func (c *Coordinator) DRAMStats() device.Stats { return device.Stats{} }
 // StorageReports are per-process telemetry; the coordinator has none.
 func (c *Coordinator) StorageReports() []storage.Report { return nil }
 
-// memberStatuses fans a status query out to the live members and yields
-// the successful replies.
-func (c *Coordinator) memberStatuses() <-chan api.StatusResponse {
-	out := make(chan api.StatusResponse, len(c.members))
-	go func() {
-		defer close(out)
-		var wg sync.WaitGroup
-		for n, m := range c.members {
-			if c.isFenced(n) {
-				continue
-			}
-			wg.Add(1)
-			go func(m *member) {
-				defer wg.Done()
-				if st, err := m.cli.Status(context.Background()); err == nil {
-					out <- st
-				}
-			}(m)
+// memberStatuses fans a status query out to the live members. A fenced
+// or unreachable member's entry stays zero, so it adds nothing to a sum.
+func (c *Coordinator) memberStatuses() []api.StatusResponse {
+	out := make([]api.StatusResponse, len(c.members))
+	c.forEachMember(func(n int) {
+		if c.isFenced(n) {
+			return
 		}
-		wg.Wait()
-	}()
+		if st, err := c.members[n].cli.Status(context.Background()); err == nil {
+			out[n] = st
+		}
+	})
 	return out
 }
 

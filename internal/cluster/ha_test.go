@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,9 +108,33 @@ func haGrad(row uint64) []float32 {
 	return g
 }
 
-// driveHARounds runs n full rounds (begin → gradients → finish) drawing
-// requests from rng.
-func driveHARounds(t *testing.T, co *Coordinator, rng *rand.Rand, n int) {
+// haSubmit submits haGrad(row) for every row to r as one batch of kind:
+// gradients of one sample, or aggregates of count one.
+func haSubmit(r api.Round, kind api.FrameKind, rows []uint64) ([]bool, error) {
+	if kind == api.FrameAggregates {
+		aggs := make([]fedora.RowAggregate, len(rows))
+		for i, row := range rows {
+			aggs[i] = fedora.RowAggregate{Row: row, Sum: haGrad(row), Count: 1}
+		}
+		return r.SubmitAggregates(aggs)
+	}
+	grads := make([]fedora.RowGradient, len(rows))
+	for i, row := range rows {
+		grads[i] = fedora.RowGradient{Row: row, Grad: haGrad(row), Samples: 1}
+	}
+	return r.SubmitGradients(grads)
+}
+
+// haKinds are the two batch kinds a round applies; the WAL replay tests
+// run once per kind.
+var haKinds = []struct {
+	name string
+	kind api.FrameKind
+}{{"gradients", api.FrameGradients}, {"aggregates", api.FrameAggregates}}
+
+// driveHARounds runs n full rounds (begin → one batch of kind → finish)
+// drawing requests from rng.
+func driveHARounds(t *testing.T, co *Coordinator, kind api.FrameKind, rng *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		reqs := haRequests(rng)
@@ -117,14 +142,8 @@ func driveHARounds(t *testing.T, co *Coordinator, rng *rand.Rand, n int) {
 		if err != nil {
 			t.Fatalf("begin round: %v", err)
 		}
-		var grads []fedora.RowGradient
-		for _, req := range reqs {
-			for _, row := range req {
-				grads = append(grads, fedora.RowGradient{Row: row, Grad: haGrad(row), Samples: 1})
-			}
-		}
-		if _, err := r.SubmitGradients(grads); err != nil {
-			t.Fatalf("submit gradients: %v", err)
+		if _, err := haSubmit(r, kind, slices.Concat(reqs...)); err != nil {
+			t.Fatalf("submit batch: %v", err)
 		}
 		if _, err := r.Finish(); err != nil {
 			t.Fatalf("finish: %v", err)
@@ -265,47 +284,51 @@ func TestProbeDelayBackoffAndJitter(t *testing.T) {
 // restores the last checkpoint and REDRIVES the WAL's committed rounds,
 // landing on bit-identical member state, one epoch higher.
 func TestHAPrimaryWALReplayParity(t *testing.T) {
-	nodes := haMembers(t)
-	dir := t.TempDir()
+	for _, tc := range haKinds {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := haMembers(t)
+			dir := t.TempDir()
 
-	// First incarnation: checkpoint cadence far beyond the run, so every
-	// round must come back from the WAL, not a checkpoint.
-	co1 := haCoordinator(t, nodes, dir, 100)
-	startHA(t, co1)
-	if got := co1.Epoch(); got != 1 {
-		t.Fatalf("first incarnation epoch = %d, want 1", got)
-	}
-	driveHARounds(t, co1, rand.New(rand.NewSource(5)), 3)
-	want := haPeeks(t, co1)
-	co1.StopProbes() // the "crash": co1 stops driving the members
+			// First incarnation: checkpoint cadence far beyond the run, so every
+			// round must come back from the WAL, not a checkpoint.
+			co1 := haCoordinator(t, nodes, dir, 100)
+			startHA(t, co1)
+			if got := co1.Epoch(); got != 1 {
+				t.Fatalf("first incarnation epoch = %d, want 1", got)
+			}
+			driveHARounds(t, co1, tc.kind, rand.New(rand.NewSource(5)), 3)
+			want := haPeeks(t, co1)
+			co1.StopProbes() // the "crash": co1 stops driving the members
 
-	// Second incarnation over the same directory and members.
-	co2 := haCoordinator(t, nodes, dir, 100)
-	startHA(t, co2)
-	if got := co2.Epoch(); got != 2 {
-		t.Fatalf("second incarnation epoch = %d, want 2", got)
-	}
-	if got := co2.Round(); got != 3 {
-		t.Fatalf("recovered round = %d, want 3", got)
-	}
-	assertPeeksEqual(t, want, haPeeks(t, co2))
+			// Second incarnation over the same directory and members.
+			co2 := haCoordinator(t, nodes, dir, 100)
+			startHA(t, co2)
+			if got := co2.Epoch(); got != 2 {
+				t.Fatalf("second incarnation epoch = %d, want 2", got)
+			}
+			if got := co2.Round(); got != 3 {
+				t.Fatalf("recovered round = %d, want 3", got)
+			}
+			assertPeeksEqual(t, want, haPeeks(t, co2))
 
-	// Recovery sealed its state: the WAL is empty again, so a third
-	// incarnation would restore the fresh checkpoint, not replay.
-	recs, torn, err := persist.ReadRawWALFile(co2.mgr.WALPath())
-	if err != nil || torn || len(recs) != 0 {
-		t.Fatalf("WAL after recovery: recs=%d torn=%v err=%v, want empty", len(recs), torn, err)
-	}
+			// Recovery sealed its state: the WAL is empty again, so a third
+			// incarnation would restore the fresh checkpoint, not replay.
+			recs, torn, err := persist.ReadRawWALFile(co2.mgr.WALPath())
+			if err != nil || torn || len(recs) != 0 {
+				t.Fatalf("WAL after recovery: recs=%d torn=%v err=%v, want empty", len(recs), torn, err)
+			}
 
-	// The revived first incarnation is fenced out: its next round fails
-	// with stale_epoch, it latches deposed, and member state is untouched.
-	if _, err := co1.BeginRound(haRequests(rand.New(rand.NewSource(9)))); !errors.Is(err, api.ErrStaleEpoch) {
-		t.Fatalf("revived old primary begin: err = %v, want api.ErrStaleEpoch", err)
+			// The revived first incarnation is fenced out: its next round fails
+			// with stale_epoch, it latches deposed, and member state is untouched.
+			if _, err := co1.BeginRound(haRequests(rand.New(rand.NewSource(9)))); !errors.Is(err, api.ErrStaleEpoch) {
+				t.Fatalf("revived old primary begin: err = %v, want api.ErrStaleEpoch", err)
+			}
+			if !co1.Deposed() {
+				t.Fatal("revived old primary not deposed after stale_epoch rejection")
+			}
+			assertPeeksEqual(t, want, haPeeks(t, co2))
+		})
 	}
-	if !co1.Deposed() {
-		t.Fatal("revived old primary not deposed after stale_epoch rejection")
-	}
-	assertPeeksEqual(t, want, haPeeks(t, co2))
 }
 
 // TestStalePrimaryFencedNoDoubleApply is the split-brain half: a new
@@ -321,7 +344,7 @@ func TestStalePrimaryFencedNoDoubleApply(t *testing.T) {
 
 	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
 	startHA(t, co1)
-	driveHARounds(t, co1, rng, 2)
+	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 
 	// Round 3 goes half-open: gradients land on the members, but the
 	// commit frame never does.
@@ -394,7 +417,7 @@ func TestStalePrimaryFencedNoDoubleApply(t *testing.T) {
 	}
 
 	// The successor keeps training.
-	driveHARounds(t, co2, rng, 1)
+	driveHARounds(t, co2, api.FrameGradients, rng, 1)
 	if got := co2.Round(); got != 3 {
 		t.Fatalf("successor round after takeover = %d, want 3", got)
 	}
@@ -411,7 +434,7 @@ func TestDeposedUnmaskIsStaleEpoch(t *testing.T) {
 	dir := t.TempDir()
 	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
 	startHA(t, co1)
-	driveHARounds(t, co1, rand.New(rand.NewSource(5)), 1)
+	driveHARounds(t, co1, api.FrameGradients, rand.New(rand.NewSource(5)), 1)
 	old := httptest.NewServer(api.NewServerFor(co1).Handler())
 	t.Cleanup(old.Close)
 	cc := testClientConfig()
@@ -500,122 +523,121 @@ func flakyMember(t *testing.T, global fedora.Config, first, count int) (*httptes
 // applied frame, so post-recovery state is bit-identical to the
 // pre-crash state even for a degraded history.
 func TestHARecoveryAfterDegradedRoundNoDoubleApply(t *testing.T) {
-	global := haGlobal()
-	m0, _ := startMember(t, global, 0, 1)
-	m1, m1ctrl, m1fail := flakyMember(t, global, 1, 1)
-	nodes := []NodeSpec{
-		{URL: m0.URL, First: 0, Count: 1},
-		{URL: m1.URL, First: 1, Count: 1},
-	}
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(5))
-
-	// Checkpoint cadence far beyond the run: everything after the
-	// bootstrap checkpoint must come back from the WAL.
-	co1 := haCoordinator(t, nodes, dir, 100)
-	startHA(t, co1)
-	driveHARounds(t, co1, rng, 1)
-
-	// Round 2 degrades mid-round: begin lands on both members, then m1
-	// starts failing, so the batch's m1-owned rows bounce.
-	reqs := haRequests(rng)
-	r2, err := co1.BeginRound(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1fail.Store(true)
-	var grads []fedora.RowGradient
-	for _, req := range reqs {
-		for _, row := range req {
-			grads = append(grads, fedora.RowGradient{Row: row, Grad: haGrad(row), Samples: 1})
-		}
-	}
-	rowBase1 := co1.members[1].rowBase
-	delivered, err := r2.SubmitGradients(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounced := 0
-	for i, ok := range delivered {
-		if grads[i].Row >= rowBase1 {
-			if ok {
-				t.Fatalf("gradient %d for row %d delivered through a failing member", i, grads[i].Row)
+	for _, tc := range haKinds {
+		t.Run(tc.name, func(t *testing.T) {
+			global := haGlobal()
+			m0, _ := startMember(t, global, 0, 1)
+			m1, m1ctrl, m1fail := flakyMember(t, global, 1, 1)
+			nodes := []NodeSpec{
+				{URL: m0.URL, First: 0, Count: 1},
+				{URL: m1.URL, First: 1, Count: 1},
 			}
-			bounced++
-		} else if !ok {
-			t.Fatalf("gradient %d for row %d bounced off the healthy member", i, grads[i].Row)
-		}
-	}
-	if bounced == 0 {
-		t.Fatal("test draw put no rows on the flaky member; pick another seed")
-	}
-	if _, err := r2.Finish(); err != nil {
-		t.Fatalf("degraded round must still commit over the survivor: %v", err)
-	}
-	co1.StopProbes() // the crash (m1 still failing, so no migration raced in)
+			dir := t.TempDir()
+			rng := rand.New(rand.NewSource(5))
 
-	// Pre-crash truth, member by member: m0 through the coordinator, m1
-	// straight from its controller (it is fenced coordinator-side). m1's
-	// rows carry round-1 gradients only — round 2 bounced. EVERY row is
-	// sampled: the bounced rows are a random handful, and a sparse sample
-	// could miss all of them and vacuously pass.
-	var want [][]float32
-	for row := uint64(0); row < global.NumRows; row++ {
-		var v []float32
-		var err error
-		if row < rowBase1 {
-			v, err = co1.PeekRow(row)
-		} else {
-			v, err = m1ctrl.PeekRow(row - rowBase1)
-		}
-		if err != nil {
-			t.Fatalf("pre-crash peek row %d: %v", row, err)
-		}
-		want = append(want, v)
-	}
+			// Checkpoint cadence far beyond the run: everything after the
+			// bootstrap checkpoint must come back from the WAL.
+			co1 := haCoordinator(t, nodes, dir, 100)
+			startHA(t, co1)
+			driveHARounds(t, co1, tc.kind, rng, 1)
 
-	// Heal m1 and recover into a fresh incarnation: restore the bootstrap
-	// checkpoint onto both members, replay round 1 in full and round 2
-	// filtered by its applied frame.
-	m1fail.Store(false)
-	co2 := haCoordinator(t, nodes, dir, 100)
-	startHA(t, co2)
-	if got := co2.Round(); got != 2 {
-		t.Fatalf("recovered round = %d, want 2", got)
-	}
-	var got [][]float32
-	for row := uint64(0); row < global.NumRows; row++ {
-		v, err := co2.PeekRow(row)
-		if err != nil {
-			t.Fatalf("post-recovery peek row %d: %v", row, err)
-		}
-		got = append(got, v)
-	}
-	assertPeeksEqual(t, want, got)
+			// Round 2 degrades mid-round: begin lands on both members, then m1
+			// starts failing, so the batch's m1-owned rows bounce.
+			reqs := haRequests(rng)
+			r2, err := co1.BeginRound(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m1fail.Store(true)
+			rows := slices.Concat(reqs...)
+			rowBase1 := co1.members[1].rowBase
+			delivered, err := haSubmit(r2, tc.kind, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounced := 0
+			for i, ok := range delivered {
+				if rows[i] >= rowBase1 {
+					if ok {
+						t.Fatalf("%s %d for row %d delivered through a failing member", tc.name, i, rows[i])
+					}
+					bounced++
+				} else if !ok {
+					t.Fatalf("%s %d for row %d bounced off the healthy member", tc.name, i, rows[i])
+				}
+			}
+			if bounced == 0 {
+				t.Fatal("test draw put no rows on the flaky member; pick another seed")
+			}
+			if _, err := r2.Finish(); err != nil {
+				t.Fatalf("degraded round must still commit over the survivor: %v", err)
+			}
+			co1.StopProbes() // the crash (m1 still failing, so no migration raced in)
 
-	// The trainer's resubmission of the bounced rows now lands exactly
-	// once, on the recovered cluster.
-	r3, err := co2.BeginRound(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resub []fedora.RowGradient
-	for i, g := range grads {
-		if !delivered[i] {
-			resub = append(resub, g)
-		}
-	}
-	redelivered, err := r3.SubmitGradients(resub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ok := range redelivered {
-		if !ok {
-			t.Fatalf("resubmitted gradient %d not delivered post-recovery", i)
-		}
-	}
-	if _, err := r3.Finish(); err != nil {
-		t.Fatal(err)
+			// Pre-crash truth, member by member: m0 through the coordinator, m1
+			// straight from its controller (it is fenced coordinator-side). m1's
+			// rows carry round-1 gradients only — round 2 bounced. EVERY row is
+			// sampled: the bounced rows are a random handful, and a sparse sample
+			// could miss all of them and vacuously pass.
+			var want [][]float32
+			for row := uint64(0); row < global.NumRows; row++ {
+				var v []float32
+				var err error
+				if row < rowBase1 {
+					v, err = co1.PeekRow(row)
+				} else {
+					v, err = m1ctrl.PeekRow(row - rowBase1)
+				}
+				if err != nil {
+					t.Fatalf("pre-crash peek row %d: %v", row, err)
+				}
+				want = append(want, v)
+			}
+
+			// Heal m1 and recover into a fresh incarnation: restore the bootstrap
+			// checkpoint onto both members, replay round 1 in full and round 2
+			// filtered by its applied frame.
+			m1fail.Store(false)
+			co2 := haCoordinator(t, nodes, dir, 100)
+			startHA(t, co2)
+			if got := co2.Round(); got != 2 {
+				t.Fatalf("recovered round = %d, want 2", got)
+			}
+			var got [][]float32
+			for row := uint64(0); row < global.NumRows; row++ {
+				v, err := co2.PeekRow(row)
+				if err != nil {
+					t.Fatalf("post-recovery peek row %d: %v", row, err)
+				}
+				got = append(got, v)
+			}
+			assertPeeksEqual(t, want, got)
+
+			// The trainer's resubmission of the bounced rows now lands exactly
+			// once, on the recovered cluster.
+			r3, err := co2.BeginRound(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resub []uint64
+			for i, row := range rows {
+				if !delivered[i] {
+					resub = append(resub, row)
+				}
+			}
+			redelivered, err := haSubmit(r3, tc.kind, resub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ok := range redelivered {
+				if !ok {
+					t.Fatalf("resubmitted %s %d not delivered post-recovery", tc.name, i)
+				}
+			}
+			if _, err := r3.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -658,9 +680,9 @@ func TestPromotionSkipsCorruptNewestCheckpoint(t *testing.T) {
 
 	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
 	startHA(t, co1)
-	driveHARounds(t, co1, rng, 2)
+	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 	want := haPeeks(t, co1) // post-round-2 state = checkpoint epoch 3
-	driveHARounds(t, co1, rng, 1)
+	driveHARounds(t, co1, api.FrameGradients, rng, 1)
 	co1.StopProbes()
 
 	// Corrupt the newest checkpoint (epoch 4 = post-round-3) in place.
@@ -728,7 +750,7 @@ func TestStandbyPromotesOnLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	slot1.Store(ha1)
-	driveHARounds(t, co1, rng, 2)
+	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 	want := haPeeks(t, co1)
 
 	co2 := haCoordinator(t, nodes, dir, 0)
@@ -827,7 +849,7 @@ func TestStandbyPromotesOnLeaseExpiry(t *testing.T) {
 	}
 
 	// And the promoted coordinator keeps training.
-	driveHARounds(t, co2, rng, 1)
+	driveHARounds(t, co2, api.FrameGradients, rng, 1)
 	if got := co2.Round(); got != 3 {
 		t.Fatalf("promoted round after training = %d, want 3", got)
 	}

@@ -39,25 +39,19 @@ func (c *Coordinator) Snapshot() ([]byte, error) {
 
 	sections := make([][]byte, c.shards)
 	errs := make([]error, c.shards)
-	var wg sync.WaitGroup
-	for g := 0; g < c.shards; g++ {
+	parallel(c.shards, func(g int) {
 		n := c.nodeOf[g]
 		if c.isFenced(n) {
 			errs[g] = c.unavailable(n)
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(g, n int) {
-			defer wg.Done()
-			blob, err := c.members[n].cli.SnapshotShard(context.Background(), g)
-			if err != nil {
-				errs[g] = fmt.Errorf("cluster: snapshot shard %d from node %d: %w", g, n, err)
-				return
-			}
-			sections[g] = blob
-		}(g, n)
-	}
-	wg.Wait()
+		blob, err := c.members[n].cli.SnapshotShard(context.Background(), g)
+		if err != nil {
+			errs[g] = fmt.Errorf("cluster: snapshot shard %d from node %d: %w", g, n, err)
+			return
+		}
+		sections[g] = blob
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -86,20 +80,15 @@ func (c *Coordinator) Restore(b []byte) error {
 		return err
 	}
 	errs := make([]error, len(c.members))
-	var wg sync.WaitGroup
-	for n, m := range c.members {
-		wg.Add(1)
-		go func(n int, m *member) {
-			defer wg.Done()
-			for g := m.spec.First; g < m.spec.First+m.spec.Count; g++ {
-				if err := m.cli.RestoreShard(context.Background(), g, sections[g]); err != nil {
-					errs[n] = fmt.Errorf("cluster: restore shard %d onto node %d: %w", g, n, err)
-					return
-				}
+	c.forEachMember(func(n int) {
+		m := c.members[n]
+		for g := m.spec.First; g < m.spec.First+m.spec.Count; g++ {
+			if err := m.cli.RestoreShard(context.Background(), g, sections[g]); err != nil {
+				errs[n] = fmt.Errorf("cluster: restore shard %d onto node %d: %w", g, n, err)
+				return
 			}
-		}(n, m)
-	}
-	wg.Wait()
+		}
+	})
 	for n, err := range errs {
 		if err == nil {
 			c.unfence(n)

@@ -56,35 +56,29 @@ func (c *Coordinator) BeginRound(requests [][]uint64) (api.Round, error) {
 		ids:   make([]string, len(c.members)),
 		begun: make([]bool, len(c.members)),
 	}
-	var wg sync.WaitGroup
-	for n := range c.members {
+	c.forEachMember(func(n int) {
 		if c.isFenced(n) {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			info, err := c.members[n].cli.Begin(context.Background(), api.BeginV2Request{
-				Requests: perNode[n],
-				RoundKey: fmt.Sprintf("coord-e%d-r%d-n%d", epoch, seq, n),
-			})
-			if err != nil {
-				if staleEpoch(err) {
-					// A newer coordinator owns the member; do NOT fence the
-					// node — it is healthy, WE are stale.
-					c.deposed.Store(true)
-					return
-				}
-				c.fence(n, fmt.Errorf("begin round %d: %w", seq, err))
+		info, err := c.members[n].cli.Begin(context.Background(), api.BeginV2Request{
+			Requests: perNode[n],
+			RoundKey: fmt.Sprintf("coord-e%d-r%d-n%d", epoch, seq, n),
+		})
+		if err != nil {
+			if staleEpoch(err) {
+				// A newer coordinator owns the member; do NOT fence the
+				// node — it is healthy, WE are stale.
+				c.deposed.Store(true)
 				return
 			}
-			r.mu.Lock()
-			r.ids[n] = info.RoundID
-			r.begun[n] = true
-			r.mu.Unlock()
-		}(n)
-	}
-	wg.Wait()
+			c.fence(n, fmt.Errorf("begin round %d: %w", seq, err))
+			return
+		}
+		r.mu.Lock()
+		r.ids[n] = info.RoundID
+		r.begun[n] = true
+		r.mu.Unlock()
+	})
 
 	if c.deposed.Load() {
 		c.endRound()
@@ -234,22 +228,16 @@ func (r *Round) group(n int, at func(i int) (row uint64, width int)) ([][]int, e
 func (r *Round) fanOut(op string, idxByNode [][]int, call func(m *member, id string, idxs []int) error) (ok []bool, err error) {
 	ok = make([]bool, len(r.c.members))
 	errs := make([]error, len(r.c.members))
-	var wg sync.WaitGroup
-	for n, idxs := range idxByNode {
-		if len(idxs) == 0 || !r.live(n) {
-			continue
+	r.c.forEachMember(func(n int) {
+		if len(idxByNode[n]) == 0 || !r.live(n) {
+			return
 		}
-		wg.Add(1)
-		go func(n int, idxs []int) {
-			defer wg.Done()
-			if err := call(r.c.members[n], r.roundID(n), idxs); err != nil {
-				errs[n] = r.drop(n, fmt.Errorf("%s round %d: %w", op, r.seq, err))
-				return
-			}
-			ok[n] = true
-		}(n, idxs)
-	}
-	wg.Wait()
+		if err := call(r.c.members[n], r.roundID(n), idxByNode[n]); err != nil {
+			errs[n] = r.drop(n, fmt.Errorf("%s round %d: %w", op, r.seq, err))
+			return
+		}
+		ok[n] = true
+	})
 	return ok, errors.Join(errs...)
 }
 
@@ -304,31 +292,43 @@ func (r *Round) ServeEntry(row uint64) ([]float32, bool, error) {
 	return fedora.ServeOne(r.ServeEntries, row)
 }
 
-// SubmitGradients batches step-⑥ submissions, grouped and scattered
-// like ServeEntries; gradients for rows on lost members report
-// delivered=false.
+// SubmitGradients batches step-⑥ submissions; see submit.
 func (r *Round) SubmitGradients(grads []fedora.RowGradient) ([]bool, error) {
+	return r.submit("submit gradients", api.RowFrame{Kind: api.FrameGradients, Dim: r.c.norm.Dim, Gradients: grads})
+}
+
+// SubmitAggregates fans already-summed row updates out to the owning
+// members — the coordinator-side application step of a wire upload
+// round. The coordinator hosts the wire aggregator (in its api.Server
+// wrapper) and only ever handles masked payloads and the final sums.
+func (r *Round) SubmitAggregates(aggs []fedora.RowAggregate) ([]bool, error) {
+	return r.submit("submit aggregates", api.RowFrame{Kind: api.FrameAggregates, Dim: r.c.norm.Dim, Aggregates: aggs})
+}
+
+// submit applies a gradient or aggregate batch, grouped and scattered
+// like ServeEntries: each owning member receives its records as one row
+// frame in member-local rows. Records for rows on lost members report
+// delivered=false, mirroring quarantined shards.
+func (r *Round) submit(op string, f api.RowFrame) ([]bool, error) {
 	if r.finished() {
 		return nil, fedora.ErrRoundFinished
 	}
-	idxByNode, err := r.group(len(grads), func(i int) (uint64, int) { return grads[i].Row, len(grads[i].Grad) })
+	idxByNode, err := r.group(f.Len(), func(i int) (uint64, int) {
+		row, vals := f.Record(i)
+		return row, len(vals)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Durability point: gradients are WAL'd before any member applies
-	// them, so replay reapplies exactly what the members saw.
-	opIdx, err := r.c.logGrads(r.seq, grads)
+	// Durability point: the batch is WAL'd before any member applies it,
+	// so replay reapplies exactly what the members saw.
+	opIdx, err := r.c.logBatch(r.seq, f)
 	if err != nil {
 		return nil, err
 	}
-	delivered := make([]bool, len(grads))
-	applied, batchErr := r.fanOut("submit gradients", idxByNode, func(m *member, id string, idxs []int) error {
-		local := make([]fedora.RowGradient, len(idxs))
-		for k, i := range idxs {
-			local[k] = grads[i]
-			local[k].Row -= m.rowBase
-		}
-		ok, err := m.cli.SubmitGradients(context.Background(), id, local)
+	delivered := make([]bool, f.Len())
+	applied, batchErr := r.fanOut(op, idxByNode, func(m *member, id string, idxs []int) error {
+		ok, err := m.cli.SubmitRows(context.Background(), id, f.Select(idxs, m.rowBase))
 		if err != nil {
 			return err
 		}
@@ -340,48 +340,6 @@ func (r *Round) SubmitGradients(grads []fedora.RowGradient) ([]bool, error) {
 	// Durability point: record which nodes the batch actually landed on.
 	// Without it, replay would land a bounced batch on the restored
 	// member AND the trainer's logged resubmission — double-applied.
-	if err := r.c.logApplied(r.seq, opIdx, applied); err != nil {
-		return nil, err
-	}
-	return delivered, batchErr
-}
-
-// SubmitAggregates fans already-summed row updates out to the owning
-// members — the coordinator-side application step of a wire upload
-// round. The coordinator hosts the wire aggregator (in its api.Server
-// wrapper) and only ever handles masked payloads and the final sums;
-// members receive the sums as an aggregate row frame, translated to
-// member-local row indices like every other fan-out. Rows on lost
-// members report delivered=false, mirroring quarantined shards.
-func (r *Round) SubmitAggregates(aggs []fedora.RowAggregate) ([]bool, error) {
-	if r.finished() {
-		return nil, fedora.ErrRoundFinished
-	}
-	idxByNode, err := r.group(len(aggs), func(i int) (uint64, int) { return aggs[i].Row, len(aggs[i].Sum) })
-	if err != nil {
-		return nil, err
-	}
-	// Durability points, mirroring SubmitGradients.
-	opIdx, err := r.c.logAggs(r.seq, aggs)
-	if err != nil {
-		return nil, err
-	}
-	delivered := make([]bool, len(aggs))
-	applied, batchErr := r.fanOut("submit aggregates", idxByNode, func(m *member, id string, idxs []int) error {
-		local := make([]fedora.RowAggregate, len(idxs))
-		for k, i := range idxs {
-			local[k] = aggs[i]
-			local[k].Row -= m.rowBase
-		}
-		ok, err := m.cli.SubmitAggregates(context.Background(), id, local)
-		if err != nil {
-			return err
-		}
-		for k, i := range idxs {
-			delivered[i] = ok[k]
-		}
-		return nil
-	})
 	if err := r.c.logApplied(r.seq, opIdx, applied); err != nil {
 		return nil, err
 	}
@@ -411,32 +369,26 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 
 	stats := make([]shard.RoundStats, len(r.c.members))
 	served := make([]bool, len(r.c.members))
-	var wg sync.WaitGroup
-	for n := range r.c.members {
+	r.c.forEachMember(func(n int) {
 		if !r.live(n) {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			info, err := r.c.members[n].cli.FinishRound(context.Background(), r.roundID(n))
-			if err != nil {
-				r.drop(n, fmt.Errorf("finish round %d: %w", r.seq, err))
-				return
-			}
-			if info.Stats == nil {
-				r.drop(n, fmt.Errorf("finish round %d: member returned no stats", r.seq))
-				return
-			}
-			st, err := info.Stats.Stats()
-			if err != nil {
-				r.drop(n, fmt.Errorf("finish round %d: %w", r.seq, err))
-				return
-			}
-			stats[n], served[n] = st, true
-		}(n)
-	}
-	wg.Wait()
+		info, err := r.c.members[n].cli.FinishRound(context.Background(), r.roundID(n))
+		if err != nil {
+			r.drop(n, fmt.Errorf("finish round %d: %w", r.seq, err))
+			return
+		}
+		if info.Stats == nil {
+			r.drop(n, fmt.Errorf("finish round %d: member returned no stats", r.seq))
+			return
+		}
+		st, err := info.Stats.Stats()
+		if err != nil {
+			r.drop(n, fmt.Errorf("finish round %d: %w", r.seq, err))
+			return
+		}
+		stats[n], served[n] = st, true
+	})
 
 	// A lost member's stats stay zero: it contributes its shard count to
 	// the quarantine tally and nothing to the merge.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/api"
-	"repro/internal/fedora"
 	"repro/internal/persist"
 	"repro/internal/shard"
 )
@@ -42,21 +41,21 @@ import (
 // but not necessarily the one the members originally executed; such
 // deployments should checkpoint every round.
 
-// WAL frame names. Each payload begins with a version byte.
+// WAL frame names. Each payload begins with a version byte and the
+// round; a batch frame's then holds the batch as one api row frame
+// (gradients or aggregates, global rows).
 const (
 	walBeginFrame   = "cluster/begin"
-	walGradsFrame   = "cluster/grads"
-	walAggsFrame    = "cluster/aggs"
+	walBatchFrame   = "cluster/batch"
 	walAppliedFrame = "cluster/applied"
 	walCommitFrame  = "cluster/commit"
 
 	walFrameVersion = 1
 )
 
-// loggedOp is one replayable mutation within a round.
+// loggedOp is one replayable batch within a round.
 type loggedOp struct {
-	grads []fedora.RowGradient // nil for an aggregate op
-	aggs  []fedora.RowAggregate
+	batch api.RowFrame
 	// applied is the per-node delivery outcome of the fan-out (the
 	// round's applied frame): replay resubmits only rows owned by nodes
 	// that applied the batch pre-crash. nil (no applied frame — a crash
@@ -113,10 +112,10 @@ func (c *Coordinator) logBegin(seq uint64, requests [][]uint64) error {
 	return nil
 }
 
-// logGrads appends one gradient batch and returns the op's index within
-// the round (the key its applied frame carries), or -1 when nothing was
-// logged (no WAL, or replay).
-func (c *Coordinator) logGrads(seq uint64, grads []fedora.RowGradient) (op int, err error) {
+// logBatch appends one gradient or aggregate batch and returns the
+// op's index within the round (the key its applied frame carries), or
+// -1 when nothing was logged (no WAL, or replay).
+func (c *Coordinator) logBatch(seq uint64, f api.RowFrame) (op int, err error) {
 	if c.wal == nil || c.replaying.Load() {
 		return -1, nil
 	}
@@ -126,43 +125,14 @@ func (c *Coordinator) logGrads(seq uint64, grads []fedora.RowGradient) (op int, 
 	var e persist.Encoder
 	e.U8(walFrameVersion)
 	e.U64(seq)
-	e.U32(uint32(len(grads)))
-	for _, g := range grads {
-		e.U64(g.Row)
-		e.F32s(g.Grad)
-		e.I64(int64(g.Samples))
+	payload, err := api.AppendRowFrame(e.Finish(), f)
+	if err != nil {
+		return -1, fmt.Errorf("cluster: WAL batch round %d: %w", seq, err)
 	}
 	c.walMu.Lock()
 	defer c.walMu.Unlock()
-	if err := c.wal.AppendRaw(walGradsFrame, e.Finish()); err != nil {
-		return -1, fmt.Errorf("cluster: WAL gradients round %d: %w", seq, err)
-	}
-	op = c.walOps
-	c.walOps++
-	return op, nil
-}
-
-// logAggs appends one aggregate batch; index contract as logGrads.
-func (c *Coordinator) logAggs(seq uint64, aggs []fedora.RowAggregate) (op int, err error) {
-	if c.wal == nil || c.replaying.Load() {
-		return -1, nil
-	}
-	if err := c.walRefused(); err != nil {
-		return -1, err
-	}
-	var e persist.Encoder
-	e.U8(walFrameVersion)
-	e.U64(seq)
-	e.U32(uint32(len(aggs)))
-	for _, a := range aggs {
-		e.U64(a.Row)
-		e.F32s(a.Sum)
-		e.F32(a.Count)
-	}
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	if err := c.wal.AppendRaw(walAggsFrame, e.Finish()); err != nil {
-		return -1, fmt.Errorf("cluster: WAL aggregates round %d: %w", seq, err)
+	if err := c.wal.AppendRaw(walBatchFrame, payload); err != nil {
+		return -1, fmt.Errorf("cluster: WAL batch round %d: %w", seq, err)
 	}
 	op = c.walOps
 	c.walOps++
@@ -233,7 +203,12 @@ func readRoundLog(path string) (rounds []loggedRound, torn bool, err error) {
 		seq := d.U64()
 		switch rec.Name {
 		case walBeginFrame:
+			// Each request list takes at least its 8-byte length: a count
+			// beyond that is corrupt and must not size an allocation.
 			nreq := int(d.U32())
+			if nreq > d.Remaining()/8 {
+				return nil, torn, fmt.Errorf("cluster: WAL begin frame: %d request lists in %d bytes", nreq, d.Remaining())
+			}
 			reqs := make([][]uint64, 0, nreq)
 			for i := 0; i < nreq; i++ {
 				reqs = append(reqs, d.U64s())
@@ -243,39 +218,26 @@ func readRoundLog(path string) (rounds []loggedRound, torn bool, err error) {
 			}
 			rounds = append(rounds, loggedRound{seq: seq, requests: reqs})
 			cur = &rounds[len(rounds)-1]
-		case walGradsFrame:
-			n := int(d.U32())
-			grads := make([]fedora.RowGradient, 0, n)
-			for i := 0; i < n; i++ {
-				grads = append(grads, fedora.RowGradient{
-					Row: d.U64(), Grad: d.F32s(), Samples: int(d.I64()),
-				})
+		case walBatchFrame:
+			// The rest of the payload is the row frame (a truncated
+			// header leaves too few bytes to be one).
+			f, derr := api.DecodeRowFrame(rec.Payload[len(rec.Payload)-d.Remaining():])
+			if derr == nil && f.Kind == api.FrameEntries {
+				derr = errors.New("an entries frame is not a batch")
 			}
-			if derr := d.Err(); derr != nil {
-				return nil, torn, fmt.Errorf("cluster: WAL gradients frame: %w", derr)
-			}
-			if cur == nil || cur.seq != seq || cur.committed {
-				return nil, torn, fmt.Errorf("cluster: WAL gradients frame for round %d outside its round", seq)
-			}
-			cur.ops = append(cur.ops, loggedOp{grads: grads})
-		case walAggsFrame:
-			n := int(d.U32())
-			aggs := make([]fedora.RowAggregate, 0, n)
-			for i := 0; i < n; i++ {
-				aggs = append(aggs, fedora.RowAggregate{
-					Row: d.U64(), Sum: d.F32s(), Count: d.F32(),
-				})
-			}
-			if derr := d.Err(); derr != nil {
-				return nil, torn, fmt.Errorf("cluster: WAL aggregates frame: %w", derr)
+			if derr != nil {
+				return nil, torn, fmt.Errorf("cluster: WAL batch frame: %w", derr)
 			}
 			if cur == nil || cur.seq != seq || cur.committed {
-				return nil, torn, fmt.Errorf("cluster: WAL aggregates frame for round %d outside its round", seq)
+				return nil, torn, fmt.Errorf("cluster: WAL batch frame for round %d outside its round", seq)
 			}
-			cur.ops = append(cur.ops, loggedOp{aggs: aggs})
+			cur.ops = append(cur.ops, loggedOp{batch: f})
 		case walAppliedFrame:
 			op := int(d.U32())
-			n := int(d.U32())
+			n := int(d.U32()) // one byte per flag, bounded like nreq
+			if n > d.Remaining() {
+				return nil, torn, fmt.Errorf("cluster: WAL applied frame: %d flags in %d bytes", n, d.Remaining())
+			}
 			applied := make([]bool, 0, n)
 			for i := 0; i < n; i++ {
 				applied = append(applied, d.Bool())
@@ -296,8 +258,9 @@ func readRoundLog(path string) (rounds []loggedRound, torn bool, err error) {
 			}
 			cur.committed = true
 		default:
-			// An unknown frame from a future version: fail loudly rather
-			// than silently replaying a subset of the log.
+			// An unknown frame — from a future version, or a retired one
+			// (cluster/grads, cluster/aggs: batches before they were row
+			// frames): fail loudly rather than replay a subset of the log.
 			return nil, torn, fmt.Errorf("cluster: unknown WAL frame %q", rec.Name)
 		}
 	}
@@ -368,17 +331,9 @@ func (c *Coordinator) replayRound(lr loggedRound) error {
 		return fmt.Errorf("replay sequence skew: coordinator at round %d, WAL at %d", got, lr.seq)
 	}
 	for _, op := range lr.ops {
-		if op.grads != nil {
-			if grads := c.deliveredGrads(op.grads, op.applied); len(grads) > 0 {
-				if _, err := r.(*Round).SubmitGradients(grads); err != nil {
-					return err
-				}
-			}
-		} else {
-			if aggs := c.deliveredAggs(op.aggs, op.applied); len(aggs) > 0 {
-				if _, err := r.(*Round).SubmitAggregates(aggs); err != nil {
-					return err
-				}
+		if f := c.delivered(op.batch, op.applied); f.Len() > 0 {
+			if _, err := r.(*Round).submit("replay batch", f); err != nil {
+				return err
 			}
 		}
 	}
@@ -391,33 +346,23 @@ func (c *Coordinator) ownerOf(row uint64) int {
 	return c.nodeOf[shard.ShardOf(c.numRows, c.shards, row)]
 }
 
-// deliveredGrads filters a logged gradient batch to rows whose owning
-// node applied it pre-crash (nil applied = no filter).
-func (c *Coordinator) deliveredGrads(grads []fedora.RowGradient, applied []bool) []fedora.RowGradient {
+// delivered filters a logged batch to rows whose owning node applied
+// it pre-crash (nil applied = no filter). A row outside the table is
+// kept, for submit to refuse.
+func (c *Coordinator) delivered(f api.RowFrame, applied []bool) api.RowFrame {
 	if applied == nil {
-		return grads
+		return f
 	}
-	out := make([]fedora.RowGradient, 0, len(grads))
-	for _, g := range grads {
-		if n := c.ownerOf(g.Row); n < len(applied) && applied[n] {
-			out = append(out, g)
+	var idx []int
+	for i := 0; i < f.Len(); i++ {
+		row, _ := f.Record(i)
+		if row >= c.numRows {
+			idx = append(idx, i)
+		} else if n := c.ownerOf(row); n < len(applied) && applied[n] {
+			idx = append(idx, i)
 		}
 	}
-	return out
-}
-
-// deliveredAggs mirrors deliveredGrads for aggregate batches.
-func (c *Coordinator) deliveredAggs(aggs []fedora.RowAggregate, applied []bool) []fedora.RowAggregate {
-	if applied == nil {
-		return aggs
-	}
-	out := make([]fedora.RowAggregate, 0, len(aggs))
-	for _, a := range aggs {
-		if n := c.ownerOf(a.Row); n < len(applied) && applied[n] {
-			out = append(out, a)
-		}
-	}
-	return out
+	return f.Select(idx, 0)
 }
 
 // checkpointNow assembles a cluster snapshot, saves it as the next
