@@ -2,10 +2,13 @@ package fedora
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/bufferoram"
+	"repro/internal/persist"
 )
 
 // The state-bytes goldens: SHA-256 of Controller.Snapshot() after six
@@ -31,62 +34,184 @@ const (
 
 	goldenFedoraStored = "d13cd9e14fc37948f7e1713116ab5f65a0f8609123e3c37d809cb8d08888155c"
 	goldenLazyDPStored = "75585cc9be9c63887ddbe43f277ce988efcccc735bb16f5cee1bb08b7eee1493"
+
+	// TestGoldenPlainState's oracle.
+	goldenFedoraPlain   = "91090aaeb2f1547e7d53080490bcd2f9146867418219fc99b837160c589ee5c2"
+	goldenLazyDPPlain   = "fcfb9cf4811c95e1e8e8b639495b5f8e84f9acafc67a3ee7243d1e0a35f22234"
+	goldenPathPlusPlain = "87337041531b3ca439d57d4007ba94e8a2d3a1eddaf20d809f1214ab308c4e62"
+	goldenFedoraTree    = "bcd13a7c309d5b551b5d31d8a8fc6438c46b9389395aae8fc43c7b456ec5cc0e"
+	goldenLazyDPTree    = "113e957f76d173f14e77935c5aca7316cd2504ef2fd9f4e0d9f0e1fd412be89e"
 )
 
-func TestGoldenStateBytes(t *testing.T) {
+// goldenCase is one configuration the golden tests run six seeded
+// rounds on, with the hashes each test expects of it.
+type goldenCase struct {
+	name   string
+	state  string // TestGoldenStateBytes: the full snapshot
+	stored string // ... after c.parts[0].engine.ResetStats(); "" = not checked
+	plain  string // TestGoldenPlainState: the snapshot's plaintext and every row
+	tree   string // ... every written main-tree bucket's plaintext; "" = not RAW
+	edit   func(t *testing.T, c *Config)
+}
+
+func goldenCases() []goldenCase {
+	fedora := func(name string, edit func(*testing.T, *Config)) goldenCase {
+		return goldenCase{name, goldenFedoraState, goldenFedoraStored, goldenFedoraPlain, goldenFedoraTree, edit}
+	}
+	return []goldenCase{
+		fedora("sim", func(*testing.T, *Config) {}),
+		fedora("sim-prefetch", func(_ *testing.T, c *Config) { c.Prefetch = true }),
+		fedora("file", func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }),
+		fedora("file-prefetch", func(t *testing.T, c *Config) {
+			c.Storage = fileSpec(t)
+			c.Prefetch = true
+		}),
+		{"lazydp", goldenLazyDPState, goldenLazyDPStored, goldenLazyDPPlain, goldenLazyDPTree, func(_ *testing.T, c *Config) {
+			c.Aggregator = bufferoram.LazyDP{Clip: 1, Sigma: 0.1}
+		}},
+		{"pathoram+", goldenPathPlusState, "", goldenPathPlusPlain, "", func(_ *testing.T, c *Config) {
+			c.Backend = BackendPathORAMPlus
+			c.EvictPeriod = 0
+		}},
+	}
+}
+
+// goldenController builds tc's controller and runs the six seeded rounds.
+func goldenController(t *testing.T, tc goldenCase) *Controller {
+	t.Helper()
 	// BucketBytes 512 and EvictPeriod 16 give a 7-level main tree with an
 	// eviction every 16 write-backs, so the six rounds run ~60 evictions
 	// whose greedy choices all land in the hash.
-	base := Config{
+	cfg := Config{
 		NumRows: 1024, Dim: 4, Epsilon: 1, Seed: 77,
 		MaxClientsPerRound: 16, MaxFeaturesPerClient: 16, LearningRate: 0.5,
 		Encrypt: true, HasScratchpad: true, BucketBytes: 512, EvictPeriod: 16,
 	}
-	for _, tc := range []struct {
-		name       string
-		want       string
-		wantStored string // after c.parts[0].engine.ResetStats(); "" = not checked
-		edit       func(t *testing.T, c *Config)
-	}{
-		{"sim", goldenFedoraState, goldenFedoraStored, func(*testing.T, *Config) {}},
-		{"sim-prefetch", goldenFedoraState, goldenFedoraStored, func(_ *testing.T, c *Config) { c.Prefetch = true }},
-		{"file", goldenFedoraState, goldenFedoraStored, func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }},
-		{"file-prefetch", goldenFedoraState, goldenFedoraStored, func(t *testing.T, c *Config) {
-			c.Storage = fileSpec(t)
-			c.Prefetch = true
-		}},
-		{"lazydp", goldenLazyDPState, goldenLazyDPStored, func(_ *testing.T, c *Config) {
-			c.Aggregator = bufferoram.LazyDP{Clip: 1, Sigma: 0.1}
-		}},
-		{"pathoram+", goldenPathPlusState, "", func(_ *testing.T, c *Config) {
-			c.Backend = BackendPathORAMPlus
-			c.EvictPeriod = 0
-		}},
-	} {
+	tc.edit(t, &cfg)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, reqs := range randomWorkload(5, 6, 16, 12, cfg.NumRows, cfg.Dim) {
+		goldenRound(t, c, reqs)
+	}
+	return c
+}
+
+func TestGoldenStateBytes(t *testing.T) {
+	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			tc.edit(t, &cfg)
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			c := goldenController(t, tc)
+			if got, n := snapshotHash(t, c); got != tc.state {
+				t.Errorf("snapshot sha256 = %s, want %s (%d bytes)", got, tc.state, n)
 			}
-			defer c.Close()
-			for _, reqs := range randomWorkload(5, 6, 16, 12, cfg.NumRows, cfg.Dim) {
-				goldenRound(t, c, reqs)
-			}
-			if got, n := snapshotHash(t, c); got != tc.want {
-				t.Errorf("snapshot sha256 = %s, want %s (%d bytes)", got, tc.want, n)
-			}
-			if tc.wantStored == "" {
+			if tc.stored == "" {
 				return
 			}
 			t.Logf("tee engine work before reset: %+v", c.parts[0].engine.Stats())
 			c.parts[0].engine.ResetStats()
-			if got, n := snapshotHash(t, c); got != tc.wantStored {
-				t.Errorf("snapshot sha256 without engine counters = %s, want %s (%d bytes)", got, tc.wantStored, n)
+			if got, n := snapshotHash(t, c); got != tc.stored {
+				t.Errorf("snapshot sha256 without engine counters = %s, want %s (%d bytes)", got, tc.stored, n)
 			}
 		})
 	}
+}
+
+// TestGoldenPlainState is the plaintext oracle beside the state-bytes
+// goldens: after the same six rounds it hashes what the sealed state
+// decrypts to rather than the bytes it is sealed into, so a change to
+// the seal alone (cipher, mode, tag) must leave it where it is while the
+// ciphertext goldens above move. It hashes
+//   - every section of the pipeline snapshot except the ssd device's
+//     bytes, which are ciphertext, and except the engine section's
+//     version byte, which names the seal; then every row's PeekRow;
+//   - every written main-tree bucket, opened at its counter (RAW only).
+//
+// Both were recorded before the memory-encryption engine moved from
+// AES-CTR + HMAC-SHA256 to AES-GCM.
+func TestGoldenPlainState(t *testing.T) {
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			c := goldenController(t, tc)
+			if got := plainStateHash(t, c); got != tc.plain {
+				t.Errorf("plaintext state sha256 = %s, want %s", got, tc.plain)
+			}
+			if tc.tree == "" {
+				return
+			}
+			h := sha256.New()
+			var idxBuf [4]byte
+			err := c.parts[0].raw.EachBucket(func(idx uint32, plain []byte) {
+				binary.LittleEndian.PutUint32(idxBuf[:], idx)
+				h.Write(idxBuf[:])
+				h.Write(plain)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.tree {
+				t.Errorf("main-tree plaintext sha256 = %s, want %s", got, tc.tree)
+			}
+		})
+	}
+}
+
+// plainStateHash hashes the one-shard snapshot of c section by section,
+// skipping the ssd device and the engine's version byte, then every row.
+func plainStateHash(t *testing.T, c *Controller) string {
+	t.Helper()
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	section := func(b []byte) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	d := persist.NewDecoder(snap)
+	if _, err := decodePipelineHeader(d, c.cfg); err != nil {
+		t.Fatal(err)
+	}
+	d.Bytes() // rng
+	d.Bytes() // selector rng
+	if _, _, err := decodeSelector(d); err != nil {
+		t.Fatal(err)
+	}
+	d.Bytes()                               // accountant
+	section(snap[:len(snap)-d.Remaining()]) // header through accountant
+	section(d.Bytes())                      // scratchpad
+	if !d.Bool() {
+		t.Fatal("golden controller runs without an engine")
+	}
+	engine := d.Bytes()
+	if len(engine) == 0 {
+		t.Fatal("empty engine section")
+	}
+	section(engine[1:])
+	section([]byte{d.U8()}) // backend
+	section(d.Bytes())      // main oram
+	section(d.Bytes())      // buffer oram
+	d.Bytes()               // ssd device: ciphertext
+	section(d.Bytes())      // dram device
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("snapshot decode: %v (%d bytes left)", err, d.Remaining())
+	}
+	var f [4]byte
+	for row := uint64(0); row < c.cfg.NumRows; row++ {
+		v, err := c.PeekRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(f[:], math.Float32bits(x))
+			h.Write(f[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func snapshotHash(t *testing.T, c *Controller) (string, int) {

@@ -576,6 +576,33 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 	return out, nil
 }
 
+// EachBucket authenticates and opens every written bucket of the tree
+// at its current counter, in index order, and hands fn the plaintext,
+// which is valid only during the call. Like Peek it is an evaluation
+// backdoor that charges no device time and moves no ORAM state (a
+// sealed tree's opens do count in the engine's work counters): it is
+// the tree as the controller sees it, whatever it is sealed into.
+func (o *ORAM) EachBucket(fn func(idx uint32, plain []byte)) error {
+	if o.cfg.Phantom {
+		return nil
+	}
+	idxs := make([]uint32, 0, len(o.counters))
+	for idx := range o.counters {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	o.resetPath()
+	defer o.resetPath()
+	for _, idx := range idxs {
+		plain, err := o.readBucket(0, idx, o.counters[idx])
+		if err != nil {
+			return fmt.Errorf("raworam: bucket %d: %w", idx, err)
+		}
+		fn(idx, plain)
+	}
+	return nil
+}
+
 // Flush drains the stash with repeated EO accesses until it is empty or
 // maxEvictions is hit; used at shutdown and by tests.
 func (o *ORAM) Flush(maxEvictions int) (time.Duration, error) {
