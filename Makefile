@@ -12,9 +12,10 @@ all: build test
 # ordinary tests of their packages, so no -run regex can skip one), the
 # shard engine and controller suites again on one proc (every controller
 # routes its batches through the engine's worker loop, which runs inline
-# there), a short pass of the seven format fuzzers (checkpoint, WAL,
-# aggregator, sparse upload, row frame, controller envelope, coordinator
-# WAL), and the bench/ module's own vet and tests. ~6 min on 2 vCPUs.
+# there), a short pass of the eight fuzzers (checkpoint, WAL, aggregator,
+# sparse upload, row frame, controller envelope, coordinator WAL, and the
+# memory-encryption engine's authenticated open), and the bench/ module's
+# own vet and tests. ~6 min on 2 vCPUs.
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -28,6 +29,7 @@ check:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeRowFrame -fuzztime=10s ./internal/api/
 	$(GO) test -run=Fuzz -fuzz=FuzzSplitSnapshot -fuzztime=10s ./internal/fedora/
 	$(GO) test -run=Fuzz -fuzz=FuzzRoundLog -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=Fuzz -fuzz=FuzzOpen -fuzztime=10s ./internal/tee/
 	$(MAKE) bench-check
 
 build:

@@ -360,6 +360,13 @@ func (p *pipeline) Restore(b []byte) error {
 		return fmt.Errorf("fedora: snapshot encryption (engine=%v) does not match controller", hasEngine)
 	}
 
+	// The engine first: it refuses a checkpoint sealed in a format it
+	// cannot open (tee.ErrRetiredSeal) before any other state is replaced.
+	if p.engine != nil {
+		if err := p.engine.Restore(engineBlob); err != nil {
+			return fmt.Errorf("fedora: engine: %w", err)
+		}
+	}
 	if err := p.src.Restore(srcBlob); err != nil {
 		return fmt.Errorf("fedora: rng: %w", err)
 	}
@@ -371,11 +378,6 @@ func (p *pipeline) Restore(b []byte) error {
 	}
 	if err := p.scratch.Restore(scratchBlob); err != nil {
 		return fmt.Errorf("fedora: scratchpad: %w", err)
-	}
-	if p.engine != nil {
-		if err := p.engine.Restore(engineBlob); err != nil {
-			return fmt.Errorf("fedora: engine: %w", err)
-		}
 	}
 	// Devices first (they hold the tree bytes the ORAMs index into),
 	// then the ORAM metadata over them.

@@ -1,11 +1,14 @@
 package fedora
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
 
 	"repro/internal/fdp"
+	"repro/internal/shard"
+	"repro/internal/tee"
 )
 
 func persistCfg() Config {
@@ -113,6 +116,50 @@ func TestControllerRestoreRejectsConfigMismatch(t *testing.T) {
 // maps it walks, not a copy per nesting level grown by doubling (≈ 5×
 // before SnapshotTo existed). Sharded controllers add the engine
 // container around the same path.
+// TestRestoreRefusesHMACSealedCheckpoint: a checkpoint whose engine
+// section is version 1 was sealed with AES-CTR + HMAC-SHA256, which this
+// engine cannot open. Restore refuses it by name and replaces nothing;
+// without the refusal it would restore, the first read would fail
+// authentication and the shard would be quarantined as tampered.
+func TestRestoreRefusesHMACSealedCheckpoint(t *testing.T) {
+	src := goldenController(t, goldenCases()[0])
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := decodeToScratchpad(t, src.cfg, snap)
+	d.Bytes() // scratchpad
+	if !d.Bool() {
+		t.Fatal("snapshot carries no engine section")
+	}
+	at := len(snap) - d.Remaining() + 8 // the engine section's version byte
+	snap[at] = 1
+
+	c, err := New(src.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restore(snap); !errors.Is(err, tee.ErrRetiredSeal) {
+		t.Fatalf("Restore of an HMAC-sealed checkpoint = %v, want %v", err, tee.ErrRetiredSeal)
+	}
+	after, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("refused Restore replaced controller state")
+	}
+	runRound(t, c, [][]uint64{{3, 7}, {7, 11, 19}})
+	if h := c.Health(); h.Status != shard.StatusHealthy || h.Quarantines != 0 {
+		t.Errorf("health after a refused Restore = %+v, want healthy with no quarantine", h)
+	}
+}
+
 func TestSnapshotAllocatesOnce(t *testing.T) {
 	base := Config{
 		NumRows: 1024, Dim: 4, Epsilon: 1, Seed: 77,

@@ -1,6 +1,7 @@
 package tee
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -14,10 +15,21 @@ import (
 // single scratchpad-resident value every bucket counter derives from —
 // is the RAW ORAM's eviction count, captured in its snapshot.
 
+// Engine snapshot version 1 was written by the AES-CTR + HMAC-SHA256
+// engine; version 2 is AES-GCM's. The counters alone are the same, but
+// the checkpoint around them holds groups only the engine that wrote
+// them can open, so a version-1 engine section is refused by name.
 const (
 	scratchpadSnapshotVersion = 1
-	engineSnapshotVersion     = 1
+	engineSnapshotVersion     = 2
+	retiredHMACSealVersion    = 1
 )
+
+// ErrRetiredSeal is Engine.Restore's refusal of a checkpoint whose groups
+// were sealed with the retired AES-CTR + HMAC-SHA256 engine. It comes
+// before any group is opened, so an old checkpoint is never mistaken for
+// tampered state.
+var ErrRetiredSeal = errors.New("tee: checkpoint sealed with the retired AES-CTR + HMAC-SHA256 engine; this engine seals with AES-GCM and cannot open it")
 
 // Snapshot returns SnapshotTo's bytes as a blob of their own.
 func (s *Scratchpad) Snapshot() ([]byte, error) { return persist.Build(s.SnapshotTo) }
@@ -104,7 +116,11 @@ func (e *Engine) SnapshotTo(enc *persist.Encoder) error {
 // Restore replaces the counters from a snapshot.
 func (e *Engine) Restore(b []byte) error {
 	d := persist.NewDecoder(b)
-	if v := d.U8(); d.Err() == nil && v != engineSnapshotVersion {
+	switch v := d.U8(); {
+	case d.Err() != nil:
+	case v == retiredHMACSealVersion:
+		return ErrRetiredSeal
+	case v != engineSnapshotVersion:
 		return fmt.Errorf("tee: unsupported engine snapshot version %d", v)
 	}
 	var st EngineStats

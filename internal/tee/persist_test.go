@@ -1,6 +1,7 @@
 package tee
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -68,5 +69,26 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	// engine still opens data sealed by the original.
 	if _, err := b.Open(sealed, 3, 7); err != nil {
 		t.Fatalf("restored engine cannot open: %v", err)
+	}
+}
+
+// TestEngineRestoreRefusesHMACSeal: an engine section written by the
+// AES-CTR + HMAC-SHA256 engine (version 1) is refused by name.
+func TestEngineRestoreRefusesHMACSeal(t *testing.T) {
+	snap, err := testEngine().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap[0] != engineSnapshotVersion {
+		t.Fatalf("engine snapshot version %d, want %d", snap[0], engineSnapshotVersion)
+	}
+	snap[0] = retiredHMACSealVersion
+	e := testEngine()
+	if err := e.Restore(snap); !errors.Is(err, ErrRetiredSeal) {
+		t.Fatalf("Restore of a version-1 engine section = %v, want %v", err, ErrRetiredSeal)
+	}
+	snap[0] = 3
+	if err := e.Restore(snap); err == nil || errors.Is(err, ErrRetiredSeal) {
+		t.Fatalf("Restore of a version-3 engine section = %v, want an unsupported-version error", err)
 	}
 }

@@ -7,23 +7,21 @@
 // small scratch buffer used to accelerate path eviction (Sec 6.6 / Fig
 // 10). All other data structures live in untrusted DRAM or SSD and are
 // protected by the counter-based group encryption of Sec 5.2: multiple
-// tree nodes are grouped (512 bytes by default), each group is encrypted
-// under a per-group counter and authenticated with a tag, and the counter
-// for each group is stored in its *parent* group so that tampering with a
-// counter is caught when the parent fails verification — no Merkle tree
-// needed. The counter of the root group lives in the scratchpad.
+// tree nodes are grouped (512 bytes by default), each group is sealed
+// with AES-128-GCM under a per-group counter — the tag is a GHASH, the
+// Carter–Wegman universal hash hardware memory-encryption engines use —
+// and the counter for each group is stored in its *parent* group so that
+// tampering with a counter is caught when the parent fails verification
+// — no Merkle tree needed. The counter of the root group lives in the
+// scratchpad.
 package tee
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"slices"
 )
 
 // DefaultScratchpadSize is the paper's assumed on-chip SRAM budget.
@@ -36,9 +34,9 @@ const DefaultScratchpadSize = 4096
 // reduction.
 const DefaultGroupSize = 512
 
-// TagSize is the length of the truncated HMAC-SHA256 authentication tag
-// appended to each encrypted group. 16 bytes matches hardware memory
-// encryption engines (e.g. Intel MEE).
+// TagSize is the length of the AES-GCM authentication tag appended to
+// each encrypted group. 16 bytes matches hardware memory encryption
+// engines (e.g. Intel MEE).
 const TagSize = 16
 
 // CounterSize is the length of the per-group write counter stored in the
@@ -103,22 +101,23 @@ func (s *Scratchpad) Free() int { return s.size - s.reserved }
 // Size returns the total scratchpad size.
 func (s *Scratchpad) Size() int { return s.size }
 
-// Engine is the memory encryption engine: AES-128-CTR for
-// confidentiality and truncated HMAC-SHA256 for integrity and freshness.
-// Freshness comes from the (groupID, counter) pair forming the CTR nonce
-// and being bound into the tag: replaying an old ciphertext fails
-// verification because the caller supplies the *current* counter, which
-// it obtained from the (already verified) parent group or from the
-// scratchpad-resident root counter.
+// Engine is the memory encryption engine: AES-128-GCM, one call per
+// group for confidentiality, integrity and freshness. Freshness comes
+// from the (groupID, counter) pair being the 16-byte GCM nonce: replaying
+// an old ciphertext fails verification because the caller supplies the
+// *current* counter, which it obtained from the (already verified) parent
+// group or from the scratchpad-resident root counter.
 //
-// An Engine is for one goroutine at a time: the keyed HMAC state, the
-// tag scratch and the counters are unsynchronised. Each controller (and
-// each shard's sub-controller) owns one and calls it under its own lock.
+// An Engine is for one goroutine at a time: the nonce, the open scratch
+// and the counters are unsynchronised. Each controller (and each shard's
+// sub-controller) owns one and calls it under its own lock.
 type Engine struct {
-	block cipher.Block
-	mac   hash.Hash // HMAC-SHA256 keyed once in NewEngine; Reset per tag
-	sum   [sha256.Size]byte
-	id    [aes.BlockSize]byte // the group being sealed or opened, see bind
+	aead  cipher.AEAD         // keyed once in NewEngine
+	nonce [aes.BlockSize]byte // the group being sealed or opened, see bind
+	// open is OpenTo's landing buffer: a group is decrypted here and
+	// reaches the caller's dst only once its tag verified. Kept for its
+	// capacity.
+	open  []byte
 	stats EngineStats
 }
 
@@ -131,22 +130,25 @@ type EngineStats struct {
 	AuthFailures uint64
 }
 
-// NewEngine derives an engine from a 32-byte master key (16 bytes for
-// AES-128, 32 derived for HMAC).
+// NewEngine derives an engine from a 32-byte master key, of which the
+// first 16 bytes are the AES-128 key.
 func NewEngine(masterKey [32]byte) *Engine {
 	block, err := aes.NewCipher(masterKey[:16])
 	if err != nil {
 		panic("tee: aes.NewCipher: " + err.Error()) // impossible for 16-byte key
 	}
-	macKey := sha256.Sum256(append([]byte("fedora-mac-key"), masterKey[:]...))
-	return &Engine{block: block, mac: hmac.New(sha256.New, macKey[:])}
+	aead, err := cipher.NewGCMWithNonceSize(block, aes.BlockSize)
+	if err != nil {
+		panic("tee: cipher.NewGCMWithNonceSize: " + err.Error())
+	}
+	return &Engine{aead: aead}
 }
 
-// bind loads the group's identity — (groupID, counter), 16 bytes — which
-// is both the CTR initial counter block and the header the tag covers.
+// bind loads the group's identity — (groupID, counter), 16 bytes — as
+// the nonce of the next seal or open.
 func (e *Engine) bind(groupID, counter uint64) {
-	binary.LittleEndian.PutUint64(e.id[0:8], groupID)
-	binary.LittleEndian.PutUint64(e.id[8:16], counter)
+	binary.LittleEndian.PutUint64(e.nonce[0:8], groupID)
+	binary.LittleEndian.PutUint64(e.nonce[8:16], counter)
 }
 
 // SealedSize returns the ciphertext length for a plaintext of n bytes.
@@ -164,15 +166,10 @@ func (e *Engine) Seal(plaintext []byte, groupID, counter uint64) []byte {
 // extended slice; with enough capacity in dst it does not allocate the
 // output. dst must not overlap plaintext.
 func (e *Engine) SealTo(dst, plaintext []byte, groupID, counter uint64) []byte {
-	n := len(plaintext)
-	dst = slices.Grow(dst, n+TagSize)
-	out := dst[len(dst) : len(dst)+n+TagSize]
 	e.bind(groupID, counter)
-	cipher.NewCTR(e.block, e.id[:]).XORKeyStream(out[:n], plaintext)
-	copy(out[n:], e.tag(out[:n]))
-	e.stats.BytesSealed += uint64(n)
+	e.stats.BytesSealed += uint64(len(plaintext))
 	e.stats.GroupsSealed++
-	return dst[:len(dst)+n+TagSize]
+	return e.aead.Seal(dst, e.nonce[:], plaintext, nil)
 }
 
 // Open verifies and decrypts ciphertext||tag produced by Seal under the
@@ -183,36 +180,21 @@ func (e *Engine) Open(sealed []byte, groupID, counter uint64) ([]byte, error) {
 }
 
 // OpenTo is Open appending the plaintext to dst and returning the
-// extended slice. The tag is verified before anything is decrypted: on
+// extended slice. The tag is verified before anything reaches dst: on
 // ErrAuthFailed the result is nil and dst's bytes are untouched, so a
 // reused buffer never hands back plaintext of an earlier group as if it
 // were this one's. dst must not overlap sealed.
 func (e *Engine) OpenTo(dst, sealed []byte, groupID, counter uint64) ([]byte, error) {
-	if len(sealed) < TagSize {
-		e.stats.AuthFailures++
-		return nil, ErrAuthFailed
-	}
-	body := sealed[:len(sealed)-TagSize]
 	e.bind(groupID, counter)
-	if !hmac.Equal(e.tag(body), sealed[len(body):]) {
+	plain, err := e.aead.Open(e.open[:0], e.nonce[:], sealed, nil)
+	if err != nil {
 		e.stats.AuthFailures++
 		return nil, ErrAuthFailed
 	}
-	dst = slices.Grow(dst, len(body))
-	out := dst[len(dst) : len(dst)+len(body)]
-	cipher.NewCTR(e.block, e.id[:]).XORKeyStream(out, body)
-	e.stats.BytesOpened += uint64(len(body))
+	e.open = plain
+	e.stats.BytesOpened += uint64(len(plain))
 	e.stats.GroupsOpened++
-	return dst[:len(dst)+len(body)], nil
-}
-
-// tag computes the truncated HMAC of the bound identity and ciphertext
-// into the engine's scratch; the result is valid until the next tag call.
-func (e *Engine) tag(ciphertext []byte) []byte {
-	e.mac.Reset()
-	e.mac.Write(e.id[:])
-	e.mac.Write(ciphertext)
-	return e.mac.Sum(e.sum[:0])[:TagSize]
+	return append(dst, plain...), nil
 }
 
 // Stats returns a copy of the accumulated crypto counters.
