@@ -7,8 +7,8 @@ import (
 
 // TestUpdateSteadyStateAllocs: once every block has been written and the
 // stash's recycled blocks cover a path, an access reads, opens, unpacks,
-// packs, seals and writes its whole path out of the ORAM's own scratch.
-// What is left is the cipher.NewCTR stream per opened or sealed bucket.
+// packs, seals and writes its whole path out of the ORAM's own scratch,
+// and allocates nothing, sealed or not.
 func TestUpdateSteadyStateAllocs(t *testing.T) {
 	for _, withCrypto := range []bool{false, true} {
 		cfg := Config{NumBlocks: 256, BlockSize: 64, Seed: 5}
@@ -27,12 +27,8 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 4*int(cfg.NumBlocks); i++ {
 			step()
 		}
-		want := 0.0
-		if withCrypto {
-			want = float64(2 * 2 * o.Levels()) // one CTR stream (<= 2 allocations) per bucket, each way
-		}
-		if n := testing.AllocsPerRun(200, step); n > want {
-			t.Errorf("crypto=%v: Update allocates %.1f times per access, want <= %.0f", withCrypto, n, want)
+		if n := testing.AllocsPerRun(200, step); n != 0 {
+			t.Errorf("crypto=%v: Update allocates %.1f times per access, want 0", withCrypto, n)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // TestAOWriteBackSteadyStateAllocs: in steady state an AO access + write-
 // back pair allocates the caller-owned result and nothing else of its
 // own — buckets are read, opened, packed, sealed and stored out of the
-// ORAM's scratch, and eviction reuses the stash blocks it released. With
-// sealing on, each opened or sealed bucket adds its cipher.NewCTR stream.
+// ORAM's scratch, and eviction reuses the stash blocks it released.
+// Sealing adds nothing: the engine opens and seals in place.
 func TestAOWriteBackSteadyStateAllocs(t *testing.T) {
 	for _, withCrypto := range []bool{false, true} {
 		cfg := Config{NumBlocks: 4096, BlockSize: 64, Seed: 5}
@@ -31,12 +31,7 @@ func TestAOWriteBackSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 3*int(cfg.NumBlocks); i++ {
 			step()
 		}
-		want := 2.0 // the result, plus a stash hit's replacement block now and then
-		if withCrypto {
-			// <= levels buckets opened per AO; one EO per EvictPeriod pairs
-			// opens and seals the path once more.
-			want += float64(2*o.Levels()) + float64(4*o.Levels())/float64(o.EvictPeriod())
-		}
+		const want = 2.0 // the result, plus a stash hit's replacement block now and then
 		if n := testing.AllocsPerRun(2000, step); n > want {
 			t.Errorf("crypto=%v: AOAccess+WriteBack allocates %.1f times per pair, want <= %.1f", withCrypto, n, want)
 		}
@@ -102,11 +97,9 @@ func TestAOResultsAreCallerOwned(t *testing.T) {
 
 // TestBatchSteadyStateAllocs: in steady state a 256-id AOAccessBatch
 // plus the 256 write-backs that return the blocks allocates nothing
-// unsealed — the payloads land in the caller's buffer out of the path
-// buffer and the ORAM's work list. Sealed, each bucket the batch opens
-// costs its cipher.NewCTR stream, once — at most every bucket of this
-// 8-level tree, 255, where 256 single accesses open up to 8 each — and
-// the write-backs add an open and a seal per bucket of each eviction path.
+// sealed or not — the payloads land in the caller's buffer out of the
+// path buffer and the ORAM's work list, and the engine opens and seals
+// every bucket in place.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	const k = 256
 	for _, withCrypto := range []bool{false, true} {
@@ -135,13 +128,8 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 3*int(cfg.NumBlocks)/k; i++ {
 			step()
 		}
-		want := 0.0
-		if withCrypto {
-			evictions := k/o.EvictPeriod() + 1
-			want = float64(1<<o.Levels() - 1 + evictions*2*o.Levels())
-		}
-		if n := testing.AllocsPerRun(64, step); n > want {
-			t.Errorf("crypto=%v: a %d-id batch + write-backs allocates %.1f times, want <= %.1f", withCrypto, k, n, want)
+		if n := testing.AllocsPerRun(64, step); n != 0 {
+			t.Errorf("crypto=%v: a %d-id batch + write-backs allocates %.1f times, want 0", withCrypto, k, n)
 		}
 	}
 }

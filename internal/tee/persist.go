@@ -15,20 +15,16 @@ import (
 // single scratchpad-resident value every bucket counter derives from —
 // is the RAW ORAM's eviction count, captured in its snapshot.
 
-// Engine snapshot version 1 was written by the AES-CTR + HMAC-SHA256
-// engine; version 2 is AES-GCM's. The counters alone are the same, but
-// the checkpoint around them holds groups only the engine that wrote
-// them can open, so a version-1 engine section is refused by name.
 const (
 	scratchpadSnapshotVersion = 1
 	engineSnapshotVersion     = 2
-	retiredHMACSealVersion    = 1
+	retiredHMACSealVersion    = 1 // the AES-CTR + HMAC-SHA256 engine's
 )
 
-// ErrRetiredSeal is Engine.Restore's refusal of a checkpoint whose groups
-// were sealed with the retired AES-CTR + HMAC-SHA256 engine. It comes
-// before any group is opened, so an old checkpoint is never mistaken for
-// tampered state.
+// ErrRetiredSeal is Engine.Restore's refusal of a version-1 section: the
+// checkpoint around it holds groups sealed with AES-CTR + HMAC-SHA256,
+// which this engine cannot open. Refused by name before any group is
+// read, an old checkpoint never passes for tampered state.
 var ErrRetiredSeal = errors.New("tee: checkpoint sealed with the retired AES-CTR + HMAC-SHA256 engine; this engine seals with AES-GCM and cannot open it")
 
 // Snapshot returns SnapshotTo's bytes as a blob of their own.
