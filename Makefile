@@ -13,9 +13,9 @@ all: build test
 # shard engine and controller suites again on one proc (every controller
 # routes its batches through the engine's worker loop, which runs inline
 # there), a short pass of the eight fuzzers (checkpoint, WAL, aggregator,
-# sparse upload, row frame, controller envelope, coordinator WAL, and the
-# memory-encryption engine's authenticated open), and the bench/ module's
-# own vet and tests. ~6 min on 2 vCPUs.
+# sparse upload, row frame, controller snapshot container, coordinator
+# WAL, and the memory-encryption engine's authenticated open), and the
+# bench/ module's own vet and tests. ~6 min on 2 vCPUs.
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \

@@ -228,7 +228,7 @@ func main() {
 		log.Printf("fedora-coordinator: drain: %v", err)
 	}
 	if mgr != nil && (ha == nil || ha.Role() == "primary") {
-		epoch, err := mgr.SaveSection(persist.ControllerSection, co.Snapshot)
+		err := co.Checkpoint()
 		switch {
 		case errors.Is(err, fedora.ErrRoundOpen):
 			log.Printf("fedora-coordinator: shutdown checkpoint skipped: %v", err)
@@ -237,7 +237,7 @@ func main() {
 			// stays authoritative.
 			log.Printf("fedora-coordinator: shutdown checkpoint: %v", err)
 		default:
-			fmt.Printf("fedora-coordinator: checkpointed epoch %d to %s\n", epoch, mgr.Dir())
+			fmt.Printf("fedora-coordinator: checkpointed round %d to %s\n", co.Round(), mgr.Dir())
 		}
 	}
 }

@@ -191,3 +191,92 @@ func TestCheckpointAllocBounded(t *testing.T) {
 		t.Errorf("checkpointNow allocated %d bytes for a %d-byte checkpoint, want ≤ %d (4×)", got, len(blob), limit)
 	}
 }
+
+// TestCheckpointEmptiesWALAndShowsRound: the exported Checkpoint — a
+// clean shutdown's one checkpoint path — empties the round WAL and
+// records the round it sealed in /cluster/status, like the cadence
+// checkpoint does.
+func TestCheckpointEmptiesWALAndShowsRound(t *testing.T) {
+	dir := t.TempDir()
+	co := haCoordinator(t, haMembers(t), dir, 100)
+	driveHARounds(t, co, api.FrameGradients, rand.New(rand.NewSource(9)), 3)
+	if rounds, _, err := readRoundLog(co.mgr.WALPath()); err != nil || len(rounds) != 3 {
+		t.Fatalf("WAL before Checkpoint: %d rounds, %v; want 3", len(rounds), err)
+	}
+	if err := co.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if rounds, _, err := readRoundLog(co.mgr.WALPath()); err != nil || len(rounds) != 0 {
+		t.Errorf("WAL after Checkpoint: %d rounds, %v; want empty", len(rounds), err)
+	}
+	if st := clusterStatus(t, co); st.LastCheckpointRound != 3 || st.LastCheckpointError != "" {
+		t.Errorf("status after Checkpoint: checkpoint round %d, error %q; want 3 and none",
+			st.LastCheckpointRound, st.LastCheckpointError)
+	}
+}
+
+// TestOneShardRecoverAfterReplacement: a one-shard cluster checkpoint
+// carries the coordinator's round, not its member's. Rounds 1–2 run and
+// checkpoint, the member dies so round 3 fails, a replacement joins with
+// the round-2 state migrated onto it, and rounds 4–5 checkpoint at 4 and
+// log 5. When a checkpoint carried the member's round (one behind after
+// the failed round), recovery replayed round 5 as round 4 and failed
+// with a replay sequence skew.
+func TestOneShardRecoverAfterReplacement(t *testing.T) {
+	global := haGlobal()
+	global.Shards = 1
+	dir := t.TempDir()
+	coordinator := func(url string) *Coordinator {
+		mgr, err := persist.OpenManager(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co, err := New(Config{
+			Fedora:          global,
+			Nodes:           []NodeSpec{{URL: url, First: 0, Count: 1}},
+			Client:          testClientConfig(),
+			Manager:         mgr,
+			CheckpointEvery: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(co.StopProbes)
+		return co
+	}
+	m, _ := startMember(t, global, 0, 1)
+	co1 := coordinator(m.URL)
+	rng := rand.New(rand.NewSource(4))
+	driveHARounds(t, co1, api.FrameGradients, rng, 2)
+
+	m.Close()
+	if r, err := co1.BeginRound(haRequests(rng)); err == nil {
+		if _, err := r.Finish(); err == nil {
+			t.Fatal("round 3 over a dead member succeeded")
+		}
+	}
+	replacement, _ := startMember(t, global, 0, 1)
+	resp, err := co1.Join(api.ClusterJoinRequest{URL: replacement.URL, FirstShard: 0, ShardCount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Accepted || len(resp.Migrated) != 1 {
+		t.Fatalf("join = %+v, want accepted with shard 0 migrated", resp)
+	}
+	driveHARounds(t, co1, api.FrameGradients, rng, 2)
+	if got := co1.Round(); got != 5 {
+		t.Fatalf("coordinator round = %d, want 5", got)
+	}
+	want := haPeeks(t, co1)
+	co1.StopProbes()
+
+	co2 := coordinator(replacement.URL)
+	co2.SetEpoch(1) // a new incarnation: its round keys must not collide with co1's
+	if _, err := co2.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if got := co2.Round(); got != 5 {
+		t.Fatalf("recovered round = %d, want 5", got)
+	}
+	assertPeeksEqual(t, want, haPeeks(t, co2))
+}

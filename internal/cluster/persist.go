@@ -15,14 +15,14 @@ import (
 // them into the EXACT blob a single-process controller would have
 // produced; Restore and RecoverQuarantined split a blob back into
 // sections with fedora.SplitSnapshot and replay each onto its owner with
-// RestoreShard. The package knows neither format — fedora owns the
-// controller envelope, shard the engine container — and a one-shard
-// cluster takes the same path as any other. That byte-identity is what
-// makes the whole checkpoint ecosystem composable: a cluster checkpoint
-// restores into a single process, a single-process checkpoint fans out
-// onto a cluster, and either one feeds RecoverQuarantined — which here
-// means SHARD MIGRATION: replaying sections onto a recovered or
-// replacement node.
+// RestoreShard. The package knows no format — the snapshot is shard's
+// engine container, carrying this coordinator's round, around fedora's
+// pipeline blobs — and a one-shard cluster takes the same path as any
+// other. That byte-identity is what makes the whole checkpoint
+// ecosystem composable: a cluster checkpoint restores into a single
+// process, a single-process checkpoint fans out onto a cluster, and
+// either one feeds RecoverQuarantined — which here means SHARD
+// MIGRATION: replaying sections onto a recovered or replacement node.
 
 // Snapshot assembles the cluster-wide checkpoint blob from one section
 // per global shard, pulled from its owning member. Every member must be

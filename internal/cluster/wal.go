@@ -377,6 +377,13 @@ func (c *Coordinator) checkpointNow() error {
 	return err
 }
 
+// Checkpoint is checkpointNow for callers outside the round cadence,
+// such as a clean shutdown: it saves the next checkpoint epoch, empties
+// the round WAL and records the outcome for /cluster/status. It returns
+// fedora.ErrRoundOpen while a round is in flight and requires a
+// Manager.
+func (c *Coordinator) Checkpoint() error { return c.checkpointNow() }
+
 // resetWAL empties the round WAL once a checkpoint holds its rounds.
 func (c *Coordinator) resetWAL() error {
 	c.walMu.Lock()

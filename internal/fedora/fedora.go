@@ -39,8 +39,9 @@
 // Controller drives one pipeline per shard through a shard.Engine — an
 // engine of one part when Config.Shards ≤ 1, so every shard count takes
 // the same round path — and owns the round lifecycle: the open-round
-// flag, the round counter, the staged next round and the snapshot
-// envelope.
+// flag, the round counter and the staged next round. Its snapshot is
+// the engine's container at every shard count, which carries the config
+// digest and the round beside one pipeline blob per shard.
 //
 // Key invariants: at most one round is in flight per controller
 // (BeginRound returns ErrRoundInProgress otherwise); the adversary
@@ -251,8 +252,7 @@ func (c *Config) validate() error {
 // code path. The pipelines own every ORAM, device and buffer; the engine
 // routes rounds, batches, snapshots and restores across them; the
 // controller owns what is one-per-round whatever the shard count — the
-// open-round flag, the round counter, the staged next round and the
-// snapshot envelope.
+// open-round flag, the round counter and the staged next round.
 //
 // A Controller is safe for concurrent use: mu guards the round lifecycle
 // here, and each pipeline serializes its own ORAMs (see pipeline).

@@ -11,7 +11,9 @@ import (
 	"repro/internal/persist"
 )
 
-// The state-bytes goldens: SHA-256 of Controller.Snapshot() after six
+// The state-bytes goldens: SHA-256 of the pipeline blob
+// (Controller.SnapshotShard(0), which was the whole one-shard snapshot
+// until the engine container became the one snapshot format) after six
 // rounds of a fixed seeded request list, recorded at the commit BEFORE
 // the ORAM data path was made allocation-free (PR 13's parent). The
 // snapshot carries the tree bytes on the device, the stash in id order,
@@ -32,6 +34,12 @@ import (
 // HMAC-SHA256 to AES-GCM, which changes every sealed byte on the device
 // and the engine section's version; TestGoldenPlainState, recorded
 // before that move, held.
+//
+// The *Container hashes are of the whole Controller.Snapshot(): the
+// engine container, carrying the config digest and the round, around
+// that same pipeline blob. They were recorded when the container became
+// the snapshot format at every shard count, with every hash above
+// unmoved.
 const (
 	goldenFedoraState   = "2c856d22a6bfae0a3a4194b860d644051fb16880f0c6e447d0a65e064199f986"
 	goldenLazyDPState   = "f4e0ff1645c07d7f0a99355cd323b57d3f55990a1fe7bddfa8a23e541ffbf420"
@@ -39,6 +47,10 @@ const (
 
 	goldenFedoraStored = "150a948141c0a38f5d35923ef90edb178018e44d899aa544eccece16e287467d"
 	goldenLazyDPStored = "e4804b2071ee16321b876ac6e18488117b493acf0396de9710f8bb2d07f699d9"
+
+	goldenFedoraContainer   = "4087e1cfe111b54401a75ccbac0388edc013afea9c37d3bf02c535f977950281"
+	goldenLazyDPContainer   = "d0f2e21b1f0b785d396efac1cfd62d0690341cb577f425b84969c4d73b8d401d"
+	goldenPathPlusContainer = "e88af457dc96176f8e94180f2a93274fd4258d673cf033684951991239be1f9f"
 
 	// TestGoldenPlainState's oracle.
 	goldenFedoraPlain   = "91090aaeb2f1547e7d53080490bcd2f9146867418219fc99b837160c589ee5c2"
@@ -51,17 +63,18 @@ const (
 // goldenCase is one configuration the golden tests run six seeded
 // rounds on, with the hashes each test expects of it.
 type goldenCase struct {
-	name   string
-	state  string // TestGoldenStateBytes: the full snapshot
-	stored string // ... after c.parts[0].engine.ResetStats(); "" = not checked
-	plain  string // TestGoldenPlainState: the snapshot's plaintext and every row
-	tree   string // ... every written main-tree bucket's plaintext; "" = not RAW
-	edit   func(t *testing.T, c *Config)
+	name      string
+	state     string // TestGoldenStateBytes: the pipeline blob
+	stored    string // ... after c.parts[0].engine.ResetStats(); "" = not checked
+	container string // ... the whole snapshot, before the reset
+	plain     string // TestGoldenPlainState: the pipeline blob's plaintext and every row
+	tree      string // ... every written main-tree bucket's plaintext; "" = not RAW
+	edit      func(t *testing.T, c *Config)
 }
 
 func goldenCases() []goldenCase {
 	fedora := func(name string, edit func(*testing.T, *Config)) goldenCase {
-		return goldenCase{name, goldenFedoraState, goldenFedoraStored, goldenFedoraPlain, goldenFedoraTree, edit}
+		return goldenCase{name, goldenFedoraState, goldenFedoraStored, goldenFedoraContainer, goldenFedoraPlain, goldenFedoraTree, edit}
 	}
 	return []goldenCase{
 		fedora("sim", func(*testing.T, *Config) {}),
@@ -71,10 +84,10 @@ func goldenCases() []goldenCase {
 			c.Storage = fileSpec(t)
 			c.Prefetch = true
 		}),
-		{"lazydp", goldenLazyDPState, goldenLazyDPStored, goldenLazyDPPlain, goldenLazyDPTree, func(_ *testing.T, c *Config) {
+		{"lazydp", goldenLazyDPState, goldenLazyDPStored, goldenLazyDPContainer, goldenLazyDPPlain, goldenLazyDPTree, func(_ *testing.T, c *Config) {
 			c.Aggregator = bufferoram.LazyDP{Clip: 1, Sigma: 0.1}
 		}},
-		{"pathoram+", goldenPathPlusState, "", goldenPathPlusPlain, "", func(_ *testing.T, c *Config) {
+		{"pathoram+", goldenPathPlusState, "", goldenPathPlusContainer, goldenPathPlusPlain, "", func(_ *testing.T, c *Config) {
 			c.Backend = BackendPathORAMPlus
 			c.EvictPeriod = 0
 		}},
@@ -109,7 +122,14 @@ func TestGoldenStateBytes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := goldenController(t, tc)
 			if got, n := snapshotHash(t, c); got != tc.state {
-				t.Errorf("snapshot sha256 = %s, want %s (%d bytes)", got, tc.state, n)
+				t.Errorf("pipeline blob sha256 = %s, want %s (%d bytes)", got, tc.state, n)
+			}
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(snap); hex.EncodeToString(sum[:]) != tc.container {
+				t.Errorf("snapshot sha256 = %x, want %s (%d bytes)", sum, tc.container, len(snap))
 			}
 			if tc.stored == "" {
 				return
@@ -117,7 +137,7 @@ func TestGoldenStateBytes(t *testing.T) {
 			t.Logf("tee engine work before reset: %+v", c.parts[0].engine.Stats())
 			c.parts[0].engine.ResetStats()
 			if got, n := snapshotHash(t, c); got != tc.stored {
-				t.Errorf("snapshot sha256 without engine counters = %s, want %s (%d bytes)", got, tc.stored, n)
+				t.Errorf("pipeline blob sha256 without engine counters = %s, want %s (%d bytes)", got, tc.stored, n)
 			}
 		})
 	}
@@ -128,7 +148,7 @@ func TestGoldenStateBytes(t *testing.T) {
 // decrypts to rather than the bytes it is sealed into, so a change to
 // the seal alone (cipher, mode, tag) must leave it where it is while the
 // ciphertext goldens above move. It hashes
-//   - every section of the pipeline snapshot except the ssd device's
+//   - every section of the pipeline blob except the ssd device's
 //     bytes, which are ciphertext, and except the engine section's
 //     version byte, which names the seal; then every row's PeekRow;
 //   - every written main-tree bucket, opened at its counter (RAW only).
@@ -162,11 +182,12 @@ func TestGoldenPlainState(t *testing.T) {
 	}
 }
 
-// plainStateHash hashes the one-shard snapshot of c section by section,
-// skipping the ssd device and the engine's version byte, then every row.
+// plainStateHash hashes the pipeline blob of c's one shard section by
+// section, skipping the ssd device and the engine's version byte, then
+// every row.
 func plainStateHash(t *testing.T, c *Controller) string {
 	t.Helper()
-	snap, err := c.Snapshot()
+	snap, err := c.SnapshotShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +231,10 @@ func plainStateHash(t *testing.T, c *Controller) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// snapshotHash hashes the pipeline blob of c's one shard.
 func snapshotHash(t *testing.T, c *Controller) (string, int) {
 	t.Helper()
-	snap, err := c.Snapshot()
+	snap, err := c.SnapshotShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +271,7 @@ func goldenRound(t *testing.T, c *Controller, reqs [][]uint64) {
 	}
 }
 
-// decodeToScratchpad decodes a one-shard snapshot of cfg up to its
+// decodeToScratchpad decodes a pipeline blob of cfg up to its
 // scratchpad section: the header, both RNGs, the selector and the
 // accountant.
 func decodeToScratchpad(t *testing.T, cfg Config, snap []byte) *persist.Decoder {

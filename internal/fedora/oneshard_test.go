@@ -99,44 +99,47 @@ func TestOneShardFaultsAreLoud(t *testing.T) {
 	}
 }
 
-// TestOneShardRestoreShardTakesRound: a one-shard controller's section is
-// its whole snapshot, so replaying it with RestoreShard — standalone or
-// as a cluster member's one-shard slice — leaves the round counter and
-// the state bytes those of the controller that exported it.
-func TestOneShardRestoreShardTakesRound(t *testing.T) {
+// TestRestoreShardLeavesRound: at one shard and at two, standalone and
+// as a cluster member's slice, replaying a shard's section with
+// RestoreShard reproduces the exporting controller's SnapshotShard bytes
+// and leaves the controller round alone — only a whole Restore takes
+// the round, from the snapshot's container.
+func TestRestoreShardLeavesRound(t *testing.T) {
 	global := Config{NumRows: 300, Dim: 4, Epsilon: 1, Seed: 9, MaxClientsPerRound: 8, MaxFeaturesPerClient: 8, Shards: 3}
-	member, err := SliceConfig(global, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	standalone := global
-	standalone.Shards = 1
-	for name, cfg := range map[string]Config{"standalone": standalone, "member": member} {
-		src := newController(t, cfg)
-		for _, reqs := range randomWorkload(3, 4, 4, 5, src.NumRows(), 4) {
-			runRound(t, src, reqs)
-		}
-		blob, err := src.SnapshotShard(cfg.ShardBase)
+	for _, shards := range []int{1, 2} {
+		member, err := SliceConfig(global, 1, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := newController(t, cfg)
-		if err := dst.RestoreShard(cfg.ShardBase, blob); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := dst.Round(), src.Round(); got != want {
-			t.Errorf("%s: Round() after RestoreShard = %d, want %d", name, got, want)
-		}
-		a, err := src.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := dst.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: Snapshot() after RestoreShard differs from the source's", name)
+		standalone := global
+		standalone.Shards = shards
+		for name, cfg := range map[string]Config{"standalone": standalone, "member": member} {
+			src := newController(t, cfg)
+			for _, reqs := range randomWorkload(3, 4, 4, 5, src.NumRows(), 4) {
+				runRound(t, src, reqs)
+			}
+			dst := newController(t, cfg)
+			runRound(t, dst, [][]uint64{{1, 2}})
+			first, count := src.ShardRange()
+			for g := first; g < first+count; g++ {
+				blob, err := src.SnapshotShard(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dst.RestoreShard(g, blob); err != nil {
+					t.Fatal(err)
+				}
+				got, err := dst.SnapshotShard(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, blob) {
+					t.Errorf("%d-shard %s: shard %d after RestoreShard differs from the source's section", shards, name, g)
+				}
+			}
+			if got := dst.Round(); got != 1 {
+				t.Errorf("%d-shard %s: Round() after RestoreShard = %d, want 1 (untouched; the source is at %d)", shards, name, got, src.Round())
+			}
 		}
 	}
 }

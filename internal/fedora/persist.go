@@ -11,23 +11,19 @@ import (
 	"repro/internal/shard"
 )
 
-// pipeline.Snapshot/Restore glue every component snapshot into one
-// blob: both RNG sources, the selector's cross-round metadata, the FDP
-// accountant, the TEE scratchpad and engine counters, the main ORAM
+// A controller snapshot is the shard engine's container at every shard
+// count: the meta section carries the config digest and the controller
+// round, and each shard's section is its pipeline's blob. The pipeline
+// blob (pipeline.SnapshotTo/Restore) glues every component snapshot
+// together: both RNG sources, the selector's cross-round metadata, the
+// FDP accountant, the TEE scratchpad and engine counters, the main ORAM
 // (backend-tagged), the buffer ORAM, and both simulated devices (whose
 // page stores hold the actual tree bytes). Snapshots are only taken
 // between rounds — BeginRound..FinishRound state is deliberately not
 // serializable; recovery re-executes the interrupted round from the WAL.
 
-const (
-	controllerSnapshotVersion = 1
-	// shardedSnapshotVersion tags snapshots of sharded controllers: a
-	// shard count + config digest header wrapping the shard.Engine
-	// container (one named section per shard). The two formats are
-	// deliberately distinct so cross-mode restores fail with a clear
-	// message instead of a decode error.
-	shardedSnapshotVersion = 2
-)
+// pipelineSnapshotVersion stamps a pipeline blob's header.
+const pipelineSnapshotVersion = 1
 
 // ErrRoundOpen is returned by Snapshot when a round is in flight. It is
 // the shard engine's sentinel, so a sharded controller's per-shard
@@ -73,11 +69,9 @@ func (cfg Config) Digest() uint64 {
 	return h.Sum64()
 }
 
-// Snapshot serializes the controller's full dynamic state. It fails with
-// ErrRoundOpen if called between BeginRound and Finish. A one-shard
-// controller's snapshot is its pipeline's blob as is (format v1, which
-// is also a shard's section in the engine container); a sharded one
-// wraps the engine container in the v2 header.
+// Snapshot serializes the controller's full dynamic state as an engine
+// container stamped with its config digest and round. It fails with
+// ErrRoundOpen if called between BeginRound and Finish.
 func (c *Controller) Snapshot() ([]byte, error) { return persist.Build(c.SnapshotTo) }
 
 // SnapshotTo appends Snapshot's bytes to e: every pipeline, ORAM and
@@ -90,9 +84,7 @@ func (c *Controller) SnapshotTo(e *persist.Encoder) error {
 		// snapshot would otherwise capture mid-consumption.
 		return ErrRoundOpen
 	}
-	return c.eng.SnapshotTo(e, func(size int, section func(i int) error) error {
-		return writeSnapshot(e, c.cfg, c.round, size, section)
-	})
+	return c.eng.SnapshotTo(e, c.cfg.Digest(), c.round)
 }
 
 // Restore replaces the controller's dynamic state with a snapshot taken
@@ -114,72 +106,24 @@ func (c *Controller) Restore(b []byte) error {
 	return nil
 }
 
-// writeSnapshot is the one writer of a controller snapshot of cfg at
-// round, from sections that section(i) appends for local shard i (size
-// bounds their bytes). With one shard the snapshot is its single
-// section as is: a v1 pipeline blob, whose header carries the round.
-// With several it is the v2 envelope around the engine container, in
-// one buffer grown once. SplitSnapshot is its reader.
-func writeSnapshot(e *persist.Encoder, cfg Config, round uint64, size int, section func(i int) error) error {
-	if cfg.Shards <= 1 {
-		return section(0)
-	}
-	e.Grow(envelopeHeader + shard.ContainerOverhead(cfg.Shards) + size)
-	e.U8(shardedSnapshotVersion)
-	e.U32(uint32(cfg.Shards))
-	e.U64(cfg.Digest())
-	e.U64(round)
-	m := e.BeginBytes()
-	if err := shard.EncodeContainer(e, containerGeometry(cfg), section); err != nil {
-		return err
-	}
-	e.EndBytes(m)
-	return nil
-}
-
 // SplitSnapshot decodes a snapshot of a controller built from the
 // global config cfg into its round and its per-shard sections by global
 // index — the sections SnapshotShard exports and RestoreShard replays.
-// With one shard the snapshot is its own single section, a v1 pipeline
-// blob whose header carries the round; with several it is the v2
-// envelope around the engine container. Headers are checked against cfg
-// (version, shard count, config digest, geometry); each section is
-// verified by the controller that restores it.
+// The container is checked against cfg (shard count, config digest,
+// geometry); each section's own digest is verified by the controller
+// that restores it. The retired top-level layouts — a bare pipeline
+// blob and the sharded envelope — are refused by name.
 func SplitSnapshot(cfg Config, b []byte) (round uint64, sections [][]byte, err error) {
 	cfg.setDefaults()
-	d := persist.NewDecoder(b)
-	if cfg.Shards <= 1 {
-		round, err = decodePipelineHeader(d, cfg)
-	} else {
-		// The shard count is checked before the digest so a mismatched
-		// partitioning gets the specific error, not the generic one.
-		if v := d.U8(); d.Err() == nil && v != shardedSnapshotVersion {
-			if v == controllerSnapshotVersion {
-				return 0, nil, fmt.Errorf("fedora: snapshot was taken by an unsharded controller, this one is configured with %d shards", cfg.Shards)
-			}
-			return 0, nil, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
-		}
-		if shards := int(d.U32()); d.Err() == nil && shards != cfg.Shards {
-			return 0, nil, fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, cfg.Shards)
-		}
-		if err = checkDigest(d, cfg); err == nil {
-			round = d.U64()
-			b = d.Bytes() // the engine container
+	if len(b) > 0 {
+		switch b[0] {
+		case pipelineSnapshotVersion:
+			return 0, nil, errors.New("fedora: snapshot is a retired bare v1 pipeline blob (the one-shard layout before the engine container); it does not restore")
+		case 2: // the retired sharded envelope's version
+			return 0, nil, errors.New("fedora: snapshot is a retired v2 sharded envelope (the sharded layout before the engine container); it does not restore")
 		}
 	}
-	if err == nil && d.Err() != nil {
-		err = fmt.Errorf("fedora: controller snapshot: %w", d.Err())
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	if cfg.Shards <= 1 {
-		return round, [][]byte{b}, nil
-	}
-	if sections, err = shard.DecodeContainer(b, containerGeometry(cfg)); err != nil {
-		return 0, nil, err
-	}
-	return round, sections, nil
+	return shard.DecodeContainer(b, containerGeometry(cfg), cfg.Digest())
 }
 
 // AssembleSnapshot is SplitSnapshot's inverse: from the per-shard
@@ -194,46 +138,31 @@ func AssembleSnapshot(cfg Config, round uint64, sections [][]byte) []byte {
 	}
 	var e persist.Encoder
 	// Appending sections that are already bytes cannot fail.
-	_ = writeSnapshot(&e, cfg, round, size, func(i int) error {
+	_ = shard.EncodeContainer(&e, containerGeometry(cfg), cfg.Digest(), round, size, func(i int) error {
 		copy(e.Extend(len(sections[i])), sections[i])
 		return nil
 	})
 	return e.Finish()
 }
 
-// containerGeometry is the engine-container geometry of a sharded cfg.
+// containerGeometry is the engine-container geometry of cfg: the engine
+// New builds has max(Shards, 1) parts.
 func containerGeometry(cfg Config) shard.Config {
-	return shard.Config{Shards: cfg.Shards, NumRows: cfg.NumRows, Base: cfg.ShardBase}
+	return shard.Config{Shards: max(cfg.Shards, 1), NumRows: cfg.NumRows, Base: cfg.ShardBase}
 }
 
-// envelopeHeader is the v2 envelope's size around its engine container:
-// version, shard count, config digest, round and the length prefix.
-const envelopeHeader = 1 + 4 + 8 + 8 + 8
-
-// decodePipelineHeader reads a v1 pipeline blob's header — version,
-// config digest, round — and checks it against cfg. A short read is
-// left on d for the caller's d.Err().
+// decodePipelineHeader reads a pipeline blob's header — version, config
+// digest, round — and checks it against cfg. A short read is left on d
+// for the caller's d.Err().
 func decodePipelineHeader(d *persist.Decoder, cfg Config) (round uint64, err error) {
-	if v := d.U8(); d.Err() == nil && v != controllerSnapshotVersion {
-		if v == shardedSnapshotVersion {
-			return 0, errors.New("fedora: snapshot was taken by a sharded controller; configure the same Shards count to restore it")
-		}
-		return 0, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
+	if v := d.U8(); d.Err() == nil && v != pipelineSnapshotVersion {
+		return 0, fmt.Errorf("fedora: unsupported pipeline snapshot version %d", v)
 	}
-	if err := checkDigest(d, cfg); err != nil {
-		return 0, err
-	}
-	return d.U64(), nil
-}
-
-// checkDigest reads a snapshot header's config digest and checks it
-// against cfg's.
-func checkDigest(d *persist.Decoder, cfg Config) error {
 	if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
-		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
+		return 0, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
 			digest, cfg.Digest())
 	}
-	return nil
+	return d.U64(), nil
 }
 
 // SnapshotSize implements shard.Partition.
@@ -260,7 +189,7 @@ func (p *pipeline) snapshotSize() int {
 }
 
 // SnapshotTo implements shard.Partition: the pipeline's full dynamic
-// state as one v1 blob, each component encoding straight into its
+// state as one blob, each component encoding straight into its
 // section. Any deferred write-back pass is applied first, so the bytes
 // are those a synchronous run would produce at this round boundary.
 func (p *pipeline) SnapshotTo(e *persist.Encoder) error {
@@ -274,7 +203,7 @@ func (p *pipeline) SnapshotTo(e *persist.Encoder) error {
 	}
 
 	e.Grow(p.snapshotSize())
-	e.U8(controllerSnapshotVersion)
+	e.U8(pipelineSnapshotVersion)
 	e.U64(p.cfg.Digest())
 	e.U64(p.round)
 	e.Bytes(p.src.Snapshot())
@@ -320,7 +249,7 @@ func (p *pipeline) SnapshotTo(e *persist.Encoder) error {
 }
 
 // Restore implements shard.Partition: it replaces the pipeline's dynamic
-// state with a v1 blob from a pipeline built with an identical Config.
+// state with a blob from a pipeline built with an identical Config.
 func (p *pipeline) Restore(b []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -406,7 +335,7 @@ func (p *pipeline) Restore(b []byte) error {
 }
 
 // RecoverQuarantined restores every quarantined shard from its section
-// of a sharded controller snapshot (the newest durable checkpoint) and
+// of a controller snapshot (the newest durable checkpoint) and
 // returns the shard indices recovered. Healthy shards — and the
 // controller round counter, which tracks the rounds the survivors kept
 // serving — are untouched: only the quarantined shards' state is

@@ -123,17 +123,18 @@ func TestControllerRestoreRejectsConfigMismatch(t *testing.T) {
 // authentication and the shard would be quarantined as tampered.
 func TestRestoreRefusesHMACSealedCheckpoint(t *testing.T) {
 	src := goldenController(t, goldenCases()[0])
-	snap, err := src.Snapshot()
+	blob, err := src.SnapshotShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := decodeToScratchpad(t, src.cfg, snap)
+	d := decodeToScratchpad(t, src.cfg, blob)
 	d.Bytes() // scratchpad
 	if !d.Bool() {
 		t.Fatal("snapshot carries no engine section")
 	}
-	at := len(snap) - d.Remaining() + 8 // the engine section's version byte
-	snap[at] = 1
+	at := len(blob) - d.Remaining() + 8 // the engine section's version byte
+	blob[at] = 1
+	snap := AssembleSnapshot(src.cfg, src.Round(), [][]byte{blob})
 
 	c, err := New(src.cfg)
 	if err != nil {

@@ -263,12 +263,12 @@ func TestShardedRestoreMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c4.Restore(monoBlob); err == nil ||
-		!strings.Contains(err.Error(), "unsharded") {
-		t.Errorf("unsharded→sharded restore error = %v", err)
+		!strings.Contains(err.Error(), "1 shards") || !strings.Contains(err.Error(), "with 4") {
+		t.Errorf("unsharded→sharded restore error does not name both counts: %v", err)
 	}
 	if err := mono.Restore(blob4); err == nil ||
-		!strings.Contains(err.Error(), "sharded controller") {
-		t.Errorf("sharded→unsharded restore error = %v", err)
+		!strings.Contains(err.Error(), "4 shards") || !strings.Contains(err.Error(), "with 1") {
+		t.Errorf("sharded→unsharded restore error does not name both counts: %v", err)
 	}
 }
 

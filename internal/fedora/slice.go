@@ -134,11 +134,10 @@ func (c *Controller) ShardRange() (first, count int) {
 }
 
 // SnapshotShard serializes one shard's complete pipeline state,
-// addressed by GLOBAL shard index. The blob is a v1 pipeline blob —
-// exactly the checkpoint section a full engine snapshot stores for that
-// shard, and the whole snapshot of a one-shard controller — so it can be
-// replayed by RestoreShard on any controller that owns the shard, in any
-// process.
+// addressed by GLOBAL shard index. The blob is the shard's pipeline
+// blob — exactly the section the controller's snapshot stores for that
+// shard, at any shard count — so it can be replayed by RestoreShard on
+// any controller that owns the shard, in any process.
 func (c *Controller) SnapshotShard(global int) ([]byte, error) {
 	return c.eng.SnapshotShard(global)
 }
@@ -148,17 +147,11 @@ func (c *Controller) SnapshotShard(global int) ([]byte, error) {
 // a recovery). This is the migration primitive: a coordinator exports
 // the section from the newest cluster checkpoint and replays it onto
 // whichever node owns the shard now. The controller must be quiesced
-// (AbortRound first if a fence orphaned a round). A one-shard
-// controller's section is its whole snapshot, so it also takes the
-// section's round, as Restore would.
+// (AbortRound first if a fence orphaned a round). The controller round
+// is left alone at every shard count: only a whole Restore takes the
+// round, from the snapshot's container.
 func (c *Controller) RestoreShard(global int, blob []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.eng.RestoreShard(global, blob); err != nil {
-		return err
-	}
-	if len(c.parts) == 1 {
-		c.round = c.parts[0].round
-	}
-	return nil
+	return c.eng.RestoreShard(global, blob)
 }

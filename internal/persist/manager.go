@@ -103,7 +103,10 @@ func (m *Manager) LoadSection(name string) (blob []byte, epoch uint64, skipped [
 	return blob, cp.Epoch, skipped, err
 }
 
-// Epochs lists the on-disk checkpoint epochs in ascending order.
+// Epochs lists the on-disk checkpoint epochs in ascending order. Only
+// exact checkpoint names count: Sscanf ignores trailing text, so the
+// name is matched back, and a temp file WriteFileAtomic left behind in
+// a crash is not an epoch.
 func (m *Manager) Epochs() ([]uint64, error) {
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -112,7 +115,8 @@ func (m *Manager) Epochs() ([]uint64, error) {
 	var epochs []uint64
 	for _, e := range entries {
 		var epoch uint64
-		if n, err := fmt.Sscanf(e.Name(), checkpointPattern, &epoch); n == 1 && err == nil {
+		if n, err := fmt.Sscanf(e.Name(), checkpointPattern, &epoch); n == 1 && err == nil &&
+			e.Name() == fmt.Sprintf(checkpointPattern, epoch) {
 			epochs = append(epochs, epoch)
 		}
 	}

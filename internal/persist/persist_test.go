@@ -328,6 +328,40 @@ func TestManagerPrune(t *testing.T) {
 	}
 }
 
+// TestEpochsIgnoreAtomicWriteLeftover: a crash inside WriteFileAtomic
+// leaves its temp file ("checkpoint-00000003.fckpt.tmp123456") beside
+// the checkpoints. It is not an epoch: it must not be listed, skipped
+// as corrupt or counted by the pruning that follows the next save.
+func TestEpochsIgnoreAtomicWriteLeftover(t *testing.T) {
+	m, err := OpenManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		cp := NewCheckpoint()
+		cp.Put("s", []byte{byte(i)})
+		if _, err := m.SaveNext(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leftover := m.CheckpointPath(3) + ".tmp123456"
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if epochs, err := m.Epochs(); err != nil || !u64sEqual(epochs, []uint64{1, 2, 3}) {
+		t.Fatalf("Epochs with a leftover temp file = %v, %v; want [1 2 3]", epochs, err)
+	}
+	if cp, skipped, err := m.LoadLatest(); err != nil || len(skipped) != 0 || cp.Epoch != 3 {
+		t.Fatalf("LoadLatest = %v, skipped %v, %v; want epoch 3, nothing skipped", cp, skipped, err)
+	}
+	if _, err := m.SaveNext(NewCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if epochs, err := m.Epochs(); err != nil || !u64sEqual(epochs, []uint64{2, 3, 4}) {
+		t.Fatalf("Epochs after the next save = %v, %v; want [2 3 4]", epochs, err)
+	}
+}
+
 // --- atomic write ---
 
 func TestWriteFileAtomicReplaces(t *testing.T) {

@@ -10,19 +10,23 @@ import (
 
 // An engine snapshot is a persist.Checkpoint container: one NAMED
 // section per partition plus a meta section pinning the shard geometry
-// (EncodeContainer writes it, DecodeContainer reads it). Restoring a
+// and carrying two opaque u64s its owner defines — a config digest and
+// a round (EncodeContainer writes it, DecodeContainer reads it). It is
+// the one snapshot format of a fedora controller at every shard count,
+// one shard included, and of a cluster coordinator. Restoring a
 // snapshot taken at a different shard count is rejected: the per-shard
 // ORAM trees, position maps and RNG streams are only meaningful under
 // the exact partition they were written with. Sections are named by
 // GLOBAL shard index (Config.Base + local index) so a cluster member's
 // sections are interchangeable with the matching sections of a
 // single-process engine snapshot. The engine itself moves partitions
-// in and out of sections (SnapshotTo, Restore, RestoreShard, Recover);
-// what frames them is its owner's format.
+// in and out of sections (SnapshotTo, Restore, RestoreShard, Recover).
 
 // engineSnapshotVersion stamps the meta section. Version 2 added the
-// Base field for slice engines (cluster members).
-const engineSnapshotVersion = 2
+// Base field for slice engines (cluster members); version 3 the owner's
+// digest and round, which made the container the controller's one
+// snapshot format.
+const engineSnapshotVersion = 3
 
 // metaSection / SectionName name the container sections.
 const metaSection = "shard/meta"
@@ -35,19 +39,25 @@ func SectionName(i int) string { return fmt.Sprintf("shard/%04d", i) }
 var ErrRoundOpen = errors.New("shard: cannot snapshot mid-round")
 
 // EncodeContainer appends an engine snapshot container for the geometry
-// in cfg (Shards, NumRows, Base) to enc: the checkpoint stream's magic,
-// the meta section pinning the geometry, one section per shard — named
+// in cfg (Shards, NumRows, Base) to enc, in one buffer grown once: the
+// checkpoint stream's magic, the meta section pinning the geometry and
+// carrying the owner's digest and round, one section per shard — named
 // by its GLOBAL index, with the payload section(i) appends for local
-// index i — and the trailer. It is the container's one writer: fedora
-// frames a sharded controller's snapshot with it, whether the sections
-// stream from the engine's partitions or from cluster members.
-func EncodeContainer(enc *persist.Encoder, cfg Config, section func(i int) error) error {
+// index i; size bounds the payloads' bytes — and the trailer. It is the
+// container's one writer, whether the sections stream from an engine's
+// partitions (SnapshotTo) or from cluster members.
+func EncodeContainer(enc *persist.Encoder, cfg Config, digest, round uint64, size int, section func(i int) error) error {
+	// Under 64 bytes of frame per shard section, the magic, meta and
+	// trailer frames included.
+	enc.Grow(64*(cfg.Shards+4) + size)
 	cp := persist.BeginCheckpoint(enc, 0)
 	cp.BeginSection(metaSection)
 	enc.U8(engineSnapshotVersion)
 	enc.U32(uint32(cfg.Shards))
 	enc.U64(cfg.NumRows)
 	enc.U32(uint32(cfg.Base))
+	enc.U64(digest)
+	enc.U64(round)
 	cp.EndSection()
 	for i := 0; i < cfg.Shards; i++ {
 		cp.BeginSection(SectionName(cfg.Base + i))
@@ -62,56 +72,59 @@ func EncodeContainer(enc *persist.Encoder, cfg Config, section func(i int) error
 
 // DecodeContainer is EncodeContainer's one reader: it parses an engine
 // snapshot container, verifies its meta section against the geometry in
-// cfg, and returns the shard sections by local index. Nothing is
+// cfg and the owner's digest — the shard count first, so a mismatched
+// partitioning gets the specific error, then the digest — and returns
+// the owner's round and the shard sections by local index. Nothing is
 // returned unless every section is present, so a caller can check the
 // whole snapshot before touching any partition.
-func DecodeContainer(b []byte, cfg Config) ([][]byte, error) {
+func DecodeContainer(b []byte, cfg Config, digest uint64) (round uint64, sections [][]byte, err error) {
 	cp, err := persist.DecodeCheckpoint(bytes.NewReader(b))
 	if err != nil {
-		return nil, fmt.Errorf("shard: engine snapshot: %w", err)
+		return 0, nil, fmt.Errorf("shard: engine snapshot: %w", err)
 	}
 	meta, err := cp.Section(metaSection)
 	if err != nil {
-		return nil, fmt.Errorf("shard: engine snapshot: %w", err)
+		return 0, nil, fmt.Errorf("shard: engine snapshot: %w", err)
 	}
 	d := persist.NewDecoder(meta)
-	version := d.U8()
+	if version := d.U8(); d.Err() == nil && version != engineSnapshotVersion {
+		if version == 2 {
+			return 0, nil, errors.New("shard: retired version-2 engine snapshot meta (no owner digest or round); snapshots from before the one container format do not restore")
+		}
+		return 0, nil, fmt.Errorf("shard: unsupported engine snapshot version %d", version)
+	}
 	shards := int(d.U32())
 	numRows := d.U64()
 	base := int(d.U32())
+	owner := d.U64()
+	round = d.U64()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("shard: engine snapshot meta: %w", err)
+		return 0, nil, fmt.Errorf("shard: engine snapshot meta: %w", err)
 	}
 	switch {
-	case version != engineSnapshotVersion:
-		return nil, fmt.Errorf("shard: unsupported engine snapshot version %d", version)
 	case shards != cfg.Shards:
-		return nil, fmt.Errorf("shard: snapshot was taken with %d shards, engine is configured with %d — restore requires an identical shard count", shards, cfg.Shards)
+		return 0, nil, fmt.Errorf("shard: snapshot was taken with %d shards, engine is configured with %d — restore requires an identical shard count", shards, cfg.Shards)
+	case owner != digest:
+		return 0, nil, fmt.Errorf("shard: snapshot config digest %016x != %016x (configs differ)", owner, digest)
 	case numRows != cfg.NumRows:
-		return nil, fmt.Errorf("shard: snapshot covers %d rows, engine is configured with %d", numRows, cfg.NumRows)
+		return 0, nil, fmt.Errorf("shard: snapshot covers %d rows, engine is configured with %d", numRows, cfg.NumRows)
 	case base != cfg.Base:
-		return nil, fmt.Errorf("shard: snapshot covers shard slice [%d,%d), engine serves [%d,%d)",
+		return 0, nil, fmt.Errorf("shard: snapshot covers shard slice [%d,%d), engine serves [%d,%d)",
 			base, base+shards, cfg.Base, cfg.Base+cfg.Shards)
 	}
-	sections := make([][]byte, cfg.Shards)
+	sections = make([][]byte, cfg.Shards)
 	for i := range sections {
 		if sections[i], err = cp.Section(SectionName(cfg.Base + i)); err != nil {
-			return nil, fmt.Errorf("shard: engine snapshot: %w", err)
+			return 0, nil, fmt.Errorf("shard: engine snapshot: %w", err)
 		}
 	}
-	return sections, nil
+	return round, sections, nil
 }
 
-// ContainerOverhead bounds the bytes a container adds around the
-// payloads of n shard sections: under 64 bytes of frame each, the magic,
-// meta and trailer frames included.
-func ContainerOverhead(n int) int { return 64 * (n + 4) }
-
-// SnapshotTo has write encode every partition into enc, once no round
-// is in flight: size bounds the partitions' bytes, and section(i)
-// appends local partition i's state. write frames the sections — in an
-// engine container (EncodeContainer), or any format its owner defines.
-func (e *Engine) SnapshotTo(enc *persist.Encoder, write func(size int, section func(i int) error) error) error {
+// SnapshotTo appends the engine container of every partition to enc,
+// stamped with its owner's digest and round, once no round is in
+// flight.
+func (e *Engine) SnapshotTo(enc *persist.Encoder, digest, round uint64) error {
 	if err := e.quiesced(); err != nil {
 		return err
 	}
@@ -119,7 +132,7 @@ func (e *Engine) SnapshotTo(enc *persist.Encoder, write func(size int, section f
 	for _, p := range e.parts {
 		size += p.SnapshotSize()
 	}
-	return write(size, func(i int) error { return e.parts[i].SnapshotTo(enc) })
+	return EncodeContainer(enc, e.cfg, digest, round, size, func(i int) error { return e.parts[i].SnapshotTo(enc) })
 }
 
 // Restore replaces every partition's state from its section, by local

@@ -7,18 +7,20 @@ import (
 	"repro/internal/persist"
 )
 
+// testDigest and testRound stand for the owner's config digest and
+// round a fedora.Controller stamps into its container.
+const testDigest, testRound = 0xfeed, 7
+
 // snapshot, restore and recoverFrom move an engine's partitions through
-// an engine container, as a sharded fedora.Controller frames them.
+// an engine container, as a fedora.Controller frames them.
 func snapshot(e *Engine) ([]byte, error) {
 	return persist.Build(func(enc *persist.Encoder) error {
-		return e.SnapshotTo(enc, func(_ int, section func(i int) error) error {
-			return EncodeContainer(enc, e.cfg, section)
-		})
+		return e.SnapshotTo(enc, testDigest, testRound)
 	})
 }
 
 func restore(e *Engine, b []byte) error {
-	sections, err := DecodeContainer(b, e.cfg)
+	_, sections, err := DecodeContainer(b, e.cfg, testDigest)
 	if err != nil {
 		return err
 	}
@@ -26,7 +28,7 @@ func restore(e *Engine, b []byte) error {
 }
 
 func recoverFrom(e *Engine, b []byte) ([]int, error) {
-	sections, err := DecodeContainer(b, e.cfg)
+	_, sections, err := DecodeContainer(b, e.cfg, testDigest)
 	if err != nil {
 		return nil, err
 	}
@@ -115,5 +117,47 @@ func TestSnapshotRejectedMidRound(t *testing.T) {
 	}
 	if _, err := snapshot(e); err != nil {
 		t.Errorf("post-round Snapshot failed: %v", err)
+	}
+}
+
+// TestContainerMeta: the meta section carries the owner's round back
+// out, refuses another owner's digest after the shard count, and
+// refuses the retired version-2 meta by name.
+func TestContainerMeta(t *testing.T) {
+	e, _ := newFakeEngine(t, 100, 4, 0)
+	blob, err := snapshot(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round, _, err := DecodeContainer(blob, e.cfg, testDigest); err != nil || round != testRound {
+		t.Fatalf("DecodeContainer = round %d, %v; want %d", round, err, testRound)
+	}
+	if _, _, err := DecodeContainer(blob, e.cfg, testDigest+1); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Errorf("foreign digest error = %v", err)
+	}
+	e2, _ := newFakeEngine(t, 100, 2, 0)
+	if _, _, err := DecodeContainer(blob, e2.cfg, testDigest+1); err == nil || !strings.Contains(err.Error(), "4 shards") {
+		t.Errorf("shard count and digest both wrong: error = %v, want the shard-count one", err)
+	}
+
+	v2, err := persist.Build(func(enc *persist.Encoder) error {
+		cp := persist.BeginCheckpoint(enc, 0)
+		cp.BeginSection(metaSection)
+		enc.U8(2)
+		enc.U32(uint32(e.cfg.Shards))
+		enc.U64(e.cfg.NumRows)
+		enc.U32(0)
+		cp.EndSection()
+		for i := 0; i < e.cfg.Shards; i++ {
+			cp.Section(SectionName(i), []byte{byte(i)})
+		}
+		cp.Close()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeContainer(v2, e.cfg, testDigest); err == nil || !strings.Contains(err.Error(), "retired version-2") {
+		t.Errorf("version-2 meta error = %v, want the retired-version refusal", err)
 	}
 }

@@ -23,7 +23,11 @@
 // fedora controller runs through an engine of one part whenever it is
 // not sharded, where the worker pool runs inline, the request lists and
 // single-shard batches pass through ungrouped, and its owner's trigger
-// never quarantines.
+// never quarantines. The same holds for snapshots: an engine writes one
+// container at every shard count (persist.go), whose meta section also
+// carries two opaque u64s from its owner — the fedora controller's
+// config digest and round — so it is the controller's one snapshot
+// format.
 //
 // Key invariants:
 //
