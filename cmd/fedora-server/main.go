@@ -60,7 +60,6 @@ func main() {
 		lr       = flag.Float64("lr", 1.0, "server learning rate")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		shards   = flag.Int("shards", 1, "partition the table across this many parallel per-shard ORAMs (1 = monolithic)")
-		prefetch = flag.Bool("prefetch", false, "lookahead pipeline: rounds staged via POST /v2/rounds/{id}/stage stream their ORAM reads on a background fetcher and defer write-back; bit-identical to sync")
 		ckptDir  = flag.String("checkpoint-dir", "", "restore controller state on start, checkpoint on shutdown")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain limit")
 
@@ -116,7 +115,6 @@ func main() {
 		dimUsed = flCfg.Dim
 		flCfg.WrapDevice = plan.Wrap
 		flCfg.Storage = spec
-		flCfg.Prefetch = *prefetch
 		fc, err = fl.ControllerConfig(flCfg)
 	} else {
 		fc = fedora.Config{
@@ -128,7 +126,6 @@ func main() {
 			LearningRate:         float32(*lr),
 			Seed:                 *seed,
 			Shards:               *shards,
-			Prefetch:             *prefetch,
 			WrapDevice:           plan.Wrap,
 			Storage:              spec,
 		}
@@ -180,9 +177,6 @@ func main() {
 	if spec.Kind == storage.KindFile {
 		fmt.Printf("fedora-server: storage=file dir=%s direct=%v (%d backing file(s))\n",
 			spec.Dir, spec.Direct, ctrl.Shards())
-	}
-	if *prefetch {
-		fmt.Println("fedora-server: lookahead prefetch pipeline enabled (two-phase stage/begin rounds)")
 	}
 	fmt.Printf("listening on %s\n", *listen)
 

@@ -45,7 +45,7 @@ func main() {
 		csvOut   = flag.String("csv", "", "also write Table 1 to this CSV file")
 		workers  = flag.Int("workers", 0, "client-training worker pool size (0 = GOMAXPROCS); results are seed-deterministic at any value")
 		shards   = flag.Int("shards", 1, "partition the embedding table across this many parallel per-shard ORAMs (1 = monolithic); results are seed-deterministic at any value")
-		prefetch = flag.Bool("prefetch", false, "lookahead pipeline: stage round R+1 while R trains, streaming its ORAM reads on a background fetcher and deferring write-back; bit-identical to a sync run")
+		prefetch = flag.Bool("prefetch", false, "lookahead: stage round R+1 after each round, so the controller plans and loads it while the caller is between rounds and defers its write-back; bit-identical to an unstaged run")
 
 		uploadCodec = flag.String("upload-codec", "", "gradient upload codec: plaintext | masked | masked-sparse | subspace (\"\" = legacy float path); all wire codecs are bit-identical to each other")
 		subspaceDim = flag.Int("subspace-dim", 0, "coordinates updated per row with -upload-codec=subspace (0 = dim/4)")

@@ -18,10 +18,9 @@ import (
 type Controller interface {
 	BeginRound(requests [][]uint64) (Round, error)
 	// StageRound posts the NEXT round's request lists ahead of its
-	// BeginRound — the two-phase contract that lets a prefetch-enabled
-	// controller overlap its ORAM reads with the caller's compute. On a
-	// controller without Config.Prefetch the stage is merely remembered;
-	// either way the adopting BeginRound must present the same lists.
+	// BeginRound — the two-phase contract that lets the controller
+	// overlap its ORAM reads with the caller's compute. The adopting
+	// BeginRound must present the same lists.
 	StageRound(requests [][]uint64) error
 	Round() uint64
 	NumRows() uint64

@@ -34,7 +34,7 @@ func TestNoSecretStatsOverAPI(t *testing.T) {
 	ctrl, err := fedora.New(fedora.Config{
 		NumRows: 1024, Dim: 4, Epsilon: fdp.EpsilonInfinity,
 		MaxClientsPerRound: 8, MaxFeaturesPerClient: 8,
-		LearningRate: 1, Seed: 1, Shards: 2, Prefetch: true,
+		LearningRate: 1, Seed: 1, Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestNoSecretStatsOverAPI(t *testing.T) {
 		}
 	}
 
-	r1 := beginV2(t, srv.URL, `{"requests":[[5,9],[9,700]],"stage_next":[[7,900]]}`)
+	r1 := beginV2(t, srv.URL, `{"requests":[[5,9],[9,700]]}`)
 	round := "/v2/rounds/" + r1.RoundID
 	call(http.MethodGet, "/v2/status", "")
 	call(http.MethodGet, round, "")
@@ -84,6 +84,7 @@ func TestNoSecretStatsOverAPI(t *testing.T) {
 	}
 	call(http.MethodPost, round+"/unmask", `{"reveals":[]}`)
 	call(http.MethodPost, round+"/finish", "")
+	call(http.MethodPost, round+"/stage", `{"requests":[[7,900]]}`)
 
 	// Round 2 adopts the staged plan, so its stats are a prefetched
 	// round's and the controller has staged-row counters to (not) report.

@@ -230,7 +230,8 @@ type RoundStatsJSON struct {
 	// exactly, so remote trainers accumulate the same ε as local ones.
 	RoundEpsilon  string `json:"round_epsilon"`
 	TotalOverhead string `json:"total_overhead"`
-	// Prefetched marks a round run under the lookahead prefetch pipeline.
+	// Prefetched marks a staged round: its begin ran ahead of the
+	// adopting begin, and its write-back was deferred to the next round.
 	Prefetched bool `json:"prefetched,omitempty"`
 	// Wire upload plane accounting (zero when gradients came as row
 	// frames).

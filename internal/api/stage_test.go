@@ -9,22 +9,23 @@ import (
 
 	"repro/internal/fdp"
 	"repro/internal/fedora"
+	"repro/internal/persist"
 )
 
-// newStageTestServer serves a prefetch-enabled controller, so staged
-// rounds actually kick a background fetcher between finish and the next
-// begin (the two-phase contract the stage endpoint exists for).
-func newStageTestServer(t *testing.T) (*httptest.Server, *fedora.Controller) {
+// newStageTestServer serves a plain controller: a staged round kicks its
+// background begin between finish and the next begin (the two-phase
+// contract the stage endpoint exists for) with no option to set.
+func newStageTestServer(t *testing.T, opts ...Option) (*httptest.Server, *fedora.Controller) {
 	t.Helper()
 	ctrl, err := fedora.New(fedora.Config{
 		NumRows: 1024, Dim: 4, Epsilon: fdp.EpsilonInfinity,
 		MaxClientsPerRound: 8, MaxFeaturesPerClient: 8,
-		LearningRate: 1, Seed: 1, Prefetch: true,
+		LearningRate: 1, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(ctrl).Handler())
+	srv := httptest.NewServer(NewServer(ctrl, opts...).Handler())
 	t.Cleanup(srv.Close)
 	return srv, ctrl
 }
@@ -136,15 +137,18 @@ func TestV2StageValidation(t *testing.T) {
 	finishV2(t, srv.URL, r1.RoundID)
 }
 
-// TestV2StageNextHint: the optional stage_next field on round creation
-// stages the following round in the same request, and the staged reads
-// serve round 2 from the prefetch buffer. The hit count is secret-derived
-// (k_sampled − dummy), so it is read off the controller, not the API.
+// TestV2StageNextHint: staging the following round after the finish
+// reply — the order the SDK uses — serves round 2 from the rows its
+// staged begin loaded. The hit count is secret-derived (k_sampled −
+// dummy), so it is read off the controller, not the API.
 func TestV2StageNextHint(t *testing.T) {
 	srv, ctrl := newStageTestServer(t)
 
-	r1 := beginV2(t, srv.URL, `{"requests":[[5,9]],"stage_next":[[7,21]]}`)
+	r1 := beginV2(t, srv.URL, `{"requests":[[5,9]]}`)
 	finishV2(t, srv.URL, r1.RoundID)
+	if status, _, data := stage(t, srv.URL, r1.RoundID, `{"requests":[[7,21]]}`); status != http.StatusOK {
+		t.Fatalf("stage: status %d body %s", status, data)
+	}
 
 	r2 := beginV2(t, srv.URL, `{"requests":[[7,21]]}`)
 	status, data := doReq(t, http.MethodPost,
@@ -158,5 +162,35 @@ func TestV2StageNextHint(t *testing.T) {
 	}
 	if rep := ctrl.PrefetchReport(); rep.Hits == 0 {
 		t.Errorf("prefetch report = %+v, want staged rows served", rep)
+	}
+}
+
+// TestRetiredStageNextKeepsCheckpoints: a begin that still carries the
+// retired stage_next field is a cold begin, so a durable server's
+// cadence checkpoint after the finish finds no stage pending and saves
+// the round.
+func TestRetiredStageNextKeepsCheckpoints(t *testing.T) {
+	mgr, err := persist.OpenManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newStageTestServer(t, WithAutoRecover(mgr, 1))
+	before, err := mgr.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r1 := beginV2(t, srv.URL, `{"requests":[[5,9]],"stage_next":[[7,21]]}`)
+	finishV2(t, srv.URL, r1.RoundID)
+
+	if _, h := getHealthz(t, srv.URL); h.RecoverError != "" {
+		t.Fatalf("recover_error after round 1: %s", h.RecoverError)
+	}
+	after, err := mgr.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before)+1 {
+		t.Fatalf("checkpoint epochs %v -> %v, want one more", before, after)
 	}
 }

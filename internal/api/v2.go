@@ -44,17 +44,12 @@ type BeginV2Request struct {
 	// DeadlineMS, when positive, bounds the round's lifetime; past it
 	// the server finishes the round with partial gradients.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// StageNext, when set, stages the FOLLOWING round's request lists in
-	// the same call — a hint equivalent to an immediate POST .../stage.
-	// Best-effort: a stage failure never fails the begin.
-	StageNext [][]uint64 `json:"stage_next,omitempty"`
 }
 
 // StageV2Request posts the next round's per-client request lists
 // against the latest round — the first leg of the two-phase round
-// lifecycle. On a prefetch-enabled controller the staged round's plan
-// and ORAM reads start as soon as the current round finishes; the next
-// begin MUST present the same lists.
+// lifecycle. The staged round's plan and ORAM reads start as soon as the
+// current round finishes; the next begin MUST present the same lists.
 type StageV2Request struct {
 	Requests [][]uint64 `json:"requests"`
 	// StageKey, when set, deduplicates retries like a gradient batch_id:
@@ -258,12 +253,6 @@ func (s *Server) beginRound(req BeginV2Request) (*serverRound, bool, *apiError) 
 	s.current = sr
 	s.pruneLocked()
 	s.mu.Unlock()
-
-	// Begin-time stage hint: equivalent to an immediate POST .../stage,
-	// and best-effort by contract — the round itself has already begun.
-	if len(req.StageNext) > 0 {
-		_ = s.ctrl.StageRound(req.StageNext)
-	}
 	return sr, true, nil
 }
 
@@ -623,9 +612,9 @@ func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// StageRound validates and registers; on a prefetch-enabled
-	// controller the background plan+fetch kicks off as soon as the
-	// current round (if any) finishes. Never under the server mutex.
+	// StageRound validates and registers; the background plan+fetch
+	// kicks off as soon as the current round (if any) finishes. Never
+	// under the server mutex.
 	resp, dup, aerr := reserve(&s.mu, sr.stages, req.StageKey, func() (StageV2Response, *apiError) {
 		if err := s.ctrl.StageRound(req.Requests); err != nil {
 			return StageV2Response{}, errorReply(err, http.StatusBadRequest, CodeInvalidArgument)

@@ -11,11 +11,11 @@ import (
 	"repro/internal/fl"
 )
 
-// TestRemotePrefetchParity: a prefetch-enabled server driven by a
-// lookahead trainer (staging round R+1 over POST /v2/rounds/{id}/stage
-// while R trains) lands on the bit-identical model of a plain sync
-// in-process run — the pipeline overlaps wall clock, never reorders the
-// ORAM access sequence or the arithmetic.
+// TestRemotePrefetchParity: a server driven by a lookahead trainer
+// (staging round R+1 over POST /v2/rounds/{id}/stage while R trains)
+// lands on the bit-identical model of a plain in-process run with no
+// staging — the lookahead overlaps wall clock, never reorders the ORAM
+// access sequence or the arithmetic.
 func TestRemotePrefetchParity(t *testing.T) {
 	want := localFingerprint(t, parityConfig(t))
 
@@ -53,12 +53,13 @@ func TestRemotePrefetchParity(t *testing.T) {
 	if got != want {
 		t.Fatalf("fingerprint mismatch: sync local %016x, prefetch remote %016x", want, got)
 	}
-	// The stage endpoint really fed the pipeline: the server's fetcher
-	// streamed staged rows into serves from round 2 on.
+	// The stage endpoint really fed the pipeline: staged begins loaded
+	// rows that serves consumed from round 2 on.
 	if rep := ctrl.PrefetchReport(); rep.Hits == 0 {
 		t.Fatalf("no prefetch hits on the server: %+v", rep)
 	}
 	// And the round stats the trainer reads off the wire say so.
+	tr.StageNext()
 	rep, err := tr.RunRound()
 	if err != nil {
 		t.Fatal(err)

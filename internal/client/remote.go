@@ -68,9 +68,8 @@ func (o *Orchestrator) BeginRound(requests [][]uint64) (fl.RoundHandle, error) {
 }
 
 // StageRound implements fl.RoundStager: the next round's request lists
-// post to the stage endpoint of the most recent round, letting a
-// prefetch-enabled server start its ORAM reads before the trainer's
-// BeginRound. Before any round exists there is nothing to stage against;
+// post to the stage endpoint of the most recent round, letting the
+// server start its ORAM reads before the trainer's BeginRound. Before any round exists there is nothing to stage against;
 // that (like any stage error surfaced to the trainer) just means the
 // next BeginRound runs cold, so the contract stays best-effort.
 func (o *Orchestrator) StageRound(requests [][]uint64) error {

@@ -606,8 +606,7 @@ func (c *Coordinator) StopProbes() {
 // StageRound implements the two-phase contract across the cluster: the
 // next round's request lists route through the same per-member split as
 // BeginRound's and post to each live member's latest local round, so
-// prefetch-enabled members start their ORAM reads while the trainer is
-// still training. Staging is best-effort at the node level — a member
+// members start their ORAM reads while the trainer is still training. Staging is best-effort at the node level — a member
 // that cannot stage (fenced, or no local round yet) simply runs its next
 // begin cold, without fencing — but a malformed batch fails validation
 // exactly as it would at BeginRound.

@@ -7,8 +7,8 @@ import (
 )
 
 // TestClusterPrefetchParity: a lookahead trainer driving a coordinator
-// over prefetch-enabled members lands on the bit-identical model of a
-// plain sync in-process run. The coordinator fans each StageRound out
+// over plain members lands on the bit-identical model of an in-process
+// run with no staging. The coordinator fans each StageRound out
 // through the same routing split as BeginRound, so every member's staged
 // lists match the lists its next begin presents and the staged plans are
 // adopted, not rejected.

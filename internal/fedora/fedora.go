@@ -28,14 +28,15 @@
 // The code is two types. A pipeline is one shard's ORAMs, devices,
 // mechanism and RNG streams, and runs the round as ONE schedule:
 //
-//	plan → fetch pass → (gate) → serve/aggregate → unload → evict pass
+//	plan → fetch pass → serve/aggregate → unload → evict pass
 //
-// where the gate is the end of the fetch pass: every serve, gradient and
-// aggregate waits for it, so all k rows are in the buffer ORAM before any
-// download is served (Sec 4.3). Config.Prefetch decides only which
-// goroutine runs the fetch and evict passes — the caller's, inside
-// BeginRound and Finish, or the round's own, overlapping the caller's
-// compute — never what the ORAMs execute or in which order. The
+// BeginRound returns only after the fetch pass, so all k rows are in the
+// buffer ORAM before any download is served (Sec 4.3). Whether the caller
+// staged the round (StageRound) decides only where the work runs — a
+// staged round's plan and fetch pass run ahead on the staged begin's
+// goroutine, overlapping the caller's compute, and its evict pass runs
+// at the head of the next fetch pass — never what the ORAMs execute or
+// in which order. The
 // Controller drives one pipeline per shard through a shard.Engine — an
 // engine of one part when Config.Shards ≤ 1, so every shard count takes
 // the same round path — and owns the round lifecycle: the open-round
@@ -142,20 +143,6 @@ type Config struct {
 	// EvictPeriod overrides the main RAW ORAM's eviction period A
 	// (0 = derive from the bucket size; Sec 4.4 Optimization 3).
 	EvictPeriod int
-	// Prefetch enables the LAORAM-style lookahead pipeline: BeginRound
-	// hands the round's fetch pass (the main-ORAM reads and buffer loads)
-	// to a goroutine of its own — serves, gradients and aggregates wait
-	// until that pass has finished — and Finish leaves the main-ORAM
-	// write-backs to the next round's fetch pass, so both overlap with
-	// the caller's compute phase. StageRound lets two-phase callers start
-	// the next round's plan + fetch before BeginRound is even called.
-	// Both ORAMs execute the identical op sequence either way, so state
-	// bytes and results are bit-identical with Prefetch on or off, and
-	// the flag is excluded from Config.Digest — checkpoints move freely
-	// between modes (any deferred pass is applied at Snapshot time). Not
-	// supported for BackendPathORAMPlus, whose per-access RNG draws
-	// happen at fetch time rather than plan time.
-	Prefetch bool
 	// Shards partitions the embedding table into this many contiguous row
 	// ranges, each with its own main ORAM, buffer ORAM, position map and
 	// ε-FDP sampler, executed concurrently each round (0 or 1 =
@@ -239,9 +226,6 @@ func (c *Config) validate() error {
 	}
 	if c.Shards > 1 && uint64(c.Shards) > c.NumRows {
 		return fmt.Errorf("fedora: %d shards exceed the %d embedding rows", c.Shards, c.NumRows)
-	}
-	if c.Prefetch && c.Backend == BackendPathORAMPlus {
-		return errors.New("fedora: Prefetch is not supported on the pathoram+ backend (its per-access RNG draws happen at fetch time, so overlapping them would diverge from the sync schedule)")
 	}
 	return nil
 }
@@ -329,9 +313,8 @@ func (c *Controller) Health() shard.HealthReport { return c.eng.Health() }
 // orphaned round a coordinator fence leaves behind, which would otherwise
 // block Snapshot/Restore forever.
 func (c *Controller) AbortRound() {
-	// Settle any staged begin first: until its handshake completes, the
-	// background goroutine owns the round state. The wait is short — the
-	// begin goroutine only plans; the heavy I/O runs on the fetch pass.
+	// Settle any staged begin first: until it completes — plan and fetch
+	// pass — the background goroutine owns the round state.
 	c.mu.Lock()
 	s := c.staged
 	c.staged = nil

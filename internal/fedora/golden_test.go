@@ -69,28 +69,33 @@ type goldenCase struct {
 	container string // ... the whole snapshot, before the reset
 	plain     string // TestGoldenPlainState: the pipeline blob's plaintext and every row
 	tree      string // ... every written main-tree bucket's plaintext; "" = not RAW
+	stage     bool   // stage every round before its BeginRound
 	edit      func(t *testing.T, c *Config)
 }
 
+// The staged cases must hash like their unstaged twins: staging moves
+// where a round's plan, fetch and write-back run, never what the ORAMs
+// execute. On pathoram+ the stage stays queued and runs inline.
 func goldenCases() []goldenCase {
-	fedora := func(name string, edit func(*testing.T, *Config)) goldenCase {
-		return goldenCase{name, goldenFedoraState, goldenFedoraStored, goldenFedoraContainer, goldenFedoraPlain, goldenFedoraTree, edit}
+	fedora := func(name string, stage bool, edit func(*testing.T, *Config)) goldenCase {
+		return goldenCase{name, goldenFedoraState, goldenFedoraStored, goldenFedoraContainer, goldenFedoraPlain, goldenFedoraTree, stage, edit}
 	}
-	return []goldenCase{
-		fedora("sim", func(*testing.T, *Config) {}),
-		fedora("sim-prefetch", func(_ *testing.T, c *Config) { c.Prefetch = true }),
-		fedora("file", func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }),
-		fedora("file-prefetch", func(t *testing.T, c *Config) {
-			c.Storage = fileSpec(t)
-			c.Prefetch = true
-		}),
-		{"lazydp", goldenLazyDPState, goldenLazyDPStored, goldenLazyDPContainer, goldenLazyDPPlain, goldenLazyDPTree, func(_ *testing.T, c *Config) {
-			c.Aggregator = bufferoram.LazyDP{Clip: 1, Sigma: 0.1}
-		}},
-		{"pathoram+", goldenPathPlusState, "", goldenPathPlusContainer, goldenPathPlusPlain, "", func(_ *testing.T, c *Config) {
+	pathPlus := func(name string, stage bool) goldenCase {
+		return goldenCase{name, goldenPathPlusState, "", goldenPathPlusContainer, goldenPathPlusPlain, "", stage, func(_ *testing.T, c *Config) {
 			c.Backend = BackendPathORAMPlus
 			c.EvictPeriod = 0
+		}}
+	}
+	return []goldenCase{
+		fedora("sim", false, func(*testing.T, *Config) {}),
+		fedora("sim-prefetch", true, func(*testing.T, *Config) {}),
+		fedora("file", false, func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }),
+		fedora("file-prefetch", true, func(t *testing.T, c *Config) { c.Storage = fileSpec(t) }),
+		{"lazydp", goldenLazyDPState, goldenLazyDPStored, goldenLazyDPContainer, goldenLazyDPPlain, goldenLazyDPTree, false, func(_ *testing.T, c *Config) {
+			c.Aggregator = bufferoram.LazyDP{Clip: 1, Sigma: 0.1}
 		}},
+		pathPlus("pathoram+", false),
+		pathPlus("pathoram+-staged", true),
 	}
 }
 
@@ -112,6 +117,11 @@ func goldenController(t *testing.T, tc goldenCase) *Controller {
 	}
 	t.Cleanup(func() { c.Close() })
 	for _, reqs := range randomWorkload(5, 6, 16, 12, cfg.NumRows, cfg.Dim) {
+		if tc.stage {
+			if err := c.StageRound(reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
 		goldenRound(t, c, reqs)
 	}
 	return c

@@ -58,12 +58,12 @@ func TestBatchOutOfRangeRowsFail(t *testing.T) {
 }
 
 // TestOneShardFaultsAreLoud: a one-shard controller has no shard to
-// degrade to, so a device fault fails the round with the injected error
-// whether the fetch pass runs inline or ahead, and nothing is ever
+// degrade to, so a device fault fails BeginRound with the injected error
+// whether the round begins cold or was staged, and nothing is ever
 // quarantined or recovered.
 func TestOneShardFaultsAreLoud(t *testing.T) {
-	for _, prefetch := range []bool{false, true} {
-		cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 31, EvictPeriod: 1, Prefetch: prefetch}
+	for _, staged := range []bool{false, true} {
+		cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 31, EvictPeriod: 1}
 		// Rows only reach the SSD once written back: prime them over the
 		// simulator and restore the faulted controller from there.
 		clean := newController(t, cfg)
@@ -82,19 +82,20 @@ func TestOneShardFaultsAreLoud(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r, err := c.BeginRound([][]uint64{{3, 400}, {700}})
-		if err == nil {
-			_, err = r.ServeEntries([]uint64{3, 400, 700})
-			c.AbortRound()
+		reqs := [][]uint64{{3, 400}, {700}}
+		if staged {
+			if err := c.StageRound(reqs); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !errors.Is(err, device.ErrInjected) {
-			t.Fatalf("Prefetch %v: round error %v, want device.ErrInjected", prefetch, err)
+		if _, err := c.BeginRound(reqs); !errors.Is(err, device.ErrInjected) {
+			t.Fatalf("staged %v: BeginRound error %v, want device.ErrInjected", staged, err)
 		}
 		if h := c.Health(); h.Status != shard.StatusHealthy || h.Quarantines != 0 || h.Recoveries != 0 {
-			t.Errorf("Prefetch %v: health after a fault = %+v, want healthy with no events", prefetch, h)
+			t.Errorf("staged %v: health after a fault = %+v, want healthy with no events", staged, h)
 		}
 		if rec, err := c.RecoverQuarantined(snap); rec != nil || err != nil {
-			t.Errorf("Prefetch %v: RecoverQuarantined = %v, %v; want nil, nil", prefetch, rec, err)
+			t.Errorf("staged %v: RecoverQuarantined = %v, %v; want nil, nil", staged, rec, err)
 		}
 	}
 }

@@ -53,16 +53,13 @@ func (cfg Config) Digest() uint64 {
 	e.U8(uint8(cfg.Selection))
 	e.U32(uint32(cfg.EvictPeriod))
 	e.Bool(false) // was SortedUnion, now the only union; kept so existing checkpoints' digests match
-	// ShardWorkers, ShardBase, Storage and Prefetch are deliberately
-	// excluded: the worker count and the storage backend are purely
-	// operational knobs that never affect state — a checkpoint taken over
+	// ShardWorkers, ShardBase and Storage are deliberately excluded: the
+	// worker count and the storage backend are purely operational knobs
+	// that never affect state — a checkpoint taken over
 	// the simulator restores onto a file-backed controller and vice versa
 	// — and slice placement is pinned by the engine snapshot's base field
 	// (plus the shard-derived Seed for one-shard members), so per-shard
 	// sections stay portable between a single-process run and any member.
-	// Prefetch only reorders wall-clock execution (Snapshot drains any
-	// deferred write-back pass first), so snapshots move freely between a
-	// prefetching and a synchronous run of the same config.
 	e.U32(uint32(cfg.Shards))
 	h := fnv.New64a()
 	h.Write(e.Finish())

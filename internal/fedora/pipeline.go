@@ -68,6 +68,9 @@ type pipeline struct {
 	round   uint64         // rounds begun on this pipeline (part of its snapshot)
 	cur     *pipelineRound // the open round (nil between rounds)
 	acct    fdp.Accountant
+	// staged is set by the controller before every begin: whether the
+	// round is begun by a staged begin (see kickStageLocked).
+	staged bool
 
 	// evict is the finished round's write-back pass (see applyEvict);
 	// prefetchHits/prefetchWasted accumulate per-round staging outcomes
@@ -255,9 +258,8 @@ func bucketSlotsFor(bucketBytes, blockSize int, encrypted bool) int {
 
 // Abort implements shard.Partition: it force-closes any open round
 // WITHOUT running write-back, leaving the pipeline quiesced but the
-// in-memory ORAM state dirty — a Restore is expected to follow. A fetch
-// pass in flight finishes first (it holds mu); one that has not started
-// finds the round closed and touches nothing.
+// in-memory ORAM state dirty — a Restore is expected to follow. A begin
+// in flight finishes its fetch pass first (it holds mu).
 func (p *pipeline) Abort() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -10,31 +10,27 @@ import (
 // Lookahead prefetch pipeline (ROADMAP item 3, after LAORAM).
 //
 // The FL orchestrator knows round R+1's client sample before round R
-// finishes training, so with Config.Prefetch on the round lifecycle
-// grows a two-phase contract:
+// finishes training, so the round lifecycle has a two-phase form:
 //
 //	StageRound(requests)   — post R+1's request lists; as soon as the
-//	                         current round finishes, the plan (union,
-//	                         ε-FDP sampling, selection) runs and the
-//	                         round's fetch pass starts moving the
-//	                         sampled paths main-ORAM → buffer-ORAM on
-//	                         its own goroutine, concurrent with the
-//	                         caller's compute.
+//	                         current round finishes, the staged begin
+//	                         runs the plan (union, ε-FDP sampling,
+//	                         selection) and the fetch pass (main-ORAM →
+//	                         buffer-ORAM) on one goroutine, concurrent
+//	                         with the caller's compute.
 //	BeginRound(requests)   — with the SAME lists: adopts the staged
-//	                         round; serves then wait only for whatever
-//	                         is left of the fetch pass.
+//	                         round once its begin has finished.
 //
-// Eviction is deferred symmetrically: Finish unloads the buffer into the
-// pipeline's evict pass, and the NEXT round's fetch pass writes it back
-// before its reads. Both ORAMs therefore execute exactly the op sequence
-// of sync mode — same accesses, same order, same RNG draws — which is
-// what keeps state bytes and model fingerprints bit-identical and the
-// obliviousness/ε arguments unchanged (see ARCHITECTURE §15 for the
-// leakage analysis).
+// A staged round defers its eviction symmetrically: Finish unloads the
+// buffer into the pipeline's evict pass, and the NEXT round's fetch pass
+// writes it back before its reads. Both ORAMs therefore execute exactly
+// the op sequence of an unstaged run — same accesses, same order, same
+// RNG draws — which is what keeps state bytes and model fingerprints
+// bit-identical and the obliviousness/ε arguments unchanged (see
+// ARCHITECTURE §15 for the leakage analysis).
 //
 // Single-phase callers need no changes: BeginRound without a prior
-// StageRound plans inline (cheap) and still gets the background fetch
-// pass and deferred eviction.
+// StageRound runs the same begin inline, and Finish writes back inline.
 
 // ErrStageMismatch is returned when BeginRound (or a second StageRound)
 // presents different request lists than the staged round: the staged
@@ -96,11 +92,11 @@ func requestsDigest(requests [][]uint64) uint64 {
 // StageRound posts the next round's per-client request lists — the
 // first leg of the two-phase contract. It validates and returns
 // immediately; the actual begin runs in the background once the current
-// round (if any) finishes. Re-staging the identical lists is an
+// round (if any) finishes — or, on pathoram+, inline in the adopting
+// BeginRound (see kickStageLocked). Re-staging the identical lists is an
 // idempotent no-op; different lists while a stage is pending fail with
-// ErrStageMismatch. With Config.Prefetch off the stage is merely
-// remembered and the adopting BeginRound runs it inline, so single-
-// phase and two-phase callers compose on any controller.
+// ErrStageMismatch. Single-phase and two-phase callers compose on any
+// controller.
 func (c *Controller) StageRound(requests [][]uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,19 +133,20 @@ func (c *Controller) StageRound(requests [][]uint64) error {
 	return nil
 }
 
-// kickStageLocked starts the staged round's begin on a background
-// goroutine if one is pending and the controller is idle. Called with
-// c.mu held, from StageRound and from Finish. With Prefetch off the
-// stage stays queued — the adopting BeginRound runs it inline.
+// kickStageLocked starts the staged begin — plan and fetch pass — on a
+// background goroutine if a stage is pending and the controller is idle.
+// Called with c.mu held, from StageRound and from Finish. On pathoram+,
+// which draws its RNG at access time, the stage stays queued and the
+// adopting BeginRound runs it inline.
 func (c *Controller) kickStageLocked() {
 	s := c.staged
-	if s == nil || s.started || c.inRound || !c.cfg.Prefetch {
+	if s == nil || s.started || c.inRound || c.cfg.Backend == BackendPathORAMPlus {
 		return
 	}
 	s.started = true
 	go func() {
 		c.mu.Lock()
-		s.round, s.err = c.beginRoundLocked(s.requests)
+		s.round, s.err = c.beginRoundLocked(s.requests, true)
 		c.mu.Unlock()
 		close(s.done)
 	}()
@@ -159,8 +156,8 @@ func (c *Controller) kickStageLocked() {
 // ORAM — every unloaded row in ascending order, then the dummies — and
 // returns the modelled device time. It is the only main-ORAM writer, and
 // runs at exactly one of three points, all before the next main-ORAM
-// read: in Finish itself (sync), at the head of the next round's fetch
-// pass (Config.Prefetch), or at a drain point. The caller holds p.mu.
+// read: in Finish itself (unstaged), at the head of the next round's
+// fetch pass (staged), or at a drain point. The caller holds p.mu.
 func (p *pipeline) applyEvict() (time.Duration, error) {
 	ev := &p.evict
 	if !ev.live {
@@ -213,29 +210,19 @@ func (p *pipeline) drain() error {
 // real rows loaded (k_sampled − dummy), so no served surface carries it.
 type PrefetchReport struct {
 	// Hits / Wasted count staged rows that were / were never served,
-	// accumulated over all finished prefetch rounds.
+	// accumulated over all finished staged rounds.
 	Hits   uint64
 	Wasted uint64
-	// StagedRows is the current staging-buffer depth: rows the open
-	// round's fetch pass has loaded that no client has consumed yet.
-	StagedRows int
 }
 
 // PrefetchReport returns the controller's prefetch counters, summed over
-// shards. A shard whose fetch pass is running reports once it ends.
+// shards.
 func (c *Controller) PrefetchReport() PrefetchReport {
 	var rep PrefetchReport
 	for _, p := range c.parts {
 		p.mu.Lock()
 		rep.Hits += p.prefetchHits
 		rep.Wasted += p.prefetchWasted
-		if p.cur != nil && p.cur.stats.Prefetched {
-			for _, consumed := range p.cur.loaded {
-				if !consumed {
-					rep.StagedRows++
-				}
-			}
-		}
 		p.mu.Unlock()
 	}
 	return rep

@@ -14,19 +14,31 @@ import (
 	"repro/internal/shard"
 )
 
-// TestPrefetchBitIdentical: the tentpole invariant. Prefetch mode must
+// runStagedRound stages reqs and then runs them as runRound does: the
+// staged begin plans and fetches on its own goroutine, and BeginRound
+// adopts it.
+func runStagedRound(t *testing.T, c *Controller, reqs [][]uint64) RoundStats {
+	t.Helper()
+	if err := c.StageRound(reqs); err != nil {
+		t.Fatal(err)
+	}
+	return runRound(t, c, reqs)
+}
+
+// TestPrefetchBitIdentical: the tentpole invariant. Staged rounds must
 // produce bit-identical embedding tables and identical round statistics
-// to sync mode, because the main ORAM executes the same op sequence in
-// the same order — only the wall-clock overlap changes. Covered across
-// backends, shard counts, finite/infinite ε, and with the two-phase
-// StageRound leg exercised on the prefetch side.
+// to unstaged ones, because the main ORAM executes the same op sequence
+// in the same order — only the wall-clock overlap changes. Covered
+// across backends, shard counts and finite/infinite ε, with each round
+// staged either just before its begin (the stage kicks at once) or
+// while the previous round is still open (its Finish kicks the stage).
 func TestPrefetchBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		backend Backend
 		shards  int
 		epsilon float64
-		stage   bool
+		early   bool // stage round i+1 while round i is open
 	}{
 		{"fedora-mono-einf", BackendFedora, 0, fdp.EpsilonInfinity, false},
 		{"fedora-mono-e1", BackendFedora, 0, 1.0, false},
@@ -38,21 +50,33 @@ func TestPrefetchBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Backend: tc.backend, Epsilon: tc.epsilon, Seed: 41, Shards: tc.shards}
 			sync := newController(t, cfg)
-			cfgP := cfg
-			cfgP.Prefetch = true
-			pre := newController(t, cfgP)
+			pre := newController(t, cfg)
 
 			script := randomWorkload(91, 6, 4, 6, 1024, 4)
+			stage := func(i int) {
+				if err := pre.StageRound(script[i]); err != nil {
+					t.Fatalf("round %d stage: %v", i, err)
+				}
+			}
+			if tc.early {
+				stage(0)
+			}
 			for i, reqs := range script {
 				stSync := runRound(t, sync, reqs)
-				if tc.stage {
-					if err := pre.StageRound(reqs); err != nil {
-						t.Fatalf("round %d stage: %v", i, err)
-					}
+				if !tc.early {
+					stage(i)
 				}
-				stPre := runRound(t, pre, reqs)
-				if !stPre.Prefetched {
-					t.Fatalf("round %d: prefetch-mode stats not marked Prefetched", i)
+				r, err := pre.BeginRound(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.early && i+1 < len(script) {
+					stage(i + 1)
+				}
+				stPre := serveAndFinish(t, r, reqs)
+				if stSync.Prefetched || !stPre.Prefetched {
+					t.Fatalf("round %d: Prefetched unstaged=%v staged=%v, want false/true",
+						i, stSync.Prefetched, stPre.Prefetched)
 				}
 				if stSync.K != stPre.K || stSync.KUnion != stPre.KUnion ||
 					stSync.KSampled != stPre.KSampled || stSync.Dummy != stPre.Dummy ||
@@ -68,21 +92,20 @@ func TestPrefetchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrefetchModelledTimeMatchesSync: the prefetch pipeline moves the
+// TestPrefetchModelledTimeMatchesSync: a staged round moves its
 // write-back pass to the next round's fetch, never drops it. Summed over
-// R rounds, the prefetch run's Total() plus the still-deferred last pass
-// must equal the sync run's Total() exactly.
+// R rounds, the staged run's Total() plus the still-deferred last pass
+// must equal the unstaged run's Total() exactly.
 func TestPrefetchModelledTimeMatchesSync(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := Config{Epsilon: 1, Seed: 17, Shards: shards}
 			sync := newController(t, cfg)
-			cfg.Prefetch = true
 			pre := newController(t, cfg)
 			var syncTotal, preTotal time.Duration
 			for _, reqs := range randomWorkload(23, 5, 4, 6, 1024, 4) {
 				syncTotal += runRound(t, sync, reqs).Total()
-				preTotal += runRound(t, pre, reqs).Total()
+				preTotal += runStagedRound(t, pre, reqs).Total()
 			}
 			for _, p := range pre.parts {
 				p.mu.Lock()
@@ -103,15 +126,19 @@ func TestPrefetchModelledTimeMatchesSync(t *testing.T) {
 // TestPrefetchHitAccounting: serving every requested row scores every
 // staged row as a hit; leaving staged rows unserved counts them wasted.
 func TestPrefetchHitAccounting(t *testing.T) {
-	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 5, Prefetch: true}
+	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 5}
 	c := newController(t, cfg)
-	st := runRound(t, c, [][]uint64{{1, 2, 3}, {4, 5}})
+	st := runStagedRound(t, c, [][]uint64{{1, 2, 3}, {4, 5}})
 	if st.PrefetchHits != 5 || st.PrefetchWasted != 0 {
 		t.Fatalf("full-serve round: hits=%d wasted=%d, want 5/0", st.PrefetchHits, st.PrefetchWasted)
 	}
 
 	// Serve only two of four staged rows.
-	r, err := c.BeginRound([][]uint64{{10, 11}, {12, 13}})
+	reqs := [][]uint64{{10, 11}, {12, 13}}
+	if err := c.StageRound(reqs); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.BeginRound(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +163,7 @@ func TestPrefetchHitAccounting(t *testing.T) {
 // TestStageRoundContract: the two-phase API's edge cases — idempotent
 // re-stage, mismatched begin, mismatched re-stage, stage during a round.
 func TestStageRoundContract(t *testing.T) {
-	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 6, Prefetch: true}
+	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 6}
 	c := newController(t, cfg)
 	reqs := [][]uint64{{1, 2}, {3}}
 	if err := c.StageRound(reqs); err != nil {
@@ -181,7 +208,7 @@ func TestStageRoundContract(t *testing.T) {
 // TestStageRoundValidates: invalid staged requests fail at stage time
 // with the same errors BeginRound reports.
 func TestStageRoundValidates(t *testing.T) {
-	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 7, Prefetch: true}
+	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 7}
 	c := newController(t, cfg)
 	tooMany := make([][]uint64, 17) // MaxClientsPerRound is 16
 	for i := range tooMany {
@@ -199,22 +226,20 @@ func TestStageRoundValidates(t *testing.T) {
 	}
 }
 
-// TestPrefetchSnapshotPortability: Prefetch is excluded from the config
-// digest and Snapshot drains the deferred write-back pass first, so a
-// snapshot taken mid-training in prefetch mode is byte-identical to the
-// sync-mode snapshot of the same run, restores into either mode, and
-// both continuations converge to the same table.
+// TestPrefetchSnapshotPortability: Snapshot drains a staged round's
+// deferred write-back pass first, so a snapshot taken mid-training after
+// staged rounds is byte-identical to the snapshot of the same run
+// unstaged, restores into a controller driven either way, and both
+// continuations converge to the same table.
 func TestPrefetchSnapshotPortability(t *testing.T) {
 	cfg := Config{Epsilon: 1.0, Seed: 13, Shards: 2}
-	cfgP := cfg
-	cfgP.Prefetch = true
 	sync := newController(t, cfg)
-	pre := newController(t, cfgP)
+	pre := newController(t, cfg)
 
 	script := randomWorkload(17, 5, 3, 5, 1024, 4)
 	for _, reqs := range script[:3] {
 		runRound(t, sync, reqs)
-		runRound(t, pre, reqs)
+		runStagedRound(t, pre, reqs)
 	}
 	snapSync, err := sync.Snapshot()
 	if err != nil {
@@ -233,20 +258,20 @@ func TestPrefetchSnapshotPortability(t *testing.T) {
 		}
 	}
 
-	// Cross-restore: prefetch-mode snapshot into a sync-mode controller
-	// and vice versa; both finish the script in lockstep.
+	// Cross-restore: the staged run's snapshot continues unstaged and
+	// vice versa; both finish the script in lockstep.
 	syncFromPre := newController(t, cfg)
 	if err := syncFromPre.Restore(snapPre); err != nil {
 		t.Fatal(err)
 	}
-	preFromSync := newController(t, cfgP)
+	preFromSync := newController(t, cfg)
 	if err := preFromSync.Restore(snapSync); err != nil {
 		t.Fatal(err)
 	}
 	for _, reqs := range script[3:] {
 		runRound(t, sync, reqs)
 		runRound(t, syncFromPre, reqs)
-		runRound(t, preFromSync, reqs)
+		runStagedRound(t, preFromSync, reqs)
 	}
 	compareAllRows(t, sync, syncFromPre, 1024)
 	compareAllRows(t, sync, preFromSync, 1024)
@@ -256,7 +281,7 @@ func TestPrefetchSnapshotPortability(t *testing.T) {
 // the sampling RNG, so snapshotting would not be resumable — the
 // controller must refuse until the stage is adopted or aborted.
 func TestSnapshotRefusedWhileStaged(t *testing.T) {
-	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 21, Prefetch: true}
+	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 21}
 	c := newController(t, cfg)
 	runRound(t, c, [][]uint64{{1, 2}})
 	if err := c.StageRound([][]uint64{{3, 4}}); err != nil {
@@ -274,29 +299,50 @@ func TestSnapshotRefusedWhileStaged(t *testing.T) {
 	runRound(t, c, [][]uint64{{5}})
 }
 
-// TestPrefetchRejectedForPathORAMPlus: the baseline backend draws its
-// access RNG at fetch time, so lookahead would reorder draws — the
-// config must be rejected up front.
-func TestPrefetchRejectedForPathORAMPlus(t *testing.T) {
-	cfg := Config{
-		Backend: BackendPathORAMPlus, Epsilon: fdp.EpsilonInfinity, Seed: 3,
-		NumRows: 1024, Dim: 4, MaxClientsPerRound: 16, MaxFeaturesPerClient: 16,
-		LearningRate: 1, Prefetch: true,
-	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted Prefetch with BackendPathORAMPlus")
+// TestLookaheadFollowsStaging: on a controller built with no option, an
+// unstaged round runs cold — not Prefetched, its write-back applied in
+// Finish — and a staged one gets the lookahead: Prefetched, its served
+// rows counted as hits, and its write-back pass left to the next fetch.
+func TestLookaheadFollowsStaging(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := newController(t, Config{Epsilon: fdp.EpsilonInfinity, Seed: 8, Shards: shards})
+			deferred := func() (n int) {
+				for _, p := range c.parts {
+					p.mu.Lock()
+					if p.evict.live {
+						n++
+					}
+					p.mu.Unlock()
+				}
+				return n
+			}
+			reqs := [][]uint64{{3, 40}, {600, 900}} // two rows on each shard of 2
+			st := runRound(t, c, reqs)
+			if st.Prefetched || st.PrefetchHits != 0 || deferred() != 0 {
+				t.Fatalf("cold round: Prefetched=%v hits=%d deferred passes=%d, want false/0/0",
+					st.Prefetched, st.PrefetchHits, deferred())
+			}
+			st = runStagedRound(t, c, reqs)
+			if !st.Prefetched || st.PrefetchHits != 4 || st.PrefetchWasted != 0 || deferred() != shards {
+				t.Fatalf("staged round: Prefetched=%v hits=%d wasted=%d deferred passes=%d, want true/4/0/%d",
+					st.Prefetched, st.PrefetchHits, st.PrefetchWasted, deferred(), shards)
+			}
+		})
 	}
 }
 
-// TestPrefetchConcurrentServes drives many goroutines against a round
-// whose fetcher is still streaming rows in — the pattern `go test
-// -race` checks for unsynchronized access between serves, the fetcher
-// and Finish.
+// TestPrefetchConcurrentServes drives many goroutines against staged
+// rounds — the pattern `go test -race` checks for unsynchronized access
+// between serves, the staged begin and Finish.
 func TestPrefetchConcurrentServes(t *testing.T) {
-	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 33, Prefetch: true, Shards: 2}
+	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 33, Shards: 2}
 	c := newController(t, cfg)
 	script := randomWorkload(55, 4, 8, 8, 1024, 4)
 	for _, reqs := range script {
+		if err := c.StageRound(reqs); err != nil {
+			t.Fatal(err)
+		}
 		r, err := c.BeginRound(reqs)
 		if err != nil {
 			t.Fatal(err)
@@ -333,15 +379,12 @@ func TestPrefetchConcurrentServes(t *testing.T) {
 	}
 }
 
-// TestPrefetchQuarantineInFlight: a device fault that fires inside the
-// background fetcher must surface exactly like a sync-mode fault — the
-// shard quarantines mid-round, the round completes degraded over the
+// TestPrefetchQuarantineInFlight: a device fault that fires inside a
+// staged begin must surface exactly like an unstaged one — the shard
+// quarantines at BeginRound, the round completes degraded over the
 // survivors, and RecoverQuarantined heals the shard.
 func TestPrefetchQuarantineInFlight(t *testing.T) {
-	cfg := Config{
-		Epsilon: fdp.EpsilonInfinity, Seed: 31, Shards: 3,
-		EvictPeriod: 1, Prefetch: true,
-	}
+	cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 31, Shards: 3, EvictPeriod: 1}
 	// Prime state over the simulator so shard-1 rows exist on its device
 	// (reads of never-written rows never reach the SSD); the snapshot both
 	// seeds the faulted controller and heals it later.
@@ -354,7 +397,7 @@ func TestPrefetchQuarantineInFlight(t *testing.T) {
 	}
 
 	// Shard 1 owns rows [342, 683); the first op on its file-backed SSD —
-	// issued by the background fetcher — faults.
+	// issued by the staged begin's fetch pass — faults.
 	plan := &fault.Plan{Seed: 7, Rules: []fault.Rule{{
 		Device: "shard1/ssd", Kind: fault.KindTransient, P: 1, Count: 1,
 	}}}
@@ -367,16 +410,39 @@ func TestPrefetchQuarantineInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serve rows on all three shards; shard-1 rows come back unavailable
-	// once the in-flight prefetch trips the fault.
-	partialGradRound(t, c, [][]uint64{{3, 400}, {500, 700}}, []uint64{3, 700})
-	h := c.Health()
-	if h.Status != shard.StatusDegraded || !h.Shards[1].Quarantined {
-		t.Fatalf("health after in-flight prefetch fault = %+v, want shard 1 quarantined", h)
+	// Serve rows on all three shards; the staged begin trips the fault,
+	// so shard 1 is quarantined by the time BeginRound adopts the round
+	// and its rows come back unavailable.
+	reqs := [][]uint64{{3, 400}, {500, 700}}
+	if err := c.StageRound(reqs); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.BeginRound(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := c.Health(); h.Status != shard.StatusDegraded || !h.Shards[1].Quarantined {
+		t.Fatalf("health after a staged begin's fault = %+v, want shard 1 quarantined", h)
+	}
+	for _, row := range []uint64{400, 500} {
+		if _, _, err := r.ServeEntry(row); !errors.Is(err, ErrShardUnavailable) {
+			t.Fatalf("serve row %d on the quarantined shard: %v, want ErrShardUnavailable", row, err)
+		}
+	}
+	for _, row := range []uint64{3, 700} {
+		if _, ok, err := r.ServeEntry(row); err != nil || !ok {
+			t.Fatalf("serve row %d on a survivor: ok=%v err=%v", row, ok, err)
+		}
+		if ok, err := r.SubmitGradient(row, []float32{1, 1, 1, 1}, 1); err != nil || !ok {
+			t.Fatalf("gradient row %d on a survivor: delivered=%v err=%v", row, ok, err)
+		}
+	}
+	if _, err := r.Finish(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Degraded rounds on the survivors still work, prefetch and all.
-	runRound(t, c, [][]uint64{{3, 7}, {901}})
+	// Degraded rounds on the survivors still work, staged and all.
+	runStagedRound(t, c, [][]uint64{{3, 7}, {901}})
 
 	recovered, err := c.RecoverQuarantined(snap)
 	if err != nil {
@@ -389,7 +455,7 @@ func TestPrefetchQuarantineInFlight(t *testing.T) {
 		t.Fatalf("health after recovery = %q, want healthy", st)
 	}
 	// The healed shard serves full rounds again.
-	runRound(t, c, [][]uint64{{400, 500}, {3}})
+	runStagedRound(t, c, [][]uint64{{400, 500}, {3}})
 }
 
 // slowDRAM is a WrapDevice wrapper under which every eighth access to
@@ -419,16 +485,16 @@ func (d *slowDRAM) WriteAt(addr uint64, p []byte) (time.Duration, error) {
 }
 
 // TestPrefetchServeDuringFetchMatchesSync: serves, miss-path serves and
-// gradient submits issued while the fetch pass is still loading must not
-// reach the buffer ORAM before the pass's last load — each of them
-// accesses that Path ORAM and draws its RNG, so one that slips between
-// two loads moves the prefetch run's state bytes off the sync run's.
+// gradient submits issued right after a staged BeginRound must not reach
+// the buffer ORAM before the fetch pass's last load — each of them
+// accesses that Path ORAM and draws its RNG, so one that slipped between
+// two loads would move the staged run's state bytes off the unstaged
+// run's.
 func TestPrefetchServeDuringFetchMatchesSync(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			cfg := Config{Epsilon: fdp.EpsilonInfinity, Seed: 19, Shards: shards}
 			sync := newController(t, cfg)
-			cfg.Prefetch = true
 			cfg.WrapDevice = func(name string, d device.Device) device.Device {
 				if strings.HasSuffix(name, "dram") {
 					return &slowDRAM{Device: d}
@@ -445,6 +511,11 @@ func TestPrefetchServeDuringFetchMatchesSync(t *testing.T) {
 			ones := []float32{1, 1, 1, 1}
 			for round := 0; round < 2; round++ {
 				for _, c := range []*Controller{sync, pre} {
+					if c == pre {
+						if err := c.StageRound(reqs); err != nil {
+							t.Fatal(err)
+						}
+					}
 					r, err := c.BeginRound(reqs)
 					if err != nil {
 						t.Fatal(err)
@@ -486,7 +557,7 @@ func TestPrefetchServeDuringFetchMatchesSync(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(snapSync, snapPre) {
-				t.Fatal("prefetch-mode snapshot differs from the sync twin's")
+				t.Fatal("staged run's snapshot differs from the unstaged twin's")
 			}
 		})
 	}

@@ -62,11 +62,12 @@ var ErrShardUnavailable = shard.ErrShardUnavailable
 // Clients pad with DummyRequest in the hide-count mode.
 //
 // Two-phase callers stage the round first (StageRound) and then call
-// BeginRound with the SAME request lists: the staged round — whose plan
-// may already be running on a background goroutine — is adopted. Begin
-// with a different union than was staged fails with ErrStageMismatch
-// (the staged plan has already consumed the sampling RNG stream, so it
-// cannot be silently discarded without diverging from a cold run).
+// BeginRound with the SAME request lists: the staged round — whose begin
+// may already be running on a background goroutine — is adopted once
+// that begin has finished. Begin with a different union than was staged
+// fails with ErrStageMismatch (the staged plan has already consumed the
+// sampling RNG stream, so it cannot be silently discarded without
+// diverging from a cold run).
 func (c *Controller) BeginRound(requests [][]uint64) (*Round, error) {
 	c.mu.Lock()
 	if s := c.staged; s != nil {
@@ -84,19 +85,20 @@ func (c *Controller) BeginRound(requests [][]uint64) (*Round, error) {
 			c.mu.Unlock()
 			return s.round, s.err
 		}
-		// Staged but never kicked (Prefetch off, or the kick lost a race
-		// with this begin): run the begin inline with the staged lists.
+		// Staged but never kicked (pathoram+, see kickStageLocked): run
+		// the begin inline with the staged lists.
 		c.staged = nil
 	}
 	defer c.mu.Unlock()
-	return c.beginRoundLocked(requests)
+	return c.beginRoundLocked(requests, false)
 }
 
-// beginRoundLocked is the single-phase round begin. The caller holds
-// c.mu. The engine routes the requests and drives every shard's ①–③
-// (concurrently when there are several); each pipeline runs its own
-// union, ε-FDP sampling and ORAM reads over its row range.
-func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
+// beginRoundLocked is the round begin, run inline by BeginRound or ahead
+// by the staged begin (staged). The caller holds c.mu. The engine routes
+// the requests and drives every shard's ①–③ (concurrently when there are
+// several); each pipeline runs its own union, ε-FDP sampling and ORAM
+// reads over its row range.
+func (c *Controller) beginRoundLocked(requests [][]uint64, staged bool) (*Round, error) {
 	if c.inRound {
 		return nil, ErrRoundInProgress
 	}
@@ -105,6 +107,11 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	}
 	c.inRound = true
 	c.round++
+	for _, p := range c.parts {
+		p.mu.Lock()
+		p.staged = staged
+		p.mu.Unlock()
+	}
 	pr, err := c.eng.BeginRound(requests)
 	if err != nil {
 		c.inRound = false
@@ -193,33 +200,28 @@ func (r *Round) Finish() (RoundStats, error) {
 	return st, err
 }
 
-// pipelineRound is one pipeline's open round: its plan runs as one fetch
-// pass, and every serve, gradient and aggregate — for a planned row or
-// not, both paths access the buffer ORAM — waits for that pass to finish.
-// So the buffer ORAM sees all of a round's loads before its first serve,
-// whichever goroutine ran the pass (Sec 4.3: all k rows are in the buffer
-// ORAM before any download is served), and its state bytes do not depend
-// on the scheduler.
+// pipelineRound is one pipeline's open round. BeginRound runs its plan as
+// one fetch pass before it returns the round, so every serve, gradient
+// and aggregate — for a planned row or not, both paths access the buffer
+// ORAM — comes after the round's last load (Sec 4.3: all k rows are in
+// the buffer ORAM before any download is served), and the buffer ORAM's
+// state bytes do not depend on the scheduler.
 type pipelineRound struct {
 	p *pipeline
 	// loaded holds the rows resident in the buffer ORAM, each mapped (in a
-	// prefetch round, for its hit/waste counters) to whether a client has
+	// staged round, for its hit/waste counters) to whether a client has
 	// consumed it yet.
 	loaded map[uint64]bool
 	stats  RoundStats
 	done   bool
-
-	fetched  chan struct{} // closed when the fetch pass has finished or failed
-	fetchErr error         // the pass's outcome; read only after fetched is closed
 }
 
 // BeginRound implements shard.Partition: steps ①–③ over the pipeline's
 // LOCAL row space. It plans every chunk — union, ε-FDP sampling and
 // selection, which is everything that draws the pipeline's RNG or
-// selector state — and then runs the fetch pass: inline, or under
-// Config.Prefetch on the round's own goroutine, so that the main-ORAM
-// reads overlap the caller's compute. Both ORAMs execute the identical
-// op sequence either way; only the wall-clock placement changes.
+// selector state — and then runs the fetch pass. Whether the round was
+// staged (p.staged) changes only where Finish leaves the write-back
+// pass; both ORAMs execute the identical op sequence either way.
 func (p *pipeline) BeginRound(requests [][]uint64) (shard.PartitionRound, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -238,11 +240,9 @@ func (p *pipeline) BeginRound(requests [][]uint64) (shard.PartitionRound, error)
 	p.buf.SetRound(p.round)
 
 	// At most one row per request is ever loaded: size the set once.
-	r := &pipelineRound{
-		p: p, loaded: make(map[uint64]bool, len(flat)), fetched: make(chan struct{}),
-	}
+	r := &pipelineRound{p: p, loaded: make(map[uint64]bool, len(flat))}
 	r.stats.K = len(flat)
-	r.stats.Prefetched = p.cfg.Prefetch
+	r.stats.Prefetched = p.staged
 	p.plan, p.chunkEnds = p.plan[:0], p.chunkEnds[:0]
 	for start := 0; start < len(flat); start += p.cfg.ChunkSize {
 		if err := r.planChunk(flat[start:min(start+p.cfg.ChunkSize, len(flat))]); err != nil {
@@ -252,22 +252,10 @@ func (p *pipeline) BeginRound(requests [][]uint64) (shard.PartitionRound, error)
 	r.stats.Chunks = p.acct.Chunks()
 	r.stats.RoundEpsilon = p.acct.RoundEpsilon()
 	p.acct = fdp.Accountant{} // reset per round
+	if err := r.fetch(); err != nil {
+		return nil, err
+	}
 	p.cur = r
-	if p.cfg.Prefetch {
-		go func() {
-			p.mu.Lock()
-			r.fetchErr = r.fetch()
-			p.mu.Unlock()
-			close(r.fetched)
-		}()
-		return r, nil
-	}
-	r.fetchErr = r.fetch()
-	close(r.fetched)
-	if r.fetchErr != nil {
-		p.cur = nil
-		return nil, r.fetchErr
-	}
 	return r, nil
 }
 
@@ -352,9 +340,6 @@ func (r *pipelineRound) planChunk(chunk []uint64) error {
 // read and the chunk's buffer loads.
 func (r *pipelineRound) fetch() error {
 	p := r.p
-	if r.done {
-		return ErrRoundFinished // aborted before the pass took the lock
-	}
 	if p.evict.live {
 		d, err := p.applyEvict()
 		r.stats.UpdateTime += d
@@ -465,24 +450,15 @@ func (r *pipelineRound) dummyFetch() error {
 	return err
 }
 
-// await blocks until the fetch pass has finished and returns its error.
-func (r *pipelineRound) await() error {
-	<-r.fetched
-	return r.fetchErr
-}
-
 // batch runs one serve-phase buffer-ORAM access per row idx lists (all n
-// when idx is nil), in order, after the fetch pass and under p.mu,
-// adding the accesses' modelled time to *modelled. local gives a batch
-// row's LOCAL index; op makes the access and records its outcome. A row
-// that is not resident — sacrificed by the mechanism or never requested
-// — is a miss (bufferoram.ErrNotLoaded), not a failure: the access was
-// still made, indistinguishably.
+// when idx is nil), in order, under p.mu, adding the accesses' modelled
+// time to *modelled. local gives a batch row's LOCAL index; op makes the
+// access and records its outcome. A row that is not resident —
+// sacrificed by the mechanism or never requested — is a miss
+// (bufferoram.ErrNotLoaded), not a failure: the access was still made,
+// indistinguishably.
 func (r *pipelineRound) batch(n int, idx []int, local func(i int) uint64, modelled *time.Duration,
 	op func(i int, row uint64) (time.Duration, error)) (int, error) {
-	if err := r.await(); err != nil {
-		return 0, err
-	}
 	r.p.mu.Lock()
 	defer r.p.mu.Unlock()
 	if r.done {
@@ -546,24 +522,16 @@ func (r *pipelineRound) SubmitAggregates(aggs []RowAggregate, idx []int, base ui
 // Finish implements shard.PartitionRound (step ⑦): it unloads every
 // resident row from the buffer ORAM — slot recycling and the aggregator's
 // Post step must run before the next round's loads — into the pipeline's
-// evict pass, and writes that pass back to the main ORAM now, or under
-// Config.Prefetch leaves it to the next round's fetch pass, off this
-// round's critical path.
+// evict pass, and writes that pass back to the main ORAM now, or — in a
+// staged round — leaves it to the next round's fetch pass, off this
+// round's critical path. Every planned row moves back, served or not: the
+// adversary-visible counts do not depend on client behaviour.
 func (r *pipelineRound) Finish() (RoundStats, error) {
-	// Even rows no client consumed must be resident before the buffer
-	// unloads below (every planned row moves back, served or not — the
-	// adversary-visible counts do not depend on client behaviour).
-	fetchErr := r.await()
 	p := r.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if r.done {
 		return r.stats, ErrRoundFinished
-	}
-	if fetchErr != nil {
-		r.done = true
-		p.cur = nil
-		return r.stats, fetchErr
 	}
 	// Deterministic write-back order: map iteration would randomize the
 	// ORAM state evolution run-to-run, breaking bit-identical snapshots

@@ -144,10 +144,9 @@ type Config struct {
 	// monolithic; see fedora.Config.Shards). At equal chunking the model
 	// and ε guarantees are unchanged — sharding only moves wall-clock.
 	Shards int
-	// Prefetch enables the lookahead pipeline end to end: the controller
-	// overlaps ORAM reads and deferred eviction with compute
-	// (fedora.Config.Prefetch), and the trainer stages round R+1's cohort
-	// right after round R completes so the controller starts loading its
+	// Prefetch stages round R+1 after each round: the trainer draws R+1's
+	// cohort right after round R completes and posts it to the controller
+	// (fedora.Controller.StageRound), which plans the round and loads its
 	// working set while the caller is still between rounds. Results are
 	// bit-identical with Prefetch on or off — only wall-clock placement
 	// changes.
@@ -292,7 +291,6 @@ func ControllerConfig(cfg Config) (fedora.Config, error) {
 		EvictPeriod:          cfg.EvictPeriod,
 		WrapDevice:           cfg.WrapDevice,
 		Storage:              cfg.Storage,
-		Prefetch:             cfg.Prefetch,
 	}, nil
 }
 
@@ -863,11 +861,12 @@ func (t *Trainer) drawRound() (users []*dataset.User, reqs [][]uint64, roundSeed
 }
 
 // stageNext draws round R+1's plan ahead of time and posts it to the
-// orchestrator's two-phase leg, letting a prefetch-enabled controller
-// start its ORAM reads while the caller is still between rounds. Call sites sit AFTER the current round is fully
-// applied — the t.rng stream position is then identical to what the
-// next RunRound's cold draw would see, so staged and unstaged runs are
-// bit-identical. No-op unless Config.Prefetch is on.
+// orchestrator's two-phase leg, letting the controller start its ORAM
+// reads while the caller is still between rounds. Call sites sit AFTER
+// the current round is fully applied — the t.rng stream position is then
+// identical to what the next RunRound's cold draw would see, so staged
+// and unstaged runs are bit-identical. No-op unless Config.Prefetch is
+// on.
 func (t *Trainer) stageNext() {
 	if !t.cfg.Prefetch || t.next != nil {
 		return

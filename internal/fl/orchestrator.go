@@ -81,13 +81,12 @@ type Orchestrator interface {
 
 // RoundStager is the two-phase leg of an Orchestrator, used when
 // Config.Prefetch is on: StageRound posts round R+1's request lists
-// while the caller is still between rounds, so a prefetch-enabled
-// controller can plan the round and start its ORAM reads concurrent
-// with whatever the caller does next. The caller MUST then BeginRound
-// with the same lists (the staged plan has consumed RNG state). Staging
-// is best-effort: a StageRound error just means the next BeginRound
-// runs cold, with bit-identical results. On a controller without
-// prefetch the stage is merely remembered.
+// while the caller is still between rounds, so the controller can plan
+// the round and start its ORAM reads concurrent with whatever the caller
+// does next. The caller MUST then BeginRound with the same lists (the
+// staged plan has consumed RNG state). Staging is best-effort: a
+// StageRound error just means the next BeginRound runs cold, with
+// bit-identical results.
 type RoundStager interface {
 	StageRound(requests [][]uint64) error
 }

@@ -6,10 +6,10 @@ import (
 
 // TestPrefetchTrainingBitIdentity: the tentpole acceptance property at
 // the training-loop level. With Config.Prefetch on, the trainer stages
-// round R+1 (drawn from the same RNG position a cold draw would use)
-// while the controller overlaps ORAM I/O with compute — and the final
-// model must be bit-identical to the synchronous run at every worker
-// and shard count.
+// round R+1 (drawn from the same RNG position a cold draw would use) so
+// the controller overlaps its ORAM I/O with compute — and the final
+// model must be bit-identical to the unstaged run at every worker and
+// shard count.
 func TestPrefetchTrainingBitIdentity(t *testing.T) {
 	ds := smallMovieLens()
 	run := func(prefetch bool, workers, shards int) []float32 {
@@ -47,7 +47,7 @@ func TestPrefetchTrainingBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPrefetchRoundReportsStats: prefetch rounds report the Prefetched
+// TestPrefetchRoundReportsStats: staged rounds report the Prefetched
 // flag and the staged-row hits, and the controller's lifetime report
 // accumulates them across the loop.
 func TestPrefetchRoundReportsStats(t *testing.T) {
@@ -57,6 +57,7 @@ func TestPrefetchRoundReportsStats(t *testing.T) {
 	if _, err := tr.Run(3); err != nil {
 		t.Fatal(err)
 	}
+	tr.StageNext()
 	rep, err := tr.RunRound()
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +132,8 @@ func TestPrefetchKillResumeMidStage(t *testing.T) {
 	want := fingerprint(t, ref)
 
 	// Leg 1: three rounds (checkpoint at 2), then stage round 4 — the
-	// trainer has drawn the plan and the controller's background fetcher
-	// is already reading — and crash.
+	// trainer has drawn the plan and the controller's staged begin is
+	// already reading — and crash.
 	dir := t.TempDir()
 	r1, err := NewRunner(newPrefetchTrainer(), dir, every)
 	if err != nil {

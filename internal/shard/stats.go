@@ -38,10 +38,10 @@ type RoundStats struct {
 	ServeTime     time.Duration
 	AggregateTime time.Duration
 	UpdateTime    time.Duration
-	// Prefetched reports whether this round ran the lookahead prefetch
-	// pipeline (fedora.Config.Prefetch): the fetch pass ran on a
-	// background goroutine and the write-back pass was deferred to the
-	// next round's, whose UpdateTime then carries its modelled time.
+	// Prefetched reports whether this round was staged: its begin ran
+	// ahead on the staged-begin goroutine (fedora.Controller.StageRound)
+	// and its write-back pass was deferred to the next round's fetch
+	// pass, whose UpdateTime then carries its modelled time.
 	Prefetched bool
 	// PrefetchHits / PrefetchWasted count the distinct staged rows that
 	// were / were never served this round. Summed across shards.
