@@ -10,20 +10,22 @@ all: build test
 # the race detector in shuffled order (the durability, chaos, storage,
 # wire, cluster and HA suites and both multi-process capstones are
 # ordinary tests of their packages, so no -run regex can skip one), the
-# shard engine, controller, server and trainer suites again on one proc
-# (every controller routes its batches through the engine's worker loop,
-# which runs inline there; the server and trainer suites cover a staged
-# round's stage → kick → adopt order over HTTP and through the trainer),
+# shard engine, controller, server, trainer, main-ORAM and storage suites
+# again on one proc (every controller routes its batches through the
+# engine's worker loop, which runs inline there; the server and trainer
+# suites cover a staged round's stage → kick → adopt order over HTTP and
+# through the trainer; the main-ORAM and storage suites run the split
+# read's one-worker case and the file's unlocked bucket reads),
 # a short pass of the eight fuzzers (checkpoint, WAL, aggregator,
 # sparse upload, row frame, controller snapshot container, coordinator
 # WAL, and the memory-encryption engine's authenticated open), and the
-# bench/ module's own vet and tests. ~6 min on 2 vCPUs.
+# bench/ module's own vet and tests. ~8 min on 2 vCPUs.
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -shuffle=on ./...
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/shard/ ./internal/fedora/ ./internal/api/ ./internal/fl/
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/shard/ ./internal/fedora/ ./internal/api/ ./internal/fl/ ./internal/raworam/ ./internal/storage/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/persist/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/
 	$(GO) test -run=Fuzz -fuzz=FuzzAggregatorParse -fuzztime=10s ./internal/wire/

@@ -329,26 +329,48 @@ func BenchmarkRAWORAMAOAccess(b *testing.B) {
 // BenchmarkRAWORAMReadBatch measures a round's download phase on the main
 // ORAM at the oram_serve geometry: k = 2048 AO reads of a sealed 2^20-row
 // tree whose levels 0-10 are all written, as one merged AOAccessBatch and,
-// for comparison, as 2048 single AOAccess calls over the same ids. The
-// write-backs that return the blocks between ops are untimed.
+// for comparison, as 2048 single AOAccess calls over the same ids, both
+// over the simulated SSD. batch-file is the merged read over a
+// file-backed SSD (storage.File, buffered) split across GOMAXPROCS
+// readers as a one-shard controller splits it, where the 4 KB bucket
+// preads run without the file's lock. The write-backs that return the
+// blocks between ops are untimed.
 func BenchmarkRAWORAMReadBatch(b *testing.B) {
 	const (
 		rows = 1 << 20
 		k    = 2048
 		bs   = 64
 	)
-	for _, merged := range []bool{true, false} {
-		name := "single"
-		if merged {
-			name = "batch"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, tc := range []struct {
+		name         string
+		merged, file bool
+	}{{"batch", true, false}, {"single", false, false}, {"batch-file", true, true}} {
+		merged := tc.merged
+		b.Run(tc.name, func(b *testing.B) {
 			var key [32]byte
-			o, err := raworam.New(raworam.Config{
+			cfg := raworam.Config{
 				NumBlocks: rows, BlockSize: bs, Seed: 1, Engine: tee.NewEngine(key), HasScratchpad: true,
-			}, device.NewSSD(1<<40), device.NewDRAM(1<<40))
+			}
+			var ssd device.Device = device.NewSSD(1 << 40)
+			if tc.file {
+				probe, err := raworam.New(cfg, ssd, device.NewDRAM(1<<40))
+				if err != nil {
+					b.Fatal(err)
+				}
+				f, err := storage.OpenFile("ssd", b.TempDir()+"/ssd.dev", device.PM9A1SSD,
+					probe.RequiredBytes(), storage.Spec{Kind: storage.KindFile})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer f.Close()
+				ssd = f
+			}
+			o, err := raworam.New(cfg, ssd, device.NewDRAM(1<<40))
 			if err != nil {
 				b.Fatal(err)
+			}
+			if tc.file {
+				o.SetReadWorkers(runtime.GOMAXPROCS(0))
 			}
 			ids := make([]uint64, k)
 			dst := make([]byte, k*bs)

@@ -194,3 +194,40 @@ func TestRetiredStageNextKeepsCheckpoints(t *testing.T) {
 		t.Fatalf("checkpoint epochs %v -> %v, want one more", before, after)
 	}
 }
+
+// TestStageDuringOpenRoundKeepsCheckpoints: a stage posted while the
+// addressed round is still open is kicked by that round's finish — but
+// only after the post-round upkeep, so a durable server checkpoints the
+// round it just finished instead of recording "cannot snapshot
+// mid-round", and the next begin still adopts the staged round.
+func TestStageDuringOpenRoundKeepsCheckpoints(t *testing.T) {
+	mgr, err := persist.OpenManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newStageTestServer(t, WithAutoRecover(mgr, 1))
+	for round := 1; round <= 3; round++ {
+		before, err := mgr.Epochs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := beginV2(t, srv.URL, `{"requests":[[5,9],[9,12]]}`)
+		if status, _, data := stage(t, srv.URL, r.RoundID, `{"requests":[[5,9],[9,12]]}`); status != http.StatusOK {
+			t.Fatalf("round %d: stage while open: status %d body %s", round, status, data)
+		}
+		info := finishV2(t, srv.URL, r.RoundID)
+		if round > 1 && (info.Stats == nil || !info.Stats.Prefetched) {
+			t.Fatalf("round %d: begin did not adopt the round staged during round %d", round, round-1)
+		}
+		if _, h := getHealthz(t, srv.URL); h.RecoverError != "" {
+			t.Fatalf("round %d: recover_error %q", round, h.RecoverError)
+		}
+		after, err := mgr.Epochs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after[len(after)-1] != before[len(before)-1]+1 {
+			t.Fatalf("round %d: checkpoint epochs %v -> %v, want a new newest epoch", round, before, after)
+		}
+	}
+}

@@ -302,7 +302,11 @@ func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, 
 	s.mu.Unlock()
 
 	// Finish outside the server mutex: write-back touches every shard.
-	st, err := round.Finish()
+	// The post-finish resilience hook — checkpoint on a healthy cadence,
+	// recover quarantined shards from the newest checkpoint otherwise —
+	// runs before a round staged meanwhile starts; errors surface on
+	// /healthz only.
+	st, err := finishThen(round, s.maybeRecover)
 
 	s.mu.Lock()
 	sr.finished = true
@@ -325,12 +329,21 @@ func (s *Server) finishRound(sr *serverRound, expired bool) (fedora.RoundStats, 
 	}
 	ferr := sr.finishErr
 	s.mu.Unlock()
-
-	// Post-finish resilience hook: checkpoint on a healthy cadence,
-	// recover quarantined shards from the newest checkpoint otherwise.
-	// Runs outside the server mutex; errors surface on /healthz only.
-	s.maybeRecover()
 	return st, ferr
+}
+
+// finishThen finishes r and runs upkeep: between the round's close and
+// the start of a round staged meanwhile when r can order the two (a
+// *fedora.Round's FinishThen), right after Finish otherwise.
+func finishThen(r Round, upkeep func()) (fedora.RoundStats, error) {
+	if f, ok := r.(interface {
+		FinishThen(func()) (fedora.RoundStats, error)
+	}); ok {
+		return f.FinishThen(upkeep)
+	}
+	st, err := r.Finish()
+	upkeep()
+	return st, err
 }
 
 // roundInfo snapshots sr for the wire.

@@ -36,7 +36,10 @@
 // staged round's plan and fetch pass run ahead on the staged begin's
 // goroutine, overlapping the caller's compute, and its evict pass runs
 // at the head of the next fetch pass — never what the ORAMs execute or
-// in which order. The
+// in which order. Spare CPUs change only where the work runs too: the
+// fetch pass splits a large main-ORAM read across goroutines, and an
+// unstaged Finish writes back beside its unloads, each ORAM still
+// running its own ops in order. The
 // Controller drives one pipeline per shard through a shard.Engine — an
 // engine of one part when Config.Shards ≤ 1, so every shard count takes
 // the same round path — and owns the round lifecycle: the open-round
@@ -57,6 +60,7 @@ package fedora
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/bufferoram"
@@ -151,9 +155,13 @@ type Config struct {
 	Shards int
 	// ShardWorkers bounds the goroutines driving shards concurrently —
 	// round begin, every batch call and finish (0 = one per usable CPU,
-	// capped at Shards; 1 = fully sequential). The worker count never
-	// changes results: each shard's RNG stream is derived from Seed and
-	// the shard index alone.
+	// capped at Shards; 1 = fully sequential). Unless it is 1, each
+	// shard's round also uses the CPUs the shards leave,
+	// max(1, GOMAXPROCS/Shards) of them: a large main-ORAM read splits
+	// across them and the write-back runs beside the unloads. The worker
+	// count never changes results: each shard's RNG stream is derived
+	// from Seed and the shard index alone, and each ORAM runs its ops in
+	// the same order.
 	ShardWorkers int
 	// ShardBase is the GLOBAL index of this controller's first shard — 0
 	// for a standalone controller, the slice start for a cluster member
@@ -249,8 +257,10 @@ type Controller struct {
 	round   uint64
 	inRound bool
 	// staged is the posted-but-not-adopted next round of the two-phase
-	// contract (see prefetch.go).
+	// contract (see prefetch.go); upkeep holds its start while a
+	// finished round's FinishThen upkeep runs.
 	staged *stagedRound
+	upkeep bool
 }
 
 // New builds a controller: max(Shards, 1) pipelines, each complete (own
@@ -297,6 +307,15 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c.eng = eng
+	// Each pipeline's round may use the CPUs the engine leaves it: with
+	// ShardWorkers 1 everything stays on one goroutine.
+	workers := 1
+	if cfg.ShardWorkers != 1 {
+		workers = max(1, runtime.GOMAXPROCS(0)/S)
+	}
+	for _, p := range c.parts {
+		p.setWorkers(workers)
+	}
 	return c, nil
 }
 

@@ -68,7 +68,8 @@ func (cfg Config) Digest() uint64 {
 
 // Snapshot serializes the controller's full dynamic state as an engine
 // container stamped with its config digest and round. It fails with
-// ErrRoundOpen if called between BeginRound and Finish.
+// ErrRoundOpen if called between BeginRound and Finish, or once a staged
+// round's begin has started.
 func (c *Controller) Snapshot() ([]byte, error) { return persist.Build(c.SnapshotTo) }
 
 // SnapshotTo appends Snapshot's bytes to e: every pipeline, ORAM and
@@ -76,9 +77,7 @@ func (c *Controller) Snapshot() ([]byte, error) { return persist.Build(c.Snapsho
 func (c *Controller) SnapshotTo(e *persist.Encoder) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inRound || c.staged != nil {
-		// A staged round counts as open: its plan has consumed RNG state a
-		// snapshot would otherwise capture mid-consumption.
+	if c.openLocked() {
 		return ErrRoundOpen
 	}
 	return c.eng.SnapshotTo(e, c.cfg.Digest(), c.round)
@@ -89,7 +88,7 @@ func (c *Controller) SnapshotTo(e *persist.Encoder) error {
 func (c *Controller) Restore(b []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inRound || c.staged != nil {
+	if c.openLocked() {
 		return ErrRoundOpen
 	}
 	round, sections, err := SplitSnapshot(c.cfg, b)
@@ -343,7 +342,7 @@ func (p *pipeline) Restore(b []byte) error {
 func (c *Controller) RecoverQuarantined(b []byte) ([]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inRound || c.staged != nil {
+	if c.openLocked() {
 		return nil, ErrRoundOpen
 	}
 	// The snapshot round is NOT restored: survivors advanced past it.

@@ -72,19 +72,27 @@ type pipeline struct {
 	// round is begun by a staged begin (see kickStageLocked).
 	staged bool
 
-	// evict is the finished round's write-back pass (see applyEvict);
+	// evict is the finished round's write-back pass (see applyEvict) and
+	// stream carries an unstaged one beside the unloads;
 	// prefetchHits/prefetchWasted accumulate per-round staging outcomes
 	// for /metrics.
 	evict          evictPass
+	stream         evictStream
 	prefetchHits   uint64
 	prefetchWasted uint64
+	// workers is how many goroutines the round's ORAM work may use (see
+	// Controller.New): the main-ORAM read splits across that many, and
+	// above one the write-back streams beside the unloads.
+	workers int
 }
 
 // newPipeline builds one pipeline, provisioning simulated devices sized
 // to the ORAM (the paper reports SSD lifetime for an SSD the size of the
 // ORAM).
 func newPipeline(cfg Config) (*pipeline, error) {
-	p := &pipeline{cfg: cfg}
+	p := &pipeline{cfg: cfg, workers: 1}
+	p.stream.ready = make(chan int, evictChunks)
+	p.stream.run = p.streamEvict
 	p.src = persist.NewSource(cfg.Seed + 3)
 	p.rng = rand.New(p.src)
 	p.selSrc = persist.NewSource(cfg.Seed + 29)
@@ -230,6 +238,14 @@ func newPipeline(cfg Config) (*pipeline, error) {
 	}
 	p.mech = fdp.Mechanism{Epsilon: p.effEps, Shape: shape}
 	return p, nil
+}
+
+// setWorkers sets how many goroutines the pipeline's round may use.
+func (p *pipeline) setWorkers(n int) {
+	p.workers = n
+	if p.raw != nil {
+		p.raw.SetReadWorkers(n)
+	}
 }
 
 // wrapDevice applies Config.WrapDevice, tolerating nil returns.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"sync"
 	"time"
 )
 
@@ -58,6 +59,60 @@ type evictPass struct {
 	live    bool
 }
 
+// An unstaged Finish streams its write-back beside the unloads only for
+// a pass of at least minStreamRows rows, handing them over in
+// evictChunks pieces: below that the hand-offs cost more than the overlap
+// saves (train_local's ~600-row passes ran ~4 % slower streamed on 2
+// vCPUs, oram_serve's ~2 000-row ones faster).
+const (
+	minStreamRows = 1024
+	evictChunks   = 16
+)
+
+// evictStream carries an unstaged Finish's write-back pass on a
+// goroutine of its own, beside the buffer ORAM's unloads (see
+// pipelineRound.Finish): Finish sends ready the number of rows unloaded
+// so far at each chunk boundary, then len(rows) — or −1 once an unload
+// failed — and run writes each chunk back as it arrives, then the
+// dummies, leaving the modelled time in d and the first failure in err.
+// The channel, buffered for every send of a round, and run, bound once
+// in newPipeline, are reused round after round.
+type evictStream struct {
+	ready chan int
+	run   func()
+	wg    sync.WaitGroup
+	d     time.Duration
+	err   error
+}
+
+// streamEvict is evictStream.run.
+func (p *pipeline) streamEvict() {
+	s := &p.stream
+	defer s.wg.Done()
+	s.d, s.err = 0, nil
+	rows := len(p.evict.rows)
+	for written := 0; ; {
+		hi := <-s.ready
+		if hi < 0 {
+			return
+		}
+		if s.err == nil {
+			var d time.Duration
+			d, s.err = p.writeRows(written, hi)
+			s.d += d
+			written = hi
+		}
+		if hi == rows {
+			break
+		}
+	}
+	if s.err == nil {
+		var d time.Duration
+		d, s.err = p.writeDummies()
+		s.d += d
+	}
+}
+
 // stagedRound is a posted-but-not-yet-adopted round. Once kicked
 // (started=true) a goroutine runs the begin; done closes when round/err
 // are valid.
@@ -68,6 +123,14 @@ type stagedRound struct {
 	done     chan struct{}
 	round    *Round
 	err      error
+}
+
+// openLocked reports whether a round holds controller state that a
+// snapshot or restore must not split: one is open, or a staged begin
+// has started (its plan consumes RNG state). A stage still queued is
+// only request lists. The caller holds c.mu.
+func (c *Controller) openLocked() bool {
+	return c.inRound || c.staged != nil && c.staged.started
 }
 
 // requestsDigest fingerprints per-client request lists (FNV-1a over the
@@ -134,13 +197,13 @@ func (c *Controller) StageRound(requests [][]uint64) error {
 }
 
 // kickStageLocked starts the staged begin — plan and fetch pass — on a
-// background goroutine if a stage is pending and the controller is idle.
-// Called with c.mu held, from StageRound and from Finish. On pathoram+,
-// which draws its RNG at access time, the stage stays queued and the
-// adopting BeginRound runs it inline.
+// background goroutine if a stage is pending and the controller is idle
+// and not in a finish's upkeep. Called with c.mu held, from StageRound
+// and from Finish. On pathoram+, which draws its RNG at access time, the
+// stage stays queued and the adopting BeginRound runs it inline.
 func (c *Controller) kickStageLocked() {
 	s := c.staged
-	if s == nil || s.started || c.inRound || c.cfg.Backend == BackendPathORAMPlus {
+	if s == nil || s.started || c.inRound || c.upkeep || c.cfg.Backend == BackendPathORAMPlus {
 		return
 	}
 	s.started = true
@@ -152,36 +215,64 @@ func (c *Controller) kickStageLocked() {
 	}()
 }
 
-// applyEvict writes the pending evict pass, if any, back to the main
+// applyEvict writes a deferred evict pass, if any, back to the main
 // ORAM — every unloaded row in ascending order, then the dummies — and
-// returns the modelled device time. It is the only main-ORAM writer, and
-// runs at exactly one of three points, all before the next main-ORAM
-// read: in Finish itself (unstaged), at the head of the next round's
-// fetch pass (staged), or at a drain point. The caller holds p.mu.
+// returns the modelled device time. An unstaged Finish writes its own
+// pass (writeBack, or streamEvict beside its unloads); a staged round's
+// waits for applyEvict at the head of the next round's fetch pass or at
+// a drain point, in both cases before the next main-ORAM read. The
+// caller holds p.mu.
 func (p *pipeline) applyEvict() (time.Duration, error) {
 	ev := &p.evict
 	if !ev.live {
 		return 0, nil
 	}
 	ev.live = false
+	return p.writeBack()
+}
+
+// writeBack writes the whole evict pass back: rows, then dummies.
+func (p *pipeline) writeBack() (time.Duration, error) {
+	total, err := p.writeRows(0, len(p.evict.rows))
+	if err != nil {
+		return total, err
+	}
+	d, err := p.writeDummies()
+	return total + d, err
+}
+
+// writeRows writes the evict pass's rows [from, to) back to the main
+// ORAM in order and returns the modelled device time.
+func (p *pipeline) writeRows(from, to int) (time.Duration, error) {
 	var (
 		total, d time.Duration
 		err      error
 	)
+	ev := &p.evict
 	dim := p.cfg.Dim
-	for i, row := range ev.rows {
+	for i := from; i < to; i++ {
 		encodeF32s(p.rowBytes, ev.entries[i*dim:(i+1)*dim])
 		if p.path != nil {
-			d, err = p.path.Write(row, p.rowBytes)
+			d, err = p.path.Write(ev.rows[i], p.rowBytes)
 		} else {
-			d, err = p.raw.WriteBack(row, p.rowBytes) // ignored in phantom mode
+			d, err = p.raw.WriteBack(ev.rows[i], p.rowBytes) // ignored in phantom mode
 		}
 		total += d
 		if err != nil {
 			return total, err
 		}
 	}
-	for i := 0; i < ev.dummy; i++ {
+	return total, nil
+}
+
+// writeDummies runs the evict pass's dummy write-backs and returns the
+// modelled device time.
+func (p *pipeline) writeDummies() (time.Duration, error) {
+	var (
+		total, d time.Duration
+		err      error
+	)
+	for i := 0; i < p.evict.dummy; i++ {
 		if p.path != nil {
 			// Path ORAM+ has no write-back schedule; it burns an
 			// indistinguishable read instead.

@@ -186,8 +186,15 @@ func SubmitOne(submit func([]RowGradient) ([]bool, error), row uint64, grad []fl
 }
 
 // Finish applies aggregated updates back to the main ORAM (step ⑦) and
-// closes the round.
-func (r *Round) Finish() (RoundStats, error) {
+// closes the round; a round staged meanwhile then starts its begin.
+func (r *Round) Finish() (RoundStats, error) { return r.FinishThen(nil) }
+
+// FinishThen is Finish running upkeep (when non-nil) after the round
+// closed and before a round staged meanwhile starts its begin, so a
+// post-round checkpoint in upkeep sees the finished round's state: a
+// stage that has not started holds no state and does not stop Snapshot
+// or RecoverQuarantined, and a StageRound during upkeep only queues.
+func (r *Round) FinishThen(upkeep func()) (RoundStats, error) {
 	st, err := r.pr.Finish()
 	if errors.Is(err, ErrRoundFinished) {
 		return st, err // a repeated Finish; the controller may be rounds ahead
@@ -195,6 +202,13 @@ func (r *Round) Finish() (RoundStats, error) {
 	c := r.c
 	c.mu.Lock()
 	c.inRound = false
+	if upkeep != nil {
+		c.upkeep = true
+		c.mu.Unlock()
+		upkeep()
+		c.mu.Lock()
+		c.upkeep = false
+	}
 	c.kickStageLocked()
 	c.mu.Unlock()
 	return st, err
@@ -524,8 +538,12 @@ func (r *pipelineRound) SubmitAggregates(aggs []RowAggregate, idx []int, base ui
 // Post step must run before the next round's loads — into the pipeline's
 // evict pass, and writes that pass back to the main ORAM now, or — in a
 // staged round — leaves it to the next round's fetch pass, off this
-// round's critical path. Every planned row moves back, served or not: the
-// adversary-visible counts do not depend on client behaviour.
+// round's critical path. With a spare CPU (p.workers > 1) and a pass of
+// at least minStreamRows rows, "now" is beside the unloads: p.stream
+// takes the rows chunk by chunk as they leave the buffer ORAM, so each
+// ORAM still runs its ops in the sequential order. Every planned row
+// moves back, served or not: the adversary-visible counts do not depend
+// on client behaviour.
 func (r *pipelineRound) Finish() (RoundStats, error) {
 	p := r.p
 	p.mu.Lock()
@@ -546,37 +564,61 @@ func (r *pipelineRound) Finish() (RoundStats, error) {
 		}
 	}
 	slices.Sort(ev.rows)
-	dim := p.cfg.Dim
-	ev.entries = slices.Grow(ev.entries[:0], len(ev.rows)*dim)[:len(ev.rows)*dim]
-	for i, row := range ev.rows {
-		d, err := p.buf.UnloadTo(row, ev.entries[i*dim:(i+1)*dim])
-		r.stats.UpdateTime += d
-		if err != nil {
-			return r.stats, err
-		}
-	}
+	n, dim := len(ev.rows), p.cfg.Dim
+	ev.entries = slices.Grow(ev.entries[:0], n*dim)[:n*dim]
 	// Dummy write-backs keep the outbound access count at k (the
 	// adversary sees k entries move in each direction, Sec 4.3).
 	ev.dummy = r.stats.Dummy
-	for i := 0; i < ev.dummy; i++ {
-		d, err := p.buf.UnloadDummy()
+	streamed := !r.stats.Prefetched && p.workers > 1 && n >= minStreamRows
+	if streamed {
+		p.stream.wg.Add(1)
+		go p.stream.run()
+	}
+	chunk := max(1, (n+evictChunks-1)/evictChunks)
+	var err error
+	for i, row := range ev.rows {
+		var d time.Duration
+		d, err = p.buf.UnloadTo(row, ev.entries[i*dim:(i+1)*dim])
 		r.stats.UpdateTime += d
 		if err != nil {
-			return r.stats, err
+			break
+		}
+		if streamed && (i+1)%chunk == 0 && i+1 < n {
+			p.stream.ready <- i + 1
 		}
 	}
-	ev.live = true
+	if streamed {
+		if err != nil {
+			p.stream.ready <- -1
+		} else {
+			p.stream.ready <- n
+		}
+	}
+	for i := 0; i < ev.dummy && err == nil; i++ {
+		var d time.Duration
+		d, err = p.buf.UnloadDummy()
+		r.stats.UpdateTime += d
+	}
+	if streamed {
+		p.stream.wg.Wait()
+		r.stats.UpdateTime += p.stream.d
+		if err == nil {
+			err = p.stream.err
+		}
+	} else if !r.stats.Prefetched && err == nil {
+		var d time.Duration
+		d, err = p.writeBack()
+		r.stats.UpdateTime += d
+	}
+	if err != nil {
+		return r.stats, err
+	}
 	if r.stats.Prefetched {
+		ev.live = true
 		r.stats.PrefetchHits = uint64(hits)
-		r.stats.PrefetchWasted = uint64(len(ev.rows) - hits)
+		r.stats.PrefetchWasted = uint64(n - hits)
 		p.prefetchHits += r.stats.PrefetchHits
 		p.prefetchWasted += r.stats.PrefetchWasted
-	} else {
-		d, err := p.applyEvict()
-		r.stats.UpdateTime += d
-		if err != nil {
-			return r.stats, err
-		}
 	}
 	r.done = true
 	p.cur = nil

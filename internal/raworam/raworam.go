@@ -49,6 +49,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/device"
@@ -144,21 +146,30 @@ type ORAM struct {
 	// pendingWrites counts write-backs since the last EO.
 	pendingWrites int
 
-	// One bucket in flight, reused by every access: the SSD image as read
-	// or written (bucketSize bytes) and the plaintext being packed for a
-	// write. Nothing returned to a caller aliases them.
+	// One bucket being written, reused by every eviction: the SSD image
+	// (bucketSize bytes) and the plaintext being packed into it. Nothing
+	// returned to a caller aliases them.
 	stored []byte
 	plain  []byte
 
-	// The DRAM path buffer of Sec 4.4: one plaintext bucket per tree level,
-	// pathIdx naming the bucket each slot holds (noBucket when empty).
-	// Every bucket read goes through it (readBucket). It is emptied at the
-	// start of each batch, lookup and eviction, so nothing in it outlives
-	// the operation that fetched and authenticated it.
-	pathBuf []byte
-	pathIdx []uint32
-	// reads is the batch read's work list, kept for its capacity.
-	reads []batchRead
+	// readers hold one DRAM path buffer each (see pathReader). readers[0]
+	// serves every read on the caller's goroutine — evictions, Peek and
+	// its share of a batch; AOAccessBatch runs readers[1:] on goroutines
+	// of their own for a large batch, adding readers up to maxReaders
+	// (SetReadWorkers) the first time a batch is large enough for them.
+	readers    []*pathReader
+	maxReaders int
+	// The batch read's work list, cut into the leaf ranges the readers
+	// take in turn (ranges[:live], next counting the ranges taken), and
+	// the seam rule's per-level scratch (see AOAccessBatch); all kept for
+	// their capacity. wg joins a split batch's goroutines.
+	reads    []batchRead
+	ranges   []readRange
+	live     int
+	next     atomic.Int32
+	lastOpen []uint32
+	wg       sync.WaitGroup
+	batchDst []byte // the batch's caller buffer while its lookups run
 
 	stats Stats
 }
@@ -167,11 +178,57 @@ type ORAM struct {
 const noBucket = ^uint32(0)
 
 // batchRead is one id of an AOAccessBatch: where its payload goes in the
-// caller's buffer and which path holds it.
+// caller's buffer and which path holds it, and where the lookup found it
+// — in the stash, in slot bit of tree bucket at, or nowhere (at is
+// noBucket: a never-written block).
 type batchRead struct {
-	id   uint64
-	leaf uint32
-	slot int
+	id      uint64
+	leaf    uint32
+	slot    int32
+	at      uint32
+	bit     uint16
+	stashed bool
+}
+
+// minReadsPerWorker is the smallest share of a batch worth a goroutine
+// of its own: below it the hand-off and the re-read of the buckets two
+// ranges share cost more than the second core saves. A split batch is
+// cut into rangesPerWorker ranges per reader, taken in turn, so a
+// reader that starts late or hits slower paths takes fewer.
+const (
+	minReadsPerWorker = 512
+	rangesPerWorker   = 4
+)
+
+// readRange is one contiguous leaf range of a batch and what its lookup
+// left: the engine work, the first and the last bucket opened at each
+// level (noBucket for none), and the first failure and its index in
+// reads.
+type readRange struct {
+	reads       []batchRead
+	stats       tee.EngineStats
+	first, last []uint32
+	err         error
+	errAt       int
+}
+
+// pathReader is one goroutine's DRAM path buffer of Sec 4.4: one stored
+// bucket per tree level, idx naming the bucket each slot holds (noBucket
+// when empty). A sealed bucket is opened in place, so a slot holds the
+// plaintext in its first bytes. Every bucket read goes through a path
+// buffer (pathReader.read). It is emptied at the start of each batch,
+// lookup and eviction, so nothing in it outlives the operation that
+// fetched and authenticated it.
+type pathReader struct {
+	buf    []byte
+	idx    []uint32
+	opener tee.Opener
+	// stats is the engine work this reader did and the ORAM has not yet
+	// added to the engine; first is, per level, the first bucket it
+	// opened since the path buffer was last emptied (noBucket for none).
+	stats tee.EngineStats
+	first []uint32
+	run   func() // work on a goroutine of its own, bound in newReader
 }
 
 // New creates the main ORAM over an SSD (tree) and a DRAM (VTree, stash,
@@ -220,9 +277,10 @@ func New(cfg Config, ssd, dram device.Device) (*ORAM, error) {
 	if !cfg.Phantom {
 		o.stored = make([]byte, stored)
 		o.plain = make([]byte, plain)
-		o.pathBuf = make([]byte, levels*stored)
-		o.pathIdx = make([]uint32, levels)
+		o.lastOpen = make([]uint32, levels)
 	}
+	o.readers = []*pathReader{o.newReader()}
+	o.maxReaders = 1
 	if need := o.RequiredBytes(); ssd.Capacity() < need {
 		return nil, fmt.Errorf("raworam: SSD capacity %d < required %d", ssd.Capacity(), need)
 	}
@@ -264,6 +322,31 @@ func (o *ORAM) BucketStoredSize() int { return o.bucketSize }
 // PathBytes is the SSD bytes of one full path transfer.
 func (o *ORAM) PathBytes() uint64 {
 	return uint64(o.levels) * uint64(o.bucketSize)
+}
+
+// SetReadWorkers lets AOAccessBatch split a large batch across up to n
+// goroutines (n ≤ 1: the caller's alone, the default). The split changes
+// only where the host-side work runs: payloads, VTree, engine counters
+// and every stat come out exactly as from one goroutine.
+func (o *ORAM) SetReadWorkers(n int) { o.maxReaders = max(n, 1) }
+
+// newReader returns an empty path buffer over o's geometry.
+func (o *ORAM) newReader() *pathReader {
+	r := &pathReader{}
+	r.run = func() {
+		defer o.wg.Done()
+		r.work(o)
+	}
+	if !o.cfg.Phantom {
+		r.buf = make([]byte, o.levels*o.bucketSize)
+		r.idx = make([]uint32, o.levels)
+		r.first = make([]uint32, o.levels)
+		r.resetPath()
+	}
+	if o.cfg.Engine != nil {
+		r.opener = o.cfg.Engine.Opener()
+	}
+	return r
 }
 
 // Stats returns accumulated counters.
@@ -376,13 +459,21 @@ func (o *ORAM) AOAccess(id uint64) ([]byte, time.Duration, error) {
 // written bucket on the union of the paths is fetched, authenticated and
 // decrypted once per batch, not once per path through it. The download
 // phase never writes the tree (Sec 4.4), which is what makes a bucket read
-// once good for the whole batch.
+// once good for the whole batch — and what lets the lookups run on
+// several goroutines (SetReadWorkers): a batch of at least
+// minReadsPerWorker ids per reader is cut into contiguous leaf ranges
+// that the readers take in turn, each walked through the taking
+// reader's path buffer, and the results are applied in leaf order after
+// the readers join, so the ORAM and the engine counters end up as after
+// one walk (a bucket at the seam of two ranges is fetched for both but
+// counted once).
 //
 // An out-of-range or repeated id fails the batch before any state
 // changes (phantom mode, which keeps no per-block state a repeat could
 // corrupt, does not look for repeats). A device or authentication error
-// aborts it midway: blocks already resolved are gone from the ORAM and dst
-// is partly filled, as after a failed access in a sequence of single ones.
+// aborts it midway: the blocks before the failing lookup in leaf order
+// are gone from the ORAM and dst is partly filled, as after a failed
+// access in a sequence of single ones.
 func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 	bs := o.cfg.BlockSize
 	if len(dst) != len(ids)*bs {
@@ -393,12 +484,13 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 			return 0, fmt.Errorf("raworam: block %d out of range %d", id, o.cfg.NumBlocks)
 		}
 	}
+	workers := 1
 	if !o.cfg.Phantom {
 		// Ascending (leaf, id) is the lookup order below; it also puts a
 		// repeated id next to itself.
 		o.reads = o.reads[:0]
 		for i, id := range ids {
-			o.reads = append(o.reads, batchRead{id: id, leaf: o.pos.Get(id), slot: i})
+			o.reads = append(o.reads, batchRead{id: id, leaf: o.pos.Get(id), slot: int32(i)})
 		}
 		slices.SortFunc(o.reads, func(a, b batchRead) int {
 			if c := cmp.Compare(a.leaf, b.leaf); c != 0 {
@@ -410,6 +502,23 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 			if o.reads[i].id == o.reads[i-1].id {
 				return 0, fmt.Errorf("raworam: block %d named twice in one batch", o.reads[i].id)
 			}
+		}
+		// Consecutive paths share their upper buckets and, in leaf order,
+		// a level's bucket index never decreases: a slot that has moved on
+		// is never wanted again, so one slot per level holds a whole
+		// range's union. Blocks awaiting eviction from a previous round's
+		// write-back are in the stash, which only this goroutine touches;
+		// the tree lookups only read the ORAM, so the other readers start
+		// on theirs at once, beside the charges below.
+		for i := range o.reads {
+			o.reads[i].stashed = o.stash.Get(o.reads[i].id) != nil
+		}
+		workers = min(o.maxReaders, max(len(o.reads)/minReadsPerWorker, 1))
+		o.cut(workers)
+		o.batchDst = dst
+		o.wg.Add(workers - 1)
+		for _, r := range o.readers[1:workers] {
+			go r.run()
 		}
 	}
 
@@ -423,29 +532,120 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 		clear(dst)
 		return d, nil
 	}
+	o.readers[0].work(o)
+	o.wg.Wait()
+	o.batchDst = nil
 
-	// Consecutive paths share their upper buckets and, in leaf order, a
-	// level's bucket index never decreases: a slot that has moved on is
-	// never wanted again, so one slot per level holds the whole union.
-	o.resetPath()
-	for _, r := range o.reads {
-		out := dst[r.slot*bs : (r.slot+1)*bs]
-		// Check the stash first: the block may be awaiting eviction from a
-		// previous round's write-back.
-		if blk := o.stash.Remove(r.id); blk != nil {
-			copy(out, blk.Data)
-			continue
+	// Join in leaf order, as if one reader had walked every range: the
+	// first failure ends the batch where the single walk would have
+	// stopped, so later ranges count nothing and apply nothing, and a
+	// bucket two ranges both opened at one level — the seam — counts
+	// once, as the single walk opens it once.
+	var (
+		st  tee.EngineStats
+		err error
+		end int
+	)
+	plainLen := uint64(len(o.plain))
+	for l := range o.lastOpen {
+		o.lastOpen[l] = noBucket
+	}
+	for i := range o.ranges[:o.live] {
+		rg := &o.ranges[i]
+		st.GroupsOpened += rg.stats.GroupsOpened
+		st.BytesOpened += rg.stats.BytesOpened
+		st.AuthFailures += rg.stats.AuthFailures
+		for l, idx := range rg.first {
+			if idx != noBucket && idx == o.lastOpen[l] {
+				st.GroupsOpened--
+				st.BytesOpened -= plainLen
+			}
+			if rg.last[l] != noBucket {
+				o.lastOpen[l] = rg.last[l]
+			}
 		}
-		// Scan the path for the block; clear its valid flag on hit.
-		found, err := o.findOnPath(r.leaf, r.id, out, true)
-		if err != nil {
-			return d, err
+		if rg.err != nil {
+			err, end = rg.err, end+rg.errAt
+			break
 		}
-		if !found {
+		end += len(rg.reads)
+	}
+	if o.cfg.Engine != nil {
+		o.cfg.Engine.AddStats(st)
+	}
+	for _, r := range o.reads[:end] {
+		out := dst[int(r.slot)*bs : int(r.slot+1)*bs]
+		switch {
+		case r.stashed:
+			copy(out, o.stash.Remove(r.id).Data)
+		case r.at != noBucket:
+			clearBit(o.vtree[r.at], int(r.bit))
+		default:
 			o.initBlock(out, r.id)
 		}
 	}
-	return d, nil
+	return d, err
+}
+
+// cut readies the batch for workers readers: one leaf range for one,
+// rangesPerWorker each for more, the reads shared out evenly in order.
+func (o *ORAM) cut(workers int) {
+	for len(o.readers) < workers {
+		o.readers = append(o.readers, o.newReader())
+	}
+	o.live = 1
+	if workers > 1 {
+		o.live = workers * rangesPerWorker
+	}
+	for len(o.ranges) < o.live {
+		o.ranges = append(o.ranges, readRange{first: make([]uint32, o.levels), last: make([]uint32, o.levels)})
+	}
+	lo := 0
+	for i := range o.live {
+		hi := lo + (len(o.reads)-lo)/(o.live-i)
+		o.ranges[i].reads = o.reads[lo:hi]
+		lo = hi
+	}
+	o.next.Store(0)
+}
+
+// work looks up batch ranges, each the next one no reader has taken,
+// until none is left.
+func (r *pathReader) work(o *ORAM) {
+	for {
+		i := int(o.next.Add(1)) - 1
+		if i >= o.live {
+			return
+		}
+		r.lookup(o, &o.ranges[i])
+	}
+}
+
+// lookup finds rg's blocks in the tree through r's path buffer: each one
+// not in the stash is looked up on its path, its payload copied into the
+// caller's buffer and its bucket and slot noted; the first failure ends
+// the range. It reads the ORAM and writes only r, rg and rg's reads, so
+// readers can look up their ranges at once.
+func (r *pathReader) lookup(o *ORAM, rg *readRange) {
+	bs := o.cfg.BlockSize
+	r.resetPath()
+	rg.err, rg.errAt = nil, 0
+	for i := range rg.reads {
+		br := &rg.reads[i]
+		br.at = noBucket
+		if br.stashed {
+			continue
+		}
+		at, bit, err := r.find(o, br.leaf, br.id, o.batchDst[int(br.slot)*bs:int(br.slot+1)*bs])
+		if err != nil {
+			rg.err, rg.errAt = err, i
+			break
+		}
+		br.at, br.bit = at, uint16(bit)
+	}
+	copy(rg.first, r.first)
+	copy(rg.last, r.idx)
+	rg.stats, r.stats = r.stats, tee.EngineStats{}
 }
 
 // AODummy performs an indistinguishable access to a random path without
@@ -653,17 +853,33 @@ func clearBit(bm []byte, i int)    { bm[i/8] &^= 1 << (i % 8) }
 // from the tree. Buckets already in the path buffer are not read again:
 // the caller empties it (resetPath) before the first lookup of a batch.
 func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, error) {
+	r := o.readers[0]
+	at, bit, err := r.find(o, leaf, id, dst)
+	o.takeStats(r)
+	if err != nil || at == noBucket {
+		return false, err
+	}
+	if take {
+		clearBit(o.vtree[at], bit)
+	}
+	return true, nil
+}
+
+// find is findOnPath's scan through r's path buffer, reporting the
+// bucket and slot that hold id (noBucket when no written bucket on the
+// path does) and moving no state but r's.
+func (r *pathReader) find(o *ORAM, leaf uint32, id uint64, dst []byte) (uint32, int, error) {
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
 		ctr, written := o.counters[idx]
 		if !written {
 			continue
 		}
-		plain, err := o.readBucket(l, idx, ctr)
+		plain, err := r.read(o, l, idx, ctr)
 		if err != nil {
-			return false, err
+			return noBucket, 0, err
 		}
-		vb := o.validBits(idx)
+		vb := o.vtree[idx]
 		for s := 0; s < o.cfg.BucketSlots; s++ {
 			if !getBit(vb, s) {
 				continue
@@ -672,14 +888,11 @@ func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, 
 			if binary.LittleEndian.Uint64(plain[off:]) != id {
 				continue
 			}
-			if take {
-				clearBit(vb, s)
-			}
 			copy(dst, plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize])
-			return true, nil
+			return idx, s, nil
 		}
 	}
-	return false, nil
+	return noBucket, 0, nil
 }
 
 // loadBucketToStash moves all valid blocks of bucket idx (on tree level
@@ -720,40 +933,64 @@ func (o *ORAM) loadBucketToStash(level int, idx uint32) error {
 	return nil
 }
 
-// resetPath empties the path buffer.
-func (o *ORAM) resetPath() {
-	for l := range o.pathIdx {
-		o.pathIdx[l] = noBucket
+// resetPath empties the caller's path buffer.
+func (o *ORAM) resetPath() { o.readers[0].resetPath() }
+
+// resetPath empties r's path buffer.
+func (r *pathReader) resetPath() {
+	for l := range r.idx {
+		r.idx[l] = noBucket
+		r.first[l] = noBucket
 	}
 }
 
-// readBucket returns the plaintext of bucket idx, which lies on tree
-// level `level`, from that level's path-buffer slot, fetching and (if
+// readBucket is pathReader.read through the caller's path buffer, its
+// engine work counted at once.
+func (o *ORAM) readBucket(level int, idx uint32, ctr uint64) ([]byte, error) {
+	r := o.readers[0]
+	plain, err := r.read(o, level, idx, ctr)
+	o.takeStats(r)
+	return plain, err
+}
+
+// takeStats adds r's uncounted engine work to the engine.
+func (o *ORAM) takeStats(r *pathReader) {
+	if o.cfg.Engine != nil {
+		o.cfg.Engine.AddStats(r.stats)
+	}
+	r.stats = tee.EngineStats{}
+}
+
+// read returns the plaintext of bucket idx, which lies on tree level
+// `level`, from that level's slot of r's path buffer, fetching and (if
 // configured) authenticating and decrypting it first unless the slot
 // already holds it. The result is valid until the slot takes another
 // bucket. Device traffic was already charged (once, for the whole path)
 // by chargeAO/chargeEO, so the data movement here uses the unaccounted
-// PeekAt — keeping phantom and functional traffic identical.
-func (o *ORAM) readBucket(level int, idx uint32, ctr uint64) ([]byte, error) {
+// PeekAt — keeping phantom and functional traffic identical. The open
+// is counted in r.stats, for the caller to add to the engine.
+func (r *pathReader) read(o *ORAM, level int, idx uint32, ctr uint64) ([]byte, error) {
 	plainLen := len(o.plain)
-	slot := o.pathBuf[level*o.bucketSize : (level+1)*o.bucketSize : (level+1)*o.bucketSize]
-	if o.pathIdx[level] == idx {
+	slot := r.buf[level*o.bucketSize : (level+1)*o.bucketSize : (level+1)*o.bucketSize]
+	if r.idx[level] == idx {
 		return slot[:plainLen], nil
 	}
-	o.pathIdx[level] = noBucket // a failed read leaves the slot holding nothing
-	if o.cfg.Engine == nil {
-		if err := o.ssd.PeekAt(o.bucketAddr(idx), slot); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := o.ssd.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
-			return nil, err
-		}
-		if _, err := o.cfg.Engine.OpenTo(slot[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr); err != nil {
-			return nil, err
-		}
+	r.idx[level] = noBucket // a failed read leaves the slot holding nothing
+	if err := o.ssd.PeekAt(o.bucketAddr(idx), slot); err != nil {
+		return nil, err
 	}
-	o.pathIdx[level] = idx
+	if o.cfg.Engine != nil {
+		if _, err := r.opener.Open(slot, slot[:tee.SealedSize(plainLen)], uint64(idx), ctr); err != nil {
+			r.stats.AuthFailures++
+			return nil, err
+		}
+		r.stats.GroupsOpened++
+		r.stats.BytesOpened += uint64(plainLen)
+	}
+	if r.first[level] == noBucket {
+		r.first[level] = idx
+	}
+	r.idx[level] = idx
 	return slot[:plainLen], nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/device"
@@ -33,9 +34,14 @@ var ErrClosed = errors.New("storage: device is closed")
 // phantom-mode accounting stays meaningful. Stats.BusyTime therefore
 // accumulates real time on the data path.
 //
-// Concurrency matches device.Sim: a mutex serializes operations, so a
-// File is safe for concurrent use even though the FEDORA controller is
-// logically single-writer.
+// A File is safe for concurrent use. A mutex serializes every operation
+// but one: a buffered (not O_DIRECT), page-aligned PeekAt — whole pages
+// from a page-aligned address, the ORAM bucket read — preads straight
+// into the caller's buffer without it, so several goroutines can read
+// buckets at once (raworam's split read does). Such reads may run beside
+// each other and beside the locked calls; reading a range that a
+// concurrent PokeAt/WriteAt/Restore is writing returns some mix of the
+// old and new bytes, so callers must not read what they are writing.
 type File struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -44,15 +50,18 @@ type File struct {
 	profile  device.Profile
 	capacity uint64
 	spec     Spec
-	direct   bool // O_DIRECT actually active (request may fall back)
-	closed   bool
+	direct   bool        // O_DIRECT actually active (request may fall back); fixed at open
+	closed   atomic.Bool // set under mu; read without it by the unlocked PeekAt
+
+	readMu sync.Mutex // guards readHist, which the unlocked PeekAt feeds too
 
 	stats   device.Stats
 	written map[uint64]struct{} // snapshot pages ever written (for Snapshot)
 	dirty   int                 // page writes since the last fsync
 	fsyncs  uint64
 
-	readHist, writeHist hist
+	readHist  hist // under readMu
+	writeHist hist
 
 	scratch []byte // page-aligned reusable buffer for the aligned-span path
 }
@@ -123,14 +132,10 @@ func (fd *File) Name() string { return fd.name }
 func (fd *File) Path() string { return fd.path }
 
 // Direct reports whether O_DIRECT is actually active.
-func (fd *File) Direct() bool {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.direct
-}
+func (fd *File) Direct() bool { return fd.direct }
 
 func (fd *File) checkRange(addr uint64, n int) error {
-	if fd.closed {
+	if fd.closed.Load() {
 		return ErrClosed
 	}
 	if n < 0 {
@@ -254,7 +259,7 @@ func (fd *File) syncLocked() error {
 func (fd *File) Sync() error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	if fd.closed {
+	if fd.closed.Load() {
 		return ErrClosed
 	}
 	return fd.syncLocked()
@@ -276,7 +281,7 @@ func (fd *File) ReadAt(addr uint64, p []byte) (time.Duration, error) {
 	fd.stats.Reads++
 	fd.stats.BytesRead += uint64(n)
 	fd.stats.BusyTime += elapsed
-	fd.readHist.observe(elapsed)
+	fd.observeRead(elapsed)
 	return elapsed, nil
 }
 
@@ -308,8 +313,30 @@ func (fd *File) WriteAt(addr uint64, p []byte) (time.Duration, error) {
 // PeekAt implements Device: a read that bypasses Stats accounting (the
 // ORAMs account via Charge and move data via Peek/Poke, keeping phantom
 // and functional traffic identical). The real I/O is still measured into
-// the latency histogram — on the file backend this IS the data path.
+// the latency histogram — on the file backend this IS the data path. A
+// buffered, page-aligned read skips fd.mu and lands in p directly (see
+// File); any other goes through the locked aligned span.
 func (fd *File) PeekAt(addr uint64, p []byte) error {
+	if fd.direct || addr%pageAlign != 0 || len(p)%pageAlign != 0 {
+		return fd.peekLocked(addr, p)
+	}
+	if err := fd.checkRange(addr, len(p)); err != nil {
+		return err
+	}
+	start := time.Now()
+	if n, err := fd.f.ReadAt(p, int64(addr)); n != len(p) {
+		if fd.closed.Load() {
+			return ErrClosed
+		}
+		return fmt.Errorf("storage %s: short read [%d,%d): got %d of %d bytes: %w",
+			fd.name, addr, addr+uint64(len(p)), n, len(p), err)
+	}
+	fd.observeRead(time.Since(start))
+	return nil
+}
+
+// peekLocked is PeekAt through fd.mu and the aligned span.
+func (fd *File) peekLocked(addr uint64, p []byte) error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	if err := fd.checkRange(addr, len(p)); err != nil {
@@ -319,8 +346,15 @@ func (fd *File) PeekAt(addr uint64, p []byte) error {
 	if err := fd.pread(addr, p); err != nil {
 		return err
 	}
-	fd.readHist.observe(time.Since(start))
+	fd.observeRead(time.Since(start))
 	return nil
+}
+
+// observeRead records one measured read latency.
+func (fd *File) observeRead(d time.Duration) {
+	fd.readMu.Lock()
+	fd.readHist.observe(d)
+	fd.readMu.Unlock()
 }
 
 // PokeAt implements Device: a write that bypasses Stats accounting but
@@ -389,8 +423,10 @@ func (fd *File) ResetStats() {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	fd.stats = device.Stats{}
-	fd.readHist = hist{}
 	fd.writeHist = hist{}
+	fd.readMu.Lock()
+	fd.readHist = hist{}
+	fd.readMu.Unlock()
 }
 
 // WearBytes implements Storage, mirroring the simulator's wear model.
@@ -408,10 +444,13 @@ func (fd *File) WearBytes() uint64 {
 func (fd *File) Report() Report {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
+	fd.readMu.Lock()
+	read := fd.readHist.summary()
+	fd.readMu.Unlock()
 	return Report{
 		Name: fd.name, Backend: KindFile.String(), Path: fd.path,
 		Direct: fd.direct, Fsyncs: fd.fsyncs, DirtyPages: fd.dirty,
-		Read: fd.readHist.summary(), Write: fd.writeHist.summary(),
+		Read: read, Write: fd.writeHist.summary(),
 	}
 }
 
@@ -441,7 +480,7 @@ const snapshotRunPages = 256
 func (fd *File) SnapshotTo(e *persist.Encoder) error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	if fd.closed {
+	if fd.closed.Load() {
 		return ErrClosed
 	}
 	pages := make([]uint64, 0, len(fd.written))
@@ -478,7 +517,7 @@ func (fd *File) Restore(b []byte) error {
 
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	if fd.closed {
+	if fd.closed.Load() {
 		return ErrClosed
 	}
 	if name != fd.profile.Name {
@@ -514,10 +553,10 @@ func (fd *File) Restore(b []byte) error {
 func (fd *File) Close() error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	if fd.closed {
+	if fd.closed.Load() {
 		return nil
 	}
-	fd.closed = true
+	fd.closed.Store(true)
 	var syncErr error
 	if fd.spec.Fsync != FsyncNever {
 		syncErr = fd.f.Sync()

@@ -557,3 +557,68 @@ func testCoalescedRuns(t *testing.T, spec Spec) {
 		t.Fatalf("SnapshotSize %d is below the %d bytes written", n, len(want))
 	}
 }
+
+// TestFileConcurrentPagePeeks: buffered, page-aligned PeekAts run
+// without the device lock, so several goroutines read pages at once —
+// beside locked calls (an unaligned PeekAt, ReadAt, Report, ResetStats)
+// — and each gets its page's bytes; every peek is measured into the read
+// histogram, and a peek after Close fails with ErrClosed. Run under
+// -race it is the File's concurrency contract.
+func TestFileConcurrentPagePeeks(t *testing.T) {
+	const pages = 64
+	fd := newTestFile(t, pages*pageAlign, Spec{})
+	want := make([]byte, pages*pageAlign)
+	rand.New(rand.NewSource(3)).Read(want)
+	if err := fd.PokeAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	fd.ResetStats()
+	const readers, rounds = 4, 50
+	errs := make(chan error, readers+1)
+	for w := 0; w < readers; w++ {
+		go func() {
+			p := make([]byte, pageAlign)
+			for i := 0; i < rounds*pages; i++ {
+				pg := (i*7 + w) % pages
+				if err := fd.PeekAt(uint64(pg*pageAlign), p); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(p, want[pg*pageAlign:(pg+1)*pageAlign]) {
+					errs <- errors.New("unlocked peek returned another page's bytes")
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	go func() {
+		p := make([]byte, 100)
+		for i := 0; i < rounds; i++ {
+			if err := fd.PeekAt(uint64(i*37+5), p); err != nil {
+				errs <- err
+				return
+			}
+			if !bytes.Equal(p, want[i*37+5:i*37+105]) {
+				errs <- errors.New("locked peek returned wrong bytes")
+				return
+			}
+			_ = fd.Report()
+		}
+		errs <- nil
+	}()
+	for i := 0; i < readers+1; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fd.Report().Read.Count, uint64(readers*rounds*pages+rounds); got != want {
+		t.Errorf("read histogram counted %d peeks, want %d", got, want)
+	}
+	if err := fd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.PeekAt(0, make([]byte, pageAlign)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("page-aligned PeekAt after close: %v", err)
+	}
+}

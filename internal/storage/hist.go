@@ -11,7 +11,8 @@ import (
 // bucket ⌈log2(d in ns)⌉, so 64 buckets cover 1 ns to ~584 years with
 // ≤2× relative error per bucket — plenty for storage latencies, at a
 // fixed 0.5 KB of memory and O(1) record cost on the I/O hot path.
-// Callers synchronize access (the File mutex covers it).
+// Callers synchronize access (File.readMu covers the read histogram,
+// File.mu the write one).
 type hist struct {
 	counts [64]uint64
 	total  uint64

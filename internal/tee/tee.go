@@ -108,17 +108,26 @@ func (s *Scratchpad) Size() int { return s.size }
 // *current* counter, which it obtained from the (already verified) parent
 // group or from the scratchpad-resident root counter.
 //
-// An Engine is for one goroutine at a time: the nonce, the open scratch
-// and the counters are unsynchronised. Each controller (and each shard's
-// sub-controller) owns one and calls it under its own lock.
+// An Engine is for one goroutine at a time: its nonce, open scratch and
+// counters are unsynchronised. Each controller (and each shard's
+// sub-controller) owns one and calls it under its own lock. To open
+// groups on several goroutines at once, give each its own Opener.
 type Engine struct {
-	aead  cipher.AEAD         // keyed once in NewEngine
-	nonce [aes.BlockSize]byte // the group being sealed or opened, see bind
+	own Opener // SealTo's and OpenTo's key and nonce
 	// open is OpenTo's landing buffer: a group is decrypted here and
 	// reaches the caller's dst only once its tag verified. Kept for its
 	// capacity.
 	open  []byte
 	stats EngineStats
+}
+
+// Opener opens groups under its engine's key with a nonce of its own:
+// goroutines holding one Opener each may open at the same time as each
+// other and as the engine's owner. An Opener counts nothing; the owner
+// adds the work to the engine with AddStats.
+type Opener struct {
+	aead  cipher.AEAD         // the engine's, read-only after NewEngine
+	nonce [aes.BlockSize]byte // the group being sealed or opened, see bind
 }
 
 // EngineStats counts crypto work for the performance model.
@@ -141,14 +150,17 @@ func NewEngine(masterKey [32]byte) *Engine {
 	if err != nil {
 		panic("tee: cipher.NewGCMWithNonceSize: " + err.Error())
 	}
-	return &Engine{aead: aead}
+	return &Engine{own: Opener{aead: aead}}
 }
+
+// Opener returns a fresh Opener under e's key.
+func (e *Engine) Opener() Opener { return Opener{aead: e.own.aead} }
 
 // bind loads the group's identity — (groupID, counter), 16 bytes — as
 // the nonce of the next seal or open.
-func (e *Engine) bind(groupID, counter uint64) {
-	binary.LittleEndian.PutUint64(e.nonce[0:8], groupID)
-	binary.LittleEndian.PutUint64(e.nonce[8:16], counter)
+func (o *Opener) bind(groupID, counter uint64) {
+	binary.LittleEndian.PutUint64(o.nonce[0:8], groupID)
+	binary.LittleEndian.PutUint64(o.nonce[8:16], counter)
 }
 
 // SealedSize returns the ciphertext length for a plaintext of n bytes.
@@ -166,10 +178,10 @@ func (e *Engine) Seal(plaintext []byte, groupID, counter uint64) []byte {
 // extended slice; with enough capacity in dst it does not allocate the
 // output. dst must not overlap plaintext.
 func (e *Engine) SealTo(dst, plaintext []byte, groupID, counter uint64) []byte {
-	e.bind(groupID, counter)
+	e.own.bind(groupID, counter)
 	e.stats.BytesSealed += uint64(len(plaintext))
 	e.stats.GroupsSealed++
-	return e.aead.Seal(dst, e.nonce[:], plaintext, nil)
+	return e.own.aead.Seal(dst, e.own.nonce[:], plaintext, nil)
 }
 
 // Open verifies and decrypts ciphertext||tag produced by Seal under the
@@ -185,16 +197,39 @@ func (e *Engine) Open(sealed []byte, groupID, counter uint64) ([]byte, error) {
 // reused buffer never hands back plaintext of an earlier group as if it
 // were this one's. dst must not overlap sealed.
 func (e *Engine) OpenTo(dst, sealed []byte, groupID, counter uint64) ([]byte, error) {
-	e.bind(groupID, counter)
-	plain, err := e.aead.Open(e.open[:0], e.nonce[:], sealed, nil)
+	plain, err := e.own.Open(e.open, sealed, groupID, counter)
 	if err != nil {
 		e.stats.AuthFailures++
-		return nil, ErrAuthFailed
+		return nil, err
 	}
 	e.open = plain
 	e.stats.BytesOpened += uint64(len(plain))
 	e.stats.GroupsOpened++
 	return append(dst, plain...), nil
+}
+
+// Open verifies sealed under (groupID, counter) and decrypts it into
+// land, the caller's landing buffer, returning land[:len(sealed)-TagSize]
+// (it allocates only when land's capacity is short of that). On
+// ErrAuthFailed land's bytes are unspecified: the caller must treat them
+// as no group's plaintext. land may start where sealed does (an
+// in-place open) but must not otherwise overlap it.
+func (o *Opener) Open(land, sealed []byte, groupID, counter uint64) ([]byte, error) {
+	o.bind(groupID, counter)
+	plain, err := o.aead.Open(land[:0], o.nonce[:], sealed, nil)
+	if err != nil {
+		return nil, ErrAuthFailed
+	}
+	return plain, nil
+}
+
+// AddStats adds work done through Openers to e's counters.
+func (e *Engine) AddStats(d EngineStats) {
+	e.stats.BytesSealed += d.BytesSealed
+	e.stats.BytesOpened += d.BytesOpened
+	e.stats.GroupsSealed += d.GroupsSealed
+	e.stats.GroupsOpened += d.GroupsOpened
+	e.stats.AuthFailures += d.AuthFailures
 }
 
 // Stats returns a copy of the accumulated crypto counters.
