@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/device"
+	"repro/internal/tee"
 )
 
 // SHA-256 of the ORAM and device snapshots after mixedOps, recorded on
@@ -92,6 +97,93 @@ func TestSnapshotParity(t *testing.T) {
 		b, _ := r.Snapshot()
 		if !bytes.Equal(a, b) {
 			t.Errorf("sealed=%v: restored ORAM's state diverged from the live one", sealed)
+		}
+	}
+}
+
+// failureSHA pins the state an access leaves behind when the device
+// fails mid-path — on a read (the level-L/2 bucket of the path being
+// read) and on a write (the bucket L/2 levels up from the leaf) — by
+// sealed: the ORAM snapshot (stash index and high-water mark, position
+// map, counters, RNG, event counters), the device image and the
+// engine's work counters. Recorded before the access became one
+// read–plan–write pass.
+var failureSHA = map[bool]map[string]string{
+	false: {
+		"read":  "e50e6cf021ceaec55a550677b47a58fb31aa2363eafedda06ae7f91bdf46691d",
+		"write": "0bb409014eb27d9f967decd52ba90bd787ad7734ac591b8235ec48a5852e5385",
+	},
+	true: {
+		"read":  "979d14018d5b737545616a804455ebc1aaa66b561bc97cf42e40627e187dba0b",
+		"write": "aa9f2e6b212eb0d0c931d0ef167ae859b2cbe592305a2aa5b5761c586b92e1d8",
+	},
+}
+
+func TestFailureStateParity(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		for _, phase := range []string{"read", "write"} {
+			cfg := Config{NumBlocks: 200, BlockSize: 24, Amplification: 4, Seed: 15}
+			var eng *tee.Engine
+			if sealed {
+				eng = testEngine()
+				cfg.Engine = eng
+			}
+			cfg.setDefaults()
+			_, levels := Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
+			// Every access is levels reads then levels writes; the device
+			// fails inside access 700.
+			successes := 700*2*levels + levels/2
+			if phase == "write" {
+				successes += levels
+			}
+			sim := device.NewDRAM(1 << 30)
+			o, err := New(cfg, device.NewFaulty(sim, successes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(15))
+			var opErr error
+			for i := 0; opErr == nil; i++ {
+				if i > 700 {
+					t.Fatalf("sealed=%v %s: the device never failed", sealed, phase)
+				}
+				id := uint64(rng.Intn(200))
+				switch rng.Intn(3) {
+				case 0:
+					_, _, opErr = o.Read(id)
+				case 1:
+					data := make([]byte, 24)
+					rng.Read(data)
+					_, opErr = o.Write(id, data)
+				case 2:
+					_, opErr = o.Update(id, func(data []byte) { data[i%24] ^= byte(i) })
+				}
+			}
+			if !errors.Is(opErr, device.ErrInjected) {
+				t.Fatalf("sealed=%v %s: err %v, want device.ErrInjected", sealed, phase, opErr)
+			}
+			if o.StashLen() == 0 {
+				t.Errorf("sealed=%v %s: the failed access left the stash empty", sealed, phase)
+			}
+			snap, err := o.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			devSnap, err := sim.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, b := range [][]byte{snap, devSnap} {
+				fmt.Fprintf(h, "%d:", len(b))
+				h.Write(b)
+			}
+			if eng != nil {
+				fmt.Fprintf(h, "%+v", eng.Stats())
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != failureSHA[sealed][phase] {
+				t.Errorf("sealed=%v %s: sha256 = %s, want %s", sealed, phase, got, failureSHA[sealed][phase])
+			}
 		}
 	}
 }
