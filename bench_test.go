@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/bufferoram"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
@@ -297,6 +298,95 @@ func BenchmarkPathORAMAccess(b *testing.B) {
 		if _, err := o.Write(uint64(i)&0xFFFF, buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBufferORAMRound measures one round of buffer-ORAM traffic
+// at two benchmark shapes: oram_serve's (4096 slots, FedAvg; 2048
+// loads, 4096 serves, 4096 aggregates, 512 dummy loads, 2048 unloads)
+// and train_local's (3200 slots, FedAdam, whose state rides in the
+// block; half those counts). A quarter of the serves and aggregates miss
+// and cost a dummy access. Each op is one Path ORAM access over a
+// simulated DRAM; in steady state a round allocates nothing.
+func BenchmarkBufferORAMRound(b *testing.B) {
+	shapes := []struct {
+		name                     string
+		capacity                 int
+		agg                      bufferoram.Aggregator
+		loads, requests, dummies int
+	}{
+		{"oram_serve", 4096, bufferoram.FedAvg{}, 2048, 4096, 512},
+		{"train_local", 3200, bufferoram.NewFedAdam(), 1600, 3200, 256},
+	}
+	const dim = 16
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			buf, err := bufferoram.New(bufferoram.Config{
+				Capacity: sh.capacity, Dim: dim, Aggregator: sh.agg, LearningRate: 0.5, Seed: 7,
+			}, device.NewDRAM(1<<30))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Four round schedules, cycled: the rows each round loads and
+			// the row each request names (a miss in one case of four).
+			rng := rand.New(rand.NewSource(7))
+			type schedule struct{ rows, requests []uint64 }
+			var scheds [4]schedule
+			for i := range scheds {
+				perm := rng.Perm(4 * sh.capacity)[:sh.loads]
+				for _, r := range perm {
+					scheds[i].rows = append(scheds[i].rows, uint64(r))
+				}
+				for j := 0; j < sh.requests; j++ {
+					row := uint64(4*sh.capacity + rng.Intn(sh.capacity))
+					if rng.Intn(4) > 0 {
+						row = scheds[i].rows[rng.Intn(sh.loads)]
+					}
+					scheds[i].requests = append(scheds[i].requests, row)
+				}
+			}
+			entry, grad, out := make([]float32, dim), make([]float32, dim), make([]float32, dim)
+			for i := range entry {
+				entry[i], grad[i] = float32(i), 0.25
+			}
+			round := func(n int) {
+				sc := &scheds[n%len(scheds)]
+				buf.SetRound(uint64(n))
+				for _, row := range sc.rows {
+					if _, err := buf.Load(row, entry); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, row := range sc.requests {
+					if _, err := buf.ServeTo(row, out); err != nil && !errors.Is(err, bufferoram.ErrNotLoaded) {
+						b.Fatal(err)
+					}
+				}
+				for _, row := range sc.requests {
+					if _, err := buf.Aggregate(row, grad, 2); err != nil && !errors.Is(err, bufferoram.ErrNotLoaded) {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < sh.dummies; i++ {
+					if _, err := buf.LoadDummy(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, row := range sc.rows {
+					if _, err := buf.UnloadTo(row, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for n := 0; n < 2*len(scheds); n++ { // fill the tree, the stash's block pool and the slot map
+				round(n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round(i)
+			}
+		})
 	}
 }
 

@@ -105,6 +105,37 @@ func TestUnloadToMatchesUnload(t *testing.T) {
 	}
 }
 
+// TestServeToMatchesServe: the caller-buffer form returns what Serve
+// returns, checks its buffer, and a miss still costs an access and
+// reports ErrNotLoaded.
+func TestServeToMatchesServe(t *testing.T) {
+	b := newBuf(t, Config{Capacity: 64, Dim: 4, Seed: 9})
+	if _, err := b.Load(9, []float32{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := b.Serve(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ServeTo(9, make([]float32, 3)); err == nil {
+		t.Fatal("ServeTo accepted a short buffer")
+	}
+	got := make([]float32, 4)
+	if _, err := b.ServeTo(9, got); err != nil {
+		t.Fatal(err)
+	}
+	if !approxEqual(got, want, 0) {
+		t.Errorf("ServeTo = %v, Serve = %v", got, want)
+	}
+	before := b.oram.Stats().Accesses
+	if d, err := b.ServeTo(10, got); !errors.Is(err, ErrNotLoaded) || d == 0 {
+		t.Errorf("ServeTo of a row not loaded: %v, %v; want ErrNotLoaded after a timed access", d, err)
+	}
+	if b.oram.Stats().Accesses != before+1 {
+		t.Error("a miss did not cost one buffer-ORAM access")
+	}
+}
+
 // TestServeResultsAreCallerOwned: k retained Serve and Unload results
 // keep their values while later accesses rewrite the block bytes in
 // place and recycle stash blocks.

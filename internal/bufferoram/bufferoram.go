@@ -171,21 +171,39 @@ var ErrNotLoaded = errors.New("bufferoram: entry not loaded this round")
 
 // Serve reads the current entry value for id.
 func (b *Buffer) Serve(id uint64) ([]float32, time.Duration, error) {
-	slot, ok := b.slotOf[id]
-	if !ok {
-		// Still perform an indistinguishable access: to the observer every
-		// request costs one buffer-ORAM touch whether or not it hits.
-		d, err := b.LoadDummy()
-		if err != nil {
-			return nil, d, err
-		}
-		return nil, d, ErrNotLoaded
+	if _, ok := b.slotOf[id]; !ok {
+		d, err := b.miss()
+		return nil, d, err
 	}
 	out := make([]float32, b.dim)
-	d, err := b.oram.Update(uint64(slot), func(data []byte) {
-		decodeF32s(out, data)
-	})
+	d, err := b.ServeTo(id, out)
 	return out, d, err
+}
+
+// ServeTo is Serve into dst (len Dim), for a caller that copies the
+// entry out before serving the next.
+func (b *Buffer) ServeTo(id uint64, dst []float32) (time.Duration, error) {
+	if len(dst) != b.dim {
+		return 0, fmt.Errorf("bufferoram: ServeTo dst dim %d != %d", len(dst), b.dim)
+	}
+	slot, ok := b.slotOf[id]
+	if !ok {
+		return b.miss()
+	}
+	return b.oram.Update(uint64(slot), func(data []byte) {
+		decodeF32s(dst, data)
+	})
+}
+
+// miss burns the indistinguishable access a request for a row not
+// loaded this round costs — to the observer every request is one
+// buffer-ORAM touch whether or not it hits — and reports ErrNotLoaded.
+func (b *Buffer) miss() (time.Duration, error) {
+	d, err := b.LoadDummy()
+	if err != nil {
+		return d, err
+	}
+	return d, ErrNotLoaded
 }
 
 // Aggregate folds one user's gradient for entry id into the sum half
@@ -198,11 +216,7 @@ func (b *Buffer) Aggregate(id uint64, grad []float32, nSamples int) (time.Durati
 	}
 	slot, ok := b.slotOf[id]
 	if !ok {
-		d, err := b.LoadDummy()
-		if err != nil {
-			return d, err
-		}
-		return d, ErrNotLoaded
+		return b.miss()
 	}
 	g := b.scratch[:b.dim]
 	copy(g, grad)
@@ -235,11 +249,7 @@ func (b *Buffer) AggregateRaw(id uint64, sum []float32, count float32) (time.Dur
 	}
 	slot, ok := b.slotOf[id]
 	if !ok {
-		d, err := b.LoadDummy()
-		if err != nil {
-			return d, err
-		}
-		return d, ErrNotLoaded
+		return b.miss()
 	}
 	return b.accumulate(slot, sum, count)
 }
