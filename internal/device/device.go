@@ -59,9 +59,20 @@ func (s *Stats) Add(other Stats) {
 	s.BusyTime += other.BusyTime
 }
 
-// Device is untrusted storage with modelled timing. Implementations must
-// be safe for use from a single goroutine; the FEDORA controller is
-// logically a single sequential trusted unit.
+// Device is untrusted storage with modelled timing. The interface
+// itself promises nothing about concurrency; what each implementation in
+// the repository guarantees:
+//
+//   - Sim, Recorder, Faulty and fault.Injector serialize internally:
+//     each guards its own state with a lock, so any number of goroutines
+//     may share one (a wrapper over a device that does the same).
+//   - storage.File serializes its methods too, except that a buffered,
+//     page-aligned PeekAt takes no lock: it reads straight into the
+//     caller's slice, so the main ORAM's split read runs one such read
+//     per reader at once.
+//
+// The controller drives each device from one goroutine at a time, except
+// for those concurrent split-read PeekAts.
 type Device interface {
 	// ReadAt fills p with the bytes at [addr, addr+len(p)) and returns
 	// the modelled duration of the access.
@@ -199,6 +210,18 @@ type Sim struct {
 	capacity uint64
 	pages    paged.Table[*storePage] // by page index; nothing is sized from capacity
 	stats    Stats
+	// opTimes memoizes profile.OpTime for the last page-rounded size of a
+	// read ([0]) and of a write ([1]): an ORAM moves one bucket size over
+	// and over. The duration is a pure function of (op, size), so BusyTime
+	// stays the same exact integer sum.
+	opTimes [2]opTime
+}
+
+// opTime is one memoized Profile.OpTime result; ok marks it as set.
+type opTime struct {
+	n  int
+	d  time.Duration
+	ok bool
 }
 
 // storePage is one materialized page of the sparse backing store.
@@ -264,10 +287,25 @@ func (p Profile) OpTime(op Op, n int) time.Duration {
 }
 
 // roundUp rounds n up to a multiple of the device page size.
-func (s *Sim) roundUp(n int) int { return s.profile.RoundUp(n) }
+func (s *Sim) roundUp(n int) int {
+	if ps := s.profile.PageSize; ps > 1 {
+		return (n + ps - 1) / ps * ps
+	}
+	return n
+}
 
 // opTime models one access of n (page-rounded) bytes; see Profile.OpTime.
-func (s *Sim) opTime(op Op, n int) time.Duration { return s.profile.OpTime(op, n) }
+// Callers must hold s.mu.
+func (s *Sim) opTime(op Op, n int) time.Duration {
+	m := &s.opTimes[0]
+	if op != OpRead {
+		m = &s.opTimes[1]
+	}
+	if !m.ok || m.n != n {
+		*m = opTime{n: n, d: s.profile.OpTime(op, n), ok: true}
+	}
+	return m.d
+}
 
 // account updates counters for one access and returns its duration.
 // Callers must hold s.mu.
@@ -336,52 +374,57 @@ func (s *Sim) copyIn(addr uint64, p []byte) {
 // ReadAt implements Device.
 func (s *Sim) ReadAt(addr uint64, p []byte) (time.Duration, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.checkRange(addr, len(p)); err != nil {
+		s.mu.Unlock()
 		return 0, err
 	}
 	s.copyOut(addr, p)
-	return s.account(OpRead, len(p)), nil
+	d := s.account(OpRead, len(p))
+	s.mu.Unlock()
+	return d, nil
 }
 
 // WriteAt implements Device.
 func (s *Sim) WriteAt(addr uint64, p []byte) (time.Duration, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.checkRange(addr, len(p)); err != nil {
+		s.mu.Unlock()
 		return 0, err
 	}
 	s.copyIn(addr, p)
-	return s.account(OpWrite, len(p)), nil
+	d := s.account(OpWrite, len(p))
+	s.mu.Unlock()
+	return d, nil
 }
 
 // PeekAt implements Device: an unaccounted read.
 func (s *Sim) PeekAt(addr uint64, p []byte) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkRange(addr, len(p)); err != nil {
-		return err
+	err := s.checkRange(addr, len(p))
+	if err == nil {
+		s.copyOut(addr, p)
 	}
-	s.copyOut(addr, p)
-	return nil
+	s.mu.Unlock()
+	return err
 }
 
 // PokeAt implements Device: an unaccounted write.
 func (s *Sim) PokeAt(addr uint64, p []byte) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkRange(addr, len(p)); err != nil {
-		return err
+	err := s.checkRange(addr, len(p))
+	if err == nil {
+		s.copyIn(addr, p)
 	}
-	s.copyIn(addr, p)
-	return nil
+	s.mu.Unlock()
+	return err
 }
 
 // Charge implements Device.
 func (s *Sim) Charge(op Op, addr uint64, n int) time.Duration {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.account(op, n)
+	d := s.account(op, n)
+	s.mu.Unlock()
+	return d
 }
 
 // ChargeN implements Device.

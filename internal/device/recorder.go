@@ -84,7 +84,10 @@ func (r *Recorder) Charge(op Op, addr uint64, n int) time.Duration {
 	return r.inner.Charge(op, addr, n)
 }
 
-// ChargeN implements Device (recorded as one covering access).
+// ChargeN implements Device. It records nothing: a path charged in one
+// call (the RAW ORAM's whole-path charges) leaves no address in the
+// trace, so today's trace is incomplete for those ORAMs — ROADMAP item
+// 1(a) makes the recorder record what storage is asked for.
 func (r *Recorder) ChargeN(op Op, n, count int) time.Duration {
 	return r.inner.ChargeN(op, n, count)
 }

@@ -11,11 +11,15 @@
 // shard engine → controller → API) exactly as a dying SSD's would.
 //
 // Determinism: each wrapped device gets its own RNG seeded from
-// (Plan.Seed, device name), and operations on one device are serialized
-// by its owner, so the same plan over the same workload injects the same
-// faults at any worker or shard count. Every injected error wraps
-// device.ErrInjected; bit flips are silent (they corrupt data the TEE
-// later rejects with tee.ErrAuthFailed).
+// (Plan.Seed, device name), and an Injector draws under its own lock, so
+// the same plan over the same workload injects the same faults whenever
+// each device's ops arrive in a fixed order — at any shard count, and at
+// one reader of the main ORAM's split read (fedora.Config.ShardWorkers 1,
+// or GOMAXPROCS 1). With more readers, up to GOMAXPROCS goroutines issue
+// the main device's PeekAts in scheduler order, so which read draws which
+// fault does not reproduce. Every injected error wraps device.ErrInjected;
+// bit flips are silent (they corrupt data the TEE later rejects with
+// tee.ErrAuthFailed).
 //
 // Injection surface: error, trip and bitflip rules apply to the DATA
 // channels — ReadAt/WriteAt and PeekAt/PokeAt (the RAW ORAM moves bucket

@@ -26,27 +26,43 @@ const (
 )
 
 // Table is a sparse array of T indexed by uint64. It is not safe for
-// concurrent use, reads included: Get moves the last-leaf memo.
+// concurrent use, reads included: Get moves the leaf memo.
 type Table[T comparable] struct {
 	leaves map[uint64]*[leafLen]T // by index >> leafBits
-	// The leaf of the last lookup: a path's buckets, a chunk's pages and
-	// neighbouring ids mostly fall in the leaf just used.
-	lastKey uint64
-	last    *[leafLen]T
-	n       int // present entries
+	// The leaves of the last two lookups, most recent first: a chunk's
+	// pages and neighbouring ids mostly fall in the leaf just used, and a
+	// tree path alternates between the leaf holding the levels near the
+	// root and one holding the levels near the leaves.
+	memo [2]memoLeaf[T]
+	n    int // present entries
+}
+
+// memoLeaf is one remembered leaf and its key.
+type memoLeaf[T comparable] struct {
+	key  uint64
+	leaf *[leafLen]T
 }
 
 // leaf returns the leaf holding index i, or nil if none was written.
 func (t *Table[T]) leaf(i uint64) *[leafLen]T {
 	key := i >> leafBits
-	if t.last != nil && t.lastKey == key {
-		return t.last
+	if m := t.memo[0]; m.leaf != nil && m.key == key {
+		return m.leaf
+	}
+	if m := t.memo[1]; m.leaf != nil && m.key == key {
+		t.memo[0], t.memo[1] = m, t.memo[0]
+		return m.leaf
 	}
 	l := t.leaves[key]
 	if l != nil {
-		t.lastKey, t.last = key, l
+		t.remember(key, l)
 	}
 	return l
+}
+
+// remember makes l the most recently used leaf.
+func (t *Table[T]) remember(key uint64, l *[leafLen]T) {
+	t.memo[1], t.memo[0] = t.memo[0], memoLeaf[T]{key, l}
 }
 
 // Get returns the value at i, the zero value if absent.
@@ -71,7 +87,7 @@ func (t *Table[T]) Set(i uint64, v T) {
 			t.leaves = make(map[uint64]*[leafLen]T)
 		}
 		t.leaves[i>>leafBits] = l
-		t.lastKey, t.last = i>>leafBits, l
+		t.remember(i>>leafBits, l)
 	}
 	slot := &l[i&(leafLen-1)]
 	switch {

@@ -5,10 +5,14 @@
 // Data is stored in fixed-size blocks in a binary tree of buckets, each
 // with Z slots. Every block is assigned to a path (leaf); the invariant
 // is that a block is either in a bucket along its path or in the stash.
-// An access reads the whole path into the stash, serves the block,
-// reassigns it to a fresh random path, and greedily evicts stash blocks
-// back onto the same path. To an observer, every access is a read and a
-// write of one uniformly random path.
+// An access reads the whole path, serves the block, reassigns it to a
+// fresh random path, and greedily evicts the path's blocks and the
+// stash's back onto the same path; what no bucket takes stays in the
+// stash. One kernel does this for every operation (see access): the
+// path is opened in place and a block that goes straight back onto it
+// is never copied out. To an observer, every access is a read and a
+// write of one uniformly random path, bucket by bucket, root to leaf
+// and then leaf to root.
 //
 // The package also provides the paper's "Path ORAM+" baseline
 // configuration (Sec 6.1): buckets padded to the SSD page size so each
@@ -29,7 +33,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/device"
@@ -152,13 +158,31 @@ type ORAM struct {
 	// with equivalent semantics.
 	counters paged.Table[uint64]
 
-	// One bucket in flight, reused by every access: the device image as
-	// read or written (bucketSize bytes) and its plaintext (opened on the
-	// way in, packed on the way out). Without an engine the stored image
-	// starts with the plaintext, and plain aliases stored's front. Nothing
-	// returned to a caller aliases them.
+	// The bucket being written, reused by every write: the device image
+	// (bucketSize bytes) and the plaintext packed into it. Without an
+	// engine the stored image starts with the plaintext, and plain
+	// aliases stored's front. Only writePath writes plain: its first
+	// packed slots may hold block bytes, the rest hold the empty-slot
+	// image already.
 	stored []byte
 	plain  []byte
+	packed int
+
+	// The access in flight (see access), reused by every access: the
+	// path's stored buckets, root first, each opened in place (levels ×
+	// bucketSize bytes); each level's write counter as read; the entries;
+	// and the planner's scratch — the entries listed by depth (heads by
+	// level, next by entry), the candidate pool, and each level's placed
+	// entries (Z per level) and their count.
+	path    []byte
+	ctrs    []uint64
+	entries []entry
+	heads   []int32
+	next    []int32
+	pool    []int32
+	placed  []int32
+	nPlaced []int
+	opener  tee.Opener
 
 	stats Stats
 }
@@ -211,9 +235,16 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		o.stored = make([]byte, o.bucketSize)
 		if o.engine != nil {
 			o.plain = make([]byte, o.plainBucketSize())
+			o.opener = o.engine.Opener()
 		} else {
 			o.plain = o.stored[:o.plainBucketSize()]
 		}
+		o.packed = cfg.BucketSlots
+		o.path = make([]byte, levels*o.bucketSize)
+		o.ctrs = make([]uint64, levels)
+		o.heads = make([]int32, levels)
+		o.placed = make([]int32, levels*cfg.BucketSlots)
+		o.nPlaced = make([]int, levels)
 	}
 	if need := cfg.BaseAddr + o.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("pathoram: device capacity %d < required %d", dev.Capacity(), need)
@@ -304,63 +335,7 @@ func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.leaves))
 // length must equal BlockSize) and the returned slice is nil. The
 // returned duration is the modelled device time of the access.
 func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, error) {
-	if id >= o.cfg.NumBlocks {
-		return nil, 0, fmt.Errorf("pathoram: block %d out of range %d", id, o.cfg.NumBlocks)
-	}
-	if op == OpWrite && len(data) != o.cfg.BlockSize {
-		return nil, 0, fmt.Errorf("pathoram: write size %d != block size %d", len(data), o.cfg.BlockSize)
-	}
-	o.stats.Accesses++
-	if o.cfg.Phantom {
-		d := o.chargePath(device.OpRead) + o.chargePath(device.OpWrite)
-		o.stats.Time += d
-		var out []byte
-		if op == OpRead {
-			out = make([]byte, o.cfg.BlockSize)
-		}
-		return out, d, nil
-	}
-
-	blk, leaf, dur, err := o.fetch(id)
-	if err != nil {
-		return nil, dur, err
-	}
-	var out []byte
-	if op == OpRead {
-		out = append([]byte(nil), blk.Data...)
-	} else {
-		blk.Data = append(blk.Data[:0], data...)
-	}
-
-	d2, err := o.evictPath(leaf)
-	dur += d2
-	if err != nil {
-		return nil, dur, err
-	}
-	o.stats.Time += dur
-	return out, dur, nil
-}
-
-// fetch is the read half of an access: it remaps block id to a fresh
-// random leaf, reads the path it was on and returns the block — resident,
-// already carrying its new leaf — with the leaf evictPath must write
-// back. The path's blocks are staged in the stash, not indexed: evictPath
-// writes almost all of them straight back. An access that fails here ends
-// here, so the staged blocks are handed to the index before returning.
-func (o *ORAM) fetch(id uint64) (*stash.Block, uint32, time.Duration, error) {
-	newLeaf := o.randomLeaf()
-	leaf := position.GetSet(o.pos, id, newLeaf)
-	dur, err := o.readPath(leaf)
-	var blk *stash.Block
-	if err == nil {
-		blk, err = o.residentBlock(id)
-	}
-	if err != nil {
-		o.stash.Unstage()
-		return nil, leaf, dur, err
-	}
-	blk.Leaf = newLeaf
-	return blk, leaf, dur, nil
+	return o.access(id, op, data, nil)
 }
 
 // Update performs a single ORAM access that reads block id, lets fn
@@ -368,27 +343,275 @@ func (o *ORAM) fetch(id uint64) (*stash.Block, uint32, time.Duration, error) {
 // write the buffer ORAM needs for gradient aggregation (one path read +
 // one path write, indistinguishable from any other access).
 func (o *ORAM) Update(id uint64, fn func(data []byte)) (time.Duration, error) {
+	_, d, err := o.access(id, OpRead, nil, fn)
+	return d, err
+}
+
+// access is the one access every operation runs. It remaps block id to
+// a fresh random leaf, reads the path id was on into o.path and opens it
+// there (readPath), and lets fn mutate the block's bytes where they lie
+// — or, without fn, serves op on them. It then plans which entry each
+// bucket of the path takes (plan), writes the path back leaf first
+// (writePath), and turns the entries no bucket took into stash blocks
+// (settle) — on a failure too: what the access held stays in the stash.
+func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, time.Duration, error) {
 	if id >= o.cfg.NumBlocks {
-		return 0, fmt.Errorf("pathoram: block %d out of range %d", id, o.cfg.NumBlocks)
+		return nil, 0, fmt.Errorf("pathoram: block %d out of range %d", id, o.cfg.NumBlocks)
+	}
+	if fn == nil && op == OpWrite && len(data) != o.cfg.BlockSize {
+		return nil, 0, fmt.Errorf("pathoram: write size %d != block size %d", len(data), o.cfg.BlockSize)
 	}
 	o.stats.Accesses++
+	var out []byte
 	if o.cfg.Phantom {
 		d := o.chargePath(device.OpRead) + o.chargePath(device.OpWrite)
 		o.stats.Time += d
-		return d, nil
+		if fn == nil && op == OpRead {
+			out = make([]byte, o.cfg.BlockSize)
+		}
+		return out, d, nil
 	}
-	blk, leaf, dur, err := o.fetch(id)
+	newLeaf := o.randomLeaf()
+	leaf := position.GetSet(o.pos, id, newLeaf)
+	dur, target, err := o.readPath(id, leaf)
 	if err != nil {
-		return dur, err
+		return nil, dur, o.settle(0, err)
 	}
-	fn(blk.Data)
-	d2, err := o.evictPath(leaf)
-	dur += d2
-	if err != nil {
-		return dur, err
+	t := &o.entries[target]
+	t.leaf = newLeaf
+	switch {
+	case fn != nil:
+		fn(t.data)
+	case op == OpWrite:
+		copy(t.data, data)
+	default:
+		out = append([]byte(nil), t.data...)
+	}
+	o.plan(leaf)
+	d, written, err := o.writePath(leaf)
+	dur += d
+	if err = o.settle(written, err); err != nil {
+		return nil, dur, err
 	}
 	o.stats.Time += dur
-	return dur, nil
+	return out, dur, nil
+}
+
+// entry is one block taking part in the access in flight: a valid slot of
+// the path just read, a stash resident, or the target made fresh because
+// it was in neither.
+type entry struct {
+	id   uint64
+	leaf uint32
+	// level is the bucket of the path plan put the entry in, or -1 for
+	// none: it stays in (or joins) the stash.
+	level int32
+	// data is the block's bytes. For a slot of the path they lie in
+	// o.path, where fn mutates them and writePath copies them from; blk
+	// is nil. Otherwise blk owns them: a stash resident when resident is
+	// set, else a block the access made and has not Put.
+	data     []byte
+	blk      *stash.Block
+	resident bool
+}
+
+// readPath reads the buckets of the path to leaf into o.path, root first,
+// recording each one's write counter in o.ctrs, and opens each in place.
+// Every valid slot becomes an entry whose bytes stay where they lie; the
+// stash's residents follow as entries of their own; and if block id was
+// in neither, a fresh block made for it is the last. It returns the
+// target's index in o.entries. A slot whose block the stash already holds
+// — only after an access failed between reading a path and writing it
+// back — refreshes that resident instead. Room for each slot's block is
+// Reserved in the stash before it is taken on, so a path that does not
+// fit fails with stash.ErrOverflow exactly where putting each block into
+// the stash would have.
+func (o *ORAM) readPath(id uint64, leaf uint32) (time.Duration, int, error) {
+	o.entries = o.entries[:0]
+	var dur time.Duration
+	target := -1
+	indexed := o.stash.Len() > 0
+	slot := slotMetaSize + o.cfg.BlockSize
+	for l := 0; l < o.levels; l++ {
+		idx := o.bucketIndex(leaf, l)
+		o.stats.BucketReads++
+		stored := o.path[l*o.bucketSize : (l+1)*o.bucketSize]
+		d, err := o.dev.ReadAt(o.bucketAddr(idx), stored)
+		dur += d
+		if err != nil {
+			return dur, target, err
+		}
+		ctr := o.counters.Get(uint64(idx))
+		o.ctrs[l] = ctr
+		if ctr == 0 {
+			continue // never-written bucket: all slots empty
+		}
+		plain, err := o.openPath(stored, idx, ctr)
+		if err != nil {
+			return dur, target, err
+		}
+		for s := 0; s < o.cfg.BucketSlots; s++ {
+			meta := plain[s*slot : (s+1)*slot : (s+1)*slot]
+			if meta[12] != 1 {
+				continue
+			}
+			bid := binary.LittleEndian.Uint64(meta)
+			if bid == invalidBlockID {
+				continue
+			}
+			bleaf := binary.LittleEndian.Uint32(meta[8:])
+			if indexed {
+				if b := o.stash.Get(bid); b != nil {
+					b.Leaf = bleaf
+					copy(b.Data, meta[slotMetaSize:])
+					continue
+				}
+			}
+			if err := o.stash.Reserve(len(o.entries) + 1); err != nil {
+				return dur, target, err
+			}
+			if bid == id && target < 0 {
+				target = len(o.entries)
+			}
+			o.entries = append(o.entries, entry{id: bid, leaf: bleaf, level: -1, data: meta[slotMetaSize:]})
+		}
+	}
+	held := len(o.entries)
+	if indexed {
+		o.stash.ForEach(func(b *stash.Block) {
+			if b.ID == id {
+				target = len(o.entries)
+			}
+			o.entries = append(o.entries, entry{id: b.ID, leaf: b.Leaf, level: -1, data: b.Data, blk: b, resident: true})
+		})
+	}
+	if target < 0 {
+		if err := o.stash.Reserve(held + 1); err != nil {
+			return dur, target, err
+		}
+		b := o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+		o.initBlock(b.Data, id)
+		target = len(o.entries)
+		o.entries = append(o.entries, entry{id: id, level: -1, data: b.Data, blk: b})
+	}
+	return dur, target, nil
+}
+
+// plan assigns every entry the bucket of the path to leaf it is written
+// into, or none. An entry may lie as deep as the path to its own leaf
+// follows this one; walking the path leaf first, each bucket takes the Z
+// lowest IDs among the entries that may lie that deep and no deeper
+// bucket took — the choice stash.BeginEviction/Pick make, found by
+// listing the entries by depth and keeping the candidates in a small
+// ID-sorted pool instead of sorting everything and rescanning per level.
+func (o *ORAM) plan(leaf uint32) {
+	top := o.levels - 1
+	n := len(o.entries)
+	for d := range o.heads {
+		o.heads[d] = -1
+	}
+	o.next = slices.Grow(o.next[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		d := top - bits.Len32(o.entries[i].leaf^leaf)
+		o.next[i], o.heads[d] = o.heads[d], int32(i)
+	}
+	// The pool is in descending ID order: a bucket takes from its end.
+	z := o.cfg.BucketSlots
+	pool := o.pool[:0]
+	for l := top; l >= 0; l-- {
+		for i := o.heads[l]; i >= 0; i = o.next[i] {
+			id := o.entries[i].id
+			j := len(pool)
+			pool = append(pool, i)
+			for ; j > 0 && o.entries[pool[j-1]].id < id; j-- {
+				pool[j] = pool[j-1]
+			}
+			pool[j] = i
+		}
+		k := min(z, len(pool))
+		for s := 0; s < k; s++ {
+			i := pool[len(pool)-1-s]
+			o.placed[l*z+s] = i
+			o.entries[i].level = int32(l)
+		}
+		o.nPlaced[l] = k
+		pool = pool[:len(pool)-k]
+	}
+	for _, i := range pool {
+		o.entries[i].level = -1
+	}
+	o.pool = pool
+}
+
+// writePath packs, seals and writes the planned buckets of the path to
+// leaf, leaf first, and returns the shallowest level it wrote — 0, or on
+// a failed write the level that failed, whose entries are lost with it
+// (the entries of the levels above were never written and stay).
+func (o *ORAM) writePath(leaf uint32) (time.Duration, int, error) {
+	var dur time.Duration
+	slot := slotMetaSize + o.cfg.BlockSize
+	for l := o.levels - 1; l >= 0; l-- {
+		idx := o.bucketIndex(leaf, l)
+		placed := o.placed[l*o.cfg.BucketSlots:][:o.nPlaced[l]]
+		for s, i := range placed {
+			e := &o.entries[i]
+			meta := o.plain[s*slot : (s+1)*slot]
+			binary.LittleEndian.PutUint64(meta, e.id)
+			binary.LittleEndian.PutUint32(meta[8:], e.leaf)
+			meta[12] = 1
+			copy(meta[slotMetaSize:], e.data)
+		}
+		for s := len(placed); s < o.packed; s++ {
+			meta := o.plain[s*slot : (s+1)*slot]
+			clear(meta) // empty slots and flags read as zero, as in a fresh image
+			binary.LittleEndian.PutUint64(meta, invalidBlockID)
+		}
+		o.packed = len(placed)
+		ctr := o.ctrs[l] + 1
+		o.counters.Set(uint64(idx), ctr)
+		o.sealBucket(idx, ctr)
+		o.stats.BucketWrite++
+		d, err := o.dev.WriteAt(o.bucketAddr(idx), o.stored)
+		dur += d
+		if err != nil {
+			return dur, l, err
+		}
+	}
+	return dur, 0, nil
+}
+
+// settle ends the access: entries at level >= written left the stash
+// for the tree (a resident is removed, and a block the access owned goes
+// back to the stash's pool); the rest stay in it or, if the access made
+// or read them, join it. It returns err, or an overflow no reservation
+// covered.
+func (o *ORAM) settle(written int, err error) error {
+	for i := range o.entries {
+		e := &o.entries[i]
+		switch {
+		case e.level >= int32(written):
+			if e.blk != nil {
+				if e.resident {
+					o.stash.Remove(e.id)
+				}
+				o.stash.Recycle(e.blk)
+			}
+		case e.blk == nil:
+			b := o.stash.NewBlock(e.id, e.leaf, o.cfg.BlockSize)
+			copy(b.Data, e.data)
+			if perr := o.stash.Put(b); err == nil {
+				err = perr
+			}
+		default:
+			e.blk.Leaf = e.leaf
+			if !e.resident {
+				if perr := o.stash.Put(e.blk); err == nil {
+					err = perr
+				}
+			}
+		}
+	}
+	return err
 }
 
 // Read is shorthand for Access(OpRead, ...).
@@ -421,10 +644,11 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		if ctr == 0 {
 			continue
 		}
-		if err := o.dev.PeekAt(o.bucketAddr(idx), o.stored); err != nil {
+		stored := o.path[l*o.bucketSize : (l+1)*o.bucketSize]
+		if err := o.dev.PeekAt(o.bucketAddr(idx), stored); err != nil {
 			return nil, err
 		}
-		plain, err := o.openBucket(idx, ctr)
+		plain, err := o.openPath(stored, idx, ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -453,17 +677,6 @@ func (o *ORAM) initBlock(dst []byte, id uint64) {
 	copy(dst, b)
 }
 
-// residentBlock returns block id from the stash — where readPath has just
-// staged it if it was on the path — materializing a never-written block.
-func (o *ORAM) residentBlock(id uint64) (*stash.Block, error) {
-	if blk := o.stash.Get(id); blk != nil {
-		return blk, nil
-	}
-	blk := o.stash.NewBlock(id, 0, o.cfg.BlockSize)
-	o.initBlock(blk.Data, id)
-	return blk, o.stash.Stage(blk)
-}
-
 // chargePath accounts a full-path transfer without moving data.
 func (o *ORAM) chargePath(op device.Op) time.Duration {
 	d := o.dev.ChargeN(op, o.bucketSize, o.levels)
@@ -475,108 +688,28 @@ func (o *ORAM) chargePath(op device.Op) time.Duration {
 	return d
 }
 
-// readPath stages every valid block on the path to leaf in the stash.
-func (o *ORAM) readPath(leaf uint32) (time.Duration, error) {
-	var total time.Duration
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		o.stats.BucketReads++
-		d, err := o.dev.ReadAt(o.bucketAddr(idx), o.stored)
-		total += d
-		if err != nil {
-			return total, err
-		}
-		ctr := o.counters.Get(uint64(idx))
-		if ctr == 0 {
-			continue // never-written bucket: all slots empty
-		}
-		plain, err := o.openBucket(idx, ctr)
-		if err != nil {
-			return total, err
-		}
-		if err := o.unpackBucket(plain); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// evictPath writes buckets along the path to leaf from the leaf level up,
-// greedily filling each with evictable stash blocks, and ends the access:
-// on every exit the staged blocks no bucket took join the stash's index.
-func (o *ORAM) evictPath(leaf uint32) (time.Duration, error) {
-	defer o.stash.Unstage()
-	var total time.Duration
-	o.stash.BeginEviction(leaf, o.levels)
-	for l := o.levels - 1; l >= 0; l-- {
-		idx := o.bucketIndex(leaf, l)
-		o.packBucket(o.stash.Pick(l, o.cfg.BucketSlots))
-		ctr := o.counters.Get(uint64(idx)) + 1
-		o.counters.Set(uint64(idx), ctr)
-		o.sealBucket(idx, ctr)
-		o.stats.BucketWrite++
-		d, err := o.dev.WriteAt(o.bucketAddr(idx), o.stored)
-		total += d
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// packBucket serializes up to Z blocks into the plaintext bucket image.
-func (o *ORAM) packBucket(blocks []*stash.Block) {
-	plain := o.plain
-	clear(plain) // empty slots and flags read as zero, as in a fresh image
-	for s := 0; s < o.cfg.BucketSlots; s++ {
-		off := s * (slotMetaSize + o.cfg.BlockSize)
-		if s < len(blocks) {
-			b := blocks[s]
-			binary.LittleEndian.PutUint64(plain[off:], b.ID)
-			binary.LittleEndian.PutUint32(plain[off+8:], b.Leaf)
-			plain[off+12] = 1
-			copy(plain[off+slotMetaSize:], b.Data)
-		} else {
-			binary.LittleEndian.PutUint64(plain[off:], invalidBlockID)
-		}
-	}
-}
-
-// unpackBucket stages the valid slots of a plaintext bucket in the stash.
-func (o *ORAM) unpackBucket(plain []byte) error {
-	for s := 0; s < o.cfg.BucketSlots; s++ {
-		off := s * (slotMetaSize + o.cfg.BlockSize)
-		if plain[off+12] != 1 {
-			continue
-		}
-		id := binary.LittleEndian.Uint64(plain[off:])
-		if id == invalidBlockID {
-			continue
-		}
-		blk := o.stash.NewBlock(id, binary.LittleEndian.Uint32(plain[off+8:]), o.cfg.BlockSize)
-		copy(blk.Data, plain[off+slotMetaSize:])
-		if err := o.stash.Stage(blk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // sealBucket turns the packed plaintext image into the stored image:
 // encrypted (if configured) and zero-padded to the stored bucket size.
 func (o *ORAM) sealBucket(idx uint32, ctr uint64) {
-	n := len(o.plain) // without an engine packBucket wrote the stored image's front itself
+	n := len(o.plain) // without an engine writePath packed the stored image's front itself
 	if o.engine != nil {
 		n = len(o.engine.SealTo(o.stored[:0], o.plain, uint64(idx), ctr))
 	}
 	clear(o.stored[n:]) // the padding is stored too; the last bucket's bytes must not ride along
 }
 
-// openBucket returns the plaintext of the stored image just read.
-func (o *ORAM) openBucket(idx uint32, ctr uint64) ([]byte, error) {
-	plainLen := len(o.plain)
+// openPath opens a stored bucket image in place — it lies in o.path —
+// and returns its plaintext, counting the open in the engine's work.
+func (o *ORAM) openPath(stored []byte, idx uint32, ctr uint64) ([]byte, error) {
+	n := len(o.plain)
 	if o.engine == nil {
-		return o.stored[:plainLen], nil
+		return stored[:n], nil
 	}
-	return o.engine.OpenTo(o.plain[:0], o.stored[:tee.SealedSize(plainLen)], uint64(idx), ctr)
+	plain, err := o.opener.Open(stored, stored[:tee.SealedSize(n)], uint64(idx), ctr)
+	if err != nil {
+		o.engine.AddStats(tee.EngineStats{AuthFailures: 1})
+		return nil, err
+	}
+	o.engine.AddStats(tee.EngineStats{GroupsOpened: 1, BytesOpened: uint64(n)})
+	return plain, nil
 }

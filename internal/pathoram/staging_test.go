@@ -14,18 +14,20 @@ import (
 	"repro/internal/tee"
 )
 
-// refAccess is one access the way it ran before path blocks were staged:
-// every block on the path is Put into the stash's index and eviction
-// deletes it again. Kept as the reference model only.
+// refAccess is one access the way it ran before the read–plan–write
+// kernel: every block on the path is Put into the stash's index, and
+// eviction picks each bucket's blocks with stash.BeginEviction/Pick and
+// deletes them again. Kept as the reference model only.
 func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 	o.stats.Accesses++
 	newLeaf := o.randomLeaf()
 	leaf := position.GetSet(o.pos, id, newLeaf)
 	var dur time.Duration
+	stored := make([]byte, o.bucketSize)
 	for l := 0; l < o.levels; l++ {
 		idx := o.bucketIndex(leaf, l)
 		o.stats.BucketReads++
-		d, err := o.dev.ReadAt(o.bucketAddr(idx), o.stored)
+		d, err := o.dev.ReadAt(o.bucketAddr(idx), stored)
 		dur += d
 		if err != nil {
 			return err
@@ -34,9 +36,11 @@ func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 		if ctr == 0 {
 			continue
 		}
-		plain, err := o.openBucket(idx, ctr)
-		if err != nil {
-			return err
+		plain := stored[:o.plainBucketSize()]
+		if o.engine != nil {
+			if plain, err = o.engine.Open(stored[:tee.SealedSize(len(plain))], uint64(idx), ctr); err != nil {
+				return err
+			}
 		}
 		slot := slotMetaSize + o.cfg.BlockSize
 		for s := 0; s < o.cfg.BucketSlots; s++ {
@@ -61,12 +65,51 @@ func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 	}
 	blk.Leaf = newLeaf
 	mutate(blk)
-	d, err := o.evictPath(leaf) // nothing is staged: the eviction of old
+	d, err := refEvict(o, leaf)
 	if err != nil {
 		return err
 	}
 	o.stats.Time += dur + d
 	return nil
+}
+
+// refEvict writes the path to leaf back leaf first, each bucket taking
+// the blocks stash.Pick chooses for it.
+func refEvict(o *ORAM, leaf uint32) (time.Duration, error) {
+	var total time.Duration
+	slot := slotMetaSize + o.cfg.BlockSize
+	plain, stored := make([]byte, o.plainBucketSize()), make([]byte, o.bucketSize)
+	o.stash.BeginEviction(leaf, o.levels)
+	for l := o.levels - 1; l >= 0; l-- {
+		idx := o.bucketIndex(leaf, l)
+		picked := o.stash.Pick(l, o.cfg.BucketSlots)
+		clear(plain)
+		for s := 0; s < o.cfg.BucketSlots; s++ {
+			meta := plain[s*slot:]
+			if s < len(picked) {
+				binary.LittleEndian.PutUint64(meta, picked[s].ID)
+				binary.LittleEndian.PutUint32(meta[8:], picked[s].Leaf)
+				meta[12] = 1
+				copy(meta[slotMetaSize:], picked[s].Data)
+			} else {
+				binary.LittleEndian.PutUint64(meta, invalidBlockID)
+			}
+		}
+		ctr := o.counters.Get(uint64(idx)) + 1
+		o.counters.Set(uint64(idx), ctr)
+		n := copy(stored, plain)
+		if o.engine != nil {
+			n = len(o.engine.SealTo(stored[:0], plain, uint64(idx), ctr))
+		}
+		clear(stored[n:])
+		o.stats.BucketWrite++
+		d, err := o.dev.WriteAt(o.bucketAddr(idx), stored)
+		total += d
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // twinOp is one seeded call, applied to the ORAM under test through its
@@ -136,7 +179,10 @@ func sameState(t *testing.T, step int, got, ref *ORAM, gotDev, refDev *device.Si
 	}
 }
 
-// TestStagedPathMatchesIndexedPath: twin ORAMs over thousands of mixed
+// TestStagedPathMatchesIndexedPath: the access kernel, which keeps the
+// path's blocks where they were read and plans every bucket in one pass,
+// against refAccess, which indexes each block in the stash and picks
+// each bucket by rescanning it. Twin ORAMs over thousands of mixed
 // calls on a tree small enough that paths fill, evictions leave blocks
 // behind, requests hit stash residents and never-written ids keep turning
 // up. After every call the payload, the ORAM snapshot (stash in id order,
@@ -174,7 +220,7 @@ func TestStagedPathMatchesIndexedPath(t *testing.T) {
 }
 
 // TestStagedPathOverflowsWhereIndexedPathDid: with a stash too small for
-// a full path, both fail with stash.ErrOverflow at the same access.
+// a full path, the kernel and refAccess both fail with stash.ErrOverflow at the same access.
 func TestStagedPathOverflowsWhereIndexedPathDid(t *testing.T) {
 	cfg := Config{NumBlocks: 128, BlockSize: 8, BucketSlots: 4, Amplification: 2, StashCapacity: 10, Seed: 31}
 	got, _ := newTestORAM(t, cfg)
@@ -202,7 +248,7 @@ func TestStagedPathOverflowsWhereIndexedPathDid(t *testing.T) {
 
 // TestTamperedBucketLeavesNothingStaged: on a sealed tree a bucket that
 // fails authentication mid-path ends the access with tee.ErrAuthFailed;
-// the blocks staged from the levels above it are handed to the index, so
+// the blocks read from the levels above it join the stash's index, so
 // the stash and every later access are exactly the reference's.
 func TestTamperedBucketLeavesNothingStaged(t *testing.T) {
 	cfg := Config{NumBlocks: 96, BlockSize: 16, BucketSlots: 4, Amplification: 2, Seed: 41, Engine: testEngine()}

@@ -6,9 +6,24 @@
 // FEDORA places the stash in off-chip DRAM (Sec 4.4, Optimization 3),
 // which allows it to be much larger than an on-chip stash; accesses to it
 // must then be data-oblivious (linear scans), whose DRAM traffic the ORAM
-// layers charge to the device model. This package provides the functional
-// container plus occupancy/high-water-mark accounting and overflow
-// detection so property tests can validate the paper's stash-occupancy
+// layers charge to the device model.
+//
+// What the package does:
+//
+//   - It holds the residents between accesses — the blocks no bucket of
+//     the last path written could take — indexed by ID (Put, Get,
+//     Remove, IDs, ForEach), and snapshots them.
+//   - It accounts occupancy, the high-water mark and overflow, including
+//     for blocks an access holds outside it: the Path ORAM keeps the
+//     blocks of the path it read where they lie and only Reserves room
+//     for them, so the counts move exactly as if each had been Put.
+//   - It plans a greedy eviction over its residents (BeginEviction,
+//     Pick) for the RAW ORAM and Ring ORAM, which read a path's blocks
+//     into it. The Path ORAM plans its own path in one pass and makes the
+//     same choice.
+//   - It recycles blocks and their payloads (NewBlock, Recycle).
+//
+// Property tests use the counts to validate the paper's stash-occupancy
 // arguments (Sec 4.4, privacy analysis).
 package stash
 
@@ -29,8 +44,6 @@ type Block struct {
 	ID   uint64
 	Leaf uint32 // currently assigned path
 	Data []byte // payload; nil in phantom (accounting-only) mode
-
-	staged bool // resident through Stash.staged, not the index
 }
 
 // Stash holds up to capacity blocks.
@@ -38,13 +51,6 @@ type Stash struct {
 	capacity int
 	blocks   map[uint64]*Block
 	peak     int // high-water mark
-
-	// staged holds the blocks of the path an access is reading (Stage):
-	// resident, but not in the blocks index, because eviction writes
-	// almost all of them straight back. Unstage empties it; entries whose
-	// staged flag has dropped were picked or replaced and are skipped.
-	staged  []*Block
-	nStaged int // staged entries still resident
 
 	// Eviction planner state (BeginEviction/Pick): the blocks still to be
 	// placed in ascending-ID order, the path being written, and the last
@@ -54,8 +60,9 @@ type Stash struct {
 	picked      []*Block
 	evictLeaf   uint32
 	evictLevels int
-	// free holds blocks Pick handed out and the caller has since packed
-	// into a bucket; NewBlock reuses them and their Data.
+	// free holds blocks NewBlock may reuse, with their Data: those Pick
+	// handed out and the caller has since packed into a bucket, and those
+	// handed back through Recycle.
 	free []*Block
 }
 
@@ -73,7 +80,7 @@ func (s *Stash) Put(b *Block) error {
 		return errors.New("stash: nil block")
 	}
 	if _, exists := s.blocks[b.ID]; !exists && s.capacity > 0 && len(s.blocks) >= s.capacity {
-		return fmt.Errorf("%w: capacity %d", ErrOverflow, s.capacity)
+		return s.overflow()
 	}
 	s.blocks[b.ID] = b
 	if len(s.blocks) > s.peak {
@@ -82,56 +89,27 @@ func (s *Stash) Put(b *Block) error {
 	return nil
 }
 
-// Get returns the block with the given ID, or nil.
-func (s *Stash) Get(id uint64) *Block {
-	for _, b := range s.staged {
-		if b.ID == id && b.staged {
-			return b
-		}
+// Reserve accounts n blocks an access in flight holds outside the
+// stash — blocks read off a path that eviction will mostly write
+// straight back — as if they had been Put: it fails with ErrOverflow
+// when Len()+n exceeds the capacity, and otherwise raises the
+// high-water mark to Len()+n. The caller reserves n+1 before taking on
+// its next block and Puts the blocks no bucket took when the access
+// ends, which then never overflows.
+func (s *Stash) Reserve(n int) error {
+	m := len(s.blocks) + n
+	if s.capacity > 0 && m > s.capacity {
+		return s.overflow()
 	}
-	return s.blocks[id]
-}
-
-// Stage makes b resident for the access in progress without indexing it:
-// occupancy, the high-water mark and the overflow check move exactly as
-// Put would move them, Get finds b by scanning the staged blocks (a
-// path's worth), and BeginEviction/Pick place it like any resident. The
-// caller stages each ID at most once between Unstages — a path holds a
-// block once — and calls Unstage when the access ends, on every exit;
-// Snapshot, IDs, ForEach and Remove see indexed blocks only.
-func (s *Stash) Stage(b *Block) error {
-	if _, exists := s.blocks[b.ID]; exists {
-		// Only after an access failed between reading a path and writing
-		// it back: the block is resident and on the tree. Replace it, as
-		// Put does. (The index is empty almost always, and a lookup in an
-		// empty map returns at once.)
-		s.blocks[b.ID] = b
-		return nil
-	}
-	if s.capacity > 0 && s.Len() >= s.capacity {
-		return fmt.Errorf("%w: capacity %d", ErrOverflow, s.capacity)
-	}
-	b.staged = true
-	s.staged = append(s.staged, b)
-	s.nStaged++
-	if n := s.Len(); n > s.peak {
-		s.peak = n
-	}
+	s.peak = max(s.peak, m)
 	return nil
 }
 
-// Unstage ends an access: the staged blocks no bucket took become
-// ordinary indexed residents.
-func (s *Stash) Unstage() {
-	for _, b := range s.staged {
-		if b.staged {
-			b.staged = false
-			s.blocks[b.ID] = b
-		}
-	}
-	s.staged = s.staged[:0]
-	s.nStaged = 0
-}
+// overflow is the error an insert past the capacity returns.
+func (s *Stash) overflow() error { return fmt.Errorf("%w: capacity %d", ErrOverflow, s.capacity) }
+
+// Get returns the block with the given ID, or nil.
+func (s *Stash) Get(id uint64) *Block { return s.blocks[id] }
 
 // Remove deletes and returns the block with the given ID, or nil.
 func (s *Stash) Remove(id uint64) *Block {
@@ -141,7 +119,7 @@ func (s *Stash) Remove(id uint64) *Block {
 }
 
 // Len returns the current occupancy.
-func (s *Stash) Len() int { return len(s.blocks) + s.nStaged }
+func (s *Stash) Len() int { return len(s.blocks) }
 
 // Peak returns the high-water mark since creation.
 func (s *Stash) Peak() int { return s.peak }
@@ -150,8 +128,8 @@ func (s *Stash) Peak() int { return s.peak }
 func (s *Stash) Capacity() int { return s.capacity }
 
 // NewBlock returns a block with the given identity and len(Data) == n,
-// contents unspecified, reusing one that eviction has released when it
-// can. The block is not resident until Put.
+// contents unspecified, reusing a released or recycled one when it can.
+// The block is not resident until Put.
 func (s *Stash) NewBlock(id uint64, leaf uint32, n int) *Block {
 	var b *Block
 	if k := len(s.free); k > 0 {
@@ -167,22 +145,20 @@ func (s *Stash) NewBlock(id uint64, leaf uint32, n int) *Block {
 	return b
 }
 
+// Recycle hands b back for NewBlock to reuse. b must not be resident
+// (never Put, or Removed) and the caller gives up b and its Data.
+func (s *Stash) Recycle(b *Block) { s.free = append(s.free, b) }
+
 // BeginEviction starts the greedy Path ORAM eviction along the path to
 // leaf in a tree with treeLevels levels (root = level 0): it orders the
-// resident blocks — indexed and staged — by ID once, so the Pick calls
-// that follow — one per bucket written, deepest level first — need no
-// further sorting. Blocks Put or staged after BeginEviction are not seen
-// by Pick.
+// resident blocks by ID once, so the Pick calls that follow — one per
+// bucket written, deepest level first — need no further sorting. Blocks
+// Put after BeginEviction are not seen by Pick.
 func (s *Stash) BeginEviction(leaf uint32, treeLevels int) {
 	s.release()
 	s.order = s.order[:0]
 	for _, b := range s.blocks {
 		s.order = append(s.order, b)
-	}
-	for _, b := range s.staged {
-		if b.staged {
-			s.order = append(s.order, b)
-		}
 	}
 	slices.SortFunc(s.order, func(a, b *Block) int { return cmp.Compare(a.ID, b.ID) })
 	s.evictLeaf, s.evictLevels = leaf, treeLevels
@@ -205,12 +181,7 @@ func (s *Stash) Pick(level, max int) []*Block {
 	for _, b := range s.order {
 		if len(s.picked) < max && b.Leaf>>shift == want {
 			s.picked = append(s.picked, b)
-			if b.staged {
-				b.staged = false
-				s.nStaged--
-			} else {
-				delete(s.blocks, b.ID)
-			}
+			delete(s.blocks, b.ID)
 		} else {
 			rest = append(rest, b)
 		}

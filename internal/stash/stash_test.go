@@ -200,6 +200,10 @@ func TestNewBlockRecyclesPicked(t *testing.T) {
 	if n := s.NewBlock(5, 0, 8); n == removed {
 		t.Fatal("a Removed block was recycled")
 	}
+	s.Recycle(removed) // handed back explicitly: reused next
+	if n := s.NewBlock(6, 1, 8); n != removed || n.ID != 6 || n.Leaf != 1 {
+		t.Fatalf("recycled block not reused: %+v", n)
+	}
 }
 
 func TestForEachAndIDs(t *testing.T) {
@@ -229,12 +233,14 @@ func TestScanBytes(t *testing.T) {
 	}
 }
 
-// TestStageMatchesPut: random accesses — a path's worth of new blocks in,
-// a leaf→root eviction, the leftovers kept — through Stage/Unstage on one
-// stash and through Put on its twin. Occupancy, high-water mark, overflow
-// (at the same block), every Get, every Pick and the blocks left resident
-// agree; the staged path is a cheaper route to the same stash.
-func TestStageMatchesPut(t *testing.T) {
+// TestReserveMatchesPut: random accesses — a path's worth of new blocks
+// in, a leaf→root eviction, the leftovers kept — on one stash holding
+// each new block outside it under Reserve (as the Path ORAM access does,
+// putting them all in before its eviction here) and on its twin through
+// Put. Occupancy, high-water mark, overflow (at the same block), every
+// Get, every Pick and the blocks left resident agree; holding the path
+// outside the stash is a cheaper route to the same stash.
+func TestReserveMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		levels := 2 + rng.Intn(6)
@@ -248,6 +254,7 @@ func TestStageMatchesPut(t *testing.T) {
 		nextID := uint64(0)
 		for access := 0; access < 30; access++ {
 			overflowed := false
+			var held []*Block
 			indexed := ref.IDs() // resident before this access
 			for n := rng.Intn(levels*max + 1); n > 0 && !overflowed; n-- {
 				id, leaf := nextID, uint32(rng.Intn(int(leaves)))
@@ -257,18 +264,34 @@ func TestStageMatchesPut(t *testing.T) {
 					// it both resident and on the tree): replaced, not added.
 					id, indexed = indexed[0], indexed[1:]
 				}
-				errGot := got.Stage(&Block{ID: id, Leaf: leaf})
+				var errGot error
+				if b := got.Get(id); b != nil {
+					b.Leaf = leaf
+				} else if errGot = got.Reserve(len(held) + 1); errGot == nil {
+					held = append(held, &Block{ID: id, Leaf: leaf})
+				}
 				errRef := ref.Put(&Block{ID: id, Leaf: leaf})
 				if errors.Is(errGot, ErrOverflow) != errors.Is(errRef, ErrOverflow) {
-					t.Fatalf("trial %d access %d: Stage err %v, Put err %v", trial, access, errGot, errRef)
+					t.Fatalf("trial %d access %d: Reserve err %v, Put err %v", trial, access, errGot, errRef)
 				}
 				overflowed = errRef != nil
-				if got.Len() != ref.Len() || got.Peak() != ref.Peak() {
-					t.Fatalf("trial %d access %d: Len/Peak %d/%d, Put twin %d/%d",
-						trial, access, got.Len(), got.Peak(), ref.Len(), ref.Peak())
+				if got.Len()+len(held) != ref.Len() || got.Peak() != ref.Peak() {
+					t.Fatalf("trial %d access %d: Len+held/Peak %d/%d, Put twin %d/%d",
+						trial, access, got.Len()+len(held), got.Peak(), ref.Len(), ref.Peak())
 				}
-				if g, r := got.Get(id), ref.Get(id); (g == nil) != (r == nil) || (g != nil && g.Leaf != r.Leaf) {
+				g := got.Get(id)
+				for _, b := range held {
+					if b.ID == id {
+						g = b
+					}
+				}
+				if r := ref.Get(id); (g == nil) != (r == nil) || (g != nil && g.Leaf != r.Leaf) {
 					t.Fatalf("trial %d access %d: Get(%d) = %+v, Put twin %+v", trial, access, id, g, r)
+				}
+			}
+			for _, b := range held {
+				if err := got.Put(b); err != nil {
+					t.Fatalf("trial %d access %d: putting a reserved block: %v", trial, access, err)
 				}
 			}
 			if !overflowed { // a failed access skips eviction, as pathoram does
@@ -290,41 +313,44 @@ func TestStageMatchesPut(t *testing.T) {
 					}
 				}
 			}
-			got.Unstage()
-			if got.Len() != ref.Len() || !slices.Equal(got.IDs(), ref.IDs()) {
+			if got.Len() != ref.Len() || got.Peak() != ref.Peak() || !slices.Equal(got.IDs(), ref.IDs()) {
 				t.Fatalf("trial %d access %d: left %v, Put twin %v", trial, access, got.IDs(), ref.IDs())
 			}
 		}
 	}
 }
 
-// TestStagedBlocksAreNotIndexedUntilUnstage pins the lifetime: between
-// Stage and Unstage a block is resident (Get, Len) but outside the index
-// (IDs, Snapshot); a picked one never enters it.
-func TestStagedBlocksAreNotIndexedUntilUnstage(t *testing.T) {
-	s := New(0)
+// TestReservedBlocksAreNotResident pins the lifetime: a reservation
+// counts toward the high-water mark and the overflow check but makes
+// nothing resident (Len, Get, IDs); it does not accumulate; and the
+// reserved blocks, once Put, never overflow.
+func TestReservedBlocksAreNotResident(t *testing.T) {
+	s := New(4)
 	_ = s.Put(&Block{ID: 1, Leaf: 0})
-	_ = s.Stage(&Block{ID: 2, Leaf: 0})
-	_ = s.Stage(&Block{ID: 3, Leaf: 1})
-	if s.Len() != 3 || s.Get(2) == nil || s.Get(3) == nil {
-		t.Fatalf("staged blocks not resident: Len=%d", s.Len())
+	if err := s.Reserve(2); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 || s.Peak() != 3 || s.Get(2) != nil {
+		t.Fatalf("after Reserve(2): Len=%d Peak=%d, want 1 and 3", s.Len(), s.Peak())
 	}
 	if ids := s.IDs(); !slices.Equal(ids, []uint64{1}) {
-		t.Fatalf("index holds %v while blocks are staged, want [1]", ids)
+		t.Fatalf("index holds %v while blocks are reserved, want [1]", ids)
 	}
-	s.BeginEviction(0, 2)
-	if picked := s.Pick(1, 4); len(picked) != 2 || picked[0].ID != 1 || picked[1].ID != 2 {
-		t.Fatalf("leaf-level pick = %+v, want blocks 1 and 2", picked)
+	if err := s.Reserve(2); err != nil || s.Peak() != 3 {
+		t.Fatalf("a second Reserve(2): err %v, Peak %d; want nil and 3", err, s.Peak())
 	}
-	if s.Get(2) != nil || s.Len() != 1 {
-		t.Fatalf("a picked staged block is still resident: Len=%d", s.Len())
+	if err := s.Reserve(3); err != nil || s.Peak() != 4 {
+		t.Fatalf("Reserve to capacity: err %v, Peak %d; want nil and 4", err, s.Peak())
 	}
-	s.Unstage()
-	if ids := s.IDs(); !slices.Equal(ids, []uint64{3}) || s.Len() != 1 || s.Get(3) == nil {
-		t.Fatalf("after Unstage the index holds %v, want the leftover [3]", ids)
+	if err := s.Reserve(4); !errors.Is(err, ErrOverflow) || s.Peak() != 4 {
+		t.Fatalf("Reserve past capacity: err %v, Peak %d; want ErrOverflow and 4", err, s.Peak())
 	}
-	s.Unstage() // idempotent
-	if s.Len() != 1 {
-		t.Fatalf("second Unstage changed Len to %d", s.Len())
+	for id := uint64(2); id <= 4; id++ {
+		if err := s.Put(&Block{ID: id}); err != nil {
+			t.Fatalf("putting reserved block %d: %v", id, err)
+		}
+	}
+	if s.Len() != 4 || s.Peak() != 4 {
+		t.Fatalf("after the Puts: Len=%d Peak=%d, want 4/4", s.Len(), s.Peak())
 	}
 }
