@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -310,5 +311,50 @@ func TestTamperedBucketLeavesNothingStaged(t *testing.T) {
 			t.Fatalf("step %d after the failed access: read %x, reference %x", step, a, b)
 		}
 		sameState(t, step, got, ref, gotDev, refDev)
+	}
+}
+
+// TestPlanMatchesPick: over random entry sets — up to 150 blocks with
+// distinct ids, so pools grow large near the root — random eviction
+// leaves, tree depths and bucket sizes, plan puts exactly the blocks, in
+// exactly the slot order, that stash.BeginEviction/Pick choose for each
+// level, and leaves exactly the rest unplaced.
+func TestPlanMatchesPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		z := 1 + rng.Intn(5)
+		o, _ := newTestORAM(t, Config{NumBlocks: uint64(2 + rng.Intn(3000)), BlockSize: 1, BucketSlots: z, Amplification: 2})
+		ref := stash.New(0)
+		o.entries = o.entries[:0]
+		for _, id := range rng.Perm(400)[:rng.Intn(151)] {
+			leaf := uint32(rng.Intn(int(o.leaves)))
+			o.entries = append(o.entries, entry{id: uint64(id), leaf: leaf, level: -1})
+			_ = ref.Put(&stash.Block{ID: uint64(id), Leaf: leaf})
+		}
+		leaf := uint32(rng.Intn(int(o.leaves)))
+		o.plan(leaf)
+		ref.BeginEviction(leaf, o.levels)
+		for l := o.levels - 1; l >= 0; l-- {
+			want := ref.Pick(l, z)
+			got := o.placed[l*z:][:o.nPlaced[l]]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d level %d: planned %d blocks, Pick %d", trial, l, len(got), len(want))
+			}
+			for s, i := range got {
+				if e := o.entries[i]; e.id != want[s].ID || e.level != int32(l) {
+					t.Fatalf("trial %d level %d slot %d: planned %d (level %d), Pick %d", trial, l, s, e.id, e.level, want[s].ID)
+				}
+			}
+		}
+		var left []uint64
+		for _, e := range o.entries {
+			if e.level < 0 {
+				left = append(left, e.id)
+			}
+		}
+		slices.Sort(left)
+		if !slices.Equal(left, ref.IDs()) {
+			t.Fatalf("trial %d: left %v unplaced, Pick left %v", trial, left, ref.IDs())
+		}
 	}
 }
