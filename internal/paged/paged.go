@@ -8,8 +8,9 @@
 // Invariants callers rely on:
 //
 //   - Nothing is sized from the index space. A Table over a 2^62-byte
-//     device costs memory for the leaves it has written and nothing else;
-//     a write at index 2^50 allocates one leaf.
+//     device costs memory for the leaves it has written and, if any lies
+//     below index 2^21, a directory of at most 4 096 pointers up to the
+//     highest of those; a write at index 2^50 allocates one leaf.
 //   - Nothing is allocated until the first write of a non-zero value (the
 //     zero Table is ready to use), so constructors stay free.
 //   - The zero value of T means "absent". Callers that must store a
@@ -23,16 +24,25 @@ import "slices"
 const (
 	leafBits = 9
 	leafLen  = 1 << leafBits
+	// lowKeys bounds the directory of low leaves: a leaf below it is
+	// found by indexing a slice (at most 32 KB of pointers, grown to the
+	// highest low leaf written) instead of by hashing its key.
+	lowKeys = 1 << 12
 )
 
 // Table is a sparse array of T indexed by uint64. It is not safe for
 // concurrent use, reads included: Get moves the leaf memo.
 type Table[T comparable] struct {
 	leaves map[uint64]*[leafLen]T // by index >> leafBits
-	// The leaves of the last two lookups, most recent first: a chunk's
-	// pages and neighbouring ids mostly fall in the leaf just used, and a
-	// tree path alternates between the leaf holding the levels near the
-	// root and one holding the levels near the leaves.
+	// low mirrors leaves for keys below lowKeys, by key: a buffer ORAM's
+	// bucket counters, its DRAM pages and its block ids all lie there,
+	// and a path's deeper levels fall in a different leaf each access.
+	low []*[leafLen]T
+	// Above the directory, the leaves of the last two lookups, most
+	// recent first: a chunk's pages and neighbouring ids mostly fall in
+	// the leaf just used, and a tree path alternates between the leaf
+	// holding the levels near the root and one holding the levels near
+	// the leaves.
 	memo [2]memoLeaf[T]
 	n    int // present entries
 }
@@ -46,6 +56,12 @@ type memoLeaf[T comparable] struct {
 // leaf returns the leaf holding index i, or nil if none was written.
 func (t *Table[T]) leaf(i uint64) *[leafLen]T {
 	key := i >> leafBits
+	if key < lowKeys {
+		if key < uint64(len(t.low)) {
+			return t.low[key]
+		}
+		return nil
+	}
 	if m := t.memo[0]; m.leaf != nil && m.key == key {
 		return m.leaf
 	}
@@ -86,8 +102,16 @@ func (t *Table[T]) Set(i uint64, v T) {
 		if t.leaves == nil {
 			t.leaves = make(map[uint64]*[leafLen]T)
 		}
-		t.leaves[i>>leafBits] = l
-		t.remember(i>>leafBits, l)
+		key := i >> leafBits
+		t.leaves[key] = l
+		if key < lowKeys {
+			if key >= uint64(len(t.low)) {
+				t.low = slices.Grow(t.low, int(key)+1-len(t.low))[:key+1]
+			}
+			t.low[key] = l
+		} else {
+			t.remember(key, l)
+		}
 	}
 	slot := &l[i&(leafLen-1)]
 	switch {

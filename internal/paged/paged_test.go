@@ -92,3 +92,33 @@ func TestMemoryFollowsTouchedLeaves(t *testing.T) {
 		t.Error("far-apart entries read back wrong")
 	}
 }
+
+// TestDirectoryBoundary: leaves just below and just above the directory's
+// bound, written out of order, read back, stay absent where unwritten
+// (inside the directory, past its end, and above it), and Range still
+// visits them in index order.
+func TestDirectoryBoundary(t *testing.T) {
+	var tab Table[uint32]
+	below, above := uint64(lowKeys*leafLen-1), uint64(lowKeys*leafLen)
+	tab.Set(above, 3)
+	tab.Set(below, 2)
+	tab.Set(5*leafLen, 1)
+	if len(tab.low) != lowKeys || len(tab.leaves) != 3 {
+		t.Fatalf("directory %d leaves long, map %d leaves; want %d and 3", len(tab.low), len(tab.leaves), lowKeys)
+	}
+	for idx, want := range map[uint64]uint32{below: 2, above: 3, 5 * leafLen: 1, 4 * leafLen: 0, below - leafLen: 0, above + leafLen: 0} {
+		if got := tab.Get(idx); got != want {
+			t.Errorf("Get(%d) = %d, want %d", idx, got, want)
+		}
+	}
+	var short Table[uint32]
+	short.Set(leafLen, 1)
+	if short.Get(7*leafLen) != 0 || len(short.low) != 2 {
+		t.Errorf("a read past the directory's end: Get = %d, directory %d long", short.Get(7*leafLen), len(short.low))
+	}
+	var got []uint64
+	tab.Range(func(idx uint64, _ uint32) { got = append(got, idx) })
+	if !slices.Equal(got, []uint64{5 * leafLen, below, above}) {
+		t.Errorf("Range visited %v", got)
+	}
+}
