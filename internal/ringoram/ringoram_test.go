@@ -2,7 +2,11 @@ package ringoram
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -219,5 +223,72 @@ func TestWritesOnlyOnReshuffleOrEviction(t *testing.T) {
 	}
 	if w := dev.Stats().Writes; w != 0 {
 		t.Errorf("reads caused %d device writes", w)
+	}
+}
+
+// goldenSHA pins a Ring ORAM after a seeded workload of reads and writes
+// with early reshuffles and scheduled evictions, plain and sealed: every
+// payload read, the device image and counters, the DRAM counters, the
+// stash (ids, leaves, payloads and high-water mark), every bucket's
+// metadata and the event counters. Recorded before the Ring ORAM evicted
+// through the stash's one-pass planner.
+var goldenSHA = map[bool]string{
+	false: "3325788014f37e27377c828f96230ab65b84c579f47aade08eb33af9401978aa",
+	true:  "72397b58e00045ef34d40cd4202ad988b17ffeabeccae6ccf0d2c862db41fc37",
+}
+
+func TestGoldenWorkload(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		cfg := Config{NumBlocks: 200, BlockSize: 16, RealSlots: 4, DummySlots: 2, EvictPeriod: 3, Seed: 23}
+		if sealed {
+			cfg.Engine = testEngine()
+		}
+		o, dev, dram := newTestORAM(t, cfg)
+		rng := rand.New(rand.NewSource(23))
+		h := sha256.New()
+		for i := 0; i < 4000; i++ {
+			id := uint64(rng.Intn(200))
+			if rng.Intn(2) == 0 {
+				data := make([]byte, 16)
+				rng.Read(data)
+				if _, err := o.Write(id, data); err != nil {
+					t.Fatalf("sealed=%v step %d: %v", sealed, i, err)
+				}
+			} else {
+				got, _, err := o.Read(id)
+				if err != nil {
+					t.Fatalf("sealed=%v step %d: %v", sealed, i, err)
+				}
+				h.Write(got)
+			}
+		}
+		st := o.Stats()
+		if st.EarlyReshuffles == 0 || st.Evictions == 0 || o.StashPeak() == 0 {
+			t.Fatalf("sealed=%v: the workload did not exercise eviction: %+v, peak %d", sealed, st, o.StashPeak())
+		}
+		devSnap, err := dev.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stashSnap, err := o.stash.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{devSnap, stashSnap} {
+			fmt.Fprintf(h, "%d:", len(b))
+			h.Write(b)
+		}
+		idxs := make([]uint32, 0, len(o.meta))
+		for idx := range o.meta {
+			idxs = append(idxs, idx)
+		}
+		slices.Sort(idxs)
+		for _, idx := range idxs {
+			fmt.Fprintf(h, "%d:%+v;", idx, *o.meta[idx])
+		}
+		fmt.Fprintf(h, "%+v%+v%d", st, dram.Stats(), o.evictCount)
+		if got := hex.EncodeToString(h.Sum(nil)); got != goldenSHA[sealed] {
+			t.Errorf("sealed=%v: sha256 = %s, want %s", sealed, got, goldenSHA[sealed])
+		}
 	}
 }
