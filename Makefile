@@ -16,10 +16,11 @@ all: build test
 # suites cover a staged round's stage → kick → adopt order over HTTP and
 # through the trainer; the main-ORAM and storage suites run the split
 # read's one-worker case and the file's unlocked bucket reads),
-# a short pass of the nine fuzzers (checkpoint, WAL, aggregator,
+# a short pass of the ten fuzzers (checkpoint, WAL, aggregator,
 # sparse upload, row frame, controller snapshot container, coordinator
 # WAL, the memory-encryption engine's authenticated open, and the Path
-# ORAM access under snapshots and injected faults), and the bench/
+# ORAM access and the main ORAM's operations under snapshots and
+# injected faults), and the bench/
 # module's own vet and tests. ~8 min on 2 vCPUs.
 check:
 	$(GO) vet ./...
@@ -36,6 +37,7 @@ check:
 	$(GO) test -run=Fuzz -fuzz=FuzzRoundLog -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=Fuzz -fuzz=FuzzOpen -fuzztime=10s ./internal/tee/
 	$(GO) test -run=Fuzz -fuzz=FuzzPathORAM -fuzztime=10s ./internal/pathoram/
+	$(GO) test -run=Fuzz -fuzz=FuzzRAWORAM -fuzztime=10s ./internal/raworam/
 	$(MAKE) bench-check
 
 build:

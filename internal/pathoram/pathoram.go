@@ -33,9 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/device"
@@ -168,21 +166,12 @@ type ORAM struct {
 	plain  []byte
 	packed int
 
-	// The access in flight (see access), reused by every access: the
-	// path's stored buckets, root first, each opened in place (levels ×
-	// bucketSize bytes); each level's write counter as read; the entries;
-	// and the planner's scratch — the entries listed by depth (heads by
-	// level, next by entry), the candidate pool, and each level's placed
-	// entries (Z per level) and their count.
-	path    []byte
-	ctrs    []uint64
-	entries []entry
-	heads   []int32
-	next    []int32
-	pool    []int32
-	placed  []int32
-	nPlaced []int
-	opener  tee.Opener
+	// The path of the access in flight (see access), reused by every
+	// access: its stored buckets, root first, each opened in place
+	// (levels × bucketSize bytes), and each level's write counter as read.
+	path   []byte
+	ctrs   []uint64
+	opener tee.Opener
 
 	stats Stats
 }
@@ -242,9 +231,6 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		o.packed = cfg.BucketSlots
 		o.path = make([]byte, levels*o.bucketSize)
 		o.ctrs = make([]uint64, levels)
-		o.heads = make([]int32, levels)
-		o.placed = make([]int32, levels*cfg.BucketSlots)
-		o.nPlaced = make([]int, levels)
 	}
 	if need := cfg.BaseAddr + o.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("pathoram: device capacity %d < required %d", dev.Capacity(), need)
@@ -350,10 +336,10 @@ func (o *ORAM) Update(id uint64, fn func(data []byte)) (time.Duration, error) {
 // access is the one access every operation runs. It remaps block id to
 // a fresh random leaf, reads the path id was on into o.path and opens it
 // there (readPath), and lets fn mutate the block's bytes where they lie
-// — or, without fn, serves op on them. It then plans which entry each
-// bucket of the path takes (plan), writes the path back leaf first
-// (writePath), and turns the entries no bucket took into stash blocks
-// (settle) — on a failure too: what the access held stays in the stash.
+// — or, without fn, serves op on them. The stash then plans which entry
+// each bucket of the path takes, writePath writes the path back leaf
+// first, and the stash settles the entries no bucket took — on a failure
+// too: what the access held stays in the stash.
 func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, time.Duration, error) {
 	if id >= o.cfg.NumBlocks {
 		return nil, 0, fmt.Errorf("pathoram: block %d out of range %d", id, o.cfg.NumBlocks)
@@ -375,59 +361,38 @@ func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, t
 	leaf := position.GetSet(o.pos, id, newLeaf)
 	dur, target, err := o.readPath(id, leaf)
 	if err != nil {
-		return nil, dur, o.settle(0, err)
+		return nil, dur, o.stash.Settle(0, err)
 	}
-	t := &o.entries[target]
-	t.leaf = newLeaf
+	t := &o.stash.Entries()[target]
+	t.Leaf = newLeaf
 	switch {
 	case fn != nil:
-		fn(t.data)
+		fn(t.Data)
 	case op == OpWrite:
-		copy(t.data, data)
+		copy(t.Data, data)
 	default:
-		out = append([]byte(nil), t.data...)
+		out = append([]byte(nil), t.Data...)
 	}
-	o.plan(leaf)
+	o.stash.Plan(leaf, o.levels, o.levels-1, o.cfg.BucketSlots)
 	d, written, err := o.writePath(leaf)
 	dur += d
-	if err = o.settle(written, err); err != nil {
+	if err = o.stash.Settle(written, err); err != nil {
 		return nil, dur, err
 	}
 	o.stats.Time += dur
 	return out, dur, nil
 }
 
-// entry is one block taking part in the access in flight: a valid slot of
-// the path just read, a stash resident, or the target made fresh because
-// it was in neither.
-type entry struct {
-	id   uint64
-	leaf uint32
-	// level is the bucket of the path plan put the entry in, or -1 for
-	// none: it stays in (or joins) the stash.
-	level int32
-	// data is the block's bytes. For a slot of the path they lie in
-	// o.path, where fn mutates them and writePath copies them from; blk
-	// is nil. Otherwise blk owns them: a stash resident when resident is
-	// set, else a block the access made and has not Put.
-	data     []byte
-	blk      *stash.Block
-	resident bool
-}
-
 // readPath reads the buckets of the path to leaf into o.path, root first,
 // recording each one's write counter in o.ctrs, and opens each in place.
-// Every valid slot becomes an entry whose bytes stay where they lie; the
-// stash's residents follow as entries of their own; and if block id was
-// in neither, a fresh block made for it is the last. It returns the
-// target's index in o.entries. A slot whose block the stash already holds
-// — only after an access failed between reading a path and writing it
-// back — refreshes that resident instead. Room for each slot's block is
-// Reserved in the stash before it is taken on, so a path that does not
-// fit fails with stash.ErrOverflow exactly where putting each block into
-// the stash would have.
+// Every valid slot is Taken into the stash's eviction with its bytes
+// where they lie; the residents join it; and if block id was in neither,
+// a fresh block made for it is Held last. It returns the target's index
+// in the stash's Entries. A slot whose block the stash already holds —
+// only after an access failed between reading a path and writing it
+// back — refreshes that resident instead.
 func (o *ORAM) readPath(id uint64, leaf uint32) (time.Duration, int, error) {
-	o.entries = o.entries[:0]
+	o.stash.Begin()
 	var dur time.Duration
 	target := -1
 	indexed := o.stash.Len() > 0
@@ -467,80 +432,32 @@ func (o *ORAM) readPath(id uint64, leaf uint32) (time.Duration, int, error) {
 					continue
 				}
 			}
-			if err := o.stash.Reserve(len(o.entries) + 1); err != nil {
+			if err := o.stash.Take(bid, bleaf, meta[slotMetaSize:]); err != nil {
 				return dur, target, err
 			}
 			if bid == id && target < 0 {
-				target = len(o.entries)
+				target = len(o.stash.Entries()) - 1
 			}
-			o.entries = append(o.entries, entry{id: bid, leaf: bleaf, level: -1, data: meta[slotMetaSize:]})
 		}
 	}
-	held := len(o.entries)
 	if indexed {
-		o.stash.ForEach(func(b *stash.Block) {
-			if b.ID == id {
-				target = len(o.entries)
+		held := len(o.stash.Entries())
+		o.stash.JoinResidents()
+		for i, e := range o.stash.Entries()[held:] {
+			if e.ID == id {
+				target = held + i
 			}
-			o.entries = append(o.entries, entry{id: b.ID, leaf: b.Leaf, level: -1, data: b.Data, blk: b, resident: true})
-		})
+		}
 	}
 	if target < 0 {
-		if err := o.stash.Reserve(held + 1); err != nil {
+		b := o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+		if err := o.stash.Hold(b); err != nil {
 			return dur, target, err
 		}
-		b := o.stash.NewBlock(id, 0, o.cfg.BlockSize)
 		o.initBlock(b.Data, id)
-		target = len(o.entries)
-		o.entries = append(o.entries, entry{id: id, level: -1, data: b.Data, blk: b})
+		target = len(o.stash.Entries()) - 1
 	}
 	return dur, target, nil
-}
-
-// plan assigns every entry the bucket of the path to leaf it is written
-// into, or none. An entry may lie as deep as the path to its own leaf
-// follows this one; walking the path leaf first, each bucket takes the Z
-// lowest IDs among the entries that may lie that deep and no deeper
-// bucket took — the choice stash.BeginEviction/Pick make, found by
-// listing the entries by depth and keeping the candidates in a small
-// ID-sorted pool instead of sorting everything and rescanning per level.
-func (o *ORAM) plan(leaf uint32) {
-	top := o.levels - 1
-	n := len(o.entries)
-	for d := range o.heads {
-		o.heads[d] = -1
-	}
-	o.next = slices.Grow(o.next[:0], n)[:n]
-	for i := n - 1; i >= 0; i-- {
-		d := top - bits.Len32(o.entries[i].leaf^leaf)
-		o.next[i], o.heads[d] = o.heads[d], int32(i)
-	}
-	// The pool is in descending ID order: a bucket takes from its end.
-	z := o.cfg.BucketSlots
-	pool := o.pool[:0]
-	for l := top; l >= 0; l-- {
-		for i := o.heads[l]; i >= 0; i = o.next[i] {
-			id := o.entries[i].id
-			j := len(pool)
-			pool = append(pool, i)
-			for ; j > 0 && o.entries[pool[j-1]].id < id; j-- {
-				pool[j] = pool[j-1]
-			}
-			pool[j] = i
-		}
-		k := min(z, len(pool))
-		for s := 0; s < k; s++ {
-			i := pool[len(pool)-1-s]
-			o.placed[l*z+s] = i
-			o.entries[i].level = int32(l)
-		}
-		o.nPlaced[l] = k
-		pool = pool[:len(pool)-k]
-	}
-	for _, i := range pool {
-		o.entries[i].level = -1
-	}
-	o.pool = pool
 }
 
 // writePath packs, seals and writes the planned buckets of the path to
@@ -550,23 +467,24 @@ func (o *ORAM) plan(leaf uint32) {
 func (o *ORAM) writePath(leaf uint32) (time.Duration, int, error) {
 	var dur time.Duration
 	slot := slotMetaSize + o.cfg.BlockSize
+	entries := o.stash.Entries()
 	for l := o.levels - 1; l >= 0; l-- {
 		idx := o.bucketIndex(leaf, l)
-		placed := o.placed[l*o.cfg.BucketSlots:][:o.nPlaced[l]]
-		for s, i := range placed {
-			e := &o.entries[i]
+		bucket := o.stash.Bucket(l)
+		for s, i := range bucket {
+			e := &entries[i]
 			meta := o.plain[s*slot : (s+1)*slot]
-			binary.LittleEndian.PutUint64(meta, e.id)
-			binary.LittleEndian.PutUint32(meta[8:], e.leaf)
+			binary.LittleEndian.PutUint64(meta, e.ID)
+			binary.LittleEndian.PutUint32(meta[8:], e.Leaf)
 			meta[12] = 1
-			copy(meta[slotMetaSize:], e.data)
+			copy(meta[slotMetaSize:], e.Data)
 		}
-		for s := len(placed); s < o.packed; s++ {
+		for s := len(bucket); s < o.packed; s++ {
 			meta := o.plain[s*slot : (s+1)*slot]
 			clear(meta) // empty slots and flags read as zero, as in a fresh image
 			binary.LittleEndian.PutUint64(meta, invalidBlockID)
 		}
-		o.packed = len(placed)
+		o.packed = len(bucket)
 		ctr := o.ctrs[l] + 1
 		o.counters.Set(uint64(idx), ctr)
 		o.sealBucket(idx, ctr)
@@ -578,40 +496,6 @@ func (o *ORAM) writePath(leaf uint32) (time.Duration, int, error) {
 		}
 	}
 	return dur, 0, nil
-}
-
-// settle ends the access: entries at level >= written left the stash
-// for the tree (a resident is removed, and a block the access owned goes
-// back to the stash's pool); the rest stay in it or, if the access made
-// or read them, join it. It returns err, or an overflow no reservation
-// covered.
-func (o *ORAM) settle(written int, err error) error {
-	for i := range o.entries {
-		e := &o.entries[i]
-		switch {
-		case e.level >= int32(written):
-			if e.blk != nil {
-				if e.resident {
-					o.stash.Remove(e.id)
-				}
-				o.stash.Recycle(e.blk)
-			}
-		case e.blk == nil:
-			b := o.stash.NewBlock(e.id, e.leaf, o.cfg.BlockSize)
-			copy(b.Data, e.data)
-			if perr := o.stash.Put(b); err == nil {
-				err = perr
-			}
-		default:
-			e.blk.Leaf = e.leaf
-			if !e.resident {
-				if perr := o.stash.Put(e.blk); err == nil {
-					err = perr
-				}
-			}
-		}
-	}
-	return err
 }
 
 // Read is shorthand for Access(OpRead, ...).

@@ -17,8 +17,8 @@ import (
 
 // refAccess is one access the way it ran before the read–plan–write
 // kernel: every block on the path is Put into the stash's index, and
-// eviction picks each bucket's blocks with stash.BeginEviction/Pick and
-// deletes them again. Kept as the reference model only.
+// eviction picks each bucket's blocks with refBucket and deletes them
+// again. Kept as the reference model only.
 func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 	o.stats.Accesses++
 	newLeaf := o.randomLeaf()
@@ -74,16 +74,34 @@ func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 	return nil
 }
 
+// refBucket is the eviction rule written out literally: the bucket at
+// level on the path to leaf takes the z lowest ids allowed there among
+// the stash's blocks, found by sorting the ids and scanning them; it
+// removes and returns them. Called leaf → root, each bucket chooses among
+// the blocks no deeper bucket took. Kept as the reference model only.
+func refBucket(s *stash.Stash, leaf uint32, levels, level, z int) []*stash.Block {
+	var out []*stash.Block
+	shift := uint(levels - 1 - level)
+	for _, id := range s.IDs() {
+		if b := s.Get(id); b.Leaf>>shift == leaf>>shift && len(out) < z {
+			out = append(out, b)
+		}
+	}
+	for _, b := range out {
+		s.Remove(b.ID)
+	}
+	return out
+}
+
 // refEvict writes the path to leaf back leaf first, each bucket taking
-// the blocks stash.Pick chooses for it.
+// the blocks refBucket chooses for it.
 func refEvict(o *ORAM, leaf uint32) (time.Duration, error) {
 	var total time.Duration
 	slot := slotMetaSize + o.cfg.BlockSize
 	plain, stored := make([]byte, o.plainBucketSize()), make([]byte, o.bucketSize)
-	o.stash.BeginEviction(leaf, o.levels)
 	for l := o.levels - 1; l >= 0; l-- {
 		idx := o.bucketIndex(leaf, l)
-		picked := o.stash.Pick(l, o.cfg.BucketSlots)
+		picked := refBucket(o.stash, leaf, o.levels, l, o.cfg.BucketSlots)
 		clear(plain)
 		for s := 0; s < o.cfg.BucketSlots; s++ {
 			meta := plain[s*slot:]
@@ -316,44 +334,50 @@ func TestTamperedBucketLeavesNothingStaged(t *testing.T) {
 
 // TestPlanMatchesPick: over random entry sets — up to 150 blocks with
 // distinct ids, so pools grow large near the root — random eviction
-// leaves, tree depths and bucket sizes, plan puts exactly the blocks, in
-// exactly the slot order, that stash.BeginEviction/Pick choose for each
-// level, and leaves exactly the rest unplaced.
+// leaves, tree depths and bucket sizes, the stash's planner puts exactly
+// the blocks, in exactly the slot order, that refBucket chooses for each
+// level, and leaves exactly the rest unplaced. One trial in four fills a
+// single bucket, as the Ring ORAM's early reshuffle does: the plan's
+// deepest level is then random and only that bucket is compared and
+// settled.
 func TestPlanMatchesPick(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		z := 1 + rng.Intn(5)
 		o, _ := newTestORAM(t, Config{NumBlocks: uint64(2 + rng.Intn(3000)), BlockSize: 1, BucketSlots: z, Amplification: 2})
 		ref := stash.New(0)
-		o.entries = o.entries[:0]
+		o.stash.Begin()
 		for _, id := range rng.Perm(400)[:rng.Intn(151)] {
 			leaf := uint32(rng.Intn(int(o.leaves)))
-			o.entries = append(o.entries, entry{id: uint64(id), leaf: leaf, level: -1})
+			if err := o.stash.Take(uint64(id), leaf, []byte{byte(id)}); err != nil {
+				t.Fatal(err)
+			}
 			_ = ref.Put(&stash.Block{ID: uint64(id), Leaf: leaf})
 		}
 		leaf := uint32(rng.Intn(int(o.leaves)))
-		o.plan(leaf)
-		ref.BeginEviction(leaf, o.levels)
-		for l := o.levels - 1; l >= 0; l-- {
-			want := ref.Pick(l, z)
-			got := o.placed[l*z:][:o.nPlaced[l]]
+		deepest, shallowest := o.levels-1, 0
+		if trial%4 == 3 {
+			deepest = rng.Intn(o.levels)
+			shallowest = deepest
+		}
+		o.stash.Plan(leaf, o.levels, deepest, z)
+		entries := o.stash.Entries()
+		for l := deepest; l >= shallowest; l-- {
+			want := refBucket(ref, leaf, o.levels, l, z)
+			got := o.stash.Bucket(l)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d level %d: planned %d blocks, Pick %d", trial, l, len(got), len(want))
 			}
 			for s, i := range got {
-				if e := o.entries[i]; e.id != want[s].ID || e.level != int32(l) {
-					t.Fatalf("trial %d level %d slot %d: planned %d (level %d), Pick %d", trial, l, s, e.id, e.level, want[s].ID)
+				if e := entries[i]; e.ID != want[s].ID || e.Leaf != want[s].Leaf {
+					t.Fatalf("trial %d level %d slot %d: planned %d, Pick %d", trial, l, s, e.ID, want[s].ID)
 				}
 			}
 		}
-		var left []uint64
-		for _, e := range o.entries {
-			if e.level < 0 {
-				left = append(left, e.id)
-			}
+		if err := o.stash.Settle(shallowest, nil); err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(left)
-		if !slices.Equal(left, ref.IDs()) {
+		if left := o.stash.IDs(); !slices.Equal(left, ref.IDs()) {
 			t.Fatalf("trial %d: left %v unplaced, Pick left %v", trial, left, ref.IDs())
 		}
 	}

@@ -676,7 +676,6 @@ func (o *ORAM) WriteBack(id uint64, data []byte) (time.Duration, error) {
 		return 0, fmt.Errorf("raworam: write size %d != block size %d", len(data), o.cfg.BlockSize)
 	}
 	o.stats.WriteBacks++
-	var d time.Duration
 	if !o.cfg.Phantom {
 		newLeaf := o.randomLeaf()
 		o.pos.Set(id, newLeaf)
@@ -685,23 +684,9 @@ func (o *ORAM) WriteBack(id uint64, data []byte) (time.Duration, error) {
 		if err := o.stash.Put(blk); err != nil {
 			return 0, err
 		}
-		// One oblivious stash pass to insert without leaking the slot.
-		d += o.dram.Charge(device.OpWrite, 0, int(o.stashScanBytes()))
-	} else {
-		d += o.dram.Charge(device.OpWrite, 0, int(o.stashScanBytes()))
 	}
-	o.pendingWrites++
-	if o.pendingWrites >= o.cfg.EvictPeriod {
-		o.pendingWrites = 0
-		ed, err := o.evictOnce()
-		d += ed
-		if err != nil {
-			o.stats.Time += d
-			return d, err
-		}
-	}
-	o.stats.Time += d
-	return d, nil
+	// One oblivious stash pass to insert without leaking the slot.
+	return o.scheduleEO(o.dram.Charge(device.OpWrite, 0, int(o.stashScanBytes())))
 }
 
 // WriteBackDummy accounts a dummy write-back (k > k_union during step ⑦):
@@ -709,22 +694,32 @@ func (o *ORAM) WriteBack(id uint64, data []byte) (time.Duration, error) {
 // enters the stash.
 func (o *ORAM) WriteBackDummy() (time.Duration, error) {
 	o.stats.WriteBacks++
-	d := o.dram.Charge(device.OpWrite, 0, int(o.stashScanBytes()))
+	return o.scheduleEO(o.dram.Charge(device.OpWrite, 0, int(o.stashScanBytes())))
+}
+
+// scheduleEO counts one access towards the eviction period, runs the EO
+// access it completes, if any, and accounts d and the eviction's time.
+func (o *ORAM) scheduleEO(d time.Duration) (time.Duration, error) {
+	var err error
 	o.pendingWrites++
 	if o.pendingWrites >= o.cfg.EvictPeriod {
 		o.pendingWrites = 0
-		ed, err := o.evictOnce()
+		var ed time.Duration
+		ed, err = o.evictOnce()
 		d += ed
-		if err != nil {
-			o.stats.Time += d
-			return d, err
-		}
 	}
 	o.stats.Time += d
-	return d, nil
+	return d, err
 }
 
-// evictOnce performs one EO access on the next deterministic path.
+// evictOnce performs one EO access on the next deterministic path, in
+// one read–plan–write pass: the path is read into the caller's path
+// buffer and each valid block is Taken into the stash's eviction where it
+// lies, its VTree bit cleared (a block the stash already holds keeps the
+// stash copy: under the AO-before-WriteBack discipline it never happens);
+// the residents join; the stash plans the path; storeBucket writes it
+// back leaf first; and the stash settles what no bucket took — on a
+// failure too.
 func (o *ORAM) evictOnce() (time.Duration, error) {
 	o.stats.EOAccesses++
 	d := o.chargeEO()
@@ -733,22 +728,41 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 	if o.cfg.Phantom {
 		return d, nil
 	}
-	// Read the path: surviving valid blocks join the stash.
+	o.stash.Begin()
 	o.resetPath()
+	slot := slotMetaSize + o.cfg.BlockSize
 	for l := 0; l < o.levels; l++ {
-		if err := o.loadBucketToStash(l, o.bucketIndex(leaf, l)); err != nil {
-			return d, err
-		}
-	}
-	// Write the path back leaf→root, greedily placing stash blocks.
-	o.stash.BeginEviction(leaf, o.levels)
-	for l := o.levels - 1; l >= 0; l-- {
 		idx := o.bucketIndex(leaf, l)
-		if err := o.storeBucket(idx, o.stash.Pick(l, o.cfg.BucketSlots)); err != nil {
-			return d, err
+		ctr, written := o.counters[idx]
+		if !written {
+			continue
+		}
+		plain, err := o.readBucket(l, idx, ctr)
+		if err != nil {
+			return d, o.stash.Settle(0, err)
+		}
+		vb := o.validBits(idx)
+		for s := 0; s < o.cfg.BucketSlots; s++ {
+			if !getBit(vb, s) {
+				continue
+			}
+			blk := plain[s*slot : (s+1)*slot]
+			if id := binary.LittleEndian.Uint64(blk); id != invalidBlockID && o.stash.Get(id) == nil {
+				if err := o.stash.Take(id, binary.LittleEndian.Uint32(blk[8:]), blk[slotMetaSize:]); err != nil {
+					return d, o.stash.Settle(0, err)
+				}
+			}
+			clearBit(vb, s)
 		}
 	}
-	return d, nil
+	o.stash.JoinResidents()
+	o.stash.Plan(leaf, o.levels, o.levels-1, o.cfg.BucketSlots)
+	for l := o.levels - 1; l >= 0; l-- {
+		if err := o.storeBucket(o.bucketIndex(leaf, l), o.stash.Bucket(l)); err != nil {
+			return d, o.stash.Settle(l, err)
+		}
+	}
+	return d, o.stash.Settle(0, nil)
 }
 
 // Peek returns the current contents of block id WITHOUT any ORAM access,
@@ -895,44 +909,6 @@ func (r *pathReader) find(o *ORAM, leaf uint32, id uint64, dst []byte) (uint32, 
 	return noBucket, 0, nil
 }
 
-// loadBucketToStash moves all valid blocks of bucket idx (on tree level
-// `level`) into the stash and clears their flags (they will be re-placed
-// by the eviction pass).
-func (o *ORAM) loadBucketToStash(level int, idx uint32) error {
-	ctr, written := o.counters[idx]
-	if !written {
-		return nil
-	}
-	plain, err := o.readBucket(level, idx, ctr)
-	if err != nil {
-		return err
-	}
-	vb := o.validBits(idx)
-	for s := 0; s < o.cfg.BucketSlots; s++ {
-		if !getBit(vb, s) {
-			continue
-		}
-		off := s * (slotMetaSize + o.cfg.BlockSize)
-		id := binary.LittleEndian.Uint64(plain[off:])
-		if id == invalidBlockID {
-			clearBit(vb, s)
-			continue
-		}
-		// Defensive: under the AO-before-WriteBack discipline a block can
-		// never be valid in the tree while a fresher copy sits in the
-		// stash; if it somehow is, keep the stash copy.
-		if o.stash.Get(id) == nil {
-			blk := o.stash.NewBlock(id, binary.LittleEndian.Uint32(plain[off+8:]), o.cfg.BlockSize)
-			copy(blk.Data, plain[off+slotMetaSize:])
-			if err := o.stash.Put(blk); err != nil {
-				return err
-			}
-		}
-		clearBit(vb, s)
-	}
-	return nil
-}
-
 // resetPath empties the caller's path buffer.
 func (o *ORAM) resetPath() { o.readers[0].resetPath() }
 
@@ -994,19 +970,21 @@ func (r *pathReader) read(o *ORAM, level int, idx uint32, ctr uint64) ([]byte, e
 	return slot[:plainLen], nil
 }
 
-// storeBucket packs, seals and writes bucket idx with the given blocks,
-// updating the VTree bitmap and the bucket counter.
-func (o *ORAM) storeBucket(idx uint32, blocks []*stash.Block) error {
+// storeBucket packs, seals and writes bucket idx with the given entries
+// of the stash's eviction, updating the VTree bitmap and the bucket
+// counter.
+func (o *ORAM) storeBucket(idx uint32, bucket []int32) error {
 	plain := o.plain
 	clear(plain) // empty slots read as zero after the id, as in a fresh image
 	vb := o.validBits(idx)
+	entries := o.stash.Entries()
 	for s := 0; s < o.cfg.BucketSlots; s++ {
 		off := s * (slotMetaSize + o.cfg.BlockSize)
-		if s < len(blocks) {
-			b := blocks[s]
-			binary.LittleEndian.PutUint64(plain[off:], b.ID)
-			binary.LittleEndian.PutUint32(plain[off+8:], b.Leaf)
-			copy(plain[off+slotMetaSize:], b.Data)
+		if s < len(bucket) {
+			e := &entries[bucket[s]]
+			binary.LittleEndian.PutUint64(plain[off:], e.ID)
+			binary.LittleEndian.PutUint32(plain[off+8:], e.Leaf)
+			copy(plain[off+slotMetaSize:], e.Data)
 			setBit(vb, s)
 		} else {
 			binary.LittleEndian.PutUint64(plain[off:], invalidBlockID)

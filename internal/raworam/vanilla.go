@@ -64,16 +64,9 @@ func (o *ORAM) VanillaAccess(id uint64, mutate func(data []byte)) ([]byte, time.
 
 	// Scheduled EO after every A accesses (vanilla shares the counter
 	// with the FL-friendly write-back path).
-	o.pendingWrites++
-	if o.pendingWrites >= o.cfg.EvictPeriod {
-		o.pendingWrites = 0
-		ed, err := o.evictOnce()
-		d += ed
-		if err != nil {
-			o.stats.Time += d
-			return nil, d, err
-		}
+	d, err := o.scheduleEO(d)
+	if err != nil {
+		return nil, d, err
 	}
-	o.stats.Time += d
 	return out, d, nil
 }

@@ -27,6 +27,7 @@
 package ringoram
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -349,157 +350,158 @@ func (o *ORAM) readOneSlot(idx uint32, id uint64, want bool) (time.Duration, *st
 	m := o.metaOf(idx)
 	// Metadata touch (DRAM).
 	d := o.dram.Charge(device.OpRead, 0, o.metaBytes())
-
 	target := -1
-	if want {
-		for s := 0; s < o.cfg.RealSlots; s++ {
-			if m.valid[s] && !m.touched[s] && m.ids[s] == id {
-				target = s
-				break
-			}
+	for s := 0; want && s < o.cfg.RealSlots; s++ {
+		if m.valid[s] && !m.touched[s] && m.ids[s] == id {
+			target = s
+			break
 		}
 	}
-	if target < 0 {
-		// Choose a fresh dummy slot (or an untouched empty real slot —
-		// equivalent indistinguishable cover traffic).
+	hit := target >= 0
+	if !hit {
+		// A fresh dummy slot; with none left, the first one — the caller
+		// reshuffles right after the online phase (the reads counter below
+		// guarantees it).
+		target = o.cfg.RealSlots
 		for s := o.cfg.RealSlots; s < o.cfg.RealSlots+o.cfg.DummySlots; s++ {
 			if !m.touched[s] {
 				target = s
 				break
 			}
 		}
-		if target < 0 {
-			// No fresh dummies left; the caller reshuffles right after the
-			// online phase (the reads counter below guarantees it).
-			target = o.cfg.RealSlots
-		}
-		m.reads++
-		m.touched[target] = true
-		d += o.chargeOrReadSlot(idx, target, nil)
-		d += o.dram.Charge(device.OpWrite, 0, o.metaBytes())
-		return d, nil, nil
 	}
-
-	// Real hit: read the slot, mark consumed.
 	m.reads++
 	m.touched[target] = true
-	m.valid[target] = false
-	blk := o.stash.NewBlock(id, m.leaves[target], o.cfg.BlockSize)
-	d += o.chargeOrReadSlot(idx, target, blk)
+	d += o.dev.Charge(device.OpRead, 0, o.slotSize)
+	var blk *stash.Block
+	if hit { // the real slot is consumed
+		m.valid[target] = false
+		blk = o.stash.NewBlock(id, m.leaves[target], o.cfg.BlockSize)
+		if !o.cfg.Phantom {
+			if err := o.peekSlot(idx, target, blk); err != nil {
+				o.stash.Recycle(blk)
+				return d, nil, err
+			}
+		}
+	}
 	d += o.dram.Charge(device.OpWrite, 0, o.metaBytes())
 	return d, blk, nil
 }
 
-// chargeOrReadSlot moves one slot's bytes (functional) or charges them
-// (phantom). When blk is non-nil the payload is decrypted into it.
-func (o *ORAM) chargeOrReadSlot(idx uint32, slot int, blk *stash.Block) time.Duration {
-	d := o.dev.Charge(device.OpRead, 0, o.slotSize)
-	if o.cfg.Phantom || blk == nil {
-		return d
-	}
-	o.peekSlot(idx, slot, blk)
-	return d
-}
-
 // peekSlot decrypts one slot's payload into blk without device
 // accounting (the covering bucket/path transfer was already charged).
-func (o *ORAM) peekSlot(idx uint32, slot int, blk *stash.Block) {
+func (o *ORAM) peekSlot(idx uint32, slot int, blk *stash.Block) error {
 	if err := o.dev.PeekAt(o.slotAddr(idx, slot), o.stored); err != nil {
-		panic(fmt.Sprintf("ringoram: slot read: %v", err)) // range bug, not runtime condition
+		return fmt.Errorf("ringoram: slot read: %w", err)
 	}
 	plain := o.stored
 	if o.cfg.Engine != nil {
-		m := o.metaOf(idx)
-		p, err := o.cfg.Engine.OpenTo(o.plain[:0], o.stored, slotSealID(idx, slot), m.ctr)
+		p, err := o.cfg.Engine.OpenTo(o.plain[:0], o.stored, slotSealID(idx, slot), o.metaOf(idx).ctr)
 		if err != nil {
-			panic(fmt.Sprintf("ringoram: slot auth: %v", err))
+			return fmt.Errorf("ringoram: slot auth: %w", err)
 		}
 		plain = p
 	}
 	copy(blk.Data, plain[slotMetaSize:])
+	return nil
 }
 
-// rewriteBucket writes bucket idx fresh: surviving valid blocks stay,
-// touched flags clear, dummies are replenished. The caller supplies the
-// path coordinates for stash eviction into this bucket.
-func (o *ORAM) rewriteBucket(idx uint32, leaf uint32, level int) (time.Duration, error) {
+// takeBucket Holds the valid blocks of bucket idx in the stash's eviction
+// and marks their slots invalid; a block the stash already holds keeps
+// the stash copy.
+func (o *ORAM) takeBucket(idx uint32) error {
 	m := o.metaOf(idx)
-	// Read all Z real slots (the transfer count must not depend on how
-	// many survive), pulling valid blocks to the stash.
-	d := o.dev.ChargeN(device.OpRead, o.slotSize, o.cfg.RealSlots)
-	if !o.cfg.Phantom {
-		for s := 0; s < o.cfg.RealSlots; s++ {
-			if !m.valid[s] {
-				continue
-			}
-			blk := o.stash.NewBlock(m.ids[s], m.leaves[s], o.cfg.BlockSize)
-			o.peekSlot(idx, s, blk)
-			if o.stash.Get(blk.ID) == nil {
-				if err := o.stash.Put(blk); err != nil {
-					return d, err
-				}
-			}
-			m.valid[s] = false
+	for s := 0; s < o.cfg.RealSlots; s++ {
+		if !m.valid[s] {
+			continue
 		}
-		o.stash.BeginEviction(leaf, o.levels)
+		blk := o.stash.NewBlock(m.ids[s], m.leaves[s], o.cfg.BlockSize)
+		if err := o.peekSlot(idx, s, blk); err != nil {
+			o.stash.Recycle(blk)
+			return err
+		}
+		if o.stash.Get(blk.ID) != nil {
+			o.stash.Recycle(blk)
+		} else if err := o.stash.Hold(blk); err != nil {
+			return err
+		}
+		m.valid[s] = false
 	}
-	return d + o.writeBucket(idx, level), nil
+	return nil
 }
 
-// writeBucket fills bucket idx, at depth level of the path the caller
-// began evicting, from the stash and writes all slots.
-func (o *ORAM) writeBucket(idx uint32, level int) time.Duration {
+// rewriteBucket writes bucket idx, at depth level of the path to leaf,
+// fresh: its surviving valid blocks and the stash's residents are
+// planned into it by the eviction rule, touched flags clear, dummies are
+// replenished.
+func (o *ORAM) rewriteBucket(idx uint32, leaf uint32, level int) (time.Duration, error) {
+	// Read all Z real slots (the transfer count must not depend on how
+	// many survive).
+	d := o.dev.ChargeN(device.OpRead, o.slotSize, o.cfg.RealSlots)
+	var bucket []int32
+	if !o.cfg.Phantom {
+		o.stash.Begin()
+		if err := o.takeBucket(idx); err != nil {
+			return d, o.stash.Settle(0, err)
+		}
+		o.stash.JoinResidents()
+		o.stash.Plan(leaf, o.levels, level, o.cfg.RealSlots)
+		bucket = o.stash.Bucket(level)
+	}
+	wd, err := o.writeBucket(idx, bucket)
+	return d + wd, o.stash.Settle(level, err)
+}
+
+// writeBucket writes every slot of bucket idx: the given entries of the
+// stash's eviction first (none in phantom mode), dummies after them. A
+// failed slot write ends it.
+func (o *ORAM) writeBucket(idx uint32, bucket []int32) (time.Duration, error) {
 	m := o.metaOf(idx)
 	m.ctr++
 	m.written = true
 	m.reads = 0
-	for s := range m.touched {
-		m.touched[s] = false
-	}
+	clear(m.touched)
 	if !o.cfg.Phantom {
-		picked := o.stash.Pick(level, o.cfg.RealSlots)
-		for s := 0; s < o.cfg.RealSlots; s++ {
-			if s < len(picked) {
-				b := picked[s]
-				m.ids[s] = b.ID
-				m.leaves[s] = b.Leaf
-				m.valid[s] = true
-				o.writeSlot(idx, s, b)
-			} else {
-				m.ids[s] = invalidBlockID
-				m.valid[s] = false
-				o.writeSlot(idx, s, nil)
+		entries := o.stash.Entries()
+		for s := 0; s < o.cfg.RealSlots+o.cfg.DummySlots; s++ {
+			var e *stash.Entry
+			if s < len(bucket) {
+				e = &entries[bucket[s]]
+				m.ids[s], m.leaves[s], m.valid[s] = e.ID, e.Leaf, true
+			} else if s < o.cfg.RealSlots {
+				m.ids[s], m.valid[s] = invalidBlockID, false
 			}
-		}
-		for s := o.cfg.RealSlots; s < o.cfg.RealSlots+o.cfg.DummySlots; s++ {
-			o.writeSlot(idx, s, nil)
+			if err := o.writeSlot(idx, s, e); err != nil {
+				return 0, err
+			}
 		}
 	}
 	d := o.dev.ChargeN(device.OpWrite, o.slotSize, o.cfg.RealSlots+o.cfg.DummySlots)
 	d += o.dram.Charge(device.OpWrite, 0, o.metaBytes())
 	o.stats.BucketWrites++
-	return d
+	return d, nil
 }
 
-// writeSlot seals and stores one slot (functional mode only).
-func (o *ORAM) writeSlot(idx uint32, slot int, b *stash.Block) {
-	m := o.metaOf(idx)
+// writeSlot seals and stores one slot, e's block or a dummy (functional
+// mode only).
+func (o *ORAM) writeSlot(idx uint32, slot int, e *stash.Entry) error {
 	plain := o.plain
 	clear(plain)
-	if b != nil {
-		putUint64(plain, b.ID)
-		putUint32(plain[8:], b.Leaf)
-		copy(plain[slotMetaSize:], b.Data)
+	if e != nil {
+		binary.LittleEndian.PutUint64(plain, e.ID)
+		binary.LittleEndian.PutUint32(plain[8:], e.Leaf)
+		copy(plain[slotMetaSize:], e.Data)
 	} else {
-		putUint64(plain, invalidBlockID)
+		binary.LittleEndian.PutUint64(plain, invalidBlockID)
 	}
 	stored := plain
 	if o.cfg.Engine != nil {
-		stored = o.cfg.Engine.SealTo(o.stored[:0], plain, slotSealID(idx, slot), m.ctr)
+		stored = o.cfg.Engine.SealTo(o.stored[:0], plain, slotSealID(idx, slot), o.metaOf(idx).ctr)
 	}
 	if err := o.dev.PokeAt(o.slotAddr(idx, slot), stored); err != nil {
-		panic(fmt.Sprintf("ringoram: slot write: %v", err))
+		return fmt.Errorf("ringoram: slot write: %w", err)
 	}
+	return nil
 }
 
 // evictionLeaf is the reverse-lexicographic eviction order.
@@ -512,57 +514,44 @@ func (o *ORAM) evictionLeaf(g uint64) uint32 {
 }
 
 // evictOnce performs the scheduled eviction: read surviving blocks on the
-// eviction path, rewrite every bucket full.
+// eviction path, rewrite every bucket full, leaf first, by the eviction
+// rule.
 func (o *ORAM) evictOnce() (time.Duration, error) {
 	o.stats.Evictions++
 	leaf := o.evictionLeaf(o.evictCount)
 	o.evictCount++
 	var total time.Duration
 	// Read phase: all Z real slots of every path bucket (count must not
-	// depend on occupancy); surviving valid blocks join the stash.
+	// depend on occupancy); surviving valid blocks join the eviction.
+	o.stash.Begin()
 	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		m := o.metaOf(idx)
 		total += o.dev.ChargeN(device.OpRead, o.slotSize, o.cfg.RealSlots)
 		if !o.cfg.Phantom {
-			for s := 0; s < o.cfg.RealSlots; s++ {
-				if !m.valid[s] {
-					continue
-				}
-				blk := o.stash.NewBlock(m.ids[s], m.leaves[s], o.cfg.BlockSize)
-				o.peekSlot(idx, s, blk)
-				if o.stash.Get(blk.ID) == nil {
-					if err := o.stash.Put(blk); err != nil {
-						return total, err
-					}
-				}
-				m.valid[s] = false
+			if err := o.takeBucket(o.bucketIndex(leaf, l)); err != nil {
+				return total, o.stash.Settle(0, err)
 			}
 		}
 	}
-	// Write phase: leaf → root.
 	if !o.cfg.Phantom {
-		o.stash.BeginEviction(leaf, o.levels)
+		o.stash.JoinResidents()
+		o.stash.Plan(leaf, o.levels, o.levels-1, o.cfg.RealSlots)
 	}
+	// Write phase: leaf → root.
 	for l := o.levels - 1; l >= 0; l-- {
-		total += o.writeBucket(o.bucketIndex(leaf, l), l)
+		var bucket []int32
+		if !o.cfg.Phantom {
+			bucket = o.stash.Bucket(l)
+		}
+		d, err := o.writeBucket(o.bucketIndex(leaf, l), bucket)
+		total += d
+		if err != nil {
+			return total, o.stash.Settle(l, err)
+		}
 	}
-	return total, nil
+	return total, o.stash.Settle(0, nil)
 }
 
 // slotSealID binds a slot's ciphertext to its (bucket, slot) location.
 func slotSealID(idx uint32, slot int) uint64 {
 	return uint64(idx)<<16 | uint64(slot)
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func putUint32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

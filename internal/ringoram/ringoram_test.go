@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -291,4 +292,69 @@ func TestGoldenWorkload(t *testing.T) {
 			t.Errorf("sealed=%v: sha256 = %s, want %s", sealed, got, goldenSHA[sealed])
 		}
 	}
+}
+
+// TestFaultsAreErrors: a device fault anywhere in an access — a slot
+// read online, an eviction's or a reshuffle's reads, a slot write — and
+// a slot that fails authentication come back from Access as errors
+// wrapping device.ErrInjected and tee.ErrAuthFailed; nothing panics.
+func TestFaultsAreErrors(t *testing.T) {
+	ssd := device.NewDRAM(1 << 31)
+	o, err := New(Config{NumBlocks: 64, BlockSize: 16, Seed: 1}, device.NewTransientFaulty(ssd, 0.05, 3), device.NewDRAM(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 16)
+	faults := 0
+	for i := 0; i < 2000; i++ {
+		var err error
+		if i%2 == 0 {
+			_, err = o.Write(uint64(i%64), data)
+		} else {
+			_, _, err = o.Read(uint64(i * 7 % 64))
+		}
+		if err != nil {
+			if !errors.Is(err, device.ErrInjected) {
+				t.Fatalf("access %d: err %v, want device.ErrInjected", i, err)
+			}
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Fatal("no access hit an injected fault")
+	}
+
+	o, dev, _ := newTestORAM(t, Config{NumBlocks: 64, BlockSize: 16, Seed: 2, Engine: testEngine()})
+	for i := 0; i < 300; i++ {
+		if _, err := o.Write(uint64(i%64), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idxs := make([]uint32, 0, len(o.meta))
+	for idx := range o.meta {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		m := o.meta[idx]
+		for s, valid := range m.valid {
+			if !valid || m.touched[s] || o.stash.Get(m.ids[s]) != nil {
+				continue
+			}
+			var b [1]byte
+			addr := o.slotAddr(idx, s) + slotMetaSize
+			if err := dev.PeekAt(addr, b[:]); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 1
+			if err := dev.PokeAt(addr, b[:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := o.Read(m.ids[s]); !errors.Is(err, tee.ErrAuthFailed) {
+				t.Fatalf("reading block %d from a flipped slot: err %v, want tee.ErrAuthFailed", m.ids[s], err)
+			}
+			return
+		}
+	}
+	t.Fatal("no block was left in the tree to tamper with")
 }

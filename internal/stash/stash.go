@@ -12,15 +12,15 @@
 //
 //   - It holds the residents between accesses — the blocks no bucket of
 //     the last path written could take — indexed by ID (Put, Get,
-//     Remove, IDs, ForEach), and snapshots them.
-//   - It accounts occupancy, the high-water mark and overflow, including
-//     for blocks an access holds outside it: the Path ORAM keeps the
-//     blocks of the path it read where they lie and only Reserves room
-//     for them, so the counts move exactly as if each had been Put.
-//   - It plans a greedy eviction over its residents (BeginEviction,
-//     Pick) for the RAW ORAM and Ring ORAM, which read a path's blocks
-//     into it. The Path ORAM plans its own path in one pass and makes the
-//     same choice.
+//     Remove, IDs), and snapshots them.
+//   - It accounts occupancy, the high-water mark and overflow.
+//   - It plans every eviction, for all three tree ORAMs (Path, RAW and
+//     Ring ORAM), by one rule — leaf first, each bucket the lowest ids
+//     allowed there — over the path's blocks and the residents (Begin,
+//     Take, Hold, JoinResidents, Plan, Bucket, Settle). The ORAMs keep
+//     the blocks of the path they read where they lie; room for each is
+//     reserved, so the counts move exactly as if each had been Put, and
+//     only the blocks no bucket took are copied into the stash.
 //   - It recycles blocks and their payloads (NewBlock, Recycle).
 //
 // Property tests use the counts to validate the paper's stash-occupancy
@@ -28,9 +28,9 @@
 package stash
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -52,17 +52,22 @@ type Stash struct {
 	blocks   map[uint64]*Block
 	peak     int // high-water mark
 
-	// Eviction planner state (BeginEviction/Pick): the blocks still to be
-	// placed in ascending-ID order, the path being written, and the last
-	// Pick's result. Scratch only — rebuilt by every BeginEviction, never
+	// The eviction in flight (see Begin): its entries, how many of them
+	// are not residents, and the planner's scratch — the entries listed
+	// by depth (heads by level, next by entry), the candidate pool, and
+	// each level's planned entries (z per level) and their count. Sized
+	// by the path and its entries, kept for their capacity, never
 	// serialized.
-	order       []*Block
-	picked      []*Block
-	evictLeaf   uint32
-	evictLevels int
-	// free holds blocks NewBlock may reuse, with their Data: those Pick
-	// handed out and the caller has since packed into a bucket, and those
-	// handed back through Recycle.
+	entries  []Entry
+	held     int
+	heads    []int32
+	next     []int32
+	pool     []int32
+	planned  []int32
+	nPlanned []int
+	z        int
+	// free holds blocks NewBlock may reuse, with their Data: those an
+	// eviction wrote into the tree, and those handed back through Recycle.
 	free []*Block
 }
 
@@ -89,14 +94,12 @@ func (s *Stash) Put(b *Block) error {
 	return nil
 }
 
-// Reserve accounts n blocks an access in flight holds outside the
-// stash — blocks read off a path that eviction will mostly write
-// straight back — as if they had been Put: it fails with ErrOverflow
-// when Len()+n exceeds the capacity, and otherwise raises the
-// high-water mark to Len()+n. The caller reserves n+1 before taking on
-// its next block and Puts the blocks no bucket took when the access
-// ends, which then never overflows.
-func (s *Stash) Reserve(n int) error {
+// reserve accounts n blocks an eviction in flight holds outside the
+// stash as if they had been Put: it fails with ErrOverflow when Len()+n
+// exceeds the capacity, and otherwise raises the high-water mark to
+// Len()+n. Settle Puts the held blocks no bucket took, which then never
+// overflows.
+func (s *Stash) reserve(n int) error {
 	m := len(s.blocks) + n
 	if s.capacity > 0 && m > s.capacity {
 		return s.overflow()
@@ -128,7 +131,7 @@ func (s *Stash) Peak() int { return s.peak }
 func (s *Stash) Capacity() int { return s.capacity }
 
 // NewBlock returns a block with the given identity and len(Data) == n,
-// contents unspecified, reusing a released or recycled one when it can.
+// contents unspecified, reusing a recycled one when it can.
 // The block is not resident until Put.
 func (s *Stash) NewBlock(id uint64, leaf uint32, n int) *Block {
 	var b *Block
@@ -149,58 +152,160 @@ func (s *Stash) NewBlock(id uint64, leaf uint32, n int) *Block {
 // (never Put, or Removed) and the caller gives up b and its Data.
 func (s *Stash) Recycle(b *Block) { s.free = append(s.free, b) }
 
-// BeginEviction starts the greedy Path ORAM eviction along the path to
-// leaf in a tree with treeLevels levels (root = level 0): it orders the
-// resident blocks by ID once, so the Pick calls that follow — one per
-// bucket written, deepest level first — need no further sorting. Blocks
-// Put after BeginEviction are not seen by Pick.
-func (s *Stash) BeginEviction(leaf uint32, treeLevels int) {
-	s.release()
-	s.order = s.order[:0]
-	for _, b := range s.blocks {
-		s.order = append(s.order, b)
-	}
-	slices.SortFunc(s.order, func(a, b *Block) int { return cmp.Compare(a.ID, b.ID) })
-	s.evictLeaf, s.evictLevels = leaf, treeLevels
+// An eviction writes a path back by one rule, the same in every tree
+// ORAM: walking the path leaf first, each bucket takes the Z lowest ids
+// among the blocks that may lie that deep and no deeper bucket took. The
+// blocks taking part are the eviction's entries: the path's blocks, which
+// the caller keeps where it read them (Take) or in blocks of its own
+// (Hold), and the residents (JoinResidents). Plan places them, Bucket
+// lists each bucket's, and Settle ends the eviction.
+
+// Entry is one block of the eviction in flight.
+type Entry struct {
+	ID   uint64
+	Leaf uint32
+	// Data is the block's bytes: the caller's for an entry it Took, the
+	// block's otherwise. The caller may change them and Leaf before Plan;
+	// Settle keeps both.
+	Data []byte
+	// level is the bucket Plan put the entry in, or -1 for none.
+	level int32
+	// blk owns Data unless the entry was Taken: a resident when resident
+	// is set, else a block the caller Held.
+	blk      *Block
+	resident bool
 }
 
-// Pick removes from the stash and returns up to max blocks whose
-// assigned leaf shares the length-`level` path prefix with the eviction
-// leaf — i.e. blocks that may legally be placed into the bucket at depth
-// `level`. Among the candidates it takes the lowest IDs, in ascending
-// order: map-order iteration would make the eviction choice (and hence
-// the tree bytes) differ run to run, breaking bit-identical state
-// snapshots. The returned blocks and their Data are valid only until the
-// next Pick or BeginEviction, which recycle them through NewBlock; the
-// caller copies what it stores.
-func (s *Stash) Pick(level, max int) []*Block {
-	s.release()
-	shift := uint(s.evictLevels - 1 - level)
-	want := s.evictLeaf >> shift
-	rest := s.order[:0]
-	for _, b := range s.order {
-		if len(s.picked) < max && b.Leaf>>shift == want {
-			s.picked = append(s.picked, b)
-			delete(s.blocks, b.ID)
-		} else {
-			rest = append(rest, b)
+// Begin starts an eviction with no entries.
+func (s *Stash) Begin() {
+	s.entries = s.entries[:0]
+	s.held = 0
+}
+
+// Take adds a block the caller read off the path and keeps where it lies:
+// data must stay valid until Settle. Room for it is reserved first, so a
+// path that does not fit fails with ErrOverflow where putting each of
+// its blocks would have, and the entry is not added.
+func (s *Stash) Take(id uint64, leaf uint32, data []byte) error {
+	if err := s.reserve(s.held + 1); err != nil {
+		return err
+	}
+	s.held++
+	s.entries = append(s.entries, Entry{ID: id, Leaf: leaf, Data: data, level: -1})
+	return nil
+}
+
+// Hold adds b, a block the caller made (NewBlock) and has not Put, as
+// Take does; on overflow b is recycled.
+func (s *Stash) Hold(b *Block) error {
+	if err := s.reserve(s.held + 1); err != nil {
+		s.Recycle(b)
+		return err
+	}
+	s.held++
+	s.entries = append(s.entries, Entry{ID: b.ID, Leaf: b.Leaf, Data: b.Data, level: -1, blk: b})
+	return nil
+}
+
+// JoinResidents adds every resident as an entry.
+func (s *Stash) JoinResidents() {
+	for _, b := range s.blocks {
+		s.entries = append(s.entries, Entry{ID: b.ID, Leaf: b.Leaf, Data: b.Data, level: -1, blk: b, resident: true})
+	}
+}
+
+// Entries returns the eviction's entries, in the order they were added.
+func (s *Stash) Entries() []Entry { return s.entries }
+
+// Plan places the entries on the path to leaf in a tree of levels levels
+// (root = level 0), filling the buckets from level deepest up to the
+// root with at most z entries each. An entry may lie as deep as the path
+// to its own leaf follows this one (no deeper than deepest); each bucket
+// takes the z lowest ids among the entries that may lie that deep and no
+// deeper bucket took — map order never reaches the tree bytes. Entries
+// are listed by depth and the candidates kept in a small id-sorted pool,
+// so the plan is one pass, not a sort and a rescan per level.
+func (s *Stash) Plan(leaf uint32, levels, deepest, z int) {
+	n := len(s.entries)
+	s.heads = slices.Grow(s.heads[:0], deepest+1)[:deepest+1]
+	for d := range s.heads {
+		s.heads[d] = -1
+	}
+	s.next = slices.Grow(s.next[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		d := min(levels-1-bits.Len32(s.entries[i].Leaf^leaf), deepest)
+		s.next[i], s.heads[d] = s.heads[d], int32(i)
+	}
+	s.z = z
+	s.planned = slices.Grow(s.planned[:0], (deepest+1)*z)[:(deepest+1)*z]
+	s.nPlanned = slices.Grow(s.nPlanned[:0], deepest+1)[:deepest+1]
+	// The pool is in descending id order: a bucket takes from its end.
+	pool := s.pool[:0]
+	for l := deepest; l >= 0; l-- {
+		for i := s.heads[l]; i >= 0; i = s.next[i] {
+			id := s.entries[i].ID
+			j := len(pool)
+			pool = append(pool, i)
+			for ; j > 0 && s.entries[pool[j-1]].ID < id; j-- {
+				pool[j] = pool[j-1]
+			}
+			pool[j] = i
+		}
+		k := min(z, len(pool))
+		for slot := 0; slot < k; slot++ {
+			i := pool[len(pool)-1-slot]
+			s.planned[l*z+slot] = i
+			s.entries[i].level = int32(l)
+		}
+		s.nPlanned[l] = k
+		pool = pool[:len(pool)-k]
+	}
+	s.pool = pool
+}
+
+// Bucket returns the entries Plan put in the bucket at level, in slot
+// order, as indices into Entries.
+func (s *Stash) Bucket(level int) []int32 {
+	return s.planned[level*s.z:][:s.nPlanned[level]]
+}
+
+// Settle ends the eviction once the buckets from the deepest planned
+// level up to level written are in the tree — written is the shallowest
+// bucket written, or on a failed bucket write the level that failed,
+// whose entries are lost with it. Their entries leave the stash: a
+// resident is removed, and a block the caller Held is recycled. Every
+// other entry stays in the stash or joins it — an entry the caller Took
+// is copied into a block of its own, its room already reserved. On a
+// failure before Plan no entry was placed and every one stays. Settle
+// returns err, or an overflow no reservation covered.
+func (s *Stash) Settle(written int, err error) error {
+	for i := range s.entries {
+		e := &s.entries[i]
+		switch {
+		case e.level >= int32(written):
+			if e.blk != nil {
+				if e.resident {
+					delete(s.blocks, e.ID)
+				}
+				s.Recycle(e.blk)
+			}
+		case e.blk == nil:
+			b := s.NewBlock(e.ID, e.Leaf, len(e.Data))
+			copy(b.Data, e.Data)
+			if perr := s.Put(b); err == nil {
+				err = perr
+			}
+		default:
+			e.blk.Leaf = e.Leaf
+			if !e.resident {
+				if perr := s.Put(e.blk); err == nil {
+					err = perr
+				}
+			}
 		}
 	}
-	s.order = rest
-	return s.picked
-}
-
-// release recycles the previous Pick's blocks.
-func (s *Stash) release() {
-	s.free = append(s.free, s.picked...)
-	s.picked = s.picked[:0]
-}
-
-// ForEach calls fn for every block; iteration order is unspecified.
-func (s *Stash) ForEach(fn func(*Block)) {
-	for _, b := range s.blocks {
-		fn(b)
-	}
+	s.Begin()
+	return err
 }
 
 // IDs returns the IDs of all resident blocks in ascending order (a

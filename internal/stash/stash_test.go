@@ -80,9 +80,28 @@ func TestPeakTracksHighWater(t *testing.T) {
 	}
 }
 
+// planResidents plans an eviction of the residents alone onto the path
+// to leaf, filling the buckets from level deepest up, z blocks each.
+func planResidents(s *Stash, leaf uint32, levels, deepest, z int) {
+	s.Begin()
+	s.JoinResidents()
+	s.Plan(leaf, levels, deepest, z)
+}
+
+// bucketBlocks returns the entries Plan put in the bucket at level.
+func bucketBlocks(s *Stash, level int) []Entry {
+	var out []Entry
+	for _, i := range s.Bucket(level) {
+		out = append(out, s.Entries()[i])
+	}
+	return out
+}
+
 func TestPick(t *testing.T) {
 	// Tree with 3 levels => 4 leaves (0..3). Level 0 is the root (prefix
-	// length 0: everything matches), level 2 is the leaf itself.
+	// length 0: everything matches), level 2 is the leaf itself. Filling
+	// one bucket — deepest is that level — is the Ring ORAM's early
+	// reshuffle.
 	fill := func() *Stash {
 		s := New(0)
 		_ = s.Put(&Block{ID: 1, Leaf: 0})
@@ -91,33 +110,40 @@ func TestPick(t *testing.T) {
 		return s
 	}
 	s := fill()
-	s.BeginEviction(0, 3)
-	if root := s.Pick(0, 10); len(root) != 3 || s.Len() != 0 {
+	planResidents(s, 0, 3, 0, 10)
+	root := bucketBlocks(s, 0)
+	_ = s.Settle(0, nil)
+	if len(root) != 3 || s.Len() != 0 {
 		t.Errorf("root-level pick = %d (stash left %d), want 3 (0)", len(root), s.Len())
 	}
 	// Level 1 on the path to leaf 0: leaves 0 and 1 share that subtree.
 	s = fill()
-	s.BeginEviction(0, 3)
-	if mid := s.Pick(1, 10); len(mid) != 2 || s.Get(3) == nil {
+	planResidents(s, 0, 3, 1, 10)
+	mid := bucketBlocks(s, 1)
+	_ = s.Settle(1, nil)
+	if len(mid) != 2 || s.Get(3) == nil {
 		t.Errorf("level-1 pick = %d, want 2 (leaves 0,1) with block 3 left", len(mid))
 	}
 	// Leaf level: only exact leaf matches.
 	s = fill()
-	s.BeginEviction(3, 3)
-	if leaf := s.Pick(2, 10); len(leaf) != 1 || leaf[0].ID != 3 {
+	planResidents(s, 3, 3, 2, 10)
+	if leaf := bucketBlocks(s, 2); len(leaf) != 1 || leaf[0].ID != 3 {
 		t.Errorf("leaf-level pick = %+v", leaf)
 	}
-	// max truncates to the lowest IDs; the rest stay for the next level.
+	// z truncates to the lowest IDs; the rest stay for the next level.
 	s = fill()
-	s.BeginEviction(0, 3)
-	if got := s.Pick(0, 2); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 || s.Get(3) == nil {
-		t.Errorf("max=2 picked %+v", got)
+	planResidents(s, 0, 3, 0, 2)
+	got := bucketBlocks(s, 0)
+	_ = s.Settle(0, nil)
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 || s.Get(3) == nil {
+		t.Errorf("z=2 picked %+v", got)
 	}
 }
 
-// evictableFor is the eviction choice as it was made before the planner:
-// a fresh ascending-ID scan of the whole stash for every level, picked
-// blocks removed by the caller. Kept as the reference model only.
+// evictableFor is the eviction rule written out literally: the blocks the
+// bucket at level may take, by a fresh ascending-ID scan of the whole
+// stash, picked blocks removed by the caller. Kept as the reference model
+// only.
 func evictableFor(s *Stash, leaf uint32, level, treeLevels, max int) []*Block {
 	var out []*Block
 	shift := uint(treeLevels - 1 - level)
@@ -135,9 +161,10 @@ func evictableFor(s *Stash, leaf uint32, level, treeLevels, max int) []*Block {
 }
 
 // TestPickMatchesReference: over random stashes, leaves, tree depths and
-// bucket sizes, a whole leaf→root eviction through BeginEviction/Pick
-// places exactly the blocks, in exactly the slots, the per-level rescan
-// placed — the tree bytes depend on nothing else.
+// bucket sizes, a whole leaf→root eviction planned by Plan places
+// exactly the blocks, in exactly the slots, the per-level rescan placed
+// — the tree bytes depend on nothing else — and Settle leaves exactly
+// the rest resident.
 func TestPickMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -151,13 +178,13 @@ func TestPickMatchesReference(t *testing.T) {
 			_ = ref.Put(&Block{ID: id, Leaf: leaf})
 		}
 		leaf := uint32(rng.Intn(int(leaves)))
-		got.BeginEviction(leaf, levels)
+		planResidents(got, leaf, levels, levels-1, max)
 		for l := levels - 1; l >= 0; l-- {
 			want := evictableFor(ref, leaf, l, levels, max)
 			for _, b := range want {
 				ref.Remove(b.ID)
 			}
-			picked := got.Pick(l, max)
+			picked := bucketBlocks(got, l)
 			if len(picked) != len(want) {
 				t.Fatalf("trial %d level %d: picked %d blocks, reference %d", trial, l, len(picked), len(want))
 			}
@@ -167,16 +194,17 @@ func TestPickMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		_ = got.Settle(0, nil)
 		if !slices.Equal(got.IDs(), ref.IDs()) {
 			t.Fatalf("trial %d: stash left %v, reference %v", trial, got.IDs(), ref.IDs())
 		}
 	}
 }
 
-// TestNewBlockRecyclesPicked: a picked block comes back from NewBlock
-// only after the NEXT Pick/BeginEviction, so the caller can still copy
-// it into the bucket it is writing; a block taken out with Remove (its
-// Data may have been returned to a caller) is never reused.
+// TestNewBlockRecyclesPicked: a placed block comes back from NewBlock
+// only after the eviction Settles, so the caller can still copy it into
+// the bucket it is writing; a block taken out with Remove (its Data may
+// have been returned to a caller) is never reused.
 func TestNewBlockRecyclesPicked(t *testing.T) {
 	s := New(0)
 	a := s.NewBlock(1, 0, 8)
@@ -185,15 +213,15 @@ func TestNewBlockRecyclesPicked(t *testing.T) {
 	r := s.NewBlock(2, 0, 8)
 	_ = s.Put(r)
 	removed := s.Remove(2)
-	s.BeginEviction(0, 1)
-	picked := s.Pick(0, 4)
-	if len(picked) != 1 || picked[0] != a {
-		t.Fatalf("picked %+v", picked)
+	planResidents(s, 0, 1, 0, 4)
+	picked := s.Bucket(0)
+	if len(picked) != 1 || s.Entries()[picked[0]].blk != a {
+		t.Fatalf("picked %+v", bucketBlocks(s, 0))
 	}
 	if n := s.NewBlock(3, 0, 8); n == a || n == removed {
 		t.Fatal("block reused while the caller may still be packing it")
 	}
-	s.Pick(0, 4)
+	_ = s.Settle(0, nil)
 	if n := s.NewBlock(4, 5, 4); n != a || n.ID != 4 || n.Leaf != 5 || len(n.Data) != 4 {
 		t.Fatalf("released block not recycled: %+v", n)
 	}
@@ -212,9 +240,13 @@ func TestForEachAndIDs(t *testing.T) {
 		_ = s.Put(&Block{ID: i})
 	}
 	seen := map[uint64]bool{}
-	s.ForEach(func(b *Block) { seen[b.ID] = true })
+	s.Begin()
+	s.JoinResidents()
+	for _, e := range s.Entries() {
+		seen[e.ID] = true
+	}
 	if len(seen) != 4 {
-		t.Errorf("ForEach visited %d blocks", len(seen))
+		t.Errorf("JoinResidents added %d blocks", len(seen))
 	}
 	if len(s.IDs()) != 4 {
 		t.Errorf("IDs() = %v", s.IDs())
@@ -234,12 +266,13 @@ func TestScanBytes(t *testing.T) {
 }
 
 // TestReserveMatchesPut: random accesses — a path's worth of new blocks
-// in, a leaf→root eviction, the leftovers kept — on one stash holding
-// each new block outside it under Reserve (as the Path ORAM access does,
-// putting them all in before its eviction here) and on its twin through
-// Put. Occupancy, high-water mark, overflow (at the same block), every
-// Get, every Pick and the blocks left resident agree; holding the path
-// outside the stash is a cheaper route to the same stash.
+// in, a leaf→root eviction, the leftovers kept — on one stash Taking
+// each new block into its eviction (as the tree ORAMs do, the block held
+// outside it under a reservation) and on its twin through Put and the
+// reference rescan. Occupancy, high-water mark, overflow (at the same
+// block), every Get, every bucket's blocks and the blocks left resident
+// agree; holding the path outside the stash is a cheaper route to the
+// same stash.
 func TestReserveMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
@@ -253,10 +286,10 @@ func TestReserveMatchesPut(t *testing.T) {
 		got, ref := New(capacity), New(capacity)
 		nextID := uint64(0)
 		for access := 0; access < 30; access++ {
-			overflowed := false
-			var held []*Block
+			var errGot, errRef error
+			got.Begin()
 			indexed := ref.IDs() // resident before this access
-			for n := rng.Intn(levels*max + 1); n > 0 && !overflowed; n-- {
+			for n := rng.Intn(levels*max + 1); n > 0 && errRef == nil; n-- {
 				id, leaf := nextID, uint32(rng.Intn(int(leaves)))
 				nextID++
 				if rng.Intn(10) == 0 && len(indexed) > 0 {
@@ -264,42 +297,42 @@ func TestReserveMatchesPut(t *testing.T) {
 					// it both resident and on the tree): replaced, not added.
 					id, indexed = indexed[0], indexed[1:]
 				}
-				var errGot error
 				if b := got.Get(id); b != nil {
 					b.Leaf = leaf
-				} else if errGot = got.Reserve(len(held) + 1); errGot == nil {
-					held = append(held, &Block{ID: id, Leaf: leaf})
+				} else {
+					errGot = got.Take(id, leaf, nil)
 				}
-				errRef := ref.Put(&Block{ID: id, Leaf: leaf})
+				errRef = ref.Put(&Block{ID: id, Leaf: leaf})
 				if errors.Is(errGot, ErrOverflow) != errors.Is(errRef, ErrOverflow) {
-					t.Fatalf("trial %d access %d: Reserve err %v, Put err %v", trial, access, errGot, errRef)
+					t.Fatalf("trial %d access %d: Take err %v, Put err %v", trial, access, errGot, errRef)
 				}
-				overflowed = errRef != nil
-				if got.Len()+len(held) != ref.Len() || got.Peak() != ref.Peak() {
+				if got.Len()+len(got.Entries()) != ref.Len() || got.Peak() != ref.Peak() {
 					t.Fatalf("trial %d access %d: Len+held/Peak %d/%d, Put twin %d/%d",
-						trial, access, got.Len()+len(held), got.Peak(), ref.Len(), ref.Peak())
+						trial, access, got.Len()+len(got.Entries()), got.Peak(), ref.Len(), ref.Peak())
 				}
-				g := got.Get(id)
-				for _, b := range held {
-					if b.ID == id {
-						g = b
+				var g *Entry
+				if b := got.Get(id); b != nil {
+					g = &Entry{ID: b.ID, Leaf: b.Leaf}
+				}
+				for i, e := range got.Entries() {
+					if e.ID == id {
+						g = &got.Entries()[i]
 					}
 				}
 				if r := ref.Get(id); (g == nil) != (r == nil) || (g != nil && g.Leaf != r.Leaf) {
 					t.Fatalf("trial %d access %d: Get(%d) = %+v, Put twin %+v", trial, access, id, g, r)
 				}
 			}
-			for _, b := range held {
-				if err := got.Put(b); err != nil {
-					t.Fatalf("trial %d access %d: putting a reserved block: %v", trial, access, err)
+			if errRef != nil { // a failed access skips eviction, as the ORAMs do
+				if err := got.Settle(0, errGot); !errors.Is(err, ErrOverflow) {
+					t.Fatalf("trial %d access %d: settling a failed access: %v", trial, access, err)
 				}
-			}
-			if !overflowed { // a failed access skips eviction, as pathoram does
+			} else {
 				leaf := uint32(rng.Intn(int(leaves)))
-				got.BeginEviction(leaf, levels)
-				ref.BeginEviction(leaf, levels)
+				got.JoinResidents()
+				got.Plan(leaf, levels, levels-1, max)
 				for l := levels - 1; l >= 0; l-- {
-					a, b := got.Pick(l, max), ref.Pick(l, max)
+					a, b := bucketBlocks(got, l), evictableFor(ref, leaf, l, levels, max)
 					if len(a) != len(b) {
 						t.Fatalf("trial %d access %d level %d: picked %d, Put twin %d", trial, access, l, len(a), len(b))
 					}
@@ -307,10 +340,11 @@ func TestReserveMatchesPut(t *testing.T) {
 						if a[i].ID != b[i].ID || a[i].Leaf != b[i].Leaf {
 							t.Fatalf("trial %d access %d level %d slot %d: %+v vs %+v", trial, access, l, i, a[i], b[i])
 						}
+						ref.Remove(b[i].ID)
 					}
-					if got.Len() != ref.Len() {
-						t.Fatalf("trial %d access %d level %d: Len %d, Put twin %d", trial, access, l, got.Len(), ref.Len())
-					}
+				}
+				if err := got.Settle(0, nil); err != nil {
+					t.Fatalf("trial %d access %d: putting a reserved block: %v", trial, access, err)
 				}
 			}
 			if got.Len() != ref.Len() || got.Peak() != ref.Peak() || !slices.Equal(got.IDs(), ref.IDs()) {
@@ -327,7 +361,7 @@ func TestReserveMatchesPut(t *testing.T) {
 func TestReservedBlocksAreNotResident(t *testing.T) {
 	s := New(4)
 	_ = s.Put(&Block{ID: 1, Leaf: 0})
-	if err := s.Reserve(2); err != nil {
+	if err := s.reserve(2); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 || s.Peak() != 3 || s.Get(2) != nil {
@@ -336,13 +370,13 @@ func TestReservedBlocksAreNotResident(t *testing.T) {
 	if ids := s.IDs(); !slices.Equal(ids, []uint64{1}) {
 		t.Fatalf("index holds %v while blocks are reserved, want [1]", ids)
 	}
-	if err := s.Reserve(2); err != nil || s.Peak() != 3 {
+	if err := s.reserve(2); err != nil || s.Peak() != 3 {
 		t.Fatalf("a second Reserve(2): err %v, Peak %d; want nil and 3", err, s.Peak())
 	}
-	if err := s.Reserve(3); err != nil || s.Peak() != 4 {
+	if err := s.reserve(3); err != nil || s.Peak() != 4 {
 		t.Fatalf("Reserve to capacity: err %v, Peak %d; want nil and 4", err, s.Peak())
 	}
-	if err := s.Reserve(4); !errors.Is(err, ErrOverflow) || s.Peak() != 4 {
+	if err := s.reserve(4); !errors.Is(err, ErrOverflow) || s.Peak() != 4 {
 		t.Fatalf("Reserve past capacity: err %v, Peak %d; want ErrOverflow and 4", err, s.Peak())
 	}
 	for id := uint64(2); id <= 4; id++ {
