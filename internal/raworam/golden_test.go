@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,13 +16,13 @@ import (
 	"repro/internal/tee"
 )
 
-// pokeFault is an SSD that dies in the middle of an eviction: its
-// failAt-th PokeAt (a bucket write) and every data operation after it
-// fail with device.ErrInjected.
+// pokeFault is an SSD whose failAt-th PokeAt (a bucket write) fails
+// with device.ErrInjected in the middle of an eviction. Unless once is
+// set, it is then dead: every data operation after it fails too.
 type pokeFault struct {
 	device.Device
 	pokes, failAt int
-	dead          bool
+	once, dead    bool
 }
 
 func (p *pokeFault) fail(op string, addr uint64) error {
@@ -51,7 +52,7 @@ func (p *pokeFault) PeekAt(addr uint64, b []byte) error {
 
 func (p *pokeFault) PokeAt(addr uint64, b []byte) error {
 	if p.pokes++; p.dead || p.pokes == p.failAt {
-		p.dead = true
+		p.dead = !p.once
 		return p.fail("poke", addr)
 	}
 	return p.Device.PokeAt(addr, b)
@@ -62,7 +63,9 @@ func (p *pokeFault) PokeAt(addr uint64, b []byte) error {
 // and short flushes, and writes every payload and every error into h.
 // It goes on past failures — each error is part of the record — and
 // returns the errors that came out of an eviction (an operation during
-// which the EO count rose).
+// which the EO count rose). After a failed batch it counts every id of
+// the batch as out, as a caller that cannot tell which were removed
+// would; writing one back then puts a second copy of it into the tree.
 func evictionScript(t *testing.T, o *ORAM, rng *rand.Rand, steps int, h hash.Hash) []error {
 	t.Helper()
 	n := int(o.cfg.NumBlocks)
@@ -122,15 +125,22 @@ var evictionSHA = map[string]string{
 	"sealed-scratchpad": "69d2b187e4f88dc819ca9f97d9c80bf5cb0215c6b63884eb9479b3f42bbd8b1a",
 	"overflow":          "e4abae454a94821df6e05157fbc493ba9bc073c4951f9951185600979bf99e92",
 	"poke-fault":        "a717826bcdd0c23615aca7a8546dc6a4ae40e205d39ab4f1c397e0e175ae82b4",
+	// Recorded on the same parent build as the cases above, after them.
+	"plain-poke-once":  "cb68301433446a5066ed0acd33585fc2d4fdbe3ceb0b8972d2910101827db93d",
+	"sealed-poke-once": "c570978804980be39c97d46674813e27189e8a4ff409fc797a0bb9bb54565a74",
 }
 
 // TestGoldenEvictions: evictionScript over a tree about half full
 // (Z = 4, A = 2), plain and sealed, with and without the scratchpad; a
-// 16-block stash that overflows while evictions load their paths; and
-// an SSD whose 1 500th bucket write — mid-path, four levels up from
-// the leaf — fails, after which every SSD operation fails.
+// 16-block stash that overflows while evictions load their paths; an
+// SSD whose 1 500th bucket write — mid-path, four levels up from the
+// leaf — fails, after which every SSD operation fails; and, plain and
+// sealed, that one bucket write failing alone. After it a plain tree
+// shows the failed bucket's stale image as valid, so later evictions
+// meet blocks that are also resident or on a shallower slot of their
+// path, and a sealed one fails authentication on every path through it.
 func TestGoldenEvictions(t *testing.T) {
-	for _, name := range []string{"plain", "plain-scratchpad", "sealed", "sealed-scratchpad", "overflow", "poke-fault"} {
+	for _, name := range []string{"plain", "plain-scratchpad", "sealed", "sealed-scratchpad", "overflow", "poke-fault", "plain-poke-once", "sealed-poke-once"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{NumBlocks: 500, BlockSize: 16, BucketSlots: 4, EvictPeriod: 2, Seed: 17,
 				InitFn: func(id uint64) []byte {
@@ -139,7 +149,7 @@ func TestGoldenEvictions(t *testing.T) {
 					return b
 				}}
 			var eng *tee.Engine
-			if name != "plain" && name != "plain-scratchpad" {
+			if !strings.HasPrefix(name, "plain") {
 				eng = testEngine()
 				cfg.Engine = eng
 			}
@@ -150,8 +160,8 @@ func TestGoldenEvictions(t *testing.T) {
 			ssdSim, dramSim := device.NewSSD(1<<24), device.NewDRAM(1<<24)
 			ssdRec, dramRec := device.NewRecorder(ssdSim), device.NewRecorder(dramSim)
 			var ssd device.Device = ssdRec
-			fault := &pokeFault{Device: ssdRec, failAt: 1500}
-			if name == "poke-fault" {
+			fault := &pokeFault{Device: ssdRec, failAt: 1500, once: strings.HasSuffix(name, "-once")}
+			if strings.Contains(name, "poke") {
 				ssd = fault
 			}
 			o, err := New(cfg, ssd, dramRec)
@@ -165,8 +175,8 @@ func TestGoldenEvictions(t *testing.T) {
 				if len(evictErrs) == 0 || !errors.Is(evictErrs[0], stash.ErrOverflow) {
 					t.Fatalf("no eviction overflowed the stash: %v", evictErrs)
 				}
-			case "poke-fault":
-				if !fault.dead || len(evictErrs) == 0 || !errors.Is(evictErrs[0], device.ErrInjected) {
+			case "poke-fault", "plain-poke-once", "sealed-poke-once":
+				if fault.pokes < fault.failAt || len(evictErrs) == 0 || !errors.Is(evictErrs[0], device.ErrInjected) {
 					t.Fatalf("no bucket write failed an eviction: %v", evictErrs)
 				}
 			default:

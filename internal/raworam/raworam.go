@@ -151,6 +151,10 @@ type ORAM struct {
 	// returned to a caller aliases them.
 	stored []byte
 	plain  []byte
+	// taken holds the ids the eviction in flight has taken off its path:
+	// a block the path shows twice (only after a failed bucket write left
+	// a stale image valid) keeps its first, shallowest copy.
+	taken map[uint64]struct{}
 
 	// readers hold one DRAM path buffer each (see pathReader). readers[0]
 	// serves every read on the caller's goroutine — evictions, Peek and
@@ -278,6 +282,7 @@ func New(cfg Config, ssd, dram device.Device) (*ORAM, error) {
 		o.stored = make([]byte, stored)
 		o.plain = make([]byte, plain)
 		o.lastOpen = make([]uint32, levels)
+		o.taken = make(map[uint64]struct{})
 	}
 	o.readers = []*pathReader{o.newReader()}
 	o.maxReaders = 1
@@ -715,11 +720,11 @@ func (o *ORAM) scheduleEO(d time.Duration) (time.Duration, error) {
 // evictOnce performs one EO access on the next deterministic path, in
 // one read–plan–write pass: the path is read into the caller's path
 // buffer and each valid block is Taken into the stash's eviction where it
-// lies, its VTree bit cleared (a block the stash already holds keeps the
-// stash copy: under the AO-before-WriteBack discipline it never happens);
-// the residents join; the stash plans the path; storeBucket writes it
-// back leaf first; and the stash settles what no bucket took — on a
-// failure too.
+// lies, its VTree bit cleared (a block the stash or a shallower slot
+// already holds keeps that copy: under the AO-before-WriteBack discipline
+// it never happens); the residents join; the stash plans the path;
+// storeBucket writes it back leaf first; and the stash settles what no
+// bucket took — on a failure too.
 func (o *ORAM) evictOnce() (time.Duration, error) {
 	o.stats.EOAccesses++
 	d := o.chargeEO()
@@ -729,6 +734,7 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 		return d, nil
 	}
 	o.stash.Begin()
+	clear(o.taken)
 	o.resetPath()
 	slot := slotMetaSize + o.cfg.BlockSize
 	for l := 0; l < o.levels; l++ {
@@ -747,10 +753,12 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 				continue
 			}
 			blk := plain[s*slot : (s+1)*slot]
-			if id := binary.LittleEndian.Uint64(blk); id != invalidBlockID && o.stash.Get(id) == nil {
+			id := binary.LittleEndian.Uint64(blk)
+			if _, dup := o.taken[id]; !dup && id != invalidBlockID && o.stash.Get(id) == nil {
 				if err := o.stash.Take(id, binary.LittleEndian.Uint32(blk[8:]), blk[slotMetaSize:]); err != nil {
 					return d, o.stash.Settle(0, err)
 				}
+				o.taken[id] = struct{}{}
 			}
 			clearBit(vb, s)
 		}
