@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-check bench-spine vet fmt check experiments table1 clean
+.PHONY: all build test test-short bench bench-check bench-spine vet fmt check loc experiments table1 clean
 
 all: build test
 
@@ -71,6 +71,13 @@ bench-check:
 # `cd bench && go run . compare a.json b.json`.
 bench-spine:
 	cd bench && $(GO) run .
+
+# Non-test Go lines added, removed and net since BASE (default HEAD):
+# `git diff --numstat` of the tracked tree, *_test.go and bench/ left
+# out (a new file counts once `git add` tracks it). Not part of check.
+loc:
+	@git diff --numstat $(or $(BASE),HEAD) -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | \
+		awk '{a += $$1; r += $$2} END {printf "non-test Go lines: +%d -%d, net %+d\n", a, r, a - r}'
 
 # Regenerate every figure/ablation (writes results/).
 experiments: build

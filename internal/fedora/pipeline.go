@@ -140,9 +140,6 @@ func newPipeline(cfg Config) (*pipeline, error) {
 	if cfg.Backend == BackendDRAM {
 		mainProfile = device.DDR5DRAM
 	}
-	// Size via a trial geometry: construct the ORAM against a probe
-	// device, then recreate the real one at exactly the required size.
-	probe := device.NewSim(mainProfile, 1<<62)
 	dram := device.NewDRAM(1 << 62)
 	p.dram = dram
 	// The ORAMs run over the (optionally fault-wrapped) device views;
@@ -165,11 +162,11 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		if cfg.BucketBytes > 0 {
 			rawCfg.BucketSlots = bucketSlotsFor(cfg.BucketBytes, blockSize, engine != nil)
 		}
-		trial, err := raworam.New(rawCfg, probe, dram)
+		_, t, err := raworam.Layout(rawCfg, mainProfile.PageSize)
 		if err != nil {
 			return nil, err
 		}
-		p.ssd, err = storage.Open("ssd", mainProfile, trial.RequiredBytes(), cfg.Storage)
+		p.ssd, err = storage.Open("ssd", mainProfile, t.RequiredBytes(), cfg.Storage)
 		if err != nil {
 			return nil, fmt.Errorf("fedora: main device: %w", err)
 		}
@@ -197,11 +194,11 @@ func newPipeline(cfg Config) (*pipeline, error) {
 			AlignBucketToPage: true,
 			InitFn:            initFn,
 		}
-		trial, err := pathoram.New(pCfg, probe)
+		_, t, err := pathoram.Layout(pCfg, mainProfile.PageSize)
 		if err != nil {
 			return nil, err
 		}
-		p.ssd, err = storage.Open("ssd", mainProfile, trial.RequiredBytes(), cfg.Storage)
+		p.ssd, err = storage.Open("ssd", mainProfile, t.RequiredBytes(), cfg.Storage)
 		if err != nil {
 			return nil, fmt.Errorf("fedora: main device: %w", err)
 		}

@@ -31,7 +31,8 @@ const (
 )
 
 // Table is a sparse array of T indexed by uint64. It is not safe for
-// concurrent use, reads included: Get moves the leaf memo.
+// concurrent use, Get included: Get moves the leaf memo. At is the one
+// concurrent read.
 type Table[T comparable] struct {
 	leaves map[uint64]*[leafLen]T // by index >> leafBits
 	// low mirrors leaves for keys below lowKeys, by key: a buffer ORAM's
@@ -53,8 +54,10 @@ type memoLeaf[T comparable] struct {
 	leaf *[leafLen]T
 }
 
-// leaf returns the leaf holding index i, or nil if none was written.
-func (t *Table[T]) leaf(i uint64) *[leafLen]T {
+// leaf returns the leaf holding index i, or nil if none was written;
+// with move set, a leaf found above the directory becomes the memo's
+// most recent.
+func (t *Table[T]) leaf(i uint64, move bool) *[leafLen]T {
 	key := i >> leafBits
 	if key < lowKeys {
 		if key < uint64(len(t.low)) {
@@ -64,6 +67,9 @@ func (t *Table[T]) leaf(i uint64) *[leafLen]T {
 	}
 	if m := t.memo[0]; m.leaf != nil && m.key == key {
 		return m.leaf
+	}
+	if !move {
+		return t.leaves[key]
 	}
 	if m := t.memo[1]; m.leaf != nil && m.key == key {
 		t.memo[0], t.memo[1] = m, t.memo[0]
@@ -82,8 +88,14 @@ func (t *Table[T]) remember(key uint64, l *[leafLen]T) {
 }
 
 // Get returns the value at i, the zero value if absent.
-func (t *Table[T]) Get(i uint64) T {
-	if l := t.leaf(i); l != nil {
+func (t *Table[T]) Get(i uint64) T { return t.get(i, true) }
+
+// At is Get without moving the memo: while nothing calls Get or Set, any
+// number of goroutines may call At at once.
+func (t *Table[T]) At(i uint64) T { return t.get(i, false) }
+
+func (t *Table[T]) get(i uint64, move bool) T {
+	if l := t.leaf(i, move); l != nil {
 		return l[i&(leafLen-1)]
 	}
 	var zero T
@@ -93,7 +105,7 @@ func (t *Table[T]) Get(i uint64) T {
 // Set stores v at i; storing the zero value removes the entry.
 func (t *Table[T]) Set(i uint64, v T) {
 	var zero T
-	l := t.leaf(i)
+	l := t.leaf(i, true)
 	if l == nil {
 		if v == zero {
 			return

@@ -1,9 +1,11 @@
 package paged
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -120,5 +122,45 @@ func TestDirectoryBoundary(t *testing.T) {
 	tab.Range(func(idx uint64, _ uint32) { got = append(got, idx) })
 	if !slices.Equal(got, []uint64{5 * leafLen, below, above}) {
 		t.Errorf("Range visited %v", got)
+	}
+}
+
+// TestAtFromSeveralGoroutines: At reads keys above the directory — where
+// Get moves the memo — from several goroutines at once, race-free under
+// -race, and agrees with Get.
+func TestAtFromSeveralGoroutines(t *testing.T) {
+	var tab Table[uint64]
+	base := uint64(lowKeys * leafLen)
+	for k := uint64(0); k < 8; k++ {
+		tab.Set(base+k*leafLen+k, k+1)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 1000; n++ {
+				k := uint64(n+g) % 8
+				if got := tab.At(base + k*leafLen + k); got != k+1 {
+					errs <- fmt.Sprintf("At(%d) = %d, want %d", base+k*leafLen+k, got, k+1)
+					return
+				}
+				if got := tab.At(base + k*leafLen + k + 1); got != 0 {
+					errs <- fmt.Sprintf("At of an unwritten key = %d", got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for k := uint64(0); k < 8; k++ {
+		if tab.At(base+k*leafLen+k) != tab.Get(base+k*leafLen+k) || tab.At(k) != 0 || tab.At(1<<50) != 0 {
+			t.Fatalf("At and Get disagree at key %d", k)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 // SHA-256 of the ORAM and device snapshots after mixedOps, recorded on
@@ -129,7 +130,7 @@ func TestFailureStateParity(t *testing.T) {
 				cfg.Engine = eng
 			}
 			cfg.setDefaults()
-			_, levels := Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
+			_, levels := tree.Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
 			// Every access is levels reads then levels writes; the device
 			// fails inside access 700.
 			successes := 700*2*levels + levels/2

@@ -12,7 +12,9 @@
 // path is opened in place and a block that goes straight back onto it
 // is never copied out. To an observer, every access is a read and a
 // write of one uniformly random path, bucket by bucket, root to leaf
-// and then leaf to root.
+// and then leaf to root. The bucket tree itself — addresses, write
+// counters, sealed images — is internal/tree's; this package keeps the
+// 13-byte slot layout, the path buffer and the access.
 //
 // The package also provides the paper's "Path ORAM+" baseline
 // configuration (Sec 6.1): buckets padded to the SSD page size so each
@@ -37,11 +39,11 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/paged"
 	"repro/internal/persist"
 	"repro/internal/position"
 	"repro/internal/stash"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 // Op selects between a read and a write access.
@@ -92,7 +94,7 @@ type Config struct {
 	// PositionMap overrides the built-in sparse map — used by the
 	// recursive construction, where an ORAM's position map lives inside
 	// the next smaller ORAM. It must cover NumBlocks blocks over exactly
-	// this ORAM's leaf count (compute it in advance with Geometry).
+	// this ORAM's leaf count (compute it in advance with tree.Geometry).
 	PositionMap position.Map
 	// BaseAddr offsets the tree on the device, letting multiple ORAMs
 	// (e.g. the recursive position-map chain) share one device.
@@ -145,19 +147,10 @@ type ORAM struct {
 	rng    *rand.Rand
 	engine *tee.Engine
 
-	levels     int    // tree levels including root and leaves
-	leaves     uint32 // number of leaf buckets (power of two)
-	bucketSize int    // stored bytes per bucket (after sealing/padding)
-
-	// counters holds per-bucket write counters for encryption freshness,
-	// by bucket index; 0 (absent) means never written — a written bucket's
-	// counter is at least 1. In real FEDORA hardware these live in the
-	// parent-group scheme of Sec 5.2; the simulator keeps them host-side
-	// with equivalent semantics.
-	counters paged.Table[uint64]
+	tree *tree.Tree // geometry, addresses, write counters, sealed images
 
 	// The bucket being written, reused by every write: the device image
-	// (bucketSize bytes) and the plaintext packed into it. Without an
+	// (BucketSize bytes) and the plaintext packed into it. Without an
 	// engine the stored image starts with the plaintext, and plain
 	// aliases stored's front. Only writePath writes plain: its first
 	// packed slots may hold block bytes, the rest hold the empty-slot
@@ -167,47 +160,37 @@ type ORAM struct {
 	packed int
 
 	// The path of the access in flight (see access), reused by every
-	// access: its stored buckets, root first, each opened in place
-	// (levels × bucketSize bytes), and each level's write counter as read.
+	// access: its stored buckets, root first, each opened in place.
 	path   []byte
-	ctrs   []uint64
 	opener tee.Opener
 
 	stats Stats
 }
 
-// nextPow2 returns the smallest power of two >= v (v >= 1).
-func nextPow2(v uint64) uint64 {
-	p := uint64(1)
-	for p < v {
-		p <<= 1
+// Layout derives what New builds for cfg on a device whose pages are
+// pageSize bytes: cfg with its defaults set, and the bucket tree. It
+// opens no device, so a caller can size one (RequiredBytes, plus
+// BaseAddr) first.
+func Layout(cfg Config, pageSize int) (Config, *tree.Tree, error) {
+	cfg.setDefaults()
+	if err := cfg.validate(); err != nil {
+		return cfg, nil, err
 	}
-	return p
-}
-
-// Geometry computes the tree shape for a config: leaf count and levels.
-func Geometry(numBlocks uint64, bucketSlots int, amplification float64) (leaves uint32, levels int) {
-	// total slots ≈ 2 * leaves * Z; target amplification*N slots.
-	target := uint64(amplification*float64(numBlocks))/uint64(2*bucketSlots) + 1
-	l := nextPow2(target)
-	if l < 2 {
-		l = 2
+	if !cfg.AlignBucketToPage {
+		pageSize = 1
 	}
-	levels = 1
-	for p := uint64(1); p < l; p <<= 1 {
-		levels++
-	}
-	return uint32(l), levels
+	leaves, levels := tree.Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
+	plain := cfg.BucketSlots * (slotMetaSize + cfg.BlockSize)
+	return cfg, tree.New(leaves, levels, plain, cfg.Engine, pageSize, cfg.BaseAddr), nil
 }
 
 // New creates a Path ORAM on dev. The device must be large enough for the
-// tree; use RequiredBytes to size it.
+// tree; use Layout or RequiredBytes to size it.
 func New(cfg Config, dev device.Device) (*ORAM, error) {
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, t, err := Layout(cfg, dev.PageSize())
+	if err != nil {
 		return nil, err
 	}
-	leaves, levels := Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
 	src := persist.NewSource(cfg.Seed)
 	o := &ORAM{
 		cfg:    cfg,
@@ -215,75 +198,42 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		src:    src,
 		rng:    rand.New(src),
 		engine: cfg.Engine,
-		levels: levels,
-		leaves: leaves,
+		tree:   t,
 		stash:  stash.New(cfg.StashCapacity),
 	}
-	o.bucketSize = o.storedBucketSize()
 	if !cfg.Phantom {
-		o.stored = make([]byte, o.bucketSize)
+		o.stored = make([]byte, t.BucketSize())
 		if o.engine != nil {
-			o.plain = make([]byte, o.plainBucketSize())
+			o.plain = make([]byte, t.PlainSize())
 			o.opener = o.engine.Opener()
 		} else {
-			o.plain = o.stored[:o.plainBucketSize()]
+			o.plain = o.stored[:t.PlainSize()]
 		}
 		o.packed = cfg.BucketSlots
-		o.path = make([]byte, levels*o.bucketSize)
-		o.ctrs = make([]uint64, levels)
+		o.path = make([]byte, t.PathBytes())
 	}
-	if need := cfg.BaseAddr + o.RequiredBytes(); dev.Capacity() < need {
+	if need := cfg.BaseAddr + t.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("pathoram: device capacity %d < required %d", dev.Capacity(), need)
 	}
 	if cfg.PositionMap != nil {
-		if cfg.PositionMap.NumLeaves() != leaves {
+		if cfg.PositionMap.NumLeaves() != t.Leaves() {
 			return nil, fmt.Errorf("pathoram: position map covers %d leaves, tree has %d",
-				cfg.PositionMap.NumLeaves(), leaves)
+				cfg.PositionMap.NumLeaves(), t.Leaves())
 		}
 		o.pos = cfg.PositionMap
 	} else {
-		o.pos = position.NewSparse(cfg.NumBlocks, leaves, uint64(cfg.Seed)+1)
+		o.pos = position.NewSparse(cfg.NumBlocks, t.Leaves(), uint64(cfg.Seed)+1)
 	}
 	return o, nil
 }
 
-// storedBucketSize computes the on-device size of one bucket.
-func (o *ORAM) storedBucketSize() int {
-	plain := o.plainBucketSize()
-	stored := plain
-	if o.engine != nil {
-		stored = tee.SealedSize(plain)
-	}
-	if o.cfg.AlignBucketToPage {
-		ps := o.dev.PageSize()
-		if ps > 1 {
-			stored = (stored + ps - 1) / ps * ps
-		}
-	}
-	return stored
-}
-
-// plainBucketSize is the size of one bucket's plaintext image.
-func (o *ORAM) plainBucketSize() int {
-	return o.cfg.BucketSlots * (slotMetaSize + o.cfg.BlockSize)
-}
-
-// RequiredBytes is the device footprint of the whole tree.
-func (o *ORAM) RequiredBytes() uint64 {
-	return uint64(o.numBuckets()) * uint64(o.bucketSize)
-}
-
-// numBuckets returns the total bucket count (2*leaves - 1).
-func (o *ORAM) numBuckets() uint32 { return 2*o.leaves - 1 }
-
-// Levels returns the tree depth (root inclusive).
-func (o *ORAM) Levels() int { return o.levels }
-
-// Leaves returns the number of leaves.
-func (o *ORAM) Leaves() uint32 { return o.leaves }
-
-// BucketStoredSize returns the on-device bucket size in bytes.
-func (o *ORAM) BucketStoredSize() int { return o.bucketSize }
+// RequiredBytes (the whole tree's device bytes), Levels (root inclusive),
+// Leaves, BucketStoredSize and PathBytes expose the geometry.
+func (o *ORAM) RequiredBytes() uint64 { return o.tree.RequiredBytes() }
+func (o *ORAM) Levels() int           { return o.tree.Levels() }
+func (o *ORAM) Leaves() uint32        { return o.tree.Leaves() }
+func (o *ORAM) BucketStoredSize() int { return o.tree.BucketSize() }
+func (o *ORAM) PathBytes() uint64     { return o.tree.PathBytes() }
 
 // StashPeak exposes the stash high-water mark for occupancy tests.
 func (o *ORAM) StashPeak() int { return o.stash.Peak() }
@@ -297,24 +247,8 @@ func (o *ORAM) Stats() Stats { return o.stats }
 // ResetStats zeroes ORAM counters (not device counters).
 func (o *ORAM) ResetStats() { o.stats = Stats{} }
 
-// bucketIndex returns the heap index of the bucket at `level` on the
-// path to `leaf` (root is level 0, index 0).
-func (o *ORAM) bucketIndex(leaf uint32, level int) uint32 {
-	return (uint32(1) << level) - 1 + (leaf >> (o.levels - 1 - level))
-}
-
-// bucketAddr returns the device byte offset of bucket idx.
-func (o *ORAM) bucketAddr(idx uint32) uint64 {
-	return o.cfg.BaseAddr + uint64(idx)*uint64(o.bucketSize)
-}
-
-// PathBytes is the bytes moved by reading or writing one full path.
-func (o *ORAM) PathBytes() uint64 {
-	return uint64(o.levels) * uint64(o.bucketSize)
-}
-
 // randomLeaf draws a uniform leaf.
-func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.leaves))) }
+func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.tree.Leaves()))) }
 
 // Access performs one ORAM access. For OpRead, the returned slice holds
 // the block contents; for OpWrite, data supplies the new contents (its
@@ -373,7 +307,7 @@ func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, t
 	default:
 		out = append([]byte(nil), t.Data...)
 	}
-	o.stash.Plan(leaf, o.levels, o.levels-1, o.cfg.BucketSlots)
+	o.stash.Plan(leaf, o.tree.Levels(), o.tree.Levels()-1, o.cfg.BucketSlots)
 	d, written, err := o.writePath(leaf)
 	dur += d
 	if err = o.stash.Settle(written, err); err != nil {
@@ -384,7 +318,7 @@ func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, t
 }
 
 // readPath reads the buckets of the path to leaf into o.path, root first,
-// recording each one's write counter in o.ctrs, and opens each in place.
+// and opens each written one in place.
 // Every valid slot is Taken into the stash's eviction with its bytes
 // where they lie; the residents join it; and if block id was in neither,
 // a fresh block made for it is Held last. It returns the target's index
@@ -397,21 +331,20 @@ func (o *ORAM) readPath(id uint64, leaf uint32) (time.Duration, int, error) {
 	target := -1
 	indexed := o.stash.Len() > 0
 	slot := slotMetaSize + o.cfg.BlockSize
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
 		o.stats.BucketReads++
-		stored := o.path[l*o.bucketSize : (l+1)*o.bucketSize]
-		d, err := o.dev.ReadAt(o.bucketAddr(idx), stored)
+		stored := o.tree.Slot(o.path, l)
+		d, err := o.dev.ReadAt(o.tree.Addr(idx), stored)
 		dur += d
 		if err != nil {
 			return dur, target, err
 		}
-		ctr := o.counters.Get(uint64(idx))
-		o.ctrs[l] = ctr
+		ctr := o.tree.Counter(idx)
 		if ctr == 0 {
 			continue // never-written bucket: all slots empty
 		}
-		plain, err := o.openPath(stored, idx, ctr)
+		plain, err := o.tree.Open(&o.opener, stored, idx, ctr, nil)
 		if err != nil {
 			return dur, target, err
 		}
@@ -454,7 +387,7 @@ func (o *ORAM) readPath(id uint64, leaf uint32) (time.Duration, int, error) {
 		if err := o.stash.Hold(b); err != nil {
 			return dur, target, err
 		}
-		o.initBlock(b.Data, id)
+		tree.InitBlock(b.Data, id, o.cfg.InitFn)
 		target = len(o.stash.Entries()) - 1
 	}
 	return dur, target, nil
@@ -468,8 +401,8 @@ func (o *ORAM) writePath(leaf uint32) (time.Duration, int, error) {
 	var dur time.Duration
 	slot := slotMetaSize + o.cfg.BlockSize
 	entries := o.stash.Entries()
-	for l := o.levels - 1; l >= 0; l-- {
-		idx := o.bucketIndex(leaf, l)
+	for l := o.tree.Levels() - 1; l >= 0; l-- {
+		idx := o.tree.Index(leaf, l)
 		bucket := o.stash.Bucket(l)
 		for s, i := range bucket {
 			e := &entries[i]
@@ -485,11 +418,9 @@ func (o *ORAM) writePath(leaf uint32) (time.Duration, int, error) {
 			binary.LittleEndian.PutUint64(meta, invalidBlockID)
 		}
 		o.packed = len(bucket)
-		ctr := o.ctrs[l] + 1
-		o.counters.Set(uint64(idx), ctr)
-		o.sealBucket(idx, ctr)
+		o.tree.Seal(idx, o.plain, o.stored)
 		o.stats.BucketWrite++
-		d, err := o.dev.WriteAt(o.bucketAddr(idx), o.stored)
+		d, err := o.dev.WriteAt(o.tree.Addr(idx), o.stored)
 		dur += d
 		if err != nil {
 			return dur, l, err
@@ -522,17 +453,17 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		return append([]byte(nil), blk.Data...), nil
 	}
 	leaf := o.pos.Get(id)
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		ctr := o.counters.Get(uint64(idx))
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
+		ctr := o.tree.Counter(idx)
 		if ctr == 0 {
 			continue
 		}
-		stored := o.path[l*o.bucketSize : (l+1)*o.bucketSize]
-		if err := o.dev.PeekAt(o.bucketAddr(idx), stored); err != nil {
+		stored := o.tree.Slot(o.path, l)
+		if err := o.dev.PeekAt(o.tree.Addr(idx), stored); err != nil {
 			return nil, err
 		}
-		plain, err := o.openPath(stored, idx, ctr)
+		plain, err := o.tree.Open(&o.opener, stored, idx, ctr, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -544,56 +475,17 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		}
 	}
 	out := make([]byte, o.cfg.BlockSize)
-	o.initBlock(out, id)
+	tree.InitBlock(out, id, o.cfg.InitFn)
 	return out, nil
-}
-
-// initBlock fills dst with the initial contents of never-written block id.
-func (o *ORAM) initBlock(dst []byte, id uint64) {
-	if o.cfg.InitFn == nil {
-		clear(dst)
-		return
-	}
-	b := o.cfg.InitFn(id)
-	if len(b) != o.cfg.BlockSize {
-		panic(fmt.Sprintf("pathoram: InitFn returned %d bytes, want %d", len(b), o.cfg.BlockSize))
-	}
-	copy(dst, b)
 }
 
 // chargePath accounts a full-path transfer without moving data.
 func (o *ORAM) chargePath(op device.Op) time.Duration {
-	d := o.dev.ChargeN(op, o.bucketSize, o.levels)
+	d := o.dev.ChargeN(op, o.tree.BucketSize(), o.tree.Levels())
 	if op == device.OpRead {
-		o.stats.BucketReads += uint64(o.levels)
+		o.stats.BucketReads += uint64(o.tree.Levels())
 	} else {
-		o.stats.BucketWrite += uint64(o.levels)
+		o.stats.BucketWrite += uint64(o.tree.Levels())
 	}
 	return d
-}
-
-// sealBucket turns the packed plaintext image into the stored image:
-// encrypted (if configured) and zero-padded to the stored bucket size.
-func (o *ORAM) sealBucket(idx uint32, ctr uint64) {
-	n := len(o.plain) // without an engine writePath packed the stored image's front itself
-	if o.engine != nil {
-		n = len(o.engine.SealTo(o.stored[:0], o.plain, uint64(idx), ctr))
-	}
-	clear(o.stored[n:]) // the padding is stored too; the last bucket's bytes must not ride along
-}
-
-// openPath opens a stored bucket image in place — it lies in o.path —
-// and returns its plaintext, counting the open in the engine's work.
-func (o *ORAM) openPath(stored []byte, idx uint32, ctr uint64) ([]byte, error) {
-	n := len(o.plain)
-	if o.engine == nil {
-		return stored[:n], nil
-	}
-	plain, err := o.opener.Open(stored, stored[:tee.SealedSize(n)], uint64(idx), ctr)
-	if err != nil {
-		o.engine.AddStats(tee.EngineStats{AuthFailures: 1})
-		return nil, err
-	}
-	o.engine.AddStats(tee.EngineStats{GroupsOpened: 1, BytesOpened: uint64(n)})
-	return plain, nil
 }

@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 func newTestORAM(t *testing.T, cfg Config) (*ORAM, *device.Sim) {
 	t.Helper()
 	cfg.setDefaults()
-	leaves, levels := Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
+	leaves, levels := tree.Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
 	_ = leaves
 	_ = levels
 	dev := device.NewDRAM(1 << 30)
@@ -30,7 +31,7 @@ func testEngine() *tee.Engine {
 }
 
 func TestGeometry(t *testing.T) {
-	leaves, levels := Geometry(1024, 4, 8)
+	leaves, levels := tree.Geometry(1024, 4, 8)
 	// target slots ≈ 8*1024 = 8192; 2*leaves*4 ≈ 8192 → leaves ≈ 1024.
 	if leaves < 512 || leaves > 2048 {
 		t.Errorf("leaves = %d", leaves)
@@ -43,7 +44,7 @@ func TestGeometry(t *testing.T) {
 		t.Errorf("leaves %d not power of two", leaves)
 	}
 	// Tiny N still yields a valid tree.
-	leaves, levels = Geometry(1, 4, 8)
+	leaves, levels = tree.Geometry(1, 4, 8)
 	if leaves < 2 || levels < 2 {
 		t.Errorf("tiny geometry: leaves=%d levels=%d", leaves, levels)
 	}

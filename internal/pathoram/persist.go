@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/paged"
 	"repro/internal/persist"
 	"repro/internal/position"
+	"repro/internal/tree"
 )
 
 // Snapshot/Restore cover the ORAM's dynamic state: the stash, the
@@ -30,7 +30,7 @@ func (o *ORAM) SnapshotSize() int {
 	if posSnap, ok := o.pos.(position.Checkpointable); ok && o.cfg.PositionMap == nil {
 		n += posSnap.SnapshotSize()
 	}
-	return n + o.counters.Len()*(4+8)
+	return n + o.tree.Written()*(4+8)
 }
 
 // SnapshotTo appends the ORAM's dynamic state.
@@ -46,8 +46,8 @@ func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
 	e.U64(o.cfg.NumBlocks)
 	e.U32(uint32(o.cfg.BlockSize))
 	e.U32(uint32(o.cfg.BucketSlots))
-	e.U32(uint32(o.levels))
-	e.U32(o.leaves)
+	e.U32(uint32(o.tree.Levels()))
+	e.U32(o.tree.Leaves())
 	e.U64(o.cfg.BaseAddr)
 	e.Bool(o.cfg.Phantom)
 	e.Bool(ownPos)
@@ -69,12 +69,7 @@ func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
 		}
 	}
 	e.EndBytes(m)
-	// Per-bucket write counters, in ascending bucket index.
-	e.U64(uint64(o.counters.Len()))
-	o.counters.Range(func(idx, ctr uint64) {
-		e.U32(uint32(idx))
-		e.U64(ctr)
-	})
+	o.tree.EncodeCounters(e)
 	return nil
 }
 
@@ -95,8 +90,8 @@ func (o *ORAM) Restore(b []byte) error {
 	ownPos := d.Bool()
 	if d.Err() == nil {
 		if numBlocks != o.cfg.NumBlocks || int(blockSize) != o.cfg.BlockSize ||
-			int(bucketSlots) != o.cfg.BucketSlots || int(levels) != o.levels ||
-			leaves != o.leaves || baseAddr != o.cfg.BaseAddr || phantom != o.cfg.Phantom {
+			int(bucketSlots) != o.cfg.BucketSlots || int(levels) != o.tree.Levels() ||
+			leaves != o.tree.Leaves() || baseAddr != o.cfg.BaseAddr || phantom != o.cfg.Phantom {
 			return fmt.Errorf("pathoram: snapshot geometry (N=%d bs=%d Z=%d levels=%d leaves=%d base=%d phantom=%v) does not match this ORAM",
 				numBlocks, blockSize, bucketSlots, levels, leaves, baseAddr, phantom)
 		}
@@ -112,13 +107,8 @@ func (o *ORAM) Restore(b []byte) error {
 	rngBlob := d.Bytes()
 	stashBlob := d.Bytes()
 	posBlob := d.Bytes()
-	n := d.U64()
-	var counters paged.Table[uint64]
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		idx := d.U32()
-		counters.Set(uint64(idx), d.U64())
-	}
-	if err := d.Err(); err != nil {
+	counters, err := tree.DecodeCounters(d)
+	if err != nil {
 		return fmt.Errorf("pathoram: snapshot: %w", err)
 	}
 
@@ -134,6 +124,6 @@ func (o *ORAM) Restore(b []byte) error {
 		}
 	}
 	o.stats = st
-	o.counters = counters
+	o.tree.SetCounters(counters)
 	return nil
 }

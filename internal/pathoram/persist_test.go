@@ -2,10 +2,14 @@ package pathoram
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/tree"
 )
 
 func newPersistORAM(t *testing.T) (*ORAM, *device.Sim) {
@@ -98,7 +102,7 @@ func TestSnapshotExternalPositionMapRefused(t *testing.T) {
 	}
 
 	cfg := Config{NumBlocks: 128, BlockSize: 32, Seed: 5}
-	leaves, _ := Geometry(cfg.NumBlocks, 4, 8)
+	leaves, _ := tree.Geometry(cfg.NumBlocks, 4, 8)
 	cfg.PositionMap = newTestPosMap(leaves)
 	probe := device.NewSSD(1 << 40)
 	trial, err := New(cfg, probe)
@@ -135,3 +139,34 @@ func (m *externalMap) GetSet(id uint64, leaf uint32) uint32 {
 }
 func (m *externalMap) NumLeaves() uint32 { return m.leaves }
 func (m *externalMap) SizeBytes() uint64 { return 0 }
+
+// TestSnapshotRefusesZeroCounter: SnapshotTo never writes a zero bucket
+// counter, so a checkpoint holding one is crafted — Restore refuses it by
+// bucket and leaves the ORAM as it was.
+func TestSnapshotRefusesZeroCounter(t *testing.T) {
+	a, _ := newPersistORAM(t)
+	drive(t, a, rand.New(rand.NewSource(11)), 40)
+	snap, err := a.Snapshot()
+	if err != nil || a.tree.Written() == 0 {
+		t.Fatalf("snapshot of %d written buckets: %v", a.tree.Written(), err)
+	}
+	// The counters section ends the snapshot: the last pair is the
+	// highest written bucket's (u32 index, u64 counter).
+	n := len(snap)
+	idx := binary.LittleEndian.Uint32(snap[n-12:])
+	clear(snap[n-8:])
+
+	b, _ := newPersistORAM(t)
+	drive(t, b, rand.New(rand.NewSource(12)), 40)
+	before, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bucket %d has write counter 0", idx)) {
+		t.Fatalf("zero counter of bucket %d: Restore = %v", idx, err)
+	}
+	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
+	}
+}

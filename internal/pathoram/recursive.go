@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/position"
+	"repro/internal/tree"
 )
 
 // This file implements the recursive position map of Stefanov et al.
@@ -77,7 +78,7 @@ func NewRecursiveMap(cfg RecursiveMapConfig, dev device.Device) (*RecursiveMap, 
 	// address on the shared device.
 	leavesOf := make([]uint32, len(counts))
 	for i, c := range counts {
-		leavesOf[i], _ = Geometry(c, 4, 8)
+		leavesOf[i], _ = tree.Geometry(c, 4, 8)
 	}
 	// Build from the deepest level up. The deepest level's own position
 	// map is a plain sparse map (the residual fits the threshold).

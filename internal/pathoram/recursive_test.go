@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/position"
+	"repro/internal/tree"
 )
 
 func newRecursiveMap(t *testing.T, numBlocks uint64, numLeaves uint32) (*RecursiveMap, *device.Sim) {
@@ -119,7 +120,7 @@ func TestDataORAMWithRecursiveMap(t *testing.T) {
 	// still satisfy read-your-writes.
 	dev := device.NewDRAM(1 << 30)
 	const numBlocks = 512
-	leaves, _ := Geometry(numBlocks, 4, 8)
+	leaves, _ := tree.Geometry(numBlocks, 4, 8)
 	rm, err := NewRecursiveMap(RecursiveMapConfig{
 		NumBlocks:       numBlocks,
 		NumLeaves:       leaves,

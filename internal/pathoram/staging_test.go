@@ -13,6 +13,7 @@ import (
 	"repro/internal/position"
 	"repro/internal/stash"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 // refAccess is one access the way it ran before the read–plan–write
@@ -24,20 +25,20 @@ func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 	newLeaf := o.randomLeaf()
 	leaf := position.GetSet(o.pos, id, newLeaf)
 	var dur time.Duration
-	stored := make([]byte, o.bucketSize)
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
+	stored := make([]byte, o.tree.BucketSize())
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
 		o.stats.BucketReads++
-		d, err := o.dev.ReadAt(o.bucketAddr(idx), stored)
+		d, err := o.dev.ReadAt(o.tree.Addr(idx), stored)
 		dur += d
 		if err != nil {
 			return err
 		}
-		ctr := o.counters.Get(uint64(idx))
+		ctr := o.tree.Counter(idx)
 		if ctr == 0 {
 			continue
 		}
-		plain := stored[:o.plainBucketSize()]
+		plain := stored[:o.tree.PlainSize()]
 		if o.engine != nil {
 			if plain, err = o.engine.Open(stored[:tee.SealedSize(len(plain))], uint64(idx), ctr); err != nil {
 				return err
@@ -59,7 +60,7 @@ func refAccess(o *ORAM, id uint64, mutate func(blk *stash.Block)) error {
 	blk := o.stash.Get(id)
 	if blk == nil {
 		blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
-		o.initBlock(blk.Data, id)
+		tree.InitBlock(blk.Data, id, o.cfg.InitFn)
 		if err := o.stash.Put(blk); err != nil {
 			return err
 		}
@@ -98,10 +99,10 @@ func refBucket(s *stash.Stash, leaf uint32, levels, level, z int) []*stash.Block
 func refEvict(o *ORAM, leaf uint32) (time.Duration, error) {
 	var total time.Duration
 	slot := slotMetaSize + o.cfg.BlockSize
-	plain, stored := make([]byte, o.plainBucketSize()), make([]byte, o.bucketSize)
-	for l := o.levels - 1; l >= 0; l-- {
-		idx := o.bucketIndex(leaf, l)
-		picked := refBucket(o.stash, leaf, o.levels, l, o.cfg.BucketSlots)
+	plain, stored := make([]byte, o.tree.PlainSize()), make([]byte, o.tree.BucketSize())
+	for l := o.tree.Levels() - 1; l >= 0; l-- {
+		idx := o.tree.Index(leaf, l)
+		picked := refBucket(o.stash, leaf, o.tree.Levels(), l, o.cfg.BucketSlots)
 		clear(plain)
 		for s := 0; s < o.cfg.BucketSlots; s++ {
 			meta := plain[s*slot:]
@@ -114,15 +115,9 @@ func refEvict(o *ORAM, leaf uint32) (time.Duration, error) {
 				binary.LittleEndian.PutUint64(meta, invalidBlockID)
 			}
 		}
-		ctr := o.counters.Get(uint64(idx)) + 1
-		o.counters.Set(uint64(idx), ctr)
-		n := copy(stored, plain)
-		if o.engine != nil {
-			n = len(o.engine.SealTo(stored[:0], plain, uint64(idx), ctr))
-		}
-		clear(stored[n:])
+		o.tree.Seal(idx, plain, stored)
 		o.stats.BucketWrite++
-		d, err := o.dev.WriteAt(o.bucketAddr(idx), stored)
+		d, err := o.dev.WriteAt(o.tree.Addr(idx), stored)
 		total += d
 		if err != nil {
 			return total, err
@@ -285,13 +280,13 @@ func TestTamperedBucketLeavesNothingStaged(t *testing.T) {
 	}
 	// Flip a byte of the level-2 bucket on block 5's path, on both devices.
 	const victim = 5
-	idx := got.bucketIndex(got.pos.Get(victim), 2)
-	if got.counters.Get(uint64(idx)) == 0 {
+	idx := got.tree.Index(got.pos.Get(victim), 2)
+	if got.tree.Counter(idx) == 0 {
 		t.Fatal("the bucket to tamper with was never written")
 	}
 	flip := func(dev *device.Sim) {
 		var b [1]byte
-		addr := got.bucketAddr(idx) + 3
+		addr := got.tree.Addr(idx) + 3
 		if err := dev.PeekAt(addr, b[:]); err != nil {
 			t.Fatal(err)
 		}
@@ -348,22 +343,22 @@ func TestPlanMatchesPick(t *testing.T) {
 		ref := stash.New(0)
 		o.stash.Begin()
 		for _, id := range rng.Perm(400)[:rng.Intn(151)] {
-			leaf := uint32(rng.Intn(int(o.leaves)))
+			leaf := uint32(rng.Intn(int(o.Leaves())))
 			if err := o.stash.Take(uint64(id), leaf, []byte{byte(id)}); err != nil {
 				t.Fatal(err)
 			}
 			_ = ref.Put(&stash.Block{ID: uint64(id), Leaf: leaf})
 		}
-		leaf := uint32(rng.Intn(int(o.leaves)))
-		deepest, shallowest := o.levels-1, 0
+		leaf := uint32(rng.Intn(int(o.Leaves())))
+		deepest, shallowest := o.tree.Levels()-1, 0
 		if trial%4 == 3 {
-			deepest = rng.Intn(o.levels)
+			deepest = rng.Intn(o.tree.Levels())
 			shallowest = deepest
 		}
-		o.stash.Plan(leaf, o.levels, deepest, z)
+		o.stash.Plan(leaf, o.tree.Levels(), deepest, z)
 		entries := o.stash.Entries()
 		for l := deepest; l >= shallowest; l-- {
-			want := refBucket(ref, leaf, o.levels, l, z)
+			want := refBucket(ref, leaf, o.tree.Levels(), l, z)
 			got := o.stash.Bucket(l)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d level %d: planned %d blocks, Pick %d", trial, l, len(got), len(want))

@@ -288,8 +288,8 @@ func TestBatchIntegrityIsPerBucket(t *testing.T) {
 			prev = ids
 		}
 		victim := uint32(1)<<level - 1 // leftmost bucket of the level
-		ctr, ok := o.counters[victim]
-		if !ok {
+		ctr := o.tree.Counter(victim)
+		if ctr == 0 {
 			t.Fatalf("level %d: bucket %d never written", level, victim)
 		}
 
@@ -297,7 +297,7 @@ func TestBatchIntegrityIsPerBucket(t *testing.T) {
 		// the stash, so every one of them is looked up in the tree; inVictim
 		// are those stored in the victim.
 		o.resetPath()
-		plain, err := o.readBucket(level, victim, ctr)
+		plain, err := o.readers[0].read(o, level, victim, ctr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestBatchIntegrityIsPerBucket(t *testing.T) {
 		}
 		var ids []uint64
 		for id := uint64(0); id < cfg.NumBlocks && len(ids) < 400; id++ {
-			if o.bucketIndex(o.pos.Get(id), level) == victim && o.stash.Get(id) == nil {
+			if o.tree.Index(o.pos.Get(id), level) == victim && o.stash.Get(id) == nil {
 				ids = append(ids, id)
 			}
 		}
@@ -323,12 +323,12 @@ func TestBatchIntegrityIsPerBucket(t *testing.T) {
 			}
 		}
 
-		img := make([]byte, o.bucketSize)
-		if err := s.ssd.PeekAt(o.bucketAddr(victim), img); err != nil {
+		img := make([]byte, o.tree.BucketSize())
+		if err := s.ssd.PeekAt(o.tree.Addr(victim), img); err != nil {
 			t.Fatal(err)
 		}
 		img[37] ^= 0x10
-		if err := s.ssd.PokeAt(o.bucketAddr(victim), img); err != nil {
+		if err := s.ssd.PokeAt(o.tree.Addr(victim), img); err != nil {
 			t.Fatal(err)
 		}
 
@@ -341,7 +341,7 @@ func TestBatchIntegrityIsPerBucket(t *testing.T) {
 		if got := s.engine.Stats().AuthFailures - failuresBefore; got != 1 {
 			t.Errorf("level %d: AuthFailures rose by %d, want 1", level, got)
 		}
-		if n := s.peeks.peeks[o.bucketAddr(victim)]; n != 1 {
+		if n := s.peeks.peeks[o.tree.Addr(victim)]; n != 1 {
 			t.Errorf("level %d: tampered bucket fetched %d times, want 1", level, n)
 		}
 		untouched := bytes.Repeat([]byte{0xA5}, cfg.BlockSize)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/persist"
 	"repro/internal/position"
+	"repro/internal/tree"
 )
 
 // Snapshot/Restore cover everything that evolves as the main ORAM runs:
@@ -31,7 +32,7 @@ func (o *ORAM) SnapshotSize() int {
 		n += posSnap.SnapshotSize()
 	}
 	bmLen := (o.cfg.BucketSlots + 7) / 8
-	return n + len(o.vtree)*(4+8+bmLen) + len(o.counters)*(4+8)
+	return n + len(o.vtree)*(4+8+bmLen) + o.tree.Written()*(4+8)
 }
 
 // SnapshotTo appends the ORAM's dynamic state.
@@ -48,8 +49,8 @@ func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
 	e.U32(uint32(o.cfg.BlockSize))
 	e.U32(uint32(o.cfg.BucketSlots))
 	e.U32(uint32(o.cfg.EvictPeriod))
-	e.U32(uint32(o.levels))
-	e.U32(o.leaves)
+	e.U32(uint32(o.tree.Levels()))
+	e.U32(o.tree.Leaves())
 	e.Bool(o.cfg.Phantom)
 	// Eviction schedule position: the root counter g and the phase
 	// within the current eviction period.
@@ -82,17 +83,7 @@ func (o *ORAM) SnapshotTo(e *persist.Encoder) error {
 		e.U32(idx)
 		e.Bytes(o.vtree[idx])
 	}
-	// Per-bucket write counters, sorted by bucket index.
-	cIdxs := make([]uint32, 0, len(o.counters))
-	for idx := range o.counters {
-		cIdxs = append(cIdxs, idx)
-	}
-	sort.Slice(cIdxs, func(i, j int) bool { return cIdxs[i] < cIdxs[j] })
-	e.U64(uint64(len(cIdxs)))
-	for _, idx := range cIdxs {
-		e.U32(idx)
-		e.U64(o.counters[idx])
-	}
+	o.tree.EncodeCounters(e)
 	return nil
 }
 
@@ -114,7 +105,7 @@ func (o *ORAM) Restore(b []byte) error {
 	if d.Err() == nil {
 		if numBlocks != o.cfg.NumBlocks || int(blockSize) != o.cfg.BlockSize ||
 			int(bucketSlots) != o.cfg.BucketSlots || int(evictPeriod) != o.cfg.EvictPeriod ||
-			int(levels) != o.levels || leaves != o.leaves || phantom != o.cfg.Phantom {
+			int(levels) != o.tree.Levels() || leaves != o.tree.Leaves() || phantom != o.cfg.Phantom {
 			return fmt.Errorf("raworam: snapshot geometry (N=%d bs=%d Z=%d A=%d levels=%d leaves=%d phantom=%v) does not match this ORAM",
 				numBlocks, blockSize, bucketSlots, evictPeriod, levels, leaves, phantom)
 		}
@@ -142,13 +133,8 @@ func (o *ORAM) Restore(b []byte) error {
 			vtree[idx] = bm
 		}
 	}
-	nC := d.U64()
-	counters := make(map[uint32]uint64, nC)
-	for i := uint64(0); i < nC && d.Err() == nil; i++ {
-		idx := d.U32()
-		counters[idx] = d.U64()
-	}
-	if err := d.Err(); err != nil {
+	counters, err := tree.DecodeCounters(d)
+	if err != nil {
 		return fmt.Errorf("raworam: snapshot: %w", err)
 	}
 
@@ -166,6 +152,6 @@ func (o *ORAM) Restore(b []byte) error {
 	o.pendingWrites = int(pendingWrites)
 	o.stats = st
 	o.vtree = vtree
-	o.counters = counters
+	o.tree.SetCounters(counters)
 	return nil
 }

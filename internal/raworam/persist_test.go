@@ -2,7 +2,10 @@ package raworam
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -131,5 +134,37 @@ func TestSnapshotGeometryGuard(t *testing.T) {
 	b, _, _ := newPersistORAM(t)
 	if err := b.Restore(snap[:len(snap)/3]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestSnapshotRefusesZeroCounter: SnapshotTo never writes a zero bucket
+// counter, so a checkpoint holding one is crafted — it would open the
+// bucket under a nonce no seal used. Restore refuses it by bucket and
+// leaves the ORAM as it was.
+func TestSnapshotRefusesZeroCounter(t *testing.T) {
+	a, _, _ := newPersistORAM(t)
+	drive(t, a, rand.New(rand.NewSource(7)), 1000)
+	snap, err := a.Snapshot()
+	if err != nil || a.tree.Written() == 0 {
+		t.Fatalf("snapshot of %d written buckets: %v", a.tree.Written(), err)
+	}
+	// The counters section ends the snapshot: the last pair is the
+	// highest written bucket's (u32 index, u64 counter).
+	n := len(snap)
+	idx := binary.LittleEndian.Uint32(snap[n-12:])
+	clear(snap[n-8:])
+
+	b, _, _ := newPersistORAM(t)
+	drive(t, b, rand.New(rand.NewSource(8)), 200)
+	before, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bucket %d has write counter 0", idx)) {
+		t.Fatalf("zero counter of bucket %d: Restore = %v", idx, err)
+	}
+	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
 	}
 }

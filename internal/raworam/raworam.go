@@ -31,7 +31,8 @@
 // accesses in a predetermined order, so a single root counter (the
 // global EO count, held in the TEE scratchpad) determines every bucket's
 // write count (Sec 5.2). The simulator keeps the derived per-bucket
-// counters host-side with identical semantics.
+// counters host-side in internal/tree's bucket tree, and
+// TestCountersFollowRootCounter checks them against g after every EO.
 //
 // Key invariants (Sec 4.4): AO accesses never write the tree — only the
 // scheduled EO evictions do, which is what makes the schedule
@@ -46,7 +47,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -54,11 +54,11 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/pathoram"
 	"repro/internal/persist"
 	"repro/internal/position"
 	"repro/internal/stash"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 // slotMetaSize is the serialized per-slot metadata: 8-byte ID + 4-byte
@@ -131,23 +131,19 @@ type ORAM struct {
 	src   *persist.Source // checkpointable state behind rng
 	rng   *rand.Rand
 
-	levels     int
-	leaves     uint32
-	bucketSize int // stored bucket bytes on SSD (page aligned)
+	tree *tree.Tree // on the SSD: geometry, addresses, write counters, sealed images
 
 	// vtree holds per-bucket valid bitmaps, lazily materialized; absent
 	// means all-invalid (tree starts empty; reads fall back to InitFn).
+	// It stays a map: paged.Table holds comparable values, not slices.
 	vtree map[uint32][]byte
-	// counters: per-bucket write counts, derived from EO order; host-side
-	// stand-in for the root-counter scheme.
-	counters map[uint32]uint64
 	// evictCount is g, the global EO counter (the root counter).
 	evictCount uint64
 	// pendingWrites counts write-backs since the last EO.
 	pendingWrites int
 
 	// One bucket being written, reused by every eviction: the SSD image
-	// (bucketSize bytes) and the plaintext being packed into it. Nothing
+	// (BucketSize bytes) and the plaintext being packed into it. Nothing
 	// returned to a caller aliases them.
 	stored []byte
 	plain  []byte
@@ -227,10 +223,8 @@ type pathReader struct {
 	buf    []byte
 	idx    []uint32
 	opener tee.Opener
-	// stats is the engine work this reader did and the ORAM has not yet
-	// added to the engine; first is, per level, the first bucket it
-	// opened since the path buffer was last emptied (noBucket for none).
-	stats tee.EngineStats
+	// first is, per level, the first bucket r opened since the path
+	// buffer was last emptied (noBucket for none).
 	first []uint32
 	run   func() // work on a goroutine of its own, bound in newReader
 }
@@ -238,78 +232,68 @@ type pathReader struct {
 // New creates the main ORAM over an SSD (tree) and a DRAM (VTree, stash,
 // path buffer) device.
 func New(cfg Config, ssd, dram device.Device) (*ORAM, error) {
+	cfg, t, err := Layout(cfg, ssd.PageSize())
+	if err != nil {
+		return nil, err
+	}
+	o := &ORAM{cfg: cfg, ssd: ssd, dram: dram, tree: t}
+	if !cfg.Phantom {
+		o.stored = make([]byte, t.BucketSize())
+		o.plain = make([]byte, t.PlainSize())
+		o.lastOpen = make([]uint32, t.Levels())
+		o.taken = make(map[uint64]struct{})
+	}
+	o.readers = []*pathReader{o.newReader()}
+	o.maxReaders = 1
+	if need := t.RequiredBytes(); ssd.Capacity() < need {
+		return nil, fmt.Errorf("raworam: SSD capacity %d < required %d", ssd.Capacity(), need)
+	}
+	if o.cfg.StashCapacity == 0 {
+		o.cfg.StashCapacity = cfg.BucketSlots*t.Levels() + 2*cfg.EvictPeriod + 128
+	}
+	o.stash = stash.New(o.cfg.StashCapacity)
+	o.pos = position.NewSparse(cfg.NumBlocks, t.Leaves(), uint64(cfg.Seed)+1)
+	o.src = persist.NewSource(cfg.Seed)
+	o.rng = rand.New(o.src)
+	o.vtree = make(map[uint32][]byte)
+	return o, nil
+}
+
+// Layout derives what New builds for cfg on an SSD whose pages are
+// pageSize bytes: cfg with Z, A and the amplification defaulted as Config
+// says, and the bucket tree, each bucket padded to whole pages. It opens
+// no device, so a caller can size the SSD (RequiredBytes) first.
+func Layout(cfg Config, pageSize int) (Config, *tree.Tree, error) {
 	if cfg.Amplification == 0 {
 		cfg.Amplification = 2
 	}
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
-	o := &ORAM{cfg: cfg, ssd: ssd, dram: dram}
-	pageSize := ssd.PageSize()
-	if pageSize < 1 {
-		pageSize = 1
-	}
+	pageSize = max(pageSize, 1)
 	if cfg.BucketSlots == 0 {
 		// Fill one SSD page with slots (leaving room for the seal tag).
 		avail := pageSize
 		if cfg.Engine != nil {
 			avail -= tee.TagSize
 		}
-		z := avail / (slotMetaSize + cfg.BlockSize)
-		if z < 2 {
-			z = 2
-		}
-		o.cfg.BucketSlots = z
+		cfg.BucketSlots = max(avail/(slotMetaSize+cfg.BlockSize), 2)
 	}
-	if o.cfg.EvictPeriod == 0 {
-		o.cfg.EvictPeriod = o.cfg.BucketSlots * 14 / 10
-		if o.cfg.EvictPeriod < 1 {
-			o.cfg.EvictPeriod = 1
-		}
+	if cfg.EvictPeriod == 0 {
+		cfg.EvictPeriod = max(cfg.BucketSlots*14/10, 1)
 	}
-	leaves, levels := pathoram.Geometry(cfg.NumBlocks, o.cfg.BucketSlots, o.cfg.Amplification)
-	o.leaves, o.levels = leaves, levels
-	plain := o.cfg.BucketSlots * (slotMetaSize + cfg.BlockSize)
-	stored := plain
-	if cfg.Engine != nil {
-		stored = tee.SealedSize(plain)
-	}
-	if pageSize > 1 {
-		stored = (stored + pageSize - 1) / pageSize * pageSize
-	}
-	o.bucketSize = stored
-	if !cfg.Phantom {
-		o.stored = make([]byte, stored)
-		o.plain = make([]byte, plain)
-		o.lastOpen = make([]uint32, levels)
-		o.taken = make(map[uint64]struct{})
-	}
-	o.readers = []*pathReader{o.newReader()}
-	o.maxReaders = 1
-	if need := o.RequiredBytes(); ssd.Capacity() < need {
-		return nil, fmt.Errorf("raworam: SSD capacity %d < required %d", ssd.Capacity(), need)
-	}
-	if o.cfg.StashCapacity == 0 {
-		o.cfg.StashCapacity = o.cfg.BucketSlots*levels + 2*o.cfg.EvictPeriod + 128
-	}
-	o.stash = stash.New(o.cfg.StashCapacity)
-	o.pos = position.NewSparse(cfg.NumBlocks, leaves, uint64(cfg.Seed)+1)
-	o.src = persist.NewSource(cfg.Seed)
-	o.rng = rand.New(o.src)
-	o.vtree = make(map[uint32][]byte)
-	o.counters = make(map[uint32]uint64)
-	return o, nil
+	leaves, levels := tree.Geometry(cfg.NumBlocks, cfg.BucketSlots, cfg.Amplification)
+	plain := cfg.BucketSlots * (slotMetaSize + cfg.BlockSize)
+	return cfg, tree.New(leaves, levels, plain, cfg.Engine, pageSize, 0), nil
 }
 
 // RequiredBytes is the SSD footprint of the tree.
-func (o *ORAM) RequiredBytes() uint64 {
-	return uint64(2*o.leaves-1) * uint64(o.bucketSize)
-}
+func (o *ORAM) RequiredBytes() uint64 { return o.tree.RequiredBytes() }
 
 // VTreeBytes is the DRAM footprint of the VTree: one valid bit per slot
 // plus the group-encryption metadata of Sec 5.2.
 func (o *ORAM) VTreeBytes() uint64 {
-	numBuckets := uint64(2*o.leaves - 1)
+	numBuckets := uint64(2*o.tree.Leaves() - 1)
 	bitsPerBucket := uint64((o.cfg.BucketSlots + 7) / 8)
 	payload := numBuckets * bitsPerBucket
 	layout := tee.NewGroupLayout(tee.DefaultGroupSize, 2)
@@ -318,16 +302,14 @@ func (o *ORAM) VTreeBytes() uint64 {
 
 // Levels, Leaves, BucketSlots, EvictPeriod, BucketStoredSize expose the
 // derived geometry.
-func (o *ORAM) Levels() int           { return o.levels }
-func (o *ORAM) Leaves() uint32        { return o.leaves }
+func (o *ORAM) Levels() int           { return o.tree.Levels() }
+func (o *ORAM) Leaves() uint32        { return o.tree.Leaves() }
 func (o *ORAM) BucketSlots() int      { return o.cfg.BucketSlots }
 func (o *ORAM) EvictPeriod() int      { return o.cfg.EvictPeriod }
-func (o *ORAM) BucketStoredSize() int { return o.bucketSize }
+func (o *ORAM) BucketStoredSize() int { return o.tree.BucketSize() }
 
 // PathBytes is the SSD bytes of one full path transfer.
-func (o *ORAM) PathBytes() uint64 {
-	return uint64(o.levels) * uint64(o.bucketSize)
-}
+func (o *ORAM) PathBytes() uint64 { return o.tree.PathBytes() }
 
 // SetReadWorkers lets AOAccessBatch split a large batch across up to n
 // goroutines (n ≤ 1: the caller's alone, the default). The split changes
@@ -343,9 +325,9 @@ func (o *ORAM) newReader() *pathReader {
 		r.work(o)
 	}
 	if !o.cfg.Phantom {
-		r.buf = make([]byte, o.levels*o.bucketSize)
-		r.idx = make([]uint32, o.levels)
-		r.first = make([]uint32, o.levels)
+		r.buf = make([]byte, o.tree.PathBytes())
+		r.idx = make([]uint32, o.tree.Levels())
+		r.first = make([]uint32, o.tree.Levels())
 		r.resetPath()
 	}
 	if o.cfg.Engine != nil {
@@ -368,26 +350,7 @@ func (o *ORAM) StashPeak() int { return o.stash.Peak() }
 // paper stores in the scratchpad, from which all bucket counters derive).
 func (o *ORAM) RootCounter() uint64 { return o.evictCount }
 
-func (o *ORAM) bucketIndex(leaf uint32, level int) uint32 {
-	return (uint32(1) << level) - 1 + (leaf >> (o.levels - 1 - level))
-}
-
-func (o *ORAM) bucketAddr(idx uint32) uint64 {
-	return uint64(idx) * uint64(o.bucketSize)
-}
-
-func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.leaves))) }
-
-// evictionLeaf returns the leaf targeted by the g-th EO access: the
-// reverse-lexicographic order of Gentry et al., which guarantees even
-// coverage of the tree and makes bucket write counts a pure function of g.
-func (o *ORAM) evictionLeaf(g uint64) uint32 {
-	w := bits.Len32(o.leaves - 1) // log2(leaves)
-	if w == 0 {
-		return 0
-	}
-	return uint32(bits.Reverse32(uint32(g%uint64(o.leaves)))) >> (32 - w)
-}
+func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.tree.Leaves()))) }
 
 // slotStoredSize is the DRAM bytes per stash slot (metadata + payload).
 func (o *ORAM) slotStoredSize() int { return slotMetaSize + 1 + o.cfg.BlockSize }
@@ -401,7 +364,7 @@ func (o *ORAM) stashScanBytes() uint64 {
 // path (valid bitmaps plus amortized encryption metadata).
 func (o *ORAM) vtreePathBytes() uint64 {
 	per := uint64((o.cfg.BucketSlots+7)/8) + tee.CounterSize
-	return uint64(o.levels) * (per + tee.TagSize/2)
+	return uint64(o.tree.Levels()) * (per + tee.TagSize/2)
 }
 
 // chargeAO accounts the device traffic of one AO access and returns its
@@ -410,7 +373,7 @@ func (o *ORAM) vtreePathBytes() uint64 {
 func (o *ORAM) chargeAO() time.Duration {
 	var d time.Duration
 	pb := int(o.PathBytes())
-	d += o.ssd.ChargeN(device.OpRead, o.bucketSize, o.levels)
+	d += o.ssd.ChargeN(device.OpRead, o.tree.BucketSize(), o.tree.Levels())
 	d += o.dram.Charge(device.OpWrite, 0, pb)                      // fill path buffer
 	d += o.dram.Charge(device.OpRead, 0, pb)                       // scan for block
 	d += o.dram.Charge(device.OpRead, 0, int(o.stashScanBytes()))  // stash presence scan
@@ -425,13 +388,13 @@ func (o *ORAM) chargeAO() time.Duration {
 func (o *ORAM) chargeEO() time.Duration {
 	var d time.Duration
 	pb := int(o.PathBytes())
-	d += o.ssd.ChargeN(device.OpRead, o.bucketSize, o.levels)
-	d += o.ssd.ChargeN(device.OpWrite, o.bucketSize, o.levels)
+	d += o.ssd.ChargeN(device.OpRead, o.tree.BucketSize(), o.tree.Levels())
+	d += o.ssd.ChargeN(device.OpWrite, o.tree.BucketSize(), o.tree.Levels())
 	d += o.dram.Charge(device.OpWrite, 0, pb) // path into DRAM
 	d += o.dram.Charge(device.OpRead, 0, pb)  // path back out
-	scans := o.levels
+	scans := o.tree.Levels()
 	if !o.cfg.HasScratchpad {
-		scans = o.levels * o.cfg.BucketSlots
+		scans = o.tree.Levels() * o.cfg.BucketSlots
 	}
 	d += o.dram.Charge(device.OpRead, 0, scans*int(o.stashScanBytes()))
 	d += o.dram.Charge(device.OpRead, 0, int(o.vtreePathBytes()))
@@ -551,15 +514,13 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 		err error
 		end int
 	)
-	plainLen := uint64(len(o.plain))
+	plainLen := uint64(o.tree.PlainSize())
 	for l := range o.lastOpen {
 		o.lastOpen[l] = noBucket
 	}
 	for i := range o.ranges[:o.live] {
 		rg := &o.ranges[i]
-		st.GroupsOpened += rg.stats.GroupsOpened
-		st.BytesOpened += rg.stats.BytesOpened
-		st.AuthFailures += rg.stats.AuthFailures
+		st.Add(rg.stats)
 		for l, idx := range rg.first {
 			if idx != noBucket && idx == o.lastOpen[l] {
 				st.GroupsOpened--
@@ -586,7 +547,7 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 		case r.at != noBucket:
 			clearBit(o.vtree[r.at], int(r.bit))
 		default:
-			o.initBlock(out, r.id)
+			tree.InitBlock(out, r.id, o.cfg.InitFn)
 		}
 	}
 	return d, err
@@ -603,7 +564,7 @@ func (o *ORAM) cut(workers int) {
 		o.live = workers * rangesPerWorker
 	}
 	for len(o.ranges) < o.live {
-		o.ranges = append(o.ranges, readRange{first: make([]uint32, o.levels), last: make([]uint32, o.levels)})
+		o.ranges = append(o.ranges, readRange{first: make([]uint32, o.tree.Levels()), last: make([]uint32, o.tree.Levels())})
 	}
 	lo := 0
 	for i := range o.live {
@@ -634,14 +595,14 @@ func (r *pathReader) work(o *ORAM) {
 func (r *pathReader) lookup(o *ORAM, rg *readRange) {
 	bs := o.cfg.BlockSize
 	r.resetPath()
-	rg.err, rg.errAt = nil, 0
+	rg.err, rg.errAt, rg.stats = nil, 0, tee.EngineStats{}
 	for i := range rg.reads {
 		br := &rg.reads[i]
 		br.at = noBucket
 		if br.stashed {
 			continue
 		}
-		at, bit, err := r.find(o, br.leaf, br.id, o.batchDst[int(br.slot)*bs:int(br.slot+1)*bs])
+		at, bit, err := r.find(o, br.leaf, br.id, o.batchDst[int(br.slot)*bs:int(br.slot+1)*bs], &rg.stats)
 		if err != nil {
 			rg.err, rg.errAt = err, i
 			break
@@ -650,7 +611,6 @@ func (r *pathReader) lookup(o *ORAM, rg *readRange) {
 	}
 	copy(rg.first, r.first)
 	copy(rg.last, r.idx)
-	rg.stats, r.stats = r.stats, tee.EngineStats{}
 }
 
 // AODummy performs an indistinguishable access to a random path without
@@ -728,7 +688,7 @@ func (o *ORAM) scheduleEO(d time.Duration) (time.Duration, error) {
 func (o *ORAM) evictOnce() (time.Duration, error) {
 	o.stats.EOAccesses++
 	d := o.chargeEO()
-	leaf := o.evictionLeaf(o.evictCount)
+	leaf := o.tree.EvictionLeaf(o.evictCount)
 	o.evictCount++
 	if o.cfg.Phantom {
 		return d, nil
@@ -737,13 +697,13 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 	clear(o.taken)
 	o.resetPath()
 	slot := slotMetaSize + o.cfg.BlockSize
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		ctr, written := o.counters[idx]
-		if !written {
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
+		ctr := o.tree.Counter(idx)
+		if ctr == 0 {
 			continue
 		}
-		plain, err := o.readBucket(l, idx, ctr)
+		plain, err := o.readers[0].read(o, l, idx, ctr, nil)
 		if err != nil {
 			return d, o.stash.Settle(0, err)
 		}
@@ -764,9 +724,9 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 		}
 	}
 	o.stash.JoinResidents()
-	o.stash.Plan(leaf, o.levels, o.levels-1, o.cfg.BucketSlots)
-	for l := o.levels - 1; l >= 0; l-- {
-		if err := o.storeBucket(o.bucketIndex(leaf, l), o.stash.Bucket(l)); err != nil {
+	o.stash.Plan(leaf, o.tree.Levels(), o.tree.Levels()-1, o.cfg.BucketSlots)
+	for l := o.tree.Levels() - 1; l >= 0; l-- {
+		if err := o.storeBucket(o.tree.Index(leaf, l), o.stash.Bucket(l)); err != nil {
 			return d, o.stash.Settle(l, err)
 		}
 	}
@@ -793,7 +753,7 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		return nil, err
 	}
 	if !found {
-		o.initBlock(out, id)
+		tree.InitBlock(out, id, o.cfg.InitFn)
 	}
 	return out, nil
 }
@@ -808,21 +768,16 @@ func (o *ORAM) EachBucket(fn func(idx uint32, plain []byte)) error {
 	if o.cfg.Phantom {
 		return nil
 	}
-	idxs := make([]uint32, 0, len(o.counters))
-	for idx := range o.counters {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
 	o.resetPath()
 	defer o.resetPath()
-	for _, idx := range idxs {
-		plain, err := o.readBucket(0, idx, o.counters[idx])
+	return o.tree.EachWritten(func(idx uint32, ctr uint64) error {
+		plain, err := o.readers[0].read(o, 0, idx, ctr, nil)
 		if err != nil {
 			return fmt.Errorf("raworam: bucket %d: %w", idx, err)
 		}
 		fn(idx, plain)
-	}
-	return nil
+		return nil
+	})
 }
 
 // Flush drains the stash with repeated EO accesses until it is empty or
@@ -840,19 +795,6 @@ func (o *ORAM) Flush(maxEvictions int) (time.Duration, error) {
 		return d, fmt.Errorf("raworam: %d blocks still in stash after %d evictions", o.stash.Len(), maxEvictions)
 	}
 	return d, nil
-}
-
-// initBlock fills dst with the initial contents of never-written block id.
-func (o *ORAM) initBlock(dst []byte, id uint64) {
-	if o.cfg.InitFn == nil {
-		clear(dst)
-		return
-	}
-	b := o.cfg.InitFn(id)
-	if len(b) != o.cfg.BlockSize {
-		panic(fmt.Sprintf("raworam: InitFn returned %d bytes, want %d", len(b), o.cfg.BlockSize))
-	}
-	copy(dst, b)
 }
 
 // validBits returns the (lazily created) valid bitmap of bucket idx.
@@ -875,9 +817,7 @@ func clearBit(bm []byte, i int)    { bm[i/8] &^= 1 << (i % 8) }
 // from the tree. Buckets already in the path buffer are not read again:
 // the caller empties it (resetPath) before the first lookup of a batch.
 func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, error) {
-	r := o.readers[0]
-	at, bit, err := r.find(o, leaf, id, dst)
-	o.takeStats(r)
+	at, bit, err := o.readers[0].find(o, leaf, id, dst, nil)
 	if err != nil || at == noBucket {
 		return false, err
 	}
@@ -889,15 +829,15 @@ func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, 
 
 // find is findOnPath's scan through r's path buffer, reporting the
 // bucket and slot that hold id (noBucket when no written bucket on the
-// path does) and moving no state but r's.
-func (r *pathReader) find(o *ORAM, leaf uint32, id uint64, dst []byte) (uint32, int, error) {
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
-		ctr, written := o.counters[idx]
-		if !written {
+// path does) and moving no state but r's and st's (see read).
+func (r *pathReader) find(o *ORAM, leaf uint32, id uint64, dst []byte, st *tee.EngineStats) (uint32, int, error) {
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
+		ctr := o.tree.Counter(idx)
+		if ctr == 0 {
 			continue
 		}
-		plain, err := r.read(o, l, idx, ctr)
+		plain, err := r.read(o, l, idx, ctr, st)
 		if err != nil {
 			return noBucket, 0, err
 		}
@@ -928,23 +868,6 @@ func (r *pathReader) resetPath() {
 	}
 }
 
-// readBucket is pathReader.read through the caller's path buffer, its
-// engine work counted at once.
-func (o *ORAM) readBucket(level int, idx uint32, ctr uint64) ([]byte, error) {
-	r := o.readers[0]
-	plain, err := r.read(o, level, idx, ctr)
-	o.takeStats(r)
-	return plain, err
-}
-
-// takeStats adds r's uncounted engine work to the engine.
-func (o *ORAM) takeStats(r *pathReader) {
-	if o.cfg.Engine != nil {
-		o.cfg.Engine.AddStats(r.stats)
-	}
-	r.stats = tee.EngineStats{}
-}
-
 // read returns the plaintext of bucket idx, which lies on tree level
 // `level`, from that level's slot of r's path buffer, fetching and (if
 // configured) authenticating and decrypting it first unless the slot
@@ -952,35 +875,30 @@ func (o *ORAM) takeStats(r *pathReader) {
 // bucket. Device traffic was already charged (once, for the whole path)
 // by chargeAO/chargeEO, so the data movement here uses the unaccounted
 // PeekAt — keeping phantom and functional traffic identical. The open
-// is counted in r.stats, for the caller to add to the engine.
-func (r *pathReader) read(o *ORAM, level int, idx uint32, ctr uint64) ([]byte, error) {
-	plainLen := len(o.plain)
-	slot := r.buf[level*o.bucketSize : (level+1)*o.bucketSize : (level+1)*o.bucketSize]
+// is counted in st, or in the engine when st is nil (the caller's
+// goroutine only).
+func (r *pathReader) read(o *ORAM, level int, idx uint32, ctr uint64, st *tee.EngineStats) ([]byte, error) {
+	slot := o.tree.Slot(r.buf, level)
 	if r.idx[level] == idx {
-		return slot[:plainLen], nil
+		return slot[:o.tree.PlainSize()], nil
 	}
 	r.idx[level] = noBucket // a failed read leaves the slot holding nothing
-	if err := o.ssd.PeekAt(o.bucketAddr(idx), slot); err != nil {
+	if err := o.ssd.PeekAt(o.tree.Addr(idx), slot); err != nil {
 		return nil, err
 	}
-	if o.cfg.Engine != nil {
-		if _, err := r.opener.Open(slot, slot[:tee.SealedSize(plainLen)], uint64(idx), ctr); err != nil {
-			r.stats.AuthFailures++
-			return nil, err
-		}
-		r.stats.GroupsOpened++
-		r.stats.BytesOpened += uint64(plainLen)
+	plain, err := o.tree.Open(&r.opener, slot, idx, ctr, st)
+	if err != nil {
+		return nil, err
 	}
 	if r.first[level] == noBucket {
 		r.first[level] = idx
 	}
 	r.idx[level] = idx
-	return slot[:plainLen], nil
+	return plain, nil
 }
 
 // storeBucket packs, seals and writes bucket idx with the given entries
-// of the stash's eviction, updating the VTree bitmap and the bucket
-// counter.
+// of the stash's eviction, updating the VTree bitmap.
 func (o *ORAM) storeBucket(idx uint32, bucket []int32) error {
 	plain := o.plain
 	clear(plain) // empty slots read as zero after the id, as in a fresh image
@@ -999,15 +917,7 @@ func (o *ORAM) storeBucket(idx uint32, bucket []int32) error {
 			clearBit(vb, s)
 		}
 	}
-	ctr := o.counters[idx] + 1
-	o.counters[idx] = ctr
-	var n int
-	if o.cfg.Engine != nil {
-		n = len(o.cfg.Engine.SealTo(o.stored[:0], plain, uint64(idx), ctr))
-	} else {
-		n = copy(o.stored, plain)
-	}
-	clear(o.stored[n:]) // the page padding is stored too; the last bucket's bytes must not ride along
+	o.tree.Seal(idx, plain, o.stored)
 	// Traffic was charged path-wide by chargeEO; move bytes unaccounted.
-	return o.ssd.PokeAt(o.bucketAddr(idx), o.stored)
+	return o.ssd.PokeAt(o.tree.Addr(idx), o.stored)
 }

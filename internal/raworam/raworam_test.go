@@ -2,6 +2,7 @@ package raworam
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -140,12 +141,75 @@ func TestEOFrequency(t *testing.T) {
 	}
 }
 
+// TestCountersFollowRootCounter: buckets are written only on the EO
+// schedule, so the root counter g alone determines every bucket's write
+// counter (Sec 5.2). The bucket at level l, position p lies on the
+// reverse-lexicographic eviction path of g' exactly when g' mod 2^l is
+// p's l-bit reversal r, so after g EOs it was written (g + 2^l − 1 − r)
+// >> l times, and one no eviction path has reached yet is unwritten.
+// Checked after every EO of write-backs, dummy write-backs and a final
+// flush, sealed and plain.
+func TestCountersFollowRootCounter(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		cfg := Config{NumBlocks: 128, BlockSize: 16, BucketSlots: 4, EvictPeriod: 3, Seed: 12}
+		if sealed {
+			cfg.Engine = testEngine()
+		}
+		o, _, _ := newTestORAM(t, cfg)
+		check := func() {
+			t.Helper()
+			g, written := o.RootCounter(), 0
+			for l := 0; l < o.Levels(); l++ {
+				for p := uint32(0); p < 1<<l; p++ {
+					r := uint64(bits.Reverse32(p) >> (32 - l))
+					want := (g + 1<<l - 1 - r) >> l
+					if got := o.tree.Counter(1<<l - 1 + p); got != want {
+						t.Fatalf("sealed=%v g=%d: bucket (level %d, position %d) written %d times, want %d", sealed, g, l, p, got, want)
+					}
+					if want > 0 {
+						written++
+					}
+				}
+			}
+			if o.tree.Written() != written {
+				t.Fatalf("sealed=%v g=%d: %d buckets written, want %d", sealed, g, o.tree.Written(), written)
+			}
+		}
+		rng := rand.New(rand.NewSource(12))
+		data := make([]byte, 16)
+		for o.RootCounter() < 5*uint64(o.Leaves()) {
+			g := o.RootCounter()
+			if rng.Intn(3) == 0 {
+				if _, err := o.WriteBackDummy(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				id := uint64(rng.Intn(128))
+				if _, _, err := o.AOAccess(id); err != nil {
+					t.Fatal(err)
+				}
+				rng.Read(data)
+				if _, err := o.WriteBack(id, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if o.RootCounter() != g {
+				check()
+			}
+		}
+		if _, err := o.Flush(100); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	}
+}
+
 func TestEvictionLeafOrderCoversTree(t *testing.T) {
 	o, _, _ := newTestORAM(t, Config{NumBlocks: 1024, BlockSize: 16, BucketSlots: 4, EvictPeriod: 4, Seed: 6})
 	leaves := o.Leaves()
 	seen := map[uint32]bool{}
 	for g := uint64(0); g < uint64(leaves); g++ {
-		leaf := o.evictionLeaf(g)
+		leaf := o.tree.EvictionLeaf(g)
 		if leaf >= leaves {
 			t.Fatalf("eviction leaf %d out of range %d", leaf, leaves)
 		}
@@ -156,8 +220,8 @@ func TestEvictionLeafOrderCoversTree(t *testing.T) {
 	}
 	// Reverse-lexicographic: consecutive g alternate between far-apart
 	// subtrees (bit-reversal), so leaf(0)=0 and leaf(1)=leaves/2.
-	if o.evictionLeaf(0) != 0 || o.evictionLeaf(1) != leaves/2 {
-		t.Errorf("order not reverse-lexicographic: %d, %d", o.evictionLeaf(0), o.evictionLeaf(1))
+	if o.tree.EvictionLeaf(0) != 0 || o.tree.EvictionLeaf(1) != leaves/2 {
+		t.Errorf("order not reverse-lexicographic: %d, %d", o.tree.EvictionLeaf(0), o.tree.EvictionLeaf(1))
 	}
 }
 

@@ -113,21 +113,20 @@ func TestSplitReadTamperedSeam(t *testing.T) {
 	// The seam bucket: the deepest written bucket both paths share that
 	// both lookups reach — neither block sits above it.
 	reach := func(r batchRead) int {
-		at, _, err := o.readers[0].find(o, r.leaf, r.id, make([]byte, cfg.BlockSize))
-		o.takeStats(o.readers[0])
+		at, _, err := o.readers[0].find(o, r.leaf, r.id, make([]byte, cfg.BlockSize), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if at == noBucket {
-			return o.levels - 1
+			return o.tree.Levels() - 1
 		}
 		return int(levelOf(at))
 	}
 	o.resetPath()
 	victim := noBucket
 	for l := min(reach(last), reach(first)); l >= 0 && victim == noBucket; l-- {
-		idx := o.bucketIndex(last.leaf, l)
-		if _, written := o.counters[idx]; written && idx == o.bucketIndex(first.leaf, l) {
+		idx := o.tree.Index(last.leaf, l)
+		if o.tree.Counter(idx) != 0 && idx == o.tree.Index(first.leaf, l) {
 			victim = idx
 		}
 	}
@@ -146,12 +145,12 @@ func TestSplitReadTamperedSeam(t *testing.T) {
 		state []byte
 	}
 	run := func(s *batchSide) outcome {
-		img := make([]byte, s.o.bucketSize)
-		if err := s.ssd.PeekAt(s.o.bucketAddr(victim), img); err != nil {
+		img := make([]byte, s.o.tree.BucketSize())
+		if err := s.ssd.PeekAt(s.o.tree.Addr(victim), img); err != nil {
 			t.Fatal(err)
 		}
 		img[41] ^= 0x08
-		if err := s.ssd.PokeAt(s.o.bucketAddr(victim), img); err != nil {
+		if err := s.ssd.PokeAt(s.o.tree.Addr(victim), img); err != nil {
 			t.Fatal(err)
 		}
 		before := s.engine.Stats()

@@ -3,6 +3,8 @@ package raworam
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/tree"
 )
 
 // This file implements VANILLA RAW ORAM access semantics — the design
@@ -45,7 +47,7 @@ func (o *ORAM) VanillaAccess(id uint64, mutate func(data []byte)) ([]byte, time.
 				return nil, d, err
 			}
 			if !found {
-				o.initBlock(blk.Data, id)
+				tree.InitBlock(blk.Data, id, o.cfg.InitFn)
 			}
 		}
 		if mutate != nil {

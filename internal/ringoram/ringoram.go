@@ -15,9 +15,11 @@
 //   - early reshuffles: a bucket whose touched count reaches S must be
 //     rewritten before it runs out of fresh dummies.
 //
-// The simulator keeps per-bucket metadata (slot IDs, valid/touched bits)
-// host-side, standing in for the encrypted metadata blocks of the real
-// design; metadata traffic is charged to the DRAM device.
+// The simulator keeps per-bucket metadata (slot IDs, valid/touched bits,
+// the write counter each slot is sealed under) host-side, standing in
+// for the encrypted metadata blocks of the real design; metadata traffic
+// is charged to the DRAM device. internal/tree addresses the buckets and
+// orders the evictions.
 //
 // Key invariants: one slot is read per bucket per access (the requested
 // block where resident, a fresh dummy elsewhere); a dummy slot is never
@@ -30,15 +32,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/pathoram"
 	"repro/internal/position"
 	"repro/internal/stash"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 // Op selects read or write semantics for Access.
@@ -148,10 +149,8 @@ type ORAM struct {
 	stash *stash.Stash
 	rng   *rand.Rand
 
-	levels     int
-	leaves     uint32
-	slotSize   int // stored bytes per slot
-	bucketSize int // stored bytes per bucket (all slots)
+	tree     *tree.Tree // buckets of Z+S sealed slots; the eviction order
+	slotSize int        // stored bytes per slot
 
 	meta       map[uint32]*bucketMeta
 	evictCount uint64
@@ -172,22 +171,20 @@ func New(cfg Config, dev, dram device.Device) (*ORAM, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	leaves, levels := pathoram.Geometry(cfg.NumBlocks, cfg.RealSlots, cfg.Amplification)
+	leaves, levels := tree.Geometry(cfg.NumBlocks, cfg.RealSlots, cfg.Amplification)
 	o := &ORAM{
-		cfg:    cfg,
-		dev:    dev,
-		dram:   dram,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		levels: levels,
-		leaves: leaves,
-		meta:   make(map[uint32]*bucketMeta),
+		cfg:  cfg,
+		dev:  dev,
+		dram: dram,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		meta: make(map[uint32]*bucketMeta),
 	}
 	slotPlain := slotMetaSize + cfg.BlockSize
 	o.slotSize = slotPlain
 	if cfg.Engine != nil {
 		o.slotSize = tee.SealedSize(slotPlain)
 	}
-	o.bucketSize = o.slotSize * (cfg.RealSlots + cfg.DummySlots)
+	o.tree = tree.New(leaves, levels, o.slotSize*(cfg.RealSlots+cfg.DummySlots), nil, 0, 0)
 	o.stored = make([]byte, o.slotSize)
 	o.plain = make([]byte, slotPlain)
 	if need := o.RequiredBytes(); dev.Capacity() < need {
@@ -202,13 +199,11 @@ func New(cfg Config, dev, dram device.Device) (*ORAM, error) {
 }
 
 // RequiredBytes is the device footprint.
-func (o *ORAM) RequiredBytes() uint64 {
-	return uint64(2*o.leaves-1) * uint64(o.bucketSize)
-}
+func (o *ORAM) RequiredBytes() uint64 { return o.tree.RequiredBytes() }
 
 // Levels / Leaves / SlotSize expose geometry.
-func (o *ORAM) Levels() int    { return o.levels }
-func (o *ORAM) Leaves() uint32 { return o.leaves }
+func (o *ORAM) Levels() int    { return o.tree.Levels() }
+func (o *ORAM) Leaves() uint32 { return o.tree.Leaves() }
 func (o *ORAM) SlotSize() int  { return o.slotSize }
 
 // Stats returns accumulated counters.
@@ -220,19 +215,11 @@ func (o *ORAM) StashPeak() int { return o.stash.Peak() }
 // StashLen exposes current occupancy.
 func (o *ORAM) StashLen() int { return o.stash.Len() }
 
-func (o *ORAM) bucketIndex(leaf uint32, level int) uint32 {
-	return (uint32(1) << level) - 1 + (leaf >> (o.levels - 1 - level))
-}
-
-func (o *ORAM) bucketAddr(idx uint32) uint64 {
-	return uint64(idx) * uint64(o.bucketSize)
-}
-
 func (o *ORAM) slotAddr(idx uint32, slot int) uint64 {
-	return o.bucketAddr(idx) + uint64(slot)*uint64(o.slotSize)
+	return o.tree.Addr(idx) + uint64(slot)*uint64(o.slotSize)
 }
 
-func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.leaves))) }
+func (o *ORAM) randomLeaf() uint32 { return uint32(o.rng.Int63n(int64(o.tree.Leaves()))) }
 
 func (o *ORAM) metaOf(idx uint32) *bucketMeta {
 	m, ok := o.meta[idx]
@@ -271,13 +258,14 @@ func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, err
 	newLeaf := o.randomLeaf()
 	leaf := position.GetSet(o.pos, id, newLeaf)
 
-	// Online phase: one slot per bucket on the path.
+	// Online phase: one slot per bucket on the path. In phantom mode no
+	// slot is ever valid, and the stash is not touched at all.
 	var blk *stash.Block
-	if b := o.stash.Get(id); b != nil {
-		blk = b
+	if !o.cfg.Phantom {
+		blk = o.stash.Get(id)
 	}
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
 		d, found, err := o.readOneSlot(idx, id, blk == nil)
 		total += d
 		if err != nil {
@@ -290,24 +278,30 @@ func (o *ORAM) Access(op Op, id uint64, data []byte) ([]byte, time.Duration, err
 			}
 		}
 	}
-	if blk == nil {
-		blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
-		clear(blk.Data)
-		if err := o.stash.Put(blk); err != nil {
-			return nil, total, err
-		}
-	}
-	blk.Leaf = newLeaf
 	var out []byte
-	if op == OpRead {
-		out = append([]byte(nil), blk.Data...)
+	if o.cfg.Phantom {
+		if op == OpRead {
+			out = make([]byte, o.cfg.BlockSize)
+		}
 	} else {
-		blk.Data = append(blk.Data[:0], data...)
+		if blk == nil {
+			blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
+			clear(blk.Data)
+			if err := o.stash.Put(blk); err != nil {
+				return nil, total, err
+			}
+		}
+		blk.Leaf = newLeaf
+		if op == OpRead {
+			out = append([]byte(nil), blk.Data...)
+		} else {
+			blk.Data = append(blk.Data[:0], data...)
+		}
 	}
 
 	// Early reshuffles for exhausted buckets on this path.
-	for l := 0; l < o.levels; l++ {
-		idx := o.bucketIndex(leaf, l)
+	for l := 0; l < o.tree.Levels(); l++ {
+		idx := o.tree.Index(leaf, l)
 		m := o.metaOf(idx)
 		if m.reads >= o.cfg.DummySlots {
 			d, err := o.rewriteBucket(idx, leaf, l)
@@ -445,7 +439,7 @@ func (o *ORAM) rewriteBucket(idx uint32, leaf uint32, level int) (time.Duration,
 			return d, o.stash.Settle(0, err)
 		}
 		o.stash.JoinResidents()
-		o.stash.Plan(leaf, o.levels, level, o.cfg.RealSlots)
+		o.stash.Plan(leaf, o.tree.Levels(), level, o.cfg.RealSlots)
 		bucket = o.stash.Bucket(level)
 	}
 	wd, err := o.writeBucket(idx, bucket)
@@ -504,45 +498,36 @@ func (o *ORAM) writeSlot(idx uint32, slot int, e *stash.Entry) error {
 	return nil
 }
 
-// evictionLeaf is the reverse-lexicographic eviction order.
-func (o *ORAM) evictionLeaf(g uint64) uint32 {
-	w := bits.Len32(o.leaves - 1)
-	if w == 0 {
-		return 0
-	}
-	return uint32(bits.Reverse32(uint32(g%uint64(o.leaves)))) >> (32 - w)
-}
-
 // evictOnce performs the scheduled eviction: read surviving blocks on the
 // eviction path, rewrite every bucket full, leaf first, by the eviction
 // rule.
 func (o *ORAM) evictOnce() (time.Duration, error) {
 	o.stats.Evictions++
-	leaf := o.evictionLeaf(o.evictCount)
+	leaf := o.tree.EvictionLeaf(o.evictCount)
 	o.evictCount++
 	var total time.Duration
 	// Read phase: all Z real slots of every path bucket (count must not
 	// depend on occupancy); surviving valid blocks join the eviction.
 	o.stash.Begin()
-	for l := 0; l < o.levels; l++ {
+	for l := 0; l < o.tree.Levels(); l++ {
 		total += o.dev.ChargeN(device.OpRead, o.slotSize, o.cfg.RealSlots)
 		if !o.cfg.Phantom {
-			if err := o.takeBucket(o.bucketIndex(leaf, l)); err != nil {
+			if err := o.takeBucket(o.tree.Index(leaf, l)); err != nil {
 				return total, o.stash.Settle(0, err)
 			}
 		}
 	}
 	if !o.cfg.Phantom {
 		o.stash.JoinResidents()
-		o.stash.Plan(leaf, o.levels, o.levels-1, o.cfg.RealSlots)
+		o.stash.Plan(leaf, o.tree.Levels(), o.tree.Levels()-1, o.cfg.RealSlots)
 	}
 	// Write phase: leaf → root.
-	for l := o.levels - 1; l >= 0; l-- {
+	for l := o.tree.Levels() - 1; l >= 0; l-- {
 		var bucket []int32
 		if !o.cfg.Phantom {
 			bucket = o.stash.Bucket(l)
 		}
-		d, err := o.writeBucket(o.bucketIndex(leaf, l), bucket)
+		d, err := o.writeBucket(o.tree.Index(leaf, l), bucket)
 		total += d
 		if err != nil {
 			return total, o.stash.Settle(l, err)

@@ -158,8 +158,10 @@ func TestPhantomMatchesFunctionalTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// 256 distinct ids, past the default stash capacity of 208 (Z 8,
+		// 7 levels, A 8): a phantom access must not fill the stash.
 		data := make([]byte, 16)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 600; i++ {
 			if _, err := o.Write(uint64(i%256), data); err != nil {
 				t.Fatal(err)
 			}

@@ -224,12 +224,15 @@ func (o *Opener) Open(land, sealed []byte, groupID, counter uint64) ([]byte, err
 }
 
 // AddStats adds work done through Openers to e's counters.
-func (e *Engine) AddStats(d EngineStats) {
-	e.stats.BytesSealed += d.BytesSealed
-	e.stats.BytesOpened += d.BytesOpened
-	e.stats.GroupsSealed += d.GroupsSealed
-	e.stats.GroupsOpened += d.GroupsOpened
-	e.stats.AuthFailures += d.AuthFailures
+func (e *Engine) AddStats(d EngineStats) { e.stats.Add(d) }
+
+// Add adds d's counts to s's.
+func (s *EngineStats) Add(d EngineStats) {
+	s.BytesSealed += d.BytesSealed
+	s.BytesOpened += d.BytesOpened
+	s.GroupsSealed += d.GroupsSealed
+	s.GroupsOpened += d.GroupsOpened
+	s.AuthFailures += d.AuthFailures
 }
 
 // Stats returns a copy of the accumulated crypto counters.
