@@ -77,14 +77,24 @@ func (b *Buffer) Restore(blob []byte) error {
 	}
 	round := d.U64()
 	rngBlob := d.Bytes()
+	// Every slot in [0, capacity) is one row's or free, exactly once: an
+	// aliased slot would let one row's Load overwrite another's entry.
+	seen := make([]bool, b.capacity)
+	claim := func(slot uint32) error {
+		if int(slot) >= b.capacity || seen[slot] {
+			return fmt.Errorf("bufferoram: snapshot slot %d out of range %d or named twice", slot, b.capacity)
+		}
+		seen[slot] = true
+		return nil
+	}
 	nSlots := d.U64()
 	slotOf := make(map[uint64]int, nSlots)
 	for i := uint64(0); i < nSlots && d.Err() == nil; i++ {
 		k := d.U64()
 		slot := d.U32()
 		if d.Err() == nil {
-			if int(slot) >= b.capacity {
-				return fmt.Errorf("bufferoram: snapshot slot %d out of range %d", slot, b.capacity)
+			if err := claim(slot); err != nil {
+				return err
 			}
 			slotOf[k] = int(slot)
 		}
@@ -94,8 +104,8 @@ func (b *Buffer) Restore(blob []byte) error {
 	for i := uint64(0); i < nFree && d.Err() == nil; i++ {
 		slot := d.U32()
 		if d.Err() == nil {
-			if int(slot) >= b.capacity {
-				return fmt.Errorf("bufferoram: snapshot free slot %d out of range %d", slot, b.capacity)
+			if err := claim(slot); err != nil {
+				return err
 			}
 			free = append(free, int(slot))
 		}

@@ -1,7 +1,9 @@
 package bufferoram
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -115,5 +117,71 @@ func TestBufferRestoreGuards(t *testing.T) {
 	}
 	if err := newBuf(t, Config{Seed: 4}).Restore(snap[:len(snap)/2]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestBufferRestoreRefusesAliasedSlot: every slot is either one row's or
+// free, once. A checkpoint whose free list names an occupied slot (the
+// next Load would overwrite that row) or whose two rows share a slot is
+// refused, and the buffer is left as it was.
+func TestBufferRestoreRefusesAliasedSlot(t *testing.T) {
+	rows := []struct {
+		id uint64
+		v  float32
+	}{{10, 1}, {11, 2}}
+	for _, tc := range []struct {
+		name   string
+		tamper func(b *Buffer)
+	}{
+		{"free slot occupied", func(b *Buffer) { b.free[len(b.free)-1] = b.slotOf[10] }},
+		{"two rows on one slot", func(b *Buffer) { b.slotOf[11] = b.slotOf[10] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, devA := newPersistBuf(t, 1)
+			for _, r := range rows {
+				if _, err := a.Load(r.id, []float32{r.v, r.v, r.v, r.v}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.tamper(a)
+			snap, err := a.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			devSnap, err := devA.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			b, devB := newPersistBuf(t, 1)
+			loadSome(t, b, rand.New(rand.NewSource(3)), 100, 5)
+			before, err := b.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := devB.Restore(devSnap); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Restore(snap); err == nil {
+				if _, err := b.Load(20, []float32{5, 5, 5, 5}); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rows {
+					got, _, err := b.Serve(r.id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[0] != r.v {
+						t.Errorf("row %d serves %v, want %v", r.id, got, r.v)
+					}
+				}
+				t.Fatal("Restore accepted slots that are not a partition")
+			} else if !strings.Contains(err.Error(), "slot") {
+				t.Fatalf("Restore = %v, want a slot error", err)
+			}
+			if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+				t.Fatalf("a refused restore changed the buffer (err %v)", err)
+			}
+		})
 	}
 }

@@ -137,6 +137,16 @@ func (o *ORAM) Restore(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("raworam: snapshot: %w", err)
 	}
+	// The VTree names exactly the written buckets: a lookup reads the
+	// bitmap of every written bucket on its path.
+	if len(vtree) != counters.Len() {
+		return fmt.Errorf("raworam: snapshot VTree has %d bitmaps for %d written buckets", len(vtree), counters.Len())
+	}
+	for idx := range vtree {
+		if counters.At(uint64(idx)) == 0 {
+			return fmt.Errorf("raworam: snapshot VTree bitmap %d is for a bucket never written", idx)
+		}
+	}
 
 	// Decode validated; apply sub-restores (each guards its own geometry).
 	if err := o.src.Restore(rngBlob); err != nil {

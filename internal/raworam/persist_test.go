@@ -168,3 +168,69 @@ func TestSnapshotRefusesZeroCounter(t *testing.T) {
 		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
 	}
 }
+
+// TestSnapshotRefusesVTreeCounterMismatch: the VTree names exactly the
+// buckets that have a write counter — a lookup opens every written
+// bucket on its path and reads its bitmap. A checkpoint whose VTree
+// leaves out a written bucket (the root, on every path) or names one
+// never written is refused, and the ORAM is left as it was.
+func TestSnapshotRefusesVTreeCounterMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(o *ORAM)
+	}{
+		{"missing", func(o *ORAM) { delete(o.vtree, 0) }},
+		{"extra", addUnwrittenBitmap},
+		{"moved", func(o *ORAM) { delete(o.vtree, 0); addUnwrittenBitmap(o) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, ssdA, _ := newPersistORAM(t)
+			drive(t, a, rand.New(rand.NewSource(7)), 300)
+			if a.tree.Counter(0) == 0 {
+				t.Fatal("the workload never wrote the root")
+			}
+			tc.tamper(a)
+			snap, err := a.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ssdSnap, err := ssdA.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			b, ssdB, _ := newPersistORAM(t)
+			drive(t, b, rand.New(rand.NewSource(8)), 200)
+			before, err := b.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ssdB.Restore(ssdSnap); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Restore(snap); err == nil {
+				for id := uint64(0); id < 256; id++ {
+					if _, _, err := b.AOAccess(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				t.Fatal("Restore accepted a VTree that disagrees with the write counters")
+			} else if !strings.Contains(err.Error(), "VTree") {
+				t.Fatalf("Restore = %v, want a VTree error", err)
+			}
+			if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+				t.Fatalf("a refused restore changed the ORAM (err %v)", err)
+			}
+		})
+	}
+}
+
+// addUnwrittenBitmap gives the first never-written bucket a VTree bitmap.
+func addUnwrittenBitmap(o *ORAM) {
+	for idx := uint32(0); ; idx++ {
+		if o.tree.Counter(idx) == 0 {
+			o.vtree[idx] = make([]byte, (o.cfg.BucketSlots+7)/8)
+			return
+		}
+	}
+}

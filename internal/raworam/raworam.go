@@ -619,9 +619,6 @@ func (o *ORAM) AODummy() (time.Duration, error) {
 	o.stats.AOAccesses++
 	d := o.chargeAO()
 	o.stats.Time += d
-	if o.cfg.Phantom {
-		return d, nil
-	}
 	// Functionally a no-op: the path read is simulated by the charge; no
 	// block is extracted and no flags change.
 	return d, nil

@@ -124,9 +124,8 @@ type bucketMeta struct {
 	touched []bool // per slot (real+dummy): read since last write
 	// reads counts slot reads (real or dummy) since the last write; a
 	// bucket supports S reads before it must be reshuffled.
-	reads   int
-	written bool   // bucket ever written to the device
-	ctr     uint64 // write counter for encryption freshness
+	reads int
+	ctr   uint64 // write counter for encryption freshness
 }
 
 // Stats counts ORAM-level events.
@@ -452,7 +451,6 @@ func (o *ORAM) rewriteBucket(idx uint32, leaf uint32, level int) (time.Duration,
 func (o *ORAM) writeBucket(idx uint32, bucket []int32) (time.Duration, error) {
 	m := o.metaOf(idx)
 	m.ctr++
-	m.written = true
 	m.reads = 0
 	clear(m.touched)
 	if !o.cfg.Phantom {

@@ -80,7 +80,7 @@ func (h *hist) summary() LatencySummary {
 
 // Report is one device's real-I/O telemetry, surfaced through
 // fedora.Controller.StorageReports, the /metrics endpoint, and
-// fedora-bench's storage comparison.
+// fedora-train's end-of-run storage report.
 type Report struct {
 	// Name is the controller's device name ("ssd", "shard3/ssd").
 	Name string

@@ -175,8 +175,9 @@ func (t *Tree) EncodeCounters(e *persist.Encoder) {
 	})
 }
 
-// Counters are decoded write counters, for SetCounters.
-type Counters struct{ t paged.Table[uint64] }
+// Counters are decoded write counters by bucket index (0 = never
+// written), for SetCounters.
+type Counters struct{ paged.Table[uint64] }
 
 // DecodeCounters reads a section EncodeCounters wrote. A zero counter is
 // refused by bucket: EncodeCounters never writes one, and a bucket
@@ -189,13 +190,13 @@ func DecodeCounters(d *persist.Decoder) (Counters, error) {
 		if d.Err() == nil && ctr == 0 {
 			return Counters{}, fmt.Errorf("tree: bucket %d has write counter 0", idx)
 		}
-		c.t.Set(uint64(idx), ctr)
+		c.Set(uint64(idx), ctr)
 	}
 	return c, d.Err()
 }
 
 // SetCounters replaces the write counters with decoded ones.
-func (t *Tree) SetCounters(c Counters) { t.ctrs = c.t }
+func (t *Tree) SetCounters(c Counters) { t.ctrs = c.Table }
 
 // InitBlock fills dst with the initial contents of never-written block
 // id: fn's (nil means zeros), which must be len(dst) bytes.
