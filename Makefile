@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-check bench-spine vet fmt check loc experiments table1 clean
+.PHONY: all build test test-short bench bench-check bench-spine bench-record vet fmt check loc experiments table1 clean
 
 all: build test
 
@@ -71,6 +71,15 @@ bench-check:
 # `cd bench && go run . compare a.json b.json`.
 bench-spine:
 	cd bench && $(GO) run .
+
+# The full round-spine set kept at the repository root as BENCH_<PR>.json,
+# so a change's numbers sit beside its parent's:
+# `make bench-record PR=47`, then
+# `cd bench && go run . compare ../BENCH_46.json ../BENCH_47.json`.
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	$(MAKE) bench-spine
+	cp bench/out/results.json BENCH_$(PR).json
 
 # Non-test Go lines added, removed and net since BASE (default HEAD):
 # `git diff --numstat` of the tracked tree, *_test.go and bench/ left

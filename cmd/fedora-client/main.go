@@ -4,28 +4,19 @@
 //
 //	fedora-client -server http://localhost:8080 status
 //	fedora-client -server http://localhost:8080 round -requests "1,2,3;4,5"
-//	fedora-client -server http://localhost:8080 bench -clients 8 -k 32
-//
-// The bench subcommand runs one FL round over the batched API and
-// reports its HTTP request count and wall time, then replays the same
-// round once per wire upload codec (see internal/wire) and reports the
-// gradient-upload bytes each codec puts on the wire.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/client"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -51,7 +42,7 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "subcommands: status | cluster | round -requests \"1,2,3;4,5\" | bench -clients N -k K")
+		fmt.Fprintln(os.Stderr, "subcommands: status | cluster | round -requests \"1,2,3;4,5\"")
 		os.Exit(2)
 	}
 	switch args[0] {
@@ -65,13 +56,6 @@ func main() {
 		deadline := fs.Duration("deadline", 0, "round deadline (0 = none)")
 		fs.Parse(args[1:])
 		runRound(ctx, c, *requests, *deadline)
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		clients := fs.Int("clients", 8, "simulated clients per round")
-		k := fs.Int("k", 32, "rows per client")
-		seed := fs.Int64("seed", 1, "row-selection seed")
-		fs.Parse(args[1:])
-		runBench(ctx, c, *clients, *k, *seed)
 	default:
 		fatal(fmt.Errorf("unknown subcommand %q", args[0]))
 	}
@@ -247,163 +231,4 @@ func runRound(ctx context.Context, c *client.Client, requests string, deadline t
 	}
 	stats := c.Stats()
 	fmt.Printf("http: %d requests, %d retries, %d failures\n", stats.Requests, stats.Retries, stats.Failures)
-}
-
-// runBench measures one round of batched transfers, then the upload
-// bytes of each wire codec.
-func runBench(ctx context.Context, c *client.Client, clients, k int, seed int64) {
-	st, err := c.Status(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	if st.RoundInProgress {
-		fatal(fmt.Errorf("a round is already in progress; bench needs an idle server"))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	reqs := make([][]uint64, clients)
-	for i := range reqs {
-		rows := make([]uint64, k)
-		for j := range rows {
-			rows[j] = uint64(rng.Int63n(int64(st.NumRows)))
-		}
-		reqs[i] = rows
-	}
-	total := clients * k
-
-	// The embedding dimension (for the zero gradients bench uploads)
-	// comes from the evaluation backdoor.
-	row0, err := c.PeekRow(ctx, 0)
-	if err != nil {
-		fatal(err)
-	}
-	zero := make([]float32, len(row0))
-
-	// Batched transfers through the SDK.
-	before := c.Stats()
-	start := time.Now()
-	info, err := c.BeginRound(ctx, reqs)
-	if err != nil {
-		fatal(err)
-	}
-	for _, rows := range reqs {
-		if _, err := c.Entries(ctx, info.RoundID, rows); err != nil {
-			fatal(err)
-		}
-	}
-	for _, rows := range reqs {
-		grads := make([]api.GradientRequest, len(rows))
-		for j, row := range rows {
-			grads[j] = api.GradientRequest{Row: row, Grad: zero, Samples: 1}
-		}
-		if _, err := c.SubmitGradients(ctx, info.RoundID, grads); err != nil {
-			fatal(err)
-		}
-	}
-	if _, err := c.FinishRound(ctx, info.RoundID); err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	after := c.Stats()
-	requests := int(after.Requests - before.Requests)
-
-	fmt.Printf("bench: %d clients × %d rows = %d row transfers each way\n", clients, k, total)
-	fmt.Printf("%d http requests, %v wall time\n", requests, elapsed.Round(time.Millisecond))
-
-	// --- wire upload plane: drive the same round once per codec and
-	// report what the gradient upload leg costs on the wire.
-	runWireBench(ctx, c, st, reqs, len(row0), seed)
-}
-
-// runWireBench runs one round per wire codec over the bench's request
-// set (zero deltas, one sample per row) and reports the gradient-upload
-// bytes each codec puts on the wire. The masked codec uploads the FULL
-// table per client, so it is skipped when the round's payloads would
-// exceed 64 MB — point the bench at a smaller table (e.g. -fl-quick) to
-// include it.
-func runWireBench(ctx context.Context, c *client.Client, st api.StatusResponse, reqs [][]uint64, dim int, seed int64) {
-	clients := len(reqs)
-	// Per-client row sets must be strictly ascending and duplicate-free
-	// for the upload plane; the union is the sparse codecs' domain.
-	rows := make([][]uint64, clients)
-	union := []uint64(nil)
-	seen := map[uint64]bool{}
-	for i, rq := range reqs {
-		dedup := map[uint64]bool{}
-		for _, r := range rq {
-			dedup[r] = true
-			seen[r] = true
-		}
-		rows[i] = make([]uint64, 0, len(dedup))
-		for r := range dedup {
-			rows[i] = append(rows[i], r)
-		}
-		sort.Slice(rows[i], func(a, b int) bool { return rows[i][a] < rows[i][b] })
-	}
-	for r := range seen {
-		union = append(union, r)
-	}
-	sort.Slice(union, func(a, b int) bool { return union[a] < union[b] })
-
-	fmt.Printf("\nwire upload plane (gradient leg, %d clients, zero deltas):\n", clients)
-	fmt.Printf("%-22s %14s %14s\n", "codec", "upload bytes", "per client")
-	for _, codec := range wire.Codecs() {
-		if codec == wire.CodecMasked {
-			if full := st.NumRows * uint64(dim+1) * 4 * uint64(clients); full > 64<<20 {
-				fmt.Printf("%-22s %14s (full-table payloads would be %d MB)\n",
-					string(codec), "skipped", full>>20)
-				continue
-			}
-		}
-		bytes, err := runWireBenchRound(ctx, c, st.NumRows, dim, codec, rows, union, seed)
-		if err != nil {
-			fatal(fmt.Errorf("wire bench %s: %w", codec, err))
-		}
-		fmt.Printf("%-22s %14d %14d\n", string(codec), bytes, bytes/uint64(clients))
-	}
-}
-
-// runWireBenchRound drives one full upload-plane round: begin, encode
-// and upload every client's payload, run the (dropout-free) unmasking
-// round that applies the aggregate, and finish.
-func runWireBenchRound(ctx context.Context, c *client.Client, numRows uint64, dim int, codec wire.Codec, rows [][]uint64, union []uint64, seed int64) (uint64, error) {
-	info, err := c.BeginRound(ctx, rows)
-	if err != nil {
-		return 0, err
-	}
-	plan, err := wire.NewPlan(wire.Params{
-		Codec:      codec,
-		NumRows:    numRows,
-		Dim:        dim,
-		Round:      info.Round,
-		Roster:     len(rows),
-		SessionKey: wire.DeriveSessionKey(seed, info.Round),
-	}, union)
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for i, rs := range rows {
-		deltas := make([][]float32, len(rs))
-		for j := range deltas {
-			deltas[j] = make([]float32, dim)
-		}
-		payload, _, err := plan.Encode(i, rs, deltas, 1)
-		if err != nil {
-			return 0, err
-		}
-		batchID := fmt.Sprintf("wire-bench-r%d-c%d", info.Round, i)
-		if err := c.SubmitWireUpload(ctx, info.RoundID, batchID, payload); err != nil {
-			return 0, err
-		}
-		total += uint64(len(payload))
-	}
-	// No dropouts: zero reveals, but the unmask round still applies the
-	// reconstructed per-row sums into the server's round.
-	if _, err := c.Unmask(ctx, info.RoundID, nil); err != nil {
-		return 0, err
-	}
-	if _, err := c.FinishRound(ctx, info.RoundID); err != nil {
-		return 0, err
-	}
-	return total, nil
 }

@@ -87,12 +87,15 @@ func main() {
 	if specErr != nil {
 		log.Fatal(specErr)
 	}
+	// Every exit from here on removes a temp directory ParseSpec made; a
+	// failed exit reports its cause, not a failure to remove the directory.
+	fatal := func(v ...any) { _ = spec.RemoveTemp(); log.Fatal(v...) }
 
 	var plan *fault.Plan
 	if *faultPlan != "" {
 		var err error
 		if plan, err = fault.Load(*faultPlan); err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		plan.ArmCrashPoints()
 		fmt.Printf("fedora-server: fault plan %s armed (%d rules, seed %d)\n",
@@ -110,7 +113,7 @@ func main() {
 	if *flDataset != "" {
 		flCfg, cfgErr := fl.SingleConfig(*flDataset, *eps, *flMode, *flQuick, *seed, 0, *shards)
 		if cfgErr != nil {
-			log.Fatal(cfgErr)
+			fatal(cfgErr)
 		}
 		dimUsed = flCfg.Dim
 		flCfg.WrapDevice = plan.Wrap
@@ -131,7 +134,7 @@ func main() {
 		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if *memberCount > 0 {
 		// Cluster member: serve a contiguous slice of the global shard
@@ -139,21 +142,21 @@ func main() {
 		// total; the slice controller owns only its own rows.
 		fc, err = fedora.SliceConfig(fc, *memberFirst, *memberCount)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		fmt.Printf("fedora-server: cluster member serving shards [%d,%d) of %d\n",
 			*memberFirst, *memberFirst+*memberCount, *shards)
 	}
 	ctrl, err := fedora.New(fc)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 
 	var mgr *persist.Manager
 	if *ckptDir != "" {
 		mgr, err = persist.OpenManager(*ckptDir)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		blob, epoch, skipped, err := mgr.LoadSection(persist.ControllerSection)
 		for _, skip := range skipped {
@@ -162,10 +165,10 @@ func main() {
 		switch {
 		case errors.Is(err, persist.ErrNoCheckpoint):
 		case err != nil:
-			log.Fatal(err)
+			fatal(err)
 		default:
 			if err := ctrl.Restore(blob); err != nil {
-				log.Fatalf("restore epoch %d: %v", epoch, err)
+				fatal(fmt.Sprintf("restore epoch %d: %v", epoch, err))
 			}
 			fmt.Printf("fedora-server: restored epoch %d (round %d) from %s\n", epoch, ctrl.Round(), mgr.Dir())
 		}
@@ -187,7 +190,7 @@ func main() {
 	if *uploadCodec != "" {
 		codec, err := wire.ParseCodec(*uploadCodec)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		opts = append(opts, api.WithUploadCodec(codec))
 		fmt.Printf("fedora-server: upload-plane policy: %s\n", codec)
@@ -197,7 +200,7 @@ func main() {
 	}
 	if *ckptEvery > 0 {
 		if mgr == nil {
-			log.Fatal("fedora-server: -checkpoint-every requires -checkpoint-dir")
+			fatal("fedora-server: -checkpoint-every requires -checkpoint-dir")
 		}
 		opts = append(opts, api.WithAutoRecover(mgr, *ckptEvery))
 	}
@@ -209,7 +212,7 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		fatal(err)
 	case sig := <-sigCh:
 		fmt.Printf("fedora-server: %v — draining\n", sig)
 	}
@@ -228,12 +231,15 @@ func main() {
 			// is not snapshotable. The previous epoch stays authoritative.
 			log.Printf("fedora-server: shutdown checkpoint skipped: %v", err)
 		case err != nil:
-			log.Fatalf("fedora-server: shutdown checkpoint: %v", err)
+			fatal(fmt.Sprintf("fedora-server: shutdown checkpoint: %v", err))
 		default:
 			fmt.Printf("fedora-server: checkpointed epoch %d to %s\n", epoch, mgr.Dir())
 		}
 	}
 	if err := ctrl.Close(); err != nil {
 		log.Printf("fedora-server: close storage: %v", err)
+	}
+	if err := spec.RemoveTemp(); err != nil {
+		log.Printf("fedora-server: %v", err)
 	}
 }

@@ -102,7 +102,7 @@ func main() {
 		}
 		fmt.Println(experiments.RenderPoolingAblation(rows))
 	case *single:
-		runSingle(singleOptions{
+		os.Exit(runSingle(singleOptions{
 			dsName: *dsName, eps: *epsStr, mode: *mode, rounds: *rounds,
 			quick: *quick, seed: *seed, workers: *workers, shards: *shards,
 			prefetch: *prefetch,
@@ -112,7 +112,7 @@ func main() {
 			uploadCodec: *uploadCodec, subspaceDim: *subspaceDim,
 			faultPlan:   *faultPlan,
 			storageKind: *storageKind, storageDir: *storageDir, storageDirect: *storageDirect,
-		})
+		}))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -149,20 +149,28 @@ type singleOptions struct {
 	storageDirect bool
 }
 
-func runSingle(o singleOptions) {
+// runSingle runs one configuration and returns the process exit code, so
+// that its deferred closes and the temp storage directory's removal run
+// on every path.
+func runSingle(o singleOptions) int {
 	flCfg, err := fl.SingleConfig(o.dsName, o.eps, o.mode, o.quick, o.seed, o.workers, o.shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedora-train:", err)
-		os.Exit(2)
+		return 2
 	}
 	spec, err := storage.ParseSpec(o.storageKind, o.storageDir, o.storageDirect)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedora-train:", err)
-		os.Exit(2)
+		return 2
 	}
+	defer func() {
+		if err := spec.RemoveTemp(); err != nil {
+			fmt.Fprintln(os.Stderr, "fedora-train:", err)
+		}
+	}()
 	if o.remote != "" && spec.Kind != storage.KindSim {
 		fmt.Fprintln(os.Stderr, "fedora-train: -storage selects the in-process controller's backend; with -remote, pass -storage to fedora-server instead")
-		os.Exit(2)
+		return 2
 	}
 	flCfg.Storage = spec
 	flCfg.UploadCodec = o.uploadCodec
@@ -174,12 +182,12 @@ func runSingle(o singleOptions) {
 	if o.faultPlan != "" {
 		if o.remote != "" {
 			fmt.Fprintln(os.Stderr, "fedora-train: -fault-plan wraps the in-process controller's devices; with -remote, pass it to fedora-server instead")
-			os.Exit(2)
+			return 2
 		}
 		plan, err := fault.Load(o.faultPlan)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedora-train:", err)
-			os.Exit(2)
+			return 2
 		}
 		plan.ArmCrashPoints()
 		flCfg.WrapDevice = plan.Wrap
@@ -197,7 +205,7 @@ func runSingle(o singleOptions) {
 		// server process (fedora-server -checkpoint-dir), not the client.
 		if o.ckptDir != "" || o.resume {
 			fmt.Fprintln(os.Stderr, "fedora-train: -checkpoint-dir/-resume require an in-process controller; with -remote, run fedora-server -checkpoint-dir instead")
-			os.Exit(2)
+			return 2
 		}
 		endpoints := strings.Split(o.remote, ",")
 		for i := range endpoints {
@@ -217,7 +225,7 @@ func runSingle(o singleOptions) {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedora-train:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer tr.Close()
 	rounds := o.rounds
@@ -229,7 +237,7 @@ func runSingle(o singleOptions) {
 	}
 	if o.resume && o.ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "fedora-train: -resume requires -checkpoint-dir")
-		os.Exit(1)
+		return 1
 	}
 	var res fl.Result
 	if o.ckptDir != "" {
@@ -238,14 +246,14 @@ func runSingle(o singleOptions) {
 		runner, rerr := fl.NewRunner(tr, o.ckptDir, o.ckptEvery)
 		if rerr != nil {
 			fmt.Fprintln(os.Stderr, "fedora-train:", rerr)
-			os.Exit(1)
+			return 1
 		}
 		defer runner.Close()
 		if o.resume {
 			rep, rerr := runner.Resume()
 			if rerr != nil {
 				fmt.Fprintln(os.Stderr, "fedora-train: resume:", rerr)
-				os.Exit(1)
+				return 1
 			}
 			for _, skip := range rep.Skipped {
 				fmt.Fprintln(os.Stderr, "fedora-train: resume: skipped corrupt checkpoint:", skip)
@@ -262,7 +270,7 @@ func runSingle(o singleOptions) {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedora-train:", err)
-		os.Exit(1)
+		return 1
 	}
 	where := "in-process"
 	shardsStr := "?"
@@ -309,6 +317,7 @@ func runSingle(o singleOptions) {
 			}
 		}
 	}
+	return 0
 }
 
 // indent prefixes every non-empty line.

@@ -27,7 +27,6 @@ const (
 	CodeRoundNotFound    = "round_not_found"    // 404: unknown round id
 	CodeRoundFinished    = "round_finished"     // 409: round already finished (or expired)
 	CodeRowNotFound      = "row_not_found"      // 404: row id out of range
-	CodeNoRound          = "no_round"           // 409: v2 op needs an open round
 	CodeStageConflict    = "stage_conflict"     // 409: stage addressed a superseded round
 	CodeStageMismatch    = "stage_mismatch"     // 409: staged requests differ from the pending stage
 	CodeInternal         = "internal"           // 500

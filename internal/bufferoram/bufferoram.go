@@ -127,9 +127,6 @@ func (b *Buffer) RequiredBytes() uint64 { return b.oram.RequiredBytes() }
 // Resident returns how many entries are currently loaded.
 func (b *Buffer) Resident() int { return len(b.slotOf) }
 
-// AggregatorName reports the active operation mode.
-func (b *Buffer) AggregatorName() string { return b.agg.Name() }
-
 // SetRound advances the global round counter (used by LazyDP).
 func (b *Buffer) SetRound(r uint64) { b.round = r }
 
@@ -301,15 +298,6 @@ func (b *Buffer) UnloadTo(id uint64, dst []float32) (time.Duration, error) {
 
 // UnloadDummy burns an indistinguishable access for a dummy write-back.
 func (b *Buffer) UnloadDummy() (time.Duration, error) { return b.LoadDummy() }
-
-// LoadedIDs returns the IDs currently resident (unspecified order).
-func (b *Buffer) LoadedIDs() []uint64 {
-	out := make([]uint64, 0, len(b.slotOf))
-	for id := range b.slotOf {
-		out = append(out, id)
-	}
-	return out
-}
 
 // Block payloads are little-endian float32s (stdlib only — no unsafe).
 

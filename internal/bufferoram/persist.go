@@ -2,6 +2,7 @@ package bufferoram
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"repro/internal/persist"
@@ -119,12 +120,16 @@ func (b *Buffer) Restore(blob []byte) error {
 			len(slotOf), len(free), b.capacity)
 	}
 
-	if err := b.src.Restore(rngBlob); err != nil {
+	// The RNG goes into a fresh source and the inner ORAM (unchanged when
+	// it refuses) last, so a refused section leaves the buffer as it was.
+	src := persist.NewSource(0)
+	if err := src.Restore(rngBlob); err != nil {
 		return fmt.Errorf("bufferoram: rng: %w", err)
 	}
 	if err := b.oram.Restore(oramBlob); err != nil {
 		return fmt.Errorf("bufferoram: inner oram: %w", err)
 	}
+	b.src, b.rng = src, rand.New(src)
 	b.round = round
 	b.slotOf = slotOf
 	b.free = free

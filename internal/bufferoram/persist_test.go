@@ -185,3 +185,31 @@ func TestBufferRestoreRefusesAliasedSlot(t *testing.T) {
 		})
 	}
 }
+
+// TestBufferRefusedRestoreChangesNothing: a snapshot of a buffer with
+// another seed passes the buffer's own checks and is refused by the
+// inner Path ORAM's position map. Nothing is applied before that
+// refusal: the RNG, the inner ORAM's stash and every other section keep
+// what they held.
+func TestBufferRefusedRestoreChangesNothing(t *testing.T) {
+	a, _ := newPersistBuf(t, 1)
+	loadSome(t, a, rand.New(rand.NewSource(5)), 0, 5)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b, _ := newPersistBuf(t, 2)
+	loadSome(t, b, rand.New(rand.NewSource(6)), 100, 7)
+	before, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "position map") {
+		t.Fatalf("Restore of another seed's snapshot = %v, want a position-map refusal", err)
+	}
+	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("a refused restore changed the buffer (err %v)", err)
+	}
+}

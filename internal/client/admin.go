@@ -17,7 +17,7 @@ import (
 //   - Healthz, the probe behind node fencing — unlike every other call
 //     a 503 here is a VALID reply (the member is alive but fully
 //     quarantined), so the decoded report is returned without error;
-//   - ClusterStatus / JoinCluster against a coordinator's /cluster
+//   - ClusterStatus and ClusterLeader against a coordinator's /cluster
 //     routes.
 //
 // All of them ride the same retry/backoff/classification loop as the
@@ -127,14 +127,6 @@ func (c *Client) Healthz(ctx context.Context) (api.HealthzResponse, error) {
 func (c *Client) ClusterStatus(ctx context.Context) (api.ClusterStatusResponse, error) {
 	var out api.ClusterStatusResponse
 	err := c.do(ctx, http.MethodGet, "/cluster/status", nil, &out)
-	return out, err
-}
-
-// JoinCluster registers a member with a coordinator, triggering shard
-// migration onto it when it replaces a fenced placement.
-func (c *Client) JoinCluster(ctx context.Context, req api.ClusterJoinRequest) (api.ClusterJoinResponse, error) {
-	var out api.ClusterJoinResponse
-	err := c.do(ctx, http.MethodPost, "/cluster/join", req, &out)
 	return out, err
 }
 

@@ -26,7 +26,6 @@ type EvictPeriodRow struct {
 	A              int
 	LifetimeMonths float64
 	Overhead       time.Duration
-	EOPerRound     float64
 }
 
 // RunEvictPeriodAblation sweeps the eviction period A on the Small/10K

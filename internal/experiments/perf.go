@@ -503,36 +503,6 @@ func RenderBucketAblation(rows []BucketAblationRow) string {
 	return b.String()
 }
 
-// ReducedAccessPct is 1 − k/K in percent, the Table 1 reduced-access
-// metric for a perf point.
-func (r PerfResult) ReducedAccessPct() float64 {
-	if r.Updates == 0 {
-		return 0
-	}
-	return 100 * (1 - r.KSampled/float64(r.Updates))
-}
-
-// Eps1LifetimeGain compares ε=1 against ε=0 lifetime at one point,
-// reproducing the per-workload gains quoted in Sec 6.2.
-func Eps1LifetimeGain(points []SweepPoint, scale string, updates int, workload string) (float64, bool) {
-	var e0, e1 float64
-	for _, p := range points {
-		if p.Scale != scale || p.Updates != updates {
-			continue
-		}
-		if p.System == SysFedoraEps0.Name {
-			e0 = p.Result.LifetimeMonths()
-		}
-		if p.System == SysFedoraEps1.Name && p.Workload == workload {
-			e1 = p.Result.LifetimeMonths()
-		}
-	}
-	if e0 == 0 || e1 == 0 {
-		return 0, false
-	}
-	return e1 / e0, true
-}
-
 func fmtDuration(d time.Duration) string {
 	switch {
 	case d >= time.Minute:

@@ -386,14 +386,10 @@ func (c *Controller) DRAMResidentBytes() uint64 {
 	return total
 }
 
-// SSDDevice / DRAMDevice expose the underlying devices for stats
-// capture. There is one device pair per shard; these return shard 0's —
-// use SSDStats / DRAMStats for the aggregate counters. The main device
-// is a device.Storage: simulator- or file-backed depending on
-// Config.Storage.
+// SSDDevice exposes shard 0's main device for stats capture; use
+// SSDStats / DRAMStats for the counters summed over shards. It is a
+// device.Storage: simulator- or file-backed depending on Config.Storage.
 func (c *Controller) SSDDevice() device.Storage { return c.parts[0].ssd }
-
-func (c *Controller) DRAMDevice() *device.Sim { return c.parts[0].dram }
 
 // SSDStats / DRAMStats aggregate the device counters across all shards.
 func (c *Controller) SSDStats() device.Stats {
@@ -440,19 +436,6 @@ func (c *Controller) StorageReports() []storage.Report {
 		}
 	}
 	return out
-}
-
-// SyncStorage flushes every file-backed device to disk (a durability
-// barrier for checkpoint boundaries); a no-op on simulated devices.
-func (c *Controller) SyncStorage() error {
-	for _, p := range c.parts {
-		if f, ok := p.ssd.(*storage.File); ok {
-			if err := f.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Shards reports the shard count (at least 1).

@@ -52,9 +52,6 @@ func NewTableLayout(specs []TableSpec) (*TableLayout, error) {
 // TotalRows is the flat row-space size (the controller's NumRows).
 func (l *TableLayout) TotalRows() uint64 { return l.total }
 
-// Tables returns the declared specs.
-func (l *TableLayout) Tables() []TableSpec { return l.specs }
-
 // GlobalRow maps (table index, row) to the flat space.
 func (l *TableLayout) GlobalRow(table int, row uint64) (uint64, error) {
 	if table < 0 || table >= len(l.specs) {

@@ -105,16 +105,6 @@ func shardConfig(cfg Config, S, i int) Config {
 	return sub
 }
 
-// SliceRowBase returns the first global row of the shard slice
-// [first, first+count) — the offset a member's local row space sits at.
-func SliceRowBase(global Config, first int) uint64 {
-	S := global.Shards
-	if S < 1 {
-		S = 1
-	}
-	return shard.Base(global.NumRows, S, first)
-}
-
 // EffectiveEpsilon computes the per-value ε the config yields (group
 // privacy divides ε by the padded feature count when hiding it),
 // without building a controller.

@@ -2,10 +2,12 @@ package pathoram
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/persist"
 	"repro/internal/position"
+	"repro/internal/stash"
 	"repro/internal/tree"
 )
 
@@ -112,10 +114,14 @@ func (o *ORAM) Restore(b []byte) error {
 		return fmt.Errorf("pathoram: snapshot: %w", err)
 	}
 
-	if err := o.src.Restore(rngBlob); err != nil {
+	// The RNG and stash are restored into fresh ones and the position map
+	// in place, last, so a section refused anywhere changes nothing.
+	src := persist.NewSource(0)
+	if err := src.Restore(rngBlob); err != nil {
 		return fmt.Errorf("pathoram: rng: %w", err)
 	}
-	if err := o.stash.Restore(stashBlob); err != nil {
+	stashed := stash.New(o.stash.Capacity())
+	if err := stashed.Restore(stashBlob); err != nil {
 		return fmt.Errorf("pathoram: stash: %w", err)
 	}
 	if ownPos {
@@ -123,6 +129,7 @@ func (o *ORAM) Restore(b []byte) error {
 			return fmt.Errorf("pathoram: position map: %w", err)
 		}
 	}
+	o.src, o.rng, o.stash = src, rand.New(src), stashed
 	o.stats = st
 	o.tree.SetCounters(counters)
 	return nil

@@ -170,3 +170,32 @@ func TestSnapshotRefusesZeroCounter(t *testing.T) {
 		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
 	}
 }
+
+// TestRefusedRestoreChangesNothing: a snapshot of an ORAM with another
+// seed is refused by the position map, the last section Restore
+// applies, and the RNG and stash sections before it are not applied.
+func TestRefusedRestoreChangesNothing(t *testing.T) {
+	a, _ := newPersistORAM(t)
+	drive(t, a, rand.New(rand.NewSource(11)), 40)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(Config{NumBlocks: 128, BlockSize: 32, Seed: 6}, device.NewSSD(1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, b, rand.New(rand.NewSource(12)), 30)
+	before, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "position map") {
+		t.Fatalf("Restore of another seed's snapshot = %v, want a position-map refusal", err)
+	}
+	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
+	}
+}

@@ -2,11 +2,13 @@ package raworam
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/persist"
 	"repro/internal/position"
+	"repro/internal/stash"
 	"repro/internal/tree"
 )
 
@@ -148,16 +150,21 @@ func (o *ORAM) Restore(b []byte) error {
 		}
 	}
 
-	// Decode validated; apply sub-restores (each guards its own geometry).
-	if err := o.src.Restore(rngBlob); err != nil {
+	// Decode validated; the sub-restores guard their own geometry. The
+	// RNG and stash are restored into fresh ones and the position map in
+	// place, last, so a section refused anywhere changes nothing.
+	src := persist.NewSource(0)
+	if err := src.Restore(rngBlob); err != nil {
 		return fmt.Errorf("raworam: rng: %w", err)
 	}
-	if err := o.stash.Restore(stashBlob); err != nil {
+	stashed := stash.New(o.stash.Capacity())
+	if err := stashed.Restore(stashBlob); err != nil {
 		return fmt.Errorf("raworam: stash: %w", err)
 	}
 	if err := o.pos.(position.Checkpointable).Restore(posBlob); err != nil {
 		return fmt.Errorf("raworam: position map: %w", err)
 	}
+	o.src, o.rng, o.stash = src, rand.New(src), stashed
 	o.evictCount = evictCount
 	o.pendingWrites = int(pendingWrites)
 	o.stats = st

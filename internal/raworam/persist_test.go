@@ -234,3 +234,34 @@ func addUnwrittenBitmap(o *ORAM) {
 		}
 	}
 }
+
+// TestRefusedRestoreChangesNothing: a snapshot of an ORAM with another
+// seed passes the geometry guard and is refused by the position map,
+// the last section Restore applies. The RNG and stash sections before
+// it are not applied either.
+func TestRefusedRestoreChangesNothing(t *testing.T) {
+	a, _, _ := newPersistORAM(t)
+	drive(t, a, rand.New(rand.NewSource(7)), 300)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{NumBlocks: 256, BlockSize: 32, Seed: 43}
+	b, err := New(cfg, device.NewSSD(1<<30), device.NewDRAM(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, b, rand.New(rand.NewSource(8)), 200)
+	before, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "position map") {
+		t.Fatalf("Restore of another seed's snapshot = %v, want a position-map refusal", err)
+	}
+	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
+	}
+}

@@ -201,7 +201,7 @@ func TestSplitReadSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ssd, err := storage.OpenFile("ssd", filepath.Join(t.TempDir(), "ssd.dev"), device.PM9A1SSD,
-		probe.RequiredBytes(), storage.Spec{Kind: storage.KindFile, Fsync: storage.FsyncNever})
+		probe.RequiredBytes(), storage.Spec{Kind: storage.KindFile})
 	if err != nil {
 		t.Fatal(err)
 	}

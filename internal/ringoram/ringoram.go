@@ -200,10 +200,9 @@ func New(cfg Config, dev, dram device.Device) (*ORAM, error) {
 // RequiredBytes is the device footprint.
 func (o *ORAM) RequiredBytes() uint64 { return o.tree.RequiredBytes() }
 
-// Levels / Leaves / SlotSize expose geometry.
+// Levels / Leaves expose geometry.
 func (o *ORAM) Levels() int    { return o.tree.Levels() }
 func (o *ORAM) Leaves() uint32 { return o.tree.Leaves() }
-func (o *ORAM) SlotSize() int  { return o.slotSize }
 
 // Stats returns accumulated counters.
 func (o *ORAM) Stats() Stats { return o.stats }

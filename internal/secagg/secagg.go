@@ -43,33 +43,19 @@ const Scale = 1 << 16
 // MaxAbs is the largest representable magnitude.
 const MaxAbs = float64(math.MaxInt32) / Scale
 
-// ErrOutOfRange reports a value whose fixed-point encoding saturated.
-// Saturation breaks the exact-sum invariant silently (the sum of
-// saturated encodings is not the encoding of the sum), so callers that
-// care use EncodeChecked or EncodeCounting and surface the counter —
-// a non-zero count means the fixed-point Scale is misconfigured for the
-// gradient magnitudes in play.
-var ErrOutOfRange = errors.New("secagg: value exceeds fixed-point range")
-
 // Encode converts a float to fixed point (saturating).
 func Encode(x float32) uint32 {
 	v, _ := encode(x)
 	return v
 }
 
-// EncodeChecked converts a float to fixed point, returning ErrOutOfRange
-// instead of silently clipping when the value saturates.
-func EncodeChecked(x float32) (uint32, error) {
-	v, sat := encode(x)
-	if sat {
-		return v, fmt.Errorf("%w: |%g| > %g", ErrOutOfRange, x, MaxAbs)
-	}
-	return v, nil
-}
-
 // EncodeCounting converts a float to fixed point, incrementing *sats
 // when the value saturated. The encoding still clips (so aggregation
-// proceeds); the counter makes the clipping observable.
+// proceeds); the counter makes the clipping observable. Saturation
+// breaks the exact-sum invariant silently (the sum of saturated
+// encodings is not the encoding of the sum), so callers surface the
+// counter: a non-zero count means the fixed-point Scale is misconfigured
+// for the gradient magnitudes in play.
 func EncodeCounting(x float32, sats *int) uint32 {
 	v, sat := encode(x)
 	if sat {
@@ -223,7 +209,7 @@ func (s *Session) Mask(i int, x []float32) ([]uint32, error) {
 // MaskCounting is Mask with saturation accounting: it additionally
 // reports how many coordinates of x exceeded the fixed-point range and
 // were clipped. A non-zero count means the aggregate is silently wrong
-// at the clipped coordinates — surface it (see ErrOutOfRange).
+// at the clipped coordinates — surface it (see EncodeCounting).
 func (s *Session) MaskCounting(i int, x []float32) ([]uint32, int, error) {
 	if i < 0 || i >= s.n {
 		return nil, 0, fmt.Errorf("secagg: client %d out of roster %d", i, s.n)

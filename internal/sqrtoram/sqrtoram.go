@@ -91,7 +91,6 @@ type ORAM struct {
 	// sinceShuffle counts accesses in the current epoch.
 	sinceShuffle int
 	dummiesUsed  int
-	epoch        uint64
 
 	stats Stats
 }
@@ -224,7 +223,6 @@ func (o *ORAM) Write(id uint64, data []byte) (time.Duration, error) {
 // ~log²(total)/2 rounds reads and writes every slot once.
 func (o *ORAM) reshuffle() time.Duration {
 	o.stats.Reshuffles++
-	o.epoch++
 	// Merge shelter contents into the logical state.
 	if !o.cfg.Phantom {
 		for i, id := range o.shelterIDs {

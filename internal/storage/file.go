@@ -14,6 +14,12 @@ import (
 	"repro/internal/persist"
 )
 
+// maxDirtyPages bounds the backing file's un-fsynced write window: the
+// write that brings it to 4096 pages (16 MB) fsyncs, and its measured
+// duration includes the flush. At most that much ORAM state can be lost
+// to a host crash, and the checkpoint layer restores it on restart.
+const maxDirtyPages = 4096
+
 // pageAlign is the alignment unit for file I/O: offsets, lengths and
 // (under O_DIRECT) buffer addresses are aligned to it. 4096 matches NVMe
 // logical blocks, the ORAM bucket page, and the snapshot page.
@@ -24,14 +30,14 @@ var ErrClosed = errors.New("storage: device is closed")
 
 // File is a device.Storage backed by a real file: page-aligned preads
 // and pwrites against a preallocated (sparse) backing file, O_DIRECT
-// when requested and supported, an fsync policy bounding the dirty-page
-// window, and measured per-op latency histograms.
+// when requested and supported, an fsync once maxDirtyPages pages are
+// dirty, and measured per-op latency histograms.
 //
 // Timing semantics differ from the simulator on purpose: ReadAt/WriteAt
 // return the MEASURED wall-clock duration of the real I/O (including
-// any fsync the policy charges to the op), while Charge/ChargeN — which
-// move no data — still return modelled durations from the profile, so
-// phantom-mode accounting stays meaningful. Stats.BusyTime therefore
+// the fsync of a write that fills the dirty window), while
+// Charge/ChargeN — which move no data — still return modelled durations
+// from the profile, so phantom-mode accounting stays meaningful. Stats.BusyTime therefore
 // accumulates real time on the data path.
 //
 // A File is safe for concurrent use. A mutex serializes every operation
@@ -49,7 +55,6 @@ type File struct {
 	path     string
 	profile  device.Profile
 	capacity uint64
-	spec     Spec
 	direct   bool        // O_DIRECT actually active (request may fall back); fixed at open
 	closed   atomic.Bool // set under mu; read without it by the unlocked PeekAt
 
@@ -75,9 +80,6 @@ type File struct {
 func OpenFile(name, path string, p device.Profile, capacity uint64, spec Spec) (*File, error) {
 	if p.PageSize <= 0 {
 		return nil, errors.New("storage: profile PageSize must be positive")
-	}
-	if spec.MaxDirtyPages == 0 {
-		spec.MaxDirtyPages = DefaultMaxDirtyPages
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
@@ -109,7 +111,7 @@ func OpenFile(name, path string, p device.Profile, capacity uint64, spec Spec) (
 	}
 	return &File{
 		f: f, name: name, path: path, profile: p, capacity: capacity,
-		spec: spec, direct: direct, written: make(map[uint64]struct{}),
+		direct: direct, written: make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -229,18 +231,13 @@ func (fd *File) pwrite(addr uint64, p []byte) (int, error) {
 	return pages, nil
 }
 
-// afterWrite applies the fsync policy; the flush cost (if any) belongs
-// to the triggering write and is included in its measured duration.
-// Caller holds fd.mu.
+// afterWrite counts the pages just written and fsyncs once the dirty
+// window reaches maxDirtyPages; the flush cost belongs to the triggering
+// write and is included in its measured duration. Caller holds fd.mu.
 func (fd *File) afterWrite(pages int) error {
-	switch fd.spec.Fsync {
-	case FsyncAlways:
+	fd.dirty += pages
+	if fd.dirty >= maxDirtyPages {
 		return fd.syncLocked()
-	case FsyncBatched:
-		fd.dirty += pages
-		if fd.dirty >= fd.spec.MaxDirtyPages {
-			return fd.syncLocked()
-		}
 	}
 	return nil
 }
@@ -252,17 +249,6 @@ func (fd *File) syncLocked() error {
 	fd.fsyncs++
 	fd.dirty = 0
 	return nil
-}
-
-// Sync flushes the backing file (a durability barrier callers may issue
-// at round or checkpoint boundaries regardless of policy).
-func (fd *File) Sync() error {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	if fd.closed.Load() {
-		return ErrClosed
-	}
-	return fd.syncLocked()
 }
 
 // ReadAt implements Device: a real pread, returning measured duration.
@@ -285,7 +271,7 @@ func (fd *File) ReadAt(addr uint64, p []byte) (time.Duration, error) {
 	return elapsed, nil
 }
 
-// WriteAt implements Device: a real pwrite (plus any policy fsync),
+// WriteAt implements Device: a real pwrite (plus any window fsync),
 // returning measured duration.
 func (fd *File) WriteAt(addr uint64, p []byte) (time.Duration, error) {
 	fd.mu.Lock()
@@ -358,7 +344,7 @@ func (fd *File) observeRead(d time.Duration) {
 }
 
 // PokeAt implements Device: a write that bypasses Stats accounting but
-// still obeys the fsync policy and feeds the latency histogram.
+// still fills the dirty window and feeds the latency histogram.
 func (fd *File) PokeAt(addr uint64, p []byte) error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
@@ -547,9 +533,9 @@ func (fd *File) Restore(b []byte) error {
 	return nil
 }
 
-// Close implements Storage: flushes (unless FsyncNever) and closes the
-// backing file. The file is left on disk for inspection; it holds
-// working state only and is re-zeroed on the next OpenFile.
+// Close implements Storage: flushes and closes the backing file. The
+// file is left on disk for inspection; it holds working state only and
+// is re-zeroed on the next OpenFile.
 func (fd *File) Close() error {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
@@ -557,10 +543,7 @@ func (fd *File) Close() error {
 		return nil
 	}
 	fd.closed.Store(true)
-	var syncErr error
-	if fd.spec.Fsync != FsyncNever {
-		syncErr = fd.f.Sync()
-	}
+	syncErr := fd.f.Sync()
 	if err := fd.f.Close(); err != nil {
 		return fmt.Errorf("storage %s: close: %w", fd.name, err)
 	}

@@ -236,52 +236,47 @@ func TestFileDeviceRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestFileDeviceFsyncPolicies exercises the three durability modes.
+// TestFileDeviceFsyncPolicies pins the one durability window: no fsync
+// while fewer than maxDirtyPages pages are dirty, one fsync from the
+// write that reaches it, and a flush on Close.
 func TestFileDeviceFsyncPolicies(t *testing.T) {
+	const capacity = (maxDirtyPages + 1) * pageAlign
+	fd := newTestFile(t, capacity, Spec{})
 	page := make([]byte, pageAlign)
-
-	always := newTestFile(t, 1<<16, Spec{Fsync: FsyncAlways})
-	for i := 0; i < 3; i++ {
-		if _, err := always.WriteAt(uint64(i)*pageAlign, page); err != nil {
+	for i := 0; i < maxDirtyPages-1; i++ {
+		page[0] = byte(i)
+		if _, err := fd.WriteAt(uint64(i)*pageAlign, page); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rep := always.Report(); rep.Fsyncs != 3 || rep.DirtyPages != 0 {
-		t.Fatalf("always: fsyncs=%d dirty=%d, want 3/0", rep.Fsyncs, rep.DirtyPages)
+	if rep := fd.Report(); rep.Fsyncs != 0 || rep.DirtyPages != maxDirtyPages-1 {
+		t.Fatalf("below the window: fsyncs=%d dirty=%d, want 0/%d", rep.Fsyncs, rep.DirtyPages, maxDirtyPages-1)
 	}
-
-	// Batched with a 4-page window: the 4th page written forces a flush.
-	batched := newTestFile(t, 1<<16, Spec{Fsync: FsyncBatched, MaxDirtyPages: 4})
-	for i := 0; i < 3; i++ {
-		if _, err := batched.WriteAt(uint64(i)*pageAlign, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rep := batched.Report(); rep.Fsyncs != 0 || rep.DirtyPages != 3 {
-		t.Fatalf("batched pre-bound: fsyncs=%d dirty=%d, want 0/3", rep.Fsyncs, rep.DirtyPages)
-	}
-	if _, err := batched.WriteAt(3*pageAlign, page); err != nil {
+	if _, err := fd.WriteAt((maxDirtyPages-1)*pageAlign, page); err != nil {
 		t.Fatal(err)
 	}
-	if rep := batched.Report(); rep.Fsyncs != 1 || rep.DirtyPages != 0 {
-		t.Fatalf("batched at bound: fsyncs=%d dirty=%d, want 1/0", rep.Fsyncs, rep.DirtyPages)
+	if rep := fd.Report(); rep.Fsyncs != 1 || rep.DirtyPages != 0 {
+		t.Fatalf("at the window: fsyncs=%d dirty=%d, want 1/0", rep.Fsyncs, rep.DirtyPages)
 	}
 
-	never := newTestFile(t, 1<<16, Spec{Fsync: FsyncNever})
-	for i := 0; i < 10; i++ {
-		if _, err := never.WriteAt(uint64(i)*pageAlign, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rep := never.Report(); rep.Fsyncs != 0 {
-		t.Fatalf("never: fsyncs=%d, want 0", rep.Fsyncs)
-	}
-	// An explicit barrier still works under any policy.
-	if err := never.Sync(); err != nil {
+	// Close flushes what is dirty and closes without error; the bytes
+	// are in the backing file afterwards.
+	page[0] = 0xAB
+	if _, err := fd.WriteAt(maxDirtyPages*pageAlign, page); err != nil {
 		t.Fatal(err)
 	}
-	if rep := never.Report(); rep.Fsyncs != 1 {
-		t.Fatalf("never+Sync: fsyncs=%d, want 1", rep.Fsyncs)
+	if rep := fd.Report(); rep.DirtyPages != 1 {
+		t.Fatalf("after one more page: dirty=%d, want 1", rep.DirtyPages)
+	}
+	if err := fd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(fd.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != capacity || got[maxDirtyPages*pageAlign] != 0xAB || got[pageAlign] != 1 {
+		t.Fatalf("backing file after Close: %d bytes, last pages not as written", len(got))
 	}
 }
 
@@ -356,9 +351,6 @@ func TestFileDeviceClosed(t *testing.T) {
 	if _, err := fd.Snapshot(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Snapshot after close: %v", err)
 	}
-	if err := fd.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Sync after close: %v", err)
-	}
 }
 
 // TestFileDeviceDirectRequest: requesting O_DIRECT must never fail the
@@ -432,7 +424,8 @@ func TestStorageOpenAndSpec(t *testing.T) {
 		t.Fatalf("zero Spec opened %T, want *device.Sim", d)
 	}
 
-	// File kind without a dir fails in Open but ParseSpec provisions one.
+	// File kind without a dir fails in Open but ParseSpec provisions one,
+	// which RemoveTemp deletes with its backing files.
 	if _, err := Open("ssd", device.PM9A1SSD, 1<<16, Spec{Kind: KindFile}); err == nil {
 		t.Fatal("file backend without dir accepted")
 	}
@@ -451,13 +444,34 @@ func TestStorageOpenAndSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	fd := d.(*File)
 	if fd.Name() != "shard3/ssd" {
 		t.Fatalf("device name %q, want shard3/ssd", fd.Name())
 	}
 	if want := filepath.Join(spec.Dir, "shard3-ssd.dev"); fd.Path() != want {
 		t.Fatalf("backing file %q, want %q", fd.Path(), want)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.RemoveTemp(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(spec.Dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp dir %s left after RemoveTemp: %v", spec.Dir, err)
+	}
+
+	// A directory the caller named is never removed.
+	named := t.TempDir()
+	spec, err = ParseSpec("file", named, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.RemoveTemp(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(named); err != nil {
+		t.Fatalf("named dir removed: %v", err)
 	}
 }
 

@@ -8,11 +8,12 @@
 //     results are ratios over access counts and sizes.
 //   - KindFile — a real file on a real filesystem (File, this package):
 //     4 KB-page-aligned preads/pwrites against a preallocated backing
-//     file, O_DIRECT where the platform and filesystem support it, with
-//     a configurable fsync policy and a bounded dirty-page window. Every
-//     operation returns its *measured* wall-clock duration, so the
-//     latency numbers that flow into RoundStats come from actual
-//     hardware — the measurement the paper itself could not make.
+//     file, O_DIRECT where the platform and filesystem support it, and
+//     an fsync whenever 4096 pages (16 MB) have been written since the
+//     last one. Every operation returns its *measured* wall-clock
+//     duration, so the latency numbers that flow into RoundStats come
+//     from actual hardware — the measurement the paper itself could not
+//     make.
 //
 // The two backends are interchangeable behind device.Storage: contents
 // are bit-faithful either way (a read returns exactly what was last
@@ -72,45 +73,6 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// FsyncPolicy bounds how much written data may sit in the page cache —
-// the durability window of the backing file. It only matters for
-// KindFile (the simulator has no page cache to flush).
-type FsyncPolicy int
-
-const (
-	// FsyncBatched (default) counts pages written since the last flush
-	// and forces an fsync when the dirty window exceeds MaxDirtyPages —
-	// the bounded write-queue: at most MaxDirtyPages · 4 KB of ORAM
-	// writes can be lost to a host crash, and the flush cost lands on
-	// (and is measured in) the write that trips the bound.
-	FsyncBatched FsyncPolicy = iota
-	// FsyncAlways fsyncs after every write, so each WriteAt's measured
-	// duration includes full durability — the honest per-op cost of
-	// write-through, and the slowest policy by far.
-	FsyncAlways
-	// FsyncNever leaves flushing entirely to the OS (and Close). Fastest;
-	// the dirty window is unbounded.
-	FsyncNever
-)
-
-// String implements fmt.Stringer.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncBatched:
-		return "batched"
-	case FsyncAlways:
-		return "always"
-	case FsyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("fsync(%d)", int(p))
-	}
-}
-
-// DefaultMaxDirtyPages is the default bounded write-queue depth: 4096
-// un-fsynced 4 KB pages (16 MB) before a flush is forced.
-const DefaultMaxDirtyPages = 4096
-
 // Spec selects and parameterizes the backend for every device a
 // controller provisions. The zero value is the simulator, which keeps
 // existing construction paths unchanged.
@@ -118,7 +80,8 @@ type Spec struct {
 	// Kind selects the backend.
 	Kind Kind
 	// Dir is the directory holding backing files (KindFile). Required for
-	// KindFile; ParseSpec falls back to a fresh temp directory.
+	// KindFile; ParseSpec falls back to a fresh temp directory, which
+	// RemoveTemp deletes.
 	Dir string
 	// Direct requests O_DIRECT on the backing file, bypassing the page
 	// cache so measured latencies come from the device, not DRAM. When
@@ -126,32 +89,42 @@ type Spec struct {
 	// the device silently falls back to buffered I/O and reports
 	// Direct=false in its Report.
 	Direct bool
-	// Fsync is the durability policy (default FsyncBatched).
-	Fsync FsyncPolicy
-	// MaxDirtyPages bounds the un-fsynced write window under FsyncBatched
-	// (0 = DefaultMaxDirtyPages).
-	MaxDirtyPages int
 	// Prefix distinguishes backing files when several controllers share
 	// one Dir; the sharded controller sets "shard<i>" so each shard owns
 	// one backing file per device.
 	Prefix string
+
+	temp bool // Dir was created by ParseSpec
 }
 
 // ParseSpec builds a Spec from the CLI flag values (-storage,
 // -storage-dir, -storage-direct). An empty dir with the file backend
-// resolves to a fresh temporary directory so smoke runs need no setup.
+// resolves to a fresh temporary directory so smoke runs need no setup;
+// the caller removes it with RemoveTemp once its devices are closed.
 func ParseSpec(kind, dir string, direct bool) (Spec, error) {
 	k, err := ParseKind(kind)
 	if err != nil {
 		return Spec{}, err
 	}
-	if k == KindFile && dir == "" {
+	temp := k == KindFile && dir == ""
+	if temp {
 		dir, err = os.MkdirTemp("", "fedora-storage-")
 		if err != nil {
 			return Spec{}, fmt.Errorf("storage: create temp dir: %w", err)
 		}
 	}
-	return Spec{Kind: k, Dir: dir, Direct: direct}, nil
+	return Spec{Kind: k, Dir: dir, Direct: direct, temp: temp}, nil
+}
+
+// RemoveTemp deletes Dir and the backing files in it if ParseSpec
+// created it, and does nothing otherwise: a directory the caller named
+// is never removed. Call it after closing every device opened under the
+// Spec.
+func (s Spec) RemoveTemp() error {
+	if !s.temp {
+		return nil
+	}
+	return os.RemoveAll(s.Dir)
 }
 
 // Open provisions one device under the seam: the simulator for KindSim,

@@ -291,25 +291,11 @@ func equalDomains(a, b []uint64) bool {
 	return true
 }
 
-// Uploads returns how many distinct clients have been folded in.
-func (a *Aggregator) Uploads() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.uploaded)
-}
-
 // Bytes returns the total payload bytes accepted so far.
 func (a *Aggregator) Bytes() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.bytes
-}
-
-// CodecInUse returns the codec fixed by the first upload ("" if none).
-func (a *Aggregator) CodecInUse() Codec {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.codec
 }
 
 // Unmask finishes the round: it subtracts the orphaned masks of any

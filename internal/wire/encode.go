@@ -81,9 +81,6 @@ func NewPlan(p Params, union []uint64) (*Plan, error) {
 // Params returns the plan's round parameters.
 func (pl *Plan) Params() Params { return pl.p }
 
-// Domain returns the shared explicit domain (nil for plaintext/masked).
-func (pl *Plan) Domain() []uint64 { return pl.domain }
-
 // Encode produces client clientIndex's upload payload. rows must be
 // strictly ascending with one Dim-length delta each; samples is the
 // client's training-sample count n_c (the FedAvg weight). Every codec
