@@ -88,9 +88,9 @@ func (b *Buffer) Restore(blob []byte) error {
 		seen[slot] = true
 		return nil
 	}
-	nSlots := d.U64()
+	nSlots := d.Count(8+4, "slots") // a row and its slot
 	slotOf := make(map[uint64]int, nSlots)
-	for i := uint64(0); i < nSlots && d.Err() == nil; i++ {
+	for i := 0; i < nSlots && d.Err() == nil; i++ {
 		k := d.U64()
 		slot := d.U32()
 		if d.Err() == nil {
@@ -100,9 +100,9 @@ func (b *Buffer) Restore(blob []byte) error {
 			slotOf[k] = int(slot)
 		}
 	}
-	nFree := d.U64()
+	nFree := d.Count(4, "free slots")
 	free := make([]int, 0, nFree)
-	for i := uint64(0); i < nFree && d.Err() == nil; i++ {
+	for i := 0; i < nFree && d.Err() == nil; i++ {
 		slot := d.U32()
 		if d.Err() == nil {
 			if err := claim(slot); err != nil {

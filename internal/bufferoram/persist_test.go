@@ -2,11 +2,14 @@ package bufferoram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/persist"
 )
 
 // newPersistBuf builds a buffer plus its backing DRAM device; the block
@@ -211,5 +214,44 @@ func TestBufferRefusedRestoreChangesNothing(t *testing.T) {
 	}
 	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
 		t.Fatalf("a refused restore changed the buffer (err %v)", err)
+	}
+}
+
+// TestBufferRestoreRefusesHugeCounts: a snapshot whose slot count, or
+// free-slot count, claims 2^23 entries in a few bytes is refused before
+// either count sizes anything.
+func TestBufferRestoreRefusesHugeCounts(t *testing.T) {
+	a, _ := newPersistBuf(t, 1)
+	loadSome(t, a, rand.New(rand.NewSource(3)), 100, 2)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := persist.NewDecoder(snap) // version, geometry, round, rng
+	d.U8()
+	d.U32()
+	d.U32()
+	d.U32()
+	d.U64()
+	d.Bytes()
+	slotsAt := len(snap) - d.Remaining()
+	freeAt := slotsAt + 8 + 12*2
+	if binary.LittleEndian.Uint64(snap[slotsAt:]) != 2 || binary.LittleEndian.Uint64(snap[freeAt:]) != 62 {
+		t.Fatal("the snapshot does not hold 2 slots and 62 free ones where expected")
+	}
+	for _, at := range []int{slotsAt, freeAt} {
+		bad := bytes.Clone(snap)
+		binary.LittleEndian.PutUint64(bad[at:], 1<<23)
+		b, _ := newPersistBuf(t, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := b.Restore(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("a count of 2^23 at offset %d was restored", at)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("refusing a count of 2^23 at offset %d allocated %d bytes", at, grew)
+		}
 	}
 }

@@ -72,7 +72,8 @@ func (s *Stats) Add(other Stats) {
 //     per reader at once.
 //
 // The controller drives each device from one goroutine at a time, except
-// for those concurrent split-read PeekAts.
+// for those concurrent split-read PeekAts, each issued by one reader's
+// tree.Path.Read.
 type Device interface {
 	// ReadAt fills p with the bytes at [addr, addr+len(p)) and returns
 	// the modelled duration of the access.

@@ -122,9 +122,9 @@ func DecodeSnapshot(b []byte) (profileName string, capacity uint64, st Stats, pa
 	st.BytesRead = d.U64()
 	st.BytesWritten = d.U64()
 	st.BusyTime = time.Duration(d.I64())
-	n := d.U64()
+	n := d.Count(8+8, "pages") // an index and a page's length, at least
 	pages = make(map[uint64][]byte, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		idx := d.U64()
 		page := d.Bytes()
 		if len(page) != SnapshotPageSize {

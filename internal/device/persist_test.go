@@ -2,9 +2,13 @@ package device
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/persist"
 )
 
 func TestSimSnapshotRoundTrip(t *testing.T) {
@@ -61,5 +65,40 @@ func TestSimRestoreGuards(t *testing.T) {
 	}
 	if err := NewSSD(1 << 16).Restore(snap[:len(snap)/2]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestDecodeSnapshotRefusesHugePageCount: a device snapshot whose page
+// count claims 2^23 pages in a few bytes is refused before the count
+// sizes anything.
+func TestDecodeSnapshotRefusesHugePageCount(t *testing.T) {
+	s := NewSSD(1 << 20)
+	if _, err := s.WriteAt(4096, []byte("page")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := persist.NewDecoder(snap) // version, profile, capacity, stats
+	d.U8()
+	_ = d.String()
+	for range 6 {
+		d.U64()
+	}
+	at := len(snap) - d.Remaining()
+	if n := d.U64(); d.Err() != nil || n != 1 {
+		t.Fatalf("page count %d (%v), want 1", n, d.Err())
+	}
+	binary.LittleEndian.PutUint64(snap[at:], 1<<23)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, err = DecodeSnapshot(snap)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a page count of 2^23 in a %d-byte snapshot decoded", len(snap))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing a page count of 2^23 allocated %d bytes", grew)
 	}
 }

@@ -380,15 +380,15 @@ func encodeSelector(e *persist.Encoder, s *selector) {
 }
 
 func decodeSelector(d *persist.Decoder) (map[uint64]uint64, map[uint64]bool, error) {
-	nReq := d.U64()
+	nReq := d.Count(16, "request counts")
 	requestCount := make(map[uint64]uint64, nReq)
-	for i := uint64(0); i < nReq && d.Err() == nil; i++ {
+	for i := 0; i < nReq && d.Err() == nil; i++ {
 		id := d.U64()
 		requestCount[id] = d.U64()
 	}
-	nRead := d.U64()
+	nRead := d.Count(8, "read rows")
 	readBefore := make(map[uint64]bool, nRead)
-	for i := uint64(0); i < nRead && d.Err() == nil; i++ {
+	for i := 0; i < nRead && d.Err() == nil; i++ {
 		readBefore[d.U64()] = true
 	}
 	if err := d.Err(); err != nil {

@@ -2,11 +2,13 @@ package fedora
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
 
 	"repro/internal/fdp"
+	"repro/internal/persist"
 	"repro/internal/shard"
 	"repro/internal/tee"
 )
@@ -202,5 +204,45 @@ func TestSnapshotAllocatesOnce(t *testing.T) {
 				t.Errorf("Snapshot allocated %d bytes for a %d-byte blob, want ≤ %d (1.25×)", got, len(blob), limit)
 			}
 		})
+	}
+}
+
+// TestRestoreShardRefusesHugeSelectorCounts: a shard snapshot whose
+// selector claims 2^23 request counts, or 2^23 rows read before, in a
+// few bytes is refused before either count sizes anything.
+func TestRestoreShardRefusesHugeSelectorCounts(t *testing.T) {
+	cfg := persistCfg()
+	cfg.Selection = SelectPopular // keeps request counts
+	c := newController(t, cfg)
+	runRound(t, c, [][]uint64{{3, 7}, {7, 11, 19}})
+	snap, err := c.SnapshotShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := persist.NewDecoder(snap)
+	if _, err := decodePipelineHeader(d, c.cfg); err != nil {
+		t.Fatal(err)
+	}
+	d.Bytes() // rng
+	d.Bytes() // selector rng
+	nReqAt := len(snap) - d.Remaining()
+	nReq := binary.LittleEndian.Uint64(snap[nReqAt:])
+	nReadAt := nReqAt + 8 + 16*int(nReq)
+	if nReq != 4 || binary.LittleEndian.Uint64(snap[nReadAt:]) != 0 {
+		t.Fatalf("selector of %d request counts, %d rows read before; want 4, 0", nReq, binary.LittleEndian.Uint64(snap[nReadAt:]))
+	}
+	for _, at := range []int{nReqAt, nReadAt} {
+		bad := bytes.Clone(snap)
+		binary.LittleEndian.PutUint64(bad[at:], 1<<23)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.RestoreShard(0, bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("a selector count of 2^23 at offset %d was restored", at)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("refusing a selector count of 2^23 at offset %d allocated %d bytes", at, grew)
+		}
 	}
 }

@@ -113,9 +113,9 @@ func LoadModel(r io.Reader) (mlpParams []float32, dim int, rows map[uint64][]flo
 		case sectionModelMLP:
 			mlpParams = d.F32s()
 		case sectionModelRows:
-			n := d.U64()
+			n := d.Count(8+8, "rows") // an id and a row's length, at least
 			rows = make(map[uint64][]float32, n)
-			for i := uint64(0); i < n && d.Err() == nil; i++ {
+			for i := 0; i < n && d.Err() == nil; i++ {
 				id := d.U64()
 				rows[id] = d.F32s()
 			}

@@ -2,12 +2,16 @@ package fl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/fedora"
+	"repro/internal/persist"
 	"repro/internal/recmodel"
 	"repro/internal/wire"
 )
@@ -303,6 +307,54 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if scored == 0 {
 		t.Error("snapshot cannot score test samples")
+	}
+}
+
+// TestLoadModelRefusesHugeRowCount: a model checkpoint whose row count
+// claims 2^23 rows is refused before the count sizes anything. The
+// checkpoint is a real one, re-framed with the count patched, so every
+// frame's CRC holds.
+func TestLoadModelRefusesHugeRowCount(t *testing.T) {
+	tr := newTrainer(t, Config{Epsilon: 1e9, Seed: 49, ClientsPerRound: 10})
+	var saved, patched bytes.Buffer
+	if err := tr.SaveModel(&saved); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := persist.NewFrameReader(&saved, persist.Magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := persist.NewFrameWriter(&patched, persist.Magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		name, payload, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == sectionModelRows {
+			binary.LittleEndian.PutUint64(payload, 1<<23)
+		}
+		if err := fw.WriteFrame(name, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = LoadModel(&patched)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a row count of 2^23 was loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing a row count of 2^23 allocated %d bytes", grew)
 	}
 }
 

@@ -13,8 +13,9 @@
 // is never copied out. To an observer, every access is a read and a
 // write of one uniformly random path, bucket by bucket, root to leaf
 // and then leaf to root. The bucket tree itself — addresses, write
-// counters, sealed images — is internal/tree's; this package keeps the
-// 13-byte slot layout, the path buffer and the access.
+// counters, sealed images, the path buffer and the device calls — is
+// internal/tree's; this package keeps the 13-byte slot layout and the
+// access.
 //
 // The package also provides the paper's "Path ORAM+" baseline
 // configuration (Sec 6.1): buckets padded to the SSD page size so each
@@ -148,21 +149,11 @@ type ORAM struct {
 	engine *tee.Engine
 
 	tree *tree.Tree // geometry, addresses, write counters, sealed images
-
-	// The bucket being written, reused by every write: the device image
-	// (BucketSize bytes) and the plaintext packed into it. Without an
-	// engine the stored image starts with the plaintext, and plain
-	// aliases stored's front. Only writePath writes plain: its first
-	// packed slots may hold block bytes, the rest hold the empty-slot
-	// image already.
-	stored []byte
-	plain  []byte
+	// The path of the access in flight (see access), and how many leading
+	// slots of the tree's write buffer (Plain) may hold block bytes: only
+	// writePath packs it, and the rest hold the empty-slot image already.
+	path   *tree.Path
 	packed int
-
-	// The path of the access in flight (see access), reused by every
-	// access: its stored buckets, root first, each opened in place.
-	path   []byte
-	opener tee.Opener
 
 	stats Stats
 }
@@ -199,18 +190,9 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		rng:    rand.New(src),
 		engine: cfg.Engine,
 		tree:   t,
+		path:   t.NewPath(),
+		packed: cfg.BucketSlots,
 		stash:  stash.New(cfg.StashCapacity),
-	}
-	if !cfg.Phantom {
-		o.stored = make([]byte, t.BucketSize())
-		if o.engine != nil {
-			o.plain = make([]byte, t.PlainSize())
-			o.opener = o.engine.Opener()
-		} else {
-			o.plain = o.stored[:t.PlainSize()]
-		}
-		o.packed = cfg.BucketSlots
-		o.path = make([]byte, t.PathBytes())
 	}
 	if need := cfg.BaseAddr + t.RequiredBytes(); dev.Capacity() < need {
 		return nil, fmt.Errorf("pathoram: device capacity %d < required %d", dev.Capacity(), need)
@@ -268,9 +250,9 @@ func (o *ORAM) Update(id uint64, fn func(data []byte)) (time.Duration, error) {
 }
 
 // access is the one access every operation runs. It remaps block id to
-// a fresh random leaf, reads the path id was on into o.path and opens it
-// there (readPath), and lets fn mutate the block's bytes where they lie
-// — or, without fn, serves op on them. The stash then plans which entry
+// a fresh random leaf, reads the path id was on into its path buffer
+// and opens it there (readPath), and lets fn mutate the block's bytes
+// where they lie — or, without fn, serves op on them. The stash then plans which entry
 // each bucket of the path takes, writePath writes the path back leaf
 // first, and the stash settles the entries no bucket took — on a failure
 // too: what the access held stays in the stash.
@@ -284,7 +266,9 @@ func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, t
 	o.stats.Accesses++
 	var out []byte
 	if o.cfg.Phantom {
-		d := o.chargePath(device.OpRead) + o.chargePath(device.OpWrite)
+		d := o.tree.ChargePath(o.dev, device.OpRead) + o.tree.ChargePath(o.dev, device.OpWrite)
+		o.stats.BucketReads += uint64(o.tree.Levels())
+		o.stats.BucketWrite += uint64(o.tree.Levels())
 		o.stats.Time += d
 		if fn == nil && op == OpRead {
 			out = make([]byte, o.cfg.BlockSize)
@@ -317,8 +301,8 @@ func (o *ORAM) access(id uint64, op Op, data []byte, fn func([]byte)) ([]byte, t
 	return out, dur, nil
 }
 
-// readPath reads the buckets of the path to leaf into o.path, root first,
-// and opens each written one in place.
+// readPath reads the buckets of the path to leaf into the path buffer,
+// root first, each charged, and opens each written one in place.
 // Every valid slot is Taken into the stash's eviction with its bytes
 // where they lie; the residents join it; and if block id was in neither,
 // a fresh block made for it is Held last. It returns the target's index
@@ -332,23 +316,13 @@ func (o *ORAM) readPath(id uint64, leaf uint32) (time.Duration, int, error) {
 	indexed := o.stash.Len() > 0
 	slot := slotMetaSize + o.cfg.BlockSize
 	for l := 0; l < o.tree.Levels(); l++ {
-		idx := o.tree.Index(leaf, l)
 		o.stats.BucketReads++
-		stored := o.tree.Slot(o.path, l)
-		d, err := o.dev.ReadAt(o.tree.Addr(idx), stored)
+		plain, d, err := o.path.Read(o.dev, l, o.tree.Index(leaf, l), true, nil)
 		dur += d
 		if err != nil {
 			return dur, target, err
 		}
-		ctr := o.tree.Counter(idx)
-		if ctr == 0 {
-			continue // never-written bucket: all slots empty
-		}
-		plain, err := o.tree.Open(&o.opener, stored, idx, ctr, nil)
-		if err != nil {
-			return dur, target, err
-		}
-		for s := 0; s < o.cfg.BucketSlots; s++ {
+		for s := 0; plain != nil && s < o.cfg.BucketSlots; s++ { // nil: never written
 			meta := plain[s*slot : (s+1)*slot : (s+1)*slot]
 			if meta[12] != 1 {
 				continue
@@ -401,26 +375,25 @@ func (o *ORAM) writePath(leaf uint32) (time.Duration, int, error) {
 	var dur time.Duration
 	slot := slotMetaSize + o.cfg.BlockSize
 	entries := o.stash.Entries()
+	plain := o.tree.Plain()
 	for l := o.tree.Levels() - 1; l >= 0; l-- {
-		idx := o.tree.Index(leaf, l)
 		bucket := o.stash.Bucket(l)
 		for s, i := range bucket {
 			e := &entries[i]
-			meta := o.plain[s*slot : (s+1)*slot]
+			meta := plain[s*slot : (s+1)*slot]
 			binary.LittleEndian.PutUint64(meta, e.ID)
 			binary.LittleEndian.PutUint32(meta[8:], e.Leaf)
 			meta[12] = 1
 			copy(meta[slotMetaSize:], e.Data)
 		}
 		for s := len(bucket); s < o.packed; s++ {
-			meta := o.plain[s*slot : (s+1)*slot]
+			meta := plain[s*slot : (s+1)*slot]
 			clear(meta) // empty slots and flags read as zero, as in a fresh image
 			binary.LittleEndian.PutUint64(meta, invalidBlockID)
 		}
 		o.packed = len(bucket)
-		o.tree.Seal(idx, o.plain, o.stored)
 		o.stats.BucketWrite++
-		d, err := o.dev.WriteAt(o.tree.Addr(idx), o.stored)
+		d, err := o.tree.Write(o.dev, o.tree.Index(leaf, l), true)
 		dur += d
 		if err != nil {
 			return dur, l, err
@@ -453,21 +426,13 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		return append([]byte(nil), blk.Data...), nil
 	}
 	leaf := o.pos.Get(id)
+	o.path.Reset()
 	for l := 0; l < o.tree.Levels(); l++ {
-		idx := o.tree.Index(leaf, l)
-		ctr := o.tree.Counter(idx)
-		if ctr == 0 {
-			continue
-		}
-		stored := o.tree.Slot(o.path, l)
-		if err := o.dev.PeekAt(o.tree.Addr(idx), stored); err != nil {
-			return nil, err
-		}
-		plain, err := o.tree.Open(&o.opener, stored, idx, ctr, nil)
+		plain, _, err := o.path.Read(o.dev, l, o.tree.Index(leaf, l), false, nil)
 		if err != nil {
 			return nil, err
 		}
-		for s := 0; s < o.cfg.BucketSlots; s++ {
+		for s := 0; plain != nil && s < o.cfg.BucketSlots; s++ {
 			off := s * (slotMetaSize + o.cfg.BlockSize)
 			if plain[off+12] == 1 && binary.LittleEndian.Uint64(plain[off:]) == id {
 				return append([]byte(nil), plain[off+slotMetaSize:off+slotMetaSize+o.cfg.BlockSize]...), nil
@@ -477,15 +442,4 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 	out := make([]byte, o.cfg.BlockSize)
 	tree.InitBlock(out, id, o.cfg.InitFn)
 	return out, nil
-}
-
-// chargePath accounts a full-path transfer without moving data.
-func (o *ORAM) chargePath(op device.Op) time.Duration {
-	d := o.dev.ChargeN(op, o.tree.BucketSize(), o.tree.Levels())
-	if op == device.OpRead {
-		o.stats.BucketReads += uint64(o.tree.Levels())
-	} else {
-		o.stats.BucketWrite += uint64(o.tree.Levels())
-	}
-	return d
 }

@@ -218,10 +218,10 @@ func (d *Decoder) F32() float32 { return math.Float32frombits(d.U32()) }
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// length reads a u64 length prefix and validates it against the bytes
-// actually remaining, so a corrupted prefix can never trigger a huge
-// allocation.
-func (d *Decoder) length(elemSize int, what string) int {
+// Count reads a u64 count of records that take at least elemSize bytes
+// each and refuses one the bytes remaining cannot hold (returning 0), so
+// a corrupted count never sizes an allocation.
+func (d *Decoder) Count(elemSize int, what string) int {
 	n := d.U64()
 	if d.err != nil {
 		return 0
@@ -238,7 +238,7 @@ func (d *Decoder) length(elemSize int, what string) int {
 
 // Bytes reads a length-prefixed byte string (copied out of the input).
 func (d *Decoder) Bytes() []byte {
-	n := d.length(1, "bytes")
+	n := d.Count(1, "bytes")
 	p := d.take(n, "bytes")
 	if p == nil {
 		return nil
@@ -251,7 +251,7 @@ func (d *Decoder) String() string { return string(d.Bytes()) }
 
 // F32s reads a length-prefixed float32 slice.
 func (d *Decoder) F32s() []float32 {
-	n := d.length(4, "f32s")
+	n := d.Count(4, "f32s")
 	if d.err != nil {
 		return nil
 	}
@@ -267,7 +267,7 @@ func (d *Decoder) F32s() []float32 {
 
 // U64s reads a length-prefixed uint64 slice.
 func (d *Decoder) U64s() []uint64 {
-	n := d.length(8, "u64s")
+	n := d.Count(8, "u64s")
 	if d.err != nil {
 		return nil
 	}

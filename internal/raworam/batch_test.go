@@ -296,8 +296,8 @@ func TestBatchIntegrityIsPerBucket(t *testing.T) {
 		// The batch: ids whose path crosses the victim and that are not in
 		// the stash, so every one of them is looked up in the tree; inVictim
 		// are those stored in the victim.
-		o.resetPath()
-		plain, err := o.readers[0].read(o, level, victim, ctr, nil)
+		o.readers[0].path.Reset()
+		plain, _, err := o.readers[0].path.Read(o.ssd, level, victim, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -122,10 +122,10 @@ func (o *ORAM) Restore(b []byte) error {
 	rngBlob := d.Bytes()
 	stashBlob := d.Bytes()
 	posBlob := d.Bytes()
-	nV := d.U64()
+	nV := d.Count(4+8, "VTree") // an index and a bitmap's length, at least
 	vtree := make(map[uint32][]byte, nV)
 	bmLen := (o.cfg.BucketSlots + 7) / 8
-	for i := uint64(0); i < nV && d.Err() == nil; i++ {
+	for i := 0; i < nV && d.Err() == nil; i++ {
 		idx := d.U32()
 		bm := d.Bytes()
 		if d.Err() == nil {

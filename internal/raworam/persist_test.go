@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -263,5 +264,33 @@ func TestRefusedRestoreChangesNothing(t *testing.T) {
 	}
 	if after, err := b.Snapshot(); err != nil || !bytes.Equal(before, after) {
 		t.Fatalf("a refused restore changed the ORAM (err %v)", err)
+	}
+}
+
+// TestRestoreRefusesHugeVTreeCount: a snapshot whose VTree count claims
+// 2^23 bitmaps in a few bytes is refused before the count sizes
+// anything.
+func TestRestoreRefusesHugeVTreeCount(t *testing.T) {
+	o, _, _ := newPersistORAM(t)
+	snap, err := o.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh ORAM's snapshot ends with two empty sections: the VTree,
+	// then the write counters.
+	at := len(snap) - 16
+	if binary.LittleEndian.Uint64(snap[at:]) != 0 || binary.LittleEndian.Uint64(snap[at+8:]) != 0 {
+		t.Fatal("a fresh ORAM's snapshot does not end with two empty sections")
+	}
+	binary.LittleEndian.PutUint64(snap[at:], 1<<23)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = o.Restore(snap)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a VTree count of 2^23 in a %d-byte snapshot was restored", len(snap))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing a VTree count of 2^23 allocated %d bytes", grew)
 	}
 }

@@ -33,6 +33,9 @@
 // write count (Sec 5.2). The simulator keeps the derived per-bucket
 // counters host-side in internal/tree's bucket tree, and
 // TestCountersFollowRootCounter checks them against g after every EO.
+// Buckets move through that tree's path I/O (tree.Path, Tree.Write)
+// uncharged: the SSD is charged a whole path per access (chargeAO,
+// chargeEO).
 //
 // Key invariants (Sec 4.4): AO accesses never write the tree — only the
 // scheduled EO evictions do, which is what makes the schedule
@@ -142,11 +145,6 @@ type ORAM struct {
 	// pendingWrites counts write-backs since the last EO.
 	pendingWrites int
 
-	// One bucket being written, reused by every eviction: the SSD image
-	// (BucketSize bytes) and the plaintext being packed into it. Nothing
-	// returned to a caller aliases them.
-	stored []byte
-	plain  []byte
 	// taken holds the ids the eviction in flight has taken off its path:
 	// a block the path shows twice (only after a failed bucket write left
 	// a stale image valid) keeps its first, shallowest copy.
@@ -174,13 +172,10 @@ type ORAM struct {
 	stats Stats
 }
 
-// noBucket tags an empty path-buffer slot (no tree has 2^32-1 buckets).
-const noBucket = ^uint32(0)
-
 // batchRead is one id of an AOAccessBatch: where its payload goes in the
 // caller's buffer and which path holds it, and where the lookup found it
 // — in the stash, in slot bit of tree bucket at, or nowhere (at is
-// noBucket: a never-written block).
+// tree.NoBucket: a never-written block).
 type batchRead struct {
 	id      uint64
 	leaf    uint32
@@ -202,7 +197,7 @@ const (
 
 // readRange is one contiguous leaf range of a batch and what its lookup
 // left: the engine work, the first and the last bucket opened at each
-// level (noBucket for none), and the first failure and its index in
+// level (tree.NoBucket for none), and the first failure and its index in
 // reads.
 type readRange struct {
 	reads       []batchRead
@@ -212,21 +207,12 @@ type readRange struct {
 	errAt       int
 }
 
-// pathReader is one goroutine's DRAM path buffer of Sec 4.4: one stored
-// bucket per tree level, idx naming the bucket each slot holds (noBucket
-// when empty). A sealed bucket is opened in place, so a slot holds the
-// plaintext in its first bytes. Every bucket read goes through a path
-// buffer (pathReader.read). It is emptied at the start of each batch,
-// lookup and eviction, so nothing in it outlives the operation that
-// fetched and authenticated it.
+// pathReader is one goroutine's DRAM path buffer of Sec 4.4. Every
+// bucket read goes through one, and it is emptied at the start of each
+// batch range, lookup and eviction.
 type pathReader struct {
-	buf    []byte
-	idx    []uint32
-	opener tee.Opener
-	// first is, per level, the first bucket r opened since the path
-	// buffer was last emptied (noBucket for none).
-	first []uint32
-	run   func() // work on a goroutine of its own, bound in newReader
+	path *tree.Path
+	run  func() // work on a goroutine of its own, bound in newReader
 }
 
 // New creates the main ORAM over an SSD (tree) and a DRAM (VTree, stash,
@@ -238,8 +224,6 @@ func New(cfg Config, ssd, dram device.Device) (*ORAM, error) {
 	}
 	o := &ORAM{cfg: cfg, ssd: ssd, dram: dram, tree: t}
 	if !cfg.Phantom {
-		o.stored = make([]byte, t.BucketSize())
-		o.plain = make([]byte, t.PlainSize())
 		o.lastOpen = make([]uint32, t.Levels())
 		o.taken = make(map[uint64]struct{})
 	}
@@ -319,19 +303,10 @@ func (o *ORAM) SetReadWorkers(n int) { o.maxReaders = max(n, 1) }
 
 // newReader returns an empty path buffer over o's geometry.
 func (o *ORAM) newReader() *pathReader {
-	r := &pathReader{}
+	r := &pathReader{path: o.tree.NewPath()}
 	r.run = func() {
 		defer o.wg.Done()
 		r.work(o)
-	}
-	if !o.cfg.Phantom {
-		r.buf = make([]byte, o.tree.PathBytes())
-		r.idx = make([]uint32, o.tree.Levels())
-		r.first = make([]uint32, o.tree.Levels())
-		r.resetPath()
-	}
-	if o.cfg.Engine != nil {
-		r.opener = o.cfg.Engine.Opener()
 	}
 	return r
 }
@@ -373,7 +348,7 @@ func (o *ORAM) vtreePathBytes() uint64 {
 func (o *ORAM) chargeAO() time.Duration {
 	var d time.Duration
 	pb := int(o.PathBytes())
-	d += o.ssd.ChargeN(device.OpRead, o.tree.BucketSize(), o.tree.Levels())
+	d += o.tree.ChargePath(o.ssd, device.OpRead)
 	d += o.dram.Charge(device.OpWrite, 0, pb)                      // fill path buffer
 	d += o.dram.Charge(device.OpRead, 0, pb)                       // scan for block
 	d += o.dram.Charge(device.OpRead, 0, int(o.stashScanBytes()))  // stash presence scan
@@ -388,8 +363,8 @@ func (o *ORAM) chargeAO() time.Duration {
 func (o *ORAM) chargeEO() time.Duration {
 	var d time.Duration
 	pb := int(o.PathBytes())
-	d += o.ssd.ChargeN(device.OpRead, o.tree.BucketSize(), o.tree.Levels())
-	d += o.ssd.ChargeN(device.OpWrite, o.tree.BucketSize(), o.tree.Levels())
+	d += o.tree.ChargePath(o.ssd, device.OpRead)
+	d += o.tree.ChargePath(o.ssd, device.OpWrite)
 	d += o.dram.Charge(device.OpWrite, 0, pb) // path into DRAM
 	d += o.dram.Charge(device.OpRead, 0, pb)  // path back out
 	scans := o.tree.Levels()
@@ -516,17 +491,17 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 	)
 	plainLen := uint64(o.tree.PlainSize())
 	for l := range o.lastOpen {
-		o.lastOpen[l] = noBucket
+		o.lastOpen[l] = tree.NoBucket
 	}
 	for i := range o.ranges[:o.live] {
 		rg := &o.ranges[i]
 		st.Add(rg.stats)
 		for l, idx := range rg.first {
-			if idx != noBucket && idx == o.lastOpen[l] {
+			if idx != tree.NoBucket && idx == o.lastOpen[l] {
 				st.GroupsOpened--
 				st.BytesOpened -= plainLen
 			}
-			if rg.last[l] != noBucket {
+			if rg.last[l] != tree.NoBucket {
 				o.lastOpen[l] = rg.last[l]
 			}
 		}
@@ -544,7 +519,7 @@ func (o *ORAM) AOAccessBatch(ids []uint64, dst []byte) (time.Duration, error) {
 		switch {
 		case r.stashed:
 			copy(out, o.stash.Remove(r.id).Data)
-		case r.at != noBucket:
+		case r.at != tree.NoBucket:
 			clearBit(o.vtree[r.at], int(r.bit))
 		default:
 			tree.InitBlock(out, r.id, o.cfg.InitFn)
@@ -594,11 +569,11 @@ func (r *pathReader) work(o *ORAM) {
 // readers can look up their ranges at once.
 func (r *pathReader) lookup(o *ORAM, rg *readRange) {
 	bs := o.cfg.BlockSize
-	r.resetPath()
+	r.path.Reset()
 	rg.err, rg.errAt, rg.stats = nil, 0, tee.EngineStats{}
 	for i := range rg.reads {
 		br := &rg.reads[i]
-		br.at = noBucket
+		br.at = tree.NoBucket
 		if br.stashed {
 			continue
 		}
@@ -609,8 +584,8 @@ func (r *pathReader) lookup(o *ORAM, rg *readRange) {
 		}
 		br.at, br.bit = at, uint16(bit)
 	}
-	copy(rg.first, r.first)
-	copy(rg.last, r.idx)
+	copy(rg.first, r.path.First())
+	copy(rg.last, r.path.Held())
 }
 
 // AODummy performs an indistinguishable access to a random path without
@@ -692,17 +667,16 @@ func (o *ORAM) evictOnce() (time.Duration, error) {
 	}
 	o.stash.Begin()
 	clear(o.taken)
-	o.resetPath()
+	o.readers[0].path.Reset()
 	slot := slotMetaSize + o.cfg.BlockSize
 	for l := 0; l < o.tree.Levels(); l++ {
 		idx := o.tree.Index(leaf, l)
-		ctr := o.tree.Counter(idx)
-		if ctr == 0 {
-			continue
-		}
-		plain, err := o.readers[0].read(o, l, idx, ctr, nil)
+		plain, _, err := o.readers[0].path.Read(o.ssd, l, idx, false, nil)
 		if err != nil {
 			return d, o.stash.Settle(0, err)
+		}
+		if plain == nil {
+			continue // never written
 		}
 		vb := o.validBits(idx)
 		for s := 0; s < o.cfg.BucketSlots; s++ {
@@ -744,12 +718,12 @@ func (o *ORAM) Peek(id uint64) ([]byte, error) {
 		return append([]byte(nil), blk.Data...), nil
 	}
 	out := make([]byte, o.cfg.BlockSize)
-	o.resetPath()
-	found, err := o.findOnPath(o.pos.Get(id), id, out, false)
+	o.readers[0].path.Reset()
+	at, _, err := o.readers[0].find(o, o.pos.Get(id), id, out, nil)
 	if err != nil {
 		return nil, err
 	}
-	if !found {
+	if at == tree.NoBucket {
 		tree.InitBlock(out, id, o.cfg.InitFn)
 	}
 	return out, nil
@@ -765,10 +739,9 @@ func (o *ORAM) EachBucket(fn func(idx uint32, plain []byte)) error {
 	if o.cfg.Phantom {
 		return nil
 	}
-	o.resetPath()
-	defer o.resetPath()
-	return o.tree.EachWritten(func(idx uint32, ctr uint64) error {
-		plain, err := o.readers[0].read(o, 0, idx, ctr, nil)
+	o.readers[0].path.Reset()
+	return o.tree.EachWritten(func(idx uint32) error {
+		plain, _, err := o.readers[0].path.Read(o.ssd, 0, idx, false, nil)
 		if err != nil {
 			return fmt.Errorf("raworam: bucket %d: %w", idx, err)
 		}
@@ -808,35 +781,22 @@ func getBit(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 func setBit(bm []byte, i int)      { bm[i/8] |= 1 << (i % 8) }
 func clearBit(bm []byte, i int)    { bm[i/8] &^= 1 << (i % 8) }
 
-// findOnPath scans the path to leaf, root first, for block id and copies
-// its payload into dst, stopping at the bucket that holds it; with take
-// set it also clears the slot's valid flag (VTree), removing the block
-// from the tree. Buckets already in the path buffer are not read again:
-// the caller empties it (resetPath) before the first lookup of a batch.
-func (o *ORAM) findOnPath(leaf uint32, id uint64, dst []byte, take bool) (bool, error) {
-	at, bit, err := o.readers[0].find(o, leaf, id, dst, nil)
-	if err != nil || at == noBucket {
-		return false, err
-	}
-	if take {
-		clearBit(o.vtree[at], bit)
-	}
-	return true, nil
-}
-
-// find is findOnPath's scan through r's path buffer, reporting the
-// bucket and slot that hold id (noBucket when no written bucket on the
-// path does) and moving no state but r's and st's (see read).
+// find scans the path to leaf, root first, through r's path buffer for
+// block id, copies its payload into dst and reports the bucket and slot
+// that hold it, stopping there (tree.NoBucket when no written bucket on
+// the path does). Buckets the path buffer holds are not read again: the
+// caller resets it before the first lookup of a batch. Each bucket moves
+// uncharged, chargeAO having charged the whole path; find moves no state
+// but r's and st's (see tree.Path.Read).
 func (r *pathReader) find(o *ORAM, leaf uint32, id uint64, dst []byte, st *tee.EngineStats) (uint32, int, error) {
 	for l := 0; l < o.tree.Levels(); l++ {
 		idx := o.tree.Index(leaf, l)
-		ctr := o.tree.Counter(idx)
-		if ctr == 0 {
-			continue
-		}
-		plain, err := r.read(o, l, idx, ctr, st)
+		plain, _, err := r.path.Read(o.ssd, l, idx, false, st)
 		if err != nil {
-			return noBucket, 0, err
+			return tree.NoBucket, 0, err
+		}
+		if plain == nil {
+			continue // never written
 		}
 		vb := o.vtree[idx]
 		for s := 0; s < o.cfg.BucketSlots; s++ {
@@ -851,53 +811,14 @@ func (r *pathReader) find(o *ORAM, leaf uint32, id uint64, dst []byte, st *tee.E
 			return idx, s, nil
 		}
 	}
-	return noBucket, 0, nil
-}
-
-// resetPath empties the caller's path buffer.
-func (o *ORAM) resetPath() { o.readers[0].resetPath() }
-
-// resetPath empties r's path buffer.
-func (r *pathReader) resetPath() {
-	for l := range r.idx {
-		r.idx[l] = noBucket
-		r.first[l] = noBucket
-	}
-}
-
-// read returns the plaintext of bucket idx, which lies on tree level
-// `level`, from that level's slot of r's path buffer, fetching and (if
-// configured) authenticating and decrypting it first unless the slot
-// already holds it. The result is valid until the slot takes another
-// bucket. Device traffic was already charged (once, for the whole path)
-// by chargeAO/chargeEO, so the data movement here uses the unaccounted
-// PeekAt — keeping phantom and functional traffic identical. The open
-// is counted in st, or in the engine when st is nil (the caller's
-// goroutine only).
-func (r *pathReader) read(o *ORAM, level int, idx uint32, ctr uint64, st *tee.EngineStats) ([]byte, error) {
-	slot := o.tree.Slot(r.buf, level)
-	if r.idx[level] == idx {
-		return slot[:o.tree.PlainSize()], nil
-	}
-	r.idx[level] = noBucket // a failed read leaves the slot holding nothing
-	if err := o.ssd.PeekAt(o.tree.Addr(idx), slot); err != nil {
-		return nil, err
-	}
-	plain, err := o.tree.Open(&r.opener, slot, idx, ctr, st)
-	if err != nil {
-		return nil, err
-	}
-	if r.first[level] == noBucket {
-		r.first[level] = idx
-	}
-	r.idx[level] = idx
-	return plain, nil
+	return tree.NoBucket, 0, nil
 }
 
 // storeBucket packs, seals and writes bucket idx with the given entries
-// of the stash's eviction, updating the VTree bitmap.
+// of the stash's eviction, updating the VTree bitmap. The write moves
+// uncharged, chargeEO having charged the whole path.
 func (o *ORAM) storeBucket(idx uint32, bucket []int32) error {
-	plain := o.plain
+	plain := o.tree.Plain()
 	clear(plain) // empty slots read as zero after the id, as in a fresh image
 	vb := o.validBits(idx)
 	entries := o.stash.Entries()
@@ -914,7 +835,6 @@ func (o *ORAM) storeBucket(idx uint32, bucket []int32) error {
 			clearBit(vb, s)
 		}
 	}
-	o.tree.Seal(idx, plain, o.stored)
-	// Traffic was charged path-wide by chargeEO; move bytes unaccounted.
-	return o.ssd.PokeAt(o.tree.Addr(idx), o.stored)
+	_, err := o.tree.Write(o.ssd, idx, false)
+	return err
 }

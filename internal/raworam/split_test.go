@@ -12,6 +12,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/storage"
 	"repro/internal/tee"
+	"repro/internal/tree"
 )
 
 // splitTestConfig is batchTestConfig over a tree large enough for
@@ -117,20 +118,20 @@ func TestSplitReadTamperedSeam(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if at == noBucket {
+		if at == tree.NoBucket {
 			return o.tree.Levels() - 1
 		}
 		return int(levelOf(at))
 	}
-	o.resetPath()
-	victim := noBucket
-	for l := min(reach(last), reach(first)); l >= 0 && victim == noBucket; l-- {
+	o.readers[0].path.Reset()
+	victim := tree.NoBucket
+	for l := min(reach(last), reach(first)); l >= 0 && victim == tree.NoBucket; l-- {
 		idx := o.tree.Index(last.leaf, l)
 		if o.tree.Counter(idx) != 0 && idx == o.tree.Index(first.leaf, l) {
 			victim = idx
 		}
 	}
-	if victim == noBucket {
+	if victim == tree.NoBucket {
 		t.Fatal("no written bucket shared by the seam")
 	}
 	ids := make([]uint64, len(reads))

@@ -40,14 +40,16 @@ func (o *ORAM) VanillaAccess(id uint64, mutate func(data []byte)) ([]byte, time.
 		blk := o.stash.Remove(id)
 		if blk == nil {
 			blk = o.stash.NewBlock(id, 0, o.cfg.BlockSize)
-			o.resetPath()
-			found, err := o.findOnPath(leaf, id, blk.Data, true)
+			o.readers[0].path.Reset()
+			at, bit, err := o.readers[0].find(o, leaf, id, blk.Data, nil)
 			if err != nil {
 				o.stats.Time += d
 				return nil, d, err
 			}
-			if !found {
+			if at == tree.NoBucket {
 				tree.InitBlock(blk.Data, id, o.cfg.InitFn)
+			} else {
+				clearBit(o.vtree[at], bit)
 			}
 		}
 		if mutate != nil {

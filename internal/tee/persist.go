@@ -67,10 +67,10 @@ func (s *Scratchpad) Restore(b []byte) error {
 	if d.Err() == nil && size != s.size {
 		return fmt.Errorf("tee: snapshot scratchpad size %d != %d", size, s.size)
 	}
-	n := d.U64()
+	n := d.Count(8+8, "regions") // a name's length and a size, at least
 	regions := make(map[string]int, n)
 	reserved := 0
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		name := d.String()
 		bytes := int(d.I64())
 		if d.Err() == nil {

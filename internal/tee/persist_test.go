@@ -1,7 +1,9 @@
 package tee
 
 import (
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -43,6 +45,35 @@ func TestScratchpadRestoreGuards(t *testing.T) {
 	}
 	if err := NewScratchpad(4096).Restore(snap[:2]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestScratchpadRestoreRefusesHugeRegionCount: a scratchpad snapshot
+// whose region count claims 2^23 regions in a few bytes is refused
+// before the count sizes anything.
+func TestScratchpadRestoreRefusesHugeRegionCount(t *testing.T) {
+	a := NewScratchpad(4096)
+	if err := a.Reserve("key", 32); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 1 + 8 // version, size
+	if n := binary.LittleEndian.Uint64(snap[at:]); n != 1 {
+		t.Fatalf("region count %d, want 1", n)
+	}
+	binary.LittleEndian.PutUint64(snap[at:], 1<<23)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = NewScratchpad(4096).Restore(snap)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a region count of 2^23 in a %d-byte snapshot was restored", len(snap))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing a region count of 2^23 allocated %d bytes", grew)
 	}
 }
 

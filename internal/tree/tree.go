@@ -1,9 +1,16 @@
 // Package tree is the bucket tree under the tree ORAMs (Path ORAM,
 // Sec 2.3; FEDORA's RAW ORAM, Sec 4.4; Ring ORAM): bucket addresses, the
-// eviction order, per-bucket write counters and the sealed bucket image.
-// Each ORAM keeps its slot layout, access algorithm, path buffer and
-// device calls; Ring ORAM, which seals slot by slot, uses only the
-// addressing and the eviction order.
+// eviction order, per-bucket write counters, the sealed bucket image and
+// the path I/O: Path reads a path into a DRAM path buffer, Write seals
+// and writes a bucket, ChargePath charges a path. Each ORAM keeps its
+// slot layout and access algorithm; Ring ORAM, which seals slot by slot,
+// uses only the addressing and the eviction order.
+//
+// Read and Write take charge: true moves and charges a bucket (ReadAt,
+// WriteAt), as Path ORAM does; false moves it uncharged (PeekAt, PokeAt)
+// under the caller's ChargePath, as the RAW ORAM does, whose lookup
+// stops early and skips never-written buckets — so it is asked for less
+// than it charges (docs/ARCHITECTURE.md §3).
 //
 // A tree of L levels is a heap of 2^L - 1 buckets, root at index 0,
 // stored back to back from a base address: the plaintext, sealed under
@@ -18,7 +25,9 @@ package tree
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
+	"repro/internal/device"
 	"repro/internal/paged"
 	"repro/internal/persist"
 	"repro/internal/tee"
@@ -38,7 +47,8 @@ func Geometry(numBlocks uint64, bucketSlots int, amplification float64) (leaves 
 }
 
 // Tree is one ORAM's bucket tree, for one goroutine at a time but for
-// Counter, which readers on several may call at once while none seals.
+// Counter and Path reads, which readers on several may make at once
+// while none writes.
 type Tree struct {
 	levels int
 	leaves uint32
@@ -47,6 +57,10 @@ type Tree struct {
 	base   uint64 // device address of bucket 0
 	engine *tee.Engine
 	ctrs   paged.Table[uint64] // write counters by bucket index
+
+	// Write's buffer: the plaintext and the stored image, whose front the
+	// plaintext is when there is no engine.
+	wplain, wstored []byte
 }
 
 // New returns the tree of levels levels over leaves leaves (Geometry's
@@ -61,7 +75,12 @@ func New(leaves uint32, levels int, plain int, engine *tee.Engine, align int, ba
 	if align > 1 {
 		size = (size + align - 1) / align * align
 	}
-	return &Tree{levels: levels, leaves: leaves, plain: plain, size: size, base: base, engine: engine}
+	t := &Tree{levels: levels, leaves: leaves, plain: plain, size: size, base: base, engine: engine, wstored: make([]byte, size)}
+	t.wplain = t.wstored[:plain]
+	if engine != nil {
+		t.wplain = make([]byte, plain)
+	}
+	return t
 }
 
 // Levels (root inclusive), Leaves, BucketSize (stored bytes), PlainSize,
@@ -73,10 +92,6 @@ func (t *Tree) BucketSize() int       { return t.size }
 func (t *Tree) PlainSize() int        { return t.plain }
 func (t *Tree) RequiredBytes() uint64 { return uint64(2*t.leaves-1) * uint64(t.size) }
 func (t *Tree) PathBytes() uint64     { return uint64(t.levels) * uint64(t.size) }
-
-// Slot returns level l's bucket in path, a path buffer of PathBytes
-// bytes holding a path's buckets root first.
-func (t *Tree) Slot(path []byte, l int) []byte { return path[l*t.size : (l+1)*t.size : (l+1)*t.size] }
 
 // Index returns the heap index of the bucket at level on the path to
 // leaf (the root is level 0, index 0).
@@ -130,6 +145,27 @@ func (t *Tree) Seal(idx uint32, plain, stored []byte) {
 	clear(stored[n:])
 }
 
+// Plain returns the write buffer's plaintext, PlainSize bytes the caller
+// packs the next bucket into. It is the same buffer on every call, and
+// Write leaves it as it was, so a caller may repack only what changed.
+func (t *Tree) Plain() []byte { return t.wplain }
+
+// Write makes Plain the next image of bucket idx (Seal) and writes it to
+// dev, charged or not (see the package doc).
+func (t *Tree) Write(dev device.Device, idx uint32, charge bool) (time.Duration, error) {
+	t.Seal(idx, t.wplain, t.wstored)
+	if charge {
+		return dev.WriteAt(t.Addr(idx), t.wstored)
+	}
+	return 0, dev.PokeAt(t.Addr(idx), t.wstored)
+}
+
+// ChargePath charges dev for one path of op without moving a byte:
+// Levels transfers of BucketSize bytes.
+func (t *Tree) ChargePath(dev device.Device, op device.Op) time.Duration {
+	return dev.ChargeN(op, t.size, t.levels)
+}
+
 // Open opens bucket idx, written at counter ctr, in place: slot holds its
 // image, and the plaintext returned is slot's front. The open (or its
 // authentication failure) is counted in st, or in the engine when st is
@@ -152,13 +188,98 @@ func (t *Tree) Open(opener *tee.Opener, slot []byte, idx uint32, ctr uint64, st 
 	return plain, err
 }
 
-// EachWritten calls fn with every written bucket's index and counter, in
-// ascending index order, until fn fails.
-func (t *Tree) EachWritten(fn func(idx uint32, ctr uint64) error) error {
+// NoBucket names no bucket: a Path level that holds none (no tree has
+// 2^32-1 buckets).
+const NoBucket = ^uint32(0)
+
+// Path is a DRAM path buffer (Sec 4.4): one stored bucket per level, the
+// bucket each level holds and the first bucket each level read since
+// Reset. A sealed bucket is opened in place, so a level holds the
+// plaintext in its first bytes. A Path is one goroutine's; Paths on
+// several may read one tree at once while nothing writes it, each
+// counting its opens in stats of its own.
+type Path struct {
+	t      *Tree
+	buf    []byte
+	held   []uint32
+	first  []uint32
+	opener tee.Opener
+}
+
+// NewPath returns an empty path buffer over t.
+func (t *Tree) NewPath() *Path {
+	p := &Path{t: t, buf: make([]byte, t.PathBytes()), held: make([]uint32, t.levels), first: make([]uint32, t.levels)}
+	if t.engine != nil {
+		p.opener = t.engine.Opener()
+	}
+	p.Reset()
+	return p
+}
+
+// Reset empties every level. Nothing a level holds outlives the
+// operation that read and authenticated it: each operation resets first.
+func (p *Path) Reset() {
+	for l := range p.held {
+		p.held[l] = NoBucket
+		p.first[l] = NoBucket
+	}
+}
+
+// Held and First return, per level, the bucket it holds and the first
+// bucket an uncharged Read opened there since Reset (NoBucket for none).
+// They are the Path's own; the caller reads them only.
+func (p *Path) Held() []uint32  { return p.held }
+func (p *Path) First() []uint32 { return p.first }
+
+// Read returns the plaintext of bucket idx, on level l, valid until the
+// level reads another bucket; a never-written bucket is nil. A read
+// bucket is opened in place, the open counted in st (nil: in the
+// engine). A charged Read always reads the bucket from dev and leaves
+// the level holding nothing. An uncharged one returns a bucket the level
+// holds before its counter is looked up, and moves nothing for a
+// never-written bucket, leaving the level as it was. A failed read
+// leaves the level holding nothing.
+func (p *Path) Read(dev device.Device, l int, idx uint32, charge bool, st *tee.EngineStats) ([]byte, time.Duration, error) {
+	t := p.t
+	slot := p.buf[l*t.size : (l+1)*t.size : (l+1)*t.size]
+	if charge {
+		p.held[l] = NoBucket
+		d, err := dev.ReadAt(t.Addr(idx), slot)
+		if ctr := t.Counter(idx); err == nil && ctr != 0 {
+			plain, err := t.Open(&p.opener, slot, idx, ctr, st)
+			return plain, d, err
+		}
+		return nil, d, err
+	}
+	if p.held[l] == idx {
+		return slot[:t.plain], 0, nil
+	}
+	ctr := t.Counter(idx)
+	if ctr == 0 {
+		return nil, 0, nil
+	}
+	p.held[l] = NoBucket
+	if err := dev.PeekAt(t.Addr(idx), slot); err != nil {
+		return nil, 0, err
+	}
+	plain, err := t.Open(&p.opener, slot, idx, ctr, st)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p.first[l] == NoBucket {
+		p.first[l] = idx
+	}
+	p.held[l] = idx
+	return plain, 0, nil
+}
+
+// EachWritten calls fn with every written bucket's index, in ascending
+// index order, until fn fails.
+func (t *Tree) EachWritten(fn func(idx uint32) error) error {
 	var err error
-	t.ctrs.Range(func(idx, ctr uint64) {
+	t.ctrs.Range(func(idx, _ uint64) {
 		if err == nil {
-			err = fn(uint32(idx), ctr)
+			err = fn(uint32(idx))
 		}
 	})
 	return err

@@ -3,9 +3,11 @@ package tree
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/persist"
 	"repro/internal/tee"
 )
@@ -104,5 +106,83 @@ func TestCountersSection(t *testing.T) {
 	}
 	if _, err := DecodeCounters(persist.NewDecoder(want[:30])); err == nil {
 		t.Error("a truncated section decoded")
+	}
+}
+
+// TestPathRead pins the path I/O's rules on a sealed tree over a Sim: an
+// uncharged Write moves bytes and charges nothing; an uncharged Read of
+// a never-written bucket moves nothing and leaves its level's bucket
+// held; an uncharged Read returns a held bucket before its counter is
+// looked up; a failed read empties its level, so the next Read fetches
+// again; a charged Read is always one recorded ReadAt, of a held or a
+// never-written bucket too. A tripped Faulty, which fails every byte it
+// is asked to move, shows where nothing moves.
+func TestPathRead(t *testing.T) {
+	var key [32]byte
+	key[0] = 3
+	tr := New(8, 4, 100, tee.NewEngine(key), 64, 0)
+	sim := device.NewSSD(1 << 20)
+	rec := device.NewRecorder(sim)
+	dead := device.NewFaulty(sim, 0)
+	image := func(b byte) []byte { return bytes.Repeat([]byte{b}, tr.PlainSize()) }
+	write := func(dev device.Device, idx uint32, charge bool) {
+		copy(tr.Plain(), image(byte(idx)))
+		if _, err := tr.Write(dev, idx, charge); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write(sim, 3, false)
+	if st := sim.Stats(); st != (device.Stats{}) {
+		t.Errorf("an uncharged Write charged %+v", st)
+	}
+	write(rec, 4, true)
+	if got := rec.WriteAddrs(); !slices.Equal(got, []uint64{tr.Addr(4)}) {
+		t.Errorf("a charged Write recorded %v, want [%d]", got, tr.Addr(4))
+	}
+	sim.ResetStats()
+
+	p := tr.NewPath()
+	got, _, err := p.Read(sim, 2, 3, false, nil)
+	if err != nil || !bytes.Equal(got, image(3)) || p.Held()[2] != 3 || p.First()[2] != 3 {
+		t.Fatalf("uncharged Read of bucket 3 = %x, %v; held %d, first %d", got, err, p.Held()[2], p.First()[2])
+	}
+	if st := sim.Stats(); st != (device.Stats{}) {
+		t.Errorf("an uncharged Read charged %+v", st)
+	}
+	if got, _, err := p.Read(dead, 2, 5, false, nil); got != nil || err != nil || p.Held()[2] != 3 {
+		t.Errorf("uncharged Read of never-written bucket 5 = %x, %v; level holds %d, want 3", got, err, p.Held()[2])
+	}
+
+	var e persist.Encoder
+	tr.EncodeCounters(&e)
+	tr.SetCounters(Counters{}) // bucket 3 reads as never written
+	if got, _, err := p.Read(dead, 2, 3, false, nil); err != nil || !bytes.Equal(got, image(3)) {
+		t.Errorf("Read of the held bucket looked up its counter: %x, %v", got, err)
+	}
+	c, err := DecodeCounters(persist.NewDecoder(e.Finish()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetCounters(c)
+
+	if _, _, err := p.Read(dead, 2, 4, false, nil); !errors.Is(err, device.ErrInjected) || p.Held()[2] != NoBucket {
+		t.Fatalf("failed Read of bucket 4: %v; level holds %d, want none", err, p.Held()[2])
+	}
+	if _, _, err := p.Read(dead, 2, 3, false, nil); !errors.Is(err, device.ErrInjected) {
+		t.Errorf("Read of bucket 3 after a failed read = %v, want it fetched again", err)
+	}
+	if got, _, err := p.Read(sim, 2, 3, false, nil); err != nil || !bytes.Equal(got, image(3)) {
+		t.Fatalf("uncharged Read of bucket 3 = %x, %v", got, err)
+	}
+	rec.Clear()
+	if got, _, err := p.Read(rec, 2, 3, true, nil); err != nil || !bytes.Equal(got, image(3)) || !slices.Equal(rec.ReadAddrs(), []uint64{tr.Addr(3)}) {
+		t.Errorf("charged Read of the held bucket 3 = %x, %v, recorded %v; want one ReadAt", got, err, rec.ReadAddrs())
+	}
+
+	rec.Clear()
+	got, d, err := p.Read(rec, 3, 7, true, nil)
+	if got != nil || err != nil || d <= 0 || !slices.Equal(rec.ReadAddrs(), []uint64{tr.Addr(7)}) {
+		t.Errorf("charged Read of never-written bucket 7 = %x, %v, %v, recorded %v; want nil, one ReadAt", got, d, err, rec.ReadAddrs())
 	}
 }
