@@ -772,15 +772,21 @@ func BenchmarkControllerSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterCheckpoint measures one cluster checkpoint as the
-// coordinator's maintenance pass takes it — Snapshot() pulling one
-// section from each of two loopback members, then the atomic save and
-// prune — at the train_cluster geometry. Members, coordinator and file
-// write share the process, so B/op is the whole byte path
-// (TestCheckpointAllocBounded bounds it at 4× the blob).
+// BenchmarkClusterCheckpoint measures one cadence cluster checkpoint at
+// the train_cluster geometry, in the two parts the round path splits it
+// into. "pull" is what the round that takes it still waits for: one
+// section per shard, pulled in parallel from two loopback members over
+// the coordinator's SDK calls. "save" is what the background saver does
+// with the sections while the next round runs: assemble the blob, frame,
+// write, fsync and rename the file, prune, and cut the round WAL at the
+// snapshot's mark with one round's frames logged after it. Members,
+// coordinator and file write share the process, so B/op is the whole
+// byte path (TestCheckpointAllocBounded bounds the two together at 4×
+// the blob).
 func BenchmarkClusterCheckpoint(b *testing.B) {
 	global := checkpointBenchConfig()
 	var nodes []cluster.NodeSpec
+	var members []*client.Client
 	for g := 0; g < global.Shards; g++ {
 		sub, err := fedora.SliceConfig(global, g, 1)
 		if err != nil {
@@ -794,10 +800,11 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 		srv := httptest.NewServer(api.NewServer(ctrl).Handler())
 		defer srv.Close()
 		nodes = append(nodes, cluster.NodeSpec{URL: srv.URL, First: g, Count: 1})
-	}
-	mgr, err := persist.OpenManager(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
+		cli, err := client.New(client.Config{BaseURL: srv.URL, Timeout: 30 * time.Second, RetrySeed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		members = append(members, cli)
 	}
 	co, err := cluster.New(cluster.Config{
 		Fedora: global, Nodes: nodes, ProbeInterval: time.Hour,
@@ -808,20 +815,72 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 	}
 	defer co.StopProbes()
 	checkpointBenchRounds(b, global, co.BeginRound)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob, err := co.Snapshot()
+	pull := func() (sections [][]byte, bytes int64) {
+		sections = make([][]byte, len(members))
+		errs := make([]error, len(members))
+		done := make(chan struct{})
+		for g := range members {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				sections[g], errs[g] = members[g].SnapshotShard(context.Background(), g)
+			}()
+		}
+		for range members {
+			<-done
+		}
+		for g, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes += int64(len(sections[g]))
+		}
+		return sections, bytes
+	}
+
+	b.Run("pull", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, n := pull()
+			b.SetBytes(n)
+		}
+	})
+	b.Run("save", func(b *testing.B) {
+		sections, n := pull()
+		mgr, err := persist.OpenManager(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}
-		cp := persist.NewCheckpoint()
-		cp.Put(persist.ControllerSection, blob)
-		if _, err := mgr.SaveNext(cp); err != nil {
+		wal, err := persist.OpenWAL(mgr.WALPath())
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(blob)))
-	}
+		defer wal.Close()
+		frame := make([]byte, 64<<10) // about one round's WAL frames
+		b.SetBytes(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := wal.AppendRaw("round", frame); err != nil {
+				b.Fatal(err)
+			}
+			mark, err := wal.Mark()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := wal.AppendRaw("round", frame); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			blob := fedora.AssembleSnapshot(global, co.Round(), sections)
+			if _, err := mgr.SaveNext(persist.OneSection(persist.ControllerSection, blob)); err != nil {
+				b.Fatal(err)
+			}
+			if err := wal.Cut(mark); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // rowFrameBatch is the /entries batch the spine's trainers ask for: 100

@@ -48,8 +48,11 @@ func WithMaxInFlight(n int) Option {
 //   - on construction, a bootstrap checkpoint is written if the
 //     directory has none (recovery needs something to replay);
 //   - after every round, AfterRound runs: every `every`-th round that
-//     finishes healthy checkpoints the controller as the next epoch
-//     (older epochs pruned to 3), and after a round finishes degraded (a
+//     finishes healthy snapshots the controller and hands the snapshot
+//     to the Manager's background saver, which writes it as the next
+//     epoch (older epochs pruned to 3) while the next round runs; /healthz
+//     waits for that save, so its recover_error reports the newest
+//     completed one. After a round finishes degraded (a
 //     shard was quarantined by a fault or integrity violation) the
 //     quarantined shards — and only those — are restored from the
 //     newest checkpoint and rejoin.
@@ -115,15 +118,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
 		return
 	}
+	// A checkpoint save in flight finishes first, so the reply never
+	// predates the save of the round it follows.
+	if s.recoverMgr != nil {
+		s.recoverMgr.Wait()
+	}
+	if w, ok := s.ctrl.(interface{ WaitSaved() }); ok {
+		w.WaitSaved()
+	}
 	resp := HealthzResponse{
 		HealthReport: s.ctrl.Health(),
 		Round:        s.ctrl.Round(),
 		Shed:         s.shed.Load(),
 		FencedEpoch:  s.fencedEpoch.Load(),
 	}
-	s.recoverMu.Lock()
-	resp.RecoverError = s.recoverErr
-	s.recoverMu.Unlock()
+	resp.RecoverError, _ = s.recoverErr.Load().(string)
 	status := http.StatusOK
 	if resp.Status == shard.StatusUnavailable {
 		status = http.StatusServiceUnavailable
@@ -139,22 +148,27 @@ func (s *Server) bootstrapRecover() {
 	if err == nil && len(epochs) == 0 {
 		_, err = s.recoverMgr.SaveSection(persist.ControllerSection, s.ctrl.Snapshot)
 	}
-	s.recoverErr = errString(err)
+	s.setRecoverError(err)
 }
 
 // maybeRecover runs AfterRound after every round finish (outside all
 // server round state mutexes). The outcome of a checkpoint or recovery
-// is recorded for /healthz but never propagates into round traffic.
+// is recorded for /healthz but never propagates into round traffic; a
+// background save records its own outcome when it ends.
 func (s *Server) maybeRecover() {
 	if s.recoverMgr == nil {
 		return
 	}
 	s.recoverMu.Lock()
 	defer s.recoverMu.Unlock()
-	if op, err := AfterRound(s.ctrl, s.recoverMgr, s.recoverEvery, s.ctrl.Round(), nil); op != UpkeepNone {
-		s.recoverErr = errString(err)
+	save := persist.Save{Saved: func(_ uint64, err error) { s.setRecoverError(err) }}
+	if op, err := AfterRound(s.ctrl, s.recoverMgr, s.recoverEvery, s.ctrl.Round(), save); op != UpkeepNone {
+		s.setRecoverError(err)
 	}
 }
+
+// setRecoverError records the latest checkpoint or recovery outcome.
+func (s *Server) setRecoverError(err error) { s.recoverErr.Store(errString(err)) }
 
 // Upkeep names the branch of AfterRound that ran.
 type Upkeep int
@@ -163,8 +177,9 @@ const (
 	// UpkeepNone: a healthy round off the cadence, or a recovery that
 	// met a round opened meanwhile (benign: the next finish retries).
 	UpkeepNone Upkeep = iota
-	// UpkeepCheckpoint: healthy and due — the controller was saved as the
-	// next epoch and the hook run, or the error says why not.
+	// UpkeepCheckpoint: healthy and due — the controller's snapshot was
+	// taken and its save started in the background, or the error says
+	// why no snapshot was taken.
 	UpkeepCheckpoint
 	// UpkeepRecover: not healthy — the quarantined shards were replayed
 	// from the newest checkpoint, or the error says why not.
@@ -174,21 +189,30 @@ const (
 // AfterRound is the post-round checkpoint rule, written once for both
 // durable serving layers — api.Server under WithAutoRecover and the
 // cluster coordinator. When ctrl is healthy and round is a multiple of
-// every, it snapshots ctrl, saves the snapshot as mgr's next epoch and
-// runs afterSave (nil = none); when ctrl is degraded, it replays the
-// quarantined shards from mgr's newest checkpoint through
-// RecoverQuarantined. It returns the branch that ran and its error;
-// each caller records them where its operators look.
-func AfterRound(ctrl Controller, mgr *persist.Manager, every int, round uint64, afterSave func() error) (Upkeep, error) {
+// every, it starts save on mgr's background saver (a nil save.Take
+// snapshots ctrl) and returns once the snapshot is taken: that is all
+// the next round waits for. The saver writes the snapshot as mgr's next
+// epoch and runs save.Saved — the after-save hook — with the outcome.
+// The round's durability point stays where it was (its WAL commit
+// frame, or the caller's own), so a crash before the save lands loses
+// nothing; status fields set by save.Saved report the newest completed
+// save. When ctrl is degraded, AfterRound replays the quarantined
+// shards from mgr's newest checkpoint through RecoverQuarantined. It
+// returns the branch that ran and its error; each caller records them
+// where its operators look.
+func AfterRound(ctrl Controller, mgr *persist.Manager, every int, round uint64, save persist.Save) (Upkeep, error) {
 	if ctrl.Health().Status == shard.StatusHealthy {
 		if round%uint64(every) != 0 {
 			return UpkeepNone, nil
 		}
-		_, err := mgr.SaveSection(persist.ControllerSection, ctrl.Snapshot)
-		if err == nil && afterSave != nil {
-			err = afterSave()
+		if save.Take == nil {
+			save.Take = func() (func() (*persist.Checkpoint, error), error) {
+				blob, err := ctrl.Snapshot()
+				cp := persist.OneSection(persist.ControllerSection, blob)
+				return func() (*persist.Checkpoint, error) { return cp, nil }, err
+			}
 		}
-		return UpkeepCheckpoint, err
+		return UpkeepCheckpoint, mgr.Start(save)
 	}
 	// Degraded (or worse): the survivors keep their current state.
 	blob, _, _, err := mgr.LoadSection(persist.ControllerSection)

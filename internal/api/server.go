@@ -76,10 +76,12 @@ type Server struct {
 
 	// Auto-recovery (WithAutoRecover). recoverMu serializes checkpoint
 	// and recovery work; it is never held while serving round traffic.
+	// recoverErr (a string) is set without it: a background save records
+	// its outcome while the next round's upkeep may hold recoverMu.
 	recoverMgr   *persist.Manager
 	recoverEvery int
 	recoverMu    sync.Mutex
-	recoverErr   string
+	recoverErr   atomic.Value
 
 	mu        sync.Mutex
 	current   *serverRound            // open round (nil between rounds)

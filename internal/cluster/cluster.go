@@ -128,9 +128,9 @@ type Coordinator struct {
 	stageSeq    uint64   // StageRound fan-outs issued (idempotency keys)
 	quarantines uint64   // node fence events
 	recoveries  uint64   // node unfence events
-	// The latest checkpointNow outcome, for /cluster/status: the round the
-	// newest checkpoint sealed, and the error of the latest attempt (""
-	// once one succeeds).
+	// The latest checkpoint outcome, for /cluster/status: the round the
+	// newest durable checkpoint sealed, and the error of the latest
+	// attempt ("" once one succeeds).
 	lastCkptRound uint64
 	lastCkptErr   string
 
@@ -149,7 +149,15 @@ type Coordinator struct {
 	walMu     sync.Mutex
 	wal       *persist.WAL
 	walOps    int // ops logged in the current round (applied-frame keys); guarded by walMu
+	// walMark is the WAL's end when the newest checkpoint snapshot was
+	// taken: its after-save cut drops the frames before it. Guarded by
+	// walMu.
+	walMark   int64
 	replaying atomic.Bool
+	// savePoint, when set, runs before each guarded step of a checkpoint
+	// save ("rename", "WAL cut"); an error stops the save there, as a
+	// crash at that point would. Tests set it.
+	savePoint func(step string) error
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -591,8 +599,10 @@ func (c *Coordinator) StartProbes() {
 	}()
 }
 
-// StopProbes stops the background probe loop (idempotent).
+// StopProbes stops the background probe loop (idempotent) and waits
+// for the checkpoint save in flight, if any.
 func (c *Coordinator) StopProbes() {
+	defer c.WaitSaved()
 	c.mu.Lock()
 	stop, done := c.probeStop, c.probeDone
 	c.probeStop, c.probeDone = nil, nil

@@ -204,10 +204,12 @@ func (h *HA) Start() error {
 }
 
 // Stop halts a standby's heartbeat loop (no-op once promoted or for a
-// primary). Safe to call concurrently and repeatedly.
+// primary) and waits for the coordinator's checkpoint save in flight.
+// Safe to call concurrently and repeatedly.
 func (h *HA) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 	<-h.done
+	h.co.WaitSaved()
 }
 
 // Role reports "primary" or "standby".

@@ -23,8 +23,11 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/join", c.handleJoin)
 }
 
-// Status assembles the placement map with fresh member probes.
+// Status assembles the placement map with fresh member probes, once
+// the checkpoint save in flight, if any, has finished: its checkpoint
+// fields report the newest completed save.
 func (c *Coordinator) Status() api.ClusterStatusResponse {
+	c.WaitSaved()
 	c.probeAll()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,8 +86,10 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // When the coordinator is durable (Config.Manager), the node's shards
 // are migrated onto it from the newest checkpoint and it goes live;
 // otherwise it is registered fenced and the next recovery pass (an
-// operator restore) migrates state onto it.
+// operator restore) migrates state onto it. A checkpoint save in flight
+// finishes first.
 func (c *Coordinator) Join(req api.ClusterJoinRequest) (api.ClusterJoinResponse, error) {
+	c.WaitSaved()
 	if req.URL == "" {
 		return api.ClusterJoinResponse{Message: "url required"}, nil
 	}

@@ -29,15 +29,26 @@ import (
 // live and quiescent (fedora.ErrRoundOpen propagates from a member
 // mid-round; coordinator-level open rounds are rejected first).
 func (c *Coordinator) Snapshot() ([]byte, error) {
+	round, sections, err := c.pullSections()
+	if err != nil {
+		return nil, err
+	}
+	return fedora.AssembleSnapshot(c.norm, round, sections), nil
+}
+
+// pullSections is the part of Snapshot that reads member state: the
+// coordinator's round and every global shard's section, pulled from its
+// owner in parallel.
+func (c *Coordinator) pullSections() (round uint64, sections [][]byte, err error) {
 	c.mu.Lock()
 	if c.inRound {
 		c.mu.Unlock()
-		return nil, fedora.ErrRoundOpen
+		return 0, nil, fedora.ErrRoundOpen
 	}
-	round := c.round
+	round = c.round
 	c.mu.Unlock()
 
-	sections := make([][]byte, c.shards)
+	sections = make([][]byte, c.shards)
 	errs := make([]error, c.shards)
 	parallel(c.shards, func(g int) {
 		n := c.nodeOf[g]
@@ -54,20 +65,22 @@ func (c *Coordinator) Snapshot() ([]byte, error) {
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 	}
-	return fedora.AssembleSnapshot(c.norm, round, sections), nil
+	return round, sections, nil
 }
 
 // Restore fans a checkpoint back out: every shard's section is replayed
 // onto its owning member (the admin route force-aborts any orphaned
 // member round first), members whose every shard restored are
 // unfenced, and the coordinator round counter rewinds to the snapshot.
+// A checkpoint save in flight finishes first.
 // Any per-shard failure aborts with an error — a full restore is
 // all-or-nothing per member, so a dead node fails the restore rather
 // than silently serving stale state.
 func (c *Coordinator) Restore(b []byte) error {
+	c.WaitSaved()
 	c.mu.Lock()
 	if c.inRound {
 		c.mu.Unlock()
@@ -113,8 +126,10 @@ func (c *Coordinator) Restore(b []byte) error {
 // error); a REACHABLE node that rejects a replay is an error. Returns
 // the GLOBAL indices recovered, (nil, nil) when nothing needed
 // recovery — the same contract as fedora.Controller.RecoverQuarantined,
-// so the serving layer's auto-recovery drives migration unmodified.
+// so the serving layer's auto-recovery drives migration unmodified. A
+// checkpoint save in flight finishes first.
 func (c *Coordinator) RecoverQuarantined(b []byte) ([]int, error) {
+	c.WaitSaved()
 	c.mu.Lock()
 	if c.inRound {
 		c.mu.Unlock()

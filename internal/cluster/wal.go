@@ -3,8 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 
 	"repro/internal/api"
+	"repro/internal/fedora"
 	"repro/internal/persist"
 	"repro/internal/shard"
 )
@@ -273,13 +275,14 @@ func readRoundLog(path string) (rounds []loggedRound, torn bool, err error) {
 // them), then redrive the WAL's committed rounds past the checkpoint
 // through the normal fan-out. Torn WAL tails and uncommitted rounds are
 // discarded. After any replay (or a torn tail) a fresh checkpoint is
-// written and the WAL reset, so the next crash replays only its own
+// written and the WAL cut, so the next crash replays only its own
 // rounds. Returns the number of rounds redriven. No-op without a
-// Manager.
+// Manager; a checkpoint save in flight finishes first.
 func (c *Coordinator) Recover() (replayed int, err error) {
 	if c.mgr == nil {
 		return 0, nil
 	}
+	c.WaitSaved()
 	blob, epoch, _, err := c.mgr.LoadSection(persist.ControllerSection)
 	fresh := errors.Is(err, persist.ErrNoCheckpoint)
 	if err != nil && !fresh {
@@ -365,58 +368,148 @@ func (c *Coordinator) delivered(f api.RowFrame, applied []bool) api.RowFrame {
 	return f.Select(idx, 0)
 }
 
-// checkpointNow assembles a cluster snapshot, saves it as the next
-// checkpoint epoch (pruning to 3), and resets the round WAL. Caller
-// must have no round in flight. The outcome is kept for /cluster/status.
-func (c *Coordinator) checkpointNow() error {
-	_, err := c.mgr.SaveSection(persist.ControllerSection, c.Snapshot)
-	if err == nil {
-		err = c.resetWAL()
+// checkpointSave is the coordinator's checkpoint for the Manager's
+// background saver. Its Take marks the WAL's end and pulls every
+// shard's section, the part a round waits for; the saver assembles the
+// blob, renames the file into place under the epoch fence, then runs
+// the after-save hook: record the newest durable checkpoint for
+// /cluster/status, cut the WAL at the mark (fenced too) and pass the
+// outcome to saved (nil = none).
+func (c *Coordinator) checkpointSave(saved func(error)) persist.Save {
+	var round uint64
+	return persist.Save{
+		Take: func() (func() (*persist.Checkpoint, error), error) {
+			c.walMu.Lock()
+			var err error
+			c.walMark, err = c.wal.Mark()
+			c.walMu.Unlock()
+			if err != nil {
+				return nil, fmt.Errorf("cluster: mark round WAL: %w", err)
+			}
+			var sections [][]byte
+			if round, sections, err = c.pullSections(); err != nil {
+				return nil, err
+			}
+			return func() (*persist.Checkpoint, error) {
+				blob := fedora.AssembleSnapshot(c.norm, round, sections)
+				return persist.OneSection(persist.ControllerSection, blob), nil
+			}, nil
+		},
+		Guard: func(rename func() error) error { return c.fenced("rename", rename) },
+		Saved: func(_ uint64, err error) {
+			if err == nil {
+				c.recordCheckpoint(round, nil)
+				err = c.resetWAL()
+			}
+			if err != nil {
+				c.recordCheckpoint(0, err)
+			}
+			if saved != nil {
+				saved(err)
+			}
+		},
 	}
-	c.recordCheckpoint(err)
-	return err
+}
+
+// checkpointNow saves a cluster checkpoint as the next epoch (pruning
+// to 3) and cuts the round WAL, through the background saver, and
+// waits for it. Caller must have no round in flight. The outcome is
+// kept for /cluster/status.
+func (c *Coordinator) checkpointNow() error {
+	done := make(chan error, 1)
+	if err := c.mgr.Start(c.checkpointSave(func(err error) { done <- err })); err != nil {
+		c.recordCheckpoint(0, err)
+		return err
+	}
+	return <-done
 }
 
 // Checkpoint is checkpointNow for callers outside the round cadence,
-// such as a clean shutdown: it saves the next checkpoint epoch, empties
-// the round WAL and records the outcome for /cluster/status. It returns
-// fedora.ErrRoundOpen while a round is in flight and requires a
-// Manager.
+// such as a clean shutdown: it saves the next checkpoint epoch, cuts
+// the round WAL and records the outcome for /cluster/status, and
+// returns once all of that is done. It returns fedora.ErrRoundOpen
+// while a round is in flight and requires a Manager.
 func (c *Coordinator) Checkpoint() error { return c.checkpointNow() }
 
-// resetWAL empties the round WAL once a checkpoint holds its rounds.
-func (c *Coordinator) resetWAL() error {
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	return c.wal.Reset()
+// WaitSaved blocks until the checkpoint save in flight, if any, has
+// finished, its WAL cut included (a no-op without a Manager).
+func (c *Coordinator) WaitSaved() {
+	if c.mgr != nil {
+		c.mgr.Wait()
+	}
 }
 
-// recordCheckpoint keeps a checkpoint attempt's outcome for
-// /cluster/status — the round the newest checkpoint sealed, or why the
-// latest attempt failed — whichever caller asked.
-func (c *Coordinator) recordCheckpoint(err error) {
+// resetWAL drops the WAL frames the newest checkpoint holds — those
+// before the mark its snapshot took — and keeps the rounds logged
+// since, which that checkpoint does not hold. Like the checkpoint
+// rename, it runs only while this coordinator still owns the directory.
+func (c *Coordinator) resetWAL() error {
+	return c.fenced("WAL cut", func() error {
+		c.walMu.Lock()
+		defer c.walMu.Unlock()
+		return c.wal.Cut(c.walMark)
+	})
+}
+
+// fenced runs step — a checkpoint rename or a WAL cut in the shared
+// directory — under the flock that serializes epoch claims, and only
+// while this coordinator owns the directory: it is not deposed, and the
+// persisted coordinator epoch is not above its own. Otherwise a
+// successor has claimed the directory, and the step would overwrite its
+// checkpoint or wipe the rounds it logged; the refusal is returned and
+// recorded for /cluster/status.
+func (c *Coordinator) fenced(step string, do func() error) error {
+	if c.savePoint != nil {
+		if err := c.savePoint(step); err != nil {
+			return err
+		}
+	}
+	dir := c.mgr.Dir()
+	release, err := persist.LockFile(filepath.Join(dir, epochLockName))
+	if err != nil {
+		return fmt.Errorf("cluster: %s: lock epoch file: %w", step, err)
+	}
+	defer release()
+	own := c.epoch.Load()
+	cur, err := readEpochFile(dir)
+	if err != nil {
+		return fmt.Errorf("cluster: %s: %w", step, err)
+	}
+	if c.deposed.Load() || cur > own {
+		err := fmt.Errorf("cluster: %s refused: coordinator epoch %d, directory epoch %d, deposed %v: %w",
+			step, own, cur, c.deposed.Load(), api.ErrStaleEpoch)
+		c.recordCheckpoint(0, err)
+		return err
+	}
+	return do()
+}
+
+// recordCheckpoint keeps a checkpoint's outcome for /cluster/status:
+// round is the one a durable checkpoint sealed (err nil), or err says
+// why the latest attempt failed — whichever caller asked.
+func (c *Coordinator) recordCheckpoint(round uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
 		c.lastCkptErr = err.Error()
 		return
 	}
-	c.lastCkptRound, c.lastCkptErr = c.round, ""
+	c.lastCkptRound, c.lastCkptErr = round, ""
 }
 
 // maybeMaintain runs the post-round rule, api.AfterRound, at cluster
-// scope with the WAL reset as its after-save hook: on the healthy
-// checkpoint cadence, checkpoint + reset the WAL; while degraded,
-// migrate shards from the newest checkpoint. It is skipped during
-// replay. Maintenance failures never fail the round — it already
-// succeeded, and the next finish retries; durability degrades to a
-// longer replay, never to failed training — but a failed checkpoint is
-// not silent: it stays in /cluster/status.
+// scope with checkpointSave: on the healthy checkpoint cadence, take the
+// snapshot and leave the save and the WAL cut to the background saver;
+// while degraded, migrate shards from the newest checkpoint. It is
+// skipped during replay. Maintenance failures never fail the round — it
+// already succeeded, and the next finish retries; durability degrades
+// to a longer replay, never to failed training — but a failed
+// checkpoint is not silent: it stays in /cluster/status.
 func (c *Coordinator) maybeMaintain(seq uint64) {
 	if c.mgr == nil || c.replaying.Load() {
 		return
 	}
-	if op, err := api.AfterRound(c, c.mgr, c.ckptEvery, seq, c.resetWAL); op == api.UpkeepCheckpoint {
-		c.recordCheckpoint(err)
+	if op, err := api.AfterRound(c, c.mgr, c.ckptEvery, seq, c.checkpointSave(nil)); op == api.UpkeepCheckpoint && err != nil {
+		c.recordCheckpoint(0, err)
 	}
 }

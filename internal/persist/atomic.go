@@ -11,7 +11,14 @@ import (
 // is fsynced, and is renamed over path; the directory is then fsynced so
 // the rename itself is durable. A crash at any byte offset during the
 // write leaves either the old file or the new one — never a torn mix.
-func WriteFileAtomic(path string, write func(w *os.File) error) (err error) {
+func WriteFileAtomic(path string, write func(w *os.File) error) error {
+	return writeFileAtomic(path, write, nil)
+}
+
+// writeFileAtomic is WriteFileAtomic with the rename wrapped by guard
+// (nil = none): the file lands only if guard calls rename, and guard's
+// error is returned, the temp file removed.
+func writeFileAtomic(path string, write func(w *os.File) error, guard func(rename func() error) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -33,7 +40,13 @@ func WriteFileAtomic(path string, write func(w *os.File) error) (err error) {
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err = os.Rename(tmpName, path); err != nil {
+	rename := func() error { return os.Rename(tmpName, path) }
+	if guard != nil {
+		err = guard(rename)
+	} else {
+		err = rename()
+	}
+	if err != nil {
 		return err
 	}
 	return syncDir(dir)

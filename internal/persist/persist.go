@@ -41,6 +41,21 @@
 //     replayed round reproduces the logged seed and client digest.
 //
 // The result is bit-identical to an uninterrupted run.
+//
+// # Background saves
+//
+// A checkpoint is never a round's durability point — the WAL record
+// (the cluster coordinator's commit frame) is — so it need not finish
+// before the next round starts. Manager.Start takes a checkpoint's
+// snapshot on the caller and persists it on one background saver:
+// build, frame, write, fsync, rename, prune, then the caller's
+// after-save hook, which reports the outcome. One save is in flight at
+// a time, and the Manager's reads (Epochs, LoadLatest, LoadSection)
+// wait for it, so status fields fed by the hook report the newest
+// completed save. The synchronous saves (SaveNext, SaveSection) run
+// the same saver and wait for it. A WAL whose records a checkpoint now
+// holds is cut at the Mark taken with the snapshot (WAL.Cut): records
+// appended while the checkpoint was being written survive the cut.
 package persist
 
 import "errors"

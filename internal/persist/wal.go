@@ -62,6 +62,9 @@ func decodeRoundRecord(p []byte) (RoundRecord, error) {
 type WAL struct {
 	f    *os.File
 	path string
+	// cut counts the frame bytes Reset and Cut have dropped, so a Mark
+	// names a place in the log, not in the current file.
+	cut int64
 }
 
 // OpenWAL opens (creating if absent) a WAL for appending. A brand-new
@@ -115,6 +118,10 @@ func (w *WAL) AppendRaw(name string, payload []byte) error {
 // (empty file, bare magic) reads as an empty log, so a crash inside
 // Reset loses nothing that was not already checkpointed.
 func (w *WAL) Reset() error {
+	size, err := w.size()
+	if err != nil {
+		return err
+	}
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
@@ -122,7 +129,70 @@ func (w *WAL) Reset() error {
 	if _, err := w.f.WriteString(WALMagic); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.cut += max(size-int64(len(WALMagic)), 0)
+	return nil
+}
+
+// Mark returns the log's current end. A later Cut(mark) drops every
+// frame appended before the Mark call and keeps the ones after it.
+func (w *WAL) Mark() (int64, error) {
+	size, err := w.size()
+	return w.cut + size, err
+}
+
+// Cut drops the frames before mark — they are in a checkpoint now —
+// and keeps those appended since, byte for byte. With nothing appended
+// since, it is Reset. Otherwise the kept tail is copied to a temp file
+// that is fsynced and renamed over the log, which is then reopened: the
+// log file is never rewritten in place, so a crash before the rename
+// reads back as the old log and one after it as the new. Frames already
+// dropped stay dropped; the caller serializes Cut with appends.
+func (w *WAL) Cut(mark int64) error {
+	size, err := w.size()
+	if err != nil {
+		return err
+	}
+	off := mark - w.cut // the mark's offset in the current file
+	switch {
+	case off <= int64(len(WALMagic)):
+		return nil
+	case off > size:
+		return fmt.Errorf("persist: WAL mark %d is past the log's end %d", mark, w.cut+size)
+	case off == size:
+		return w.Reset()
+	}
+	err = WriteFileAtomic(w.path, func(tmp *os.File) error {
+		if _, err := tmp.WriteString(WALMagic); err != nil {
+			return err
+		}
+		_, err := io.Copy(tmp, io.NewSectionReader(w.f, off, size-off))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	// The old descriptor now names the replaced file: appends through it
+	// would be lost, so on a failed reopen it is closed and they fail.
+	w.f.Close()
+	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	w.f = f
+	w.cut += off - int64(len(WALMagic))
+	return nil
+}
+
+// size is the log file's current length.
+func (w *WAL) size() (int64, error) {
+	st, err := w.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
 }
 
 // RawRecord is one generic WAL record: the frame name plus its payload.

@@ -125,9 +125,14 @@ func AddKeystream(words []uint32, seed [32]byte, subtract bool) {
 // chunk, or less for a short vector.
 func newStreamBuf(n int) []byte { return make([]byte, 4*min(n, streamWords)) }
 
+// zeroChunk is the plaintext every keystream chunk encrypts: XORing the
+// stream over shared zeros writes it straight into the scratch buffer,
+// with no clear of the buffer per chunk.
+var zeroChunk [4 * streamWords]byte
+
 // addKeystream is AddKeystream through a caller-owned scratch buffer, so
 // one buffer serves every partner of a client (or every orphaned pair
-// of an unmasking).
+// of an unmasking). The stream is folded in two words per 8-byte load.
 func addKeystream(words []uint32, seed [32]byte, subtract bool, buf []byte) {
 	if len(words) == 0 {
 		return
@@ -141,16 +146,27 @@ func addKeystream(words []uint32, seed [32]byte, subtract bool, buf []byte) {
 	for len(words) > 0 {
 		n := min(len(words), len(buf)/4)
 		ks := buf[:4*n]
-		clear(ks)
-		stream.XORKeyStream(ks, ks)
+		stream.XORKeyStream(ks, zeroChunk[:4*n])
 		chunk := words[:n]
 		if subtract {
-			for w := range chunk {
-				chunk[w] -= binary.LittleEndian.Uint32(ks[4*w:])
+			for len(chunk) >= 2 {
+				v := binary.LittleEndian.Uint64(ks)
+				chunk[0] -= uint32(v)
+				chunk[1] -= uint32(v >> 32)
+				chunk, ks = chunk[2:], ks[8:]
+			}
+			if len(chunk) == 1 {
+				chunk[0] -= binary.LittleEndian.Uint32(ks)
 			}
 		} else {
-			for w := range chunk {
-				chunk[w] += binary.LittleEndian.Uint32(ks[4*w:])
+			for len(chunk) >= 2 {
+				v := binary.LittleEndian.Uint64(ks)
+				chunk[0] += uint32(v)
+				chunk[1] += uint32(v >> 32)
+				chunk, ks = chunk[2:], ks[8:]
+			}
+			if len(chunk) == 1 {
+				chunk[0] += binary.LittleEndian.Uint32(ks)
 			}
 		}
 		words = words[n:]
