@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/api"
@@ -51,6 +52,25 @@ func twinSnapshot(t *testing.T, seed int64, n int) []byte {
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// holdAt stops co's next checkpoint save before step until release is
+// called; held is closed once the save waits there. The cleanup
+// releases it, so a test that fails meanwhile does not hang in
+// StopProbes.
+func holdAt(t *testing.T, co *Coordinator, step string) (held <-chan struct{}, release func()) {
+	h, r := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(r) }) }
+	t.Cleanup(release)
+	co.savePoint = func(s string) error {
+		if s == step {
+			close(h)
+			<-r
+		}
+		return nil
+	}
+	return h, release
 }
 
 // recoverAndCompare plays the restarted coordinator: a new incarnation
@@ -134,14 +154,7 @@ func TestCheckpointSaveDuringRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	co := haCoordinator(t, nodes, dir, 3)
 	startHA(t, co)
-	held, release := make(chan struct{}), make(chan struct{})
-	co.savePoint = func(step string) error {
-		if step == "rename" {
-			close(held)
-			<-release
-		}
-		return nil
-	}
+	held, release := holdAt(t, co, "rename")
 	driveHARounds(t, co, api.FrameGradients, rng, 3)
 	<-held
 	driveHARounds(t, co, api.FrameGradients, rng, 1)
@@ -153,7 +166,7 @@ func TestCheckpointSaveDuringRounds(t *testing.T) {
 	if _, err := haSubmit(r5, api.FrameGradients, slices.Concat(reqs...)); err != nil {
 		t.Fatal(err)
 	}
-	close(release)
+	release()
 	co.WaitSaved()
 
 	rounds, _, err := readRoundLog(co.mgr.WALPath())
@@ -206,14 +219,7 @@ func TestStalePrimarySaveRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	co1 := haCoordinator(t, nodes, dir, 2)
 	startHA(t, co1)
-	held, release := make(chan struct{}), make(chan struct{})
-	co1.savePoint = func(step string) error {
-		if step == "rename" {
-			close(held)
-			<-release
-		}
-		return nil
-	}
+	held, release := holdAt(t, co1, "rename")
 	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 	<-held
 
@@ -224,7 +230,7 @@ func TestStalePrimarySaveRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(release)
+	release()
 	co1.WaitSaved()
 
 	got, _, err := co2.mgr.LoadLatest()
