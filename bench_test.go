@@ -654,7 +654,8 @@ func BenchmarkSecAggMask(b *testing.B) {
 // BenchmarkWireEncodeRound measures one round of upload encodes at the
 // train_cluster shape: a 32-client roster, each masking the whole
 // ~560-row × dim-16 union domain (31 pair streams of ~9.5K words) under
-// masked-sparse. One op = all 32 payloads, encoded serially.
+// masked-sparse. One op = all 32 payloads, encoded serially through one
+// reused encoder scratch and payload buffer, as a trainer worker does.
 func BenchmarkWireEncodeRound(b *testing.B) {
 	const roster, domainRows, rowsPerClient, dim = 32, 560, 30, 16
 	domain := make([]uint64, domainRows)
@@ -675,12 +676,14 @@ func BenchmarkWireEncodeRound(b *testing.B) {
 			deltas[i][j] = 0.01
 		}
 	}
+	var sc wire.EncodeScratch
+	var payload []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := 0; c < roster; c++ {
 			rows := domain[c*17 : c*17+rowsPerClient]
-			if _, _, err := plan.Encode(c, rows, deltas, 30); err != nil {
+			if payload, _, err = plan.AppendEncode(payload[:0], &sc, c, rows, deltas, 30); err != nil {
 				b.Fatal(err)
 			}
 		}

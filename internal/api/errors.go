@@ -70,11 +70,22 @@ const (
 // (declared < 0) is read by growing. A body past limit, declared or
 // discovered, is ErrBodyTooLarge.
 func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	return readBodyInto(nil, r, declared, limit)
+}
+
+// readBodyInto is ReadBody reading a declared body into buf when its
+// capacity holds it (the pooled wire upload bodies).
+func readBodyInto(buf []byte, r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared > limit {
 		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrBodyTooLarge, declared, limit)
 	}
 	if declared >= 0 {
-		body := make([]byte, declared)
+		var body []byte
+		if buf != nil && int64(cap(buf)) >= declared {
+			body = buf[:declared]
+		} else {
+			body = make([]byte, declared)
+		}
 		if _, err := io.ReadFull(r, body); err != nil {
 			return nil, err
 		}
@@ -93,7 +104,12 @@ func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
 // readRequestBody is ReadBody over a request, answering 400 itself on
 // failure (ok false).
 func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
-	body, err := ReadBody(r.Body, r.ContentLength, limit)
+	return readRequestBodyInto(nil, w, r, limit)
+}
+
+// readRequestBodyInto is readRequestBody through readBodyInto.
+func readRequestBodyInto(buf []byte, w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := readBodyInto(buf, r.Body, r.ContentLength, limit)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "read body: %s", err.Error())
 		return nil, false

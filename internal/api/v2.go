@@ -478,10 +478,13 @@ func (s *Server) handleGradientsV2(w http.ResponseWriter, r *http.Request) {
 	var apply func() (GradientBatchResponse, *apiError)
 	switch ct := r.Header.Get("Content-Type"); {
 	case strings.HasPrefix(ct, WireContentType):
-		payload, ok := readRequestBody(w, r, maxWirePayload)
+		buf := wireBodies.Get().(*[]byte)
+		defer putWireBody(buf)
+		payload, ok := readRequestBodyInto(*buf, w, r, maxWirePayload)
 		if !ok {
 			return
 		}
+		*buf = payload
 		apply = func() (GradientBatchResponse, *apiError) { return s.applyWireUpload(sr, payload) }
 	case strings.HasPrefix(ct, RowFrameContentType):
 		body, ok := readRequestBody(w, r, MaxRequestBody)

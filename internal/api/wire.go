@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/base64"
 	"net/http"
+	"sync"
 
 	"repro/internal/fedora"
 	"repro/internal/wire"
@@ -38,6 +39,26 @@ const BatchIDHeader = "X-Fedora-Batch-ID"
 // for 1<<24 rows × dim 64 is ~4 GiB and is rejected by the codec long
 // before this; real payloads are KBs to MBs).
 const maxWirePayload = 256 << 20
+
+// wireBodies recycles wire upload bodies: the gradients handler reads a
+// payload into a pooled buffer and puts it back as it returns. That is
+// sound because nothing keeps the bytes past the handler: the policy
+// check reads only the header, and wire.(*Aggregator).Add folds the
+// words into its sums and retains nothing of the payload.
+var wireBodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// deadHook, set only by tests, is handed each pooled wire body as the
+// handler gives it back, so a test can overwrite it and prove nothing
+// read it later.
+var deadHook func(body []byte)
+
+// putWireBody gives a wire upload body back to the pool.
+func putWireBody(buf *[]byte) {
+	if deadHook != nil {
+		deadHook(*buf)
+	}
+	wireBodies.Put(buf)
+}
 
 // RevealJSON is one orphaned pair seed, base64-encoded for JSON.
 type RevealJSON struct {

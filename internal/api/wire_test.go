@@ -3,11 +3,16 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/fdp"
+	"repro/internal/fedora"
 	"repro/internal/wire"
 )
 
@@ -174,5 +179,79 @@ func TestWireUploadPolicy(t *testing.T) {
 		srv.URL+"/v2/rounds/"+info.RoundID+"/unmask", `{"reveals":[]}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("unmask without uploads: status %d body %s", status, data)
+	}
+}
+
+// TestWireBodyPoolReuse: the gradients handler reads each wire upload
+// into a pooled buffer and gives it back as it returns. Overwriting the
+// buffer right then changes nothing: the unmasked sums equal those of an
+// aggregator folding the same payloads from buffers of their own.
+func TestWireBodyPoolReuse(t *testing.T) {
+	deadHook = func(body []byte) {
+		for i := range body {
+			body[i] = 0xA5
+		}
+	}
+	defer func() { deadHook = nil }()
+	ctrl, err := fedora.New(fedora.Config{
+		NumRows: 1024, Dim: 4, Epsilon: fdp.EpsilonInfinity,
+		MaxClientsPerRound: 8, MaxFeaturesPerClient: 8,
+		LearningRate: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(ctrl)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	reqs := [][]uint64{{3, 5}, {5, 9}, {9, 12, 40}, {41}, {3, 41}, {12}}
+	body, err := json.Marshal(map[string]any{"requests": reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := beginV2(t, srv.URL, string(body))
+	plan, err := wire.NewPlan(wire.Params{
+		Codec: wire.CodecMaskedSparse, NumRows: 1024, Dim: 4,
+		Round: info.Round, Roster: len(reqs),
+		SessionKey: wire.DeriveSessionKey(1, info.Round),
+	}, []uint64{3, 5, 9, 12, 40, 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := wire.NewAggregator(1024, 4, info.Round)
+	for c, rows := range reqs {
+		deltas := make([][]float32, len(rows))
+		for i := range deltas {
+			deltas[i] = []float32{float32(c) / 8, -0.5, float32(i), 0.125}
+		}
+		payload, _, err := plan.Encode(c, rows, deltas, c+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Add(payload); err != nil {
+			t.Fatal(err)
+		}
+		if status, data := wirePost(t, srv.URL+"/v2/rounds/"+info.RoundID+"/gradients", fmt.Sprintf("b%d", c), payload); status != http.StatusOK {
+			t.Fatalf("upload %d: status %d body %s", c, status, data)
+		}
+	}
+	if status, data := doReq(t, http.MethodPost, srv.URL+"/v2/rounds/"+info.RoundID+"/unmask", `{"reveals":[]}`); status != http.StatusOK {
+		t.Fatalf("unmask: status %d body %s", status, data)
+	}
+	want, err := ref.Unmask(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, aerr := s.lookupRound(info.RoundID)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	got, err := sr.wireAgg.Unmask(nil) // the server's recorded result
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pooled bodies unmask to %+v, want %+v", got, want)
 	}
 }

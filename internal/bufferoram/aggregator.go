@@ -230,6 +230,19 @@ func clipInPlace(x []float32, c float64) {
 	}
 }
 
+// WeightOnly reports whether a's Pre is the FedAvg weight and nothing
+// more (grad·n_c; nil is FedAvg). Only such an aggregator can take
+// already-summed uploads (AggregateRaw): the wire upload plane applies
+// exactly that weight on each client before masking, and no per-client
+// step — EANA's or LazyDP's clip — can run on a sum afterwards.
+func WeightOnly(a Aggregator) bool {
+	switch a.(type) {
+	case nil, FedAvg, FedAdam, FedAdagrad, FedYogi:
+		return true
+	}
+	return false
+}
+
 // AggregatorByName resolves a mode name for CLIs.
 func AggregatorByName(name string) (Aggregator, error) {
 	switch name {

@@ -238,8 +238,10 @@ func (b *Buffer) accumulate(slot int, sum []float32, count float32) (time.Durati
 // Σ_c n_c·Δθ_c and count is Σ_c n_c. Unlike Aggregate it bypasses the
 // aggregator's Pre — the upload plane (internal/wire) pre-weights each
 // client's words before masking, so applying Pre again would double-
-// weight. Non-loaded entries burn an indistinguishable access and
-// return ErrNotLoaded, exactly like Aggregate.
+// weight — and is only sound under a WeightOnly aggregator, which
+// fedora.(*Round).SubmitAggregates enforces. Non-loaded entries burn an
+// indistinguishable access and return ErrNotLoaded, exactly like
+// Aggregate.
 func (b *Buffer) AggregateRaw(id uint64, sum []float32, count float32) (time.Duration, error) {
 	if len(sum) != b.dim {
 		return 0, fmt.Errorf("bufferoram: sum dim %d != %d", len(sum), b.dim)

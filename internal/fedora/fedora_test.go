@@ -1,10 +1,13 @@
 package fedora
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/bufferoram"
 	"repro/internal/device"
 	"repro/internal/fdp"
 )
@@ -546,5 +549,72 @@ func TestRoundTrafficIndependentOfRequestedRows(t *testing.T) {
 	if a.Reads != b.Reads || a.Writes != b.Writes ||
 		a.BytesRead != b.BytesRead || a.BytesWritten != b.BytesWritten {
 		t.Errorf("traffic depends on request contents:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestSubmitAggregatesRefusesClippingPre: an already-summed upload has
+// had only the n_c weight, so under an aggregator whose Pre clips each
+// client (EANA, LazyDP) SubmitAggregates refuses it, naming the
+// aggregator, and the row keeps its value. The per-client path clips:
+// with clip 1 and σ 0, one client's gradient (5,5,5,5) moves the row by
+// −0.5 per coordinate (a summed upload applied anyway would move it by
+// −5). FedAvg takes the sum.
+func TestSubmitAggregatesRefusesClippingPre(t *testing.T) {
+	five := []float32{5, 5, 5, 5}
+	rowAfter := func(t *testing.T, agg bufferoram.Aggregator, submit func(r *Round) error) ([]float32, error) {
+		t.Helper()
+		c := newController(t, Config{Epsilon: fdp.EpsilonInfinity, Seed: 3, Aggregator: agg})
+		r, err := c.BeginRound([][]uint64{{7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serr := submit(r)
+		if _, err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		row, err := c.PeekRow(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row, serr
+	}
+	perClient := func(r *Round) error {
+		_, err := r.SubmitGradients([]RowGradient{{Row: 7, Grad: five, Samples: 1}})
+		return err
+	}
+	summed := func(r *Round) error {
+		_, err := r.SubmitAggregates([]RowAggregate{{Row: 7, Sum: five, Count: 1}})
+		return err
+	}
+	for _, agg := range []bufferoram.Aggregator{bufferoram.EANA{Clip: 1}, bufferoram.LazyDP{Clip: 1}} {
+		t.Run(agg.Name(), func(t *testing.T) {
+			row, err := rowAfter(t, agg, perClient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range row {
+				if v != -0.5 {
+					t.Fatalf("per-client path: coordinate %d = %v, want -0.5", j, v)
+				}
+			}
+			row, err = rowAfter(t, agg, summed)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", agg.Name())) {
+				t.Fatalf("SubmitAggregates under %s: error %v, want a refusal naming it", agg.Name(), err)
+			}
+			for j, v := range row {
+				if v != 0 {
+					t.Fatalf("refused upload moved coordinate %d to %v", j, v)
+				}
+			}
+		})
+	}
+	row, err := rowAfter(t, bufferoram.FedAvg{}, summed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range row {
+		if v != -5 {
+			t.Fatalf("FedAvg summed path: coordinate %d = %v, want -5", j, v)
+		}
 	}
 }

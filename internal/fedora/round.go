@@ -677,8 +677,15 @@ func (r *Round) SubmitGradients(grads []RowGradient) ([]bool, error) {
 // pre-weighting happened client-side before masking, so the buffer's
 // aggregator Pre is bypassed — only the Post division by the total count
 // runs at Finish. Rows within one batch must be distinct — the wire
-// aggregator emits each row at most once, in ascending order.
+// aggregator emits each row at most once, in ascending order. An
+// aggregator whose Pre does more than that weighting (EANA's and
+// LazyDP's per-client clip) is refused before any row is touched: a sum
+// cannot be clipped per client, and Post's noise is calibrated to the
+// clip.
 func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
+	if agg := r.c.cfg.Aggregator; !bufferoram.WeightOnly(agg) {
+		return nil, fmt.Errorf("fedora: aggregator %q does more in Pre than weight each client's gradient by n_c, and an already-summed upload has had only that weight; submit per-client gradients instead", agg.Name())
+	}
 	out := make([]bool, len(aggs))
 	if _, err := r.pr.SubmitAggregates(aggs, nil, 0, out); err != nil {
 		return nil, err

@@ -6,12 +6,13 @@ import (
 	"slices"
 
 	"repro/internal/recmodel"
+	"repro/internal/wire"
 )
 
 // deadHook, set only by tests, is handed every reused buffer the moment
 // its contents are meant to be dead — a worker's scratch after each
-// client, a client's deltas once submitted or encoded — so a test can
-// poison it and prove nothing reads it.
+// client, a client's deltas once submitted or encoded, a wire payload
+// once uploaded — so a test can poison it and prove nothing reads it.
 var deadHook func(buf any)
 
 // clientScratch is one pool worker's reusable client state. A worker
@@ -21,6 +22,7 @@ type clientScratch struct {
 	rng      *rand.Rand // the client-dropout draw, reseeded per client
 	realRows []uint64
 	ws       workingSet
+	enc      wire.EncodeScratch // the wire payload's words and mask stream
 }
 
 // reserve readies the reused buffers for a round: the global MLP

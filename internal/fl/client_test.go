@@ -75,11 +75,12 @@ func TestClientStepAllocs(t *testing.T) {
 	}
 }
 
-// TestScratchPoisoning: every reused buffer is overwritten with NaN as
-// soon as its contents are meant to be dead (worker scratch between
-// clients, upload deltas once submitted or encoded), and every golden
-// cell still lands on its golden bytes: no result aliases scratch, and
-// neither the controller nor the wire plane retains an upload buffer.
+// TestScratchPoisoning: every reused buffer is overwritten as soon as
+// its contents are meant to be dead (worker scratch between clients,
+// upload deltas once submitted or encoded, wire payloads once uploaded),
+// and every golden cell still lands on its golden bytes: no result
+// aliases scratch, and neither the controller nor the wire plane's
+// aggregator retains an upload buffer.
 func TestScratchPoisoning(t *testing.T) {
 	deadHook = poison
 	defer func() { deadHook = nil }()
@@ -95,7 +96,8 @@ func TestScratchPoisoning(t *testing.T) {
 	}
 }
 
-// poison overwrites a dead buffer with NaN.
+// poison overwrites a dead buffer: floats with NaN, payload bytes with
+// a pattern no payload begins with.
 func poison(buf any) {
 	switch b := buf.(type) {
 	case *clientScratch:
@@ -106,6 +108,10 @@ func poison(buf any) {
 	case []float32:
 		for i := range b {
 			b[i] = float32(math.NaN())
+		}
+	case []byte:
+		for i := range b {
+			b[i] = 0xA5
 		}
 	default:
 		panic(fmt.Sprintf("poison: unexpected %T", buf))

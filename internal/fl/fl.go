@@ -423,8 +423,9 @@ type clientOutcome struct {
 	deltas   [][]float32
 	mlpDelta []float32
 	// payload/sats are the client's encoded wire-plane upload (nil when
-	// no upload codec is selected, or the client dropped out).
-	payload []byte
+	// no upload codec is selected, or the client dropped out); the buffer
+	// is the round's, taken by wirePlane.encode and given back by upload.
+	payload *[]byte
 	sats    int
 }
 
@@ -524,7 +525,8 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 		// trained==0 clients, whose empty payloads keep their masks in the
 		// cancellation — in client order (the order is irrelevant to the
 		// integer word sums, but keeps the transcript deterministic). The
-		// payload was encoded on the worker that trained the client.
+		// payload was encoded on the worker that trained the client;
+		// upload gives its buffer back.
 		if plane != nil {
 			if err := plane.upload(i, out.payload, out.sats); err != nil {
 				return report, err
@@ -605,14 +607,15 @@ func (t *Trainer) RunRound() (RoundReport, error) {
 
 // trainClient runs one client's round — download, local SGD, deltas —
 // and, when an upload codec is selected (plane non-nil), encodes the
-// client's wire payload: Plan.Encode is a pure function of the read-only
-// plan and this client's own outcome, so it runs here on the pool
-// instead of serially in the merge. Dropped and failed clients never
-// encode; a survivor that trained nothing encodes its empty payload.
+// client's wire payload through the worker's encoder scratch: the encode
+// is a pure function of the read-only plan and this client's own
+// outcome, so it runs here on the pool instead of serially in the merge.
+// Dropped and failed clients never encode; a survivor that trained
+// nothing encodes its empty payload.
 func (t *Trainer) trainClient(round RoundHandle, plane *wirePlane, sc *clientScratch, up *clientUpload, u *dataset.User, req []uint64, roundSeed int64, clientIdx int) clientOutcome {
 	out := t.localTrain(round, sc, up, u, req, roundSeed, clientIdx)
 	if plane != nil && out.err == nil && !out.droppedClient {
-		out.payload, out.sats, out.err = plane.plan.Encode(clientIdx, out.rows, out.deltas, out.trained)
+		out.payload, out.sats, out.err = plane.encode(&sc.enc, clientIdx, out.rows, out.deltas, out.trained)
 		if deadHook != nil {
 			deadHook(up.flat)
 		}

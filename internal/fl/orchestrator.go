@@ -53,7 +53,10 @@ type WireUnmaskSummary struct {
 // which produces bit-identical models because the math is the same.
 type WireRound interface {
 	// SubmitUpload delivers one client's encoded payload. batchID keys
-	// retry deduplication, like the gradient batch ids.
+	// retry deduplication, like the gradient batch ids. Once an upload
+	// is accepted (nil error) the payload is the caller's again: the
+	// trainer reuses the buffer for a later client. An accepted HTTP
+	// upload has had its whole body read by the server.
 	SubmitUpload(batchID string, payload []byte) error
 	// UnmaskAndApply runs the unmasking round: the reveals cover the
 	// orphaned pair seeds of every (survivor, dropout) pair, the server

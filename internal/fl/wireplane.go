@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/fedora"
 	"repro/internal/wire"
@@ -77,21 +78,56 @@ func (t *Trainer) newWirePlane(round RoundHandle, codec wire.Codec, roster int, 
 	return pl, nil
 }
 
+// payloads recycles encoded payload buffers. A buffer belongs to one
+// round: the worker that encodes a client takes it (encode), and the
+// merge puts it back once the payload is delivered (upload). Between
+// rounds the pool holds them, not the trainer, so the collector may
+// drop them.
+var payloads = sync.Pool{New: func() any { return new([]byte) }}
+
+// encode appends one client's payload to a pooled buffer through the
+// worker's encoder scratch (trainClient calls it on the pool).
+func (pl *wirePlane) encode(sc *wire.EncodeScratch, clientIdx int, rows []uint64, deltas [][]float32, samples int) (*[]byte, int, error) {
+	buf := payloads.Get().(*[]byte)
+	var sats int
+	var err error
+	*buf, sats, err = pl.plan.AppendEncode((*buf)[:0], sc, clientIdx, rows, deltas, samples)
+	if err != nil {
+		payloads.Put(buf)
+		return nil, 0, err
+	}
+	return buf, sats, nil
+}
+
 // upload accounts for and delivers one surviving client's encoded
 // contribution (trainClient encoded it on the worker pool; this runs in
-// the merge loop, in client order). Clients that trained nothing still
-// upload (an empty-domain payload): under a masked codec their masks
-// are part of the cancellation, and counting them as survivors avoids a
-// needless unmasking pair.
-func (pl *wirePlane) upload(clientIdx int, payload []byte, sats int) error {
-	pl.bytes += uint64(len(payload))
+// the merge loop, in client order), then gives the payload's buffer
+// back: neither an accepted SubmitUpload nor Aggregator.Add keeps the
+// bytes. A refused upload's buffer is left to the collector, since an
+// HTTP transport may still be writing a body the server answered
+// early. Clients that trained nothing still upload (an empty-domain
+// payload): under a masked codec their masks are part of the
+// cancellation, and counting them as survivors avoids a needless
+// unmasking pair.
+func (pl *wirePlane) upload(clientIdx int, payload *[]byte, sats int) error {
+	pl.bytes += uint64(len(*payload))
 	pl.sats += sats
 	pl.uploaders = append(pl.uploaders, clientIdx)
+	var err error
 	if pl.remote != nil {
 		batchID := fmt.Sprintf("wire-r%d-c%d", pl.plan.Params().Round, clientIdx)
-		return pl.remote.SubmitUpload(batchID, payload)
+		err = pl.remote.SubmitUpload(batchID, *payload)
+	} else {
+		err = pl.agg.Add(*payload)
 	}
-	return pl.agg.Add(payload)
+	if err != nil {
+		return err
+	}
+	if deadHook != nil {
+		deadHook(*payload)
+	}
+	payloads.Put(payload)
+	return nil
 }
 
 // finish runs the unmasking round (revealing the orphaned pair seeds

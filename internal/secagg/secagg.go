@@ -24,6 +24,11 @@
 //
 // Arithmetic is exact in uint32 fixed point so masking is perfectly
 // invertible; the fixed-point scale bounds the value range.
+//
+// Masks are folded in place through a keystream buffer the caller owns
+// (StreamBuf): one buffer serves every partner of a client and every
+// client an encoder masks, so masking allocates only each stream's
+// cipher objects. The package functions use a fresh buffer per call.
 package secagg
 
 import (
@@ -100,6 +105,22 @@ func PairSeed(sessionKey [32]byte, i, j int) [32]byte {
 // no allocation scales with the vector being masked.
 const streamWords = 4096
 
+// StreamBuf is a caller-owned keystream scratch buffer: mask streams are
+// generated into it a chunk at a time and folded into the words being
+// masked. The zero value is ready to use; it grows once, to one chunk
+// (less for a short vector), and then serves every stream folded through
+// it, so an encoder that keeps one per worker masks without allocating
+// beyond each stream's cipher objects. Not safe for concurrent use.
+type StreamBuf struct{ b []byte }
+
+// chunk returns the buffer, grown to hold the chunk for masking n words.
+func (s *StreamBuf) chunk(n int) []byte {
+	if need := 4 * min(n, streamWords); len(s.b) < need {
+		s.b = make([]byte, need)
+	}
+	return s.b
+}
+
 // AddKeystream adds the mask stream of seed into words in place
 // (subtracts it when subtract is set), modulo 2³² per word. The stream
 // is AES-256-CTR keyed by the 32-byte seed with an all-zero IV, read as
@@ -118,25 +139,22 @@ const streamWords = 4096
 // plane's masked codecs and its public subspace selection all draw from
 // it.
 func AddKeystream(words []uint32, seed [32]byte, subtract bool) {
-	addKeystream(words, seed, subtract, newStreamBuf(len(words)))
+	new(StreamBuf).AddKeystream(words, seed, subtract)
 }
-
-// newStreamBuf sizes the scratch buffer for masking n words: the fixed
-// chunk, or less for a short vector.
-func newStreamBuf(n int) []byte { return make([]byte, 4*min(n, streamWords)) }
 
 // zeroChunk is the plaintext every keystream chunk encrypts: XORing the
 // stream over shared zeros writes it straight into the scratch buffer,
 // with no clear of the buffer per chunk.
 var zeroChunk [4 * streamWords]byte
 
-// addKeystream is AddKeystream through a caller-owned scratch buffer, so
-// one buffer serves every partner of a client (or every orphaned pair
-// of an unmasking). The stream is folded in two words per 8-byte load.
-func addKeystream(words []uint32, seed [32]byte, subtract bool, buf []byte) {
+// AddKeystream is the package's AddKeystream through s, so one buffer
+// serves every partner of a client (or every orphaned pair of an
+// unmasking).
+func (s *StreamBuf) AddKeystream(words []uint32, seed [32]byte, subtract bool) {
 	if len(words) == 0 {
 		return
 	}
+	buf := s.chunk(len(words))
 	block, err := aes.NewCipher(seed[:])
 	if err != nil {
 		panic(err) // unreachable: a 32-byte key is always valid
@@ -147,29 +165,46 @@ func addKeystream(words []uint32, seed [32]byte, subtract bool, buf []byte) {
 		n := min(len(words), len(buf)/4)
 		ks := buf[:4*n]
 		stream.XORKeyStream(ks, zeroChunk[:4*n])
-		chunk := words[:n]
 		if subtract {
-			for len(chunk) >= 2 {
-				v := binary.LittleEndian.Uint64(ks)
-				chunk[0] -= uint32(v)
-				chunk[1] -= uint32(v >> 32)
-				chunk, ks = chunk[2:], ks[8:]
-			}
-			if len(chunk) == 1 {
-				chunk[0] -= binary.LittleEndian.Uint32(ks)
-			}
+			subWords(words[:n], ks)
 		} else {
-			for len(chunk) >= 2 {
-				v := binary.LittleEndian.Uint64(ks)
-				chunk[0] += uint32(v)
-				chunk[1] += uint32(v >> 32)
-				chunk, ks = chunk[2:], ks[8:]
-			}
-			if len(chunk) == 1 {
-				chunk[0] += binary.LittleEndian.Uint32(ks)
-			}
+			addWords(words[:n], ks)
 		}
 		words = words[n:]
+	}
+}
+
+// addWords adds ks, read as little-endian words, into w (len(ks) is
+// 4·len(w)). Each step folds four words from two 8-byte loads; the loop
+// condition proves every index in bounds, so the body has no checks.
+func addWords(w []uint32, ks []byte) {
+	for len(w) >= 4 && len(ks) >= 16 {
+		lo := binary.LittleEndian.Uint64(ks[0:8])
+		hi := binary.LittleEndian.Uint64(ks[8:16])
+		w[0] += uint32(lo)
+		w[1] += uint32(lo >> 32)
+		w[2] += uint32(hi)
+		w[3] += uint32(hi >> 32)
+		w, ks = w[4:], ks[16:]
+	}
+	for i := range w {
+		w[i] += binary.LittleEndian.Uint32(ks[4*i:])
+	}
+}
+
+// subWords is addWords subtracting.
+func subWords(w []uint32, ks []byte) {
+	for len(w) >= 4 && len(ks) >= 16 {
+		lo := binary.LittleEndian.Uint64(ks[0:8])
+		hi := binary.LittleEndian.Uint64(ks[8:16])
+		w[0] -= uint32(lo)
+		w[1] -= uint32(lo >> 32)
+		w[2] -= uint32(hi)
+		w[3] -= uint32(hi >> 32)
+		w, ks = w[4:], ks[16:]
+	}
+	for i := range w {
+		w[i] -= binary.LittleEndian.Uint32(ks[4*i:])
 	}
 }
 
@@ -180,10 +215,15 @@ func addKeystream(words []uint32, seed [32]byte, subtract bool, buf []byte) {
 // word vectors with its own layout. The masks depend only on client i's
 // own pair seeds — what a real device can compute.
 func AddPairwiseMasks(words []uint32, sessionKey [32]byte, i, roster int) {
-	buf := newStreamBuf(len(words))
+	new(StreamBuf).AddPairwiseMasks(words, sessionKey, i, roster)
+}
+
+// AddPairwiseMasks is the package's AddPairwiseMasks through s: every
+// partner's stream is generated into the one buffer.
+func (s *StreamBuf) AddPairwiseMasks(words []uint32, sessionKey [32]byte, i, roster int) {
 	for j := 0; j < roster; j++ {
 		if j != i {
-			addKeystream(words, PairSeed(sessionKey, i, j), j < i, buf)
+			s.AddKeystream(words, PairSeed(sessionKey, i, j), j < i)
 		}
 	}
 }
@@ -275,10 +315,10 @@ func (s *Session) Aggregate(uploads map[int][]uint32, dropouts []int) ([]float32
 	// Remove masks that never found their partner: each survivor i holds
 	// a mask with every dropout d. If d > i the survivor added +mask; if
 	// d < i the survivor added −mask. Subtract accordingly.
-	buf := newStreamBuf(s.length)
+	var buf StreamBuf
 	for i := range uploads {
 		for d := range dropped {
-			addKeystream(sum, PairSeed(s.sessionKey, i, d), d > i, buf)
+			buf.AddKeystream(sum, PairSeed(s.sessionKey, i, d), d > i)
 		}
 	}
 	out := make([]float32, s.length)

@@ -85,6 +85,10 @@ func NewAggregator(numRows uint64, dim int, round uint64) *Aggregator {
 // The first payload fixes codec, roster, subspace dim and domain; later
 // payloads must agree exactly. The whole payload is validated before the
 // first word is added, so a rejected upload leaves the sums untouched.
+// Add retains nothing of payload: the words are folded before it
+// returns and the domain is decoded into a slice of its own, so the
+// caller may overwrite or reuse the buffer as soon as Add returns (the
+// server's pooled upload bodies and the trainer's pooled payloads do).
 func (a *Aggregator) Add(payload []byte) error {
 	u, err := a.parse(payload)
 	if err != nil {

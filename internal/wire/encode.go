@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/secagg"
 )
@@ -81,33 +82,51 @@ func NewPlan(p Params, union []uint64) (*Plan, error) {
 // Params returns the plan's round parameters.
 func (pl *Plan) Params() Params { return pl.p }
 
-// Encode produces client clientIndex's upload payload. rows must be
-// strictly ascending with one Dim-length delta each; samples is the
-// client's training-sample count n_c (the FedAvg weight). Every codec
-// pre-weights: count word = Encode(n_c), gradient words =
-// Encode(n_c·Δθ_j) — so the server-side word sums are the exact FedAvg
-// numerator and denominator. Returns the payload and the number of
-// saturated (clipped) fixed-point encodings.
+// EncodeScratch is one encoder's reusable scratch: the fixed-point word
+// vector and the mask keystream buffer. Whoever encodes many payloads
+// (a trainer's pool worker, one client after another) keeps one and
+// passes it to every AppendEncode; nothing in it outlives a call. The
+// zero value is ready. Not safe for concurrent use.
+type EncodeScratch struct {
+	words  []uint32
+	stream secagg.StreamBuf
+}
+
+// Encode produces client clientIndex's upload payload in a new buffer:
+// AppendEncode with fresh scratch.
 func (pl *Plan) Encode(clientIndex int, rows []uint64, deltas [][]float32, samples int) ([]byte, int, error) {
+	return pl.AppendEncode(nil, new(EncodeScratch), clientIndex, rows, deltas, samples)
+}
+
+// AppendEncode appends client clientIndex's upload payload to dst
+// through sc and returns the extended buffer; on error dst comes back
+// unextended. rows must be strictly ascending with one Dim-length delta
+// each; samples is the client's training-sample count n_c (the FedAvg
+// weight). Every codec pre-weights: count word = Encode(n_c), gradient
+// words = Encode(n_c·Δθ_j) — so the server-side word sums are the exact
+// FedAvg numerator and denominator. Also returns the number of saturated
+// (clipped) fixed-point encodings. Once sc and dst have grown to a
+// round's size, a masked encode allocates only each partner's cipher.
+func (pl *Plan) AppendEncode(dst []byte, sc *EncodeScratch, clientIndex int, rows []uint64, deltas [][]float32, samples int) ([]byte, int, error) {
 	p := pl.p
 	if clientIndex < 0 || clientIndex >= p.Roster {
-		return nil, 0, fmt.Errorf("wire: client %d outside roster %d", clientIndex, p.Roster)
+		return dst, 0, fmt.Errorf("wire: client %d outside roster %d", clientIndex, p.Roster)
 	}
 	if len(rows) != len(deltas) {
-		return nil, 0, fmt.Errorf("wire: %d rows but %d deltas", len(rows), len(deltas))
+		return dst, 0, fmt.Errorf("wire: %d rows but %d deltas", len(rows), len(deltas))
 	}
 	if samples < 0 {
-		return nil, 0, fmt.Errorf("wire: negative sample count %d", samples)
+		return dst, 0, fmt.Errorf("wire: negative sample count %d", samples)
 	}
 	for i, r := range rows {
 		if r >= p.NumRows {
-			return nil, 0, fmt.Errorf("wire: row %d outside table of %d", r, p.NumRows)
+			return dst, 0, fmt.Errorf("wire: row %d outside table of %d", r, p.NumRows)
 		}
 		if i > 0 && r <= rows[i-1] {
-			return nil, 0, fmt.Errorf("wire: rows not strictly ascending at %d", r)
+			return dst, 0, fmt.Errorf("wire: rows not strictly ascending at %d", r)
 		}
 		if len(deltas[i]) != p.Dim {
-			return nil, 0, fmt.Errorf("wire: delta %d has dim %d, want %d", i, len(deltas[i]), p.Dim)
+			return dst, 0, fmt.Errorf("wire: delta %d has dim %d, want %d", i, len(deltas[i]), p.Dim)
 		}
 	}
 
@@ -116,54 +135,50 @@ func (pl *Plan) Encode(clientIndex int, rows []uint64, deltas [][]float32, sampl
 	if p.Codec == CodecPlaintext {
 		domain = rows
 	}
-
-	// Build the fixed-point word vector over the domain layout.
-	sats := 0
 	stride := pl.k + 1
-	var words []uint32
-	fill := func(t int, row uint64, delta []float32) {
-		base := t * stride
-		words[base] = secagg.EncodeCounting(float32(samples), &sats)
-		if p.Codec == CodecSubspace {
-			for j, c := range pl.coordsFor(t, row) {
-				words[base+1+j] = secagg.EncodeCounting(float32(samples)*delta[c], &sats)
-			}
-			return
-		}
-		for j := 0; j < p.Dim; j++ {
-			words[base+1+j] = secagg.EncodeCounting(float32(samples)*delta[j], &sats)
-		}
-	}
-	switch p.Codec {
-	case CodecPlaintext:
-		words = make([]uint32, len(rows)*stride)
-		for i, r := range rows {
-			fill(i, r, deltas[i])
-		}
-	case CodecMasked:
+	nRows := len(domain)
+	if p.Codec == CodecMasked {
 		if p.NumRows > 1<<24 {
-			return nil, 0, fmt.Errorf("wire: masked full-table codec refuses %d rows (use masked-sparse)", p.NumRows)
+			return dst, 0, fmt.Errorf("wire: masked full-table codec refuses %d rows (use masked-sparse)", p.NumRows)
 		}
-		words = make([]uint32, int(p.NumRows)*stride)
-		for i, r := range rows {
-			fill(int(r), r, deltas[i])
-		}
-	default: // masked-sparse, subspace: the shared union domain
-		words = make([]uint32, len(pl.domain)*stride)
-		for i, r := range rows {
-			t, ok := pl.index[r]
-			if !ok {
-				return nil, 0, fmt.Errorf("wire: row %d not in the round's union domain", r)
+		nRows = int(p.NumRows)
+	}
+
+	// Build the fixed-point word vector over the domain layout, in the
+	// scratch's zeroed words.
+	words := slices.Grow(sc.words[:0], nRows*stride)[:nRows*stride]
+	sc.words = words
+	clear(words)
+	sats := 0
+	for i, r := range rows {
+		t := i // plaintext: the client's own rows are the domain
+		switch p.Codec {
+		case CodecMasked:
+			t = int(r)
+		case CodecMaskedSparse, CodecSubspace:
+			var ok bool
+			if t, ok = pl.index[r]; !ok {
+				return dst, 0, fmt.Errorf("wire: row %d not in the round's union domain", r)
 			}
-			fill(t, r, deltas[i])
+		}
+		row := words[t*stride : (t+1)*stride]
+		row[0] = secagg.EncodeCounting(float32(samples), &sats)
+		if p.Codec == CodecSubspace {
+			for j, c := range pl.coordsFor(t, r) {
+				row[1+j] = secagg.EncodeCounting(float32(samples)*deltas[i][c], &sats)
+			}
+			continue
+		}
+		for j, d := range deltas[i] {
+			row[1+j] = secagg.EncodeCounting(float32(samples)*d, &sats)
 		}
 	}
 	if p.Codec.Masked() {
-		secagg.AddPairwiseMasks(words, p.SessionKey, clientIndex, p.Roster)
+		sc.stream.AddPairwiseMasks(words, p.SessionKey, clientIndex, p.Roster)
 	}
 
 	// Assemble.
-	out := make([]byte, 0, 64+len(domain)*3+len(words)*4)
+	out := slices.Grow(dst, 64+len(domain)*3+len(words)*4)
 	out = append(out, magic[:]...)
 	out = append(out, codecByte(p.Codec))
 	out = putUvarint(out, p.Round)

@@ -46,6 +46,14 @@
 // SHA-256 counter stream) is refused by name, since its words could
 // never cancel against FWR2 masks.
 //
+// Buffers: an encoder keeps one EncodeScratch (the word vector and the
+// mask stream buffer) and appends each payload into a buffer of the
+// caller's (Plan.AppendEncode), so a warmed encode allocates only each
+// partner's cipher objects. The trainer keeps one scratch per pool
+// worker and draws payload buffers from a pool for one round; the server
+// reads uploads into pooled bodies. Both are sound because
+// Aggregator.Add retains nothing of a payload.
+//
 // Dropout protocol: the roster is the set of clients that reached mask
 // commitment (downloaded their rows). A roster member that never
 // uploads is a dropout; the survivors (here: the trainer, which holds

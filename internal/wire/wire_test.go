@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -739,4 +741,93 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestPayloadBytesPinned: every codec's payloads are pinned bytes, and
+// encoding them through one reused scratch and payload buffer — shared
+// across codecs, so each encode starts on the leftovers of a differently
+// sized one — appends exactly the bytes Encode returns.
+func TestPayloadBytesPinned(t *testing.T) {
+	pins := map[Codec]string{
+		CodecPlaintext:    "e00355c4afc9e020d82fff6c248e38b6ca916e6cade75c4bc9560e23f0a4c73d",
+		CodecMasked:       "575609273ef247afca6cd6c1907b907df79912955704cfc997d34889932bb9f6",
+		CodecMaskedSparse: "e0d3aed180f13108e9b7dbb7216805f138932718a9dea6f657af9e79f182adfe",
+		CodecSubspace:     "c36bb419b186af9cbb47365e5d6b454026d3be1956465b50b08d1da710d99f51",
+	}
+	rng := rand.New(rand.NewSource(41))
+	clients := synthClients(rng, 6, 512, 8) // masked: 4 608 words, past one mask chunk
+	var sc EncodeScratch
+	var dst []byte
+	for _, codec := range Codecs() {
+		pl, err := NewPlan(Params{Codec: codec, NumRows: 512, Dim: 8, Round: 3, Roster: 6, SessionKey: DeriveSessionKey(5, 3)}, union(clients))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for c, cd := range clients {
+			fresh, _, err := pl.Encode(c, cd.rows, cd.deltas, cd.samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, _, err = pl.AppendEncode(dst[:0], &sc, c, cd.rows, cd.deltas, cd.samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, fresh) {
+				t.Fatalf("%s client %d: reused scratch appends other bytes than Encode", codec, c)
+			}
+			h.Write(fresh)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != pins[codec] {
+			t.Errorf("%s payloads sha256 = %s, want %s", codec, got, pins[codec])
+		}
+	}
+}
+
+// TestEncodeAllocationsDoNotScale: once its scratch and payload buffer
+// have grown, a masked-sparse encode allocates only each partner's
+// cipher objects — the same count at a 64-row and a 4 096-row domain
+// (the larger spans many mask chunks), and nothing for the word vector,
+// the mask stream or the payload.
+func TestEncodeAllocationsDoNotScale(t *testing.T) {
+	const roster, dim = 5, 8
+	allocs := func(domainRows int) float64 {
+		domain := make([]uint64, domainRows)
+		for i := range domain {
+			domain[i] = uint64(3 * i)
+		}
+		pl, err := NewPlan(Params{
+			Codec: CodecMaskedSparse, NumRows: uint64(3 * domainRows), Dim: dim, Round: 1,
+			Roster: roster, SessionKey: DeriveSessionKey(7, 1),
+		}, domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := make([][]float32, 4)
+		for i := range deltas {
+			deltas[i] = make([]float32, dim)
+			deltas[i][i] = 0.25
+		}
+		var sc EncodeScratch
+		var dst []byte
+		encode := func() {
+			if dst, _, err = pl.AppendEncode(dst[:0], &sc, 2, domain[:4], deltas, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode() // grows the scratch and the payload buffer
+		return testing.AllocsPerRun(10, encode)
+	}
+	var sb secagg.StreamBuf
+	words := make([]uint32, 16)
+	sb.AddKeystream(words, [32]byte{1}, false)
+	perStream := testing.AllocsPerRun(10, func() { sb.AddKeystream(words, [32]byte{1}, false) })
+
+	small, large := allocs(64), allocs(4096)
+	if small != large {
+		t.Errorf("encode allocates %v objects at a 64-row domain but %v at 4096 rows", small, large)
+	}
+	if want := (roster - 1) * perStream; large != want {
+		t.Errorf("encode allocates %v objects, want %v: %v cipher objects for each of %d partners", large, want, perStream, roster-1)
+	}
 }
