@@ -1,10 +1,8 @@
 package api
 
 import (
-	"repro/internal/device"
 	"repro/internal/fedora"
 	"repro/internal/shard"
-	"repro/internal/storage"
 )
 
 // Controller is the backend surface the server serves. It is exactly
@@ -25,16 +23,14 @@ type Controller interface {
 	Round() uint64
 	NumRows() uint64
 	Dim() int
-	Shards() int
-	BackendName() string
 	EffectiveEpsilon() float64
-	MainORAMBytes() uint64
-	DRAMResidentBytes() uint64
-	SSDStats() device.Stats
-	DRAMStats() device.Stats
+	// Telemetry is what /v2/status and /metrics report about the
+	// backend, read in one call (a coordinator asks each member once).
+	Telemetry() fedora.Telemetry
 	PeekRow(row uint64) ([]float32, error)
+	// Health is the shard-level health report behind /healthz and
+	// AfterRound. It runs on the round path, so it must not block on I/O.
 	Health() shard.HealthReport
-	StorageReports() []storage.Report
 
 	// Snapshot and Restore move the whole controller state: the blob
 	// behind every checkpoint and the /v2/admin/snapshot|restore routes.
@@ -76,9 +72,9 @@ type ShardPorter interface {
 }
 
 // fedoraController adapts *fedora.Controller to Controller: BeginRound
-// returns a concrete *fedora.Round there, and Backend() returns the
-// enum rather than a string. Everything else — the ShardPorter
-// capability included — promotes from the embedded controller.
+// returns a concrete *fedora.Round there. Everything else — the
+// ShardPorter capability included — promotes from the embedded
+// controller.
 type fedoraController struct{ *fedora.Controller }
 
 func (c fedoraController) BeginRound(requests [][]uint64) (Round, error) {
@@ -88,5 +84,3 @@ func (c fedoraController) BeginRound(requests [][]uint64) (Round, error) {
 	}
 	return r, nil
 }
-
-func (c fedoraController) BackendName() string { return c.Controller.Backend().String() }

@@ -200,6 +200,11 @@ const (
 // shards from mgr's newest checkpoint through RecoverQuarantined. It
 // returns the branch that ran and its error; each caller records them
 // where its operators look.
+//
+// AfterRound runs after every round, so the ctrl.Health it decides on
+// is a local read: an engine's quarantine flags, or a coordinator's
+// member view, which the members' finish replies keep current. A
+// healthy round off the cadence therefore costs no I/O at all.
 func AfterRound(ctrl Controller, mgr *persist.Manager, every int, round uint64, save persist.Save) (Upkeep, error) {
 	if ctrl.Health().Status == shard.StatusHealthy {
 		if round%uint64(every) != 0 {

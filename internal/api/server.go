@@ -200,20 +200,20 @@ func (s *Server) statusSnapshot() StatusResponse {
 	}
 	s.mu.Unlock()
 
-	ssd := s.ctrl.SSDStats()
+	tel := s.ctrl.Telemetry()
 	return StatusResponse{
-		Backend:          s.ctrl.BackendName(),
-		Shards:           s.ctrl.Shards(),
+		Backend:          tel.Backend,
+		Shards:           tel.Shards,
 		NumRows:          s.ctrl.NumRows(),
 		Round:            s.ctrl.Round(),
 		RoundInProgress:  inProgress,
 		CurrentRoundID:   curID,
 		UploadCodec:      string(s.uploadPolicy),
 		EffectiveEpsilon: strconv.FormatFloat(s.ctrl.EffectiveEpsilon(), 'g', -1, 64),
-		MainORAMBytes:    s.ctrl.MainORAMBytes(),
-		DRAMBytes:        s.ctrl.DRAMResidentBytes(),
-		SSDBytesRead:     ssd.BytesRead,
-		SSDBytesWritten:  ssd.BytesWritten,
+		MainORAMBytes:    tel.MainORAMBytes,
+		DRAMBytes:        tel.DRAMResidentBytes,
+		SSDBytesRead:     tel.SSD.BytesRead,
+		SSDBytesWritten:  tel.SSD.BytesWritten,
 	}
 }
 
@@ -239,16 +239,22 @@ type RoundStatsJSON struct {
 	// frames).
 	WireBytes   uint64 `json:"wire_bytes,omitempty"`
 	Saturations int    `json:"saturations,omitempty"`
+	// QuarantinedShards counts the shards that sat the round out — the
+	// same public health count /healthz reports. A coordinator compares
+	// it with its member view to decide whether to re-read a member's
+	// /healthz.
+	QuarantinedShards int `json:"quarantined_shards,omitempty"`
 }
 
 func statsJSON(st fedora.RoundStats) RoundStatsJSON {
 	return RoundStatsJSON{
 		K: st.K, KSampled: st.KSampled, Chunks: st.Chunks,
-		RoundEpsilon:  strconv.FormatFloat(st.RoundEpsilon, 'g', -1, 64),
-		TotalOverhead: st.Total().String(),
-		Prefetched:    st.Prefetched,
-		WireBytes:     st.WireBytes,
-		Saturations:   st.Saturations,
+		RoundEpsilon:      strconv.FormatFloat(st.RoundEpsilon, 'g', -1, 64),
+		TotalOverhead:     st.Total().String(),
+		Prefetched:        st.Prefetched,
+		WireBytes:         st.WireBytes,
+		Saturations:       st.Saturations,
+		QuarantinedShards: st.QuarantinedShards,
 	}
 }
 
@@ -262,10 +268,11 @@ func (j RoundStatsJSON) Stats() (fedora.RoundStats, error) {
 	}
 	return shard.RoundStats{
 		K: j.K, KSampled: j.KSampled, Chunks: j.Chunks,
-		RoundEpsilon: eps,
-		Prefetched:   j.Prefetched,
-		WireBytes:    j.WireBytes,
-		Saturations:  j.Saturations,
+		RoundEpsilon:      eps,
+		Prefetched:        j.Prefetched,
+		WireBytes:         j.WireBytes,
+		Saturations:       j.Saturations,
+		QuarantinedShards: j.QuarantinedShards,
 	}, nil
 }
 
@@ -293,8 +300,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	ssd := s.ctrl.SSDStats()
-	dram := s.ctrl.DRAMStats()
+	tel := s.ctrl.Telemetry()
+	ssd, dram := tel.SSD, tel.DRAM
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	lines := []struct {
 		name  string
@@ -303,7 +310,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}{
 		{"fedora_rounds_total", "counter", strconv.FormatUint(s.ctrl.Round(), 10)},
 		{"fedora_round_in_progress", "gauge", strconv.Itoa(inProgress)},
-		{"fedora_shards", "gauge", strconv.Itoa(s.ctrl.Shards())},
+		{"fedora_shards", "gauge", strconv.Itoa(tel.Shards)},
 		{"fedora_ssd_bytes_read_total", "counter", strconv.FormatUint(ssd.BytesRead, 10)},
 		{"fedora_ssd_bytes_written_total", "counter", strconv.FormatUint(ssd.BytesWritten, 10)},
 		{"fedora_dram_bytes_read_total", "counter", strconv.FormatUint(dram.BytesRead, 10)},
@@ -322,7 +329,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	// Real-I/O telemetry, present only when the controller's main device
 	// is file-backed: measured (not modelled) latency quantiles per device.
-	if reps := s.ctrl.StorageReports(); len(reps) > 0 {
+	if reps := tel.Storage; len(reps) > 0 {
 		fmt.Fprintf(w, "# TYPE fedora_storage_fsyncs_total counter\n")
 		for _, rep := range reps {
 			fmt.Fprintf(w, "fedora_storage_fsyncs_total{device=%q} %d\n", rep.Name, rep.Fsyncs)

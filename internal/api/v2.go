@@ -191,16 +191,8 @@ func (e *apiError) write(w http.ResponseWriter) { writeError(w, e.status, e.code
 // arming. Returns the (possibly pre-existing) round and whether it was
 // created by this call.
 func (s *Server) beginRound(req BeginV2Request) (*serverRound, bool, *apiError) {
-	if len(req.Requests) == 0 {
-		return nil, false, errf(http.StatusBadRequest, CodeInvalidArgument, "no client requests")
-	}
-	for ci, rows := range req.Requests {
-		for _, row := range rows {
-			if row != fedora.DummyRequest && row >= s.ctrl.NumRows() {
-				return nil, false, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"client %d requests row %d out of range %d", ci, row, s.ctrl.NumRows())
-			}
-		}
+	if aerr := s.checkRequests(req.Requests); aerr != nil {
+		return nil, false, aerr
 	}
 
 	s.mu.Lock()
@@ -254,6 +246,24 @@ func (s *Server) beginRound(req BeginV2Request) (*serverRound, bool, *apiError) 
 	s.pruneLocked()
 	s.mu.Unlock()
 	return sr, true, nil
+}
+
+// checkRequests refuses a begin's or a stage's request lists when there
+// are none or a row is neither in the table nor DummyRequest padding.
+func (s *Server) checkRequests(requests [][]uint64) *apiError {
+	if len(requests) == 0 {
+		return errf(http.StatusBadRequest, CodeInvalidArgument, "no client requests")
+	}
+	n := s.ctrl.NumRows()
+	for ci, rows := range requests {
+		for _, row := range rows {
+			if row != fedora.DummyRequest && row >= n {
+				return errf(http.StatusBadRequest, CodeInvalidArgument,
+					"client %d requests row %d out of range %d", ci, row, n)
+			}
+		}
+	}
+	return nil
 }
 
 // latestRound reports whether sr is the most recently begun round —
@@ -609,18 +619,9 @@ func (s *Server) handleStageV2(w http.ResponseWriter, r *http.Request) {
 	if !DecodeJSONBody(w, r, &req) {
 		return
 	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "no client requests")
+	if aerr := s.checkRequests(req.Requests); aerr != nil {
+		aerr.write(w)
 		return
-	}
-	for ci, rows := range req.Requests {
-		for _, row := range rows {
-			if row != fedora.DummyRequest && row >= s.ctrl.NumRows() {
-				writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-					"client %d requests row %d out of range %d", ci, row, s.ctrl.NumRows())
-				return
-			}
-		}
 	}
 	if !s.latestRound(sr) {
 		writeError(w, http.StatusConflict, CodeStageConflict,

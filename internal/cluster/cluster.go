@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,11 +44,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/client"
-	"repro/internal/device"
 	"repro/internal/fedora"
 	"repro/internal/persist"
 	"repro/internal/shard"
-	"repro/internal/storage"
 )
 
 // NodeSpec declares one member's placement: the server URL and the
@@ -104,10 +103,10 @@ type member struct {
 
 	fenced  bool
 	lastErr string
-	// health is the member's last successfully fetched /healthz report
-	// (zero value until the first probe).
-	health   api.HealthzResponse
-	hasProbe bool
+	// health is the member's entry in the member view Health reads: its
+	// last /healthz report (zero until the first probe), less the shards
+	// a restore has since returned to service.
+	health api.HealthzResponse
 }
 
 // Coordinator fans rounds out across the members. It implements
@@ -310,19 +309,6 @@ func (c *Coordinator) fence(n int, cause error) {
 	c.quarantines++
 }
 
-// unfence returns node n to service after a successful migration.
-func (c *Coordinator) unfence(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.members[n]
-	if !m.fenced {
-		return
-	}
-	m.fenced = false
-	m.lastErr = ""
-	c.recoveries++
-}
-
 // isFenced reads node n's fence flag.
 func (c *Coordinator) isFenced(n int) bool {
 	c.mu.Lock()
@@ -374,63 +360,33 @@ func (c *Coordinator) Dim() int { return c.norm.Dim }
 // Shards reports the GLOBAL shard count.
 func (c *Coordinator) Shards() int { return c.shards }
 
-// BackendName labels the backend for status reporting.
-func (c *Coordinator) BackendName() string {
-	return "cluster/" + c.norm.Backend.String()
-}
-
 // EffectiveEpsilon reports the per-value ε of the global config.
 func (c *Coordinator) EffectiveEpsilon() float64 { return c.effEps }
 
-// MainORAMBytes sums the members' main-ORAM footprints (best effort:
-// unreachable members contribute zero).
-func (c *Coordinator) MainORAMBytes() uint64 {
-	var total uint64
-	for _, st := range c.memberStatuses() {
-		total += st.MainORAMBytes
-	}
-	return total
-}
-
-// DRAMResidentBytes sums the members' DRAM-resident footprints.
-func (c *Coordinator) DRAMResidentBytes() uint64 {
-	var total uint64
-	for _, st := range c.memberStatuses() {
-		total += st.DRAMBytes
-	}
-	return total
-}
-
-// SSDStats aggregates member SSD byte counters (the status wire shape
-// carries bytes only; op counts and busy time stay per-member).
-func (c *Coordinator) SSDStats() device.Stats {
-	var agg device.Stats
-	for _, st := range c.memberStatuses() {
-		agg.BytesRead += st.SSDBytesRead
-		agg.BytesWritten += st.SSDBytesWritten
-	}
-	return agg
-}
-
-// DRAMStats is not aggregated across the wire; it reports zero.
-func (c *Coordinator) DRAMStats() device.Stats { return device.Stats{} }
-
-// StorageReports are per-process telemetry; the coordinator has none.
-func (c *Coordinator) StorageReports() []storage.Report { return nil }
-
-// memberStatuses fans a status query out to the live members. A fenced
-// or unreachable member's entry stays zero, so it adds nothing to a sum.
-func (c *Coordinator) memberStatuses() []api.StatusResponse {
-	out := make([]api.StatusResponse, len(c.members))
+// Telemetry asks every live member for its /v2/status once and sums the
+// footprints and SSD byte counters (best effort: a fenced or unreachable
+// member adds nothing). The status wire shape carries SSD bytes only, so
+// op counts, busy time, DRAM counters and storage reports stay
+// per-member and read zero here.
+func (c *Coordinator) Telemetry() fedora.Telemetry {
+	t := fedora.Telemetry{Backend: "cluster/" + c.norm.Backend.String(), Shards: c.shards}
+	var mu sync.Mutex
 	c.forEachMember(func(n int) {
 		if c.isFenced(n) {
 			return
 		}
-		if st, err := c.members[n].cli.Status(context.Background()); err == nil {
-			out[n] = st
+		st, err := c.members[n].cli.Status(context.Background())
+		if err != nil {
+			return
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		t.MainORAMBytes += st.MainORAMBytes
+		t.DRAMResidentBytes += st.DRAMBytes
+		t.SSD.BytesRead += st.SSDBytesRead
+		t.SSD.BytesWritten += st.SSDBytesWritten
 	})
-	return out
+	return t
 }
 
 // PeekRow reads one global row through the owning member's evaluation
@@ -463,84 +419,110 @@ func (c *Coordinator) unavailable(n int) error {
 	return fmt.Errorf("cluster: node %d (%s): %w", n, m.spec.URL, fedora.ErrShardUnavailable)
 }
 
-// Health assembles the GLOBAL shard-health report: every live member is
-// probed (fencing it on transport failure), fenced members report all
-// their shards quarantined, and live members pass their own per-shard
-// quarantine detail through by global index. The same report shape the
-// single-process engine produces, so /healthz and the auto-recovery
-// machinery work unchanged on a coordinator.
+// Health assembles the GLOBAL shard-health report from the member view,
+// without I/O: every shard of a fenced member reads quarantined, and a
+// live member's shards carry the detail it last reported, by global
+// index. The same report shape the single-process engine produces, so
+// /healthz and the auto-recovery machinery work unchanged on a
+// coordinator.
 func (c *Coordinator) Health() shard.HealthReport {
-	c.probeAll()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep := shard.HealthReport{Shards: make([]shard.ShardHealth, c.shards)}
-	down := 0
-	for g := 0; g < c.shards; g++ {
-		m := c.members[c.nodeOf[g]]
-		sh := shard.ShardHealth{Shard: g, Rows: shard.Rows(c.numRows, c.shards, g)}
-		if m.fenced {
-			sh.Quarantined = true
-			sh.Cause = m.lastErr
-		} else if m.hasProbe {
-			for _, msh := range m.health.Shards {
-				if msh.Shard == g {
-					sh.Quarantined = msh.Quarantined
-					sh.Cause = msh.Cause
-					break
-				}
-			}
-		}
-		if sh.Quarantined {
-			down++
-		}
-		rep.Shards[g] = sh
-	}
-	switch down {
-	case 0:
-		rep.Status = shard.StatusHealthy
-	case c.shards:
-		rep.Status = shard.StatusUnavailable
-	default:
-		rep.Status = shard.StatusDegraded
-	}
 	// Node-level events, plus the members' own shard-level events.
-	rep.Quarantines = c.quarantines
-	rep.Recoveries = c.recoveries
+	rep := shard.HealthReport{Quarantines: c.quarantines, Recoveries: c.recoveries}
+	down := 0
 	for _, m := range c.members {
-		if m.hasProbe && !m.fenced {
+		for _, sh := range c.shardView(m) {
+			if sh.Quarantined {
+				down++
+			}
+			rep.Shards = append(rep.Shards, sh)
+		}
+		if !m.fenced {
 			rep.Quarantines += m.health.Quarantines
 			rep.Recoveries += m.health.Recoveries
 		}
 	}
+	rep.Status = shard.Rollup(down, c.shards)
 	return rep
 }
 
-// probeAll probes every live member's /healthz, caching the report and
-// fencing nodes whose probe fails at the transport level. A member
-// answering 503 (all its shards quarantined) is reachable — it stays
-// live and its quarantine detail flows into the global report. The
-// return value is the number of probes that failed this pass (nodes
-// already fenced are skipped, not counted), which the background loop
-// uses to back off.
+// shardView is member m's slice as the member view holds it (c.mu
+// held): every shard quarantined, with the fence's cause, while m is
+// fenced; otherwise the per-shard detail m last reported. Members tile
+// [0, S) in order, so concatenating their views gives the global list.
+func (c *Coordinator) shardView(m *member) []shard.ShardHealth {
+	out := make([]shard.ShardHealth, m.spec.Count)
+	for i := range out {
+		g := m.spec.First + i
+		out[i] = shard.ShardHealth{Shard: g, Rows: shard.Rows(c.numRows, c.shards, g), Quarantined: m.fenced, Cause: m.lastErr}
+	}
+	for _, sh := range m.health.Shards {
+		if i := sh.Shard - m.spec.First; !m.fenced && i >= 0 && i < len(out) {
+			out[i].Quarantined, out[i].Cause = sh.Quarantined, sh.Cause
+		}
+	}
+	return out
+}
+
+// viewStale reports whether node n's finish reply, quarantined shards
+// of its slice, disagrees with the member view.
+func (c *Coordinator) viewStale(n, quarantined int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.members[n].health.Shards {
+		if sh.Quarantined {
+			quarantined--
+		}
+	}
+	return quarantined != 0
+}
+
+// probe re-reads node n's /healthz into the member view and reports
+// whether it failed at the transport level, which fences the node. A
+// member answering 503 (all its shards quarantined) is reachable.
+func (c *Coordinator) probe(n int) bool {
+	m := c.members[n]
+	hz, err := m.cli.Healthz(context.Background())
+	if err != nil {
+		c.fence(n, err)
+		return true
+	}
+	c.mu.Lock()
+	m.health = hz
+	c.mu.Unlock()
+	return false
+}
+
+// probeAll probes every live member. The return value is the number of
+// probes that failed this pass (nodes already fenced are skipped, not
+// counted), which the background loop uses to back off.
 func (c *Coordinator) probeAll() int {
 	var failed atomic.Int64
 	c.forEachMember(func(n int) {
-		if c.isFenced(n) {
-			return
-		}
-		m := c.members[n]
-		hz, err := m.cli.Healthz(context.Background())
-		if err != nil {
+		if !c.isFenced(n) && c.probe(n) {
 			failed.Add(1)
-			c.fence(n, err)
-			return
 		}
-		c.mu.Lock()
-		m.health = hz
-		m.hasProbe = true
-		c.mu.Unlock()
 	})
 	return int(failed.Load())
+}
+
+// restored records that node n's shards were replayed from a checkpoint:
+// a fenced node returns to service, and the view clears the quarantine
+// it held for them.
+func (c *Coordinator) restored(n int, shards []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.members[n]
+	if m.fenced {
+		m.fenced, m.lastErr = false, ""
+		c.recoveries++
+	}
+	for i, sh := range m.health.Shards {
+		if slices.Contains(shards, sh.Shard) {
+			m.health.Shards[i].Quarantined, m.health.Shards[i].Cause = false, ""
+		}
+	}
 }
 
 // probeDelay computes the wait before the next background probe pass:
@@ -659,8 +641,4 @@ func (c *Coordinator) StageRound(requests [][]uint64) error {
 // admin-restore path and the epoch fence call). Members'
 // orphaned rounds are cleaned up when sections are replayed onto them —
 // the admin restore endpoints abort server-side first.
-func (c *Coordinator) AbortRound() {
-	c.mu.Lock()
-	c.inRound = false
-	c.mu.Unlock()
-}
+func (c *Coordinator) AbortRound() { c.endRound() }

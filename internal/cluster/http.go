@@ -23,9 +23,10 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/join", c.handleJoin)
 }
 
-// Status assembles the placement map with fresh member probes, once
-// the checkpoint save in flight, if any, has finished: its checkpoint
-// fields report the newest completed save.
+// Status assembles the placement map with fresh member probes — the
+// operator's fan-out view, where /healthz is a read of the member view —
+// once the checkpoint save in flight, if any, has finished: its
+// checkpoint fields report the newest completed save.
 func (c *Coordinator) Status() api.ClusterStatusResponse {
 	c.WaitSaved()
 	c.probeAll()
@@ -54,10 +55,10 @@ func (c *Coordinator) Status() api.ClusterStatusResponse {
 			node.State = "fenced"
 			node.Health = "unreachable"
 			fencedN++
-		} else if m.hasProbe {
+		} else {
 			node.Health = string(m.health.Status)
 			node.Round = m.health.Round
-			for _, sh := range m.health.Shards {
+			for _, sh := range c.shardView(m) {
 				if sh.Quarantined {
 					node.Quarantined = append(node.Quarantined, sh.Shard)
 				}
@@ -65,14 +66,7 @@ func (c *Coordinator) Status() api.ClusterStatusResponse {
 		}
 		resp.Nodes = append(resp.Nodes, node)
 	}
-	switch fencedN {
-	case 0:
-		resp.Status = string(shard.StatusHealthy)
-	case len(c.members):
-		resp.Status = string(shard.StatusUnavailable)
-	default:
-		resp.Status = string(shard.StatusDegraded)
-	}
+	resp.Status = string(shard.Rollup(fencedN, len(c.members)))
 	return resp
 }
 

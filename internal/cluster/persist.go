@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/client"
 	"repro/internal/fedora"
@@ -95,18 +94,16 @@ func (c *Coordinator) Restore(b []byte) error {
 	errs := make([]error, len(c.members))
 	c.forEachMember(func(n int) {
 		m := c.members[n]
+		var done []int
 		for g := m.spec.First; g < m.spec.First+m.spec.Count; g++ {
 			if err := m.cli.RestoreShard(context.Background(), g, sections[g]); err != nil {
 				errs[n] = fmt.Errorf("cluster: restore shard %d onto node %d: %w", g, n, err)
 				return
 			}
+			done = append(done, g)
 		}
+		c.restored(n, done)
 	})
-	for n, err := range errs {
-		if err == nil {
-			c.unfence(n)
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -121,13 +118,14 @@ func (c *Coordinator) Restore(b []byte) error {
 // RecoverQuarantined is shard migration: quarantined shards — a fenced
 // node's whole slice, or individual shards a live member reports
 // quarantined — get their checkpoint sections replayed onto whichever
-// node owns them now. Fenced nodes that are still unreachable simply
-// stay fenced (a dead process is the expected state here, not an
-// error); a REACHABLE node that rejects a replay is an error. Returns
-// the GLOBAL indices recovered, (nil, nil) when nothing needed
-// recovery — the same contract as fedora.Controller.RecoverQuarantined,
-// so the serving layer's auto-recovery drives migration unmodified. A
-// checkpoint save in flight finishes first.
+// node owns them now. It refreshes the member view once and reads the
+// targets off it. Fenced nodes that are still unreachable simply stay
+// fenced (a dead process is the expected state here, not an error); a
+// REACHABLE node that rejects a replay is an error. Returns the GLOBAL
+// indices recovered, (nil, nil) when nothing needed recovery — the same
+// contract as fedora.Controller.RecoverQuarantined, so the serving
+// layer's auto-recovery drives migration unmodified. A checkpoint save
+// in flight finishes first.
 func (c *Coordinator) RecoverQuarantined(b []byte) ([]int, error) {
 	c.WaitSaved()
 	c.mu.Lock()
@@ -142,73 +140,52 @@ func (c *Coordinator) RecoverQuarantined(b []byte) ([]int, error) {
 		return nil, err
 	}
 
-	var (
-		mu        sync.Mutex
-		recovered []int
-		firstErr  error
-	)
+	// A fenced node gets its whole slice back — its state is presumed
+	// lost with the process; a live node recovers only what it reports
+	// quarantined.
+	c.probeAll()
+	targets := make([][]int, len(c.members))
+	wasFenced := make([]bool, len(c.members))
+	c.mu.Lock()
+	for n, m := range c.members {
+		wasFenced[n] = m.fenced
+		for _, sh := range c.shardView(m) {
+			if sh.Quarantined {
+				targets[n] = append(targets[n], sh.Shard)
+			}
+		}
+	}
+	c.mu.Unlock()
+
+	errs := make([]error, len(c.members))
 	c.forEachMember(func(n int) {
 		m := c.members[n]
-		var targets []int
-		if c.isFenced(n) {
-			// A fenced node gets its whole slice back — its state is
-			// presumed lost with the process.
-			for g := m.spec.First; g < m.spec.First+m.spec.Count; g++ {
-				targets = append(targets, g)
-			}
-		} else {
-			// A live node recovers only what it reports quarantined.
-			hz, err := m.cli.Healthz(context.Background())
-			if err != nil {
-				c.fence(n, err)
-				return
-			}
-			for _, sh := range hz.Shards {
-				if sh.Quarantined {
-					targets = append(targets, sh.Shard)
-				}
-			}
-		}
-		if len(targets) == 0 {
-			return
-		}
-		wasFenced := c.isFenced(n)
-		for _, g := range targets {
+		for i, g := range targets[n] {
 			if err := m.cli.RestoreShard(context.Background(), g, sections[g]); err != nil {
-				c.recordRecoverErr(n, err, wasFenced, &mu, &firstErr)
+				// A reachable node (an *client.APIError in the chain)
+				// rejected the replay: a real error. A transport failure
+				// on a node fenced before this pass means it is still
+				// dead, the expected steady state; it stays fenced for a
+				// later attempt.
+				var apiErr *client.APIError
+				if !wasFenced[n] || errors.As(err, &apiErr) {
+					errs[n] = fmt.Errorf("cluster: recover node %d: %w", n, err)
+				}
+				c.fence(n, err)
+				targets[n] = targets[n][:i] // what was recovered
 				return
 			}
-			mu.Lock()
-			recovered = append(recovered, g)
-			mu.Unlock()
 		}
-		if wasFenced {
-			c.unfence(n)
-		}
+		c.restored(n, targets[n])
 	})
-	if firstErr != nil {
-		return recovered, firstErr
+	var recovered []int
+	for _, t := range targets {
+		recovered = append(recovered, t...)
 	}
-	if len(recovered) == 0 {
-		return nil, nil
+	for _, err := range errs {
+		if err != nil {
+			return recovered, err
+		}
 	}
 	return recovered, nil
-}
-
-// recordRecoverErr classifies a replay failure: an *client.APIError in
-// the chain means the node is REACHABLE and rejected the replay — a
-// real error the caller must see. Anything else is a transport failure:
-// the node is (still) dead, which for a fenced node is the expected
-// steady state, so it just stays fenced for a later attempt.
-func (c *Coordinator) recordRecoverErr(n int, err error, wasFenced bool, mu *sync.Mutex, firstErr *error) {
-	var apiErr *client.APIError
-	reachable := errors.As(err, &apiErr)
-	if !wasFenced || reachable {
-		mu.Lock()
-		if *firstErr == nil {
-			*firstErr = fmt.Errorf("cluster: recover node %d: %w", n, err)
-		}
-		mu.Unlock()
-	}
-	c.fence(n, err)
 }

@@ -355,8 +355,10 @@ func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (bool, 
 // Finish closes every surviving member round in parallel and merges the
 // per-node statistics with the engine's arithmetic: counts and modelled
 // device times sum and the round ε composes in parallel (max via the
-// accountant). If every member round was lost, the round fails with a
-// wrapped ErrShardUnavailable, mirroring the engine's total-loss path.
+// accountant). QuarantinedShards counts the shards members report
+// quarantined plus every shard of a lost member. If every member round
+// was lost, the round fails with a wrapped ErrShardUnavailable,
+// mirroring the engine's total-loss path.
 func (r *Round) Finish() (fedora.RoundStats, error) {
 	r.mu.Lock()
 	if r.done {
@@ -388,6 +390,12 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 			return
 		}
 		stats[n], served[n] = st, true
+		// The reply carries the member's quarantine count; only when it
+		// disagrees with the member view is the member's /healthz read
+		// again, so a healthy round sends no probe.
+		if r.c.viewStale(n, st.QuarantinedShards) {
+			r.c.probe(n)
+		}
 	})
 
 	// A lost member's stats stay zero: it contributes its shard count to
@@ -408,7 +416,7 @@ func (r *Round) Finish() (fedora.RoundStats, error) {
 		return fedora.RoundStats{}, fmt.Errorf("cluster: round lost on every node: %w", fedora.ErrShardUnavailable)
 	}
 	m := shard.MergeStats(stats)
-	m.QuarantinedShards = quarantined
+	m.QuarantinedShards += quarantined
 
 	// Durability point: the commit frame seals the round in the WAL —
 	// replay redrives only rounds whose commit made it to disk, so a

@@ -441,6 +441,25 @@ func (c *Controller) StorageReports() []storage.Report {
 // Shards reports the shard count (at least 1).
 func (c *Controller) Shards() int { return len(c.parts) }
 
+// Telemetry is a backend's configuration and device counters read in
+// one call: what a serving layer's status and metrics routes report.
+type Telemetry struct {
+	Backend                          string // status label, e.g. "fedora" or "cluster/fedora"
+	Shards                           int
+	MainORAMBytes, DRAMResidentBytes uint64
+	SSD, DRAM                        device.Stats
+	Storage                          []storage.Report // file-backed devices only
+}
+
+// Telemetry reads the getters above into one value.
+func (c *Controller) Telemetry() Telemetry {
+	return Telemetry{
+		Backend: c.Backend().String(), Shards: c.Shards(),
+		MainORAMBytes: c.MainORAMBytes(), DRAMResidentBytes: c.DRAMResidentBytes(),
+		SSD: c.SSDStats(), DRAM: c.DRAMStats(), Storage: c.StorageReports(),
+	}
+}
+
 // Round returns the number of completed rounds.
 func (c *Controller) Round() uint64 {
 	c.mu.Lock()

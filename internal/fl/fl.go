@@ -251,14 +251,20 @@ func initRowFunc(seed int64, dim int) func(row uint64) []float32 {
 	const scale = float32(0.05)
 	return func(row uint64) []float32 {
 		// Deterministic per-row init so every run starts identically.
-		r := rand.New(rand.NewSource(seed ^ int64(row*2654435761)))
+		r := rowRNGs.Get().(*rand.Rand)
+		r.Seed(seed ^ int64(row*2654435761))
 		v := make([]float32, dim)
 		for i := range v {
 			v[i] = (r.Float32()*2 - 1) * scale
 		}
+		rowRNGs.Put(r)
 		return v
 	}
 }
+
+// rowRNGs recycles initRowFunc's generators: a math/rand source is ~5 KB,
+// and Seed resets one to exactly the state NewSource builds.
+var rowRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // ControllerConfig maps an fl.Config to the GLOBAL fedora.Config
 // fl.New would build its controller from. Exported alongside

@@ -120,15 +120,21 @@ func (e *Engine) Health() HealthReport {
 			down++
 		}
 	}
+	rep.Status = Rollup(down, e.cfg.Shards)
+	return rep
+}
+
+// Rollup is the health of a whole made of total parts, down of which
+// cannot serve.
+func Rollup(down, total int) HealthStatus {
 	switch down {
 	case 0:
-		rep.Status = StatusHealthy
-	case e.cfg.Shards:
-		rep.Status = StatusUnavailable
+		return StatusHealthy
+	case total:
+		return StatusUnavailable
 	default:
-		rep.Status = StatusDegraded
+		return StatusDegraded
 	}
-	return rep
 }
 
 // Recover restores every quarantined shard from its section of an

@@ -107,6 +107,7 @@ func MergeStats(parts []RoundStats) RoundStats {
 		m.Chunks += st.Chunks
 		m.WireBytes += st.WireBytes
 		m.Saturations += st.Saturations
+		m.QuarantinedShards += st.QuarantinedShards
 		m.UnionTime += st.UnionTime
 		m.ReadTime += st.ReadTime
 		m.ServeTime += st.ServeTime
