@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -778,14 +779,15 @@ func BenchmarkControllerSnapshot(b *testing.B) {
 // BenchmarkClusterCheckpoint measures one cadence cluster checkpoint at
 // the train_cluster geometry, in the two parts the round path splits it
 // into. "pull" is what the round that takes it still waits for: one
-// section per shard, pulled in parallel from two loopback members over
-// the coordinator's SDK calls. "save" is what the background saver does
-// with the sections while the next round runs: assemble the blob, frame,
-// write, fsync and rename the file, prune, and cut the round WAL at the
-// snapshot's mark with one round's frames logged after it. Members,
-// coordinator and file write share the process, so B/op is the whole
-// byte path (TestCheckpointAllocBounded bounds the two together at 4×
-// the blob).
+// section per shard opened in parallel on two loopback members over the
+// coordinator's SDK calls, until each member has encoded its section
+// and answered with headers. "save" is what the background saver does
+// while the next round runs: stream the sections from the open replies
+// into the checkpoint file, frame, fsync and rename it, prune, and cut
+// the round WAL at the snapshot's mark with one round's frames logged
+// after it. Members, coordinator and file write share the process, so
+// B/op is the whole byte path: the members' encode is pull's, and
+// TestCheckpointAllocBounded bounds the two together at 1.5× the blob.
 func BenchmarkClusterCheckpoint(b *testing.B) {
 	global := checkpointBenchConfig()
 	var nodes []cluster.NodeSpec
@@ -818,37 +820,46 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 	}
 	defer co.StopProbes()
 	checkpointBenchRounds(b, global, co.BeginRound)
-	pull := func() (sections [][]byte, bytes int64) {
-		sections = make([][]byte, len(members))
+	pull := func() (bodies []io.ReadCloser, sizes []int64) {
+		bodies, sizes = make([]io.ReadCloser, len(members)), make([]int64, len(members))
 		errs := make([]error, len(members))
 		done := make(chan struct{})
 		for g := range members {
 			go func() {
 				defer func() { done <- struct{}{} }()
-				sections[g], errs[g] = members[g].SnapshotShard(context.Background(), g)
+				bodies[g], sizes[g], errs[g] = members[g].SnapshotShard(context.Background(), g)
 			}()
 		}
 		for range members {
 			<-done
 		}
-		for g, err := range errs {
+		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bytes += int64(len(sections[g]))
 		}
-		return sections, bytes
+		return bodies, sizes
+	}
+	release := func(bodies []io.ReadCloser) {
+		for _, body := range bodies {
+			if _, err := io.Copy(io.Discard, body); err != nil {
+				b.Fatal(err)
+			}
+			body.Close()
+		}
 	}
 
 	b.Run("pull", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, n := pull()
-			b.SetBytes(n)
+			bodies, sizes := pull()
+			b.StopTimer()
+			release(bodies)
+			b.SetBytes(fedora.SnapshotSize(global, sizes))
+			b.StartTimer()
 		}
 	})
 	b.Run("save", func(b *testing.B) {
-		sections, n := pull()
 		mgr, err := persist.OpenManager(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
@@ -859,7 +870,6 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 		}
 		defer wal.Close()
 		frame := make([]byte, 64<<10) // about one round's WAL frames
-		b.SetBytes(n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -874,11 +884,21 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 			if err := wal.AppendRaw("round", frame); err != nil {
 				b.Fatal(err)
 			}
+			bodies, sizes := pull()
+			size := fedora.SnapshotSize(global, sizes)
+			b.SetBytes(size)
 			b.StartTimer()
-			blob := fedora.AssembleSnapshot(global, co.Round(), sections)
-			if _, err := mgr.SaveNext(persist.OneSection(persist.ControllerSection, blob)); err != nil {
+			cp := persist.NewCheckpoint()
+			cp.PutStream(persist.ControllerSection, size, func(w io.Writer) error {
+				return fedora.WriteSnapshot(w, global, co.Round(), sizes, func(g int, w io.Writer) error {
+					_, err := io.CopyN(w, bodies[g], sizes[g])
+					return err
+				})
+			})
+			if _, err := mgr.SaveNext(cp); err != nil {
 				b.Fatal(err)
 			}
+			release(bodies)
 			if err := wal.Cut(mark); err != nil {
 				b.Fatal(err)
 			}

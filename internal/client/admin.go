@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"sync/atomic"
 
 	"repro/internal/api"
 )
@@ -23,31 +25,40 @@ import (
 // All of them ride the same retry/backoff/classification loop as the
 // round calls and feed the same byte counters.
 
-// doRaw runs one logical call on raw request and reply bodies: attempt,
-// classify, back off, retry. The caller's ctx spans all attempts; each
-// attempt additionally gets the configured per-attempt timeout.
+// doRaw runs one logical call on raw request and reply bodies over
+// retry.
 func (c *Client) doRaw(ctx context.Context, req rawRequest) ([]byte, error) {
+	var data []byte
+	err := c.retry(ctx, req.method, req.path, func() error {
+		d, status, hdr, err := c.rawAttempt(ctx, req)
+		if err == nil && status >= 300 {
+			err = c.statusError(status, hdr, d)
+		}
+		data = d
+		return err
+	})
+	return data, err
+}
+
+// retry runs attempt until it succeeds: classify, back off, retry. The
+// caller's ctx spans all attempts; each attempt additionally gets the
+// configured per-attempt timeout.
+func (c *Client) retry(ctx context.Context, method, path string, attempt func() error) error {
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
+	for n := 0; ; n++ {
+		if n > 0 {
 			c.retries.Add(1)
-			if err := c.backoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
+			if err := c.backoff(ctx, n, retryAfterOf(lastErr)); err != nil {
 				c.failures.Add(1)
-				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", req.method, req.path, err, lastErr)
+				return fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, err, lastErr)
 			}
 		}
-		data, status, hdr, err := c.rawAttempt(ctx, req)
-		if err == nil && status < 300 {
-			return data, nil
+		if lastErr = attempt(); lastErr == nil {
+			return nil
 		}
-		if err == nil {
-			err = c.statusError(status, hdr, data)
-		}
-		lastErr = err
-		if ctx.Err() != nil || !c.classifyRetry(lastErr) || attempt >= c.cfg.MaxRetries {
+		if ctx.Err() != nil || !c.classifyRetry(lastErr) || n >= c.cfg.MaxRetries {
 			c.failures.Add(1)
-			return nil, fmt.Errorf("client: %s %s failed after %d attempt(s): %w",
-				req.method, req.path, attempt+1, lastErr)
+			return fmt.Errorf("client: %s %s failed after %d attempt(s): %w", method, path, n+1, lastErr)
 		}
 	}
 }
@@ -74,10 +85,57 @@ func (c *Client) Restore(ctx context.Context, blob []byte) error {
 	return err
 }
 
-// SnapshotShard downloads one shard's checkpoint section by GLOBAL
-// shard index.
-func (c *Client) SnapshotShard(ctx context.Context, shard int) ([]byte, error) {
-	return c.doBlob(ctx, http.MethodGet, fmt.Sprintf("/v2/admin/shards/%d/snapshot", shard), nil)
+// SnapshotShard opens one shard's checkpoint section by GLOBAL shard
+// index. It returns once the server has answered with headers, with the
+// reply body and the section's length, its Content-Length: the server
+// encodes the whole section before it answers, so the section is taken
+// by then. The caller reads the body and must Close it, which ends the
+// call. Retries cover the call up to the headers; a body that fails
+// midway is the caller's to handle.
+func (c *Client) SnapshotShard(ctx context.Context, shard int) (body io.ReadCloser, size int64, err error) {
+	req := rawRequest{method: http.MethodGet, path: fmt.Sprintf("/v2/admin/shards/%d/snapshot", shard)}
+	err = c.retry(ctx, req.method, req.path, func() error {
+		resp, cancel, err := c.send(ctx, req)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode < 300 && resp.ContentLength >= 0 && resp.ContentLength <= api.MaxAdminBlob {
+			body, size = &replyBody{ReadCloser: resp.Body, cancel: cancel, recv: &c.bytesRecv}, resp.ContentLength
+			return nil
+		}
+		defer cancel()
+		defer resp.Body.Close()
+		if resp.StatusCode < 300 {
+			return fmt.Errorf("client: %s %s reply declares %d bytes, want 0 to %d",
+				req.method, req.path, resp.ContentLength, api.MaxAdminBlob)
+		}
+		data, err := c.readReply(resp, req)
+		if err != nil {
+			return err
+		}
+		return c.statusError(resp.StatusCode, resp.Header, data)
+	})
+	return body, size, err
+}
+
+// replyBody is a reply body handed to the caller: its reads count as
+// received bytes, and Close also ends the attempt's timeout.
+type replyBody struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+	recv   *atomic.Uint64
+}
+
+func (b *replyBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.recv.Add(uint64(n))
+	return n, err
+}
+
+func (b *replyBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }
 
 // RestoreShard replays one shard's checkpoint section onto the server
@@ -95,31 +153,20 @@ func (c *Client) RestoreShard(ctx context.Context, shard int, blob []byte) error
 // configured retries, return an error.
 func (c *Client) Healthz(ctx context.Context) (api.HealthzResponse, error) {
 	var out api.HealthzResponse
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := c.backoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
-				c.failures.Add(1)
-				return out, fmt.Errorf("client: GET /healthz: %w (last error: %v)", err, lastErr)
+	req := rawRequest{method: http.MethodGet, path: "/healthz"}
+	err := c.retry(ctx, req.method, req.path, func() error {
+		data, status, hdr, err := c.rawAttempt(ctx, req)
+		if err != nil {
+			return err
+		}
+		if status == http.StatusOK || status == http.StatusServiceUnavailable {
+			if json.Unmarshal(data, &out) == nil {
+				return nil
 			}
 		}
-		data, status, hdr, err := c.rawAttempt(ctx, rawRequest{method: http.MethodGet, path: "/healthz"})
-		if err == nil {
-			if status == http.StatusOK || status == http.StatusServiceUnavailable {
-				if jerr := json.Unmarshal(data, &out); jerr == nil {
-					return out, nil
-				}
-			}
-			err = c.statusError(status, hdr, data)
-		}
-		lastErr = err
-		if ctx.Err() != nil || !c.classifyRetry(lastErr) || attempt >= c.cfg.MaxRetries {
-			c.failures.Add(1)
-			return out, fmt.Errorf("client: GET /healthz failed after %d attempt(s): %w",
-				attempt+1, lastErr)
-		}
-	}
+		return c.statusError(status, hdr, data)
+	})
+	return out, err
 }
 
 // ClusterStatus fetches a coordinator's placement map and per-node

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -127,12 +128,17 @@ func TestSnapshotShardOver64MiB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SnapshotShard(context.Background(), 3)
+	body, size, err := c.SnapshotShard(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(blob) || sha256.Sum256(got) != want {
-		t.Fatalf("SnapshotShard returned %d of %d bytes", len(got), len(blob))
+	got, err := io.ReadAll(body)
+	body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(len(blob)) || len(got) != len(blob) || sha256.Sum256(got) != want {
+		t.Fatalf("SnapshotShard returned %d of %d bytes (declared %d)", len(got), len(blob), size)
 	}
 	if err := c.RestoreShard(context.Background(), 3, got); err != nil {
 		t.Fatal(err)

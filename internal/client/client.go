@@ -366,11 +366,27 @@ type rawRequest struct {
 // retry can fix. Otherwise the returned error covers only transport
 // failures — callers classify non-2xx statuses themselves.
 func (c *Client) rawAttempt(ctx context.Context, r rawRequest) ([]byte, int, http.Header, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	resp, cancel, err := c.send(ctx, r)
+	if err != nil {
+		return nil, 0, nil, err
+	}
 	defer cancel()
+	defer resp.Body.Close()
+	data, err := c.readReply(resp, r)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return data, resp.StatusCode, resp.Header, nil
+}
+
+// send makes one HTTP attempt and returns the reply once its headers are
+// in. The attempt's timeout stays armed over the body until cancel.
+func (c *Client) send(ctx context.Context, r rawRequest) (*http.Response, context.CancelFunc, error) {
+	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	req, err := http.NewRequestWithContext(actx, r.method, c.baseURL()+r.path, bytes.NewReader(r.body))
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("client: build request: %w", err)
+		cancel()
+		return nil, nil, fmt.Errorf("client: build request: %w", err)
 	}
 	if r.contentType != "" {
 		req.Header.Set("Content-Type", r.contentType)
@@ -385,22 +401,28 @@ func (c *Client) rawAttempt(ctx context.Context, r rawRequest) ([]byte, int, htt
 	c.bytesSent.Add(uint64(len(r.body)))
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, 0, nil, &transportError{err}
+		cancel()
+		return nil, nil, &transportError{err}
 	}
-	defer resp.Body.Close()
+	return resp, cancel, nil
+}
+
+// readReply reads resp's body into a buffer of its declared length,
+// bounded by r.replyLimit, and counts it as received.
+func (c *Client) readReply(resp *http.Response, r rawRequest) ([]byte, error) {
 	limit := r.replyLimit
 	if limit == 0 {
 		limit = api.MaxReplyBody
 	}
 	data, err := api.ReadBody(resp.Body, resp.ContentLength, limit)
 	if errors.Is(err, api.ErrBodyTooLarge) {
-		return nil, 0, nil, fmt.Errorf("client: %s %s reply: %w", r.method, r.path, err)
+		return nil, fmt.Errorf("client: %s %s reply: %w", r.method, r.path, err)
 	}
 	if err != nil {
-		return nil, 0, nil, &transportError{err}
+		return nil, &transportError{err}
 	}
 	c.bytesRecv.Add(uint64(len(data)))
-	return data, resp.StatusCode, resp.Header, nil
+	return data, nil
 }
 
 // statusError builds the APIError for a non-2xx reply (envelope when

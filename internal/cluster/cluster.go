@@ -29,6 +29,12 @@
 // checkpoint sections are replayed onto the fenced node once reachable
 // again, or onto a replacement process that registers via
 // /cluster/join.
+//
+// Checkpoints are streamed: the round that takes one waits only until
+// each member has encoded its shard sections and answered with headers,
+// and the background saver writes the checkpoint file from the open
+// replies, so the coordinator holds no copy of a checkpoint (persist.go
+// and wal.go's checkpointSave).
 package cluster
 
 import (

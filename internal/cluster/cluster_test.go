@@ -68,6 +68,12 @@ func testClientConfig() client.Config {
 // of the global config and serves it like fedora-server would.
 func startMember(t *testing.T, global fedora.Config, first, count int) (*httptest.Server, *fedora.Controller) {
 	t.Helper()
+	return startMemberWith(t, global, first, count, func(h http.Handler) http.Handler { return h })
+}
+
+// startMemberWith is startMember with wrap around the member's handler.
+func startMemberWith(t *testing.T, global fedora.Config, first, count int, wrap func(http.Handler) http.Handler) (*httptest.Server, *fedora.Controller) {
+	t.Helper()
 	sub, err := fedora.SliceConfig(global, first, count)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +82,7 @@ func startMember(t *testing.T, global fedora.Config, first, count int) (*httptes
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(api.NewServer(ctrl).Handler())
+	srv := httptest.NewServer(wrap(api.NewServer(ctrl).Handler()))
 	t.Cleanup(srv.Close)
 	return srv, ctrl
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 
 	"repro/internal/api"
@@ -369,14 +370,16 @@ func (c *Coordinator) delivered(f api.RowFrame, applied []bool) api.RowFrame {
 }
 
 // checkpointSave is the coordinator's checkpoint for the Manager's
-// background saver. Its Take marks the WAL's end and pulls every
-// shard's section, the part a round waits for; the saver assembles the
-// blob, renames the file into place under the epoch fence, then runs
-// the after-save hook: record the newest durable checkpoint for
-// /cluster/status, cut the WAL at the mark (fenced too) and pass the
-// outcome to saved (nil = none).
+// background saver. Its Take marks the WAL's end and opens every
+// shard's section on its member, the part a round waits for: each
+// member has encoded its section once it answers with headers. The
+// saver streams the sections from the open replies into the checkpoint
+// file, renames it into place under the epoch fence, then runs the
+// after-save hook: release the replies, record the newest durable
+// checkpoint for /cluster/status, cut the WAL at the mark (fenced too)
+// and pass the outcome to saved (nil = none).
 func (c *Coordinator) checkpointSave(saved func(error)) persist.Save {
-	var round uint64
+	var s *sections
 	return persist.Save{
 		Take: func() (func() (*persist.Checkpoint, error), error) {
 			c.walMu.Lock()
@@ -386,19 +389,20 @@ func (c *Coordinator) checkpointSave(saved func(error)) persist.Save {
 			if err != nil {
 				return nil, fmt.Errorf("cluster: mark round WAL: %w", err)
 			}
-			var sections [][]byte
-			if round, sections, err = c.pullSections(); err != nil {
+			if s, err = c.openSections(); err != nil {
 				return nil, err
 			}
 			return func() (*persist.Checkpoint, error) {
-				blob := fedora.AssembleSnapshot(c.norm, round, sections)
-				return persist.OneSection(persist.ControllerSection, blob), nil
+				cp := persist.NewCheckpoint()
+				cp.PutStream(persist.ControllerSection, fedora.SnapshotSize(c.norm, s.sizes), func(w io.Writer) error { return c.writeSnapshot(w, s) })
+				return cp, nil
 			}, nil
 		},
 		Guard: func(rename func() error) error { return c.fenced("rename", rename) },
 		Saved: func(_ uint64, err error) {
+			s.close()
 			if err == nil {
-				c.recordCheckpoint(round, nil)
+				c.recordCheckpoint(s.round, nil)
 				err = c.resetWAL()
 			}
 			if err != nil {

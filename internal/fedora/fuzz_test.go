@@ -2,6 +2,7 @@ package fedora
 
 import (
 	"bytes"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -80,13 +81,32 @@ func TestRetiredSnapshotLayoutsRefused(t *testing.T) {
 	}
 }
 
+// assembleSnapshot writes the snapshot of cfg's shards at round from
+// ready sections, through WriteSnapshot.
+func assembleSnapshot(t testing.TB, cfg Config, round uint64, sections [][]byte) []byte {
+	t.Helper()
+	sizes := make([]int64, len(sections))
+	for i, blob := range sections {
+		sizes[i] = int64(len(blob))
+	}
+	var b bytes.Buffer
+	err := WriteSnapshot(&b, cfg, round, sizes, func(i int, w io.Writer) error {
+		_, err := w.Write(sections[i])
+		return err
+	})
+	if err != nil || int64(b.Len()) != SnapshotSize(cfg, sizes) {
+		t.Fatalf("WriteSnapshot into memory: %d bytes of %d, %v", b.Len(), SnapshotSize(cfg, sizes), err)
+	}
+	return b.Bytes()
+}
+
 // FuzzSplitSnapshot: the controller snapshot's one decoder, under a
 // one-shard, a three-shard and a two-shard slice config, either rejects
 // arbitrary bytes cleanly or yields a (round, sections) pair that
-// AssembleSnapshot turns back into bytes decoding to the same pair.
-// Real snapshots must reassemble byte for byte; the corpus is seeded
-// with their containers around one-byte sections (short inputs keep
-// the fuzzer's minimization fast) and with every retired layout.
+// WriteSnapshot turns back into bytes decoding to the same pair. Real
+// snapshots must reassemble byte for byte; the corpus is seeded with
+// their containers around one-byte sections (short inputs keep the
+// fuzzer's minimization fast) and with every retired layout.
 func FuzzSplitSnapshot(f *testing.F) {
 	slice, err := SliceConfig(shardedCfg(3), 1, 2)
 	if err != nil {
@@ -107,13 +127,13 @@ func FuzzSplitSnapshot(f *testing.F) {
 		if err != nil {
 			f.Fatalf("%d shards: split a real snapshot: %v", cfg.Shards, err)
 		}
-		if !bytes.Equal(AssembleSnapshot(cfg, round, sections), blob) {
+		if !bytes.Equal(assembleSnapshot(f, cfg, round, sections), blob) {
 			f.Fatalf("%d shards: reassembled snapshot differs from the controller's", cfg.Shards)
 		}
 		for i := range sections {
 			sections[i] = []byte{byte(i)}
 		}
-		blob = AssembleSnapshot(cfg, round, sections)
+		blob = assembleSnapshot(f, cfg, round, sections)
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 	}
@@ -131,7 +151,7 @@ func FuzzSplitSnapshot(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			again := AssembleSnapshot(cfg, round, sections)
+			again := assembleSnapshot(t, cfg, round, sections)
 			round2, sections2, err := SplitSnapshot(cfg, again)
 			if err != nil {
 				t.Fatalf("%d shards: reassembled snapshot does not split: %v", cfg.Shards, err)

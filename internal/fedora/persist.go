@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"sort"
 
@@ -122,23 +123,23 @@ func SplitSnapshot(cfg Config, b []byte) (round uint64, sections [][]byte, err e
 	return shard.DecodeContainer(b, containerGeometry(cfg), cfg.Digest())
 }
 
-// AssembleSnapshot is SplitSnapshot's inverse: from the per-shard
-// sections of cfg's shards it builds the snapshot a single-process
-// controller built from cfg takes at round, byte for byte, in one
-// presized buffer.
-func AssembleSnapshot(cfg Config, round uint64, sections [][]byte) []byte {
+// WriteSnapshot writes to w the snapshot a single-process controller
+// built from cfg takes at round, byte for byte, from its per-shard
+// sections, in the order SplitSnapshot returns them: section(i, w)
+// writes the i-th one's sizes[i] bytes, streamed — a cluster
+// coordinator's checkpoint is written from its members' replies without
+// holding a section. It is SplitSnapshot's inverse, and SnapshotSize is
+// the length of what it writes.
+func WriteSnapshot(w io.Writer, cfg Config, round uint64, sizes []int64, section func(i int, w io.Writer) error) error {
 	cfg.setDefaults()
-	size := 0
-	for _, blob := range sections {
-		size += len(blob)
-	}
-	var e persist.Encoder
-	// Appending sections that are already bytes cannot fail.
-	_ = shard.EncodeContainer(&e, containerGeometry(cfg), cfg.Digest(), round, size, func(i int) error {
-		copy(e.Extend(len(sections[i])), sections[i])
-		return nil
-	})
-	return e.Finish()
+	return shard.WriteContainer(w, containerGeometry(cfg), cfg.Digest(), round, sizes, section)
+}
+
+// SnapshotSize is the length of the snapshot of cfg's shards whose
+// sections are sizes bytes long.
+func SnapshotSize(cfg Config, sizes []int64) int64 {
+	cfg.setDefaults()
+	return shard.ContainerSize(containerGeometry(cfg), sizes)
 }
 
 // containerGeometry is the engine-container geometry of cfg: the engine

@@ -136,7 +136,7 @@ func TestRestoreRefusesHMACSealedCheckpoint(t *testing.T) {
 	}
 	at := len(blob) - d.Remaining() + 8 // the engine section's version byte
 	blob[at] = 1
-	snap := AssembleSnapshot(src.cfg, src.Round(), [][]byte{blob})
+	snap := assembleSnapshot(t, src.cfg, src.Round(), [][]byte{blob})
 
 	c, err := New(src.cfg)
 	if err != nil {

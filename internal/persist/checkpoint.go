@@ -18,7 +18,15 @@ const checkpointVersion = 1
 type Checkpoint struct {
 	Epoch    uint64
 	sections map[string][]byte
+	streams  map[string]stream // the sections PutStream added
 	order    []string
+}
+
+// stream is a section whose payload is size bytes that write produces
+// when the checkpoint is encoded.
+type stream struct {
+	size  int64
+	write func(w io.Writer) error
 }
 
 // NewCheckpoint returns an empty checkpoint.
@@ -32,6 +40,18 @@ func (c *Checkpoint) Put(name string, payload []byte) {
 		c.order = append(c.order, name)
 	}
 	c.sections[name] = payload
+}
+
+// PutStream adds a section, under a name the checkpoint does not hold
+// yet, whose size-byte payload write produces when Encode runs, so the
+// payload is never held whole. The checkpoint is then one to encode
+// once; Get and Section do not see the section.
+func (c *Checkpoint) PutStream(name string, size int64, write func(w io.Writer) error) {
+	if c.streams == nil {
+		c.streams = make(map[string]stream)
+	}
+	c.streams[name] = stream{size, write}
+	c.order = append(c.order, name)
 }
 
 // Get returns a section's payload.
@@ -57,22 +77,41 @@ func (c *Checkpoint) Sections() []string {
 
 // Encode writes the checkpoint as a framed stream.
 func (c *Checkpoint) Encode(w io.Writer) error {
-	fw, err := NewFrameWriter(w, Magic)
+	fw, err := NewCheckpointWriter(w, c.Epoch)
 	if err != nil {
 		return err
 	}
-	var meta Encoder
-	meta.U32(checkpointVersion)
-	meta.U64(c.Epoch)
-	if err := fw.WriteFrame(metaFrameName, meta.Finish()); err != nil {
-		return err
-	}
 	for _, name := range c.order {
-		if err := fw.WriteFrame(name, c.sections[name]); err != nil {
+		if s, ok := c.streams[name]; ok {
+			err = fw.WriteFrameFrom(name, s.size, s.write)
+		} else {
+			err = fw.WriteFrame(name, c.sections[name])
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return fw.Close()
+}
+
+// NewCheckpointWriter writes a checkpoint stream's magic and its meta
+// frame for epoch to w, and returns the writer of its sections; Close
+// writes the trailer. CheckpointSize is the length of what it writes.
+func NewCheckpointWriter(w io.Writer, epoch uint64) (*FrameWriter, error) {
+	fw, err := NewFrameWriter(w, Magic)
+	if err != nil {
+		return nil, err
+	}
+	var meta Encoder
+	meta.U32(checkpointVersion)
+	meta.U64(epoch)
+	return fw, fw.WriteFrame(metaFrameName, meta.Finish())
+}
+
+// CheckpointSize is the length of a checkpoint stream whose section
+// frames take sectionFrames bytes (the sum of their FrameSize).
+func CheckpointSize(sectionFrames int64) int64 {
+	return int64(len(Magic)) + FrameSize(metaFrameName, 4+8) + sectionFrames + FrameSize(endFrameName, 8)
 }
 
 // CheckpointEncoder appends a checkpoint stream — byte for byte what

@@ -44,13 +44,25 @@ func NewFrameWriter(w io.Writer, magic string) (*FrameWriter, error) {
 
 // WriteFrame appends one named frame.
 func (fw *FrameWriter) WriteFrame(name string, payload []byte) error {
+	return fw.WriteFrameFrom(name, int64(len(payload)), payloadOf(payload))
+}
+
+// WriteFrameFrom appends one named frame whose size-byte payload write
+// produces, so a payload streamed from elsewhere — a cluster member's
+// reply — goes to the underlying writer without being held whole. A
+// payload that writes other than size bytes fails the frame.
+func (fw *FrameWriter) WriteFrameFrom(name string, size int64, write func(w io.Writer) error) error {
 	if fw.closed {
 		return fmt.Errorf("persist: write to closed frame stream")
 	}
 	if len(name) == 0 || len(name) > maxNameLen {
 		return fmt.Errorf("persist: frame name length %d out of range", len(name))
 	}
-	return writeRawFrame(fw.w, name, payload, &fw.frames)
+	if err := writeFrame(fw.w, name, size, write); err != nil {
+		return err
+	}
+	fw.frames++
+	return nil
 }
 
 // Close writes the trailer frame. The underlying writer is not closed.
@@ -60,27 +72,70 @@ func (fw *FrameWriter) Close() error {
 	}
 	var count [8]byte
 	binary.LittleEndian.PutUint64(count[:], fw.frames)
-	if err := writeRawFrame(fw.w, endFrameName, count[:], new(uint64)); err != nil {
+	if err := writeRawFrame(fw.w, endFrameName, count[:]); err != nil {
 		return err
 	}
 	fw.closed = true
 	return nil
 }
 
-func writeRawFrame(w io.Writer, name string, payload []byte, count *uint64) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(name)))
-	var plen [8]byte
-	binary.LittleEndian.PutUint64(plen[:], uint64(len(payload)))
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32ChecksumFrame([]byte(name), payload))
-	for _, p := range [][]byte{hdr[:], []byte(name), plen[:], payload, tail[:]} {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
+// FrameSize is the length in a stream of a frame named name with a
+// size-byte payload.
+func FrameSize(name string, size int64) int64 { return 4 + int64(len(name)) + 8 + size + 4 }
+
+func writeRawFrame(w io.Writer, name string, payload []byte) error {
+	return writeFrame(w, name, int64(len(payload)), payloadOf(payload))
+}
+
+// payloadOf writes a payload already in hand.
+func payloadOf(b []byte) func(w io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
 	}
-	*count++
-	return nil
+}
+
+// writeFrame is the frame layout's one writer: name length, name,
+// payload length, the size-byte payload write produces, and the CRC
+// over name ‖ payload, computed as the payload's bytes pass.
+func writeFrame(w io.Writer, name string, size int64, write func(w io.Writer) error) error {
+	var head [12]byte
+	binary.LittleEndian.PutUint32(head[:4], uint32(len(name)))
+	if _, err := w.Write(head[:4]); err != nil {
+		return err
+	}
+	if _, err := io.WriteString(w, name); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(head[4:], uint64(size))
+	if _, err := w.Write(head[4:]); err != nil {
+		return err
+	}
+	cw := &crcWriter{w: w, crc: crc32.ChecksumIEEE([]byte(name))}
+	if err := write(cw); err != nil {
+		return err
+	}
+	if cw.n != size {
+		return fmt.Errorf("persist: frame %q payload is %d bytes, declared %d", name, cw.n, size)
+	}
+	binary.LittleEndian.PutUint32(head[:4], cw.crc)
+	_, err := w.Write(head[:4])
+	return err
+}
+
+// crcWriter passes writes through to w, counting them and folding them
+// into a running CRC32-IEEE.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (cw *crcWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p[:n])
+	cw.n += int64(n)
+	return n, err
 }
 
 // FrameReader consumes a framed stream.

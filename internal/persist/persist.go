@@ -49,10 +49,14 @@
 // before the next round starts. Manager.Start takes a checkpoint's
 // snapshot on the caller and persists it on one background saver:
 // build, frame, write, fsync, rename, prune, then the caller's
-// after-save hook, which reports the outcome. One save is in flight at
-// a time, and the Manager's reads (Epochs, LoadLatest, LoadSection)
-// wait for it, so status fields fed by the hook report the newest
-// completed save. The synchronous saves (SaveNext, SaveSection) run
+// after-save hook, which reports the outcome. A section need not be in
+// memory: Checkpoint.PutStream adds one whose payload of known size a
+// producer writes while the file is written — the cluster coordinator
+// streams its members' replies that way — and its frame's CRC is
+// computed as the bytes pass (FrameWriter.WriteFrameFrom). One save is
+// in flight at a time, and the Manager's reads (Epochs, LoadLatest,
+// LoadSection) wait for it, so status fields fed by the hook report the
+// newest completed save. The synchronous saves (SaveNext, SaveSection) run
 // the same saver and wait for it. A WAL whose records a checkpoint now
 // holds is cut at the Mark taken with the snapshot (WAL.Cut): records
 // appended while the checkpoint was being written survive the cut.

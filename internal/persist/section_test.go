@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -81,5 +82,48 @@ func TestLoadSectionMissing(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("missing-section error %q does not name %s", err, want)
 		}
+	}
+}
+
+// TestPutStreamEncodesAsPut: a section streamed at Encode time is framed
+// byte for byte like the same payload Put in hand, CheckpointSize is the
+// stream's length, and a stream that comes up short fails the encode.
+func TestPutStreamEncodesAsPut(t *testing.T) {
+	payload := bytes.Repeat([]byte("section"), 1000)
+	want := NewCheckpoint()
+	want.Epoch = 4
+	want.Put("a", []byte("in hand"))
+	want.Put(ControllerSection, payload)
+	var wantBuf bytes.Buffer
+	if err := want.Encode(&wantBuf); err != nil {
+		t.Fatal(err)
+	}
+
+	got := NewCheckpoint()
+	got.Epoch = 4
+	got.Put("a", []byte("in hand"))
+	got.PutStream(ControllerSection, int64(len(payload)), func(w io.Writer) error {
+		_, err := io.Copy(w, bytes.NewReader(payload))
+		return err
+	})
+	var gotBuf bytes.Buffer
+	if err := got.Encode(&gotBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+		t.Fatalf("streamed checkpoint (%d bytes) differs from the in-hand one (%d bytes)", gotBuf.Len(), wantBuf.Len())
+	}
+	frames := FrameSize("a", 7) + FrameSize(ControllerSection, int64(len(payload)))
+	if n := CheckpointSize(frames); n != int64(wantBuf.Len()) {
+		t.Fatalf("CheckpointSize = %d, want %d", n, wantBuf.Len())
+	}
+
+	short := NewCheckpoint()
+	short.PutStream(ControllerSection, int64(len(payload)), func(w io.Writer) error {
+		_, err := w.Write(payload[1:])
+		return err
+	})
+	if err := short.Encode(io.Discard); err == nil {
+		t.Fatal("a stream one byte short of its size encoded")
 	}
 }

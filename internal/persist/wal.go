@@ -94,7 +94,7 @@ func OpenWAL(path string) (*WAL, error) {
 
 // Append durably writes one record (frame write + fsync).
 func (w *WAL) Append(rec RoundRecord) error {
-	if err := writeRawFrame(w.f, walRecordFrame, rec.encode(), new(uint64)); err != nil {
+	if err := writeRawFrame(w.f, walRecordFrame, rec.encode()); err != nil {
 		return err
 	}
 	return w.f.Sync()
@@ -106,7 +106,7 @@ func (w *WAL) Append(rec RoundRecord) error {
 // gradient batches and commits this way. Names must not collide with
 // the typed "round" frame unless the payload is a RoundRecord.
 func (w *WAL) AppendRaw(name string, payload []byte) error {
-	if err := writeRawFrame(w.f, name, payload, new(uint64)); err != nil {
+	if err := writeRawFrame(w.f, name, payload); err != nil {
 		return err
 	}
 	return w.f.Sync()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/persist"
 )
@@ -11,7 +12,8 @@ import (
 // An engine snapshot is a persist.Checkpoint container: one NAMED
 // section per partition plus a meta section pinning the shard geometry
 // and carrying two opaque u64s its owner defines — a config digest and
-// a round (EncodeContainer writes it, DecodeContainer reads it). It is
+// a round (EncodeContainer writes it in place, WriteContainer from
+// streamed sections, DecodeContainer reads it). It is
 // the one snapshot format of a fedora controller at every shard count,
 // one shard included, and of a cluster coordinator. Restoring a
 // snapshot taken at a different shard count is rejected: the per-shard
@@ -44,20 +46,15 @@ var ErrRoundOpen = errors.New("shard: cannot snapshot mid-round")
 // carrying the owner's digest and round, one section per shard — named
 // by its GLOBAL index, with the payload section(i) appends for local
 // index i; size bounds the payloads' bytes — and the trailer. It is the
-// container's one writer, whether the sections stream from an engine's
-// partitions (SnapshotTo) or from cluster members.
+// in-place writer, for an engine's partitions (SnapshotTo);
+// WriteContainer writes the same bytes from sections streamed in.
 func EncodeContainer(enc *persist.Encoder, cfg Config, digest, round uint64, size int, section func(i int) error) error {
 	// Under 64 bytes of frame per shard section, the magic, meta and
 	// trailer frames included.
 	enc.Grow(64*(cfg.Shards+4) + size)
 	cp := persist.BeginCheckpoint(enc, 0)
 	cp.BeginSection(metaSection)
-	enc.U8(engineSnapshotVersion)
-	enc.U32(uint32(cfg.Shards))
-	enc.U64(cfg.NumRows)
-	enc.U32(uint32(cfg.Base))
-	enc.U64(digest)
-	enc.U64(round)
+	putMeta(enc, cfg, digest, round)
 	cp.EndSection()
 	for i := 0; i < cfg.Shards; i++ {
 		cp.BeginSection(SectionName(cfg.Base + i))
@@ -68,6 +65,57 @@ func EncodeContainer(enc *persist.Encoder, cfg Config, digest, round uint64, siz
 	}
 	cp.Close()
 	return nil
+}
+
+// WriteContainer writes to w the container EncodeContainer appends, byte
+// for byte, from sections of known size: section(i, w) writes local
+// shard i's sizes[i] bytes, and each frame's CRC is computed as they
+// pass. It is the streamed writer, for sections read from cluster
+// members' replies, so no section is held whole; ContainerSize is the
+// length of what it writes.
+func WriteContainer(w io.Writer, cfg Config, digest, round uint64, sizes []int64, section func(i int, w io.Writer) error) error {
+	if len(sizes) != cfg.Shards {
+		return fmt.Errorf("shard: %d section sizes for %d shards", len(sizes), cfg.Shards)
+	}
+	fw, err := persist.NewCheckpointWriter(w, 0)
+	if err != nil {
+		return err
+	}
+	var meta persist.Encoder
+	putMeta(&meta, cfg, digest, round)
+	if err := fw.WriteFrame(metaSection, meta.Finish()); err != nil {
+		return err
+	}
+	for i, size := range sizes {
+		if err := fw.WriteFrameFrom(SectionName(cfg.Base+i), size, func(w io.Writer) error { return section(i, w) }); err != nil {
+			return fmt.Errorf("shard %d: %w", cfg.Base+i, err)
+		}
+	}
+	return fw.Close()
+}
+
+// ContainerSize is the length of the container for the geometry in cfg
+// whose shard sections are sizes bytes long.
+func ContainerSize(cfg Config, sizes []int64) int64 {
+	frames := persist.FrameSize(metaSection, metaSize)
+	for i, size := range sizes {
+		frames += persist.FrameSize(SectionName(cfg.Base+i), size)
+	}
+	return persist.CheckpointSize(frames)
+}
+
+// metaSize is the length of the meta section putMeta writes.
+const metaSize = 1 + 4 + 8 + 4 + 8 + 8
+
+// putMeta appends the meta section's payload: the version, the
+// geometry in cfg, and the owner's digest and round.
+func putMeta(enc *persist.Encoder, cfg Config, digest, round uint64) {
+	enc.U8(engineSnapshotVersion)
+	enc.U32(uint32(cfg.Shards))
+	enc.U64(cfg.NumRows)
+	enc.U32(uint32(cfg.Base))
+	enc.U64(digest)
+	enc.U64(round)
 }
 
 // DecodeContainer is EncodeContainer's one reader: it parses an engine

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -159,5 +161,61 @@ func TestContainerMeta(t *testing.T) {
 	}
 	if _, _, err := DecodeContainer(v2, e.cfg, testDigest); err == nil || !strings.Contains(err.Error(), "retired version-2") {
 		t.Errorf("version-2 meta error = %v, want the retired-version refusal", err)
+	}
+}
+
+// TestWriteContainerMatchesEncodeContainer: the container streamed from
+// sections of known size is the engine's in-place container byte for
+// byte, and ContainerSize is its length — at one, two and three shards,
+// and with an empty section.
+func TestWriteContainerMatchesEncodeContainer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		states [][]byte
+	}{
+		{"1shard", [][]byte{[]byte("only")}},
+		{"2shards", [][]byte{[]byte("first"), bytes.Repeat([]byte{7}, 1000)}},
+		{"3shards", [][]byte{{1}, []byte("second"), []byte("third shard")}},
+		{"empty-section", [][]byte{[]byte("a"), nil, []byte("c")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, fakes := newFakeEngine(t, 100, len(tc.states), 0)
+			sizes := make([]int64, len(tc.states))
+			for i, state := range tc.states {
+				fakes[i].state = state
+				sizes[i] = int64(len(state))
+			}
+			want, err := snapshot(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			err = WriteContainer(&got, e.cfg, testDigest, testRound, sizes, func(i int, w io.Writer) error {
+				_, err := w.Write(tc.states[i])
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("streamed container (%d bytes) differs from the in-place one (%d bytes)", got.Len(), len(want))
+			}
+			if n := ContainerSize(e.cfg, sizes); n != int64(len(want)) {
+				t.Fatalf("ContainerSize = %d, want %d", n, len(want))
+			}
+		})
+	}
+}
+
+// TestWriteContainerShortSection: a section that writes fewer bytes than
+// its declared size fails the container, naming the shard.
+func TestWriteContainerShortSection(t *testing.T) {
+	e, _ := newFakeEngine(t, 100, 2, 0)
+	err := WriteContainer(io.Discard, e.cfg, testDigest, testRound, []int64{3, 4}, func(i int, w io.Writer) error {
+		_, err := w.Write([]byte("abc")[:3-i])
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("short section error = %v, want one naming shard 1", err)
 	}
 }
