@@ -66,14 +66,11 @@ func main() {
 		memberTimeout = flag.Duration("member-timeout", 30*time.Second, "per-attempt timeout on member calls")
 		memberRetries = flag.Int("member-retries", 2, "retries per member call before the node is fenced")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "durable state directory: round WAL, cluster checkpoints, coordinator epoch; feeds crash recovery, join-time shard migration and standby failover")
+		ckptDir   = flag.String("checkpoint-dir", "", "durable state directory: round WAL, cluster checkpoints, coordinator epoch; feeds crash recovery, join-time shard migration and failover to a second instance over the same directory")
 		ckptEvery = flag.Int("checkpoint-every", 0, "with -checkpoint-dir: checkpoint every N healthy rounds, auto-migrate after degraded rounds, and reset the round WAL (0 = every round)")
 
-		standby       = flag.Bool("standby", false, "start as a hot standby: tail -peer and promote after -lease of missed heartbeats (requires -peer and -checkpoint-dir)")
-		peerURL       = flag.String("peer", "", "the other coordinator instance's URL (the primary to tail when -standby, the standby to hint at otherwise)")
+		peerURL       = flag.String("peer", "", "the other coordinator instance's URL (served as leader_hint while this instance is standby)")
 		selfURL       = flag.String("self", "", "this instance's advertised URL (served as leader_hint and on /cluster/leader)")
-		beatEvery     = flag.Duration("heartbeat-every", 500*time.Millisecond, "standby heartbeat period against -peer")
-		lease         = flag.Duration("lease", 2*time.Second, "missed-heartbeat budget before a standby promotes itself")
 		roundDeadline = flag.Duration("round-deadline", 0, "finish rounds with partial gradients after this long (0 = no deadline)")
 		maxInflight   = flag.Int("max-inflight", 0, "bound concurrent round operations; excess requests are shed with 503 + Retry-After (0 = unbounded)")
 		uploadCodec   = flag.String("upload-codec", "", "upload-plane policy: require this wire codec on gradient uploads (plaintext | masked | masked-sparse | subspace); a masked policy also rejects plain gradient frames (\"\" = accept anything)")
@@ -119,10 +116,6 @@ func main() {
 		ProbeInterval: *probeEvery,
 	}
 
-	if *standby && (*peerURL == "" || *ckptDir == "") {
-		log.Fatal("fedora-coordinator: -standby requires -peer and -checkpoint-dir")
-	}
-
 	var mgr *persist.Manager
 	if *ckptDir != "" {
 		if mgr, err = persist.OpenManager(*ckptDir); err != nil {
@@ -137,34 +130,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// With a durable directory the HA state machine owns startup: a
-	// primary claims the next coordinator epoch, fences the members with
-	// it, restores the newest checkpoint and replays the round WAL before
-	// serving; a standby tails -peer and does all of that only when it
-	// promotes. Without one, this is the original best-effort coordinator.
+	// With a durable directory, leadership owns startup: the instance
+	// that takes the directory's leader lock claims the next coordinator
+	// epoch, fences the members with it, restores the newest checkpoint
+	// and replays the round WAL before serving; any other stands by and
+	// does all of that once the lock is free. Without one, this is the
+	// original best-effort coordinator.
 	var ha *cluster.HA
 	if mgr != nil {
-		ha, err = cluster.NewHA(cluster.HAConfig{
-			Coordinator:    co,
-			SelfURL:        *selfURL,
-			PeerURL:        *peerURL,
-			Standby:        *standby,
-			HeartbeatEvery: *beatEvery,
-			Lease:          *lease,
-			Client: client.Config{
-				Timeout: *memberTimeout,
-			},
-		})
+		ha, err = cluster.NewHA(cluster.HAConfig{Coordinator: co, SelfURL: *selfURL, PeerURL: *peerURL})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := ha.Start(); err != nil {
 			log.Fatal(err)
 		}
-		if *standby {
-			fmt.Printf("fedora-coordinator: standby tailing %s (lease %s)\n", *peerURL, *lease)
-		} else {
+		if ha.Role() == "primary" {
 			fmt.Printf("fedora-coordinator: primary at coordinator epoch %d (round %d)\n", co.Epoch(), co.Round())
+		} else {
+			fmt.Printf("fedora-coordinator: standby, the leader lock in %s is held (leader hint %s)\n", mgr.Dir(), *peerURL)
 		}
 	} else {
 		co.StartProbes()

@@ -68,16 +68,16 @@ type ClusterJoinRequest struct {
 
 // ClusterLeaderResponse is the GET /cluster/leader wire shape: which
 // role this coordinator instance currently plays and under which epoch.
-// A standby tails its peer with this call (it doubles as the
-// heartbeat), the operator CLI prints it, and the SDK's failover can
-// follow LeaderURL when a standby answers not_leader.
+// The operator CLI prints it, and the SDK's failover can follow
+// LeaderURL when a standby answers not_leader.
 type ClusterLeaderResponse struct {
-	// Role is "primary" (serving rounds) or "standby" (tailing the
-	// primary, ready to promote).
+	// Role is "primary" (holding the leader lock, serving rounds) or
+	// "standby" (waiting for the lock, ready to promote).
 	Role string `json:"role"`
 	// Epoch is the instance's coordinator epoch — the fencing token its
-	// member-facing calls carry. A standby reports the epoch it will
-	// EXCEED when it promotes.
+	// member-facing calls carry. A standby reports the directory's
+	// epoch, the one the leader claimed; it claims a higher one when it
+	// promotes.
 	Epoch uint64 `json:"epoch"`
 	// LeaderURL is the best-known leader endpoint: the instance's own
 	// advertised URL when primary, its peer's when standby.

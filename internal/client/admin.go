@@ -178,9 +178,8 @@ func (c *Client) ClusterStatus(ctx context.Context) (api.ClusterStatusResponse, 
 }
 
 // ClusterLeader asks a coordinator instance which role it plays and
-// under which epoch. Standbys use it as the heartbeat against their
-// peer; the operator CLI prints it; it is also the cheapest way for a
-// trainer to learn where the current leader is.
+// under which epoch. The operator CLI prints it; it is also the
+// cheapest way for a trainer to learn where the current leader is.
 func (c *Client) ClusterLeader(ctx context.Context) (api.ClusterLeaderResponse, error) {
 	var out api.ClusterLeaderResponse
 	err := c.do(ctx, http.MethodGet, "/cluster/leader", nil, &out)

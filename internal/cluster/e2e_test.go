@@ -34,16 +34,22 @@ const (
 	e2eDim  = 4
 )
 
-// freePort reserves an ephemeral localhost port and releases it for the
-// child process to bind. (The tiny reuse race is acceptable in a test.)
-func freePort(t *testing.T) int {
+// freePorts reserves n distinct ephemeral localhost ports and releases
+// them for child processes to bind. Every listener stays open until all
+// n are drawn, so no two draws return the same port. (Another process
+// taking one before the child binds it is a race a test accepts.)
+func freePorts(t *testing.T, n int) []int {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	ports := make([]int, n)
+	for i := range ports {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ports[i] = l.Addr().(*net.TCPAddr).Port
 	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port
+	return ports
 }
 
 // startProc launches a built binary and registers cleanup that kills it.
@@ -104,7 +110,7 @@ func TestClusterProcessesParityAndNodeKill(t *testing.T) {
 		"-rows", fmt.Sprint(e2eRows), "-dim", fmt.Sprint(e2eDim),
 		"-eps", "1", "-seed", "1", "-shards", "2",
 	}
-	ports := []int{freePort(t), freePort(t), freePort(t)}
+	ports := freePorts(t, 3)
 	memberURL := func(i int) string { return fmt.Sprintf("http://127.0.0.1:%d", ports[i]) }
 
 	m0 := startProc(t, filepath.Join(bindir, "fedora-server"), append([]string{

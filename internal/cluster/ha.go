@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,43 +13,47 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/client"
 	"repro/internal/persist"
 )
 
 // High availability: a primary/standby coordinator pair sharing one
-// checkpoint directory (and the round WAL inside it).
+// checkpoint directory (and the round WAL inside it). Leadership is an
+// exclusive flock on leaderLockName there, held until Stop or process
+// death; the kernel drops it when the process dies, SIGKILL included.
 //
-//   - The PRIMARY serves the full v2 surface. On start it claims the
-//     next coordinator epoch (persisted in the directory), fences every
-//     member with it, and recovers checkpoint+WAL state.
-//   - The STANDBY serves only read-only discovery routes (everything
-//     else answers 409 not_leader with a leader_hint) and heartbeats
-//     the primary's GET /cluster/leader. After a lease of missed
-//     heartbeats it PROMOTES: claims an epoch strictly above both the
-//     persisted one and the highest it ever saw the primary advertise,
-//     restores the newest valid cluster checkpoint onto the members
-//     (wiping any round the dead primary left torn), replays the WAL's
-//     committed rounds, and starts serving.
+//   - The PRIMARY holds the lock and serves the full v2 surface. On
+//     taking it, it claims the next coordinator epoch (persisted in the
+//     directory), fences every member with it, restores the newest
+//     valid cluster checkpoint (wiping any round a dead primary left
+//     torn), replays the WAL's committed rounds, and starts serving. A
+//     promotion that fails drops the lock again.
+//   - A STANDBY serves only read-only discovery routes (everything else
+//     answers 409 not_leader with a leader_hint at its peer) and tries
+//     the lock every standbyRetry.
 //
-// Split-brain is prevented by the members, not by the pair agreeing:
-// promotion fences every member at the new epoch, so a revived old
-// primary — which still carries the old epoch — gets stale_epoch on
-// every write and stands down (Coordinator.Deposed). Two instances can
-// transiently both believe they are primary; only one epoch can win
-// any member, and claimEpoch serializes the read-increment-write of
-// the epoch file under an flock'd lock file, so two racing claimants
-// (a restarting primary and a promoting standby) can never both claim
-// the same epoch and split a member's fence between them.
+// No clock decides a failover: a slow or partitioned primary is never
+// replaced while it lives, and a restarted old primary waits as
+// standby. The price is that a primary alive but stuck does not fail
+// over until it is killed.
+//
+// Epoch fencing stays as defence in depth, should two instances ever
+// both lead: every member latches the newest epoch, so the older
+// primary gets stale_epoch on every write and stands down
+// (Coordinator.Deposed), and claimEpoch serializes claims so no two
+// can claim the same epoch and split a member's fence between them.
 
 // epochFileName is the coordinator-epoch file inside the checkpoint
 // directory. Decimal text, written atomically (temp file + rename).
 // epochLockName is the flock'd lock file that serializes epoch claims
 // across processes (the rename only makes individual writes atomic; it
 // cannot order two concurrent read-increment-write sequences).
+// leaderLockName is the file whose flock is leadership; the leader
+// holds it for its lifetime, so it cannot be epochLockName, which its
+// own claims and guarded renames take.
 const (
-	epochFileName = "coordinator.epoch"
-	epochLockName = "coordinator.epoch.lock"
+	epochFileName  = "coordinator.epoch"
+	epochLockName  = "coordinator.epoch.lock"
+	leaderLockName = "coordinator.leader.lock"
 )
 
 // readEpochFile returns the persisted coordinator epoch (0 when the
@@ -110,6 +113,9 @@ func claimEpoch(dir string, floor uint64) (uint64, error) {
 	return next, nil
 }
 
+// standbyRetry is how often a standby tries the leader lock.
+const standbyRetry = 100 * time.Millisecond
+
 // HAConfig parameterizes an HA instance wrapping a Coordinator.
 type HAConfig struct {
 	// Coordinator is the instance to run; it must have been built with
@@ -118,58 +124,34 @@ type HAConfig struct {
 	// SelfURL is this instance's advertised URL (the leader_hint a
 	// primary serves).
 	SelfURL string
-	// PeerURL is the other instance's URL: the primary to tail when
-	// Standby, the standby to hint at otherwise. Required when Standby.
+	// PeerURL is the other instance's URL: the leader_hint a standby
+	// serves.
 	PeerURL string
-	// Standby starts the instance tailing PeerURL instead of serving.
-	Standby bool
-	// HeartbeatEvery is the standby's probe period (0 = 500ms).
-	HeartbeatEvery time.Duration
-	// Lease is how long the primary may go unheard before the standby
-	// promotes (0 = 2s). It must comfortably exceed HeartbeatEvery plus
-	// the primary's worst-case pause; too short risks a spurious — but
-	// safe, thanks to epoch fencing — takeover.
-	Lease time.Duration
-	// Client is the SDK template for the heartbeat connection (BaseURL
-	// is overridden with PeerURL; retries are forced off so one missed
-	// beat costs one period, not a retry budget).
-	Client client.Config
 }
 
-// HA runs the failover state machine around a Coordinator.
+// HA runs leadership around a Coordinator.
 type HA struct {
 	cfg HAConfig
 	co  *Coordinator
 
-	mu        sync.Mutex
-	role      string // "primary" or "standby"
-	peerEpoch uint64 // highest epoch the peer ever advertised
-	lastBeat  time.Time
-	lastErr   string
+	mu     sync.Mutex
+	role   string // "primary" or "standby"
+	unlock func() // drops the leader lock; nil unless held
 
-	promoted chan struct{} // closed when a standby becomes primary
+	promoted chan struct{} // closed when this instance becomes primary
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
 }
 
-// NewHA validates the config and builds the state machine (Start
-// actually claims a role).
+// NewHA validates the config and builds the instance (Start takes a
+// role).
 func NewHA(cfg HAConfig) (*HA, error) {
 	if cfg.Coordinator == nil {
 		return nil, errors.New("cluster: HA requires a Coordinator")
 	}
 	if cfg.Coordinator.mgr == nil {
 		return nil, errors.New("cluster: HA requires the coordinator to be built with a checkpoint Manager")
-	}
-	if cfg.Standby && cfg.PeerURL == "" {
-		return nil, errors.New("cluster: standby requires the primary's URL (-peer)")
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if cfg.Lease <= 0 {
-		cfg.Lease = 2 * time.Second
 	}
 	return &HA{
 		cfg:      cfg,
@@ -181,35 +163,40 @@ func NewHA(cfg HAConfig) (*HA, error) {
 	}, nil
 }
 
-// Start claims the configured role. A primary fences, recovers and
-// serves before Start returns; a standby returns immediately with the
-// heartbeat loop running.
+// Start tries the leader lock once. With the lock, the instance fences,
+// recovers and serves before Start returns; a promotion that fails
+// drops the lock and is returned. Without it, Start returns at once and
+// the instance stands by, retrying the lock every standbyRetry.
 func (h *HA) Start() error {
-	if !h.cfg.Standby {
-		if err := h.becomePrimary(); err != nil {
-			return err
-		}
+	led, err := h.lead()
+	if err != nil || led {
 		close(h.done) // no background loop to wait for
-		return nil
+		return err
 	}
-	cc := h.cfg.Client
-	cc.BaseURL = strings.TrimRight(h.cfg.PeerURL, "/")
-	cc.MaxRetries = 0
-	peer, err := client.New(cc)
-	if err != nil {
-		return fmt.Errorf("cluster: standby peer client: %w", err)
-	}
-	go h.heartbeatLoop(peer)
+	go h.retryLock()
 	return nil
 }
 
-// Stop halts a standby's heartbeat loop (no-op once promoted or for a
-// primary) and waits for the coordinator's checkpoint save in flight.
-// Safe to call concurrently and repeatedly.
+// Stop ends a standby's retries, waits for the coordinator's checkpoint
+// save in flight, and then drops the leader lock if held. Safe to call
+// concurrently and repeatedly.
 func (h *HA) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 	<-h.done
 	h.co.WaitSaved()
+	h.release()
+}
+
+// release drops the leader lock, as the kernel does when the process
+// dies. A no-op while standing by or once released.
+func (h *HA) release() {
+	h.mu.Lock()
+	unlock := h.unlock
+	h.unlock = nil
+	h.mu.Unlock()
+	if unlock != nil {
+		unlock()
+	}
 }
 
 // Role reports "primary" or "standby".
@@ -219,21 +206,38 @@ func (h *HA) Role() string {
 	return h.role
 }
 
-// Promoted is closed when a standby finishes promoting (tests and
-// operators wait on it; a configured primary closes it at Start).
+// Promoted is closed once this instance leads: at Start when the lock
+// was free, or when a standby promotes (tests and operators wait on it).
 func (h *HA) Promoted() <-chan struct{} { return h.promoted }
 
-// becomePrimary claims the next epoch, fences the members with it,
-// recovers checkpoint+WAL state and starts probes. Used both by a
-// configured primary at Start and by a promoting standby.
-func (h *HA) becomePrimary() error {
-	h.mu.Lock()
-	floor := h.peerEpoch
-	h.mu.Unlock()
-	if own := h.co.Epoch(); own > floor {
-		floor = own
+// lead takes the leader lock without waiting and, holding it, becomes
+// primary. It reports false and no error while another instance holds
+// the lock. A promotion that fails releases the lock, so no instance
+// claims an epoch while another leads.
+func (h *HA) lead() (bool, error) {
+	unlock, err := persist.TryLockFile(filepath.Join(h.co.mgr.Dir(), leaderLockName))
+	if errors.Is(err, persist.ErrLocked) {
+		return false, nil
 	}
-	epoch, err := claimEpoch(h.co.mgr.Dir(), floor)
+	if err != nil {
+		return false, fmt.Errorf("cluster: leader lock: %w", err)
+	}
+	if err := h.becomePrimary(); err != nil {
+		unlock()
+		return false, err
+	}
+	h.mu.Lock()
+	h.role, h.unlock = "primary", unlock
+	h.mu.Unlock()
+	close(h.promoted)
+	return true, nil
+}
+
+// becomePrimary claims the next epoch, fences the members with it,
+// recovers checkpoint+WAL state and starts probes. The caller holds the
+// leader lock.
+func (h *HA) becomePrimary() error {
+	epoch, err := claimEpoch(h.co.mgr.Dir(), h.co.Epoch())
 	if err != nil {
 		return err
 	}
@@ -253,20 +257,16 @@ func (h *HA) becomePrimary() error {
 		}
 	}
 	h.co.StartProbes()
-	h.mu.Lock()
-	h.role = "primary"
-	h.lastErr = ""
-	h.mu.Unlock()
 	return nil
 }
 
-// heartbeatLoop tails the primary and promotes after a missed lease.
-func (h *HA) heartbeatLoop(peer *client.Client) {
+// retryLock tries the leader lock every standbyRetry until this
+// instance leads or Stop is called. After a failed promotion the next
+// try claims a fresh epoch: epochs are cheap, reuse is what is
+// forbidden.
+func (h *HA) retryLock() {
 	defer close(h.done)
-	h.mu.Lock()
-	h.lastBeat = time.Now() // grant a full lease before the first verdict
-	h.mu.Unlock()
-	t := time.NewTicker(h.cfg.HeartbeatEvery)
+	t := time.NewTicker(standbyRetry)
 	defer t.Stop()
 	for {
 		select {
@@ -274,61 +274,28 @@ func (h *HA) heartbeatLoop(peer *client.Client) {
 			return
 		case <-t.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), h.cfg.HeartbeatEvery)
-		lr, err := peer.ClusterLeader(ctx)
-		cancel()
-		h.mu.Lock()
-		if err == nil {
-			h.lastBeat = time.Now()
-			if lr.Epoch > h.peerEpoch {
-				h.peerEpoch = lr.Epoch
-			}
-			h.lastErr = ""
-			h.mu.Unlock()
-			continue
+		// A failed try is retried on the next tick; nothing reads its error.
+		if led, _ := h.lead(); led {
+			return
 		}
-		h.lastErr = err.Error()
-		expired := time.Since(h.lastBeat) > h.cfg.Lease
-		h.mu.Unlock()
-		if !expired {
-			continue
-		}
-		if err := h.becomePrimary(); err != nil {
-			// Promotion failed (members unreachable, checkpoint unreadable
-			// …): stay standby and retry after the next missed beat. The
-			// epoch file already advanced, which is safe — epochs are
-			// cheap, reuse is what is forbidden.
-			h.mu.Lock()
-			h.lastErr = fmt.Sprintf("promotion failed: %s", err)
-			h.mu.Unlock()
-			continue
-		}
-		close(h.promoted)
-		return
 	}
 }
 
 // Leader builds the GET /cluster/leader reply.
 func (h *HA) Leader() api.ClusterLeaderResponse {
-	h.mu.Lock()
-	role := h.role
-	h.mu.Unlock()
 	resp := api.ClusterLeaderResponse{
-		Role:  role,
+		Role:  h.Role(),
 		Epoch: h.co.Epoch(),
 		Round: h.co.Round(),
 	}
-	if role == "primary" {
+	if resp.Role == "primary" {
 		resp.LeaderURL = h.cfg.SelfURL
-	} else {
-		resp.LeaderURL = strings.TrimRight(h.cfg.PeerURL, "/")
-		// A standby's working epoch is the one it will EXCEED when it
-		// promotes: the highest the primary has advertised.
-		h.mu.Lock()
-		if h.peerEpoch > resp.Epoch {
-			resp.Epoch = h.peerEpoch
-		}
-		h.mu.Unlock()
+		return resp
+	}
+	resp.LeaderURL = strings.TrimRight(h.cfg.PeerURL, "/")
+	// A standby's epoch is the directory's: the one the leader claimed.
+	if e, err := readEpochFile(h.co.mgr.Dir()); err == nil {
+		resp.Epoch = e
 	}
 	return resp
 }

@@ -3,8 +3,8 @@ package cluster_test
 // HA capstone over REAL processes: two member fedora-servers, a durable
 // primary coordinator and a hot standby sharing one checkpoint
 // directory. The primary is SIGKILLed MID-ROUND (gradients delivered,
-// finish never issued); the standby must promote within its lease,
-// discard the torn round, replay the WAL's committed rounds, and serve
+// finish never issued); the standby must promote once the kernel drops
+// the dead primary's leader lock, discard the torn round, replay the WAL's committed rounds, and serve
 // a model bit-identical to an uninterrupted in-process run — while the
 // client SDK fails over to it on its own. Afterwards both members must
 // reject the dead primary's epoch. `make check` runs this under
@@ -48,7 +48,7 @@ func TestHAFailoverProcessesParity(t *testing.T) {
 		"-rows", fmt.Sprint(e2eRows), "-dim", fmt.Sprint(e2eDim),
 		"-eps", "1", "-seed", "1", "-shards", "2",
 	}
-	ports := []int{freePort(t), freePort(t), freePort(t), freePort(t)}
+	ports := freePorts(t, 4)
 	url := func(i int) string { return fmt.Sprintf("http://127.0.0.1:%d", ports[i]) }
 	ckptDir := t.TempDir()
 
@@ -86,8 +86,7 @@ func TestHAFailoverProcessesParity(t *testing.T) {
 		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[3]),
 		"-members", members, "-probe-every", "200ms",
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "100",
-		"-standby", "-peer", url(2), "-self", url(3),
-		"-heartbeat-every", "100ms", "-lease", "500ms"}, common...)...)
+		"-peer", url(2), "-self", url(3)}, common...)...)
 	waitReady(t, newClient(url(3))) // /v2/status is a standby-allowed route
 
 	// The failover SDK knows both coordinators; it must find the leader

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -74,7 +75,9 @@ func haCoordinator(t *testing.T, nodes []NodeSpec, dir string, every int) *Coord
 	return co
 }
 
-// startHA wraps the coordinator in a primary HA instance and starts it.
+// startHA wraps the coordinator in an HA instance and starts it; it
+// leads when the directory's leader lock is free. The lock is released
+// when the test ends.
 func startHA(t *testing.T, co *Coordinator) *HA {
 	t.Helper()
 	ha, err := NewHA(HAConfig{Coordinator: co})
@@ -84,6 +87,7 @@ func startHA(t *testing.T, co *Coordinator) *HA {
 	if err := ha.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ha.release)
 	return ha
 }
 
@@ -230,14 +234,16 @@ func TestClaimEpochConcurrent(t *testing.T) {
 // channel open and the second close panic.
 func TestHAStopConcurrent(t *testing.T) {
 	nodes := haMembers(t)
-	co := haCoordinator(t, nodes, t.TempDir(), 0)
+	dir := t.TempDir()
+	co := haCoordinator(t, nodes, dir, 0)
+	unlock, err := persist.TryLockFile(filepath.Join(dir, leaderLockName)) // keeps the instance standby
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unlock()
 	ha, err := NewHA(HAConfig{
-		Coordinator:    co,
-		PeerURL:        "http://127.0.0.1:1", // dead peer; lease far beyond the test
-		Standby:        true,
-		HeartbeatEvery: 10 * time.Millisecond,
-		Lease:          time.Hour,
-		Client:         testClientConfig(),
+		Coordinator: co,
+		PeerURL:     "http://127.0.0.1:1", // dead peer
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,13 +298,14 @@ func TestHAPrimaryWALReplayParity(t *testing.T) {
 			// First incarnation: checkpoint cadence far beyond the run, so every
 			// round must come back from the WAL, not a checkpoint.
 			co1 := haCoordinator(t, nodes, dir, 100)
-			startHA(t, co1)
+			ha1 := startHA(t, co1)
 			if got := co1.Epoch(); got != 1 {
 				t.Fatalf("first incarnation epoch = %d, want 1", got)
 			}
 			driveHARounds(t, co1, tc.kind, rand.New(rand.NewSource(5)), 3)
 			want := haPeeks(t, co1)
 			co1.StopProbes() // the "crash": co1 stops driving the members
+			ha1.release()    // and the kernel drops its leader lock
 
 			// Second incarnation over the same directory and members.
 			co2 := haCoordinator(t, nodes, dir, 100)
@@ -343,7 +350,7 @@ func TestStalePrimaryFencedNoDoubleApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
 	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
-	startHA(t, co1)
+	ha1 := startHA(t, co1)
 	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 
 	// Round 3 goes half-open: gradients land on the members, but the
@@ -369,6 +376,7 @@ func TestStalePrimaryFencedNoDoubleApply(t *testing.T) {
 		}
 	}
 	co1.StopProbes()
+	ha1.release()
 
 	// Takeover: the successor restores the round-2 checkpoint (wiping the
 	// torn round member-side) and fences everyone at epoch 2.
@@ -433,7 +441,7 @@ func TestDeposedUnmaskIsStaleEpoch(t *testing.T) {
 	nodes := haMembers(t)
 	dir := t.TempDir()
 	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
-	startHA(t, co1)
+	ha1 := startHA(t, co1)
 	driveHARounds(t, co1, api.FrameGradients, rand.New(rand.NewSource(5)), 1)
 	old := httptest.NewServer(api.NewServerFor(co1).Handler())
 	t.Cleanup(old.Close)
@@ -470,6 +478,7 @@ func TestDeposedUnmaskIsStaleEpoch(t *testing.T) {
 		}
 	}
 	co1.StopProbes()
+	ha1.release()
 
 	// Takeover: the successor fences every member at epoch 2.
 	co2 := haCoordinator(t, nodes, dir, 0)
@@ -538,7 +547,7 @@ func TestHARecoveryAfterDegradedRoundNoDoubleApply(t *testing.T) {
 			// Checkpoint cadence far beyond the run: everything after the
 			// bootstrap checkpoint must come back from the WAL.
 			co1 := haCoordinator(t, nodes, dir, 100)
-			startHA(t, co1)
+			ha1 := startHA(t, co1)
 			driveHARounds(t, co1, tc.kind, rng, 1)
 
 			// Round 2 degrades mid-round: begin lands on both members, then m1
@@ -573,6 +582,7 @@ func TestHARecoveryAfterDegradedRoundNoDoubleApply(t *testing.T) {
 				t.Fatalf("degraded round must still commit over the survivor: %v", err)
 			}
 			co1.StopProbes() // the crash (m1 still failing, so no migration raced in)
+			ha1.release()
 
 			// Pre-crash truth, member by member: m0 through the coordinator, m1
 			// straight from its controller (it is fenced coordinator-side). m1's
@@ -679,11 +689,12 @@ func TestPromotionSkipsCorruptNewestCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
 	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
-	startHA(t, co1)
+	ha1 := startHA(t, co1)
 	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 	want := haPeeks(t, co1) // post-round-2 state = checkpoint epoch 3
 	driveHARounds(t, co1, api.FrameGradients, rng, 1)
 	co1.StopProbes()
+	ha1.release()
 
 	// Corrupt the newest checkpoint (epoch 4 = post-round-3) in place.
 	epochs, err := co1.mgr.Epochs()
@@ -731,9 +742,9 @@ func serveHAInstance(t *testing.T, co *Coordinator) (*httptest.Server, *atomic.P
 }
 
 // TestStandbyPromotesOnLeaseExpiry runs the full failover story in
-// process: a standby tails the primary, serves only discovery routes
-// (with a leader_hint) meanwhile, stays standby as long as heartbeats
-// arrive, and after the primary dies promotes within the lease — same
+// process: a standby serves only discovery routes (with a leader_hint)
+// while the primary holds the leader lock, stays standby as long as it
+// does, and once the dead primary's lock is dropped promotes — same
 // model state, one epoch higher — while the SDK fails over to it.
 func TestStandbyPromotesOnLeaseExpiry(t *testing.T) {
 	nodes := haMembers(t)
@@ -756,13 +767,9 @@ func TestStandbyPromotesOnLeaseExpiry(t *testing.T) {
 	co2 := haCoordinator(t, nodes, dir, 0)
 	srv2, slot2 := serveHAInstance(t, co2)
 	ha2, err := NewHA(HAConfig{
-		Coordinator:    co2,
-		SelfURL:        srv2.URL,
-		PeerURL:        srv1.URL,
-		Standby:        true,
-		HeartbeatEvery: 50 * time.Millisecond,
-		Lease:          250 * time.Millisecond,
-		Client:         testClientConfig(),
+		Coordinator: co2,
+		SelfURL:     srv2.URL,
+		PeerURL:     srv1.URL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -806,14 +813,15 @@ func TestStandbyPromotesOnLeaseExpiry(t *testing.T) {
 	if ld.Role != "standby" || ld.LeaderURL != srv1.URL {
 		t.Fatalf("standby /cluster/leader = %+v", ld)
 	}
-	time.Sleep(300 * time.Millisecond) // several heartbeats
+	time.Sleep(300 * time.Millisecond) // several lock retries
 	if got := ha2.Role(); got != "standby" {
 		t.Fatalf("standby promoted under a live primary (role %s)", got)
 	}
 
-	// Kill the primary. The standby must promote within the lease.
+	// Kill the primary, which drops its lock. The standby must promote.
 	srv1.Close()
 	co1.StopProbes()
+	ha1.release()
 	select {
 	case <-ha2.Promoted():
 	case <-time.After(10 * time.Second):
@@ -852,5 +860,114 @@ func TestStandbyPromotesOnLeaseExpiry(t *testing.T) {
 	driveHARounds(t, co2, api.FrameGradients, rng, 1)
 	if got := co2.Round(); got != 3 {
 		t.Fatalf("promoted round after training = %d, want 3", got)
+	}
+}
+
+// TestStandbyNeverPromotesUnderLivePrimary: a standby that cannot reach
+// its peer at all stays standby while the primary lives, however long
+// that is — no clock decides a failover — so it never claims an epoch
+// above the live primary's, and the primary's checkpoint renames and
+// WAL cuts go on.
+func TestStandbyNeverPromotesUnderLivePrimary(t *testing.T) {
+	nodes := haMembers(t)
+	dir := t.TempDir()
+	co1 := haCoordinator(t, nodes, dir, 0) // checkpoint every round
+	startHA(t, co1)
+
+	co2 := haCoordinator(t, nodes, dir, 0)
+	ha2, err := NewHA(HAConfig{Coordinator: co2, PeerURL: "http://127.0.0.1:1"}) // unreachable
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ha2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ha2.Stop)
+
+	time.Sleep(3 * time.Second) // 30 lock retries while the primary lives
+	if got := ha2.Role(); got != "standby" {
+		t.Fatalf("standby promoted under a live primary (role %s)", got)
+	}
+	if got, err := readEpochFile(dir); err != nil || got != 1 {
+		t.Fatalf("coordinator.epoch = %d (err %v), want the live primary's 1", got, err)
+	}
+	driveHARounds(t, co1, api.FrameGradients, rand.New(rand.NewSource(5)), 1)
+	if st := clusterStatus(t, co1); st.LastCheckpointRound != 1 || st.LastCheckpointError != "" {
+		t.Fatalf("primary after a cadence round: checkpoint round %d, error %q; want 1 and none",
+			st.LastCheckpointRound, st.LastCheckpointError)
+	}
+}
+
+// TestFailedPromotionReleasesLock: a standby that takes the leader lock
+// and then fails to promote — every member is gone, so the checkpoint
+// restore fails after the epoch claim — gives the lock up again and
+// stays standby, so an instance that can lead is free to.
+func TestFailedPromotionReleasesLock(t *testing.T) {
+	global := haGlobal()
+	m0, _ := startMember(t, global, 0, 1)
+	m1, _ := startMember(t, global, 1, 1)
+	nodes := []NodeSpec{{URL: m0.URL, First: 0, Count: 1}, {URL: m1.URL, First: 1, Count: 1}}
+	dir := t.TempDir()
+	co1 := haCoordinator(t, nodes, dir, 0)
+	ha1 := startHA(t, co1)
+
+	co2 := haCoordinator(t, nodes, dir, 0)
+	ha2, err := NewHA(HAConfig{Coordinator: co2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ha2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ha2.Stop)
+	if got := ha2.Role(); got != "standby" {
+		t.Fatalf("second instance role = %s while the first leads, want standby", got)
+	}
+
+	m0.Close()
+	m1.Close()
+	co1.StopProbes()
+	ha1.release()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if e, err := readEpochFile(dir); err == nil && e >= 2 {
+			break // the standby held the lock and claimed an epoch
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never claimed an epoch after the leader lock was released")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var unlock func()
+	for {
+		if unlock, err = persist.TryLockFile(filepath.Join(dir, leaderLockName)); err == nil {
+			break
+		}
+		if !errors.Is(err, persist.ErrLocked) {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the leader lock stayed held after a failed promotion")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer unlock()
+	if got := ha2.Role(); got != "standby" {
+		t.Fatalf("role after a failed promotion = %s, want standby", got)
+	}
+}
+
+// TestPromotedClosedWhenStartLeads: Promoted() is closed once the
+// instance leads, also when it took the lock at Start.
+func TestPromotedClosedWhenStartLeads(t *testing.T) {
+	ha := startHA(t, haCoordinator(t, haMembers(t), t.TempDir(), 0))
+	select {
+	case <-ha.Promoted():
+	default:
+		t.Fatal("Promoted() still open after a Start that leads")
+	}
+	if got := ha.Role(); got != "primary" {
+		t.Fatalf("role = %s, want primary", got)
 	}
 }

@@ -102,7 +102,7 @@ func TestCheckpointKilledBeforeRename(t *testing.T) {
 	const seed = 11
 	rng := rand.New(rand.NewSource(seed))
 	co := haCoordinator(t, nodes, dir, 3)
-	startHA(t, co)
+	ha := startHA(t, co)
 	co.savePoint = func(step string) error {
 		if step == "rename" {
 			return errKilled
@@ -114,6 +114,7 @@ func TestCheckpointKilledBeforeRename(t *testing.T) {
 		t.Fatalf("status after the killed save: checkpoint round %d, error %q", st.LastCheckpointRound, st.LastCheckpointError)
 	}
 	co.StopProbes()
+	ha.release()
 	recoverAndCompare(t, nodes, dir, seed, 4)
 }
 
@@ -126,7 +127,7 @@ func TestCheckpointKilledBeforeWALCut(t *testing.T) {
 	const seed = 12
 	rng := rand.New(rand.NewSource(seed))
 	co := haCoordinator(t, nodes, dir, 3)
-	startHA(t, co)
+	ha := startHA(t, co)
 	co.savePoint = func(step string) error {
 		if step == "WAL cut" {
 			return errKilled
@@ -141,6 +142,7 @@ func TestCheckpointKilledBeforeWALCut(t *testing.T) {
 		t.Fatalf("WAL after the killed cut: %d rounds, %v; want all 4", len(rounds), err)
 	}
 	co.StopProbes()
+	ha.release()
 	recoverAndCompare(t, nodes, dir, seed, 4)
 }
 
@@ -153,7 +155,7 @@ func TestCheckpointSaveDuringRounds(t *testing.T) {
 	const seed = 13
 	rng := rand.New(rand.NewSource(seed))
 	co := haCoordinator(t, nodes, dir, 3)
-	startHA(t, co)
+	ha := startHA(t, co)
 	held, release := holdAt(t, co, "rename")
 	driveHARounds(t, co, api.FrameGradients, rng, 3)
 	<-held
@@ -177,6 +179,7 @@ func TestCheckpointSaveDuringRounds(t *testing.T) {
 		t.Fatalf("status after the save: checkpoint round %d, error %q; want 3 and none", st.LastCheckpointRound, st.LastCheckpointError)
 	}
 	co.StopProbes()
+	ha.release()
 	recoverAndCompare(t, nodes, dir, seed, 4)
 }
 
@@ -190,8 +193,9 @@ func TestStalePrimaryWALResetRefused(t *testing.T) {
 	nodes, dir := haMembers(t), t.TempDir()
 	rng := rand.New(rand.NewSource(6))
 	co1 := haCoordinator(t, nodes, dir, 0)
-	startHA(t, co1)
+	ha1 := startHA(t, co1)
 	driveHARounds(t, co1, api.FrameGradients, rng, 2)
+	ha1.release()
 
 	co2 := haCoordinator(t, nodes, dir, 100)
 	startHA(t, co2)
@@ -218,10 +222,11 @@ func TestStalePrimarySaveRefused(t *testing.T) {
 	nodes, dir := haMembers(t), t.TempDir()
 	rng := rand.New(rand.NewSource(7))
 	co1 := haCoordinator(t, nodes, dir, 2)
-	startHA(t, co1)
+	ha1 := startHA(t, co1)
 	held, release := holdAt(t, co1, "rename")
 	driveHARounds(t, co1, api.FrameGradients, rng, 2)
 	<-held
+	ha1.release() // does not wait for the held save, as death would not
 
 	co2 := haCoordinator(t, nodes, dir, 100)
 	startHA(t, co2)

@@ -2,7 +2,10 @@
 
 package persist
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
 // LockFile without flock(2): the file is created for parity but no
 // cross-process lock is taken. Deployments that need the lock — two
@@ -14,4 +17,10 @@ func LockFile(path string) (release func(), err error) {
 		return nil, err
 	}
 	return func() { _ = f.Close() }, nil
+}
+
+// TryLockFile without flock(2) fails: the lock it stands for is
+// leadership, and granting it unlocked would let two leaders run.
+func TryLockFile(path string) (release func(), err error) {
+	return nil, errors.New("persist: TryLockFile needs flock(2), which this platform lacks")
 }

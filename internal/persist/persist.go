@@ -71,3 +71,6 @@ var ErrCorrupt = errors.New("persist: corrupt data")
 // ErrNoCheckpoint is returned by Manager.LoadLatest when the directory
 // holds no (valid or invalid) checkpoint at all.
 var ErrNoCheckpoint = errors.New("persist: no checkpoint found")
+
+// ErrLocked is returned by TryLockFile when another holder has the lock.
+var ErrLocked = errors.New("persist: lock held elsewhere")
